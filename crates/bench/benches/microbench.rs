@@ -4,10 +4,6 @@
 //! 8b/10b coding rates, MicroPacket codec throughput, CRC, and the
 //! host seqlock — the pieces a real AmpNet driver would run per packet.
 
-// `to_vec` is deprecated for hot paths; benchmarking the allocating
-// encode against `encode_into` is exactly this file's job.
-#![allow(deprecated)]
-
 use ampnet_cache::host::SeqLockBuffer;
 use ampnet_packet::{build, DmaCtrl, MicroPacket};
 use ampnet_phy::{crc32, Decoder, Encoder, Symbol};
@@ -59,24 +55,23 @@ fn bench_packet_codec(c: &mut Criterion) {
         &[0xCD; 64],
     )
     .unwrap();
-    let fixed_bytes = fixed.to_vec();
-    let dma_bytes = dma.to_vec();
+    let (mut fixed_bytes, mut dma_bytes) = (Vec::new(), Vec::new());
+    fixed.encode(&mut fixed_bytes);
+    dma.encode(&mut dma_bytes);
     let mut g = c.benchmark_group("micropacket");
-    g.bench_function("encode_fixed", |b| {
-        b.iter(|| black_box(black_box(&fixed).to_vec()))
+    // Encode into a caller-owned word buffer (the data-plane's single
+    // per-packet encode) and decode to a borrowing view; the
+    // byte-level `decode` legs time the owning reference codec.
+    let mut slot = [0u32; 19];
+    g.bench_function("encode_into_fixed", |b| {
+        b.iter(|| black_box(black_box(&fixed).encode_into(black_box(&mut slot)).unwrap()))
     });
     g.bench_function("decode_fixed", |b| {
         b.iter(|| black_box(MicroPacket::decode(black_box(&fixed_bytes)).unwrap()))
     });
-    g.bench_function("encode_dma64", |b| {
-        b.iter(|| black_box(black_box(&dma).to_vec()))
-    });
     g.bench_function("decode_dma64", |b| {
         b.iter(|| black_box(MicroPacket::decode(black_box(&dma_bytes)).unwrap()))
     });
-    // The zero-copy counterparts: encode into a caller-owned word
-    // buffer and decode to a borrowing view.
-    let mut slot = [0u32; 19];
     let n = dma.encode_into(&mut slot).unwrap();
     let words = slot[..n].to_vec();
     g.bench_function("encode_into_dma64", |b| {

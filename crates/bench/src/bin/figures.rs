@@ -17,13 +17,12 @@
 //! ```
 //!
 //! `--bench-ring` runs the data-plane perf baseline: a 6-node segment
-//! under 1.5x all-to-all broadcast, once with the zero-copy frame
-//! arena (the shipping path), once with the legacy per-hop heap
-//! serialization cost model, and once with the arena path plus live
+//! under 1.5x all-to-all broadcast, once plain and once with live
 //! telemetry, counting heap allocations with an instrumented global
-//! allocator. The JSON snapshot is committed so regressions in
-//! per-packet allocation count — or telemetry overhead creeping onto
-//! the hot path — show up in review.
+//! allocator, and states the goodput next to its theoretical ceiling.
+//! The JSON snapshot is committed so regressions in per-packet
+//! allocation count — or telemetry overhead creeping onto the hot
+//! path — show up in review.
 //!
 //! `--bench-scale` sizes the sharded-PDES engine: 1→16 segments of 16
 //! nodes each (up to 256 nodes), each point run four times from the
@@ -113,20 +112,22 @@ struct RingLeg {
     tour_p99_ns: u64,
 }
 
-/// One leg of the comparison. `heap_serialize` replays the pre-arena
-/// cost model (decode + heap-serialize on every hop); `telemetry`
-/// runs the shipping path with a live registry + flight recorder.
-/// Telemetry registration happens before the measured window — the
-/// record path itself must not allocate.
-fn ring_leg(heap_serialize: bool, telemetry: bool) -> RingLeg {
-    let params = SegmentParams {
-        n_nodes: 6,
+const RING_NODES: usize = 6;
+
+fn ring_params() -> SegmentParams {
+    SegmentParams {
+        n_nodes: RING_NODES,
         link: ampnet_phy::LinkParams::gigabit(25.0),
         ..Default::default()
-    };
-    let mut seg = Segment::new(params, 0xBEEF);
+    }
+}
+
+/// One measured run; `telemetry` adds a live registry + flight
+/// recorder. Telemetry registration happens before the measured
+/// window — the record path itself must not allocate.
+fn ring_leg(telemetry: bool) -> RingLeg {
+    let mut seg = Segment::new(ring_params(), 0xBEEF);
     seg.all_to_all_broadcast(1.5);
-    seg.set_heap_serialize(heap_serialize);
     let tel = telemetry.then(|| Telemetry::new(256));
     if let Some(tel) = &tel {
         seg.enable_telemetry(tel);
@@ -163,41 +164,36 @@ fn leg_json(leg: &RingLeg) -> String {
 fn bench_ring(path: &str) {
     // Warm-up leg absorbs one-time lazy init (thread-locals, stdout
     // buffers) so no measured leg is charged for it.
-    let _ = ring_leg(false, false);
-    let arena = ring_leg(false, false);
-    let heap = ring_leg(true, false);
-    let arena_telemetry = ring_leg(false, true);
-    let reduction_pct = if heap.allocs_per_packet > 0.0 {
-        100.0 * (1.0 - arena.allocs_per_packet / heap.allocs_per_packet)
-    } else {
-        0.0
-    };
-    // Extra per-packet allocations attributable to live telemetry,
-    // relative to the heap-serialize baseline spread (the quantity the
-    // arena refactor bought). CI fails the telemetry job when this
-    // exceeds 5%.
-    let telemetry_overhead_pct = if heap.allocs_per_packet > 0.0 {
-        100.0 * (arena_telemetry.allocs_per_packet - arena.allocs_per_packet)
-            / heap.allocs_per_packet
-    } else {
-        0.0
-    };
+    let _ = ring_leg(false);
+    let arena = ring_leg(false);
+    let arena_telemetry = ring_leg(true);
+    // Saturated all-to-all broadcast keeps every link busy with 20-byte
+    // Data cells carrying 8 payload bytes, and each cell is delivered
+    // to the n−1 other nodes: ceiling = line rate × 8/20 × (n−1). The
+    // line rate is the simulated one — 20 wire bytes serialize in a
+    // whole 188 ns, a hair above the nominal 106.25 MB/s.
+    let cell = ampnet_packet::build::data_broadcast(0, 0, [0; 8]);
+    let ceiling_mbps = ring_params()
+        .link
+        .effective_mbps(cell.wire_bytes(), cell.payload_bytes())
+        * (RING_NODES - 1) as f64;
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"ring_all_to_all\",\n",
-            "  \"nodes\": 6,\n  \"offered_load\": 1.5,\n",
+            "  \"nodes\": {},\n  \"offered_load\": 1.5,\n",
             "  \"duration_ms\": 3,\n",
             "  \"arena\": {},\n",
-            "  \"heap_serialize\": {},\n",
             "  \"arena_telemetry\": {},\n",
-            "  \"alloc_reduction_pct\": {:.2},\n",
-            "  \"telemetry_overhead_pct\": {:.2}\n}}\n"
+            "  \"telemetry_overhead\": {:.4},\n",
+            "  \"goodput_ceiling_mbps\": {:.3},\n",
+            "  \"goodput_pct_of_ceiling\": {:.2}\n}}\n"
         ),
+        RING_NODES,
         leg_json(&arena),
-        leg_json(&heap),
         leg_json(&arena_telemetry),
-        reduction_pct,
-        telemetry_overhead_pct,
+        arena_telemetry.allocs_per_packet - arena.allocs_per_packet,
+        ceiling_mbps,
+        100.0 * arena.goodput_mbps / ceiling_mbps,
     );
     std::fs::write(path, &json).expect("write bench json");
     print!("{json}");

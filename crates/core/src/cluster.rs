@@ -5,7 +5,7 @@
 //! context per host (layered ring data-plane, network cache replica,
 //! message endpoints, semaphore client, DK lifecycle) and the global
 //! event loop. The per-node data-plane is an `ampnet-ring`
-//! [`NodeStack`] (PhyPort → InsertionMac → DeliveryPlane) fed from a
+//! [`NodeStack`] (SerialPhy → RegisterMac → HostQueues) fed from a
 //! cluster-owned [`FrameArena`]: each packet is serialized once at its
 //! source and hops move pooled frame handles. Failures injected into
 //! the plant trigger detection and rostering exactly as slides 16/18
@@ -17,7 +17,6 @@
 use crate::config::ClusterConfig;
 use crate::observe::ObservedEvent;
 use crate::telemetry::CoreTelemetry;
-use crate::transport::HopTimingCache;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
@@ -60,7 +59,7 @@ pub struct RosterEvent {
 /// Per-node composite state.
 pub(crate) struct NodeCtx {
     /// The layered data-plane (PHY / insertion MAC / host delivery).
-    pub(crate) stack: NodeStack<SerialPhy, RegisterMac, HostQueues>,
+    pub(crate) stack: NodeStack,
     pub(crate) cache: NetworkCache,
     pub(crate) online: bool,
     pub(crate) msg_tx: MsgTx,
@@ -131,13 +130,12 @@ pub struct Cluster {
     /// Position of each node in the current ring (usize::MAX = not a
     /// member).
     pub(crate) ring_pos: Vec<usize>,
-    /// Memoized ring successor per node: `(successor, fiber metres)`
-    /// for members, `None` otherwise. `kick` runs once per event, and
-    /// the successor walk (`ring.order` indexing + `hop_fiber_m`'s
-    /// f64 path math) only changes when a roster episode installs a
-    /// new ring, so it is rebuilt there instead of recomputed per
-    /// transmission attempt.
-    pub(crate) ring_succ: Vec<Option<(u8, f64)>>,
+    /// Memoized ring successor per node (`None` for non-members).
+    /// `kick` runs once per event, and the successor walk only changes
+    /// when a roster episode installs a new ring, so it is rebuilt
+    /// there — together with each member PHY's outgoing link — instead
+    /// of recomputed per transmission attempt.
+    pub(crate) ring_succ: Vec<Option<u8>>,
     pub(crate) apps: crate::apps::AppState,
     pub(crate) diag: crate::diagnostics::DiagState,
     pub(crate) trace: Trace,
@@ -157,10 +155,6 @@ pub struct Cluster {
     pub(crate) tel: CoreTelemetry,
     /// Reusable same-instant event batch (allocated once).
     batch: Vec<(SimTime, Ev)>,
-    /// Memoized per-hop wire timing (transport.rs): the floating-point
-    /// link math is identical for every hop with the same fiber run
-    /// and frame size, but sat on the per-transmission hot path.
-    pub(crate) hop_timing: HopTimingCache,
     /// Cached unicast replay-expiry window, keyed by ring length
     /// (`usize::MAX` = stale). `quiet_tour() * 2` only changes when
     /// the ring does, not per arrival.
@@ -178,7 +172,10 @@ impl Cluster {
     /// for (the ring is up after its two tours).
     pub fn new(cfg: ClusterConfig) -> Self {
         let topo = cfg.build_plant();
-        let nominal_link = cfg.timing.link(cfg.fiber_length_m);
+        // One prototype port, cloned per node: the clones share its
+        // serialize-time table (see `SerialPhy`); `install_ring` sets
+        // each member's real fiber run.
+        let port = SerialPhy::new(cfg.timing.link(cfg.fiber_length_m), cfg.timing.node_latency);
         let nodes = (0..cfg.n_nodes)
             .map(|i| {
                 let mut cache = NetworkCache::new(i as u8);
@@ -187,7 +184,7 @@ impl Cluster {
                 }
                 NodeCtx {
                     stack: NodeStack::new(
-                        SerialPhy::new(nominal_link, cfg.timing.node_latency),
+                        port.clone(),
                         RegisterMac::new(i as u8, cfg.mac),
                         HostQueues::retaining(cfg.n_nodes),
                     ),
@@ -236,7 +233,6 @@ impl Cluster {
             observations: vec![],
             tel: Default::default(),
             batch: vec![],
-            hop_timing: HopTimingCache::default(),
             unicast_expiry: (usize::MAX, SimDuration::ZERO),
             stream_backlog: [0; 256],
             cfg,

@@ -113,7 +113,8 @@ impl Cluster {
         for (pos, n) in self.ring.order.iter().enumerate() {
             self.ring_pos[n.0 as usize] = pos;
         }
-        // Refresh the per-node successor memo (see `Cluster::ring_succ`).
+        // Refresh the per-node successor memo (see `Cluster::ring_succ`)
+        // and point each member's PHY at the fiber run to its successor.
         self.ring_succ.fill(None);
         let len = self.ring.order.len();
         for (pos, n) in self.ring.order.iter().enumerate() {
@@ -121,7 +122,8 @@ impl Cluster {
             let fiber = self
                 .topo
                 .hop_fiber_m(*n, v, &self.ring.hops[pos]);
-            self.ring_succ[n.0 as usize] = Some((v.0, fiber));
+            self.ring_succ[n.0 as usize] = Some(v.0);
+            self.nodes[n.0 as usize].stack.phy.set_fiber_length(fiber);
         }
     }
 

@@ -19,52 +19,7 @@ use ampnet_services::socket::AMPIP_STREAM;
 use ampnet_services::threads::THREAD_VECTOR;
 use ampnet_sim::SimDuration;
 
-/// Memoized per-hop wire timing. Every hop with the same fiber run
-/// and frame size has identical serialization/propagation delays, but
-/// the f64 math that derives them (`LinkParams::serialize_time` +
-/// `propagation`) used to run per transmission — a measurable slice of
-/// the serial scale bench. One fiber run dominates a ring (all
-/// node–switch links share `cfg.fiber_length_m`), so the cache keys on
-/// the last-seen fiber length and memoizes serialize times by wire
-/// size. Values are produced by the exact same `LinkParams` calls, so
-/// event timing — and therefore every digest — is unchanged.
-#[derive(Debug, Default)]
-pub(crate) struct HopTimingCache {
-    /// `f64::to_bits` of the cached fiber run (0 = nothing cached).
-    key: u64,
-    /// Propagation + per-node transit latency for that run, nanos.
-    fixed_ns: u64,
-    /// `serialize_time(bytes)` in nanos by wire size; `u64::MAX` =
-    /// not yet computed.
-    ser_ns: Vec<u64>,
-}
-
 impl Cluster {
-    /// `(serialize_time, serialize_time + propagation + node_latency)`
-    /// for one hop, memoized.
-    fn hop_timing(&mut self, fiber_m: f64, wire_bytes: usize) -> (SimDuration, SimDuration) {
-        let key = fiber_m.to_bits();
-        let cache = &mut self.hop_timing;
-        let timing = &self.cfg.timing;
-        if cache.key != key || cache.ser_ns.is_empty() {
-            cache.key = key;
-            cache.fixed_ns =
-                (timing.link(fiber_m).propagation() + timing.node_latency).as_nanos();
-            cache.ser_ns.clear();
-        }
-        if wire_bytes >= cache.ser_ns.len() {
-            cache.ser_ns.resize(wire_bytes + 1, u64::MAX);
-        }
-        if cache.ser_ns[wire_bytes] == u64::MAX {
-            cache.ser_ns[wire_bytes] = timing.link(fiber_m).serialize_time(wire_bytes).as_nanos();
-        }
-        let ser = cache.ser_ns[wire_bytes];
-        (
-            SimDuration::from_nanos(ser),
-            SimDuration::from_nanos(ser + cache.fixed_ns),
-        )
-    }
-
     // ----- insertion -----
 
     pub(crate) fn enqueue_own(&mut self, node: u8, pkt: MicroPacket) {
@@ -88,19 +43,12 @@ impl Cluster {
         }
     }
 
-    #[inline]
-    fn ring_successor(&self, node: u8) -> Option<(u8, f64)> {
-        // Memoized in `install_ring`: the successor and its fiber run
-        // are fixed between roster episodes.
-        self.ring_succ[node as usize]
-    }
-
     pub(crate) fn kick(&mut self, node: u8) {
         let i = node as usize;
         if !self.ring_up || !self.nodes[i].online || self.tx_busy[i] {
             return;
         }
-        let Some((succ, fiber_m)) = self.ring_successor(node) else {
+        let Some(succ) = self.ring_succ[i] else {
             return;
         };
         let now = self.sim.now();
@@ -117,7 +65,7 @@ impl Cluster {
                         self.nodes[i].outstanding_unicast.push_back((now, packet));
                     }
                 }
-                let (ser, latency) = self.hop_timing(fiber_m, frame.wire_bytes as usize);
+                let (ser, latency) = self.nodes[i].stack.phy.hop_timing(frame.wire_bytes as usize);
                 self.tx_busy[i] = true;
                 let epoch = self.epoch;
                 self.sim.schedule_in(ser, Ev::TxDone { epoch, node });

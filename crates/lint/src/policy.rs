@@ -67,7 +67,6 @@ pub const REPO_POLICY: Policy = Policy {
     hot_path_files: &[
         // The ring planes: every packet crosses these per hop.
         "crates/ring/src/mac.rs",
-        "crates/ring/src/node.rs",
         "crates/ring/src/pacing.rs",
         "crates/ring/src/stack.rs",
         "crates/ring/src/stream.rs",

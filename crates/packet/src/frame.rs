@@ -1,9 +1,8 @@
 //! Pooled zero-copy wire buffers for the node data-plane.
 //!
-//! The simulators used to pass whole [`MicroPacket`] values through
-//! every hop of the ring, re-serializing them with the now-deprecated
-//! `MicroPacket::to_vec` each time. The [`FrameArena`] replaces that
-//! with the register-insertion pipeline the paper describes: a packet
+//! The [`FrameArena`] models the register-insertion pipeline the
+//! paper describes, instead of passing whole [`MicroPacket`] values
+//! through every hop and heap-serializing them each time: a packet
 //! is serialized **once** at its source into a pooled frame slot
 //! ([`MicroPacket::encode_into`]), transit nodes forward the 8-byte
 //! [`FrameRef`] handle, and only the delivery plane materializes a
@@ -458,8 +457,8 @@ mod tests {
     fn insert_bytes_matches_encode_into() {
         let mut a = FrameArena::new();
         for pkt in [fixed(1), dma(7), dma(64)] {
-            #[allow(deprecated)]
-            let bytes = pkt.to_vec();
+            let mut bytes = Vec::new();
+            pkt.encode(&mut bytes);
             let via_bytes = a.insert_bytes(&bytes).unwrap();
             let direct = a.insert(&pkt);
             assert_eq!(a.words(via_bytes), a.words(direct));

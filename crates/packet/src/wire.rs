@@ -230,22 +230,6 @@ impl MicroPacket {
         Ok(n)
     }
 
-    /// Serialized words as a fresh vector.
-    ///
-    /// Heap-allocates per call; the data-plane serializes into a
-    /// [`FrameArena`](crate::FrameArena) slot via
-    /// [`MicroPacket::encode_into`] instead. Kept for tests and debug
-    /// tooling.
-    #[deprecated(
-        since = "0.2.0",
-        note = "hot paths use encode_into / FrameArena; to_vec is for tests and debug only"
-    )]
-    pub fn to_vec(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.words() * WORD);
-        self.encode(&mut v);
-        v
-    }
-
     /// Parse serialized transmission words into a borrowing
     /// [`FrameView`](crate::FrameView) — no payload copy.
     pub fn decode_ref(words: &[u32]) -> Result<crate::FrameView<'_>, PacketError> {
@@ -299,6 +283,13 @@ mod tests {
             Body::Fixed([1, 2, 3, 4, 5, 6, 7, 8]),
         )
         .unwrap()
+    }
+
+    /// The byte-level reference encoding the word codec must match.
+    fn encoded(p: &MicroPacket) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        p.encode(&mut bytes);
+        bytes
     }
 
     #[test]
@@ -394,7 +385,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn encode_decode_roundtrip_fixed() {
         for t in [
             PacketType::Rostering,
@@ -404,7 +394,7 @@ mod tests {
             PacketType::D64Atomic,
         ] {
             let p = fixed(t);
-            let bytes = p.to_vec();
+            let bytes = encoded(&p);
             assert_eq!(bytes.len(), 12);
             assert_eq!(MicroPacket::decode(&bytes).unwrap(), p);
         }
@@ -438,8 +428,7 @@ mod tests {
             let mut words = [0u32; 19];
             let n = p.encode_into(&mut words).unwrap();
             assert_eq!(n, p.words());
-            let mut bytes = Vec::new();
-            p.encode(&mut bytes);
+            let bytes = encoded(&p);
             let flat: Vec<u8> = words[..n]
                 .iter()
                 .flat_map(|w| w.to_be_bytes())
@@ -460,7 +449,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn encode_decode_roundtrip_variable() {
         let mut data = [0u8; 64];
         for (i, b) in data.iter_mut().enumerate() {
@@ -480,7 +468,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let bytes = p.to_vec();
+            let bytes = encoded(&p);
             let back = MicroPacket::decode(&bytes).unwrap();
             assert_eq!(back.ctrl, p.ctrl);
             assert_eq!(back.dma_payload().unwrap(), &data[..len as usize]);
@@ -497,11 +485,8 @@ mod tests {
             MicroPacket::decode(&[0; 13]),
             Err(PacketError::BadSize(13))
         ));
-        // Fixed packet with trailing words (encode once into a
-        // pre-sized buffer instead of the old to_vec + extend copy).
-        let p = fixed(PacketType::Data);
-        let mut bytes = Vec::with_capacity(p.words() * WORD + WORD);
-        p.encode(&mut bytes);
+        // Fixed packet with trailing words.
+        let mut bytes = encoded(&fixed(PacketType::Data));
         bytes.extend_from_slice(&[0; 4]);
         assert!(matches!(
             MicroPacket::decode(&bytes),

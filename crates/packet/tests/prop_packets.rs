@@ -1,14 +1,16 @@
 //! Property tests: MicroPacket encode/decode is a bijection on valid
 //! packets, and wire sizes always match the slide-5/6 formats.
 
-// The roundtrip properties deliberately exercise the deprecated
-// heap-serializing `to_vec` (it is the reference encoding the
-// zero-copy paths must match).
-#![allow(deprecated)]
-
 use ampnet_packet::build::{self, AtomicOp, AtomicRequest, InterruptPayload};
 use ampnet_packet::{Body, ControlWord, DmaCtrl, MicroPacket, PacketType, FIXED_PAYLOAD};
 use proptest::prelude::*;
+
+/// The byte-level reference encoding the zero-copy paths must match.
+fn encoded(p: &MicroPacket) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    p.encode(&mut bytes);
+    bytes
+}
 
 fn arb_fixed_type() -> impl Strategy<Value = PacketType> {
     prop::sample::select(vec![
@@ -30,7 +32,7 @@ proptest! {
         payload in any::<[u8; FIXED_PAYLOAD]>(),
     ) {
         let p = MicroPacket::new(ControlWord::new(t, src, dst, tag), Body::Fixed(payload)).unwrap();
-        let bytes = p.to_vec();
+        let bytes = encoded(&p);
         prop_assert_eq!(bytes.len(), 12);
         prop_assert_eq!(MicroPacket::decode(&bytes).unwrap(), p);
     }
@@ -47,7 +49,7 @@ proptest! {
     ) {
         let ctrl = DmaCtrl { channel, region, offset, len: 0 };
         let p = build::dma(src, dst, stream, ctrl, &payload).unwrap();
-        let bytes = p.to_vec();
+        let bytes = encoded(&p);
         prop_assert_eq!(bytes.len() % 4, 0);
         let back = MicroPacket::decode(&bytes).unwrap();
         prop_assert_eq!(back.dma_payload().unwrap(), &payload[..]);
@@ -96,7 +98,7 @@ proptest! {
         let p = build::atomic_request(src, home, req);
         prop_assert_eq!(build::parse_atomic_request(&p), Some(req));
         // And the encoded packet survives the wire.
-        let back = MicroPacket::decode(&p.to_vec()).unwrap();
+        let back = MicroPacket::decode(&encoded(&p)).unwrap();
         prop_assert_eq!(build::parse_atomic_request(&back), Some(req));
     }
 

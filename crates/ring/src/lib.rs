@@ -8,19 +8,17 @@
 //! simultaneous all-to-all broadcast never drops a packet* — is
 //! structural here and asserted by experiment E4.
 //!
-//! The node data-plane is layered into three planes, each a trait with
-//! one canonical implementation (see `DESIGN.md` §9):
+//! The node data-plane is one fixed pipeline of three concrete planes,
+//! like the NIU hardware it models (see `DESIGN.md` §9):
 //!
-//! * [`PhyPort`]/[`SerialPhy`] — serialization timing and the 8b/10b
-//!   line-error model.
-//! * [`InsertionMac`]/[`RegisterMac`] — the register-insertion state
-//!   machine itself (arrival handling, transmit selection, insertion
-//!   rules, counters), operating on pooled [`WireFrame`]s.
-//! * [`DeliveryPlane`]/[`HostQueues`] — what happens to packets
-//!   addressed to this node.
+//! * [`SerialPhy`] — hop timing (the single owner of serialization and
+//!   propagation delays) and the 8b/10b line-error model.
+//! * [`RegisterMac`] — the register-insertion state machine itself
+//!   (arrival handling, transmit selection, insertion rules,
+//!   counters), operating on pooled [`WireFrame`]s.
+//! * [`HostQueues`] — what happens to packets addressed to this node.
 //!
-//! [`NodeStack`] composes the three; [`RingNode`] is a packet-valued
-//! adapter over [`RegisterMac`] for sans-IO unit-level use.
+//! [`NodeStack`] composes the three.
 //!
 //! * [`StreamSet`] — deficit-round-robin multi-stream scheduler
 //!   (slide 7).
@@ -33,23 +31,18 @@
 #![forbid(unsafe_code)]
 
 mod mac;
-mod node;
 mod pacing;
 mod segment;
 mod stack;
 mod stream;
 
 pub use mac::{
-    classify, FrameClass, InsertionMac, MacAction, MacTx, RegisterMac, RingNodeParams,
-    RingNodeStats, WireFrame, MAX_PACKET_WIRE,
+    classify, FrameClass, MacAction, MacTx, RegisterMac, RingNodeParams, RingNodeStats, WireFrame,
+    MAX_PACKET_WIRE,
 };
-pub use node::{ArrivalAction, RingNode, TxChoice};
 pub use pacing::{AimdParams, InsertionGovernor, PacingMode};
 pub use segment::{
     ArrivalProcess, DstPattern, PacketKind, Segment, SegmentParams, SegmentReport, StreamWorkload,
 };
-pub use stack::{
-    DeliveryPlane, HostQueues, NodeStack, PhyPort, PlaneFault, SerialPhy, StackOutcome,
-    StackTelemetry,
-};
+pub use stack::{HostQueues, NodeStack, PlaneFault, SerialPhy, StackOutcome, StackTelemetry};
 pub use stream::{StreamId, StreamSet, WireSized};

@@ -187,49 +187,9 @@ pub struct MacTx {
     pub stream: Option<StreamId>,
 }
 
-/// The insertion-MAC plane interface: arrival classification, transmit
-/// selection, and local enqueueing, all in terms of [`WireFrame`]s.
-///
-/// [`RegisterMac`] is the paper's register-insertion behavior; the
-/// trait exists so experiments (and faults) can interpose at the plane
-/// boundary.
-pub trait InsertionMac {
-    /// This node's ring address.
-    fn id(&self) -> u8;
-
-    /// Handle a frame arriving from the upstream link.
-    fn on_arrival(&mut self, now: SimTime, frame: WireFrame) -> MacAction;
-
-    /// Choose the next frame for a free output port, or `None` if
-    /// nothing is eligible right now. `now` drives the pacing governor.
-    fn next_tx(&mut self, now: SimTime) -> Option<MacTx>;
-
-    /// Queue a normal own frame on `stream`.
-    fn enqueue_own(&mut self, stream: StreamId, frame: WireFrame);
-
-    /// Queue an urgent (Rostering / Interrupt) frame; bypasses the
-    /// stream scheduler and the pacing governor.
-    fn enqueue_urgent(&mut self, frame: WireFrame);
-
-    /// Earliest time a governed insertion may occur (for scheduling a
-    /// retry when `next_tx` returned `None` but streams have traffic).
-    fn next_insert_allowed(&self) -> SimTime;
-
-    /// Whether any local stream has traffic waiting.
-    fn has_pending_streams(&self) -> bool;
-
-    /// Whether the node has anything to send at all.
-    fn has_backlog(&self) -> bool;
-
-    /// Current transit (insertion) buffer occupancy in bytes.
-    fn transit_bytes(&self) -> usize;
-
-    /// Counters.
-    fn stats(&self) -> &RingNodeStats;
-}
-
-/// The per-node register-insertion MAC (the paper's behavior; the
-/// default [`InsertionMac`] implementation).
+/// The per-node register-insertion MAC (the paper's slide-8 behavior):
+/// arrival classification, transmit selection and local enqueueing,
+/// all in terms of [`WireFrame`]s.
 #[derive(Debug)]
 pub struct RegisterMac {
     id: u8,
@@ -299,11 +259,8 @@ impl RegisterMac {
         self.stats.transit_highwater = self.stats.transit_highwater.max(self.transit_bytes);
         self.transit.push_back(frame);
     }
-}
 
-impl RegisterMac {
-    /// Handle a frame arriving from the upstream link (see
-    /// [`InsertionMac::on_arrival`]).
+    /// Handle a frame arriving from the upstream link.
     pub fn on_arrival(&mut self, _now: SimTime, frame: WireFrame) -> MacAction {
         match classify(self.id, &frame.ctrl) {
             FrameClass::Strip => {
@@ -329,8 +286,8 @@ impl RegisterMac {
         }
     }
 
-    /// Choose the next frame for a free output port (see
-    /// [`InsertionMac::next_tx`]).
+    /// Choose the next frame for a free output port, or `None` if
+    /// nothing is eligible right now. `now` drives the pacing governor.
     pub fn next_tx(&mut self, now: SimTime) -> Option<MacTx> {
         // 1. Transit traffic has absolute priority.
         if let Some(frame) = self.transit.pop_front() {
@@ -372,13 +329,15 @@ impl RegisterMac {
         self.streams.enqueue(stream, frame);
     }
 
-    /// Queue an urgent frame ahead of the stream scheduler.
+    /// Queue an urgent (Rostering / Interrupt) frame; bypasses the
+    /// stream scheduler and the pacing governor.
     pub fn enqueue_urgent(&mut self, frame: WireFrame) {
         debug_assert!(frame.ctrl.flags.contains(Flags::URGENT));
         self.urgent.push_back(frame);
     }
 
-    /// Earliest time a governed insertion may occur.
+    /// Earliest time a governed insertion may occur (for scheduling a
+    /// retry when `next_tx` returned `None` but streams have traffic).
     pub fn next_insert_allowed(&self) -> SimTime {
         self.governor.next_allowed()
     }
@@ -394,52 +353,24 @@ impl RegisterMac {
     }
 }
 
-impl InsertionMac for RegisterMac {
-    fn id(&self) -> u8 {
-        RegisterMac::id(self)
-    }
-
-    fn on_arrival(&mut self, now: SimTime, frame: WireFrame) -> MacAction {
-        RegisterMac::on_arrival(self, now, frame)
-    }
-
-    fn next_tx(&mut self, now: SimTime) -> Option<MacTx> {
-        RegisterMac::next_tx(self, now)
-    }
-
-    fn enqueue_own(&mut self, stream: StreamId, frame: WireFrame) {
-        RegisterMac::enqueue_own(self, stream, frame);
-    }
-
-    fn enqueue_urgent(&mut self, frame: WireFrame) {
-        RegisterMac::enqueue_urgent(self, frame);
-    }
-
-    fn next_insert_allowed(&self) -> SimTime {
-        RegisterMac::next_insert_allowed(self)
-    }
-
-    fn has_pending_streams(&self) -> bool {
-        RegisterMac::has_pending_streams(self)
-    }
-
-    fn has_backlog(&self) -> bool {
-        RegisterMac::has_backlog(self)
-    }
-
-    fn transit_bytes(&self) -> usize {
-        RegisterMac::transit_bytes(self)
-    }
-
-    fn stats(&self) -> &RingNodeStats {
-        RegisterMac::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ampnet_packet::build;
+
+    fn mac_with(id: u8, params: RingNodeParams) -> (RegisterMac, FrameArena) {
+        (RegisterMac::new(id, params), FrameArena::new())
+    }
+
+    fn greedy(id: u8) -> (RegisterMac, FrameArena) {
+        mac_with(
+            id,
+            RingNodeParams {
+                pacing: PacingMode::Greedy,
+                ..Default::default()
+            },
+        )
+    }
 
     #[test]
     fn wireframe_descriptor_matches_packet() {
@@ -455,14 +386,7 @@ mod tests {
 
     #[test]
     fn forwarding_keeps_the_same_frame_ref() {
-        let mut arena = FrameArena::new();
-        let mut mac = RegisterMac::new(
-            2,
-            RingNodeParams {
-                pacing: PacingMode::Greedy,
-                ..Default::default()
-            },
-        );
+        let (mut mac, mut arena) = greedy(2);
         let pkt = build::data_broadcast(0, 0, [7; 8]);
         let wf = WireFrame::insert(&mut arena, &pkt);
         match mac.on_arrival(SimTime(0), wf) {
@@ -472,5 +396,108 @@ mod tests {
         let tx = mac.next_tx(SimTime(0)).unwrap();
         assert_eq!(tx.frame.frame, wf.frame, "no copy on the forwarding path");
         assert_eq!(arena.stats().acquired, 1, "one encode for the whole hop");
+    }
+
+    #[test]
+    fn unicast_in_transit_forwarded() {
+        let (mut mac, mut arena) = greedy(2);
+        let wf = WireFrame::insert(&mut arena, &build::data(0, 5, 0, [1; 8]));
+        assert_eq!(mac.on_arrival(SimTime(0), wf), MacAction::Forward);
+        let tx = mac.next_tx(SimTime(0)).unwrap();
+        assert_eq!(tx.frame, wf);
+        assert!(!tx.own);
+        assert_eq!(mac.stats().forwarded, 1);
+    }
+
+    #[test]
+    fn own_packet_stripped_after_tour() {
+        let (mut mac, mut arena) = greedy(3);
+        let wf = WireFrame::insert(&mut arena, &build::data_broadcast(3, 0, [0; 8]));
+        assert_eq!(mac.on_arrival(SimTime(0), wf), MacAction::Strip(wf));
+        assert_eq!(mac.stats().stripped, 1);
+        assert!(mac.next_tx(SimTime(0)).is_none());
+    }
+
+    #[test]
+    fn transit_beats_own_traffic() {
+        let (mut mac, mut arena) = greedy(1);
+        mac.enqueue_own(0, WireFrame::insert(&mut arena, &build::data(1, 5, 0, [1; 8])));
+        let transit = WireFrame::insert(&mut arena, &build::data(0, 5, 0, [2; 8]));
+        mac.on_arrival(SimTime(0), transit);
+        let first = mac.next_tx(SimTime(0)).unwrap();
+        assert_eq!(first.frame, transit, "transit must go first");
+        let second = mac.next_tx(SimTime(0)).unwrap();
+        assert!(second.own);
+    }
+
+    #[test]
+    fn own_insert_requires_empty_transit() {
+        let (mut mac, mut arena) = greedy(1);
+        mac.enqueue_own(0, WireFrame::insert(&mut arena, &build::data(1, 5, 0, [1; 8])));
+        mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &build::data(0, 5, 0, [2; 8])));
+        mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &build::data(0, 6, 0, [3; 8])));
+        // Drain: transit, transit, then own.
+        assert!(!mac.next_tx(SimTime(0)).unwrap().own);
+        assert!(!mac.next_tx(SimTime(0)).unwrap().own);
+        assert!(mac.next_tx(SimTime(0)).unwrap().own);
+    }
+
+    #[test]
+    fn urgent_bypasses_governor_but_not_transit() {
+        let (mut mac, mut arena) = mac_with(1, RingNodeParams::default());
+        // Make the governor refuse normal insertions for a while.
+        for _ in 0..4 {
+            mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &build::data(0, 5, 0, [9; 8])));
+        }
+        while mac.next_tx(SimTime(0)).is_some() {}
+        let roster = WireFrame::insert(&mut arena, &build::rostering(1, 0, [0; 8]));
+        mac.enqueue_urgent(roster);
+        let transit = WireFrame::insert(&mut arena, &build::data(0, 5, 0, [2; 8]));
+        mac.on_arrival(SimTime(0), transit);
+        assert_eq!(mac.next_tx(SimTime(0)).unwrap().frame, transit);
+        assert_eq!(mac.next_tx(SimTime(0)).unwrap().frame, roster);
+    }
+
+    #[test]
+    fn highwater_and_would_drop_accounting() {
+        let (mut mac, mut arena) = mac_with(
+            1,
+            RingNodeParams {
+                transit_capacity: 40,
+                pacing: PacingMode::Greedy,
+                n_streams: 1,
+            },
+        );
+        // 3 × 20-byte packets into a 40-byte buffer: third would drop.
+        for i in 0..3 {
+            mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &build::data(0, 5, i, [i; 8])));
+        }
+        assert_eq!(mac.stats().would_drop, 1);
+        assert_eq!(mac.stats().transit_highwater, 60);
+        assert_eq!(mac.transit_bytes(), 60);
+    }
+
+    #[test]
+    fn structural_capacity_never_trips_with_default_params() {
+        // Worst case modelled by the insert-when-empty rule: the node
+        // inserts one max packet; during that time one max packet
+        // finishes arriving and one more is in flight.
+        let (mut mac, mut arena) = mac_with(1, RingNodeParams::default());
+        mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &build::data(0, 5, 0, [0; 8])));
+        let full = build::dma(
+            0,
+            5,
+            0,
+            ampnet_packet::DmaCtrl {
+                channel: 0,
+                region: 0,
+                offset: 0,
+                len: 0,
+            },
+            &[0; 64],
+        )
+        .unwrap();
+        mac.on_arrival(SimTime(0), WireFrame::insert(&mut arena, &full));
+        assert_eq!(mac.stats().would_drop, 0);
     }
 }

@@ -1,11 +1,10 @@
-//! The layered node data-plane: `PhyPort → InsertionMac → DeliveryPlane`.
+//! The layered node data-plane: `SerialPhy → RegisterMac → HostQueues`.
 //!
-//! The paper's NIU (slides 7–8) is one pipeline: the serial PHY
+//! The paper's NIU (slides 7–8) is one fixed pipeline: the serial PHY
 //! recovers 8b/10b groups off the fiber, the register-insertion MAC
 //! decides *forward / deliver / strip*, and delivered frames DMA into
 //! the network cache or host queues. [`NodeStack`] models that
-//! pipeline once, as three plane traits with the paper's behavior as
-//! the default implementations; the standalone [`Segment`]
+//! pipeline once, as three concrete planes; the standalone [`Segment`]
 //! (crate::Segment) simulator and `ampnet-core`'s `Cluster` both drive
 //! it, instead of each carrying its own MAC/delivery copy.
 //!
@@ -17,10 +16,10 @@
 //! [`FrameView`](ampnet_packet::FrameView)) and the slot is recycled
 //! when the frame leaves the ring (unicast delivery or source strip).
 //! Fault injection addresses a plane, not a node blob: an error burst
-//! is a [`PlaneFault::Phy`] assessed by the [`PhyPort`]'s 8b/10b
+//! is a [`PlaneFault::Phy`] assessed by the [`SerialPhy`]'s 8b/10b
 //! checker.
 
-use crate::mac::{InsertionMac, MacAction, MacTx, RegisterMac, RingNodeStats, WireFrame};
+use crate::mac::{MacAction, MacTx, RegisterMac, RingNodeStats, WireFrame, MAX_PACKET_WIRE};
 use crate::stream::StreamId;
 use ampnet_packet::{FrameArena, FrameRef, FrameView, MicroPacket};
 use ampnet_phy::LinkParams;
@@ -29,78 +28,74 @@ use ampnet_telemetry::{
     defs, CounterHandle, FlightEvent, FlightKind, GaugeHandle, Plane, Telemetry,
 };
 use std::collections::VecDeque;
+use std::sync::Arc;
 
-/// The PHY plane: serialization timing and the 8b/10b line interface.
-pub trait PhyPort {
-    /// Time to clock `wire_bytes` through the serializer.
-    fn serialize_time(&self, wire_bytes: usize) -> SimDuration;
-
-    /// Full hop latency for a frame: serialization + propagation +
-    /// downstream re-timing.
-    fn hop_latency(&self, wire_bytes: usize) -> SimDuration;
-
-    /// A frame is put on the wire. The default zero-copy path is a
-    /// no-op (the frame is already serialized in the arena); legacy
-    /// implementations may re-serialize per hop here.
-    fn transmit(&mut self, arena: &FrameArena, frame: &WireFrame);
-
-    /// Assess a bit-error burst against the 8b/10b checker: corrupt a
-    /// window of line groups (replayable from `seed`) and return how
-    /// many code/disparity violations the deserializer flags.
-    fn assess_burst(&mut self, seed: u64, errors: u32) -> u32;
-}
-
-/// The paper's serial PHY: one fiber at a fixed line rate, plus the
-/// per-node elasticity/re-timing latency.
+/// The PHY plane — the paper's serial port: one outgoing fiber at a
+/// fixed line rate plus the per-node elasticity/re-timing latency, and
+/// the 8b/10b line-error checker.
+///
+/// The port is the single owner of hop timing. The `f64` link math is
+/// derived once, not per transmission: propagation when the fiber is
+/// set, serialization as a table over every MicroPacket size when the
+/// port is built. Serialization depends on the line rate alone, so the
+/// table survives [`SerialPhy::set_fiber_length`], and clones of a port
+/// share it — a driver that builds its ports by cloning one prototype
+/// keeps a single table hot instead of one cache line per port.
 #[derive(Debug, Clone)]
 pub struct SerialPhy {
-    /// Fiber parameters of the outgoing hop.
-    pub link: LinkParams,
-    /// Register-insertion transit latency added at the downstream node
-    /// (elasticity buffer + one word re-timing).
-    pub node_latency: SimDuration,
-    /// Legacy mode for the before/after allocation bench: serialize
-    /// the packet afresh on **every** hop (decode + heap re-encode,
-    /// the cost the deprecated `MicroPacket::to_vec` path paid), the
-    /// way the pre-arena data-plane paid for forwarding.
-    pub heap_serialize: bool,
+    link: LinkParams,
+    node_latency: SimDuration,
     /// Frames clocked out by this port.
     pub tx_frames: u64,
+    /// Propagation + downstream re-timing for the current fiber, nanos.
+    fixed_ns: u64,
+    /// `serialize_time(bytes)` in nanos, indexed by wire size.
+    ser_ns: Arc<[u64; MAX_PACKET_WIRE + 1]>,
 }
 
 impl SerialPhy {
-    /// A port over `link` with the given downstream re-timing latency.
+    /// A port over `link`; `node_latency` is the register-insertion
+    /// transit latency added at the downstream node (elasticity buffer
+    /// + one word re-timing).
     pub fn new(link: LinkParams, node_latency: SimDuration) -> Self {
         SerialPhy {
             link,
             node_latency,
-            heap_serialize: false,
             tx_frames: 0,
-        }
-    }
-}
-
-impl PhyPort for SerialPhy {
-    fn serialize_time(&self, wire_bytes: usize) -> SimDuration {
-        self.link.serialize_time(wire_bytes)
-    }
-
-    fn hop_latency(&self, wire_bytes: usize) -> SimDuration {
-        self.link.serialize_time(wire_bytes) + self.link.propagation() + self.node_latency
-    }
-
-    fn transmit(&mut self, arena: &FrameArena, frame: &WireFrame) {
-        self.tx_frames += 1;
-        if self.heap_serialize {
-            // The pre-refactor cost model: materialize the packet and
-            // heap-serialize it for this hop, then throw both away.
-            #[allow(deprecated)]
-            let bytes = arena.decode(frame.frame).to_vec(); // lint: allow(hot-path-alloc): deprecated heap-serialize A/B leg — the cost model the bench measures against, never the shipping path
-            std::hint::black_box(&bytes);
+            fixed_ns: (link.propagation() + node_latency).as_nanos(),
+            ser_ns: Arc::new(std::array::from_fn(|bytes| {
+                link.serialize_time(bytes).as_nanos()
+            })),
         }
     }
 
-    fn assess_burst(&mut self, seed: u64, errors: u32) -> u32 {
+    /// Re-point the port at an outgoing fiber of `length_m` metres (a
+    /// roster episode changed this node's ring successor).
+    pub fn set_fiber_length(&mut self, length_m: f64) {
+        self.link.length_m = length_m;
+        self.fixed_ns = (self.link.propagation() + self.node_latency).as_nanos();
+    }
+
+    /// `(serialize time, full hop latency)` for a frame of
+    /// `wire_bytes`: how long the output port is busy, and when the
+    /// last byte has arrived downstream (serialization + propagation +
+    /// re-timing).
+    pub fn hop_timing(&self, wire_bytes: usize) -> (SimDuration, SimDuration) {
+        let ser = match self.ser_ns.get(wire_bytes) {
+            Some(&ns) => ns,
+            // Longer than any MicroPacket.
+            None => self.link.serialize_time(wire_bytes).as_nanos(),
+        };
+        (
+            SimDuration::from_nanos(ser),
+            SimDuration::from_nanos(ser + self.fixed_ns),
+        )
+    }
+
+    /// Assess a bit-error burst against the 8b/10b checker: corrupt a
+    /// window of line groups (replayable from `seed`) and return how
+    /// many code/disparity violations the deserializer flags.
+    pub fn assess_burst(&mut self, seed: u64, errors: u32) -> u32 {
         use ampnet_phy::{Decoder, Encoder, ErrorBurst, Symbol};
         // The deserializer sees a window of inter-frame fill while the
         // burst is active; corrupt it and count violations the way the
@@ -128,17 +123,9 @@ impl PhyPort for SerialPhy {
     }
 }
 
-/// The delivery plane: where frames addressed to this node leave the
-/// ring pipeline and enter the host.
-pub trait DeliveryPlane {
-    /// A frame for this node arrived (unicast, or a broadcast copy).
-    /// `view` borrows the pooled frame body; decode only what the host
-    /// actually needs.
-    fn deliver(&mut self, now: SimTime, frame: &WireFrame, view: FrameView<'_>);
-}
-
-/// Default delivery plane: per-source accounting plus an optional
-/// decoded-packet queue for hosts that consume payloads.
+/// The delivery plane, where frames addressed to this node leave the
+/// ring pipeline and enter the host: per-source accounting plus an
+/// optional decoded-packet queue for hosts that consume payloads.
 #[derive(Debug, Default)]
 pub struct HostQueues {
     /// Payload bytes delivered here, per source node (sized lazily).
@@ -168,10 +155,11 @@ impl HostQueues {
         h.retain_packets = true;
         h
     }
-}
 
-impl DeliveryPlane for HostQueues {
-    fn deliver(&mut self, _now: SimTime, frame: &WireFrame, view: FrameView<'_>) {
+    /// A frame for this node arrived (unicast, or a broadcast copy).
+    /// `view` borrows the pooled frame body; it is decoded only when
+    /// the host retains packets.
+    fn deliver(&mut self, frame: &WireFrame, view: FrameView<'_>) {
         self.delivered += 1;
         if let Some(slot) = self.delivered_from.get_mut(frame.ctrl.src as usize) {
             *slot += frame.payload_bytes as u64;
@@ -275,8 +263,8 @@ impl StackTelemetry {
         self.tel.set(self.transit_hw, stats.transit_highwater as i64);
     }
 
-    /// Publish the pacing governor's backoff count (lives outside the
-    /// [`InsertionMac`] trait, so the owner samples it explicitly).
+    /// Publish the pacing governor's backoff count (the owner samples
+    /// it explicitly, right before a snapshot).
     pub fn set_backoffs(&self, backoffs: u64) {
         self.tel.set(self.backoffs, backoffs as i64);
     }
@@ -338,21 +326,20 @@ pub enum StackOutcome {
 /// assert_eq!(arena.live(), 0, "delivery recycled the frame slot");
 /// ```
 #[derive(Debug)]
-pub struct NodeStack<P: PhyPort = SerialPhy, M: InsertionMac = RegisterMac, D: DeliveryPlane = HostQueues>
-{
+pub struct NodeStack {
     /// The PHY plane.
-    pub phy: P,
+    pub phy: SerialPhy,
     /// The insertion-MAC plane.
-    pub mac: M,
+    pub mac: RegisterMac,
     /// The delivery plane.
-    pub delivery: D,
+    pub delivery: HostQueues,
     /// Per-plane metric handles (inert until [`NodeStack::instrument`]).
     pub telemetry: StackTelemetry,
 }
 
-impl<P: PhyPort, M: InsertionMac, D: DeliveryPlane> NodeStack<P, M, D> {
+impl NodeStack {
     /// Assemble a stack from its planes.
-    pub fn new(phy: P, mac: M, delivery: D) -> Self {
+    pub fn new(phy: SerialPhy, mac: RegisterMac, delivery: HostQueues) -> Self {
         NodeStack { phy, mac, delivery, telemetry: StackTelemetry::disabled() }
     }
 
@@ -382,13 +369,13 @@ impl<P: PhyPort, M: InsertionMac, D: DeliveryPlane> NodeStack<P, M, D> {
         match self.mac.on_arrival(now, wf) {
             MacAction::Deliver(wf) => {
                 self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(now, &wf, arena.view(wf.frame));
+                self.delivery.deliver(&wf, arena.view(wf.frame));
                 arena.release(wf.frame);
                 StackOutcome::Delivered
             }
             MacAction::DeliverAndForward(wf) => {
                 self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(now, &wf, arena.view(wf.frame));
+                self.delivery.deliver(&wf, arena.view(wf.frame));
                 StackOutcome::DeliveredAndForwarded
             }
             MacAction::Strip(wf) => {
@@ -423,10 +410,13 @@ impl<P: PhyPort, M: InsertionMac, D: DeliveryPlane> NodeStack<P, M, D> {
     }
 
     /// Pick the next frame for a free output port and clock it through
-    /// the PHY. `None` when nothing is eligible right now.
-    pub fn next_tx(&mut self, now: SimTime, arena: &FrameArena) -> Option<MacTx> {
+    /// the PHY. `None` when nothing is eligible right now. The frame is
+    /// already serialized in the arena, so transmitting only counts it;
+    /// `_arena` stays in the signature for the `benchmark/` package,
+    /// which builds against this API and is frozen.
+    pub fn next_tx(&mut self, now: SimTime, _arena: &FrameArena) -> Option<MacTx> {
         let tx = self.mac.next_tx(now)?;
-        self.phy.transmit(arena, &tx.frame);
+        self.phy.tx_frames += 1;
         self.telemetry.tel.inc(self.telemetry.phy_tx);
         if tx.own {
             self.telemetry.tel.inc(self.telemetry.inserted);
@@ -472,9 +462,7 @@ impl<P: PhyPort, M: InsertionMac, D: DeliveryPlane> NodeStack<P, M, D> {
             }
         }
     }
-}
 
-impl NodeStack<SerialPhy, RegisterMac, HostQueues> {
     /// The default stack: serial PHY, register-insertion MAC, host
     /// queues with per-source accounting.
     pub fn with_defaults(
@@ -555,6 +543,27 @@ mod tests {
         );
         assert_eq!(arena.live(), 0, "strip recycles the slot");
         assert_eq!(arena.stats().acquired, 1, "one encode for the whole tour");
+    }
+
+    #[test]
+    fn hop_timing_matches_link_math_and_follows_the_fiber() {
+        let retime = SimDuration::from_nanos(60);
+        let phy = SerialPhy::new(LinkParams::gigabit(10.0), retime);
+        let mut moved = phy.clone();
+        moved.set_fiber_length(250.0);
+        for (phy, link) in [
+            (&phy, LinkParams::gigabit(10.0)),
+            (&moved, LinkParams::gigabit(250.0)),
+        ] {
+            // 200 is longer than any MicroPacket: off the table.
+            for bytes in [20usize, 84, 200] {
+                let ser = link.serialize_time(bytes);
+                assert_eq!(
+                    phy.hop_timing(bytes),
+                    (ser, ser + link.propagation() + retime)
+                );
+            }
+        }
     }
 
     #[test]
