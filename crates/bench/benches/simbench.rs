@@ -11,7 +11,7 @@ use ampnet_ring::{Segment, SegmentParams};
 use ampnet_roster::{run_rostering, RosterParams};
 use ampnet_sim::{Sim, SimDuration, SimTime};
 use ampnet_topo::montecarlo::Component;
-use ampnet_topo::{largest_ring, NodeId, SwitchId, Topology};
+use ampnet_topo::{NodeId, Plant, SwitchId};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -50,19 +50,19 @@ fn bench_segment(c: &mut Criterion) {
 }
 
 fn bench_ring_solver(c: &mut Criterion) {
-    let mut topo = Topology::quad(64, 100.0);
+    let mut plant = Plant::crossbar(64, 4, 100.0);
     // Damage it so the solver does real work.
-    topo.fail_switch(SwitchId(0));
+    plant.apply(Component::Switch(SwitchId(0)));
     for n in [3u8, 9, 17, 33] {
-        topo.fail_link(NodeId(n), SwitchId(1));
+        plant.apply(Component::Link(NodeId(n), SwitchId(1)));
     }
     c.bench_function("topo/largest_ring_64n_damaged", |b| {
-        b.iter(|| black_box(largest_ring(black_box(&topo))))
+        b.iter(|| black_box(black_box(&plant).largest_ring()))
     });
 }
 
 fn bench_rostering(c: &mut Criterion) {
-    let mut topo = ampnet_topo::Plant::crossbar(64, 4, 100.0);
+    let mut topo = Plant::crossbar(64, 4, 100.0);
     let ring = topo.largest_ring();
     let dead = ring.order[10];
     topo.apply(Component::Node(dead));

@@ -17,7 +17,7 @@ use ampnet_ring::{PacingMode, Segment, SegmentParams};
 use ampnet_roster::{run_rostering, RosterParams};
 use ampnet_sim::SimTime as T;
 use ampnet_topo::montecarlo::{survival_sweep, FailureDomain};
-use ampnet_topo::Topology;
+use ampnet_topo::Plant;
 use rand::SeedableRng;
 
 fn fixed_of(t: PacketType) -> MicroPacket {
@@ -389,8 +389,8 @@ pub fn e7_redundancy(n_nodes: usize, trials: usize) -> Table {
         ],
     );
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7777);
-    let dual = Topology::dual(n_nodes, 100.0);
-    let quad = Topology::quad(n_nodes, 100.0);
+    let dual = Plant::crossbar(n_nodes, 2, 100.0);
+    let quad = Plant::crossbar(n_nodes, 4, 100.0);
     let mut quad_wins = true;
     for k in [1usize, 2, 3, 4, 6, 8] {
         let sd = survival_sweep(&dual, k, trials, FailureDomain::LinksAndSwitches, &mut rng);
@@ -430,8 +430,8 @@ pub fn e7b_analytic(n_nodes: usize, trials: usize) -> Table {
         ],
     );
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31337);
-    let dual = Topology::dual(n_nodes, 100.0);
-    let quad = Topology::quad(n_nodes, 100.0);
+    let dual = Plant::crossbar(n_nodes, 2, 100.0);
+    let quad = Plant::crossbar(n_nodes, 4, 100.0);
     let mut ok = true;
     // 3-sigma binomial sampling slack.
     let slack = 3.0 * (0.25f64 / trials as f64).sqrt();
@@ -480,7 +480,7 @@ pub fn e8_rostering() -> Table {
     let mut cases = 0;
     for &n in &[8usize, 16, 32, 64] {
         for &fiber in &[10.0f64, 100.0, 1000.0, 10_000.0] {
-            let mut topo = ampnet_topo::Plant::crossbar(n, 4, fiber);
+            let mut topo = Plant::crossbar(n, 4, fiber);
             let ring = topo.largest_ring();
             let dead = ring.order[n / 2];
             topo.apply(Component::Node(dead));
@@ -528,7 +528,7 @@ pub fn a3_roster_ablation() -> Table {
     );
     let params = RosterParams::default();
     for &n in &[8usize, 16, 32, 64] {
-        let mut topo = ampnet_topo::Plant::crossbar(n, 4, 100.0);
+        let mut topo = Plant::crossbar(n, 4, 100.0);
         let ring = topo.largest_ring();
         let dead = ring.order[1];
         topo.apply(Component::Node(dead));

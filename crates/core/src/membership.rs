@@ -60,9 +60,14 @@ impl Cluster {
         crate::diagnostics::abandon_if_running(self);
         self.observe(ObservedEvent::FailureInjected(c));
         self.topo.apply(c);
-        if let Component::Node(n) = c {
-            self.nodes[n.0 as usize].online = false;
-            crate::apps::on_node_death(self, n.0);
+        // A node id the plant does not have is a no-op there; it must
+        // be one here too, and falls through to the spare-fault path.
+        match c {
+            Component::Node(n) if (n.0 as usize) < self.nodes.len() => {
+                self.nodes[n.0 as usize].online = false;
+                crate::apps::on_node_death(self, n.0);
+            }
+            _ => {}
         }
         let now = self.sim.now();
         match run_rostering(&self.topo, &self.ring, c, now, self.epoch, &self.cfg.timing.roster)

@@ -115,7 +115,7 @@ proptest! {
 }
 
 /// Promoted from `prop_roster.proptest-regressions`: the shrunk
-/// counterexample `(Topology::redundant(3, 2, 10.0), pre = [10678,
+/// counterexample `(Plant::crossbar(3, 2, 10.0), pre = [10678,
 /// 21230, 5623, 30044], last = 13760)` that once broke
 /// `rostering_is_maximal_and_valid`. Replayed here as a plain,
 /// deterministic test so the case survives any change to the

@@ -64,8 +64,8 @@ pub fn expected_isolated_nodes(n_nodes: u64, n_switches: u64, k: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Topology;
     use crate::montecarlo::{survival_sweep, FailureDomain};
+    use crate::plant::Plant;
     use rand::SeedableRng;
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
         // more than sampling noise.
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
         for (n, s) in [(6usize, 2usize), (6, 4)] {
-            let base = Topology::redundant(n, s, 100.0);
+            let base = Plant::crossbar(n, s, 100.0);
             for k in [2usize, 4, 6] {
                 let mc =
                     survival_sweep(&base, k, 400, FailureDomain::LinksOnly, &mut rng);

@@ -1,20 +1,23 @@
 //! # ampnet-topo — redundant switched topologies
 //!
-//! The physical plant of slides 14–15: nodes cabled to 2 (dual) or 4
-//! (quad) redundant crossbar switches, with fail-stop failures on
-//! nodes, switches and individual fibers. The crate answers the
-//! question rostering must answer on the wire: *what is the largest
-//! logical ring constructible right now?* — exactly, via the Eulerian
-//! multigraph formulation documented on [`largest_ring`].
+//! The physical plant of slides 14–15 — nodes cabled to 2 (dual) or 4
+//! (quad) redundant crossbar switches — and its generalizations, with
+//! fail-stop failures on nodes, switching elements and individual
+//! fibers. The crate answers the question rostering must answer on the
+//! wire: *what is the largest logical ring constructible right now?*
 //!
-//! * [`Topology`] — graph + failure state, switch masks, shared-switch
-//!   queries, hop fiber lengths.
-//! * [`Plant`] — the generalized plant (crossbar, 3D torus, folded
-//!   Clos) with routes, components and a family-agnostic ring solver.
-//! * [`largest_ring`]/[`LogicalRing`] — exact maximum logical ring
-//!   with per-hop switch assignment and validity checking.
-//! * [`montecarlo`] — random failure sweeps for the E7 redundancy
-//!   experiment (dual vs quad survivability).
+//! * [`Plant`] — the one plant representation: nodes, switching
+//!   elements and three fiber classes, built by the
+//!   [`Plant::crossbar`], [`Plant::torus3d`] and [`Plant::folded_clos`]
+//!   generators; failure injection, hop routes and fiber lengths.
+//! * [`Plant::largest_ring`]/[`PlantRing`] — maximum logical ring with
+//!   per-hop routes and validity checking. Two solvers, picked by the
+//!   plant's shape: the Eulerian multigraph search (exact at any node
+//!   count on single-stage plants of ≤ 8 switches) and a canonical DFS
+//!   (any plant; exact up to [`GRAPH_EXACT_THRESHOLD`] nodes).
+//! * [`montecarlo`] — the failure vocabulary ([`montecarlo::Component`])
+//!   and random failure sweeps for the E7 redundancy experiment (dual
+//!   vs quad survivability).
 //! * [`pathing`] — the shared BFS distance helper used by plant
 //!   routing and multi-segment datagram routing.
 
@@ -22,14 +25,21 @@
 #![forbid(unsafe_code)]
 
 pub mod availability;
-mod graph;
 pub mod montecarlo;
 pub mod pathing;
 mod plant;
 mod ring_solver;
 
-pub use graph::{Link, NodeId, SwitchId, Topology};
 pub use plant::{
-    GraphPlant, HopRoute, Plant, PlantRing, GRAPH_EXACT_THRESHOLD, GRAPH_HEURISTIC_BUDGET,
+    HopRoute, NodeId, Plant, PlantRing, SwitchId, GRAPH_EXACT_THRESHOLD, GRAPH_HEURISTIC_BUDGET,
 };
-pub use ring_solver::{largest_ring, LogicalRing};
+
+/// The two ring solvers behind [`Plant::largest_ring`], callable
+/// directly so the property tests can check one against the other.
+/// Not a knob: production code has exactly one entry point, which
+/// picks the solver from the plant's shape.
+#[doc(hidden)]
+pub mod solvers {
+    pub use crate::plant::dfs_largest_ring;
+    pub use crate::ring_solver::mask_largest_ring;
+}

@@ -5,8 +5,7 @@
 //! switches; optionally nodes) into a fresh plant and scores the
 //! largest logical ring that remains.
 
-use crate::graph::{NodeId, SwitchId, Topology};
-use crate::ring_solver::largest_ring;
+use crate::plant::{NodeId, Plant, SwitchId};
 use rand::Rng;
 
 /// What kinds of components a failure trial may hit.
@@ -20,7 +19,8 @@ pub enum FailureDomain {
     Everything,
 }
 
-/// One component that can fail.
+/// One component that can fail. [`Plant::apply`] and
+/// [`Plant::restore`] ignore a component the plant does not have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Component {
     /// A node–switch fiber.
@@ -30,48 +30,11 @@ pub enum Component {
     /// A host node.
     Node(NodeId),
     /// A direct node–node trunk fiber (torus plants; endpoints are
-    /// kept normalized `a < b`). No-op on crossbar topologies.
+    /// kept normalized `a < b`).
     Trunk(NodeId, NodeId),
     /// A switch–switch stage fiber (multistage plants; endpoints
-    /// normalized `a < b`). No-op on crossbar topologies.
+    /// normalized `a < b`).
     Stage(SwitchId, SwitchId),
-}
-
-/// Enumerate the failable components of `topo` under `domain`.
-pub fn components(topo: &Topology, domain: FailureDomain) -> Vec<Component> {
-    let mut out = vec![];
-    for n in topo.node_ids() {
-        for s in topo.switch_ids() {
-            if topo.link(n, s).is_some() {
-                out.push(Component::Link(n, s));
-            }
-        }
-    }
-    if matches!(
-        domain,
-        FailureDomain::LinksAndSwitches | FailureDomain::Everything
-    ) {
-        for s in topo.switch_ids() {
-            out.push(Component::Switch(s));
-        }
-    }
-    if matches!(domain, FailureDomain::Everything) {
-        for n in topo.node_ids() {
-            out.push(Component::Node(n));
-        }
-    }
-    out
-}
-
-/// Apply a failure to the topology.
-pub fn apply(topo: &mut Topology, c: Component) {
-    match c {
-        Component::Link(n, s) => topo.fail_link(n, s),
-        Component::Switch(s) => topo.fail_switch(s),
-        Component::Node(n) => topo.fail_node(n),
-        // Crossbar plants have no trunks or stages.
-        Component::Trunk(..) | Component::Stage(..) => {}
-    }
 }
 
 /// Result of one trial batch at a fixed failure count.
@@ -95,28 +58,28 @@ pub struct SurvivalStats {
 /// survivability. Failures are sampled without replacement among the
 /// components of `domain`.
 pub fn survival_sweep<R: Rng>(
-    base: &Topology,
+    base: &Plant,
     k: usize,
     trials: usize,
     domain: FailureDomain,
     rng: &mut R,
 ) -> SurvivalStats {
-    let comps = components(base, domain);
+    let comps = base.components(domain);
     let k = k.min(comps.len());
     let mut full = 0usize;
     let mut total_size = 0usize;
     let mut min_size = usize::MAX;
     for _ in 0..trials {
-        let mut topo = base.clone();
+        let mut plant = base.clone();
         // Sample k distinct components.
         let mut idx: Vec<usize> = (0..comps.len()).collect();
         for i in 0..k {
             let j = rng.random_range(i..idx.len());
             idx.swap(i, j);
-            apply(&mut topo, comps[idx[i]]);
+            plant.apply(comps[idx[i]]);
         }
-        let ring = largest_ring(&topo);
-        let alive = topo.alive_nodes().len();
+        let ring = plant.largest_ring();
+        let alive = plant.alive_nodes().len();
         if ring.len() == alive && alive > 0 {
             full += 1;
         }
@@ -143,7 +106,7 @@ mod tests {
 
     #[test]
     fn zero_failures_always_survive() {
-        let t = Topology::quad(6, 100.0);
+        let t = Plant::crossbar(6, 4, 100.0);
         let s = survival_sweep(&t, 0, 20, FailureDomain::LinksAndSwitches, &mut rng());
         assert_eq!(s.full_ring_probability, 1.0);
         assert_eq!(s.mean_ring_size, 6.0);
@@ -152,7 +115,7 @@ mod tests {
 
     #[test]
     fn single_failure_never_kills_redundant_plant() {
-        for mk in [Topology::dual(6, 100.0), Topology::quad(6, 100.0)] {
+        for mk in [Plant::crossbar(6, 2, 100.0), Plant::crossbar(6, 4, 100.0)] {
             let s = survival_sweep(&mk, 1, 100, FailureDomain::LinksAndSwitches, &mut rng());
             assert_eq!(
                 s.full_ring_probability, 1.0,
@@ -163,8 +126,8 @@ mod tests {
 
     #[test]
     fn quad_beats_dual_under_heavy_failures() {
-        let dual = Topology::dual(6, 100.0);
-        let quad = Topology::quad(6, 100.0);
+        let dual = Plant::crossbar(6, 2, 100.0);
+        let quad = Plant::crossbar(6, 4, 100.0);
         let k = 3;
         let sd = survival_sweep(&dual, k, 300, FailureDomain::LinksAndSwitches, &mut rng());
         let sq = survival_sweep(&quad, k, 300, FailureDomain::LinksAndSwitches, &mut rng());
@@ -178,15 +141,15 @@ mod tests {
 
     #[test]
     fn component_enumeration_counts() {
-        let t = Topology::quad(6, 100.0);
-        assert_eq!(components(&t, FailureDomain::LinksOnly).len(), 24);
-        assert_eq!(components(&t, FailureDomain::LinksAndSwitches).len(), 28);
-        assert_eq!(components(&t, FailureDomain::Everything).len(), 34);
+        let t = Plant::crossbar(6, 4, 100.0);
+        assert_eq!(t.components(FailureDomain::LinksOnly).len(), 24);
+        assert_eq!(t.components(FailureDomain::LinksAndSwitches).len(), 28);
+        assert_eq!(t.components(FailureDomain::Everything).len(), 34);
     }
 
     #[test]
     fn overlarge_k_is_clamped() {
-        let t = Topology::dual(2, 10.0);
+        let t = Plant::crossbar(2, 2, 10.0);
         let s = survival_sweep(&t, 10_000, 5, FailureDomain::Everything, &mut rng());
         assert_eq!(s.full_ring_probability, 0.0);
         assert_eq!(s.mean_ring_size, 0.0);

@@ -1,50 +1,83 @@
-//! The generalized physical plant: crossbar, 3D torus, folded Clos.
+//! The physical plant: nodes, switching elements and fibers, plus
+//! current failure state — one representation for every family.
 //!
-//! AmpNet's paper plant is a node×switch crossbar ([`Topology`]), but
-//! the rostering algorithm — flood the surviving subgraph, commit the
-//! largest logical ring — is topology-agnostic. [`Plant`] abstracts
-//! the plant as nodes, switching elements and fibers so the same
-//! rostering/core/chaos/check stack runs over:
+//! Slides 14–15 show AmpNet's redundant plant: every node has a port
+//! to each of 2 (dual) or 4 (quad) central crossbar switches, and the
+//! *logical ring* is threaded through whichever paths survive. The
+//! rostering algorithm — flood the surviving subgraph, commit the
+//! largest logical ring — does not care what the plant looks like, so
+//! [`Plant`] is a general graph with three fiber classes (node–switch
+//! ports, node–node trunks, switch–switch stages) and the families
+//! are just generators over it:
 //!
-//! * **Crossbar** — the paper's dual/quad-redundant plant, delegating
-//!   to [`Topology`] unchanged (same-seed digests are bit-identical
-//!   before/after this abstraction).
-//! * **3D torus** — APEnet-style direct network: node–node trunk
-//!   fibers, no central switch ([`Plant::torus3d`]).
-//! * **Folded Clos** — multistage: nodes cabled to leaf switches,
-//!   leaves cabled to every spine ([`Plant::folded_clos`]).
+//! * [`Plant::crossbar`] — the paper's plant: every node cabled to
+//!   every switch, in ascending switch order.
+//! * [`Plant::torus3d`] — APEnet-style direct network: node–node trunk
+//!   fibers, no switching element.
+//! * [`Plant::folded_clos`] — multistage: nodes cabled to leaf
+//!   switches, leaves cabled to every spine.
 //!
-//! A ring hop is no longer "a shared switch" but a [`HopRoute`]: the
-//! ordered switch path carrying `u → v` (empty for a direct trunk).
+//! A ring hop is a [`HopRoute`]: the ordered switch path carrying
+//! `u → v` (one switch on a crossbar, empty for a direct trunk).
 //! [`PlantRing`] stores one route per hop so fiber lengths stay
 //! computable after the route breaks (the protocol times tours over
 //! the committed ring even while it is damaged).
 //!
-//! ## Ring solver generalization
+//! ## Two exact ring solvers, selected by plant shape
 //!
-//! On the crossbar arm, [`Plant::largest_ring`] delegates to the exact
-//! Eulerian-multigraph solver ([`largest_ring`]). On graph plants it
-//! solves longest-simple-cycle over the hop-adjacency graph by
-//! canonical DFS (cycles counted once via their minimum-index vertex):
-//! exhaustive up to [`GRAPH_EXACT_THRESHOLD`] connectable nodes, and
-//! above that a budgeted best-found search
-//! ([`GRAPH_HEURISTIC_BUDGET`] expansions) — a documented heuristic
-//! whose result is always a *valid* ring, just not guaranteed maximal.
-//! The exact regime is the test oracle (proptests compare it against
-//! brute-force longest-cycle on plants ≤ 8 nodes).
+//! Longest cycle is NP-hard in general, so [`Plant::largest_ring`]
+//! picks the solver that is exact on the plant in front of it, by
+//! *shape* (never by the [`Plant::family`] label):
+//!
+//! * Single-stage plants — no trunks, no stages, ≤ 8 switches — run
+//!   the Eulerian multigraph search over switch masks
+//!   ([`crate::ring_solver`]). It is exact at any node count because
+//!   its cost depends only on the switch count.
+//! * Everything else runs the canonical DFS over the hop-adjacency
+//!   graph (cycles counted once via their minimum-index vertex):
+//!   exhaustive up to [`GRAPH_EXACT_THRESHOLD`] connectable nodes, and
+//!   above that a budgeted best-found search
+//!   ([`GRAPH_HEURISTIC_BUDGET`] expansions) — a documented heuristic
+//!   whose result is always a *valid* ring, just not guaranteed
+//!   maximal.
+//!
+//! Where both apply (single-stage plants of ≤ 12 connectable nodes)
+//! the property tests check the two against each other and against
+//! brute force.
 
-use crate::graph::{NodeId, SwitchId, Topology};
+use std::fmt;
+
 use crate::montecarlo::{Component, FailureDomain};
 use crate::pathing::bfs_distances;
-use crate::ring_solver::{largest_ring, LogicalRing};
+use crate::ring_solver::mask_largest_ring;
 
-/// Connectable-node count up to which the graph ring solver is
-/// exhaustive (exact). Above this, the DFS runs under
+/// Identifier of a host node (also its MicroPacket address).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NodeId(pub u8);
+
+/// Identifier of a switching element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SwitchId(pub u8);
+
+impl fmt::Display for NodeId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "n{}", self.0)
+    }
+}
+
+impl fmt::Display for SwitchId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "sw{}", self.0)
+    }
+}
+
+/// Connectable-node count up to which the DFS ring solver is
+/// exhaustive (exact). Above this, it runs under
 /// [`GRAPH_HEURISTIC_BUDGET`] and returns the best cycle found.
 pub const GRAPH_EXACT_THRESHOLD: usize = 12;
 
 /// Node-expansion budget for the heuristic (above-threshold) regime of
-/// the graph ring solver.
+/// the DFS ring solver.
 pub const GRAPH_HEURISTIC_BUDGET: u64 = 200_000;
 
 /// The switch path carrying one ring hop `u → v`.
@@ -107,15 +140,6 @@ impl PlantRing {
         self.order.is_empty()
     }
 
-    /// Lift a crossbar [`LogicalRing`] (one switch per hop) into the
-    /// general representation. Node order is preserved exactly.
-    pub fn from_logical(r: LogicalRing) -> PlantRing {
-        PlantRing {
-            order: r.order,
-            hops: r.hops.into_iter().map(HopRoute::through).collect(),
-        }
-    }
-
     /// Check this ring is valid in `plant`: distinct alive members and
     /// every hop's route fully usable (all fibers lit, all switching
     /// elements alive).
@@ -157,6 +181,15 @@ impl PlantRing {
     }
 }
 
+/// Fiber endpoints in normalized (ascending) order.
+fn ordered<T: Ord>(a: T, b: T) -> (T, T) {
+    if a <= b {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
 /// One fiber's mutable state.
 #[derive(Debug, Clone, Copy)]
 struct Fiber {
@@ -164,12 +197,27 @@ struct Fiber {
     up: bool,
 }
 
-/// A general graph plant: nodes, switching elements, and three fiber
-/// classes (node–switch ports, node–node trunks, switch–switch
-/// stages). All adjacency is stored in construction order, so every
-/// query is deterministic without hashed collections.
+/// A physical plant of any family, plus failure state: nodes,
+/// switching elements, and three fiber classes (node–switch ports,
+/// node–node trunks, switch–switch stages). All adjacency is stored in
+/// construction order, so every query is deterministic without hashed
+/// collections.
+///
+/// ```
+/// use ampnet_topo::montecarlo::Component;
+/// use ampnet_topo::{NodeId, Plant, SwitchId};
+///
+/// let mut plant = Plant::crossbar(6, 4, 100.0);
+/// assert_eq!(plant.largest_ring().len(), 6);
+///
+/// plant.apply(Component::Node(NodeId(2)));
+/// plant.apply(Component::Switch(SwitchId(0)));
+/// let ring = plant.largest_ring();
+/// assert_eq!(ring.len(), 5);
+/// ring.validate(&plant).unwrap();
+/// ```
 #[derive(Debug, Clone)]
-pub struct GraphPlant {
+pub struct Plant {
     family: &'static str,
     n_nodes: usize,
     n_switches: usize,
@@ -189,11 +237,12 @@ pub struct GraphPlant {
     switch_ports: Vec<Vec<NodeId>>,
 }
 
-impl GraphPlant {
-    fn new(family: &'static str, n_nodes: usize, n_switches: usize) -> GraphPlant {
+/// Construction and fiber lookup.
+impl Plant {
+    fn new(family: &'static str, n_nodes: usize, n_switches: usize) -> Plant {
         assert!((1..=255).contains(&n_nodes), "1..=255 nodes");
         assert!(n_switches <= 255, "<=255 switching elements");
-        GraphPlant {
+        Plant {
             family,
             n_nodes,
             n_switches,
@@ -214,7 +263,7 @@ impl GraphPlant {
     }
 
     fn add_trunk(&mut self, u: NodeId, v: NodeId, length_m: f64) {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
+        let (a, b) = ordered(u, v);
         assert!(a != b, "trunk endpoints must differ");
         let idx = self.trunks.len();
         self.trunks.push((a, b, Fiber { length_m, up: true }));
@@ -223,7 +272,7 @@ impl GraphPlant {
     }
 
     fn add_stage(&mut self, s: SwitchId, t: SwitchId, length_m: f64) {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
+        let (a, b) = ordered(s, t);
         assert!(a != b, "stage endpoints must differ");
         let idx = self.stages.len();
         self.stages.push((a, b, Fiber { length_m, up: true }));
@@ -231,139 +280,287 @@ impl GraphPlant {
         self.switch_stages[b.0 as usize].push(idx);
     }
 
-    fn port(&self, n: NodeId, s: SwitchId) -> Option<&Fiber> {
-        self.ports[n.0 as usize]
-            .iter()
-            .find(|&&(ps, _)| ps == s)
-            .map(|(_, f)| f)
+    /// Crossbar plant (slides 14–15): every node cabled to every switch
+    /// with fibers of `length_m`, in ascending switch order.
+    /// `n_switches = 2` gives the dual-redundant segment, `4` the
+    /// quad-redundant one. A switch is a non-blocking crossbar, so a
+    /// ring hop between two nodes exists whenever some live switch has
+    /// lit fibers to both.
+    pub fn crossbar(n_nodes: usize, n_switches: usize, length_m: f64) -> Plant {
+        assert!((1..=8).contains(&n_switches), "1..=8 switches");
+        let mut p = Plant::new("crossbar", n_nodes, n_switches);
+        for n in 0..n_nodes {
+            for s in 0..n_switches {
+                p.add_port(NodeId(n as u8), SwitchId(s as u8), length_m);
+            }
+        }
+        p
     }
 
-    fn port_mut(&mut self, n: NodeId, s: SwitchId) -> Option<&mut Fiber> {
-        self.ports[n.0 as usize]
-            .iter_mut()
-            .find(|&&mut (ps, _)| ps == s)
-            .map(|(_, f)| f)
+    /// 3D torus direct network: node `(x, y, z)` has trunks to its
+    /// ±1 neighbours in each dimension (wrapping). Dimensions of size
+    /// 2 get a single trunk per pair; size-1 dimensions contribute no
+    /// trunks. Node id = `x + dims[0]*(y + dims[1]*z)`.
+    pub fn torus3d(dims: [usize; 3], length_m: f64) -> Plant {
+        let n = dims[0] * dims[1] * dims[2];
+        assert!((1..=255).contains(&n), "1..=255 torus nodes");
+        let id = |x: usize, y: usize, z: usize| -> NodeId {
+            NodeId((x + dims[0] * (y + dims[1] * z)) as u8)
+        };
+        let mut p = Plant::new("torus3d", n, 0);
+        for z in 0..dims[2] {
+            for y in 0..dims[1] {
+                for x in 0..dims[0] {
+                    let coords = [x, y, z];
+                    for dim in 0..3 {
+                        let size = dims[dim];
+                        if size == 1 {
+                            continue;
+                        }
+                        // Size-2 dimensions: one trunk per pair, added
+                        // from coordinate 0 only.
+                        if size == 2 && coords[dim] != 0 {
+                            continue;
+                        }
+                        let mut nb = coords;
+                        nb[dim] = (coords[dim] + 1) % size;
+                        p.add_trunk(id(x, y, z), id(nb[0], nb[1], nb[2]), length_m);
+                    }
+                }
+            }
+        }
+        p
+    }
+
+    /// Folded-Clos / multistage plant: node `i` cabled to leaf
+    /// `i % leaves`; every leaf cabled to every spine. Switch ids:
+    /// leaves `0..leaves`, spines `leaves..leaves+spines`.
+    pub fn folded_clos(n_nodes: usize, leaves: usize, spines: usize, length_m: f64) -> Plant {
+        assert!(leaves >= 1 && spines >= 1, "need >=1 leaf and >=1 spine");
+        assert!(leaves + spines <= 255, "<=255 switching elements");
+        let mut p = Plant::new("folded-clos", n_nodes, leaves + spines);
+        for i in 0..n_nodes {
+            p.add_port(NodeId(i as u8), SwitchId((i % leaves) as u8), length_m);
+        }
+        for l in 0..leaves {
+            for sp in 0..spines {
+                p.add_stage(
+                    SwitchId(l as u8),
+                    SwitchId((leaves + sp) as u8),
+                    length_m,
+                );
+            }
+        }
+        p
+    }
+
+    fn port_at(&self, n: NodeId, s: SwitchId) -> Option<usize> {
+        self.ports
+            .get(n.0 as usize)?
+            .iter()
+            .position(|&(ps, _)| ps == s)
+    }
+
+    fn trunk_at(&self, u: NodeId, v: NodeId) -> Option<usize> {
+        let ends = ordered(u, v);
+        self.trunks.iter().position(|&(a, b, _)| (a, b) == ends)
+    }
+
+    fn stage_at(&self, s: SwitchId, t: SwitchId) -> Option<usize> {
+        let ends = ordered(s, t);
+        self.stages.iter().position(|&(a, b, _)| (a, b) == ends)
+    }
+
+    fn port(&self, n: NodeId, s: SwitchId) -> Option<&Fiber> {
+        self.port_at(n, s).map(|i| &self.ports[n.0 as usize][i].1)
     }
 
     fn trunk(&self, u: NodeId, v: NodeId) -> Option<&Fiber> {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        self.trunks
-            .iter()
-            .find(|&&(ta, tb, _)| ta == a && tb == b)
-            .map(|(_, _, f)| f)
-    }
-
-    fn trunk_mut(&mut self, u: NodeId, v: NodeId) -> Option<&mut Fiber> {
-        let (a, b) = if u <= v { (u, v) } else { (v, u) };
-        self.trunks
-            .iter_mut()
-            .find(|&&mut (ta, tb, _)| ta == a && tb == b)
-            .map(|(_, _, f)| f)
+        self.trunk_at(u, v).map(|i| &self.trunks[i].2)
     }
 
     fn stage(&self, s: SwitchId, t: SwitchId) -> Option<&Fiber> {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
-        self.stages
-            .iter()
-            .find(|&&(sa, sb, _)| sa == a && sb == b)
-            .map(|(_, _, f)| f)
+        self.stage_at(s, t).map(|i| &self.stages[i].2)
     }
 
-    fn stage_mut(&mut self, s: SwitchId, t: SwitchId) -> Option<&mut Fiber> {
-        let (a, b) = if s <= t { (s, t) } else { (t, s) };
-        self.stages
-            .iter_mut()
-            .find(|&&mut (sa, sb, _)| sa == a && sb == b)
-            .map(|(_, _, f)| f)
-    }
-
-    fn node_alive(&self, n: NodeId) -> bool {
-        self.node_up[n.0 as usize]
-    }
-
-    fn switch_alive(&self, s: SwitchId) -> bool {
-        self.switch_up[s.0 as usize]
-    }
-
-    /// Alive with at least one lit attachment: a port to a live switch
-    /// or a lit trunk. The graph analogue of `switch_mask != 0`.
-    fn connectable(&self, n: NodeId) -> bool {
-        if !self.node_alive(n) {
-            return false;
-        }
-        let usable_port = self.ports[n.0 as usize]
-            .iter()
-            .any(|&(s, f)| f.up && self.switch_alive(s));
-        let usable_trunk = self.node_trunks[n.0 as usize]
-            .iter()
-            .any(|&ti| self.trunks[ti].2.up);
-        usable_port || usable_trunk
-    }
-
-    fn apply(&mut self, c: Component) {
+    /// The up/down flag of component `c`, or `None` when this plant
+    /// has no such component (an id out of range, an uncabled port, a
+    /// trunk on a crossbar, ...).
+    fn state_mut(&mut self, c: Component) -> Option<&mut bool> {
         match c {
-            Component::Link(n, s) => {
-                if let Some(f) = self.port_mut(n, s) {
-                    f.up = false;
-                }
-            }
-            Component::Trunk(u, v) => {
-                if let Some(f) = self.trunk_mut(u, v) {
-                    f.up = false;
-                }
-            }
-            Component::Stage(s, t) => {
-                if let Some(f) = self.stage_mut(s, t) {
-                    f.up = false;
-                }
-            }
-            Component::Switch(s) => {
-                if (s.0 as usize) < self.n_switches {
-                    self.switch_up[s.0 as usize] = false;
-                }
-            }
-            Component::Node(n) => {
-                if (n.0 as usize) < self.n_nodes {
-                    self.node_up[n.0 as usize] = false;
-                }
-            }
+            Component::Link(n, s) => self
+                .port_at(n, s)
+                .map(|i| &mut self.ports[n.0 as usize][i].1.up),
+            Component::Trunk(u, v) => self.trunk_at(u, v).map(|i| &mut self.trunks[i].2.up),
+            Component::Stage(s, t) => self.stage_at(s, t).map(|i| &mut self.stages[i].2.up),
+            Component::Switch(s) => self.switch_up.get_mut(s.0 as usize),
+            Component::Node(n) => self.node_up.get_mut(n.0 as usize),
+        }
+    }
+}
+
+/// Queries, failure injection and the ring solvers' entry point.
+impl Plant {
+    /// Family label for reports: "crossbar", "torus3d", "folded-clos".
+    /// A label only — no query or solver branches on it.
+    pub fn family(&self) -> &'static str {
+        self.family
+    }
+
+    /// Number of nodes (alive or not).
+    pub fn n_nodes(&self) -> usize {
+        self.n_nodes
+    }
+
+    /// Number of switching elements (alive or not).
+    pub fn n_switches(&self) -> usize {
+        self.n_switches
+    }
+
+    /// All node ids.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.n_nodes as u8).map(NodeId)
+    }
+
+    /// All switching-element ids.
+    pub fn switch_ids(&self) -> impl Iterator<Item = SwitchId> + '_ {
+        (0..self.n_switches as u8).map(SwitchId)
+    }
+
+    /// Is the node powered? (`false` for an id the plant does not have.)
+    pub fn node_alive(&self, n: NodeId) -> bool {
+        self.node_up.get(n.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Is the switching element powered? (`false` for an id the plant
+    /// does not have.)
+    pub fn switch_alive(&self, s: SwitchId) -> bool {
+        self.switch_up.get(s.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// Alive nodes, ascending.
+    pub fn alive_nodes(&self) -> Vec<NodeId> {
+        self.node_ids().filter(|&n| self.node_alive(n)).collect()
+    }
+
+    /// The live switches `n` can reach over lit port fibers, in cabling
+    /// order. Empty for a dead node.
+    fn usable_ports(&self, n: NodeId) -> impl Iterator<Item = SwitchId> + '_ {
+        let ports: &[(SwitchId, Fiber)] = if self.node_alive(n) {
+            &self.ports[n.0 as usize]
+        } else {
+            &[]
+        };
+        ports
+            .iter()
+            .filter(|&&(s, f)| f.up && self.switch_alive(s))
+            .map(|&(s, _)| s)
+    }
+
+    /// Bitmask (bit `s` set ⇔ port to switch `s` usable: node, fiber
+    /// and switch all alive) — the mask solver's view of a node. Only
+    /// meaningful on plants with ≤ 8 switches.
+    pub(crate) fn switch_mask(&self, n: NodeId) -> u8 {
+        self.usable_ports(n).fold(0, |mask, s| mask | 1 << s.0)
+    }
+
+    /// Alive with at least one lit attachment — a port to a live
+    /// switch or a lit trunk: such a node can at least be probed.
+    pub fn connectable(&self, n: NodeId) -> bool {
+        self.node_alive(n)
+            && (self.usable_ports(n).next().is_some()
+                || self.node_trunks[n.0 as usize]
+                    .iter()
+                    .any(|&ti| self.trunks[ti].2.up))
+    }
+
+    /// Fail a component. A component this plant does not have — an id
+    /// out of range, an uncabled port, a trunk on a crossbar — is
+    /// ignored.
+    pub fn apply(&mut self, c: Component) {
+        if let Some(up) = self.state_mut(c) {
+            *up = false;
         }
     }
 
-    fn restore(&mut self, c: Component) {
-        match c {
-            Component::Link(n, s) => {
-                if let Some(f) = self.port_mut(n, s) {
-                    f.up = true;
-                }
-            }
-            Component::Trunk(u, v) => {
-                if let Some(f) = self.trunk_mut(u, v) {
-                    f.up = true;
-                }
-            }
-            Component::Stage(s, t) => {
-                if let Some(f) = self.stage_mut(s, t) {
-                    f.up = true;
-                }
-            }
-            Component::Switch(s) => {
-                if (s.0 as usize) < self.n_switches {
-                    self.switch_up[s.0 as usize] = true;
-                }
-            }
-            Component::Node(n) => {
-                if (n.0 as usize) < self.n_nodes {
-                    self.node_up[n.0 as usize] = true;
-                }
-            }
+    /// Repair a component (unknown components are ignored, as in
+    /// [`Plant::apply`]).
+    pub fn restore(&mut self, c: Component) {
+        if let Some(up) = self.state_mut(c) {
+            *up = true;
         }
     }
 
-    /// Shortest usable route `u → v`, BFS over switching elements
-    /// (nodes are endpoints, never carriers). `None` when either node
-    /// is dead or no lit path exists.
-    fn hop_route(&self, u: NodeId, v: NodeId) -> Option<HopRoute> {
+    /// Enumerate failable components under `domain`, in a fixed order:
+    /// fibers (ports node-major in cabling order, then trunks, then
+    /// stages), then switching elements, then nodes.
+    pub fn components(&self, domain: FailureDomain) -> Vec<Component> {
+        let mut out = vec![];
+        for (n, ports) in self.ports.iter().enumerate() {
+            for &(s, _) in ports {
+                out.push(Component::Link(NodeId(n as u8), s));
+            }
+        }
+        for &(a, b, _) in &self.trunks {
+            out.push(Component::Trunk(a, b));
+        }
+        for &(a, b, _) in &self.stages {
+            out.push(Component::Stage(a, b));
+        }
+        if matches!(
+            domain,
+            FailureDomain::LinksAndSwitches | FailureDomain::Everything
+        ) {
+            out.extend(self.switch_ids().map(Component::Switch));
+        }
+        if matches!(domain, FailureDomain::Everything) {
+            out.extend(self.node_ids().map(Component::Node));
+        }
+        out
+    }
+
+    /// All fiber components (ports, trunks, stages) in enumeration
+    /// order — the address space for topology-generic fault scripts.
+    pub fn link_components(&self) -> Vec<Component> {
+        self.components(FailureDomain::LinksOnly)
+    }
+
+    /// Currently-failed components in diagnostic-sweep order: dead
+    /// switching elements ascending, then dark fibers in enumeration
+    /// order. (Dead nodes are reported by rostering, not the sweep.)
+    pub fn failed_components(&self) -> Vec<Component> {
+        let mut out = vec![];
+        for s in self.switch_ids() {
+            if !self.switch_alive(s) {
+                out.push(Component::Switch(s));
+            }
+        }
+        for (n, ports) in self.ports.iter().enumerate() {
+            for &(s, f) in ports {
+                if !f.up {
+                    out.push(Component::Link(NodeId(n as u8), s));
+                }
+            }
+        }
+        for &(a, b, f) in &self.trunks {
+            if !f.up {
+                out.push(Component::Trunk(a, b));
+            }
+        }
+        for &(a, b, f) in &self.stages {
+            if !f.up {
+                out.push(Component::Stage(a, b));
+            }
+        }
+        out
+    }
+
+    /// Shortest usable route for a ring hop `u → v`, BFS over switching
+    /// elements (nodes are endpoints, never carriers). `None` when
+    /// either node is dead or no lit path exists. Ties break towards
+    /// the first element in `v`'s cabling order, so on a crossbar this
+    /// is the lowest-numbered shared live switch.
+    pub fn hop_route(&self, u: NodeId, v: NodeId) -> Option<HopRoute> {
         if u == v || !self.node_alive(u) || !self.node_alive(v) {
             return None;
         }
@@ -444,372 +641,40 @@ impl GraphPlant {
         Some(HopRoute { via: via_rev })
     }
 
-    /// Transmitter-side hop usability over a committed route: `u` is
-    /// alive and every fiber/switch along the route is lit. Mirrors the
-    /// crossbar detection predicate, which deliberately does *not*
-    /// check the receiver (`v` detects its own silence downstream).
-    fn hop_usable(&self, u: NodeId, v: NodeId, route: &HopRoute) -> bool {
-        if !self.node_alive(u) {
-            return false;
-        }
-        if route.via.is_empty() {
-            return self.trunk(u, v).is_some_and(|f| f.up);
-        }
-        let first = route.via[0];
-        let last = *route.via.last().expect("non-empty");
-        if !self.port(u, first).is_some_and(|f| f.up) {
-            return false;
-        }
-        if !self.port(v, last).is_some_and(|f| f.up) {
-            return false;
-        }
-        for &s in &route.via {
-            if !self.switch_alive(s) {
-                return false;
-            }
-        }
-        for w in route.via.windows(2) {
-            if !self.stage(w[0], w[1]).is_some_and(|f| f.up) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Fiber metres along the route, regardless of up/down state
-    /// (missing segments count 0, matching the crossbar convention).
-    fn hop_fiber_m(&self, u: NodeId, v: NodeId, route: &HopRoute) -> f64 {
-        if route.via.is_empty() {
-            return self.trunk(u, v).map(|f| f.length_m).unwrap_or(0.0);
-        }
-        let first = route.via[0];
-        let last = *route.via.last().expect("non-empty");
-        let mut total = self.port(u, first).map(|f| f.length_m).unwrap_or(0.0);
-        for w in route.via.windows(2) {
-            total += self.stage(w[0], w[1]).map(|f| f.length_m).unwrap_or(0.0);
-        }
-        total += self.port(v, last).map(|f| f.length_m).unwrap_or(0.0);
-        total
-    }
-}
-
-/// A physical plant of any supported family, plus failure state.
-///
-/// The crossbar arm wraps [`Topology`] and delegates every query to
-/// it, so existing crossbar behaviour (and same-seed trace digests) is
-/// preserved bit-for-bit. The graph arm covers torus and multistage
-/// families.
-#[derive(Debug, Clone)]
-pub enum Plant {
-    /// The paper's node×switch crossbar plant.
-    Crossbar(Topology),
-    /// A general graph plant (torus, folded Clos, ...).
-    Graph(GraphPlant),
-}
-
-impl From<Topology> for Plant {
-    fn from(t: Topology) -> Plant {
-        Plant::Crossbar(t)
-    }
-}
-
-impl Plant {
-    /// Crossbar plant: every node cabled to every switch
-    /// (see [`Topology::redundant`]).
-    pub fn crossbar(n_nodes: usize, n_switches: usize, length_m: f64) -> Plant {
-        Plant::Crossbar(Topology::redundant(n_nodes, n_switches, length_m))
-    }
-
-    /// 3D torus direct network: node `(x, y, z)` has trunks to its
-    /// ±1 neighbours in each dimension (wrapping). Dimensions of size
-    /// 2 get a single trunk per pair; size-1 dimensions contribute no
-    /// trunks. Node id = `x + dims[0]*(y + dims[1]*z)`.
-    pub fn torus3d(dims: [usize; 3], length_m: f64) -> Plant {
-        let n = dims[0] * dims[1] * dims[2];
-        assert!((1..=255).contains(&n), "1..=255 torus nodes");
-        let id = |x: usize, y: usize, z: usize| -> NodeId {
-            NodeId((x + dims[0] * (y + dims[1] * z)) as u8)
-        };
-        let mut g = GraphPlant::new("torus3d", n, 0);
-        for z in 0..dims[2] {
-            for y in 0..dims[1] {
-                for x in 0..dims[0] {
-                    let coords = [x, y, z];
-                    for dim in 0..3 {
-                        let size = dims[dim];
-                        if size == 1 {
-                            continue;
-                        }
-                        // Size-2 dimensions: one trunk per pair, added
-                        // from coordinate 0 only.
-                        if size == 2 && coords[dim] != 0 {
-                            continue;
-                        }
-                        let mut nb = coords;
-                        nb[dim] = (coords[dim] + 1) % size;
-                        g.add_trunk(id(x, y, z), id(nb[0], nb[1], nb[2]), length_m);
-                    }
-                }
-            }
-        }
-        Plant::Graph(g)
-    }
-
-    /// Folded-Clos / multistage plant: node `i` cabled to leaf
-    /// `i % leaves`; every leaf cabled to every spine. Switch ids:
-    /// leaves `0..leaves`, spines `leaves..leaves+spines`.
-    pub fn folded_clos(n_nodes: usize, leaves: usize, spines: usize, length_m: f64) -> Plant {
-        assert!(leaves >= 1 && spines >= 1, "need >=1 leaf and >=1 spine");
-        assert!(leaves + spines <= 255, "<=255 switching elements");
-        let mut g = GraphPlant::new("folded-clos", n_nodes, leaves + spines);
-        for i in 0..n_nodes {
-            g.add_port(NodeId(i as u8), SwitchId((i % leaves) as u8), length_m);
-        }
-        for l in 0..leaves {
-            for sp in 0..spines {
-                g.add_stage(
-                    SwitchId(l as u8),
-                    SwitchId((leaves + sp) as u8),
-                    length_m,
-                );
-            }
-        }
-        Plant::Graph(g)
-    }
-
-    /// Family label for reports: "crossbar", "torus3d", "folded-clos".
-    pub fn family(&self) -> &'static str {
-        match self {
-            Plant::Crossbar(_) => "crossbar",
-            Plant::Graph(g) => g.family,
-        }
-    }
-
-    /// The underlying crossbar topology, when this plant is one.
-    pub fn as_crossbar(&self) -> Option<&Topology> {
-        match self {
-            Plant::Crossbar(t) => Some(t),
-            Plant::Graph(_) => None,
-        }
-    }
-
-    /// Number of nodes (alive or not).
-    pub fn n_nodes(&self) -> usize {
-        match self {
-            Plant::Crossbar(t) => t.n_nodes(),
-            Plant::Graph(g) => g.n_nodes,
-        }
-    }
-
-    /// Number of switching elements (alive or not).
-    pub fn n_switches(&self) -> usize {
-        match self {
-            Plant::Crossbar(t) => t.n_switches(),
-            Plant::Graph(g) => g.n_switches,
-        }
-    }
-
-    /// All node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.n_nodes() as u8).map(NodeId)
-    }
-
-    /// All switching-element ids.
-    pub fn switch_ids(&self) -> impl Iterator<Item = SwitchId> + '_ {
-        (0..self.n_switches() as u8).map(SwitchId)
-    }
-
-    /// Is the node powered?
-    pub fn node_alive(&self, n: NodeId) -> bool {
-        match self {
-            Plant::Crossbar(t) => t.node_alive(n),
-            Plant::Graph(g) => g.node_alive(n),
-        }
-    }
-
-    /// Is the switching element powered?
-    pub fn switch_alive(&self, s: SwitchId) -> bool {
-        match self {
-            Plant::Crossbar(t) => t.switch_alive(s),
-            Plant::Graph(g) => g.switch_alive(s),
-        }
-    }
-
-    /// Alive nodes, ascending.
-    pub fn alive_nodes(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.node_alive(n)).collect()
-    }
-
-    /// Alive with at least one lit attachment — the generalization of
-    /// `switch_mask(n) != 0`: such a node can at least be probed.
-    pub fn connectable(&self, n: NodeId) -> bool {
-        match self {
-            Plant::Crossbar(t) => t.node_alive(n) && t.switch_mask(n) != 0,
-            Plant::Graph(g) => g.connectable(n),
-        }
-    }
-
-    /// Fail a component (unknown components are ignored).
-    pub fn apply(&mut self, c: Component) {
-        match self {
-            Plant::Crossbar(t) => crate::montecarlo::apply(t, c),
-            Plant::Graph(g) => g.apply(c),
-        }
-    }
-
-    /// Repair a component (unknown components are ignored).
-    pub fn restore(&mut self, c: Component) {
-        match self {
-            Plant::Crossbar(t) => match c {
-                Component::Link(n, s) => t.restore_link(n, s),
-                Component::Switch(s) => t.restore_switch(s),
-                Component::Node(n) => t.restore_node(n),
-                Component::Trunk(..) | Component::Stage(..) => {}
-            },
-            Plant::Graph(g) => g.restore(c),
-        }
-    }
-
-    /// Enumerate failable components under `domain`, in a fixed order:
-    /// fibers (ports node-major, then trunks, then stages), then
-    /// switching elements, then nodes. Matches
-    /// [`crate::montecarlo::components`] on the crossbar arm.
-    pub fn components(&self, domain: FailureDomain) -> Vec<Component> {
-        match self {
-            Plant::Crossbar(t) => crate::montecarlo::components(t, domain),
-            Plant::Graph(g) => {
-                let mut out = vec![];
-                for (n, ports) in g.ports.iter().enumerate() {
-                    for &(s, _) in ports {
-                        out.push(Component::Link(NodeId(n as u8), s));
-                    }
-                }
-                for &(a, b, _) in &g.trunks {
-                    out.push(Component::Trunk(a, b));
-                }
-                for &(a, b, _) in &g.stages {
-                    out.push(Component::Stage(a, b));
-                }
-                if matches!(
-                    domain,
-                    FailureDomain::LinksAndSwitches | FailureDomain::Everything
-                ) {
-                    for s in 0..g.n_switches {
-                        out.push(Component::Switch(SwitchId(s as u8)));
-                    }
-                }
-                if matches!(domain, FailureDomain::Everything) {
-                    for n in 0..g.n_nodes {
-                        out.push(Component::Node(NodeId(n as u8)));
-                    }
-                }
-                out
-            }
-        }
-    }
-
-    /// All fiber components (ports, trunks, stages) in enumeration
-    /// order — the address space for topology-generic fault scripts.
-    pub fn link_components(&self) -> Vec<Component> {
-        self.components(FailureDomain::LinksOnly)
-    }
-
-    /// Currently-failed components in diagnostic-sweep order: dead
-    /// switching elements ascending, then dark fibers in enumeration
-    /// order. (Dead nodes are reported by rostering, not the sweep.)
-    pub fn failed_components(&self) -> Vec<Component> {
-        let mut out = vec![];
-        match self {
-            Plant::Crossbar(t) => {
-                for s in t.switch_ids() {
-                    if !t.switch_alive(s) {
-                        out.push(Component::Switch(s));
-                    }
-                }
-                for n in t.node_ids() {
-                    for s in t.switch_ids() {
-                        if let Some(l) = t.link(n, s) {
-                            if !l.up {
-                                out.push(Component::Link(n, s));
-                            }
-                        }
-                    }
-                }
-            }
-            Plant::Graph(g) => {
-                for s in 0..g.n_switches {
-                    if !g.switch_up[s] {
-                        out.push(Component::Switch(SwitchId(s as u8)));
-                    }
-                }
-                for (n, ports) in g.ports.iter().enumerate() {
-                    for &(s, f) in ports {
-                        if !f.up {
-                            out.push(Component::Link(NodeId(n as u8), s));
-                        }
-                    }
-                }
-                for &(a, b, f) in &g.trunks {
-                    if !f.up {
-                        out.push(Component::Trunk(a, b));
-                    }
-                }
-                for &(a, b, f) in &g.stages {
-                    if !f.up {
-                        out.push(Component::Stage(a, b));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Shortest usable route for a ring hop `u → v`, or `None` when no
-    /// lit path exists (or either node is dead). Crossbar: the
-    /// lowest-numbered shared live switch, exactly as
-    /// [`Topology::shared_switch`].
-    pub fn hop_route(&self, u: NodeId, v: NodeId) -> Option<HopRoute> {
-        match self {
-            Plant::Crossbar(t) => t.shared_switch(u, v).map(HopRoute::through),
-            Plant::Graph(g) => g.hop_route(u, v),
-        }
-    }
-
     /// Transmitter-side usability of a committed route: `u` alive and
     /// every fiber and switching element along it lit. Deliberately
     /// does not check `v`'s liveness — the downstream node detects
-    /// loss of light itself, as in the crossbar detection predicate.
+    /// loss of light itself.
     pub fn hop_usable(&self, u: NodeId, v: NodeId, route: &HopRoute) -> bool {
-        match self {
-            Plant::Crossbar(t) => {
-                if route.via.len() != 1 {
-                    return false;
-                }
-                let s = route.via[0];
-                t.node_alive(u)
-                    && t.switch_alive(s)
-                    && t.link(u, s).map(|l| l.up).unwrap_or(false)
-                    && t.link(v, s).map(|l| l.up).unwrap_or(false)
-            }
-            Plant::Graph(g) => g.hop_usable(u, v, route),
+        if !self.node_alive(u) {
+            return false;
         }
+        let (Some(&first), Some(&last)) = (route.via.first(), route.via.last()) else {
+            return self.trunk(u, v).is_some_and(|f| f.up);
+        };
+        self.port(u, first).is_some_and(|f| f.up)
+            && self.port(v, last).is_some_and(|f| f.up)
+            && route.via.iter().all(|&s| self.switch_alive(s))
+            && route
+                .via
+                .windows(2)
+                .all(|w| self.stage(w[0], w[1]).is_some_and(|f| f.up))
     }
 
     /// Fiber metres along a committed route, regardless of up/down
-    /// state (tour timing needs lengths even over broken hops).
-    /// Crossbar: `len(u→s) + len(s→v)` in that order.
+    /// state (tour timing needs lengths even over broken hops; missing
+    /// segments count 0). Crossbar: `len(u→s) + len(s→v)` in that
+    /// order.
     pub fn hop_fiber_m(&self, u: NodeId, v: NodeId, route: &HopRoute) -> f64 {
-        match self {
-            Plant::Crossbar(t) => {
-                let Some(&s) = route.via.first() else {
-                    return 0.0;
-                };
-                let lu = t.link(u, s).map(|l| l.length_m).unwrap_or(0.0);
-                let lv = t.link(v, s).map(|l| l.length_m).unwrap_or(0.0);
-                lu + lv
-            }
-            Plant::Graph(g) => g.hop_fiber_m(u, v, route),
+        let len = |f: Option<&Fiber>| f.map_or(0.0, |f| f.length_m);
+        let (Some(&first), Some(&last)) = (route.via.first(), route.via.last()) else {
+            return len(self.trunk(u, v));
+        };
+        let mut total = len(self.port(u, first));
+        for w in route.via.windows(2) {
+            total += len(self.stage(w[0], w[1]));
         }
+        total + len(self.port(v, last))
     }
 
     /// The final fiber segment of the route, arriving at `v` — the
@@ -818,7 +683,7 @@ impl Plant {
         match route.via.last() {
             Some(&s) => Component::Link(v, s),
             None => {
-                let (a, b) = if u <= v { (u, v) } else { (v, u) };
+                let (a, b) = ordered(u, v);
                 Component::Trunk(a, b)
             }
         }
@@ -827,24 +692,31 @@ impl Plant {
     /// Minimum attachment count over all nodes — the redundancy degree
     /// reported by topology benchmarks. Crossbar: `n_switches`.
     pub fn redundancy_degree(&self) -> usize {
-        match self {
-            Plant::Crossbar(t) => t.n_switches(),
-            Plant::Graph(g) => (0..g.n_nodes)
-                .map(|n| g.ports[n].len() + g.node_trunks[n].len())
-                .min()
-                .unwrap_or(0),
-        }
+        (0..self.n_nodes)
+            .map(|n| self.ports[n].len() + self.node_trunks[n].len())
+            .min()
+            .unwrap_or(0)
     }
 
-    /// Largest logical ring currently constructible. Exact on the
-    /// crossbar arm (Eulerian solver) and on graph plants up to
-    /// [`GRAPH_EXACT_THRESHOLD`] connectable nodes; best-found under
-    /// [`GRAPH_HEURISTIC_BUDGET`] above that. Deterministic in all
-    /// regimes.
+    /// The shape the mask solver is exact on: every fiber is a
+    /// node–switch port and the switches fit an 8-bit mask.
+    pub(crate) fn is_single_stage(&self) -> bool {
+        self.trunks.is_empty() && self.stages.is_empty() && self.n_switches <= 8
+    }
+
+    /// Largest logical ring currently constructible (slide 16).
+    /// Deterministic: identical plants produce identical rings.
+    ///
+    /// The solver is chosen by the plant's shape, see the module docs:
+    /// single-stage plants of ≤ 8 switches are solved exactly at any
+    /// node count by the Eulerian mask search; everything else by the
+    /// canonical DFS, exact up to [`GRAPH_EXACT_THRESHOLD`] connectable
+    /// nodes and best-found under [`GRAPH_HEURISTIC_BUDGET`] above.
     pub fn largest_ring(&self) -> PlantRing {
-        match self {
-            Plant::Crossbar(t) => PlantRing::from_logical(largest_ring(t)),
-            Plant::Graph(g) => graph_largest_ring(self, g),
+        if self.is_single_stage() {
+            mask_largest_ring(self)
+        } else {
+            dfs_largest_ring(self)
         }
     }
 }
@@ -854,10 +726,10 @@ impl Plant {
 /// minimum-index vertex, neighbours ascending), so the result is
 /// deterministic; `budget` caps DFS node expansions in the heuristic
 /// regime.
-fn graph_largest_ring(plant: &Plant, g: &GraphPlant) -> PlantRing {
-    let cand: Vec<NodeId> = (0..g.n_nodes as u8)
-        .map(NodeId)
-        .filter(|&n| g.connectable(n))
+pub fn dfs_largest_ring(plant: &Plant) -> PlantRing {
+    let cand: Vec<NodeId> = plant
+        .node_ids()
+        .filter(|&n| plant.connectable(n))
         .collect();
     let k = cand.len();
     if k == 0 {
@@ -870,7 +742,7 @@ fn graph_largest_ring(plant: &Plant, g: &GraphPlant) -> PlantRing {
     let mut adj: Vec<Vec<usize>> = vec![vec![]; k];
     for i in 0..k {
         for j in i + 1..k {
-            if let Some(r) = g.hop_route(cand[i], cand[j]) {
+            if let Some(r) = plant.hop_route(cand[i], cand[j]) {
                 routes[i][j] = Some(r);
                 adj[i].push(j);
                 adj[j].push(i);
@@ -908,19 +780,16 @@ fn graph_largest_ring(plant: &Plant, g: &GraphPlant) -> PlantRing {
     if best.len() < 2 {
         // No cycle: degenerate single-node ring through a live switch
         // (a node cannot loop to itself over a trunk).
-        for &n in &cand {
-            if let Some(s) = g.ports[n.0 as usize]
-                .iter()
-                .find(|&&(s, f)| f.up && g.switch_alive(s))
-                .map(|&(s, _)| s)
-            {
-                return PlantRing {
+        return cand
+            .iter()
+            .find_map(|&n| {
+                let s = plant.usable_ports(n).next()?;
+                Some(PlantRing {
                     order: vec![n],
                     hops: vec![HopRoute::through(s)],
-                };
-            }
-        }
-        return PlantRing::empty();
+                })
+            })
+            .unwrap_or_else(PlantRing::empty);
     }
 
     let order: Vec<NodeId> = best.iter().map(|&i| cand[i]).collect();
@@ -990,17 +859,113 @@ mod tests {
     }
 
     #[test]
-    fn crossbar_arm_matches_logical_solver() {
+    fn quad_builder_shape() {
+        let p = Plant::crossbar(6, 4, 100.0);
+        assert_eq!(p.family(), "crossbar");
+        assert_eq!(p.n_nodes(), 6);
+        assert_eq!(p.n_switches(), 4);
+        assert_eq!(p.redundancy_degree(), 4);
+        for n in p.node_ids() {
+            assert_eq!(p.switch_mask(n), 0b1111);
+        }
+    }
+
+    #[test]
+    fn dual_builder_shape() {
+        let p = Plant::crossbar(4, 2, 50.0);
+        assert_eq!(p.n_switches(), 2);
+        assert_eq!(p.switch_mask(NodeId(0)), 0b11);
+    }
+
+    #[test]
+    fn failures_update_masks() {
+        let mut p = Plant::crossbar(4, 4, 100.0);
+        p.apply(Component::Switch(SwitchId(0)));
+        assert_eq!(p.switch_mask(NodeId(1)), 0b1110);
+        p.apply(Component::Link(NodeId(1), SwitchId(2)));
+        assert_eq!(p.switch_mask(NodeId(1)), 0b1010);
+        p.apply(Component::Node(NodeId(1)));
+        assert_eq!(p.switch_mask(NodeId(1)), 0);
+        assert!(!p.connectable(NodeId(1)));
+        p.restore(Component::Node(NodeId(1)));
+        p.restore(Component::Link(NodeId(1), SwitchId(2)));
+        p.restore(Component::Switch(SwitchId(0)));
+        assert_eq!(p.switch_mask(NodeId(1)), 0b1111);
+    }
+
+    #[test]
+    fn hop_length_sums_both_fibers() {
+        let p = Plant::crossbar(2, 4, 250.0);
+        let r = p.hop_route(NodeId(0), NodeId(1)).unwrap();
+        assert_eq!(p.hop_fiber_m(NodeId(0), NodeId(1), &r), 500.0);
+    }
+
+    #[test]
+    fn dead_switch_breaks_hops_through_it_only() {
+        let mut p = Plant::crossbar(2, 2, 10.0);
+        let via0 = p.hop_route(NodeId(0), NodeId(1)).unwrap();
+        p.apply(Component::Switch(SwitchId(0)));
+        assert!(!p.hop_usable(NodeId(0), NodeId(1), &via0));
+        let via1 = HopRoute::through(SwitchId(1));
+        assert_eq!(p.hop_route(NodeId(0), NodeId(1)), Some(via1.clone()));
+        assert!(p.hop_usable(NodeId(0), NodeId(1), &via1));
+    }
+
+    #[test]
+    fn alive_nodes_list() {
+        let mut p = Plant::crossbar(5, 4, 10.0);
+        p.apply(Component::Node(NodeId(2)));
+        let alive = p.alive_nodes();
+        assert_eq!(alive.len(), 4);
+        assert!(!alive.contains(&NodeId(2)));
+    }
+
+    #[test]
+    fn solver_is_selected_by_shape_not_family() {
+        // Single-stage, ≤ 8 switches: the mask solver, whatever the
+        // node count. Trunks or stages: the DFS.
+        assert!(Plant::crossbar(64, 4, 100.0).is_single_stage());
+        assert!(!Plant::torus3d([2, 2, 2], 100.0).is_single_stage());
+        assert!(!Plant::folded_clos(6, 2, 2, 100.0).is_single_stage());
         let mut p = Plant::crossbar(6, 4, 100.0);
         p.apply(Component::Switch(SwitchId(0)));
         p.apply(Component::Node(NodeId(2)));
-        let r = ring_of(&p);
-        let exact = largest_ring(p.as_crossbar().unwrap());
-        assert_eq!(r.order, exact.order);
-        assert_eq!(
-            r.hops.iter().map(|h| h.via.clone()).collect::<Vec<_>>(),
-            exact.hops.iter().map(|&s| vec![s]).collect::<Vec<_>>()
-        );
+        assert_eq!(ring_of(&p), mask_largest_ring(&p));
+        assert_eq!(ring_of(&p).len(), dfs_largest_ring(&p).len());
+    }
+
+    /// Hostile input: components the plant does not have — ids out of
+    /// range, an uncabled port, trunks and stages on a plant without
+    /// them — are ignored by `apply` and `restore` on every family.
+    #[test]
+    fn unknown_components_are_ignored_on_every_family() {
+        let probes = [
+            Component::Switch(SwitchId(99)),
+            Component::Link(NodeId(200), SwitchId(0)),
+            Component::Link(NodeId(2), SwitchId(7)),
+            Component::Node(NodeId(77)),
+            Component::Trunk(NodeId(0), NodeId(200)),
+            Component::Stage(SwitchId(0), SwitchId(99)),
+        ];
+        for mut p in [
+            Plant::crossbar(6, 4, 100.0),
+            Plant::torus3d([3, 2, 1], 100.0),
+            Plant::folded_clos(6, 2, 2, 100.0),
+        ] {
+            let ring = ring_of(&p);
+            for c in probes {
+                p.apply(c);
+                assert!(p.failed_components().is_empty(), "{}: apply {c:?}", p.family());
+                assert_eq!(p.alive_nodes().len(), 6);
+                assert_eq!(ring_of(&p), ring, "{}: apply {c:?}", p.family());
+                p.restore(c);
+                assert!(p.failed_components().is_empty(), "{}: restore {c:?}", p.family());
+                assert_eq!(ring_of(&p), ring, "{}: restore {c:?}", p.family());
+            }
+            assert!(!p.node_alive(NodeId(77)));
+            assert!(!p.switch_alive(SwitchId(99)));
+            assert!(!p.connectable(NodeId(77)));
+        }
     }
 
     #[test]
@@ -1015,6 +980,10 @@ mod tests {
             p.hop_route(NodeId(0), NodeId(1)),
             Some(HopRoute::through(SwitchId(1)))
         );
+        for s in 1..4 {
+            p.apply(Component::Switch(SwitchId(s)));
+        }
+        assert_eq!(p.hop_route(NodeId(0), NodeId(1)), None);
     }
 
     #[test]

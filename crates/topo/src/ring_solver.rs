@@ -1,10 +1,14 @@
-//! Exact computation of the *largest possible logical ring* (slide 16).
+//! Exact computation of the *largest possible logical ring* (slide 16)
+//! on single-stage plants.
 //!
 //! Rostering "explores the network for available paths and allows the
-//! creation of the largest possible logical ring". This module answers
-//! the graph-theoretic question exactly, so the protocol implementation
-//! in `ampnet-roster` can be tested against ground truth, and the E7
-//! redundancy experiment can score topologies after failures.
+//! creation of the largest possible logical ring". On the paper's
+//! plant — nodes cabled to a handful of crossbar switches — this module
+//! answers the graph-theoretic question exactly at any node count, so
+//! the protocol implementation in `ampnet-roster` can be tested against
+//! ground truth, and the E7 redundancy experiment can score plants
+//! after failures. [`Plant::largest_ring`] routes every plant of that
+//! shape here and everything else to the canonical DFS.
 //!
 //! ## Formulation
 //!
@@ -29,110 +33,22 @@
 //! switches that is at most 3^28 in theory but ≤ 3^6 for the 4-switch
 //! plants the paper shows; we additionally prune by parity as we go.
 
-use crate::graph::{NodeId, SwitchId, Topology};
+use crate::plant::{HopRoute, NodeId, Plant, PlantRing, SwitchId};
 
-/// A logical ring: a cyclic node order plus, for each position, the
-/// switch carrying the hop from `order[i]` to `order[(i+1) % len]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogicalRing {
-    /// Cyclic node order. Empty when no node has a usable port.
-    pub order: Vec<NodeId>,
-    /// `hops[i]` carries `order[i] → order[(i+1) % len]`.
-    pub hops: Vec<SwitchId>,
-}
-
-impl LogicalRing {
-    /// Empty ring.
-    pub fn empty() -> Self {
-        LogicalRing {
-            order: vec![],
-            hops: vec![],
-        }
-    }
-
-    /// Number of member nodes.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Whether the ring has no members.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// Check this ring is valid in `topo`: distinct alive members, and
-    /// every hop's switch live with live links to both endpoints.
-    pub fn validate(&self, topo: &Topology) -> Result<(), String> {
-        if self.order.len() != self.hops.len() {
-            return Err(format!(
-                "order/hops length mismatch: {} vs {}",
-                self.order.len(),
-                self.hops.len()
-            ));
-        }
-        for (i, &n) in self.order.iter().enumerate() {
-            if self.order[..i].contains(&n) {
-                return Err(format!("{n} appears twice"));
-            }
-            if !topo.node_alive(n) {
-                return Err(format!("{n} is dead"));
-            }
-        }
-        for i in 0..self.order.len() {
-            let u = self.order[i];
-            let v = self.order[(i + 1) % self.order.len()];
-            let s = self.hops[i];
-            if !topo.port_usable(u, s) {
-                return Err(format!("hop {i}: {u} cannot reach {s}"));
-            }
-            if !topo.port_usable(v, s) {
-                return Err(format!("hop {i}: {v} cannot reach {s}"));
-            }
-        }
-        Ok(())
-    }
-
-    /// Total one-way fiber length around the ring, metres.
-    pub fn total_length_m(&self, topo: &Topology) -> f64 {
-        let mut total = 0.0;
-        for i in 0..self.order.len() {
-            let u = self.order[i];
-            let v = self.order[(i + 1) % self.order.len()];
-            let s = self.hops[i];
-            let lu = topo.link(u, s).map(|l| l.length_m).unwrap_or(0.0);
-            let lv = topo.link(v, s).map(|l| l.length_m).unwrap_or(0.0);
-            total += lu + lv;
-        }
-        total
-    }
-}
-
-/// Compute the largest logical ring currently constructible.
-/// Deterministic: identical topologies produce identical rings.
-///
-/// ```
-/// use ampnet_topo::{largest_ring, Topology, NodeId, SwitchId};
-///
-/// let mut plant = Topology::quad(6, 100.0);
-/// assert_eq!(largest_ring(&plant).len(), 6);
-///
-/// plant.fail_node(NodeId(2));
-/// plant.fail_switch(SwitchId(0));
-/// let ring = largest_ring(&plant);
-/// assert_eq!(ring.len(), 5);
-/// ring.validate(&plant).unwrap();
-/// ```
-pub fn largest_ring(topo: &Topology) -> LogicalRing {
-    // Usable nodes and their switch masks.
-    let mut nodes: Vec<(NodeId, u8)> = topo
+/// Largest logical ring over a single-stage plant (ports only, ≤ 8
+/// switches), exact at any node count. [`Plant::largest_ring`] selects
+/// this solver from the plant's shape; trunks and stages are invisible
+/// to it, so it must not be run on plants that have them.
+pub fn mask_largest_ring(plant: &Plant) -> PlantRing {
+    assert!(plant.is_single_stage(), "mask solver needs a single-stage plant");
+    // Usable nodes and their switch masks, ascending node id.
+    let nodes: Vec<(NodeId, u8)> = plant
         .node_ids()
-        .filter(|&n| topo.node_alive(n))
-        .map(|n| (n, topo.switch_mask(n)))
+        .map(|n| (n, plant.switch_mask(n)))
         .filter(|&(_, m)| m != 0)
         .collect();
-    nodes.sort_by_key(|&(n, _)| n);
     if nodes.is_empty() {
-        return LogicalRing::empty();
+        return PlantRing::empty();
     }
 
     let live_switch_mask: u8 = nodes.iter().fold(0, |acc, &(_, m)| acc | m);
@@ -164,7 +80,7 @@ pub fn largest_ring(topo: &Topology) -> LogicalRing {
     }
 
     let Some((_, r_mask, edge_multiset)) = best else {
-        return LogicalRing::empty();
+        return PlantRing::empty();
     };
     build_ring(&nodes, r_mask, &edge_multiset)
 }
@@ -225,9 +141,7 @@ fn search(
         if !connected(pairs, mult, switches) {
             return None;
         }
-        if !realizable(pairs, mult, nodes) {
-            return None;
-        }
+        assignment(pairs, mult, nodes)?;
         return Some(
             pairs
                 .iter()
@@ -270,15 +184,10 @@ fn connected(pairs: &[(u8, u8)], mult: &[u8], switches: &[u8]) -> bool {
     switches.iter().all(|&s| seen[s as usize])
 }
 
-/// Bipartite feasibility: can distinct nodes be assigned to every edge
-/// instance? Solved as a tiny max-flow (pairs → masks-classes).
-fn realizable(pairs: &[(u8, u8)], mult: &[u8], nodes: &[(NodeId, u8)]) -> bool {
-    assignment(pairs, mult, nodes).is_some()
-}
-
-/// Produce an explicit assignment: for each edge instance, a node id.
-/// Greedy with backtracking over edge instances, most-constrained
-/// first; sizes are tiny (≤ 12 instances).
+/// Assign a distinct node to every edge instance (a node can carry
+/// edge `(s, t)` iff its mask contains both switches), or `None` when
+/// no such assignment exists. Backtracking over edge instances,
+/// most-constrained first; sizes are tiny (≤ 12 instances).
 fn assignment(
     pairs: &[(u8, u8)],
     mult: &[u8],
@@ -291,16 +200,10 @@ fn assignment(
         }
     }
     // Most-constrained instance first: fewest eligible nodes.
-    let eligible = |s: u8, t: u8, used: &[bool]| -> Vec<usize> {
+    instances.sort_by_key(|&(s, t)| {
         let need = (1u8 << s) | (1 << t);
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, &(_, m))| !used[i] && m & need == need)
-            .map(|(i, _)| i)
-            .collect()
-    };
-    instances.sort_by_key(|&(s, t)| eligible(s, t, &vec![false; nodes.len()]).len());
+        nodes.iter().filter(|&&(_, m)| m & need == need).count()
+    });
 
     fn backtrack(
         instances: &[(u8, u8)],
@@ -341,7 +244,7 @@ fn assignment(
 /// Assemble the actual ring from a feasible transition multiset:
 /// Hierholzer's algorithm over the transition multigraph, inserting
 /// loop (single-switch) nodes at the first visit of their switch.
-fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> LogicalRing {
+fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> PlantRing {
     let usable: Vec<(NodeId, u8)> = nodes
         .iter()
         .copied()
@@ -351,10 +254,9 @@ fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> Log
     // Single-switch case: everyone loops at the one switch.
     let switches: Vec<u8> = (0..8).filter(|s| r_mask & (1 << s) != 0).collect();
     if switches.len() == 1 {
-        let s = SwitchId(switches[0]);
         let order: Vec<NodeId> = usable.iter().map(|&(n, _)| n).collect();
-        let hops = vec![s; order.len()];
-        return LogicalRing { order, hops };
+        let hops = vec![HopRoute::through(SwitchId(switches[0])); order.len()];
+        return PlantRing { order, hops };
     }
 
     // Recover a concrete node assignment for the transition edges.
@@ -426,7 +328,7 @@ fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> Log
     };
 
     let mut order: Vec<NodeId> = vec![];
-    let mut hops: Vec<SwitchId> = vec![];
+    let mut hops: Vec<HopRoute> = vec![];
     let mut loops_done = [false; 8];
     for w in 0..circuit.len() - 1 {
         let s = circuit[w];
@@ -436,13 +338,13 @@ fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> Log
             loops_done[s as usize] = true;
             for &n in &loops_at[s as usize] {
                 order.push(n);
-                hops.push(SwitchId(s));
+                hops.push(HopRoute::through(SwitchId(s)));
             }
         }
         // Then the transition node for hop s→t; its outgoing hop is t.
         let n = take_edge(s, t, &mut consumed);
         order.push(n);
-        hops.push(SwitchId(t));
+        hops.push(HopRoute::through(SwitchId(t)));
     }
     // The final transition node's outgoing hop label must be the hop
     // back to the ring start, which is the first circuit vertex — but
@@ -450,101 +352,108 @@ fn build_ring(nodes: &[(NodeId, u8)], r_mask: u8, edges: &[(u8, u8, u8)]) -> Log
     // circuit[last] = s0, and the first element of `order` sits at s0.
     // One wrinkle: the first elements of `order` are s0's loop nodes
     // (if any) whose hops are s0 — consistent.
-    LogicalRing { order, hops }
+    PlantRing { order, hops }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::Component;
 
-    fn ring_of(topo: &Topology) -> LogicalRing {
-        let r = largest_ring(topo);
-        r.validate(topo).expect("solver produced an invalid ring");
+    fn ring_of(plant: &Plant) -> PlantRing {
+        let r = mask_largest_ring(plant);
+        r.validate(plant).expect("solver produced an invalid ring");
         r
+    }
+
+    fn dual(n: usize) -> Plant {
+        Plant::crossbar(n, 2, 100.0)
+    }
+
+    fn quad(n: usize) -> Plant {
+        Plant::crossbar(n, 4, 100.0)
+    }
+
+    fn cut(p: &mut Plant, n: u8, s: u8) {
+        p.apply(Component::Link(NodeId(n), SwitchId(s)));
     }
 
     #[test]
     fn healthy_quad_rings_everyone() {
-        let t = Topology::quad(6, 100.0);
-        let r = ring_of(&t);
-        assert_eq!(r.len(), 6);
+        assert_eq!(ring_of(&quad(6)).len(), 6);
     }
 
     #[test]
     fn healthy_dual_rings_everyone() {
-        let t = Topology::dual(9, 100.0);
-        assert_eq!(ring_of(&t).len(), 9);
+        assert_eq!(ring_of(&dual(9)).len(), 9);
     }
 
     #[test]
     fn dead_node_excluded() {
-        let mut t = Topology::quad(6, 100.0);
-        t.fail_node(NodeId(3));
-        let r = ring_of(&t);
+        let mut p = quad(6);
+        p.apply(Component::Node(NodeId(3)));
+        let r = ring_of(&p);
         assert_eq!(r.len(), 5);
         assert!(!r.order.contains(&NodeId(3)));
     }
 
     #[test]
     fn single_switch_survives() {
-        let mut t = Topology::quad(8, 100.0);
+        let mut p = quad(8);
         for s in 0..3 {
-            t.fail_switch(SwitchId(s));
+            p.apply(Component::Switch(SwitchId(s)));
         }
-        assert_eq!(ring_of(&t).len(), 8);
+        assert_eq!(ring_of(&p).len(), 8);
     }
 
     #[test]
     fn all_switches_dead_means_empty() {
-        let mut t = Topology::dual(4, 100.0);
-        t.fail_switch(SwitchId(0));
-        t.fail_switch(SwitchId(1));
-        assert!(ring_of(&t).is_empty());
+        let mut p = dual(4);
+        p.apply(Component::Switch(SwitchId(0)));
+        p.apply(Component::Switch(SwitchId(1)));
+        assert!(ring_of(&p).is_empty());
     }
 
     #[test]
     fn bridge_node_limits_ring() {
         // a,b on sw0 only; x on both; c,d on sw1 only. Classic cut:
         // the largest cycle is 3 (one clique side plus the bridge).
-        let mut t = Topology::dual(5, 100.0);
+        let mut p = dual(5);
         // nodes 0,1 = a,b: cut their sw1 links.
-        t.fail_link(NodeId(0), SwitchId(1));
-        t.fail_link(NodeId(1), SwitchId(1));
+        cut(&mut p, 0, 1);
+        cut(&mut p, 1, 1);
         // node 2 = x: keep both.
         // nodes 3,4 = c,d: cut their sw0 links.
-        t.fail_link(NodeId(3), SwitchId(0));
-        t.fail_link(NodeId(4), SwitchId(0));
-        let r = ring_of(&t);
+        cut(&mut p, 3, 0);
+        cut(&mut p, 4, 0);
+        let r = ring_of(&p);
         assert_eq!(r.len(), 3, "bridge through a single node cannot close");
     }
 
     #[test]
     fn two_bridge_nodes_allow_full_ring() {
         // a,b on sw0; x,y on both; c,d on sw1: ring of 6 exists.
-        let mut t = Topology::dual(6, 100.0);
-        t.fail_link(NodeId(0), SwitchId(1));
-        t.fail_link(NodeId(1), SwitchId(1));
-        t.fail_link(NodeId(4), SwitchId(0));
-        t.fail_link(NodeId(5), SwitchId(0));
-        let r = ring_of(&t);
-        assert_eq!(r.len(), 6);
+        let mut p = dual(6);
+        cut(&mut p, 0, 1);
+        cut(&mut p, 1, 1);
+        cut(&mut p, 4, 0);
+        cut(&mut p, 5, 0);
+        assert_eq!(ring_of(&p).len(), 6);
     }
 
     #[test]
     fn isolated_node_excluded() {
-        let mut t = Topology::dual(3, 100.0);
-        t.fail_link(NodeId(1), SwitchId(0));
-        t.fail_link(NodeId(1), SwitchId(1));
-        let r = ring_of(&t);
+        let mut p = dual(3);
+        cut(&mut p, 1, 0);
+        cut(&mut p, 1, 1);
+        let r = ring_of(&p);
         assert_eq!(r.len(), 2);
         assert!(!r.order.contains(&NodeId(1)));
     }
 
     #[test]
     fn single_node_degenerate_ring() {
-        let t = Topology::dual(1, 100.0);
-        let r = ring_of(&t);
-        assert_eq!(r.len(), 1);
+        assert_eq!(ring_of(&dual(1)).len(), 1);
     }
 
     #[test]
@@ -552,54 +461,75 @@ mod tests {
         // Three switches; three bridge nodes each spanning one pair;
         // plus one exclusive node per switch. Full ring of 6 exists
         // via the triangle (odd multiplicities required).
-        let mut t = Topology::redundant(6, 3, 100.0);
-        let cut = |t: &mut Topology, n: usize, keep: &[u8]| {
-            for s in 0..3u8 {
-                if !keep.contains(&s) {
-                    t.fail_link(NodeId(n as u8), SwitchId(s));
-                }
+        let mut p = Plant::crossbar(6, 3, 100.0);
+        let mut keep = |n: u8, keep: &[u8]| {
+            for s in (0..3u8).filter(|s| !keep.contains(s)) {
+                cut(&mut p, n, s);
             }
         };
-        cut(&mut t, 0, &[0, 1]); // bridge 0-1
-        cut(&mut t, 1, &[1, 2]); // bridge 1-2
-        cut(&mut t, 2, &[0, 2]); // bridge 0-2
-        cut(&mut t, 3, &[0]); // exclusive
-        cut(&mut t, 4, &[1]);
-        cut(&mut t, 5, &[2]);
-        let r = ring_of(&t);
-        assert_eq!(r.len(), 6);
+        keep(0, &[0, 1]); // bridge 0-1
+        keep(1, &[1, 2]); // bridge 1-2
+        keep(2, &[0, 2]); // bridge 0-2
+        keep(3, &[0]); // exclusive
+        keep(4, &[1]);
+        keep(5, &[2]);
+        assert_eq!(ring_of(&p).len(), 6);
     }
 
     #[test]
     fn total_length_accounts_both_fibers() {
-        let t = Topology::dual(4, 100.0);
-        let r = ring_of(&t);
+        let p = dual(4);
         // 4 hops, each 200 m of fiber.
-        assert!((r.total_length_m(&t) - 800.0).abs() < 1e-9);
+        assert!((ring_of(&p).total_length_m(&p) - 800.0).abs() < 1e-9);
     }
 
     #[test]
     fn determinism() {
-        let mut t = Topology::quad(10, 100.0);
-        t.fail_switch(SwitchId(1));
-        t.fail_link(NodeId(2), SwitchId(0));
-        let a = largest_ring(&t);
-        let b = largest_ring(&t);
-        assert_eq!(a, b);
+        let mut p = quad(10);
+        p.apply(Component::Switch(SwitchId(1)));
+        cut(&mut p, 2, 0);
+        assert_eq!(mask_largest_ring(&p), mask_largest_ring(&p));
     }
 
     #[test]
     fn validate_catches_bad_rings() {
-        let t = Topology::dual(3, 100.0);
-        let bad = LogicalRing {
+        let p = dual(3);
+        let bad = PlantRing {
             order: vec![NodeId(0), NodeId(0), NodeId(1)],
-            hops: vec![SwitchId(0); 3],
+            hops: vec![HopRoute::through(SwitchId(0)); 3],
         };
-        assert!(bad.validate(&t).is_err());
-        let mismatch = LogicalRing {
+        assert!(bad.validate(&p).is_err());
+        let mismatch = PlantRing {
             order: vec![NodeId(0)],
             hops: vec![],
         };
-        assert!(mismatch.validate(&t).is_err());
+        assert!(mismatch.validate(&p).is_err());
+    }
+
+    /// The 64×4 plant damaged exactly as in the repo benchmark's
+    /// `topo.largest_ring_crossbar64_damaged_ns` leg
+    /// (`benchmark/src/legs.rs`): far above the DFS solver's exact
+    /// threshold, yet every connectable survivor is still ringed.
+    #[test]
+    fn damaged_64_node_plant_rings_every_connectable_survivor() {
+        let mut p = quad(64);
+        for c in [
+            Component::Switch(SwitchId(1)),
+            Component::Node(NodeId(7)),
+            Component::Node(NodeId(40)),
+            Component::Link(NodeId(5), SwitchId(0)),
+            Component::Link(NodeId(22), SwitchId(2)),
+            Component::Link(NodeId(23), SwitchId(2)),
+        ] {
+            p.apply(c);
+        }
+        let connectable = p.node_ids().filter(|&n| p.connectable(n)).count();
+        assert_eq!(connectable, 62);
+        // Through the public entry point: shape selection must pick
+        // the mask solver here.
+        let r = p.largest_ring();
+        r.validate(&p).unwrap();
+        assert_eq!(r.len(), connectable);
+        assert_eq!(r, mask_largest_ring(&p));
     }
 }

@@ -1,15 +1,18 @@
-//! Property tests: the generalized plant ring solver is exact.
+//! Property tests: the plant ring solvers are exact.
 //!
 //! For plants of ≤ 8 nodes — below `GRAPH_EXACT_THRESHOLD`, so every
-//! family runs its exact regime — brute-force the longest simple
+//! family runs an exact regime — brute-force the longest simple
 //! cycle over the hop-adjacency relation (`Plant::hop_route`) and the
 //! solver must match it on all three families: crossbar (the paper's
-//! plant, solved by the Eulerian formulation), 3D torus (direct
-//! trunks) and folded Clos (leaf/spine stages). The solver's ring
-//! must also always validate against the damaged plant.
+//! plant, solved by the Eulerian mask search), 3D torus (direct
+//! trunks) and folded Clos (leaf/spine stages), the latter two solved
+//! by the canonical DFS. The solver's ring must also always validate
+//! against the damaged plant. On single-stage plants, where both
+//! solvers are exact, they are additionally run against each other.
 
-use ampnet_topo::montecarlo::FailureDomain;
-use ampnet_topo::{NodeId, Plant};
+use ampnet_topo::montecarlo::{Component, FailureDomain};
+use ampnet_topo::solvers::{dfs_largest_ring, mask_largest_ring};
+use ampnet_topo::{NodeId, Plant, GRAPH_EXACT_THRESHOLD};
 use proptest::prelude::*;
 
 /// Longest cycle (≥ 2 nodes) over connectable nodes where every
@@ -81,6 +84,33 @@ fn damage(mut plant: Plant, fails: Vec<u16>) -> Plant {
     plant
 }
 
+/// Damaged single-stage (port-only) plants small enough for the DFS
+/// to be exhaustive, with up to the full 8 switches the mask solver
+/// supports. Every node keeps only the ports in its own sparse random
+/// mask (two random bytes ANDed: a quarter of the ports on average, so
+/// bridges, islands and isolated nodes are the common case, not the
+/// exception), then a few random elements and nodes fail on top.
+fn arb_single_stage() -> impl Strategy<Value = Plant> {
+    (
+        1usize..=GRAPH_EXACT_THRESHOLD,
+        1usize..=8,
+        proptest::collection::vec(any::<u16>(), GRAPH_EXACT_THRESHOLD),
+        proptest::collection::vec(any::<u16>(), 0..3),
+    )
+        .prop_map(|(n, s, keep, fails)| {
+            let mut plant = Plant::crossbar(n, s, 100.0);
+            for c in plant.link_components() {
+                if let Component::Link(node, sw) = c {
+                    let k = keep[node.0 as usize];
+                    if k & (k >> 8) & (1 << sw.0) == 0 {
+                        plant.apply(c);
+                    }
+                }
+            }
+            damage(plant, fails)
+        })
+}
+
 fn arb_plant() -> impl Strategy<Value = Plant> {
     let picks = || proptest::collection::vec(any::<u16>(), 0..10);
     let crossbar = (1usize..=8, 1usize..=4, picks())
@@ -122,6 +152,21 @@ proptest! {
         }
     }
 
+    /// The two solvers check each other: on single-stage plants within
+    /// the DFS's exhaustive regime, the Eulerian mask search and the
+    /// canonical DFS find rings of the same size and both validate.
+    #[test]
+    fn mask_and_dfs_solvers_agree(plant in arb_single_stage()) {
+        let mask = mask_largest_ring(&plant);
+        let dfs = dfs_largest_ring(&plant);
+        prop_assert!(mask.validate(&plant).is_ok(), "mask: {:?}", mask.validate(&plant));
+        prop_assert!(dfs.validate(&plant).is_ok(), "dfs: {:?}", dfs.validate(&plant));
+        prop_assert_eq!(mask.len(), dfs.len(), "mask {:?} vs dfs {:?}", &mask, &dfs);
+        // A lone connectable node still forms the degenerate 1-ring.
+        let any_connectable = plant.node_ids().any(|n| plant.connectable(n));
+        prop_assert_eq!(mask.is_empty(), !any_connectable);
+    }
+
     /// Restoring every failed component returns the full ring (every
     /// family's healthy plant rings all nodes).
     #[test]
@@ -138,7 +183,7 @@ proptest! {
             }
         }
         for n in healed.node_ids().collect::<Vec<_>>() {
-            healed.restore(ampnet_topo::montecarlo::Component::Node(n));
+            healed.restore(Component::Node(n));
         }
         prop_assert_eq!(healed.largest_ring().len(), healed.n_nodes());
     }

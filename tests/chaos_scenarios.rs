@@ -342,6 +342,35 @@ fn element_faults_are_no_ops_on_a_torus() {
     assert_eq!(report.failover_ns, 0);
 }
 
+/// Hostile fault schedules cannot panic the stack: faults naming a
+/// switch, node or port the plant does not have are ignored by the
+/// plant and logged as spare faults by the cluster — on every family
+/// the committed ring never changes and nothing is lost.
+#[test]
+fn out_of_range_faults_are_no_ops() {
+    for spec in [
+        PlantSpec::Crossbar,
+        PlantSpec::Torus3d { dims: [3, 2, 1] },
+        PlantSpec::FoldedClos { leaves: 2, spines: 2 },
+    ] {
+        let report = Scenario::builder(ClusterConfig::small(6).with_seed(0xDA).with_plant(spec))
+            .traffic(Traffic::all_to_all())
+            .fault_in(ms(8), FaultOp::FailSwitch(9))
+            .fault_in(ms(12), FaultOp::CutFiber(200, 0))
+            .fault_in(ms(16), FaultOp::SpliceFiber(2, 7))
+            .fault_in(ms(20), FaultOp::RepairSwitch(99))
+            .fault_in(ms(24), FaultOp::CrashNode(77))
+            .standard_invariants()
+            .build()
+            .run();
+        assert!(report.ok(), "{spec:?}: {}", report.summary());
+        assert_eq!(report.sent, report.delivered, "{spec:?}");
+        assert_eq!(report.doomed, 0, "{spec:?}");
+        assert_eq!(report.roster_episodes, 1, "{spec:?}: boot only, the ring never changed");
+        assert_eq!(report.reconvergence_ns, 0, "{spec:?}");
+    }
+}
+
 /// The digest is a real fingerprint: changing the fault schedule
 /// changes the milestone trace, and therefore the digest.
 #[test]

@@ -162,8 +162,8 @@ fn facade_reexports_work() {
     let p = ampnet::packet::build::data(0, 1, 0, [0; 8]);
     assert_eq!(p.wire_bytes(), 20);
     // topo
-    let t = ampnet::topo::Topology::quad(4, 100.0);
-    assert_eq!(ampnet::topo::largest_ring(&t).len(), 4);
+    let t = ampnet::topo::Plant::crossbar(4, 4, 100.0);
+    assert_eq!(t.largest_ring().len(), 4);
     // sim
     let d = ampnet::sim::SimDuration::from_micros(3);
     assert_eq!(d.as_nanos(), 3_000);
