@@ -1,45 +1,22 @@
-//! Regenerate every table/figure of the AmpNet reproduction.
+//! Regenerate every table/figure of the AmpNet reproduction, and the
+//! committed artifacts generated from the code.
 //!
 //! ```text
 //! cargo run -p ampnet-bench --release --bin figures          # everything
 //! cargo run -p ampnet-bench --release --bin figures -- E8    # one experiment
 //! cargo run -p ampnet-bench --release --bin figures -- --json out.json
-//! cargo run -p ampnet-bench --release --bin figures -- --bench-ring BENCH_ring.json
-//! cargo run -p ampnet-bench --release --bin figures -- --bench-scale BENCH_scale.json
-//! cargo run -p ampnet-bench --release --bin figures -- --metrics METRICS_snapshot.json
-//! cargo run -p ampnet-bench --release --bin figures -- --metrics-doc > docs/METRICS.md
 //! cargo run -p ampnet-bench --release --bin figures -- --check CHECK_models.json
-//! cargo run -p ampnet-bench --release --bin figures -- --bench-topo BENCH_topo.json
-//! cargo run -p ampnet-bench --release --bin figures -- --bench-load BENCH_load.json
-//! cargo run -p ampnet-bench --release --bin figures -- --workloads-doc > docs/WORKLOADS.md
+//! cargo run -p ampnet-bench --release --bin figures -- --metrics METRICS_snapshot.json
 //! cargo run -p ampnet-bench --release --bin figures -- --lint LINT_report.json
+//! cargo run -p ampnet-bench --release --bin figures -- --metrics-doc > docs/METRICS.md
+//! cargo run -p ampnet-bench --release --bin figures -- --workloads-doc > docs/WORKLOADS.md
 //! cargo run -p ampnet-bench --release --bin figures -- --lints-doc > docs/LINTS.md
 //! ```
 //!
-//! `--bench-ring` runs the data-plane perf baseline: a 6-node segment
-//! under 1.5x all-to-all broadcast, once plain and once with live
-//! telemetry, counting heap allocations with an instrumented global
-//! allocator, and states the goodput next to its theoretical ceiling.
-//! The JSON snapshot is committed so regressions in per-packet
-//! allocation count — or telemetry overhead creeping onto the hot
-//! path — show up in review.
-//!
-//! `--bench-scale` sizes the sharded-PDES engine: 1→16 segments of 16
-//! nodes each (up to 256 nodes), each point run four times from the
-//! same seeds — `ParallelMode::Serial` and a threaded pool clamped to
-//! `min(8, host_threads, segments)`, each under both
-//! `Lookahead::Adaptive` (the default) and `Lookahead::Fixed` (the
-//! PR-5 reference) — then a heavy guarded leg (16 saturated 32-node
-//! segments) that enforces the calibrated serial-throughput floor and
-//! the threaded speedup floor. Per policy, serial and threaded digests
-//! must match at every point (the engine's determinism contract). A
-//! heap-vs-wheel timer microbench records what the timer-wheel event
-//! core buys on the same synthetic workload and calibrates the serial
-//! floor. The JSON records `host_threads` and the per-point pool size
-//! honestly; a 1-thread host records
-//! `"speedup_guard": "skipped: 1 host thread"` instead of a
-//! time-sliced pseudo-speedup, and CI accepts that skip only when the
-//! host really cannot measure parallelism.
+//! This binary reports what the simulated network *does* (experiment
+//! tables, model-check verdicts, telemetry and lint snapshots). How
+//! fast the simulator runs, layer by layer, is measured by the repo
+//! benchmark in `benchmark/` (see `BENCHMARK.json`), and nowhere else.
 //!
 //! `--check` runs the `ampnet-check` protocol models (seqlock,
 //! semaphore, roster/failover on crossbar, torus and folded-Clos
@@ -47,662 +24,15 @@
 //! to exhaustion and writes a JSON summary; any safety violation
 //! prints its shortest counterexample trace and fails the run.
 //!
-//! `--bench-topo` replays one generic chaos schedule across the three
-//! plant families and records goodput, reconvergence time and failover
-//! latency against each family's redundancy degree; it also guards the
-//! crossbar golden trace digest against drift.
-//!
 //! `--metrics` runs the deterministic full-stack telemetry exercise
 //! (`ampnet_bench::metrics`) and writes the registry snapshot; same
-//! seed ⇒ byte-identical JSON. `--metrics-doc` prints the generated
-//! `docs/METRICS.md` metrics reference.
-//!
-//! `--bench-load` runs the million-client workload sweep: every
-//! arrival process (Poisson, Pareto α=1.5, diurnal) × modeled
-//! populations 1k → 1M against a healthy 6-node cluster, judging the
-//! standard SLO set per cell, plus one repeated cell proving the
-//! same-seed byte-identical report contract. `--workloads-doc` prints
-//! the generated `docs/WORKLOADS.md` workload reference.
+//! seed ⇒ byte-identical JSON. `--lint` runs the workspace lint under
+//! the repo policy and writes the byte-stable report. The three
+//! `--*-doc` modes print the generated `docs/` references.
 
 use ampnet_bench::experiments as ex;
 use ampnet_bench::host_seqlock::e5_host_seqlock;
 use ampnet_bench::report::{tables_to_json, Table};
-use ampnet_ring::{Segment, SegmentParams};
-use ampnet_sim::SimDuration;
-use ampnet_telemetry::{defs, Telemetry};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every heap allocation (alloc + realloc) made by the process.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-#[allow(unsafe_code)] // sanctioned exception: GlobalAlloc requires unsafe
-// SAFETY: delegates verbatim to the system allocator; the counter is a
-// relaxed atomic with no allocation of its own.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from the matching `alloc` above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-struct RingLeg {
-    allocs: u64,
-    delivered: u64,
-    allocs_per_packet: f64,
-    goodput_mbps: f64,
-    tour_p50_ns: u64,
-    tour_p99_ns: u64,
-}
-
-const RING_NODES: usize = 6;
-
-fn ring_params() -> SegmentParams {
-    SegmentParams {
-        n_nodes: RING_NODES,
-        link: ampnet_phy::LinkParams::gigabit(25.0),
-        ..Default::default()
-    }
-}
-
-/// One measured run; `telemetry` adds a live registry + flight
-/// recorder. Telemetry registration happens before the measured
-/// window — the record path itself must not allocate.
-fn ring_leg(telemetry: bool) -> RingLeg {
-    let mut seg = Segment::new(ring_params(), 0xBEEF);
-    seg.all_to_all_broadcast(1.5);
-    let tel = telemetry.then(|| Telemetry::new(256));
-    if let Some(tel) = &tel {
-        seg.enable_telemetry(tel);
-    }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let r = seg.run_for(SimDuration::from_millis(3));
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    RingLeg {
-        allocs,
-        delivered: r.delivered_packets,
-        allocs_per_packet: allocs as f64 / r.delivered_packets.max(1) as f64,
-        goodput_mbps: r.aggregate_goodput_mbps,
-        tour_p50_ns: r.tour_latency.p50(),
-        tour_p99_ns: r.tour_latency.quantile(0.99),
-    }
-}
-
-fn leg_json(leg: &RingLeg) -> String {
-    format!(
-        concat!(
-            "{{\"allocs\": {}, \"delivered_packets\": {}, ",
-            "\"allocs_per_packet\": {:.4}, \"goodput_mbps\": {:.3}, ",
-            "\"tour_p50_ns\": {}, \"tour_p99_ns\": {}}}"
-        ),
-        leg.allocs,
-        leg.delivered,
-        leg.allocs_per_packet,
-        leg.goodput_mbps,
-        leg.tour_p50_ns,
-        leg.tour_p99_ns,
-    )
-}
-
-fn bench_ring(path: &str) {
-    // Warm-up leg absorbs one-time lazy init (thread-locals, stdout
-    // buffers) so no measured leg is charged for it.
-    let _ = ring_leg(false);
-    let arena = ring_leg(false);
-    let arena_telemetry = ring_leg(true);
-    // Saturated all-to-all broadcast keeps every link busy with 20-byte
-    // Data cells carrying 8 payload bytes, and each cell is delivered
-    // to the n−1 other nodes: ceiling = line rate × 8/20 × (n−1). The
-    // line rate is the simulated one — 20 wire bytes serialize in a
-    // whole 188 ns, a hair above the nominal 106.25 MB/s.
-    let cell = ampnet_packet::build::data_broadcast(0, 0, [0; 8]);
-    let ceiling_mbps = ring_params()
-        .link
-        .effective_mbps(cell.wire_bytes(), cell.payload_bytes())
-        * (RING_NODES - 1) as f64;
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"ring_all_to_all\",\n",
-            "  \"nodes\": {},\n  \"offered_load\": 1.5,\n",
-            "  \"duration_ms\": 3,\n",
-            "  \"arena\": {},\n",
-            "  \"arena_telemetry\": {},\n",
-            "  \"telemetry_overhead\": {:.4},\n",
-            "  \"goodput_ceiling_mbps\": {:.3},\n",
-            "  \"goodput_pct_of_ceiling\": {:.2}\n}}\n"
-        ),
-        RING_NODES,
-        leg_json(&arena),
-        leg_json(&arena_telemetry),
-        arena_telemetry.allocs_per_packet - arena.allocs_per_packet,
-        ceiling_mbps,
-        100.0 * arena.goodput_mbps / ceiling_mbps,
-    );
-    std::fs::write(path, &json).expect("write bench json");
-    print!("{json}");
-    println!("wrote {path}");
-}
-
-struct ScaleLeg {
-    wall_ms: f64,
-    digest: u64,
-    events: u64,
-    events_per_sec: f64,
-    delivered: u64,
-}
-
-/// One workload shape for the scale bench: `segments` rings of
-/// `nodes`, each round issuing `sends_per_round` intra-segment
-/// unicasts per segment plus one crossing, repeated for `passes`
-/// timed passes (fastest wins).
-#[derive(Clone, Copy)]
-struct ScaleShape {
-    segments: usize,
-    nodes: usize,
-    rounds: usize,
-    sends_per_round: usize,
-    passes: usize,
-}
-
-/// The sweep shape: per-slice work heavy enough that a boundary's
-/// coordination cost does not dominate the shard work it fences —
-/// the old 1-send-per-round schedule measured barrier overhead, not
-/// simulation scaling.
-const fn sweep_shape(segments: usize) -> ScaleShape {
-    ScaleShape {
-        segments,
-        nodes: 16,
-        rounds: 8,
-        sends_per_round: 8,
-        passes: 8,
-    }
-}
-
-/// The heavy shape: 16 saturated 32-node segments (~2.4M events per
-/// pass). This is the leg the throughput and speedup guards read —
-/// wide enough that every worker has real work per slice.
-const HEAVY: ScaleShape = ScaleShape {
-    segments: 16,
-    nodes: 32,
-    rounds: 48,
-    sends_per_round: 96,
-    passes: 3,
-};
-
-/// One sharded-PDES leg: `n_segments` segments of `SCALE_NODES` nodes
-/// in a ring-of-segments, driven by a fixed cross- and intra-segment
-/// send schedule, advanced under `mode`/`policy` with base slice = the
-/// conservative lookahead (min bridge latency). After boot, the storm
-/// schedule repeats for several timed passes and the leg reports the
-/// fastest (steady-state) one; the digest covers the whole run.
-fn scale_leg(
-    shape: ScaleShape,
-    mode: ampnet_core::ParallelMode,
-    policy: ampnet_core::Lookahead,
-) -> ScaleLeg {
-    use ampnet_core::{ClusterConfig, GlobalAddr, MultiSegment};
-    let ScaleShape {
-        segments: n_segments,
-        nodes,
-        rounds,
-        sends_per_round,
-        passes,
-    } = shape;
-    let ga = |segment: usize, node: u8| GlobalAddr {
-        segment: segment as u8,
-        node,
-    };
-    let mut net = MultiSegment::new(
-        (0..n_segments)
-            .map(|s| ClusterConfig::small(nodes).with_seed(0x5CA1E + s as u64))
-            .collect(),
-    );
-    for s in 0..n_segments {
-        if n_segments > 1 {
-            // The last node of each segment bridges to node 0 of the next.
-            net.add_bridge(
-                ga(s, (nodes - 1) as u8),
-                ga((s + 1) % n_segments, 0),
-                SimDuration::from_micros(5),
-            );
-        }
-    }
-    net.enable_traces(8192);
-    net.set_parallel_mode(mode);
-    net.set_lookahead(policy);
-    let slice = net
-        .min_bridge_latency()
-        .unwrap_or(SimDuration::from_micros(10));
-    // Boot every ring before the measured window starts.
-    let mut t0 = net.segment(0).now() + SimDuration::from_millis(2);
-    net.run_until(t0, slice);
-
-    // The storm schedule runs PASSES times back to back and the leg
-    // reports the *fastest* pass: early passes pay one-time costs
-    // (allocator growth, cold branch predictors) and a shared host
-    // adds multiplicative noise, so the minimum is the stable
-    // estimator of steady-state cost. Every pass issues the identical
-    // deterministic schedule in every mode — wall-clock sampling
-    // cannot perturb the simulation — so the digest (which covers the
-    // whole run) stays mode-invariant regardless of which pass wins.
-    let round_len = SimDuration::from_micros(250);
-    let pass_len = round_len.saturating_mul(rounds as u64) + SimDuration::from_millis(1);
-    let mut best: Option<(std::time::Duration, u64)> = None;
-    for _ in 0..passes {
-        let events_before = net.events_processed();
-        let start = std::time::Instant::now();
-        for round in 0..rounds {
-            for s in 0..n_segments {
-                // Intra-segment unicast keeps every ring loaded...
-                for k in 0..sends_per_round {
-                    let src = (k % nodes) as u8;
-                    let dst = ((round + s + k + 1) % nodes) as u8;
-                    if src != dst {
-                        net.send_global(
-                            ga(s, src),
-                            ga(s, dst),
-                            &[round as u8, s as u8, k as u8],
-                        );
-                    }
-                }
-                // ...and a crossing per segment exercises the barrier path.
-                if n_segments > 1 {
-                    net.send_global(
-                        ga(s, 1),
-                        ga((s + 1 + round) % n_segments, 2),
-                        &[b'x', round as u8, s as u8],
-                    );
-                }
-            }
-            net.run_until(t0 + round_len.saturating_mul((round as u64) + 1), slice);
-        }
-        // Drain window so every datagram lands inside the timed region.
-        net.run_until(t0 + pass_len, slice);
-        let wall = start.elapsed();
-        let events = net.events_processed() - events_before;
-        t0 += pass_len;
-        let better = match best {
-            Some((bw, be)) => {
-                (events as f64 / wall.as_secs_f64().max(1e-9))
-                    > (be as f64 / bw.as_secs_f64().max(1e-9))
-            }
-            None => true,
-        };
-        if better {
-            best = Some((wall, events));
-        }
-    }
-    let (wall, events) = best.expect("passes > 0");
-
-    let mut delivered = 0u64;
-    for s in 0..n_segments {
-        for node in 0..nodes as u8 {
-            while net.pop_global(ga(s, node)).is_some() {
-                delivered += 1;
-            }
-        }
-    }
-    assert_eq!(net.unroutable, 0, "scale bench routes everything");
-    ScaleLeg {
-        wall_ms: wall.as_secs_f64() * 1e3,
-        digest: net.digest(),
-        events,
-        events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-        delivered,
-    }
-}
-
-/// Synthetic hold-model timer workload: a stable-size queue where
-/// every pop schedules a replacement at a pseudorandom offset, with
-/// periodic same-instant bursts and cancels. Returns events/s — the
-/// best of three identical passes, because a shared host's noise
-/// bursts last longer than one pass and a single sample taken inside
-/// one inverts the wheel-vs-heap comparison.
-///
-/// Written twice (wheel + heap) because the two queues share an API
-/// shape but no trait — the duplication IS the experiment: identical
-/// workload, only the data structure differs.
-fn queue_bench_events_per_sec(wheel: bool) -> f64 {
-    (0..3)
-        .map(|_| queue_bench_pass(wheel))
-        .fold(0.0f64, f64::max)
-}
-
-fn queue_bench_pass(wheel: bool) -> f64 {
-    use ampnet_sim::{EventQueue, HeapEventQueue, SimRng, SimTime};
-    const PREFILL: usize = 4096;
-    const POPS: u64 = 400_000;
-    let mut rng = SimRng::new(0x0EB5);
-    macro_rules! drive {
-        ($q:expr) => {{
-            let q = &mut $q;
-            for i in 0..PREFILL {
-                q.schedule(SimTime(1 + rng.below(4096)), i as u32);
-            }
-            let start = std::time::Instant::now();
-            let mut pops = 0u64;
-            while pops < POPS {
-                let (t, _) = q.pop().expect("stable-size queue never drains");
-                pops += 1;
-                // Replacement keeps the hold model stationary.
-                q.schedule(SimTime(t.0 + 1 + rng.below(4096)), pops as u32);
-                if pops % 64 == 0 {
-                    // Same-instant burst plus a cancelled straggler:
-                    // exercises FIFO ties and the tombstone path.
-                    q.schedule(SimTime(t.0 + 128), 1);
-                    let dead = q.schedule(SimTime(t.0 + 128), 2);
-                    let (u, _) = q.pop().expect("burst pending");
-                    q.schedule(SimTime(u.0 + 1 + rng.below(4096)), 3);
-                    q.cancel(dead);
-                    pops += 1;
-                }
-            }
-            pops as f64 / start.elapsed().as_secs_f64().max(1e-9)
-        }};
-    }
-    if wheel {
-        let mut q: EventQueue<u32> = EventQueue::new();
-        drive!(q)
-    } else {
-        let mut q: HeapEventQueue<u32> = HeapEventQueue::new();
-        drive!(q)
-    }
-}
-
-fn bench_scale(path: &str) {
-    use ampnet_core::{Lookahead, ParallelMode};
-    // What the bench *asks* for; each leg runs on the pool size the
-    // host can actually grant (see `threads_for`). The old harness
-    // recorded the request as if it were the grant, which made a
-    // time-sliced single-core run look like an 8-thread slowdown.
-    const THREADS_REQUESTED: usize = 8;
-    let host_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    // More workers than shards just park; more workers than host
-    // threads time-slice and *serialize* the epoch gate. Clamp to both.
-    let threads_for =
-        |segments: usize| THREADS_REQUESTED.min(host_threads).min(segments).max(1);
-
-    // Queue microbench: the same synthetic timer workload through the
-    // shipping wheel and the legacy heap it replaced. The wheel rate
-    // doubles as the host-speed calibration for the serial guard.
-    let wheel_eps = queue_bench_events_per_sec(true);
-    let heap_eps = queue_bench_events_per_sec(false);
-    println!(
-        "queue bench: wheel {:.2}M ev/s vs heap {:.2}M ev/s ({:.2}x)",
-        wheel_eps / 1e6,
-        heap_eps / 1e6,
-        wheel_eps / heap_eps.max(1e-9),
-    );
-
-    // Warm-up leg absorbs one-time lazy init, as in `bench_ring`.
-    let _ = scale_leg(sweep_shape(1), ParallelMode::Serial, Lookahead::Adaptive);
-    let mut points = Vec::new();
-    let mut speedup_at_8 = 0.0f64;
-    let mut speedup_at_16 = 0.0f64;
-    let mut serial_eps_at_16 = 0.0f64;
-    let mut all_digests_equal = true;
-    for &segs in &[1usize, 2, 4, 8, 16] {
-        let shape = sweep_shape(segs);
-        let threads = threads_for(segs);
-        let serial = scale_leg(shape, ParallelMode::Serial, Lookahead::Adaptive);
-        let threaded = scale_leg(shape, ParallelMode::Threads(threads), Lookahead::Adaptive);
-        let serial_fixed = scale_leg(shape, ParallelMode::Serial, Lookahead::Fixed);
-        let threaded_fixed = scale_leg(shape, ParallelMode::Threads(threads), Lookahead::Fixed);
-        // Determinism contract: per policy, serial ≡ threaded.
-        let equal =
-            serial.digest == threaded.digest && serial_fixed.digest == threaded_fixed.digest;
-        all_digests_equal &= equal;
-        assert_eq!(
-            serial.delivered, threaded.delivered,
-            "delivery count mode-invariant at {segs} segments"
-        );
-        assert_eq!(
-            serial.delivered, serial_fixed.delivered,
-            "delivery count policy-invariant at {segs} segments"
-        );
-        let speedup = serial.wall_ms / threaded.wall_ms.max(1e-9);
-        let speedup_fixed = serial_fixed.wall_ms / threaded_fixed.wall_ms.max(1e-9);
-        if segs == 8 {
-            speedup_at_8 = speedup;
-        }
-        if segs == 16 {
-            speedup_at_16 = speedup;
-            serial_eps_at_16 = serial.events_per_sec;
-        }
-        println!(
-            "scale {segs:>2} segments ({:>3} nodes, {threads} worker{}): adaptive serial \
-             {:>8.2} ms / threaded {:>8.2} ms ({speedup:.2}x), fixed serial {:>8.2} ms / \
-             threaded {:>8.2} ms ({speedup_fixed:.2}x), digests equal: {equal}",
-            segs * shape.nodes,
-            if threads == 1 { "" } else { "s" },
-            serial.wall_ms,
-            threaded.wall_ms,
-            serial_fixed.wall_ms,
-            threaded_fixed.wall_ms,
-        );
-        points.push(format!(
-            concat!(
-                "    {{\"segments\": {}, \"nodes\": {}, ",
-                "\"serial_ms\": {:.3}, \"threaded_ms\": {:.3}, ",
-                "\"serial_fixed_ms\": {:.3}, \"threaded_fixed_ms\": {:.3}, ",
-                "\"threads_requested\": {}, \"threads\": {}, \"speedup\": {:.3}, ",
-                "\"speedup_fixed\": {:.3}, ",
-                "\"events\": {}, \"events_per_sec_serial\": {:.0}, ",
-                "\"events_per_sec_serial_fixed\": {:.0}, ",
-                "\"events_per_sec_threaded\": {:.0}, ",
-                "\"delivered\": {}, ",
-                "\"serial_digest\": \"{:016x}\", ",
-                "\"threaded_digest\": \"{:016x}\", ",
-                "\"fixed_digests_equal\": {}, ",
-                "\"digests_equal\": {}}}"
-            ),
-            segs,
-            segs * shape.nodes,
-            serial.wall_ms,
-            threaded.wall_ms,
-            serial_fixed.wall_ms,
-            threaded_fixed.wall_ms,
-            THREADS_REQUESTED,
-            threads,
-            speedup,
-            speedup_fixed,
-            serial.events,
-            serial.events_per_sec,
-            serial_fixed.events_per_sec,
-            threaded.events_per_sec,
-            serial.delivered,
-            serial.digest,
-            threaded.digest,
-            serial_fixed.digest == threaded_fixed.digest,
-            equal,
-        ));
-    }
-
-    // The guarded leg: 16 saturated 32-node segments. Throughput and
-    // speedup contracts are read here, where every slice carries real
-    // shard work, not on the light sweep points.
-    let heavy_threads = threads_for(HEAVY.segments);
-    let heavy_serial = scale_leg(HEAVY, ParallelMode::Serial, Lookahead::Adaptive);
-    let heavy_threaded = scale_leg(
-        HEAVY,
-        ParallelMode::Threads(heavy_threads),
-        Lookahead::Adaptive,
-    );
-    let heavy_equal = heavy_serial.digest == heavy_threaded.digest;
-    all_digests_equal &= heavy_equal;
-    assert_eq!(
-        heavy_serial.delivered, heavy_threaded.delivered,
-        "heavy-leg delivery count mode-invariant"
-    );
-    let heavy_speedup = heavy_serial.wall_ms / heavy_threaded.wall_ms.max(1e-9);
-    println!(
-        "scale heavy ({} segments x {} nodes, {heavy_threads} worker{}): serial {:.2} ms \
-         ({:.2}M ev/s) / threaded {:.2} ms ({heavy_speedup:.2}x), digests equal: {heavy_equal}",
-        HEAVY.segments,
-        HEAVY.nodes,
-        if heavy_threads == 1 { "" } else { "s" },
-        heavy_serial.wall_ms,
-        heavy_serial.events_per_sec / 1e6,
-        heavy_threaded.wall_ms,
-    );
-
-    // Serial throughput guard: 20M ev/s absolute, scaled down on hosts
-    // whose *raw wheel* rate shows they cannot reach it for any
-    // simulation (full-cluster events cost MAC + transport + cache work
-    // on top of the queue op the wheel bench isolates). The calibration
-    // keeps the guard meaningful on slow shared runners instead of
-    // silently waiving it. The wheel is re-sampled AFTER the heavy leg
-    // and the floor uses the slower sample: on a bursty shared host the
-    // calibration and the guarded measurement run minutes apart, and a
-    // noise burst hitting only the heavy leg would otherwise read as a
-    // regression.
-    let wheel_eps_post = queue_bench_events_per_sec(true);
-    let calib_wheel = wheel_eps.min(wheel_eps_post);
-    let serial_floor = (0.30 * calib_wheel).min(20_000_000.0);
-    let serial_pass = heavy_serial.events_per_sec >= serial_floor;
-    println!(
-        "SCALE GUARD serial: {:.2}M ev/s vs floor {:.2}M ev/s \
-         (min(20M, 0.30 x wheel {:.2}M pre / {:.2}M post)) -- {}",
-        heavy_serial.events_per_sec / 1e6,
-        serial_floor / 1e6,
-        wheel_eps / 1e6,
-        wheel_eps_post / 1e6,
-        if serial_pass { "PASS" } else { "FAIL" },
-    );
-    let serial_guard_json = format!(
-        concat!(
-            "{{\"events_per_sec\": {:.0}, \"floor\": {:.0}, ",
-            "\"wheel_post_events_per_sec\": {:.0}, ",
-            "\"formula\": \"min(20e6, 0.30 * min(wheel_pre, wheel_post))\", \"pass\": {}}}"
-        ),
-        heavy_serial.events_per_sec, serial_floor, wheel_eps_post, serial_pass,
-    );
-
-    // Speedup guard: >=4x on hosts with 8+ threads, a proportional
-    // floor (host_threads / 2) on 2..7, and an explicit skip marker on
-    // single-thread hosts — where a time-sliced "threaded" leg measures
-    // scheduler overhead, not parallel scaling, and any number we
-    // printed would be a lie.
-    let speedup_floor = if host_threads >= 2 {
-        Some(if host_threads >= 8 {
-            4.0
-        } else {
-            host_threads as f64 / 2.0
-        })
-    } else {
-        None
-    };
-    let speedup_pass = speedup_floor.map(|floor| heavy_speedup >= floor);
-    let speedup_guard_json = match speedup_floor {
-        None => "\"skipped: 1 host thread\"".to_string(),
-        Some(floor) => format!(
-            concat!(
-                "{{\"speedup\": {:.3}, \"floor\": {:.2}, ",
-                "\"host_threads\": {}, \"pass\": {}}}"
-            ),
-            heavy_speedup,
-            floor,
-            host_threads,
-            speedup_pass == Some(true),
-        ),
-    };
-    match speedup_floor {
-        None => println!("SCALE GUARD speedup: skipped: 1 host thread"),
-        Some(floor) => println!(
-            "SCALE GUARD speedup: {heavy_speedup:.2}x vs {floor:.2}x floor \
-             ({host_threads} host threads) -- {}",
-            if speedup_pass == Some(true) { "PASS" } else { "FAIL" },
-        ),
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"multiseg_scale\",\n",
-            "  \"nodes_per_segment\": 16,\n",
-            "  \"rounds\": 8,\n",
-            "  \"sends_per_round\": 8,\n",
-            "  \"timed_passes\": 8,\n",
-            "  \"reported\": \"fastest pass (steady state)\",\n",
-            "  \"lookahead\": \"adaptive (fixed legs for A/B)\",\n",
-            "  \"host_threads\": {},\n",
-            "  \"queue_bench\": {{\"wheel_events_per_sec\": {:.0}, ",
-            "\"heap_events_per_sec\": {:.0}, \"wheel_vs_heap\": {:.3}}},\n",
-            "  \"speedup_at_8_segments\": {:.3},\n",
-            "  \"speedup_at_16_segments\": {:.3},\n",
-            "  \"serial_events_per_sec_at_16_segments\": {:.0},\n",
-            "  \"heavy\": {{\"segments\": {}, \"nodes\": {}, \"rounds\": {}, ",
-            "\"sends_per_round\": {}, \"timed_passes\": {}, \"threads\": {}, ",
-            "\"events\": {}, \"serial_ms\": {:.3}, \"threaded_ms\": {:.3}, ",
-            "\"serial_events_per_sec\": {:.0}, \"threaded_events_per_sec\": {:.0}, ",
-            "\"speedup\": {:.3}, \"digests_equal\": {}}},\n",
-            "  \"serial_guard\": {},\n",
-            "  \"speedup_guard\": {},\n",
-            "  \"all_digests_equal\": {},\n",
-            "  \"points\": [\n{}\n  ]\n}}\n"
-        ),
-        host_threads,
-        wheel_eps,
-        heap_eps,
-        wheel_eps / heap_eps.max(1e-9),
-        speedup_at_8,
-        speedup_at_16,
-        serial_eps_at_16,
-        HEAVY.segments,
-        HEAVY.nodes,
-        HEAVY.rounds,
-        HEAVY.sends_per_round,
-        HEAVY.passes,
-        heavy_threads,
-        heavy_serial.events,
-        heavy_serial.wall_ms,
-        heavy_threaded.wall_ms,
-        heavy_serial.events_per_sec,
-        heavy_threaded.events_per_sec,
-        heavy_speedup,
-        heavy_equal,
-        serial_guard_json,
-        speedup_guard_json,
-        all_digests_equal,
-        points.join(",\n"),
-    );
-    std::fs::write(path, &json).expect("write scale json");
-    print!("{json}");
-    println!("wrote {path}");
-    // Contracts LAST, after the JSON exists on disk — a failed guard
-    // still leaves the full report for the CI artifact.
-    assert!(all_digests_equal, "serial/threaded digest divergence");
-    assert!(
-        serial_pass,
-        "serial throughput guard: {:.2}M ev/s below floor {:.2}M ev/s",
-        heavy_serial.events_per_sec / 1e6,
-        serial_floor / 1e6,
-    );
-    if let Some(false) = speedup_pass {
-        panic!(
-            "speedup guard: {heavy_speedup:.2}x below floor {:.2}x on {host_threads} host threads",
-            speedup_floor.unwrap_or(f64::NAN),
-        );
-    }
-}
 
 /// `--check`: run the protocol models exhaustively and write a
 /// JSON summary. State budget is far above the known space sizes
@@ -761,203 +91,6 @@ fn check_models(path: &str) {
         println!("model check: FAILED (violation or state budget exceeded)");
         std::process::exit(1);
     }
-}
-
-/// `--bench-topo`: replay ONE generic traffic + chaos schedule —
-/// index-addressed fiber cut, element failure, splice, element repair
-/// under simultaneous all-to-all — across all three plant families
-/// (crossbar, 3D torus, folded Clos) and write `BENCH_topo.json`:
-/// goodput, reconvergence time and failover latency against each
-/// family's redundancy degree (minimum fiber attachments per node).
-///
-/// Before the sweep it re-runs the fixed crossbar golden scenario
-/// from `tests/refactor_equivalence.rs` and hard-fails on trace-digest
-/// drift: the topology zoo must not move the paper-exact crossbar
-/// behavior by a single bit.
-fn bench_topo(path: &str) {
-    use ampnet_chaos::{FaultOp, Scenario, Traffic};
-    use ampnet_core::{ClusterConfig, PlantSpec};
-
-    // Same scenario and golden as tests/refactor_equivalence.rs.
-    const GOLDEN_TRACE_DIGEST: u64 = 0x024e2491afb824f9;
-    let golden = Scenario::builder(ClusterConfig::small(6).with_seed(0xA11CE))
-        .traffic(Traffic::all_to_all())
-        .traffic(Traffic::ping_pong(1, 4))
-        .fault_in(
-            SimDuration::from_millis(8),
-            FaultOp::ErrorBurst { node: 2, seed: 77, errors: 9 },
-        )
-        .fault_in(SimDuration::from_millis(14), FaultOp::CrashNode(3))
-        .fault_in(SimDuration::from_millis(22), FaultOp::CutFiber(0, 1))
-        .standard_invariants()
-        .build()
-        .run();
-    assert!(golden.ok(), "{}", golden.summary());
-    assert_eq!(
-        golden.trace_digest, GOLDEN_TRACE_DIGEST,
-        "crossbar golden digest drifted (got {:#018x}) — the plant \
-         refactor changed paper-exact crossbar behavior",
-        golden.trace_digest
-    );
-    println!("crossbar golden digest {:#018x} ok", golden.trace_digest);
-
-    let specs = [
-        PlantSpec::Crossbar,
-        PlantSpec::Torus3d { dims: [2, 2, 2] },
-        PlantSpec::FoldedClos { leaves: 4, spines: 2 },
-    ];
-    let mut entries = Vec::new();
-    for spec in specs {
-        let cfg = ClusterConfig::small(8).with_seed(0x70B0).with_plant(spec);
-        let plant = cfg.build_plant();
-        let family = plant.family();
-        let redundancy = plant.redundancy_degree();
-        let n_links = plant.link_components().len();
-        let n_elements = plant.n_switches();
-        let scenario = Scenario::builder(cfg)
-            .traffic(Traffic::all_to_all())
-            .fault_in(SimDuration::from_millis(8), FaultOp::CutLinkIndex(8))
-            .fault_in(SimDuration::from_millis(20), FaultOp::FailElement(4))
-            .fault_in(SimDuration::from_millis(36), FaultOp::SpliceLinkIndex(8))
-            .fault_in(SimDuration::from_millis(44), FaultOp::RepairElement(4))
-            .standard_invariants()
-            .build();
-        let span_s = scenario.span().as_nanos() as f64 / 1e9;
-        let report = scenario.run();
-        assert!(report.ok(), "family {family}: {}", report.summary());
-        let goodput = report.delivered as f64 / span_s;
-        println!(
-            "topo {family:>11}: redundancy {redundancy}, {} fibers / {} elements, \
-             {}/{} delivered ({goodput:.0} msg/s), reconvergence {} us, \
-             worst failover {} us, {} roster episode(s)",
-            n_links,
-            n_elements,
-            report.delivered,
-            report.sent,
-            report.reconvergence_ns / 1_000,
-            report.failover_ns / 1_000,
-            report.roster_episodes,
-        );
-        entries.push(format!(
-            concat!(
-                "    {{\"family\": \"{}\", \"redundancy_degree\": {}, ",
-                "\"fibers\": {}, \"elements\": {}, ",
-                "\"sent\": {}, \"delivered\": {}, ",
-                "\"goodput_msgs_per_sec\": {:.1}, ",
-                "\"reconvergence_ns\": {}, \"failover_ns\": {}, ",
-                "\"roster_episodes\": {}, \"trace_digest\": \"{:016x}\"}}"
-            ),
-            family,
-            redundancy,
-            n_links,
-            n_elements,
-            report.sent,
-            report.delivered,
-            goodput,
-            report.reconvergence_ns,
-            report.failover_ns,
-            report.roster_episodes,
-            report.trace_digest,
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"topology_zoo\",\n",
-            "  \"n_nodes\": 8,\n",
-            "  \"schedule\": \"cut link#8, fail element#4, splice, repair\",\n",
-            "  \"crossbar_golden_digest\": \"{:016x}\",\n",
-            "  \"crossbar_golden_ok\": true,\n",
-            "  \"families\": [\n{}\n  ]\n}}\n"
-        ),
-        GOLDEN_TRACE_DIGEST,
-        entries.join(",\n"),
-    );
-    std::fs::write(path, &json).expect("write topo json");
-    print!("{json}");
-    println!("wrote {path}");
-}
-
-/// `--bench-load`: the workload sweep behind `BENCH_load.json`.
-///
-/// Every arrival process × modeled population cell runs the standard
-/// workload spec against a healthy 6-node cluster under one shared
-/// seed; every cell must pass the standard SLO set (this is the
-/// committed healthy baseline — chaos cells live in the load crate's
-/// own tests). One cell is then re-run from the same seed and must
-/// reproduce its report byte for byte; CI fails the `load` job on
-/// either a failed verdict or a digest mismatch.
-fn bench_load(path: &str) {
-    use ampnet_core::ClusterConfig;
-    use ampnet_load::{ArrivalProcess, LoadSpec};
-    use ampnet_sim::SimDuration;
-
-    const SEED: u64 = 0xA3B1;
-    let processes = [
-        ArrivalProcess::Poisson,
-        ArrivalProcess::Pareto { alpha: 1.5 },
-        ArrivalProcess::Diurnal {
-            period: SimDuration::from_millis(2),
-            swing: 0.8,
-        },
-    ];
-    let populations = [1_000u64, 32_000, 1_000_000];
-
-    let mut cells = Vec::new();
-    let mut all_pass = true;
-    for process in processes {
-        for population in populations {
-            let spec = LoadSpec::standard(population, process);
-            let report = ampnet_load::run(ClusterConfig::small(6).with_seed(SEED), &spec);
-            println!(
-                "load {:>7} clients × {:<7}: {} (digest {:#018x})",
-                population,
-                process.name(),
-                if report.all_slos_pass() { "all SLOs pass" } else { "SLO FAILURE" },
-                report.digest(),
-            );
-            if !report.all_slos_pass() {
-                println!("{}", report.summary());
-                all_pass = false;
-            }
-            cells.push(format!("    {}", report.to_json()));
-        }
-    }
-
-    // Determinism guard: one cell repeated from the same seed must be
-    // byte-identical (the load crate tests this per-class; the bench
-    // commits the evidence).
-    let spec = LoadSpec::standard(32_000, ArrivalProcess::Poisson);
-    let a = ampnet_load::run(ClusterConfig::small(6).with_seed(SEED), &spec);
-    let b = ampnet_load::run(ClusterConfig::small(6).with_seed(SEED), &spec);
-    let byte_identical = a.to_json() == b.to_json();
-    println!(
-        "determinism rerun (32k × poisson): byte_identical = {byte_identical} \
-         (digest {:#018x})",
-        a.digest()
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"load_sweep\",\n",
-            "  \"seed\": {},\n",
-            "  \"nodes\": 6,\n",
-            "  \"processes\": [\"poisson\", \"pareto\", \"diurnal\"],\n",
-            "  \"populations\": [1000, 32000, 1000000],\n",
-            "  \"all_slos_pass\": {},\n",
-            "  \"determinism\": {{\"cell\": \"poisson/32000\", ",
-            "\"byte_identical\": {}, \"digest\": \"{:016x}\"}},\n",
-            "  \"cells\": [\n{}\n  ]\n}}\n"
-        ),
-        SEED,
-        all_pass,
-        byte_identical,
-        a.digest(),
-        cells.join(",\n"),
-    );
-    std::fs::write(path, &json).expect("write load json");
-    println!("wrote {path}");
-    assert!(all_pass, "healthy baseline must pass every SLO");
-    assert!(byte_identical, "same seed must reproduce the report byte for byte");
 }
 
 /// `--metrics`: run the deterministic full-stack telemetry exercise
@@ -1025,75 +158,28 @@ fn run_lint(path: &str) {
     }
 }
 
+/// One mode that replaces the experiment tables, as `(flag, default
+/// path, run)`: `flag [PATH]` calls `run(PATH)`, or `run(default
+/// path)` when no path follows the flag.
+type Mode = (&'static str, &'static str, fn(&str));
+
+/// The `--*-doc` modes print to stdout and ignore the path.
+const MODES: &[Mode] = &[
+    ("--check", "CHECK_models.json", check_models),
+    ("--metrics", "METRICS_snapshot.json", metrics_snapshot),
+    ("--lint", "LINT_report.json", run_lint),
+    ("--metrics-doc", "", |_| print!("{}", ampnet_telemetry::defs::reference_doc())),
+    ("--workloads-doc", "", |_| print!("{}", ampnet_load::reference_doc())),
+    ("--lints-doc", "", |_| print!("{}", ampnet_lint::reference_doc())),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--bench-ring") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_ring.json");
-        bench_ring(path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-scale") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_scale.json");
-        bench_scale(path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-topo") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_topo.json");
-        bench_topo(path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("CHECK_models.json");
-        check_models(path);
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--bench-load") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("BENCH_load.json");
-        bench_load(path);
-        return;
-    }
-    if args.iter().any(|a| a == "--workloads-doc") {
-        print!("{}", ampnet_load::reference_doc());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--metrics") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("METRICS_snapshot.json");
-        metrics_snapshot(path);
-        return;
-    }
-    if args.iter().any(|a| a == "--metrics-doc") {
-        print!("{}", defs::reference_doc());
-        return;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--lint") {
-        let path = args
-            .get(i + 1)
-            .map(String::as_str)
-            .unwrap_or("LINT_report.json");
-        run_lint(path);
-        return;
-    }
-    if args.iter().any(|a| a == "--lints-doc") {
-        print!("{}", ampnet_lint::reference_doc());
-        return;
+    for &(flag, default_path, run) in MODES {
+        if let Some(i) = args.iter().position(|a| a == flag) {
+            run(args.get(i + 1).map_or(default_path, String::as_str));
+            return;
+        }
     }
     let quick = args.iter().any(|a| a == "--quick");
     let json_path = args

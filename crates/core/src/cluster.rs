@@ -662,7 +662,8 @@ impl Cluster {
         self.sim.schedule_at(at, Ev::Fail(c));
     }
 
-    /// Schedule a node (re-)join.
+    /// Schedule a node (re-)join. A `node` the cluster was not built
+    /// with is ignored.
     pub fn schedule_join(&mut self, at: SimTime, node: u8, req: JoinRequest) {
         self.sim.schedule_at(at, Ev::Join { node, req });
     }
@@ -684,9 +685,9 @@ impl Cluster {
     /// from `seed`. A detected burst escalates exactly like a carrier
     /// loss — the receiving NIU declares its upstream ring link dead
     /// and rostering heals around it; replay then restores any traffic
-    /// the corrupted window cost (paper slides 16–18).
+    /// the corrupted window cost (paper slides 16–18). A `node` the
+    /// cluster was not built with is ignored.
     pub fn schedule_error_burst(&mut self, at: SimTime, node: u8, seed: u64, errors: u32) {
-        assert!((node as usize) < self.cfg.n_nodes, "no such node");
         self.sim.schedule_at(at, Ev::ErrorBurst { node, seed, errors });
     }
 }

@@ -884,8 +884,9 @@ impl MultiSegment {
 
     /// Select the slice-sizing policy. [`Lookahead::Adaptive`] is the
     /// default; [`Lookahead::Fixed`] reproduces the fixed-slice engine
-    /// exactly (A/B baseline for the scale bench). Either policy is
-    /// bit-identical across [`ParallelMode`]s for the same seed.
+    /// exactly (the reference `tests/parallel_equivalence.rs` runs
+    /// beside it). Either policy is bit-identical across
+    /// [`ParallelMode`]s for the same seed.
     pub fn set_lookahead(&mut self, policy: Lookahead) {
         self.lookahead = policy;
     }

@@ -40,8 +40,9 @@ use ampnet_sim::{SimDuration, SimTime};
 pub enum Lookahead {
     /// Every slice is the base length (PR-5 behavior): boundary =
     /// `min(now + slice, deadline)`, clamped to crossing maturity.
-    /// Kept for A/B comparison in the scale bench and as the simplest
-    /// reference execution.
+    /// Kept as the simplest reference execution: the equivalence
+    /// tests and the `slice-planner-fixed` check model run it beside
+    /// the adaptive policy.
     Fixed,
     /// Adaptive slice sizing: quiet boundaries double the slice (up to
     /// [`MAX_SLICE_GROWTH`]× base), busy boundaries reset it, and dead

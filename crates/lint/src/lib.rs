@@ -5,7 +5,7 @@
 //! staying allocation-free, on protocol code not panicking mid-storm,
 //! and on the sharded engine's lock protocol staying cycle-free. All
 //! four are invariants the repo already pays for dynamically (digest
-//! equality tests, alloc-count benches, chaos sweeps, the model
+//! equality tests, alloc-count tests, chaos sweeps, the model
 //! checker); this crate makes them hold *statically*, before a
 //! refactor ever reaches those harnesses.
 //!

@@ -1,7 +1,7 @@
 //! Byte-stable `LINT_report.json` emission: same tree ⇒ identical
 //! bytes. Findings and allows are sorted, strings minimally escaped,
 //! and an FNV-1a digest of the payload folds in at the end — the same
-//! committed-artifact discipline as `BENCH_*.json`.
+//! committed-artifact discipline as `CHECK_models.json`.
 
 use crate::rules::{Finding, RULE_IDS};
 use crate::scan::Allow;

@@ -33,7 +33,7 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// Short lower-case name used in reports and BENCH_load.json.
+    /// Short lower-case name used in reports.
     pub fn name(&self) -> &'static str {
         match self {
             ArrivalProcess::Poisson => "poisson",

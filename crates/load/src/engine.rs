@@ -808,6 +808,37 @@ mod tests {
         }
     }
 
+    /// The healthy `LoadSpec::standard` sweep — every arrival process
+    /// × modeled population at seed `0xA3B1` — pinned cell by cell.
+    /// The report is a pure function of (seed, spec), so any drift is
+    /// a behaviour change somewhere in the stack under load.
+    #[test]
+    fn standard_sweep_cells_are_pinned() {
+        let poisson = ArrivalProcess::Poisson;
+        let pareto = ArrivalProcess::Pareto { alpha: 1.5 };
+        let diurnal = ArrivalProcess::Diurnal {
+            period: SimDuration::from_millis(2),
+            swing: 0.8,
+        };
+        for (process, population, digest) in [
+            (poisson, 1_000, 0x5675_e698_0814_213d_u64),
+            (poisson, 32_000, 0x0284_488c_bc90_c15d),
+            (poisson, 1_000_000, 0x287b_9ae6_6c4f_a733),
+            (pareto, 1_000, 0x273c_d590_fc30_f034),
+            (pareto, 32_000, 0x4712_9532_556d_8e25),
+            (pareto, 1_000_000, 0xead1_b3ed_d3d7_bb4d),
+            (diurnal, 1_000, 0x6986_4c71_f7ec_2a31),
+            (diurnal, 32_000, 0x5d56_6371_5a49_3105),
+            (diurnal, 1_000_000, 0x0e2e_a533_ad51_bc39),
+        ] {
+            let spec = LoadSpec::standard(population, process);
+            let report = run(ClusterConfig::small(6).with_seed(0xA3B1), &spec);
+            let cell = format!("{}/{population}", process.name());
+            assert!(report.all_slos_pass(), "{cell}: {}", report.summary());
+            assert_eq!(report.digest(), digest, "{cell}: got {:#018x}", report.digest());
+        }
+    }
+
     #[test]
     fn population_scales_offered_not_cost() {
         let spec_small = small_spec();

@@ -5,7 +5,7 @@
 //! (network cache, rostering, DK) never touch raw offsets.
 
 use crate::control::{ControlWord, Flags, BROADCAST};
-use crate::types::PacketType;
+use crate::types::{LengthClass, PacketType};
 use crate::wire::{Body, DmaCtrl, MicroPacket, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
 
 /// D64 Atomic opcodes (Control 3 tag of a D64 packet).
@@ -95,13 +95,23 @@ impl DiagOp {
     }
 }
 
+/// The one constructor behind every fixed-format builder below. A
+/// fixed body on a fixed-class type is exactly what
+/// [`MicroPacket::new`] accepts, so there is no error to handle.
+fn fixed(ctrl: ControlWord, payload: [u8; FIXED_PAYLOAD]) -> MicroPacket {
+    debug_assert_eq!(ctrl.ptype.length_class(), LengthClass::Fixed);
+    MicroPacket {
+        ctrl,
+        body: Body::Fixed(payload),
+    }
+}
+
 /// Build a Data MicroPacket carrying 8 payload bytes on `stream`.
 pub fn data(src: u8, dst: u8, stream: u8, payload: [u8; FIXED_PAYLOAD]) -> MicroPacket {
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::Data, src, dst, stream),
-        Body::Fixed(payload),
+        payload,
     )
-    .expect("data packet is fixed-class") // lint: allow(panic-freedom): Data is a fixed-class type; new() never rejects a fixed body for it
 }
 
 /// Build a broadcast Data packet.
@@ -137,12 +147,11 @@ pub fn dma(
 /// Build a Rostering MicroPacket; `kind` goes in the tag, `payload`
 /// carries the roster protocol message (defined by `ampnet-roster`).
 pub fn rostering(src: u8, kind: u8, payload: [u8; FIXED_PAYLOAD]) -> MicroPacket {
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::Rostering, src, BROADCAST, kind)
             .with_flags(Flags::URGENT),
-        Body::Fixed(payload),
+        payload,
     )
-    .expect("rostering packet is fixed-class") // lint: allow(panic-freedom): Rostering is a fixed-class type; new() never rejects a fixed body for it
 }
 
 /// Build an Interrupt MicroPacket.
@@ -151,11 +160,10 @@ pub fn interrupt(src: u8, dst: u8, p: InterruptPayload) -> MicroPacket {
     payload[..2].copy_from_slice(&p.vector.to_be_bytes());
     payload[2..4].copy_from_slice(&p.cookie.to_be_bytes());
     payload[4..8].copy_from_slice(&p.arg.to_be_bytes());
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::Interrupt, src, dst, 0).with_flags(Flags::URGENT),
-        Body::Fixed(payload),
+        payload,
     )
-    .expect("interrupt packet is fixed-class") // lint: allow(panic-freedom): Interrupt is a fixed-class type; new() never rejects a fixed body for it
 }
 
 /// Parse an Interrupt payload.
@@ -180,11 +188,10 @@ pub fn atomic_request(src: u8, home: u8, req: AtomicRequest) -> MicroPacket {
     let word_index = req.offset / 8;
     payload[1..4].copy_from_slice(&word_index.to_be_bytes()[1..4]);
     payload[4..8].copy_from_slice(&req.operand.to_be_bytes());
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::D64Atomic, src, home, req.op as u8),
-        Body::Fixed(payload),
+        payload,
     )
-    .expect("atomic packet is fixed-class") // lint: allow(panic-freedom): Atomic is a fixed-class type; new() never rejects a fixed body for it
 }
 
 /// Parse a D64 Atomic request.
@@ -205,11 +212,10 @@ pub fn parse_atomic_request(p: &MicroPacket) -> Option<AtomicRequest> {
 
 /// Build a D64 Atomic response carrying the previous 64-bit value.
 pub fn atomic_response(src: u8, dst: u8, op: AtomicOp, previous: u64) -> MicroPacket {
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::D64Atomic, src, dst, op as u8).with_flags(Flags::RESPONSE),
-        Body::Fixed(previous.to_be_bytes()),
+        previous.to_be_bytes(),
     )
-    .expect("atomic response is fixed-class") // lint: allow(panic-freedom): AtomicResponse is a fixed-class type; new() never rejects a fixed body for it
 }
 
 /// Parse a D64 Atomic response into (op, previous value).
@@ -223,11 +229,10 @@ pub fn parse_atomic_response(p: &MicroPacket) -> Option<(AtomicOp, u64)> {
 
 /// Build a Diagnostic MicroPacket.
 pub fn diagnostic(src: u8, dst: u8, op: DiagOp, payload: [u8; FIXED_PAYLOAD]) -> MicroPacket {
-    MicroPacket::new(
+    fixed(
         ControlWord::new(PacketType::Diagnostic, src, dst, op as u8),
-        Body::Fixed(payload),
+        payload,
     )
-    .expect("diagnostic packet is fixed-class") // lint: allow(panic-freedom): Diagnostic is a fixed-class type; new() never rejects a fixed body for it
 }
 
 #[cfg(test)]

@@ -59,14 +59,20 @@ impl DmaCtrl {
     }
 
     /// Parse from the 8 DMA control bytes.
-    pub fn from_bytes(b: [u8; 8]) -> DmaCtrl {
+    pub fn from_bytes([channel, region, o0, o1, o2, o3, l0, l1]: [u8; 8]) -> DmaCtrl {
         DmaCtrl {
-            channel: b[0],
-            region: b[1],
-            offset: u32::from_be_bytes(b[2..6].try_into().expect("4 bytes")), // lint: allow(panic-freedom): header length was checked at function entry
-            len: u16::from_be_bytes(b[6..8].try_into().expect("2 bytes")), // lint: allow(panic-freedom): header length was checked at function entry
+            channel,
+            region,
+            offset: u32::from_be_bytes([o0, o1, o2, o3]),
+            len: u16::from_be_bytes([l0, l1]),
         }
     }
+}
+
+/// The two big-endian transmission words of an 8-byte field (a fixed
+/// payload, or the DMA control bytes).
+fn be_words([a, b, c, d, e, f, g, h]: [u8; 8]) -> [u32; 2] {
+    [u32::from_be_bytes([a, b, c, d]), u32::from_be_bytes([e, f, g, h])]
 }
 
 /// A MicroPacket body: fixed 8-byte payload or DMA block.
@@ -214,16 +220,11 @@ impl MicroPacket {
         }
         out[0] = u32::from_be_bytes(self.ctrl.to_bytes());
         match &self.body {
-            Body::Fixed(p) => {
-                out[1] = u32::from_be_bytes(p[..4].try_into().expect("4 bytes")); // lint: allow(panic-freedom): payload length was validated by the packet class at build time
-                out[2] = u32::from_be_bytes(p[4..].try_into().expect("4 bytes")); // lint: allow(panic-freedom): payload length was validated by the packet class at build time
-            }
+            Body::Fixed(p) => [out[1], out[2]] = be_words(*p),
             Body::Variable { ctrl, data } => {
-                let d = ctrl.to_bytes();
-                out[1] = u32::from_be_bytes(d[..4].try_into().expect("4 bytes")); // lint: allow(panic-freedom): payload length was validated by the packet class at build time
-                out[2] = u32::from_be_bytes(d[4..].try_into().expect("4 bytes")); // lint: allow(panic-freedom): payload length was validated by the packet class at build time
+                [out[1], out[2]] = be_words(ctrl.to_bytes());
                 for (w, chunk) in out[3..n].iter_mut().zip(data.chunks_exact(WORD)) {
-                    *w = u32::from_be_bytes(chunk.try_into().expect("4 bytes")); // lint: allow(panic-freedom): payload length was validated by the packet class at build time
+                    *w = u32::from_be_bytes(chunk.try_into().expect("4 bytes")); // lint: allow(panic-freedom): chunks_exact(WORD) yields exact 4-byte windows
                 }
             }
         }
@@ -238,33 +239,38 @@ impl MicroPacket {
 
     /// Parse packet words produced by [`MicroPacket::encode`].
     pub fn decode(bytes: &[u8]) -> Result<MicroPacket, PacketError> {
-        if bytes.len() < 3 * WORD || !bytes.len().is_multiple_of(WORD) {
-            return Err(PacketError::BadSize(bytes.len()));
+        let bad_size = Err(PacketError::BadSize(bytes.len()));
+        if !bytes.len().is_multiple_of(WORD) {
+            return bad_size;
         }
-        let ctrl = ControlWord::from_bytes(bytes[..4].try_into().expect("4 bytes"))?; // lint: allow(panic-freedom): the length guard at entry ensures at least 4 header bytes
+        // Every packet is at least the control word plus two more words.
+        let Some((head, rest)) = bytes.split_first_chunk::<WORD>() else {
+            return bad_size;
+        };
+        let Some((second, tail)) = rest.split_first_chunk::<8>() else {
+            return bad_size;
+        };
+        let ctrl = ControlWord::from_bytes(*head)?;
         match ctrl.ptype.length_class() {
             LengthClass::Fixed => {
-                if bytes.len() != 3 * WORD {
-                    return Err(PacketError::BadSize(bytes.len()));
+                if !tail.is_empty() {
+                    return bad_size;
                 }
-                let mut p = [0u8; FIXED_PAYLOAD];
-                p.copy_from_slice(&bytes[4..12]);
-                MicroPacket::new(ctrl, Body::Fixed(p))
+                MicroPacket::new(ctrl, Body::Fixed(*second))
             }
             LengthClass::Variable => {
-                if bytes.len() < 4 * WORD {
-                    return Err(PacketError::BadSize(bytes.len()));
+                if tail.is_empty() {
+                    return bad_size;
                 }
-                let dma = DmaCtrl::from_bytes(bytes[4..12].try_into().expect("8 bytes")); // lint: allow(panic-freedom): the Dma class implies a 12-byte header, checked above
+                let dma = DmaCtrl::from_bytes(*second);
                 if dma.len == 0 || dma.len as usize > MAX_DMA_PAYLOAD {
                     return Err(PacketError::BadDmaLen(dma.len));
                 }
-                let words = (dma.len as usize).div_ceil(WORD);
-                if bytes.len() != (3 + words) * WORD {
-                    return Err(PacketError::BadSize(bytes.len()));
+                if tail.len() != (dma.len as usize).div_ceil(WORD) * WORD {
+                    return bad_size;
                 }
                 let mut data = [0u8; MAX_DMA_PAYLOAD];
-                data[..words * WORD].copy_from_slice(&bytes[12..]);
+                data[..tail.len()].copy_from_slice(tail);
                 MicroPacket::new(ctrl, Body::Variable { ctrl: dma, data })
             }
         }

@@ -204,8 +204,8 @@ impl DedupWindow {
 /// access only). The dedup window used to be a single flat
 /// `Vec<(src, id)>` scanned end to end on *every* packet; with many
 /// sources that scan (up to `sources × DEDUP_WINDOW` entries) was the
-/// hottest function in the serial scale bench. The per-source ring
-/// keeps the identical delivered-id semantics with a bounded
+/// hottest function in serial multi-segment profiles. The per-source
+/// ring keeps the identical delivered-id semantics with a bounded
 /// 128-entry probe.
 #[derive(Debug, Default)]
 pub struct MsgRx {

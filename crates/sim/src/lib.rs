@@ -26,7 +26,6 @@ mod digest;
 mod queue;
 mod queue_heap;
 mod rng;
-mod seqhash;
 mod seqset;
 #[allow(clippy::module_inception)]
 mod sim;
@@ -36,11 +35,13 @@ mod trace;
 
 pub use digest::{fnv64, Fnv64};
 pub use queue::{EventId, EventQueue};
+// Test support for `tests/queue_differential.rs`: the seeded wheel
+// defects and the heap oracle they are caught against.
 #[doc(hidden)]
 pub use queue::QueueMutation;
+#[doc(hidden)]
 pub use queue_heap::HeapEventQueue;
 pub use rng::SimRng;
-pub use seqhash::{SeqHashBuilder, SeqHasher};
 pub use sim::Sim;
 pub use stats::{jain_fairness, mean, stddev, Counter, Histogram, Throughput};
 pub use time::{SimDuration, SimTime};
@@ -56,6 +57,5 @@ pub use trace::{Level, Trace, TraceEntry};
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim<u64>>();
 const _: () = _assert_send::<EventQueue<u64>>();
-const _: () = _assert_send::<HeapEventQueue<u64>>();
 const _: () = _assert_send::<SimRng>();
 const _: () = _assert_send::<Trace>();

@@ -1,11 +1,12 @@
 //! Deterministic future-event queue — hierarchical timer wheel.
 //!
 //! Through PR 5 this was a binary heap keyed on `(time, sequence)`
-//! (now [`crate::HeapEventQueue`], kept as the differential-test
-//! oracle). The heap capped serial throughput at ~2.1M events/s in the
-//! scale bench: every schedule/pop pays an O(log n) sift through a
-//! pointer-chasing heap. The wheel replaces both operations with O(1)
-//! bucket pushes and amortized-O(1) cursor advancement:
+//! (now `HeapEventQueue` in `queue_heap.rs`, kept only as the
+//! differential-test oracle). Every heap schedule/pop pays an O(log n)
+//! sift through a pointer-chasing heap, which capped serial throughput
+//! at ~2.1M events/s when PR 6 measured it. The wheel replaces both
+//! operations with O(1) bucket pushes and amortized-O(1) cursor
+//! advancement:
 //!
 //! * **Near wheel** — [`LEVELS`] levels of [`SLOTS`] slots each. Level
 //!   `k` slots are `64^k` ns wide, so level 0 resolves single

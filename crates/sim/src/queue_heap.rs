@@ -1,33 +1,24 @@
-//! The legacy binary-heap future-event queue, kept as a reference
-//! implementation.
+//! The legacy binary-heap future-event queue, kept as the reference
+//! implementation the timer wheel is tested against.
 //!
 //! This was the shipping [`EventQueue`](crate::EventQueue) through
-//! PR 5. The timer-wheel queue replaced it on the hot path, but the
-//! heap stays in-tree for two jobs:
-//!
-//! * **Differential oracle** — `crates/sim/tests/queue_differential.rs`
-//!   property-tests that the wheel and this heap produce identical pop
-//!   sequences under randomized push/cancel/reschedule/same-instant
-//!   workloads. The heap's `(time, sequence)` ordering is trivially
-//!   correct by inspection, which makes it the trusted side.
-//! * **Perf baseline** — `figures --bench-scale` runs the same synthetic
-//!   timer workload through both queues and records heap-vs-wheel
-//!   events/s, so the wheel's advantage is measured, not assumed.
+//! PR 5. The timer-wheel queue replaced it everywhere; the heap stays
+//! as the **differential oracle**:
+//! `crates/sim/tests/queue_differential.rs` property-tests that the
+//! wheel and this heap produce identical pop sequences under
+//! randomized push/cancel/reschedule/same-instant workloads. The
+//! heap's `(time, sequence)` ordering is trivially correct by
+//! inspection, which makes it the trusted side. Nothing outside that
+//! test uses it, so it is hidden from the crate's documented surface.
 //!
 //! Semantics are identical to the wheel: pops come out in `(time,
 //! sequence)` order (FIFO within a timestamp), cancellation is lazy
 //! with tombstone compaction once tombstones outnumber live entries.
 
 use crate::queue::EventId;
-use crate::seqhash::SeqHashBuilder;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-// Membership-only (insert/remove/contains) — never iterated, so hash
-// order cannot leak into the schedule. Hashed with the same fixed-key
-// mixer as the wheel so the microbench comparison isolates the data
-// structures, not the hash function.
-use std::collections::HashSet; // lint: allow(nondeterminism): membership-only set behind a fixed-key SeqHashBuilder, never iterated
+use std::collections::{BTreeSet, BinaryHeap};
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -55,15 +46,15 @@ impl<E> Ord for Entry<E> {
 }
 
 /// Binary-heap future-event list with deterministic tie-breaking and
-/// O(1) lazy cancellation — the pre-wheel [`crate::EventQueue`],
-/// retained as differential-test oracle and bench baseline.
+/// lazy cancellation — the pre-wheel [`crate::EventQueue`], retained
+/// as the differential-test oracle.
 #[derive(Debug)]
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Sequence numbers of events that are scheduled and not yet fired
     /// or cancelled. Entries in the heap whose seq is absent here are
     /// tombstones left behind by `cancel`.
-    pending: HashSet<u64, SeqHashBuilder>, // lint: allow(nondeterminism): membership-only set behind a fixed-key SeqHashBuilder, never iterated
+    pending: BTreeSet<u64>,
     next_seq: u64,
 }
 
@@ -78,7 +69,7 @@ impl<E> HeapEventQueue<E> {
     pub fn new() -> Self {
         HeapEventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::default(), // lint: allow(nondeterminism): membership-only set behind a fixed-key SeqHashBuilder, never iterated
+            pending: BTreeSet::new(),
             next_seq: 0,
         }
     }

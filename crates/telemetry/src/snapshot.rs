@@ -1,7 +1,6 @@
 //! Point-in-time export of a [`MetricsRegistry`](crate::MetricsRegistry).
 //!
-//! The JSON writer is hand-rolled (like `BENCH_ring.json`) and emits
-//! only integers in registration order, so a snapshot of a
+//! The JSON writer is hand-rolled and emits only integers in registration order, so a snapshot of a
 //! deterministic run is byte-identical across same-seed executions —
 //! pinned by a test and consumed by `figures --metrics`.
 

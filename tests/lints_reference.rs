@@ -2,7 +2,7 @@
 //! the committed file must be byte-identical to the document generated
 //! from `ampnet_lint::RULE_DOCS`, and the committed `LINT_report.json`
 //! must be byte-identical to a fresh workspace run — same discipline
-//! as `docs/METRICS.md` and the `BENCH_*.json` artifacts.
+//! as `docs/METRICS.md` and `CHECK_models.json`.
 
 use ampnet::lint::{run_workspace, REPO_POLICY};
 use std::path::Path;
