@@ -193,14 +193,14 @@ mod tests {
         let buf = Arc::new(SeqLockBuffer::new(32));
         let stop = Arc::new(AtomicBool::new(false));
         let torn = Arc::new(AtomicU64::new(0));
-        let total_reads = Arc::new(AtomicU64::new(0));
+        let reads: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
 
         let mut handles = vec![];
-        for _ in 0..4 {
+        for reader in 0..reads.len() {
             let buf = buf.clone();
             let stop = stop.clone();
             let torn = torn.clone();
-            let total = total_reads.clone();
+            let reads = reads.clone();
             handles.push(std::thread::spawn(move || {
                 let mut out = [0u64; 32];
                 while !stop.load(Ordering::Relaxed) {
@@ -209,20 +209,30 @@ mod tests {
                     if out.iter().any(|&w| w != first) {
                         torn.fetch_add(1, Ordering::Relaxed);
                     }
-                    total.fetch_add(1, Ordering::Relaxed);
+                    reads[reader].fetch_add(1, Ordering::Relaxed);
                 }
             }));
         }
-        // Writer on this thread.
-        for generation in 1..=SEQLOCK_WRITES {
+        // Writer on this thread. On a 2-core host it can finish its
+        // back-to-back writes before a starved reader completes one
+        // read, so it then keeps publishing, yielding the core each
+        // time, until every reader has read — bounded, so a reader that
+        // never gets through fails the assertion below.
+        let all_read = || reads.iter().all(|r| r.load(Ordering::Relaxed) > 0);
+        let mut generation = 0;
+        while generation < SEQLOCK_WRITES || (!all_read() && generation < 100 * SEQLOCK_WRITES) {
+            generation += 1;
             buf.write(&[generation; 32]);
+            if generation > SEQLOCK_WRITES {
+                std::thread::yield_now();
+            }
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {
             h.join().unwrap();
         }
         assert_eq!(torn.load(Ordering::Relaxed), 0, "seqlock let a torn read through");
-        assert!(total_reads.load(Ordering::Relaxed) > 0);
+        assert!(all_read(), "a reader never completed a read");
     }
 
     #[test]

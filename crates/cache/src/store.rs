@@ -100,6 +100,19 @@ impl NetworkCache {
         }
     }
 
+    /// A copy of this replica re-homed to `node` — a joiner's cache
+    /// after its refresh from this sponsor: same regions and bytes,
+    /// `node` as the source of its future update packets, telemetry
+    /// detached (the new owner registers its own handles).
+    pub fn rehomed(&self, node: u8) -> Self {
+        NetworkCache {
+            node,
+            regions: self.regions.clone(),
+            applied_writes: 0,
+            telemetry: CacheTelemetry::disabled(),
+        }
+    }
+
     /// Register this replica's cache-plane counters in `tel`. All
     /// registration happens here; the counting paths are zero-alloc
     /// and work through `&self` (the read protocol never takes `&mut`).

@@ -2,7 +2,8 @@
 //! drives traffic step by step, drains the delivery ledger and
 //! evaluates every invariant after every step.
 
-use crate::invariant::{CheckCtx, Phase};
+use crate::harness::Harness;
+use crate::invariant::Phase;
 use crate::ledger::Ledger;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, Traffic};
 use ampnet_core::{
@@ -10,7 +11,6 @@ use ampnet_core::{
     NodeId, RecordLayout, RosterReason, SemStressConfig, SeqProbeConfig, SimDuration, SimTime,
     SwitchId, Version,
 };
-use std::collections::BTreeSet;
 
 /// Cache offsets used by the engine's generators, chosen to coexist
 /// in region 0: seqlock probe at 1024, semaphore at 2048, counter app
@@ -110,56 +110,47 @@ impl Scenario {
         let mut cluster = Cluster::new(self.cfg.clone());
         cluster.enable_trace(self.trace_capacity);
         cluster.enable_telemetry(FLIGHT_CAPACITY);
-        cluster.run_for(self.warmup);
+        let mut h = Harness::new(cluster, self.invariants.clone());
+        h.run_for(self.warmup);
 
+        // Apps first, faults second: same-instant events keep this
+        // queue order.
         let active = self.step.saturating_mul(self.steps as u64);
-        let deadline = cluster.now() + active;
-        let policy = start_apps(&mut cluster, self, deadline);
-        let crashes = schedule_faults(&mut cluster, self);
-
-        let n = self.cfg.n_nodes as u8;
-        let mut ledger = Ledger::default();
-        let mut next_crash = 0usize;
-        let mut violations: Vec<Violation> = vec![];
-        let mut tripped: BTreeSet<&'static str> = BTreeSet::new();
+        let deadline = h.cluster.now() + active;
+        h.policy = start_apps(&mut h.cluster, self, deadline);
+        h.apply(self.faults());
 
         for step in 0..self.steps {
-            emit_traffic(&mut cluster, &mut ledger, self, step);
-            cluster.run_for(self.step);
-            drain(&mut cluster, &mut ledger, n);
-            doom_elapsed(&mut ledger, &crashes, &mut next_crash, cluster.now());
-            check(
-                &cluster, &ledger, policy, Phase::Step, step, &self.invariants, &mut tripped,
-                &mut violations,
-            );
+            emit_traffic(&mut h.cluster, &mut h.ledger, self, step);
+            h.run_for(self.step);
+            h.drain();
+            h.doom_elapsed();
+            h.check(Phase::Step, step);
         }
 
-        cluster.run_for(self.settle);
-        drain(&mut cluster, &mut ledger, n);
-        doom_elapsed(&mut ledger, &crashes, &mut next_crash, cluster.now());
-        check(
-            &cluster, &ledger, policy, Phase::End, self.steps, &self.invariants, &mut tripped,
-            &mut violations,
-        );
+        h.run_for(self.settle);
+        h.drain();
+        h.doom_elapsed();
+        h.check(Phase::End, self.steps);
 
-        let (trace_dump, flight_dump) = if violations.is_empty() {
+        let (trace_dump, flight_dump) = if h.violations().is_empty() {
             (String::new(), String::new())
         } else {
-            (cluster.trace().dump(), cluster.flight_dump())
+            (h.cluster.trace().dump(), h.cluster.flight_dump())
         };
-        let (reconvergence_ns, failover_ns) = roster_latencies(&cluster);
+        let (reconvergence_ns, failover_ns) = roster_latencies(&h.cluster);
         RunReport {
             seed: self.cfg.seed,
-            violations,
-            sent: ledger.sent(),
-            delivered: ledger.delivered,
-            doomed: ledger.doomed_total,
-            roster_episodes: cluster.roster_history().len(),
+            violations: h.violations().to_vec(),
+            sent: h.ledger.sent(),
+            delivered: h.ledger.delivered,
+            doomed: h.ledger.doomed_total,
+            roster_episodes: h.cluster.roster_history().len(),
             reconvergence_ns,
             failover_ns,
-            final_epoch: cluster.epoch(),
-            final_time: cluster.now(),
-            trace_digest: cluster.trace().digest(),
+            final_epoch: h.cluster.epoch(),
+            final_time: h.cluster.now(),
+            trace_digest: h.cluster.trace().digest(),
             trace_dump,
             flight_dump,
         }
@@ -194,19 +185,12 @@ fn start_apps(cluster: &mut Cluster, sc: &Scenario, deadline: SimTime) -> Option
             }
             Traffic::CounterFailover { members, policy: p, region } => {
                 policy = Some(*p);
+                let word = |offset| RecordLayout { region: *region, offset, data_len: 8 };
                 cluster.start_counter_app(CounterAppConfig {
                     members: members.clone(),
                     policy: *p,
-                    counter_layout: RecordLayout {
-                        region: *region,
-                        offset: COUNTER_OFFSET,
-                        data_len: 8,
-                    },
-                    heartbeat_layout: RecordLayout {
-                        region: *region,
-                        offset: HEARTBEAT_OFFSET,
-                        data_len: 8,
-                    },
+                    counter_layout: word(COUNTER_OFFSET),
+                    heartbeat_layout: word(HEARTBEAT_OFFSET),
                     deadline,
                 });
             }
@@ -214,12 +198,6 @@ fn start_apps(cluster: &mut Cluster, sc: &Scenario, deadline: SimTime) -> Option
         }
     }
     policy
-}
-
-/// Schedule every fault; returns node-crash instants in time order
-/// (the ledger dooms a crashed endpoint's pending traffic).
-fn schedule_faults(cluster: &mut Cluster, sc: &Scenario) -> Vec<(SimTime, u8)> {
-    apply_fault_schedule(cluster, sc.faults())
 }
 
 /// Schedule a fault list against a cluster, offsets relative to *now*;
@@ -231,63 +209,47 @@ fn schedule_faults(cluster: &mut Cluster, sc: &Scenario) -> Vec<(SimTime, u8)> {
 /// declarative fault schedules with their own traffic loops.
 pub fn apply_fault_schedule(cluster: &mut Cluster, faults: &[FaultEvent]) -> Vec<(SimTime, u8)> {
     let t0 = cluster.now();
+    let fiber = |n, s| Some(Component::Link(NodeId(n), SwitchId(s)));
+    let switch = |s| Some(Component::Switch(SwitchId(s)));
     let mut crashes = vec![];
     for f in faults {
         let at = t0 + f.at;
-        match f.op {
+        // Plant faults: (fails?, component); `None` when a generic
+        // index names nothing on this family.
+        let (fails, component) = match f.op {
             FaultOp::CrashNode(n) => {
                 crashes.push((at, n));
-                cluster.schedule_failure(at, Component::Node(NodeId(n)));
+                (true, Some(Component::Node(NodeId(n))))
             }
-            FaultOp::FailSwitch(s) => {
-                cluster.schedule_failure(at, Component::Switch(SwitchId(s)));
-            }
-            FaultOp::CutFiber(n, s) => {
-                cluster.schedule_failure(at, Component::Link(NodeId(n), SwitchId(s)));
-            }
-            FaultOp::SpliceFiber(n, s) => {
-                cluster.schedule_repair(at, Component::Link(NodeId(n), SwitchId(s)));
-            }
-            FaultOp::RepairSwitch(s) => {
-                cluster.schedule_repair(at, Component::Switch(SwitchId(s)));
-            }
+            FaultOp::FailSwitch(s) => (true, switch(s)),
+            FaultOp::RepairSwitch(s) => (false, switch(s)),
+            FaultOp::CutFiber(n, s) => (true, fiber(n, s)),
+            FaultOp::SpliceFiber(n, s) => (false, fiber(n, s)),
+            FaultOp::CutLinkIndex(k) => (true, resolve_link(cluster, k)),
+            FaultOp::SpliceLinkIndex(k) => (false, resolve_link(cluster, k)),
+            FaultOp::FailElement(k) => (true, resolve_element(cluster, k)),
+            FaultOp::RepairElement(k) => (false, resolve_element(cluster, k)),
             FaultOp::Rejoin(n) => {
-                cluster.schedule_join(
-                    at,
-                    n,
-                    JoinRequest {
-                        node: n,
-                        version: Version::new(1, 0, 0),
-                        features: Features::NONE,
-                        diagnostics_pass: true,
-                    },
-                );
+                let req = JoinRequest {
+                    node: n,
+                    version: Version::new(1, 0, 0),
+                    features: Features::NONE,
+                    diagnostics_pass: true,
+                };
+                cluster.schedule_join(at, n, req);
+                continue;
             }
             FaultOp::ErrorBurst { node, seed, errors } => {
                 // Addressed at the victim's PHY plane: the NodeStack's
                 // 8b/10b checker decides whether this escalates.
                 cluster.schedule_error_burst(at, node, seed, errors);
+                continue;
             }
-            FaultOp::CutLinkIndex(k) => {
-                if let Some(c) = resolve_link(cluster, k) {
-                    cluster.schedule_failure(at, c);
-                }
-            }
-            FaultOp::SpliceLinkIndex(k) => {
-                if let Some(c) = resolve_link(cluster, k) {
-                    cluster.schedule_repair(at, c);
-                }
-            }
-            FaultOp::FailElement(k) => {
-                if let Some(s) = resolve_element(cluster, k) {
-                    cluster.schedule_failure(at, Component::Switch(s));
-                }
-            }
-            FaultOp::RepairElement(k) => {
-                if let Some(s) = resolve_element(cluster, k) {
-                    cluster.schedule_repair(at, Component::Switch(s));
-                }
-            }
+        };
+        match component {
+            Some(c) if fails => cluster.schedule_failure(at, c),
+            Some(c) => cluster.schedule_repair(at, c),
+            None => {}
         }
     }
     crashes
@@ -315,49 +277,39 @@ fn roster_latencies(cluster: &Cluster) -> (u64, u64) {
 /// `None` only for a degenerate plant with no fibers at all.
 fn resolve_link(cluster: &Cluster, k: u32) -> Option<Component> {
     let links = cluster.topology().link_components();
-    if links.is_empty() {
-        return None;
-    }
-    Some(links[k as usize % links.len()])
+    (!links.is_empty()).then(|| links[k as usize % links.len()])
 }
 
 /// The `k mod S`-th switching element; `None` on element-free
 /// families (a torus has only trunks), making element faults a no-op
 /// there by design.
-fn resolve_element(cluster: &Cluster, k: u32) -> Option<SwitchId> {
+fn resolve_element(cluster: &Cluster, k: u32) -> Option<Component> {
     let s = cluster.topology().n_switches();
-    if s == 0 {
-        return None;
-    }
-    Some(SwitchId((k as usize % s) as u8))
+    (s > 0).then(|| Component::Switch(SwitchId((k as usize % s) as u8)))
 }
 
 /// Inject one step of stateless traffic. Endpoints that are offline
 /// at emit time are skipped — their guarantees died with them.
 fn emit_traffic(cluster: &mut Cluster, ledger: &mut Ledger, sc: &Scenario, step: u32) {
     let n = sc.cfg.n_nodes as u8;
+    let mut send = |cluster: &mut Cluster, src: u8, dst: u8, stream: u8| {
+        if cluster.node_online(src) && cluster.node_online(dst) {
+            let payload = ledger.send(src, dst, cluster.now());
+            cluster.send_message(src, dst, stream, &payload);
+        }
+    };
     for t in &sc.traffic {
         match t {
             Traffic::AllToAll { stream } => {
                 for src in 0..n {
-                    if !cluster.node_online(src) {
-                        continue;
-                    }
-                    for dst in 0..n {
-                        if dst == src || !cluster.node_online(dst) {
-                            continue;
-                        }
-                        let payload = ledger.send(src, dst, cluster.now());
-                        cluster.send_message(src, dst, *stream, &payload);
+                    for dst in (0..n).filter(|&dst| dst != src) {
+                        send(cluster, src, dst, *stream);
                     }
                 }
             }
             Traffic::PingPong { a, b, stream } => {
                 let (src, dst) = if step.is_multiple_of(2) { (*a, *b) } else { (*b, *a) };
-                if cluster.node_online(src) && cluster.node_online(dst) {
-                    let payload = ledger.send(src, dst, cluster.now());
-                    cluster.send_message(src, dst, *stream, &payload);
-                }
+                send(cluster, src, dst, *stream);
             }
             Traffic::CacheStorm { region, bytes } => {
                 for node in 0..n {
@@ -378,54 +330,6 @@ fn emit_traffic(cluster: &mut Cluster, ledger: &mut Ledger, sc: &Scenario, step:
             Traffic::SemContention { .. }
             | Traffic::SeqlockProbe { .. }
             | Traffic::CounterFailover { .. } => {} // self-driving apps
-        }
-    }
-}
-
-/// Drain every inbox into the ledger (non-chaos datagrams are
-/// ignored by the ledger's decoder).
-fn drain(cluster: &mut Cluster, ledger: &mut Ledger, n: u8) {
-    for node in 0..n {
-        while let Some(d) = cluster.pop_message(node) {
-            ledger.drained(node, &d.payload);
-        }
-    }
-}
-
-/// Doom the pending traffic of every node whose crash instant has
-/// passed (after the drain, so deliveries that beat the crash count).
-fn doom_elapsed(
-    ledger: &mut Ledger,
-    crashes: &[(SimTime, u8)],
-    next: &mut usize,
-    now: SimTime,
-) {
-    while *next < crashes.len() && crashes[*next].0 <= now {
-        ledger.doom_endpoint(crashes[*next].1);
-        *next += 1;
-    }
-}
-
-/// Run every invariant, recording only the first trip of each.
-#[allow(clippy::too_many_arguments)]
-fn check(
-    cluster: &Cluster,
-    ledger: &Ledger,
-    policy: Option<FailoverPolicy>,
-    phase: Phase,
-    step: u32,
-    invariants: &[std::rc::Rc<dyn crate::invariant::Invariant>],
-    tripped: &mut BTreeSet<&'static str>,
-    violations: &mut Vec<Violation>,
-) {
-    let ctx = CheckCtx { phase, step, now: cluster.now(), cluster, ledger, policy };
-    for inv in invariants {
-        if tripped.contains(inv.name()) {
-            continue;
-        }
-        if let Err(detail) = inv.check(&ctx) {
-            tripped.insert(inv.name());
-            violations.push(Violation { invariant: inv.name(), at: ctx.now, step, detail });
         }
     }
 }

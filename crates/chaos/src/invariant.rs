@@ -9,6 +9,7 @@
 
 use crate::ledger::Ledger;
 use ampnet_core::{Cluster, FailoverPolicy, SimDuration, SimTime};
+use std::rc::Rc;
 
 /// When a check runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +42,24 @@ pub trait Invariant {
     fn name(&self) -> &'static str;
     /// Return `Err(detail)` if the invariant is violated.
     fn check(&self, ctx: &CheckCtx<'_>) -> Result<(), String>;
+}
+
+/// The standard catalogue, in check order: ring-drop freedom, lossless
+/// delivery, no duplicates, seqlock coherence, roster reconvergence
+/// bound, failover-within-policy, mutual exclusion and end-of-run state
+/// conservation. Checkers for traffic that is not running pass
+/// vacuously, so every driver attaches the list wholesale.
+pub fn standard_invariants() -> Vec<Rc<dyn Invariant>> {
+    vec![
+        Rc::new(RingDrops),
+        Rc::new(LosslessDelivery),
+        Rc::new(NoDuplicates),
+        Rc::new(SeqlockCoherence),
+        Rc::new(ReconvergenceBound::default()),
+        Rc::new(FailoverWithinPolicy::default()),
+        Rc::new(MutualExclusion),
+        Rc::new(StateConservation),
+    ]
 }
 
 /// The register-insertion MAC never drops a packet, under any fault

@@ -12,9 +12,12 @@
 //! interleaved with traffic generators (all-to-all messaging,
 //! ping-pong, cache write storms, semaphore contention, seqlock
 //! probes, a replicated-counter failover app). The engine runs the
-//! schedule against a deterministic [`ampnet_core::Cluster`], keeps an
-//! external delivery [`Ledger`] of uniquely tagged payloads, and after
-//! every step runs a pluggable set of [`Invariant`] checkers.
+//! schedule on a [`Harness`] — a deterministic [`ampnet_core::Cluster`],
+//! an external delivery [`Ledger`] of uniquely tagged payloads, crash
+//! dooming and the [`Invariant`] runner, shared with `ampnet-load` —
+//! and checks [`standard_invariants`] (or your own) after every step.
+//! [`multiseg::MultiSegScenario`] scripts a multi-segment network in
+//! the same [`FaultOp`] vocabulary.
 //!
 //! ```
 //! use ampnet_chaos::{Scenario, FaultOp, Traffic};
@@ -38,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 mod engine;
+mod harness;
 mod invariant;
 mod ledger;
 pub mod multiseg;
@@ -45,9 +49,11 @@ mod scenario;
 mod sweep;
 
 pub use engine::{apply_fault_schedule, RunReport, Violation};
+pub use harness::Harness;
 pub use invariant::{
-    CheckCtx, FailoverWithinPolicy, Invariant, LosslessDelivery, MutualExclusion, NoDuplicates,
-    Phase, ReconvergenceBound, RingDrops, SeqlockCoherence, StateConservation,
+    standard_invariants, CheckCtx, FailoverWithinPolicy, Invariant, LosslessDelivery,
+    MutualExclusion, NoDuplicates, Phase, ReconvergenceBound, RingDrops, SeqlockCoherence,
+    StateConservation,
 };
 pub use ledger::Ledger;
 pub use scenario::{FaultEvent, FaultOp, Scenario, ScenarioBuilder, Traffic};

@@ -4,41 +4,22 @@
 //!
 //! The single-segment [`crate::Scenario`] engine drives one `Cluster`;
 //! this module is its multi-segment sibling for the sharded-PDES
-//! engine. A [`MultiSegScenario`] scripts per-segment component faults
-//! and repairs (fiber cuts, switch failures — anything
-//! [`Component`] names) plus globally-addressed sends, all at fixed
-//! simulated offsets, and replays the identical schedule under
+//! engine. A [`MultiSegScenario`] scripts per-segment faults in the
+//! single-segment engine's own vocabulary (any [`FaultOp`]: crashes,
+//! rejoins, fiber cuts, switch failures, repairs, error bursts) plus
+//! globally-addressed sends, all at fixed simulated offsets, and
+//! replays the identical schedule under
 //! whichever execution mode the caller picks. Because the schedule,
 //! the seeds and the barrier-exchange order are all deterministic, the
 //! resulting [`MultiSegReport`] — digest, delivery ledger, merged
 //! metrics — must not depend on the mode; `tests/parallel_equivalence.rs`
 //! holds the engine to that.
 
+use crate::engine::apply_fault_schedule;
+use crate::scenario::{FaultEvent, FaultOp};
 use ampnet_core::{
-    ClusterConfig, Component, GlobalAddr, Lookahead, MultiSegment, ParallelMode, SimDuration,
-    SimTime,
+    ClusterConfig, GlobalAddr, Lookahead, MultiSegment, ParallelMode, SimDuration, SimTime,
 };
-use std::collections::VecDeque;
-
-/// A component fault or repair on one segment's physical plant.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SegFaultOp {
-    /// Fail a component inside a segment (e.g. a mid-run fiber cut:
-    /// `Component::Link(node, switch)`).
-    Fail {
-        /// Target segment.
-        segment: u8,
-        /// What breaks.
-        component: Component,
-    },
-    /// Repair a previously failed component.
-    Repair {
-        /// Target segment.
-        segment: u8,
-        /// What heals.
-        component: Component,
-    },
-}
 
 /// A timed globally-addressed send.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,8 +50,8 @@ pub struct MultiSegReport {
 /// A deterministic cross-segment fault scenario.
 ///
 /// ```
-/// use ampnet_chaos::multiseg::MultiSegScenario;
-/// use ampnet_core::{ClusterConfig, Component, GlobalAddr, NodeId, ParallelMode, SimDuration, SwitchId};
+/// use ampnet_chaos::{multiseg::MultiSegScenario, FaultOp};
+/// use ampnet_core::{ClusterConfig, GlobalAddr, ParallelMode, SimDuration};
 ///
 /// let ga = |segment, node| GlobalAddr { segment, node };
 /// let mut sc = MultiSegScenario::new(
@@ -78,7 +59,7 @@ pub struct MultiSegReport {
 /// );
 /// sc.bridge(ga(0, 3), ga(1, 0), SimDuration::from_micros(5));
 /// sc.send_at(SimDuration::from_micros(40), ga(0, 1), ga(1, 2), b"hello");
-/// sc.fail_at(SimDuration::from_micros(60), 0, Component::Link(NodeId(1), SwitchId(0)));
+/// sc.fault_at(SimDuration::from_micros(60), 0, FaultOp::CutFiber(1, 0));
 /// let serial = sc.run(ParallelMode::Serial);
 /// let threaded = sc.run(ParallelMode::Threads(2));
 /// assert_eq!(serial, threaded);
@@ -89,7 +70,7 @@ pub struct MultiSegScenario {
     bridges: Vec<(GlobalAddr, GlobalAddr, SimDuration)>,
     warmup: SimDuration,
     run_for: SimDuration,
-    faults: Vec<(SimDuration, SegFaultOp)>,
+    faults: Vec<(u8, FaultEvent)>,
     sends: Vec<TimedSend>,
     lookahead: Lookahead,
 }
@@ -136,21 +117,9 @@ impl MultiSegScenario {
         self
     }
 
-    /// Fail `component` on `segment` at `offset` past warmup.
-    pub fn fail_at(&mut self, offset: SimDuration, segment: u8, component: Component) -> &mut Self {
-        self.faults.push((offset, SegFaultOp::Fail { segment, component }));
-        self
-    }
-
-    /// Repair `component` on `segment` at `offset` past warmup.
-    pub fn repair_at(
-        &mut self,
-        offset: SimDuration,
-        segment: u8,
-        component: Component,
-    ) -> &mut Self {
-        self.faults
-            .push((offset, SegFaultOp::Repair { segment, component }));
+    /// Schedule `op` on `segment` at `offset` past warmup.
+    pub fn fault_at(&mut self, offset: SimDuration, segment: u8, op: FaultOp) -> &mut Self {
+        self.faults.push((segment, FaultEvent { at: offset, op }));
         self
     }
 
@@ -188,22 +157,16 @@ impl MultiSegScenario {
         let slice = net
             .min_bridge_latency()
             .unwrap_or(SimDuration::from_micros(10));
-        let start = self.start_time(&net);
-        let t0 = start + self.warmup;
+        // A freshly built network's shards all read time zero.
+        let t0 = SimTime::ZERO + self.warmup;
         net.run_until(t0, slice);
 
-        // Faults go straight into each shard's event queue (absolute
-        // times), in schedule order.
-        for (offset, op) in &self.faults {
-            let at = t0 + *offset;
-            match op {
-                SegFaultOp::Fail { segment, component } => {
-                    net.segment_mut(*segment).schedule_failure(at, *component);
-                }
-                SegFaultOp::Repair { segment, component } => {
-                    net.segment_mut(*segment).schedule_repair(at, *component);
-                }
-            }
+        // Faults go straight into each shard's event queue, in
+        // schedule order. Every shard's clock reads exactly `t0` here,
+        // so an offset names the same instant on every segment.
+        for (segment, fault) in &self.faults {
+            debug_assert_eq!(net.segment(*segment).now(), t0);
+            apply_fault_schedule(net.segment_mut(*segment), std::slice::from_ref(fault));
         }
 
         // Sends need the coordinator: advance to each send instant
@@ -221,11 +184,7 @@ impl MultiSegScenario {
         for seg in 0..net.n_segments() as u8 {
             for node in 0..net.segment(seg).n_nodes() as u8 {
                 let at = GlobalAddr { segment: seg, node };
-                let mut q: VecDeque<_> = VecDeque::new();
                 while let Some(d) = net.pop_global(at) {
-                    q.push_back(d);
-                }
-                for d in q {
                     delivered.push((at, d.src, d.payload));
                 }
             }
@@ -239,19 +198,11 @@ impl MultiSegScenario {
             events_processed: net.events_processed(),
         }
     }
-
-    fn start_time(&self, net: &MultiSegment) -> SimTime {
-        (0..net.n_segments() as u8)
-            .map(|s| net.segment(s).now())
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampnet_core::{NodeId, SwitchId};
 
     fn ga(segment: u8, node: u8) -> GlobalAddr {
         GlobalAddr { segment, node }
@@ -269,8 +220,8 @@ mod tests {
         sc.send_at(SimDuration::from_micros(20), ga(0, 1), ga(2, 2), b"far");
         sc.send_at(SimDuration::from_micros(30), ga(2, 1), ga(0, 2), b"back");
         // Mid-run fiber cut on the middle segment, later repaired.
-        sc.fail_at(SimDuration::from_micros(200), 1, Component::Link(NodeId(2), SwitchId(0)));
-        sc.repair_at(SimDuration::from_micros(500), 1, Component::Link(NodeId(2), SwitchId(0)));
+        sc.fault_at(SimDuration::from_micros(200), 1, FaultOp::CutFiber(2, 0));
+        sc.fault_at(SimDuration::from_micros(500), 1, FaultOp::SpliceFiber(2, 0));
         sc.send_at(SimDuration::from_micros(600), ga(0, 1), ga(2, 2), b"again");
         sc
     }
@@ -307,5 +258,36 @@ mod tests {
         let a = sc.run(ParallelMode::Serial);
         let b = sc.run(ParallelMode::Serial);
         assert_eq!(a, b);
+    }
+
+    /// The first multi-segment rejoin: node 2 of segment 1 crashes,
+    /// re-assimilates (~70 ms) and is then reachable from segment 0
+    /// again — under both slice policies, identically in every mode.
+    #[test]
+    fn crashed_node_rejoins_its_segment_and_is_reachable_again() {
+        for policy in [Lookahead::Fixed, Lookahead::Adaptive] {
+            let mut sc = MultiSegScenario::new(
+                (0..2u64).map(|s| ClusterConfig::small(4).with_seed(70 + s)).collect(),
+            );
+            sc.bridge(ga(0, 3), ga(1, 0), SimDuration::from_micros(5));
+            sc.lookahead(policy);
+            sc.run_for(SimDuration::from_millis(100));
+            sc.fault_at(SimDuration::from_micros(300), 1, FaultOp::CrashNode(2));
+            sc.send_at(SimDuration::from_millis(1), ga(0, 1), ga(1, 2), b"while down");
+            sc.fault_at(SimDuration::from_millis(2), 1, FaultOp::Rejoin(2));
+            sc.send_at(SimDuration::from_millis(95), ga(0, 1), ga(1, 2), b"welcome back");
+
+            let serial = sc.run(ParallelMode::Serial);
+            let at_rejoined: Vec<&[u8]> = serial
+                .delivered
+                .iter()
+                .filter(|(dst, _, _)| *dst == ga(1, 2))
+                .map(|(_, _, p)| p.as_slice())
+                .collect();
+            // The datagram sent into the outage is delivered once the
+            // node is back (without the rejoin nothing arrives).
+            assert_eq!(at_rejoined, [b"while down".as_slice(), b"welcome back"], "{policy:?}");
+            assert_eq!(serial, sc.run(ParallelMode::Threads(2)), "{policy:?}");
+        }
     }
 }

@@ -268,21 +268,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Add the standard catalogue: ring-drop freedom, lossless
-    /// delivery, no duplicates, seqlock coherence, roster
-    /// reconvergence bound, failover-within-policy, mutual exclusion
-    /// and end-of-run state conservation. Checkers for traffic that is
-    /// not running pass vacuously.
-    pub fn standard_invariants(self) -> Self {
-        use crate::invariant::*;
-        self.invariant(RingDrops)
-            .invariant(LosslessDelivery)
-            .invariant(NoDuplicates)
-            .invariant(SeqlockCoherence)
-            .invariant(ReconvergenceBound::default())
-            .invariant(FailoverWithinPolicy::default())
-            .invariant(MutualExclusion)
-            .invariant(StateConservation)
+    /// Add the standard catalogue ([`crate::standard_invariants`]).
+    pub fn standard_invariants(mut self) -> Self {
+        self.scenario.invariants.extend(crate::invariant::standard_invariants());
+        self
     }
 
     /// Finish. Faults are sorted by schedule time (stable, so equal

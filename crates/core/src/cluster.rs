@@ -147,8 +147,6 @@ pub struct Cluster {
     pub(crate) sweep_interval: Option<SimDuration>,
     /// Spare faults found by the background sweep: (found at, component).
     pub(crate) spare_faults: Vec<(SimTime, Component)>,
-    /// Spare faults already reported (avoid duplicates).
-    pub(crate) known_spare_faults: std::collections::BTreeSet<String>,
     /// Journal of externally visible transitions (see `observe.rs`).
     pub(crate) observations: Vec<(SimTime, ObservedEvent)>,
     /// Cluster-wide telemetry handles (disabled by default).
@@ -207,7 +205,7 @@ impl Cluster {
         let boot = initial_rostering(&topo, &cfg.timing.roster).expect("nodes exist"); // lint: allow(panic-freedom): ClusterConfig guarantees at least one node
         sim.schedule_at(boot.completed_at, Ev::RingRestored { epoch: 1 });
         let n = cfg.n_nodes;
-        let mut cluster = Cluster {
+        Cluster {
             topo,
             ring: PlantRing::empty(),
             ring_up: false,
@@ -229,16 +227,13 @@ impl Cluster {
             ring_down_at: SimTime::ZERO,
             sweep_interval: None,
             spare_faults: vec![],
-            known_spare_faults: Default::default(),
             observations: vec![],
             tel: Default::default(),
             batch: vec![],
             unicast_expiry: (usize::MAX, SimDuration::ZERO),
             stream_backlog: [0; 256],
             cfg,
-        };
-        cluster.ring_pos = vec![usize::MAX; cluster.cfg.n_nodes];
-        cluster
+        }
     }
 
     // ----- clock and run loop -----
@@ -454,10 +449,7 @@ impl Cluster {
     /// with [`ampnet_packet::BROADCAST`]).
     pub fn send_message(&mut self, src: u8, dst: u8, stream: u8, payload: &[u8]) {
         let pkts = self.nodes[src as usize].msg_tx.send(dst, stream, payload);
-        for p in pkts {
-            self.enqueue_own(src, p);
-        }
-        self.kick(src);
+        self.send_own(src, pkts);
     }
 
     /// Pop the next delivered datagram at `node`.
@@ -542,11 +534,7 @@ impl Cluster {
                 Err(TaskError::SlotBusy) => return false,
                 Err(TaskError::Cache(e)) => panic!("task table region configured: {e}"), // lint: allow(panic-freedom): a misconfigured task-table region is a harness bug, not a protocol state; fail loud
             };
-        for p in pkts {
-            self.enqueue_own(submitter, p);
-        }
-        self.enqueue_own(submitter, doorbell);
-        self.kick(submitter);
+        self.send_own(submitter, pkts.into_iter().chain([doorbell]));
         true
     }
 
@@ -557,10 +545,7 @@ impl Cluster {
         let (result, pkts) = table
             .collect(&mut self.nodes[node as usize].cache, slot)
             .ok()??;
-        for p in pkts {
-            self.enqueue_own(node, p);
-        }
-        self.kick(node);
+        self.send_own(node, pkts);
         Some(result)
     }
 
@@ -580,10 +565,7 @@ impl Cluster {
         let pkts = self.nodes[node as usize]
             .ampip
             .send_to(src_port, dst, data)?;
-        for p in pkts {
-            self.enqueue_own(node, p);
-        }
-        self.kick(node);
+        self.send_own(node, pkts);
         Ok(())
     }
 
@@ -601,9 +583,7 @@ impl Cluster {
     /// `dst`. Vectors other than the AmpThreads doorbell surface at the
     /// destination via [`Cluster::pop_interrupt`].
     pub fn send_interrupt(&mut self, src: u8, dst: u8, payload: InterruptPayload) {
-        let pkt = build::interrupt(src, dst, payload);
-        self.enqueue_own(src, pkt);
-        self.kick(src);
+        self.send_own(src, [build::interrupt(src, dst, payload)]);
     }
 
     /// Write to the network cache at `node`; the update replicates to
@@ -613,10 +593,7 @@ impl Cluster {
             .cache
             .write(region, offset, data, 1, 1)
             .expect("valid cache write"); // lint: allow(panic-freedom): the write targets a region defined during setup, offset bounded by layout
-        for p in pkts {
-            self.enqueue_own(node, p);
-        }
-        self.kick(node);
+        self.send_own(node, pkts);
     }
 
     /// Write a file through an AmpFiles store handle at `node`; the
@@ -632,10 +609,7 @@ impl Cluster {
         data: &[u8],
     ) -> Result<(), FileError> {
         let pkts = store.write(&mut self.nodes[node as usize].cache, name, data)?;
-        for p in pkts {
-            self.enqueue_own(node, p);
-        }
-        self.kick(node);
+        self.send_own(node, pkts);
         Ok(())
     }
 
@@ -644,10 +618,7 @@ impl Cluster {
         let pkts =
             seqlock_msg::write_record(&mut self.nodes[node as usize].cache, layout, data, 1, 1)
                 .expect("valid record write"); // lint: allow(panic-freedom): record regions are defined at setup with fixed record sizes
-        for p in pkts {
-            self.enqueue_own(node, p);
-        }
-        self.kick(node);
+        self.send_own(node, pkts);
     }
 
     /// One local seqlock read attempt at `node`.

@@ -63,8 +63,7 @@ impl Cluster {
         let mut payload = [0u8; 8];
         payload[..8].copy_from_slice(&self.epoch.to_be_bytes());
         let probe = build::diagnostic(master, ampnet_packet::BROADCAST, DiagOp::Echo, payload);
-        self.enqueue_own(master, probe);
-        self.kick(master);
+        self.send_own(master, [probe]);
     }
 
     /// A Diagnostic packet was stripped back at its source: if it is

@@ -10,11 +10,10 @@
 
 use crate::cluster::{Cluster, Ev, RosterEvent, RosterReason};
 use crate::observe::ObservedEvent;
-use ampnet_cache::NetworkCache;
 use ampnet_dk::{assimilate, JoinRequest};
 use ampnet_packet::MicroPacket;
 use ampnet_ring::PlaneFault;
-use ampnet_roster::{initial_rostering, run_rostering, RosterOutcome, RosterSkip};
+use ampnet_roster::{planned_rostering, run_rostering, RosterOutcome, RosterSkip};
 use ampnet_sim::{Level, SimDuration, SimTime};
 use ampnet_topo::montecarlo::Component;
 use ampnet_topo::{NodeId, PlantRing};
@@ -78,9 +77,7 @@ impl Cluster {
         match run_rostering(&self.topo, &self.ring, c, now, self.epoch, &self.cfg.timing.roster)
         {
             Ok(outcome) => {
-                self.ring_up = false;
                 self.ring_down_at = now;
-                self.epoch = outcome.epoch;
                 self.log(
                     Level::Warn,
                     "roster",
@@ -89,13 +86,7 @@ impl Cluster {
                         outcome.epoch, outcome.completed_at
                     ),
                 );
-                self.sim.schedule_at(
-                    outcome.completed_at,
-                    Ev::RingRestored {
-                        epoch: outcome.epoch,
-                    },
-                );
-                self.pending_roster = Some((RosterReason::Failure(c), outcome));
+                self.begin_episode(RosterReason::Failure(c), outcome);
                 self.observe(ObservedEvent::RosterStarted { epoch: self.epoch });
             }
             Err(RosterSkip::SpareComponent) => {
@@ -114,6 +105,27 @@ impl Cluster {
                 self.log(Level::Warn, "roster", format!("{c:?} failed; no survivors"));
                 self.observe(ObservedEvent::NoSurvivors(c));
             }
+        }
+    }
+
+    /// Start a roster episode (failure, repair or join alike): the ring
+    /// stops carrying traffic until `outcome` completes.
+    fn begin_episode(&mut self, reason: RosterReason, outcome: RosterOutcome) {
+        self.ring_up = false;
+        self.epoch = outcome.epoch;
+        self.sim
+            .schedule_at(outcome.completed_at, Ev::RingRestored { epoch: outcome.epoch });
+        self.pending_roster = Some((reason, outcome));
+    }
+
+    /// A planned episode onto `ring`, the plant's largest ring: a join
+    /// or a repair extends the live ring.
+    fn extend_ring(&mut self, reason: RosterReason, ring: &PlantRing) {
+        let (now, epoch) = (self.sim.now(), self.epoch + 1);
+        if let Ok(outcome) =
+            planned_rostering(&self.topo, ring, now, epoch, &self.cfg.timing.roster)
+        {
+            self.begin_episode(reason, outcome);
         }
     }
 
@@ -221,18 +233,7 @@ impl Cluster {
         let best = self.topo.largest_ring();
         if best.len() > self.ring.len() && self.ring_up {
             // Re-roster to absorb the recovered capacity.
-            if let Ok(mut outcome) = initial_rostering(&self.topo, &self.cfg.timing.roster) {
-                let now = self.sim.now();
-                self.epoch += 1;
-                outcome.epoch = self.epoch;
-                outcome.failed_at = now;
-                let cost = outcome.explore_time + outcome.commit_time;
-                outcome.completed_at = now + cost;
-                self.ring_up = false;
-                self.sim
-                    .schedule_at(outcome.completed_at, Ev::RingRestored { epoch: self.epoch });
-                self.pending_roster = Some((RosterReason::Repair(c), outcome));
-            }
+            self.extend_ring(RosterReason::Repair(c), &best);
         }
     }
 
@@ -269,39 +270,16 @@ impl Cluster {
         let sponsor = (0..self.nodes.len())
             .find(|&i| i != node as usize && self.nodes[i].online);
         if let Some(s) = sponsor {
-            let snapshot = self.nodes[s].cache.clone();
-            let tel = self.tel.tel.clone();
-            let me = &mut self.nodes[node as usize];
-            let id = me.cache.node();
-            me.cache = snapshot;
-            // Re-home the replica.
-            let mut rehomed = NetworkCache::new(id);
-            for region in me.cache.region_ids() {
-                let size = me.cache.region_size(region).expect("listed"); // lint: allow(panic-freedom): region was listed by the donor cache in this same loop
-                rehomed.define_region(region, size).expect("fresh"); // lint: allow(panic-freedom): the rehomed cache is freshly created; listed ids are unique
-                let data = me.cache.read(region, 0, size).expect("whole region"); // lint: allow(panic-freedom): size came from region_size on the same region above
-                let _ = rehomed.write(region, 0, data, 0, 0);
-            }
-            me.cache = rehomed;
-            // The rehomed replica carries the sponsor's (or default)
-            // telemetry handles; re-register under this node's label.
-            me.cache.set_telemetry(&tel);
+            // Re-register the counters under this node's label.
+            let mut cache = self.nodes[s].cache.rehomed(node);
+            cache.set_telemetry(&self.tel.tel);
+            self.nodes[node as usize].cache = cache;
         }
         self.nodes[node as usize].online = true;
         self.observe(ObservedEvent::NodeOnline(node));
         // Extend the ring: a join-triggered roster episode.
-        if let Ok(mut outcome) = initial_rostering(&self.topo, &self.cfg.timing.roster) {
-            let now = self.sim.now();
-            self.epoch += 1;
-            outcome.epoch = self.epoch;
-            outcome.failed_at = now;
-            let cost = outcome.explore_time + outcome.commit_time;
-            outcome.completed_at = now + cost;
-            self.ring_up = false;
-            self.sim
-                .schedule_at(outcome.completed_at, Ev::RingRestored { epoch: self.epoch });
-            self.pending_roster = Some((RosterReason::Join(NodeId(node)), outcome));
-        }
+        let best = self.topo.largest_ring();
+        self.extend_ring(RosterReason::Join(NodeId(node)), &best);
     }
 
     pub(crate) fn run_diag_sweep(&mut self) {
@@ -314,8 +292,7 @@ impl Cluster {
         // `failed_components` reports dead switching elements first,
         // then dark fibers in enumeration order.
         for c in self.topo.failed_components() {
-            let key = format!("{c:?}");
-            if self.known_spare_faults.insert(key) {
+            if !self.spare_faults.iter().any(|&(_, known)| known == c) {
                 self.log(
                     Level::Warn,
                     "diag",

@@ -43,6 +43,14 @@ impl Cluster {
         }
     }
 
+    /// Enqueue `node`'s own packets, in order, and start transmitting.
+    pub(crate) fn send_own(&mut self, node: u8, pkts: impl IntoIterator<Item = MicroPacket>) {
+        for p in pkts {
+            self.enqueue_own(node, p);
+        }
+        self.kick(node);
+    }
+
     pub(crate) fn kick(&mut self, node: u8) {
         let i = node as usize;
         if !self.ring_up || !self.nodes[i].online || self.tx_busy[i] {
@@ -144,11 +152,7 @@ impl Cluster {
                     if let Ok(effect) =
                         atomics::execute(&mut self.nodes[i].cache, requester, req)
                     {
-                        self.enqueue_own(node, effect.response);
-                        for u in effect.updates {
-                            self.enqueue_own(node, u);
-                        }
-                        self.kick(node);
+                        self.send_own(node, [effect.response].into_iter().chain(effect.updates));
                     }
                 }
             }
@@ -182,11 +186,7 @@ impl Cluster {
         };
         match table.execute(&mut self.nodes[node as usize].cache, slot) {
             Ok(Some((_result, pkts, completion))) => {
-                for p in pkts {
-                    self.enqueue_own(node, p);
-                }
-                self.enqueue_own(node, completion);
-                self.kick(node);
+                self.send_own(node, pkts.into_iter().chain([completion]));
             }
             _ if tries < 10 => {
                 self.sim.schedule_in(
@@ -209,8 +209,7 @@ impl Cluster {
         let i = node as usize;
         self.nodes[i].sem_seq += 1;
         let seq = self.nodes[i].sem_seq;
-        self.enqueue_own(node, pkt);
-        self.kick(node);
+        self.send_own(node, [pkt]);
         self.sim.schedule_in(
             SimDuration::from_micros(500),
             Ev::SemTimeout { node, seq },

@@ -13,29 +13,26 @@
 //!
 //! ## Tick loop
 //!
-//! Each tick, in a fixed order for determinism: dispatch (pubsub →
-//! cache → socket → threads), advance the cluster by one tick, harvest
-//! completions (subscriber polls, file stats, socket drains, task
-//! collects, semaphore deltas), doom crashed endpoints in the delivery
-//! ledger, then run the standard chaos invariant catalogue at
-//! [`Phase::Step`]. After the measurement window a settle phase keeps
-//! harvesting until in-flight work drains, then the [`Phase::End`]
-//! check is binding.
+//! The run is a `LoadRun` on the chaos [`Harness`] (cluster, ledger,
+//! crash-doom cursor, invariant runner). Each tick, in a fixed order
+//! for determinism: dispatch (pubsub → cache → socket → threads),
+//! advance the cluster by one tick, harvest completions (subscriber
+//! polls, file stats, socket drains, task collects, semaphore deltas),
+//! doom crashed endpoints in the ledger, then check
+//! [`standard_invariants`] at [`Phase::Step`]. After the measurement
+//! window a settle phase keeps harvesting until in-flight work drains,
+//! then the [`Phase::End`] check is binding.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ampnet_chaos::{
-    apply_fault_schedule, CheckCtx, FaultEvent, Invariant, Ledger, LosslessDelivery,
-    MutualExclusion, NoDuplicates, Phase, ReconvergenceBound, RingDrops, SeqlockCoherence,
-    StateConservation,
-};
+use ampnet_chaos::{standard_invariants, FaultEvent, Harness, Phase};
 use ampnet_core::{
     BackoffPolicy, Cluster, ClusterConfig, FileStore, FileStoreLayout, SemStressConfig,
     SemaphoreAddr, SockAddr, TaskKind, Telemetry,
 };
 use ampnet_services::subscribe::{PollOutcome, Subscriber, TopicLayout};
 use ampnet_sim::{SimDuration, SimRng, SimTime};
-use ampnet_telemetry::{defs, GLOBAL};
+use ampnet_telemetry::{defs, CounterHandle, HistHandle, GLOBAL};
 
 use crate::arrival::{ArrivalGen, ArrivalProcess};
 use crate::catalog;
@@ -121,6 +118,57 @@ pub fn run(cfg: ClusterConfig, spec: &LoadSpec) -> LoadReport {
     run_with(cfg, spec, &tel)
 }
 
+/// Run a workload, sharing `tel` so the load-plane instruments land in
+/// the same registry as the cluster's own (the bench metrics exercise
+/// uses this to prove every `defs::LOAD_*` def is live).
+pub fn run_with(cfg: ClusterConfig, spec: &LoadSpec, tel: &Telemetry) -> LoadReport {
+    let mut run = LoadRun::new(cfg, spec, tel);
+
+    // Boot, assimilation, region convergence; then faults first and
+    // the semaphore storm second: same-instant events keep this queue
+    // order (fault offsets are relative to measurement start).
+    run.h.run_for(spec.warmup);
+    run.h.apply(&spec.faults);
+    run.start_sem_storm();
+    let meas_start = run.h.cluster.now();
+
+    for tick_i in 0..spec.ticks {
+        run.dispatch(tick_i);
+        run.h.run_for(spec.tick);
+        run.harvest();
+        run.h.doom_elapsed();
+        run.tick_done();
+        run.h.check(Phase::Step, tick_i);
+    }
+
+    // Settle: keep harvesting while the pipeline drains.
+    let tick_ns = spec.tick.as_nanos();
+    for _ in 0..spec.settle.as_nanos().div_ceil(tick_ns.max(1)) {
+        run.h.run_for(spec.tick);
+        run.harvest();
+        run.h.doom_elapsed();
+    }
+
+    // Quiesce: the last settle harvest may itself have emitted packets
+    // (server echoes, slot-freeing collects); give them time to
+    // replicate, then take one final harvest so those completions are
+    // not miscounted as failures.
+    run.h.run_for(SimDuration::from_nanos(2 * tick_ns));
+    run.harvest();
+    run.h.run_for(SimDuration::from_nanos(2 * tick_ns));
+
+    run.close_out();
+    run.h.check(Phase::End, spec.ticks);
+    run.report(meas_start)
+}
+
+/// Class indices into [`Meters::tracks`], in [`catalog::ALL`] order.
+const PUBSUB: usize = 0;
+const CACHE: usize = 1;
+const SOCKET: usize = 2;
+const THREADS: usize = 3;
+const SEM: usize = 4;
+
 /// Per-class bookkeeping shared by the tick loop.
 struct ClassTrack {
     stats: ClassStats,
@@ -141,623 +189,477 @@ impl ClassTrack {
             degraded_max: 0,
         }
     }
+}
 
-    /// Close out one tick: a tick with in-flight work and zero
-    /// completions extends the degraded window.
-    fn tick_done(&mut self, in_flight: bool) {
-        if in_flight && self.completed_this_tick == 0 {
-            self.degraded_run += 1;
-            self.degraded_max = self.degraded_max.max(self.degraded_run);
-        } else {
-            self.degraded_run = 0;
-        }
-        self.completed_this_tick = 0;
+/// The per-class counters and the telemetry instruments mirroring them
+/// (registered even if never bumped, so the `defs::ALL` coverage check
+/// sees them). Its own struct so a harvest loop that borrows one class's
+/// state can still record completions.
+struct Meters<'a> {
+    tracks: Vec<ClassTrack>,
+    tel: &'a Telemetry,
+    arrivals: CounterHandle,
+    completions: CounterHandle,
+    lagged: CounterHandle,
+    hists: [HistHandle; 5],
+}
+
+impl Meters<'_> {
+    fn stats(&mut self, class: usize) -> &mut ClassStats {
+        &mut self.tracks[class].stats
+    }
+
+    /// One operation of `class` completed `lat` ns after its dispatch.
+    fn complete(&mut self, class: usize, lat: u64) {
+        let track = &mut self.tracks[class];
+        track.stats.latency.record(lat);
+        track.stats.completed += 1;
+        track.completed_this_tick += 1;
+        self.tel.record(self.hists[class], lat);
+        self.tel.inc(self.completions);
     }
 }
 
-/// Run a workload, sharing `tel` so the load-plane instruments land in
-/// the same registry as the cluster's own (the bench metrics exercise
-/// uses this to prove every `defs::LOAD_*` def is live).
-pub fn run_with(cfg: ClusterConfig, spec: &LoadSpec, tel: &Telemetry) -> LoadReport {
-    assert!(spec.ticks > 0, "need at least one measurement tick");
-    let seed = cfg.seed;
-    let n_nodes = cfg.n_nodes as u8;
-    assert!(n_nodes >= 3, "workload needs at least 3 nodes");
-
-    // ---- region layout ----
-    let topics: Vec<TopicLayout> = (0..N_TOPICS)
-        .map(|t| TopicLayout {
-            region: TOPIC_REGION,
-            base: t as u32 * topic_footprint(),
-            slots: TOPIC_SLOTS,
-            slot_len: TOPIC_SLOT_LEN,
-        })
-        .collect();
-    let files = FileStoreLayout {
-        region: FILE_REGION,
-        max_files: N_FILES as u32,
-        heap_bytes: 16 * 1024,
-    };
-    let cfg = cfg.with_regions(vec![
-        (0, 64 * 1024),
-        (TOPIC_REGION, N_TOPICS as u32 * topic_footprint()),
-        (FILE_REGION, files.footprint()),
-        (TASK_REGION, TASK_SLOTS * 16),
-    ]);
-    let mut cluster = Cluster::new(cfg);
-    cluster.enable_telemetry_with(tel);
-    cluster.enable_threads(TASK_REGION, TASK_SLOTS);
-
-    // ---- telemetry instruments (registered even if never bumped, so
-    // the defs::ALL coverage check sees them) ----
-    let t_arrivals = tel.counter(&defs::LOAD_ARRIVALS, GLOBAL);
-    let t_completions = tel.counter(&defs::LOAD_COMPLETIONS, GLOBAL);
-    let t_lagged = tel.counter(&defs::LOAD_PUBSUB_LAGGED, GLOBAL);
-    let t_hists = [
-        tel.histogram(&defs::LOAD_PUBSUB_NS, GLOBAL),
-        tel.histogram(&defs::LOAD_CACHE_NS, GLOBAL),
-        tel.histogram(&defs::LOAD_SOCKET_NS, GLOBAL),
-        tel.histogram(&defs::LOAD_THREADS_NS, GLOBAL),
-        tel.histogram(&defs::LOAD_SEM_NS, GLOBAL),
-    ];
-
-    // ---- arrival processes, one per class, independent substreams ----
-    let root = SimRng::new(seed);
-    let class_rate = spec.population as f64 * spec.per_client_rate / catalog::ALL.len() as f64;
-    let mut gens: Vec<ArrivalGen> = catalog::ALL
-        .iter()
-        .map(|w| ArrivalGen::new(spec.process, class_rate, root.derive(w.name)))
-        .collect();
-    let mut rng = root.derive("load/dispatch");
-
-    // ---- class state ----
-    let mut tracks: Vec<ClassTrack> = catalog::ALL.iter().map(|w| ClassTrack::new(w.name)).collect();
-    const PUBSUB: usize = 0;
-    const CACHE: usize = 1;
-    const SOCKET: usize = 2;
-    const THREADS: usize = 3;
-    const SEM: usize = 4;
-
+/// One workload run: the chaos [`Harness`] (cluster, ledger, doom
+/// cursor, standard invariant catalogue) plus the state of the five
+/// service classes.
+struct LoadRun<'a> {
+    spec: &'a LoadSpec,
+    seed: u64,
+    h: Harness,
+    n_nodes: u8,
+    m: Meters<'a>,
+    /// One arrival process per class, on independent substreams.
+    gens: Vec<ArrivalGen>,
+    /// Dispatch-choice stream (topic, file, client, submitter, …).
+    rng: SimRng,
     // pubsub: per-topic publish sequence; two subscribers per topic.
-    let mut topic_seq = vec![0u64; topics.len()];
-    let subs_per_topic = 2u64.min(n_nodes as u64 - 1);
-    let mut subscribers: Vec<(u8, Subscriber)> = vec![];
-    for (t, layout) in topics.iter().enumerate() {
-        let publisher = (t as u8) % n_nodes;
-        for s in 1..=subs_per_topic as u8 {
-            subscribers.push(((publisher + s) % n_nodes, Subscriber::new(*layout)));
-        }
-    }
-
+    topic_seq: Vec<u64>,
+    subs_per_topic: u64,
+    subscribers: Vec<(u8, Subscriber)>,
     // cache: per-file write count and outstanding (version, sent_at).
-    let store = FileStore::new(files);
-    let mut file_writes = vec![0u32; N_FILES as usize];
-    let mut file_outstanding: Vec<VecDeque<(u32, SimTime)>> =
-        (0..N_FILES).map(|_| VecDeque::new()).collect();
-
-    // socket: server on the last node; every other node is a client.
-    let server = n_nodes - 1;
-    cluster
-        .sock_bind(server, SERVER_PORT)
-        .expect("server port free");
-    for client in 0..server {
-        cluster.sock_bind(client, CLIENT_PORT).expect("client port free");
-    }
-    let mut ledger = Ledger::default();
-    let mut socket_in_flight: u64 = 0;
-
+    store: FileStore,
+    file_writes: Vec<u32>,
+    file_outstanding: Vec<VecDeque<(u32, SimTime)>>,
+    // socket: server on the last node, every other node a client;
+    // requests awaiting their echo.
+    socket_in_flight: u64,
     // threads: slot → (submitter, submitted_at).
-    let mut tasks_in_flight: BTreeMap<u32, (u8, SimTime)> = BTreeMap::new();
-    let mut task_cursor: u32 = 0;
+    tasks_in_flight: BTreeMap<u32, (u8, SimTime)>,
+    task_cursor: u32,
+    // sem: acquisitions the storm will make / has made so far.
+    sem_target: u64,
+    sem_seen: u64,
+}
 
-    // ---- warmup: boot, assimilation, region convergence ----
-    cluster.run_for(spec.warmup);
+impl<'a> LoadRun<'a> {
+    /// Lay out the regions, boot the cluster and set up every class.
+    fn new(cfg: ClusterConfig, spec: &'a LoadSpec, tel: &'a Telemetry) -> Self {
+        assert!(spec.ticks > 0, "need at least one measurement tick");
+        let seed = cfg.seed;
+        let n_nodes = cfg.n_nodes as u8;
+        assert!(n_nodes >= 3, "workload needs at least 3 nodes");
 
-    // ---- fault schedule (offsets relative to measurement start) ----
-    let mut crashes = apply_fault_schedule(&mut cluster, &spec.faults);
-    crashes.sort();
+        let files = FileStoreLayout {
+            region: FILE_REGION,
+            max_files: N_FILES as u32,
+            heap_bytes: 16 * 1024,
+        };
+        let cfg = cfg.with_regions(vec![
+            (0, 64 * 1024),
+            (TOPIC_REGION, topic(N_TOPICS as usize).base),
+            (FILE_REGION, files.footprint()),
+            (TASK_REGION, TASK_SLOTS * 16),
+        ]);
+        let mut cluster = Cluster::new(cfg);
+        cluster.enable_telemetry_with(tel);
+        cluster.enable_threads(TASK_REGION, TASK_SLOTS);
 
-    // sem: a closed-loop contention storm riding the whole window.
-    let contenders: Vec<u8> = (1..n_nodes.min(4)).collect();
-    let sem_rounds = 8u32;
-    cluster.start_sem_stress(SemStressConfig {
-        addr: SemaphoreAddr {
-            home: 0,
-            region: 0,
-            offset: SEM_OFFSET,
-        },
-        contenders: contenders.clone(),
-        rounds: sem_rounds,
-        crit: SimDuration::from_micros(20),
-        backoff: BackoffPolicy::default(),
-    });
-    let sem_target = contenders.len() as u64 * sem_rounds as u64;
-    let mut sem_seen: u64 = 0;
+        let m = Meters {
+            tracks: catalog::ALL.iter().map(|w| ClassTrack::new(w.name)).collect(),
+            tel,
+            arrivals: tel.counter(&defs::LOAD_ARRIVALS, GLOBAL),
+            completions: tel.counter(&defs::LOAD_COMPLETIONS, GLOBAL),
+            lagged: tel.counter(&defs::LOAD_PUBSUB_LAGGED, GLOBAL),
+            hists: [
+                tel.histogram(&defs::LOAD_PUBSUB_NS, GLOBAL),
+                tel.histogram(&defs::LOAD_CACHE_NS, GLOBAL),
+                tel.histogram(&defs::LOAD_SOCKET_NS, GLOBAL),
+                tel.histogram(&defs::LOAD_THREADS_NS, GLOBAL),
+                tel.histogram(&defs::LOAD_SEM_NS, GLOBAL),
+            ],
+        };
 
-    let invariants: Vec<Box<dyn Invariant>> = vec![
-        Box::new(RingDrops),
-        Box::new(LosslessDelivery),
-        Box::new(NoDuplicates),
-        Box::new(SeqlockCoherence),
-        Box::new(ReconvergenceBound::default()),
-        Box::new(MutualExclusion),
-        Box::new(StateConservation),
-    ];
-    let mut violations: Vec<String> = vec![];
-    let mut tripped: Vec<&'static str> = vec![];
+        let root = SimRng::new(seed);
+        let class_rate = spec.population as f64 * spec.per_client_rate / catalog::ALL.len() as f64;
+        let gens = catalog::ALL
+            .iter()
+            .map(|w| ArrivalGen::new(spec.process, class_rate, root.derive(w.name)))
+            .collect();
+        let rng = root.derive("load/dispatch");
 
-    let meas_start = cluster.now();
-    let tick_ns = spec.tick.as_nanos();
-    let mut crash_cursor = 0usize;
-
-    for tick_i in 0..spec.ticks {
-        // -- arrivals (full population fidelity) --
-        let until = (tick_i as u64 + 1) * tick_ns;
-        let mut tick_arrivals = [0u64; 5];
-        for (c, gen) in gens.iter_mut().enumerate() {
-            let n = gen.arrivals_until(until);
-            tick_arrivals[c] = n;
-            tracks[c].stats.offered += n;
-            tel.add(t_arrivals, n);
-        }
-
-        // -- dispatch, fixed class order --
-        let cap = spec.batch_cap;
-
-        // pubsub: publish a timestamped record on a random topic.
-        for _ in 0..tick_arrivals[PUBSUB].min(cap) {
-            let t = rng.below(topics.len() as u64) as usize;
+        let subs_per_topic = 2u64.min(n_nodes as u64 - 1);
+        let mut subscribers = vec![];
+        for t in 0..N_TOPICS as usize {
             let publisher = (t as u8) % n_nodes;
-            if !cluster.node_online(publisher) {
-                tracks[PUBSUB].stats.failed += subs_per_topic;
-                continue;
-            }
-            let seq = topic_seq[t];
-            let mut payload = [0u8; TOPIC_SLOT_LEN as usize];
-            payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
-            payload[8..16].copy_from_slice(&seq.to_be_bytes());
-            cluster.record_write(publisher, topics[t].slot_record(seq), &payload);
-            topic_seq[t] = seq + 1;
-            cluster.record_write(publisher, topics[t].head_record(), &topic_seq[t].to_be_bytes());
-            tracks[PUBSUB].stats.dispatched += 1;
-        }
-
-        // cache: overwrite one of the cycled files, confirm via a
-        // paired reader's local stat. Node 0 is the sole writer: the
-        // file store's heap cursor is a shared word, and concurrent
-        // cursor bumps from different nodes do not commute (AmpFiles'
-        // single-writer discipline; multi-writer stores coordinate
-        // with a network semaphore).
-        for _ in 0..tick_arrivals[CACHE].min(cap) {
-            let k = rng.below(N_FILES) as usize;
-            let writer = 0u8;
-            if !cluster.node_online(writer) {
-                tracks[CACHE].stats.failed += 1;
-                continue;
-            }
-            let mut payload = [0u8; FILE_PAYLOAD];
-            payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
-            payload[8..12].copy_from_slice(&file_writes[k].to_be_bytes());
-            match cluster.file_write(writer, &store, &file_name(k), &payload) {
-                Ok(()) => {
-                    file_writes[k] += 1;
-                    file_outstanding[k].push_back((file_writes[k], cluster.now()));
-                    tracks[CACHE].stats.dispatched += 1;
-                }
-                Err(_) => tracks[CACHE].stats.failed += 1,
+            for s in 1..=subs_per_topic as u8 {
+                subscribers.push(((publisher + s) % n_nodes, Subscriber::new(topic(t))));
             }
         }
 
-        // socket: ledger-tagged request to the server, echoed back.
-        for _ in 0..tick_arrivals[SOCKET].min(cap) {
-            let client = rng.below(server as u64) as u8;
-            if !cluster.node_online(client) || !cluster.node_online(server) {
-                tracks[SOCKET].stats.failed += 1;
-                continue;
-            }
-            let mut payload = ledger.send(client, server, cluster.now());
-            payload.extend_from_slice(&cluster.now().0.to_be_bytes());
-            let dst = SockAddr {
-                node: server,
-                port: SERVER_PORT,
-            };
-            match cluster.sock_send(client, CLIENT_PORT, dst, &payload) {
-                Ok(()) => {
-                    socket_in_flight += 1;
-                    tracks[SOCKET].stats.dispatched += 1;
-                }
-                Err(_) => tracks[SOCKET].stats.failed += 1,
-            }
+        let server = n_nodes - 1;
+        cluster.sock_bind(server, SERVER_PORT).expect("server port free");
+        for client in 0..server {
+            cluster.sock_bind(client, CLIENT_PORT).expect("client port free");
         }
 
-        // threads: remote task into the next round-robin slot. The
-        // rotation keeps a freshly collected slot out of use for ~56
-        // submissions, so the collector's slot-zeroing broadcast has
-        // long since replicated before another node writes the slot.
-        for _ in 0..tick_arrivals[THREADS].min(cap) {
-            let slot = (0..TASK_SLOTS)
-                .map(|i| (task_cursor + i) % TASK_SLOTS)
-                .find(|s| !tasks_in_flight.contains_key(s));
-            let Some(slot) = slot else {
-                tracks[THREADS].stats.failed += 1; // table saturated: shed
-                continue;
-            };
-            task_cursor = (slot + 1) % TASK_SLOTS;
-            let submitter = rng.below(n_nodes as u64) as u8;
-            let target = (submitter + 1 + rng.below(n_nodes as u64 - 1) as u8) % n_nodes;
-            if !cluster.node_online(submitter) || !cluster.node_online(target) {
-                tracks[THREADS].stats.failed += 1;
-                continue;
-            }
-            let arg = rng.below(u32::MAX as u64) as u32;
-            if cluster.spawn_remote(submitter, slot, TaskKind::Square, target, arg) {
-                tasks_in_flight.insert(slot, (submitter, cluster.now()));
-                tracks[THREADS].stats.dispatched += 1;
-            } else {
-                tracks[THREADS].stats.failed += 1;
-            }
-        }
-
-        // -- advance simulated time --
-        cluster.run_for(spec.tick);
-
-        // -- harvest --
-        harvest(
-            &mut cluster,
-            &mut tracks,
-            &mut subscribers,
-            &store,
-            &mut file_outstanding,
-            server,
-            &mut ledger,
-            &mut socket_in_flight,
-            &mut tasks_in_flight,
-            &mut sem_seen,
-            tel,
-            t_completions,
-            t_lagged,
-            &t_hists,
-        );
-
-        // -- doom ledger traffic for endpoints that crashed --
-        while crash_cursor < crashes.len() && crashes[crash_cursor].0 <= cluster.now() {
-            ledger.doom_endpoint(crashes[crash_cursor].1);
-            crash_cursor += 1;
-        }
-
-        // -- invariants at Step --
-        let expected = expected_in_flight(
-            &tracks,
-            &topic_seq,
+        LoadRun {
+            spec,
+            seed,
+            h: Harness::new(cluster, standard_invariants()),
+            n_nodes,
+            m,
+            gens,
+            rng,
+            topic_seq: vec![0; N_TOPICS as usize],
             subs_per_topic,
-            &file_outstanding,
-            socket_in_flight,
-            &tasks_in_flight,
-            sem_seen,
-            sem_target,
-        );
-        for (c, track) in tracks.iter_mut().enumerate() {
-            track.tick_done(expected[c]);
-        }
-        check_invariants(
-            &invariants,
-            Phase::Step,
-            tick_i,
-            &cluster,
-            &ledger,
-            &mut violations,
-            &mut tripped,
-        );
-    }
-
-    // ---- settle: keep harvesting while the pipeline drains ----
-    let settle_ticks = spec.settle.as_nanos().div_ceil(tick_ns.max(1));
-    for _ in 0..settle_ticks {
-        cluster.run_for(spec.tick);
-        harvest(
-            &mut cluster,
-            &mut tracks,
-            &mut subscribers,
-            &store,
-            &mut file_outstanding,
-            server,
-            &mut ledger,
-            &mut socket_in_flight,
-            &mut tasks_in_flight,
-            &mut sem_seen,
-            tel,
-            t_completions,
-            t_lagged,
-            &t_hists,
-        );
-        while crash_cursor < crashes.len() && crashes[crash_cursor].0 <= cluster.now() {
-            ledger.doom_endpoint(crashes[crash_cursor].1);
-            crash_cursor += 1;
+            subscribers,
+            store: FileStore::new(files),
+            file_writes: vec![0; N_FILES as usize],
+            file_outstanding: (0..N_FILES).map(|_| VecDeque::new()).collect(),
+            socket_in_flight: 0,
+            tasks_in_flight: BTreeMap::new(),
+            task_cursor: 0,
+            sem_target: 0,
+            sem_seen: 0,
         }
     }
 
-    // ---- quiesce: the last settle harvest may itself have emitted
-    // packets (server echoes, slot-freeing collects); give them time
-    // to replicate, then take one final read-only harvest so those
-    // completions are not miscounted as failures. ----
-    cluster.run_for(SimDuration::from_nanos(2 * tick_ns));
-    harvest(
-        &mut cluster,
-        &mut tracks,
-        &mut subscribers,
-        &store,
-        &mut file_outstanding,
-        server,
-        &mut ledger,
-        &mut socket_in_flight,
-        &mut tasks_in_flight,
-        &mut sem_seen,
-        tel,
-        t_completions,
-        t_lagged,
-        &t_hists,
-    );
-    cluster.run_for(SimDuration::from_nanos(2 * tick_ns));
-
-    // ---- close out in-flight work as failed ----
-    // pubsub: records subscribers never confirmed.
-    let expected_deliveries: u64 = topic_seq.iter().sum::<u64>() * subs_per_topic;
-    let seen = tracks[PUBSUB].stats.completed + tracks[PUBSUB].stats.failed;
-    tracks[PUBSUB].stats.failed += expected_deliveries.saturating_sub(seen);
-    for q in &file_outstanding {
-        tracks[CACHE].stats.failed += q.len() as u64;
+    /// sem: a closed-loop contention storm riding the whole window.
+    fn start_sem_storm(&mut self) {
+        let contenders: Vec<u8> = (1..self.n_nodes.min(4)).collect();
+        let rounds = 8u32;
+        self.sem_target = contenders.len() as u64 * rounds as u64;
+        self.h.cluster.start_sem_stress(SemStressConfig {
+            addr: SemaphoreAddr { home: 0, region: 0, offset: SEM_OFFSET },
+            contenders,
+            rounds,
+            crit: SimDuration::from_micros(20),
+            backoff: BackoffPolicy::default(),
+        });
     }
-    tracks[SOCKET].stats.failed += socket_in_flight;
-    tracks[THREADS].stats.failed += tasks_in_flight.len() as u64;
 
-    // sem: fold the storm's own report into the class.
-    if let Some(rep) = cluster.sem_report() {
-        tracks[SEM].stats.dispatched = rep.acquisitions;
-        tracks[SEM].stats.completed = rep.acquisitions;
-        tracks[SEM].stats.failed = rep.unfinished;
-        tracks[SEM].stats.latency.merge(&rep.acquire_latency);
-        // The telemetry copy is rebuilt from quantiles (same count,
-        // bucket-resolution values) — Histogram exposes no sample iter.
-        let n = rep.acquire_latency.count();
-        for i in 0..n {
-            let q = (i as f64 + 0.5) / n as f64;
-            tel.record(t_hists[SEM], rep.acquire_latency.quantile(q));
+    /// One tick of open-loop load: count arrivals at full population
+    /// fidelity, then drive at most `batch_cap` operations per class,
+    /// in fixed class order. An operation that cannot be driven counts
+    /// as failed (a publish: once per subscriber that will miss it).
+    fn dispatch(&mut self, tick_i: u32) {
+        let until = (tick_i as u64 + 1) * self.spec.tick.as_nanos();
+        let mut batch = [0u64; 5];
+        for (c, gen) in self.gens.iter_mut().enumerate() {
+            let n = gen.arrivals_until(until);
+            batch[c] = n.min(self.spec.batch_cap);
+            self.m.stats(c).offered += n;
+            self.m.tel.add(self.m.arrivals, n);
         }
-        tel.add(t_completions, rep.acquisitions);
+        self.drive(PUBSUB, batch[PUBSUB], self.subs_per_topic, Self::publish);
+        self.drive(CACHE, batch[CACHE], 1, Self::write_file);
+        self.drive(SOCKET, batch[SOCKET], 1, Self::send_request);
+        self.drive(THREADS, batch[THREADS], 1, Self::spawn_task);
     }
 
-    // ---- end-of-run invariants ----
-    check_invariants(
-        &invariants,
-        Phase::End,
-        spec.ticks,
-        &cluster,
-        &ledger,
-        &mut violations,
-        &mut tripped,
-    );
-
-    // ---- verdicts ----
-    let verdicts: Vec<SloVerdict> = spec
-        .slos
-        .iter()
-        .map(|slo| {
-            let track = tracks
-                .iter()
-                .find(|t| t.stats.class == slo.class)
-                .unwrap_or_else(|| panic!("SLO for unknown class {}", slo.class));
-            SloVerdict {
-                class: slo.class,
-                p99_ns: track.stats.latency.p99(),
-                p99_max_ns: slo.p99_max.as_nanos(),
-                delivered_ppm: track.stats.delivered_ppm(),
-                min_delivered_ppm: slo.min_delivered_ppm,
-                degraded_window_ns: track.degraded_max * tick_ns,
-                max_degraded_window_ns: slo.max_degraded_window.as_nanos(),
+    /// Run `op` `n` times for `class`: each success is one dispatched
+    /// operation, each refusal `failures` failed ones.
+    fn drive(&mut self, class: usize, n: u64, failures: u64, op: fn(&mut Self) -> bool) {
+        for _ in 0..n {
+            if op(self) {
+                self.m.stats(class).dispatched += 1;
+            } else {
+                self.m.stats(class).failed += failures;
             }
-        })
-        .collect();
+        }
+    }
 
-    LoadReport {
-        seed,
-        population: spec.population,
-        process: spec.process.name(),
-        ticks: spec.ticks,
-        tick_ns,
-        classes: tracks.into_iter().map(|t| t.stats).collect(),
-        verdicts,
-        violations,
-        final_time_ns: cluster.now().0.saturating_sub(meas_start.0),
+    /// pubsub: publish a timestamped record on a random topic.
+    fn publish(&mut self) -> bool {
+        let cluster = &mut self.h.cluster;
+        let t = self.rng.below(N_TOPICS) as usize;
+        let publisher = (t as u8) % self.n_nodes;
+        if !cluster.node_online(publisher) {
+            return false;
+        }
+        let seq = self.topic_seq[t];
+        let mut payload = [0u8; TOPIC_SLOT_LEN as usize];
+        payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
+        payload[8..16].copy_from_slice(&seq.to_be_bytes());
+        let topic = topic(t);
+        cluster.record_write(publisher, topic.slot_record(seq), &payload);
+        self.topic_seq[t] = seq + 1;
+        cluster.record_write(publisher, topic.head_record(), &self.topic_seq[t].to_be_bytes());
+        true
+    }
+
+    /// cache: overwrite one of the cycled files, confirmed later via a
+    /// paired reader's local stat. Node 0 is the sole writer: the file
+    /// store's heap cursor is a shared word, and concurrent cursor
+    /// bumps from different nodes do not commute (AmpFiles'
+    /// single-writer discipline; multi-writer stores coordinate with a
+    /// network semaphore).
+    fn write_file(&mut self) -> bool {
+        let cluster = &mut self.h.cluster;
+        let k = self.rng.below(N_FILES) as usize;
+        let writer = 0u8;
+        if !cluster.node_online(writer) {
+            return false;
+        }
+        let mut payload = [0u8; FILE_PAYLOAD];
+        payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
+        payload[8..12].copy_from_slice(&self.file_writes[k].to_be_bytes());
+        let written = cluster.file_write(writer, &self.store, &file_name(k), &payload).is_ok();
+        if written {
+            self.file_writes[k] += 1;
+            self.file_outstanding[k].push_back((self.file_writes[k], cluster.now()));
+        }
+        written
+    }
+
+    /// socket: ledger-tagged request to the server, echoed back.
+    fn send_request(&mut self) -> bool {
+        let Harness { cluster, ledger, .. } = &mut self.h;
+        let server = self.n_nodes - 1;
+        let client = self.rng.below(server as u64) as u8;
+        if !cluster.node_online(client) || !cluster.node_online(server) {
+            return false;
+        }
+        let mut payload = ledger.send(client, server, cluster.now());
+        payload.extend_from_slice(&cluster.now().0.to_be_bytes());
+        let dst = SockAddr { node: server, port: SERVER_PORT };
+        let sent = cluster.sock_send(client, CLIENT_PORT, dst, &payload).is_ok();
+        self.socket_in_flight += sent as u64;
+        sent
+    }
+
+    /// threads: remote task into the next round-robin slot. The
+    /// rotation keeps a freshly collected slot out of use for ~56
+    /// submissions, so the collector's slot-zeroing broadcast has long
+    /// since replicated before another node writes the slot.
+    fn spawn_task(&mut self) -> bool {
+        let cluster = &mut self.h.cluster;
+        let n_nodes = self.n_nodes;
+        let slot = (0..TASK_SLOTS)
+            .map(|i| (self.task_cursor + i) % TASK_SLOTS)
+            .find(|s| !self.tasks_in_flight.contains_key(s));
+        let Some(slot) = slot else {
+            return false; // table saturated: shed
+        };
+        self.task_cursor = (slot + 1) % TASK_SLOTS;
+        let submitter = self.rng.below(n_nodes as u64) as u8;
+        let target = (submitter + 1 + self.rng.below(n_nodes as u64 - 1) as u8) % n_nodes;
+        if !cluster.node_online(submitter) || !cluster.node_online(target) {
+            return false;
+        }
+        let arg = self.rng.below(u32::MAX as u64) as u32;
+        let spawned = cluster.spawn_remote(submitter, slot, TaskKind::Square, target, arg);
+        if spawned {
+            self.tasks_in_flight.insert(slot, (submitter, cluster.now()));
+        }
+        spawned
+    }
+
+    /// One harvest pass: collect every completion the cluster has made
+    /// visible since the last pass.
+    fn harvest(&mut self) {
+        let Harness { cluster, ledger, .. } = &mut self.h;
+        let now = cluster.now().0;
+
+        // pubsub: poll every subscriber's local replica.
+        for (node, sub) in self.subscribers.iter_mut() {
+            if !cluster.node_online(*node) {
+                continue;
+            }
+            let (skipped, records) = match sub.poll(cluster.cache(*node)) {
+                Ok(PollOutcome::Records(r)) => (0, r),
+                Ok(PollOutcome::Lagged { skipped, records }) => (skipped, records),
+                Ok(PollOutcome::Empty) | Err(_) => continue,
+            };
+            self.m.stats(PUBSUB).failed += skipped;
+            self.m.tel.add(self.m.lagged, skipped);
+            for rec in records {
+                let ts = u64::from_be_bytes(rec[..8].try_into().expect("slot ≥ 8 bytes"));
+                self.m.complete(PUBSUB, now.saturating_sub(ts));
+            }
+        }
+
+        // cache: a write completes when the paired reader's replica
+        // shows its version.
+        for (k, outstanding) in self.file_outstanding.iter_mut().enumerate() {
+            if outstanding.is_empty() {
+                continue;
+            }
+            // Paired reader: any node but the writer (node 0).
+            let reader = 1 + (k as u8) % (self.n_nodes - 1);
+            if !cluster.node_online(reader) {
+                continue;
+            }
+            let Ok(info) = self.store.stat(cluster.cache(reader), &file_name(k)) else {
+                continue;
+            };
+            while let Some(&(version, sent_at)) = outstanding.front() {
+                if version > info.version {
+                    break;
+                }
+                outstanding.pop_front();
+                self.m.complete(CACHE, now.saturating_sub(sent_at.0));
+            }
+        }
+
+        // socket: server echoes requests; clients complete on the echo.
+        let server = self.n_nodes - 1;
+        if cluster.node_online(server) {
+            while let Some(req) = cluster.sock_recv(server, SERVER_PORT) {
+                ledger.drained(server, &req.data[..14]);
+                let _ = cluster.sock_send(server, SERVER_PORT, req.from, &req.data);
+            }
+        }
+        for client in 0..server {
+            if !cluster.node_online(client) {
+                continue;
+            }
+            while let Some(echo) = cluster.sock_recv(client, CLIENT_PORT) {
+                let ts = u64::from_be_bytes(echo.data[14..22].try_into().expect("echo carries ts"));
+                self.socket_in_flight = self.socket_in_flight.saturating_sub(1);
+                self.m.complete(SOCKET, now.saturating_sub(ts));
+            }
+        }
+
+        // threads: collect finished tasks (frees slots network-wide).
+        let m = &mut self.m;
+        self.tasks_in_flight.retain(|&slot, &mut (submitter, sent_at)| {
+            let done = cluster.node_online(submitter)
+                && cluster.collect_remote(submitter, slot).is_some();
+            if done {
+                m.complete(THREADS, now.saturating_sub(sent_at.0));
+            }
+            !done
+        });
+
+        // sem: acquisitions since last pass (latency folded in at the end).
+        if let Some(rep) = cluster.sem_report() {
+            let delta = rep.acquisitions.saturating_sub(self.sem_seen);
+            self.sem_seen = rep.acquisitions;
+            self.m.tracks[SEM].completed_this_tick += delta;
+        }
+    }
+
+    /// pubsub: deliveries published but neither confirmed nor lagged past.
+    fn unconfirmed_deliveries(&self) -> u64 {
+        let pubsub = &self.m.tracks[PUBSUB].stats;
+        let published = self.topic_seq.iter().sum::<u64>() * self.subs_per_topic;
+        published.saturating_sub(pubsub.completed + pubsub.failed)
+    }
+
+    /// Which classes still have work in flight (degraded-window input).
+    fn in_flight(&self) -> [bool; 5] {
+        [
+            self.unconfirmed_deliveries() > 0,
+            self.file_outstanding.iter().any(|q| !q.is_empty()),
+            self.socket_in_flight > 0,
+            !self.tasks_in_flight.is_empty(),
+            self.sem_seen < self.sem_target,
+        ]
+    }
+
+    /// Close out one tick: a class with work in flight and zero
+    /// completions extends its degraded window.
+    fn tick_done(&mut self) {
+        let in_flight = self.in_flight();
+        for (t, busy) in self.m.tracks.iter_mut().zip(in_flight) {
+            t.degraded_run = if busy && t.completed_this_tick == 0 { t.degraded_run + 1 } else { 0 };
+            t.degraded_max = t.degraded_max.max(t.degraded_run);
+            t.completed_this_tick = 0;
+        }
+    }
+
+    /// Count what is still in flight as failed and fold the semaphore
+    /// storm's own report into its class.
+    fn close_out(&mut self) {
+        self.m.stats(PUBSUB).failed += self.unconfirmed_deliveries();
+        let unconfirmed: usize = self.file_outstanding.iter().map(VecDeque::len).sum();
+        self.m.stats(CACHE).failed += unconfirmed as u64;
+        self.m.stats(SOCKET).failed += self.socket_in_flight;
+        self.m.stats(THREADS).failed += self.tasks_in_flight.len() as u64;
+
+        if let Some(rep) = self.h.cluster.sem_report() {
+            let sem = self.m.stats(SEM);
+            sem.dispatched = rep.acquisitions;
+            sem.completed = rep.acquisitions;
+            sem.failed = rep.unfinished;
+            sem.latency.merge(&rep.acquire_latency);
+            // The telemetry copy is rebuilt from quantiles (same count,
+            // bucket-resolution values) — Histogram exposes no sample iter.
+            let n = rep.acquire_latency.count();
+            for i in 0..n {
+                let q = (i as f64 + 0.5) / n as f64;
+                self.m.tel.record(self.m.hists[SEM], rep.acquire_latency.quantile(q));
+            }
+            self.m.tel.add(self.m.completions, rep.acquisitions);
+        }
+    }
+
+    /// Judge the SLOs and assemble the report.
+    fn report(self, meas_start: SimTime) -> LoadReport {
+        let spec = self.spec;
+        let tick_ns = spec.tick.as_nanos();
+        let verdicts = spec
+            .slos
+            .iter()
+            .map(|slo| {
+                let track = self
+                    .m
+                    .tracks
+                    .iter()
+                    .find(|t| t.stats.class == slo.class)
+                    .unwrap_or_else(|| panic!("SLO for unknown class {}", slo.class));
+                SloVerdict {
+                    class: slo.class,
+                    p99_ns: track.stats.latency.p99(),
+                    p99_max_ns: slo.p99_max.as_nanos(),
+                    delivered_ppm: track.stats.delivered_ppm(),
+                    min_delivered_ppm: slo.min_delivered_ppm,
+                    degraded_window_ns: track.degraded_max * tick_ns,
+                    max_degraded_window_ns: slo.max_degraded_window.as_nanos(),
+                }
+            })
+            .collect();
+        let violations = self
+            .h
+            .violations()
+            .iter()
+            .map(|v| format!("{}: {}", v.invariant, v.detail))
+            .collect();
+        LoadReport {
+            seed: self.seed,
+            population: spec.population,
+            process: spec.process.name(),
+            ticks: spec.ticks,
+            tick_ns,
+            classes: self.m.tracks.into_iter().map(|t| t.stats).collect(),
+            verdicts,
+            violations,
+            final_time_ns: self.h.cluster.now().0.saturating_sub(meas_start.0),
+        }
     }
 }
 
-fn topic_footprint() -> u32 {
-    TopicLayout {
-        region: TOPIC_REGION,
-        base: 0,
-        slots: TOPIC_SLOTS,
-        slot_len: TOPIC_SLOT_LEN,
-    }
-    .footprint()
+/// Layout of topic `t`; topics are packed back to back.
+fn topic(t: usize) -> TopicLayout {
+    let (region, slots, slot_len) = (TOPIC_REGION, TOPIC_SLOTS, TOPIC_SLOT_LEN);
+    let first = TopicLayout { region, base: 0, slots, slot_len };
+    TopicLayout { base: t as u32 * first.footprint(), ..first }
 }
 
 fn file_name(k: usize) -> String {
     format!("k{k:02}")
-}
-
-/// Which classes still have work in flight (degraded-window input).
-#[allow(clippy::too_many_arguments)]
-fn expected_in_flight(
-    tracks: &[ClassTrack],
-    topic_seq: &[u64],
-    subs_per_topic: u64,
-    file_outstanding: &[VecDeque<(u32, SimTime)>],
-    socket_in_flight: u64,
-    tasks_in_flight: &BTreeMap<u32, (u8, SimTime)>,
-    sem_seen: u64,
-    sem_target: u64,
-) -> [bool; 5] {
-    let pub_expected = topic_seq.iter().sum::<u64>() * subs_per_topic;
-    [
-        pub_expected > tracks[0].stats.completed + tracks[0].stats.failed,
-        file_outstanding.iter().any(|q| !q.is_empty()),
-        socket_in_flight > 0,
-        !tasks_in_flight.is_empty(),
-        sem_seen < sem_target,
-    ]
-}
-
-/// One harvest pass: collect every completion the cluster has made
-/// visible since the last pass.
-#[allow(clippy::too_many_arguments)]
-fn harvest(
-    cluster: &mut Cluster,
-    tracks: &mut [ClassTrack],
-    subscribers: &mut [(u8, Subscriber)],
-    store: &FileStore,
-    file_outstanding: &mut [VecDeque<(u32, SimTime)>],
-    server: u8,
-    ledger: &mut Ledger,
-    socket_in_flight: &mut u64,
-    tasks_in_flight: &mut BTreeMap<u32, (u8, SimTime)>,
-    sem_seen: &mut u64,
-    tel: &Telemetry,
-    t_completions: ampnet_telemetry::CounterHandle,
-    t_lagged: ampnet_telemetry::CounterHandle,
-    t_hists: &[ampnet_telemetry::HistHandle; 5],
-) {
-    let now = cluster.now();
-
-    // pubsub: poll every subscriber's local replica.
-    for (node, sub) in subscribers.iter_mut() {
-        if !cluster.node_online(*node) {
-            continue;
-        }
-        let outcome = match sub.poll(cluster.cache(*node)) {
-            Ok(o) => o,
-            Err(_) => continue,
-        };
-        let (skipped, records) = match outcome {
-            PollOutcome::Records(r) => (0, r),
-            PollOutcome::Lagged { skipped, records } => (skipped, records),
-            PollOutcome::Empty => continue,
-        };
-        tracks[0].stats.failed += skipped;
-        tel.add(t_lagged, skipped);
-        for rec in records {
-            let ts = u64::from_be_bytes(rec[..8].try_into().expect("slot ≥ 8 bytes"));
-            let lat = now.0.saturating_sub(ts);
-            tracks[0].stats.latency.record(lat);
-            tracks[0].stats.completed += 1;
-            tracks[0].completed_this_tick += 1;
-            tel.record(t_hists[0], lat);
-            tel.inc(t_completions);
-        }
-    }
-
-    // cache: a write completes when the paired reader's replica shows
-    // its version.
-    for (k, outstanding) in file_outstanding.iter_mut().enumerate() {
-        if outstanding.is_empty() {
-            continue;
-        }
-        // Paired reader: any node but the writer (node 0).
-        let reader = 1 + (k as u8) % (cluster.n_nodes() as u8 - 1);
-        if !cluster.node_online(reader) {
-            continue;
-        }
-        let Ok(info) = store.stat(cluster.cache(reader), &file_name(k)) else {
-            continue;
-        };
-        while let Some(&(version, sent_at)) = outstanding.front() {
-            if version > info.version {
-                break;
-            }
-            outstanding.pop_front();
-            let lat = now.0.saturating_sub(sent_at.0);
-            tracks[1].stats.latency.record(lat);
-            tracks[1].stats.completed += 1;
-            tracks[1].completed_this_tick += 1;
-            tel.record(t_hists[1], lat);
-            tel.inc(t_completions);
-        }
-    }
-
-    // socket: server echoes requests; clients complete on the echo.
-    if cluster.node_online(server) {
-        while let Some(req) = cluster.sock_recv(server, SERVER_PORT) {
-            ledger.drained(server, &req.data[..14]);
-            let _ = cluster.sock_send(server, SERVER_PORT, req.from, &req.data);
-        }
-    }
-    for client in 0..server {
-        if !cluster.node_online(client) {
-            continue;
-        }
-        while let Some(echo) = cluster.sock_recv(client, CLIENT_PORT) {
-            let ts = u64::from_be_bytes(echo.data[14..22].try_into().expect("echo carries ts"));
-            let lat = now.0.saturating_sub(ts);
-            *socket_in_flight = socket_in_flight.saturating_sub(1);
-            tracks[2].stats.latency.record(lat);
-            tracks[2].stats.completed += 1;
-            tracks[2].completed_this_tick += 1;
-            tel.record(t_hists[2], lat);
-            tel.inc(t_completions);
-        }
-    }
-
-    // threads: collect finished tasks (frees slots network-wide).
-    let slots: Vec<u32> = tasks_in_flight.keys().copied().collect();
-    for slot in slots {
-        let (submitter, sent_at) = tasks_in_flight[&slot];
-        if !cluster.node_online(submitter) {
-            continue;
-        }
-        if cluster.collect_remote(submitter, slot).is_some() {
-            tasks_in_flight.remove(&slot);
-            let lat = now.0.saturating_sub(sent_at.0);
-            tracks[3].stats.latency.record(lat);
-            tracks[3].stats.completed += 1;
-            tracks[3].completed_this_tick += 1;
-            tel.record(t_hists[3], lat);
-            tel.inc(t_completions);
-        }
-    }
-
-    // sem: acquisitions since last pass (latency folded in at the end).
-    if let Some(rep) = cluster.sem_report() {
-        let delta = rep.acquisitions.saturating_sub(*sem_seen);
-        *sem_seen = rep.acquisitions;
-        tracks[4].completed_this_tick += delta;
-    }
-}
-
-fn check_invariants(
-    invariants: &[Box<dyn Invariant>],
-    phase: Phase,
-    step: u32,
-    cluster: &Cluster,
-    ledger: &Ledger,
-    violations: &mut Vec<String>,
-    tripped: &mut Vec<&'static str>,
-) {
-    let ctx = CheckCtx {
-        phase,
-        step,
-        now: cluster.now(),
-        cluster,
-        ledger,
-        policy: None,
-    };
-    for inv in invariants {
-        if tripped.contains(&inv.name()) {
-            continue; // report each invariant once
-        }
-        if let Err(detail) = inv.check(&ctx) {
-            tripped.push(inv.name());
-            violations.push(format!("{}: {detail}", inv.name()));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -769,6 +671,18 @@ mod tests {
         let mut spec = LoadSpec::standard(8_000, ArrivalProcess::Poisson);
         spec.ticks = 20;
         spec
+    }
+
+    /// The load run checks the same list `ScenarioBuilder::standard_invariants`
+    /// attaches: the engine used to keep a private copy that had
+    /// silently dropped `failover-within-policy`.
+    #[test]
+    fn load_run_checks_the_standard_catalogue() {
+        let (spec, tel) = (small_spec(), Telemetry::disabled());
+        let names = LoadRun::new(ClusterConfig::small(6), &spec, &tel).h.invariant_names();
+        let standard: Vec<_> = standard_invariants().iter().map(|inv| inv.name()).collect();
+        assert_eq!(names, standard);
+        assert!(names.contains(&"failover-within-policy"), "{names:?}");
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! [`ampnet_telemetry::Histogram`] and is judged against declarative
 //! [`SloSpec`]s — `p99 ≤ X`, delivered fraction ≥ Y, bounded
 //! degraded-throughput window — yielding pass/fail [`SloVerdict`]s in
-//! a [`LoadReport`]. Workloads compose with `ampnet-chaos` fault
-//! schedules ([`ampnet_chaos::apply_fault_schedule`]) and run under
-//! the standard chaos invariant catalogue; the same seed always yields
+//! a [`LoadReport`]. A run is a driver on the chaos
+//! [`ampnet_chaos::Harness`]: it composes with `ampnet-chaos` fault
+//! schedules ([`LoadSpec::faults`]) and is checked by
+//! [`ampnet_chaos::standard_invariants`]; the same seed always yields
 //! a byte-identical report ([`LoadReport::to_json`]).
 //!
 //! ```

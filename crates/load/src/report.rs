@@ -176,43 +176,32 @@ impl LoadReport {
     /// FNV-1a digest over everything `to_json` renders except the
     /// digest field itself (seed, counts, percentiles, verdicts).
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        eat(self.seed);
-        eat(self.population);
-        // Eat the process *bytes*, not just its length: a 1M-client
+        let mut h = ampnet_sim::Fnv64::new();
+        h.fold_u64(self.seed).fold_u64(self.population);
+        // Fold the process *bytes*, not just its length: a 1M-client
         // cell saturates batch_cap every tick under any process, and
         // over whole diurnal periods the offered totals match Poisson's
         // to ±1 on the same substream — the process name can be the
         // only field separating two otherwise identical reports.
         for b in self.process.bytes() {
-            eat(b as u64);
+            h.fold_u64(b as u64);
         }
-        eat(self.ticks as u64);
-        eat(self.final_time_ns);
+        h.fold_u64(self.ticks as u64).fold_u64(self.final_time_ns);
         for c in &self.classes {
-            eat(c.offered);
-            eat(c.dispatched);
-            eat(c.completed);
-            eat(c.failed);
-            eat(c.latency.count());
-            eat(c.latency.p50());
-            eat(c.latency.p99());
-            eat(c.latency.quantile(0.999));
+            let l = &c.latency;
+            for v in [c.offered, c.dispatched, c.completed, c.failed] {
+                h.fold_u64(v);
+            }
+            for v in [l.count(), l.p50(), l.p99(), l.quantile(0.999)] {
+                h.fold_u64(v);
+            }
         }
-        for v in &self.verdicts {
-            eat(v.p99_ns);
-            eat(v.delivered_ppm);
-            eat(v.degraded_window_ns);
-            eat(v.pass() as u64);
+        for s in &self.verdicts {
+            for v in [s.p99_ns, s.delivered_ppm, s.degraded_window_ns, s.pass() as u64] {
+                h.fold_u64(v);
+            }
         }
-        eat(self.violations.len() as u64);
-        h
+        h.fold_u64(self.violations.len() as u64).finish()
     }
 }
 

@@ -11,7 +11,8 @@
 //! * [`detect`]/[`Detection`] — hardware loss-of-light and heartbeat
 //!   failure detection against the live ring.
 //! * [`run_rostering`]/[`RosterOutcome`] — the two-tour protocol with
-//!   full microsecond accounting; [`initial_rostering`] boots a plant.
+//!   full microsecond accounting; [`initial_rostering`] boots a plant
+//!   and [`planned_rostering`] extends a live ring (join, repair).
 //!
 //! The committed ring is provably maximal: the master's computation is
 //! the exact solver from [`ampnet_topo`], and `RosterOutcome::ring`
@@ -26,4 +27,6 @@ mod protocol;
 
 pub use detect::{detect, elect_flooding_master, elect_master, Detection};
 pub use params::RosterParams;
-pub use protocol::{initial_rostering, run_rostering, RosterOutcome, RosterSkip};
+pub use protocol::{
+    initial_rostering, planned_rostering, run_rostering, RosterOutcome, RosterSkip,
+};

@@ -127,64 +127,8 @@ pub fn run_rostering(
     };
 
     // The ring the algorithm will discover and commit.
-    let new_ring = plant.largest_ring();
-
-    // Rotate so the tour starts at the master. The master is alive
-    // and connectable, but off-crossbar the maximal ring may still
-    // exclude it (a torus minus one vertex has no Hamiltonian cycle
-    // through every survivor); `rotate_to` then leaves the ring as-is.
-    let ring = rotate_to(&new_ring, master);
-
-    // ----- Tour 1: explore -----
-    let mut explore_time = SimDuration::ZERO;
-    let mut failed_probes = 0u64;
-    let n = ring.order.len();
-    for i in 0..n {
-        let u = ring.order[i];
-        let v = ring.order[(i + 1) % n];
-        // Probe candidates with ids cyclically between u and v that
-        // are not ring members reachable later — each dead/unreachable
-        // candidate burns one probe timeout. This models the flooding
-        // search for available paths.
-        let dead_between = dead_candidates_between(plant, u, v);
-        failed_probes += dead_between;
-        explore_time += params.probe_timeout.saturating_mul(dead_between);
-        // The successful hop.
-        let fiber = plant.hop_fiber_m(u, v, &ring.hops[i]);
-        explore_time += params.hop_cost(fiber, EXPLORE_WIRE);
-    }
-
-    // ----- Tour 2: commit -----
-    let wire = commit_wire(n);
-    let mut commit_time = SimDuration::ZERO;
-    for i in 0..n {
-        let u = ring.order[i];
-        let v = ring.order[(i + 1) % n];
-        let fiber = plant.hop_fiber_m(u, v, &ring.hops[i]);
-        commit_time += params.hop_cost(fiber, wire);
-    }
-
-    // Normalizer: a quiet roster-speed tour (explore-size packets).
-    let mut ring_tour = SimDuration::ZERO;
-    for i in 0..n {
-        let u = ring.order[i];
-        let v = ring.order[(i + 1) % n];
-        ring_tour += params.hop_cost(plant.hop_fiber_m(u, v, &ring.hops[i]), EXPLORE_WIRE);
-    }
-
-    let completed_at = failed_at + detect_time + explore_time + commit_time;
-    Ok(RosterOutcome {
-        epoch: epoch + 1,
-        ring,
-        master,
-        failed_at,
-        completed_at,
-        detect_time,
-        explore_time,
-        commit_time,
-        failed_probes,
-        ring_tour,
-    })
+    let ring = plant.largest_ring();
+    Ok(episode(plant, &ring, master, failed_at, detect_time, epoch + 1, params))
 }
 
 /// Bring-up rostering: boot the whole plant with no prior ring.
@@ -193,44 +137,75 @@ pub fn initial_rostering(
     plant: &Plant,
     params: &RosterParams,
 ) -> Result<RosterOutcome, RosterSkip> {
-    let alive = plant.alive_nodes();
-    let Some(&master) = alive.first() else {
-        return Err(RosterSkip::NoSurvivors);
-    };
-    let ring = rotate_to(&plant.largest_ring(), master);
+    planned_rostering(plant, &plant.largest_ring(), SimTime::ZERO, 1, params)
+}
+
+/// A planned episode — bring-up, or a join or repair extending a live
+/// ring: no failure to detect, the lowest-id alive node commits `ring`
+/// (the plant's largest, solved by the caller) as `epoch`, starting
+/// at `at`.
+pub fn planned_rostering(
+    plant: &Plant,
+    ring: &PlantRing,
+    at: SimTime,
+    epoch: u64,
+    params: &RosterParams,
+) -> Result<RosterOutcome, RosterSkip> {
+    let master = plant.alive_nodes().first().copied().ok_or(RosterSkip::NoSurvivors)?;
+    Ok(episode(plant, ring, master, at, SimDuration::ZERO, epoch, params))
+}
+
+/// Account the two token tours that commit `ring` from `master`.
+fn episode(
+    plant: &Plant,
+    ring: &PlantRing,
+    master: NodeId,
+    failed_at: SimTime,
+    detect_time: SimDuration,
+    epoch: u64,
+    params: &RosterParams,
+) -> RosterOutcome {
+    // Rotate so the tour starts at the master. The master is alive
+    // and connectable, but off-crossbar the maximal ring may still
+    // exclude it (a torus minus one vertex has no Hamiltonian cycle
+    // through every survivor); `rotate_to` then leaves the ring as-is.
+    let ring = rotate_to(ring, master);
     let n = ring.order.len();
-    let mut explore_time = SimDuration::ZERO;
-    let mut failed_probes = 0;
-    let mut ring_tour = SimDuration::ZERO;
-    for i in 0..n {
-        let u = ring.order[i];
-        let v = ring.order[(i + 1) % n];
-        let dead = dead_candidates_between(plant, u, v);
-        failed_probes += dead;
-        explore_time += params.probe_timeout.saturating_mul(dead);
-        let fiber = plant.hop_fiber_m(u, v, &ring.hops[i]);
-        explore_time += params.hop_cost(fiber, EXPLORE_WIRE);
-        ring_tour += params.hop_cost(fiber, EXPLORE_WIRE);
-    }
     let wire = commit_wire(n);
+    let mut explore_time = SimDuration::ZERO;
     let mut commit_time = SimDuration::ZERO;
+    let mut ring_tour = SimDuration::ZERO;
+    let mut failed_probes = 0u64;
     for i in 0..n {
         let u = ring.order[i];
         let v = ring.order[(i + 1) % n];
-        commit_time += params.hop_cost(plant.hop_fiber_m(u, v, &ring.hops[i]), wire);
+        // Tour 1, explore: probe candidates with ids cyclically between
+        // u and v that are not ring members reachable later — each
+        // dead/unreachable candidate burns one probe timeout (the
+        // flooding search for available paths) — then the successful hop.
+        let dead_between = dead_candidates_between(plant, u, v);
+        failed_probes += dead_between;
+        explore_time += params.probe_timeout.saturating_mul(dead_between);
+        let fiber = plant.hop_fiber_m(u, v, &ring.hops[i]);
+        let quiet_hop = params.hop_cost(fiber, EXPLORE_WIRE);
+        explore_time += quiet_hop;
+        // Tour 2, commit: the roster message is larger.
+        commit_time += params.hop_cost(fiber, wire);
+        // Normalizer: a quiet roster-speed tour (explore-size packets).
+        ring_tour += quiet_hop;
     }
-    Ok(RosterOutcome {
-        epoch: 1,
+    RosterOutcome {
+        epoch,
         ring,
         master,
-        failed_at: SimTime::ZERO,
-        completed_at: SimTime::ZERO + explore_time + commit_time,
-        detect_time: SimDuration::ZERO,
+        failed_at,
+        completed_at: failed_at + detect_time + explore_time + commit_time,
+        detect_time,
         explore_time,
         commit_time,
         failed_probes,
         ring_tour,
-    })
+    }
 }
 
 fn rotate_to(ring: &PlantRing, start: NodeId) -> PlantRing {

@@ -16,10 +16,8 @@
 //! and must resume at exactly the crossing's maturity.
 
 use ampnet::chaos::multiseg::MultiSegScenario;
-use ampnet::core::{
-    ClusterConfig, Component, GlobalAddr, Lookahead, MultiSegment, NodeId, ParallelMode,
-    SimDuration, SwitchId,
-};
+use ampnet::chaos::FaultOp;
+use ampnet::core::{ClusterConfig, GlobalAddr, Lookahead, MultiSegment, ParallelMode, SimDuration};
 
 fn ga(segment: u8, node: u8) -> GlobalAddr {
     GlobalAddr { segment, node }
@@ -106,11 +104,7 @@ fn chaos_scenario(policy: Lookahead) -> MultiSegScenario {
     sc.send_at(SimDuration::from_micros(50), ga(0, 1), ga(2, 2), b"before");
     // The cut lands while "during" is crossing the network.
     sc.send_at(SimDuration::from_micros(290), ga(2, 1), ga(0, 2), b"during");
-    sc.fail_at(
-        SimDuration::from_micros(300),
-        1,
-        Component::Link(NodeId(2), SwitchId(0)),
-    );
+    sc.fault_at(SimDuration::from_micros(300), 1, FaultOp::CutFiber(2, 0));
     sc.send_at(SimDuration::from_millis(2), ga(0, 1), ga(2, 2), b"after");
     sc
 }
@@ -179,11 +173,7 @@ fn storm_scenario(policy: Lookahead) -> MultiSegScenario {
         }
     }
     // The cut lands mid-gap, when adaptive slices are fully grown.
-    sc.fail_at(
-        SimDuration::from_micros(2_000),
-        2,
-        Component::Link(NodeId(1), SwitchId(0)),
-    );
+    sc.fault_at(SimDuration::from_micros(2_000), 2, FaultOp::CutFiber(1, 0));
     sc
 }
 
@@ -423,11 +413,7 @@ fn fused_region_cut_scenario(policy: Lookahead) -> MultiSegScenario {
     // long enough for the quiet streak to arm fusion many times over.
     sc.send_at(SimDuration::from_micros(40), ga(0, 1), ga(2, 2), b"pre-a");
     sc.send_at(SimDuration::from_micros(60), ga(2, 1), ga(0, 2), b"pre-b");
-    sc.fail_at(
-        SimDuration::from_micros(2_500),
-        1,
-        Component::Link(NodeId(1), SwitchId(0)),
-    );
+    sc.fault_at(SimDuration::from_micros(2_500), 1, FaultOp::CutFiber(1, 0));
     // After the splice heals, the first crossings re-dirty both
     // bridges; none may be lost at the fusion boundary.
     sc.send_at(SimDuration::from_millis(4), ga(0, 1), ga(2, 2), b"post-a");
