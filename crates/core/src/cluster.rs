@@ -668,3 +668,99 @@ impl Cluster {
 // reintroduces a non-`Send` handle (the telemetry `Rc` was the last).
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Cluster>();
+
+#[cfg(test)]
+mod tests {
+    //! The kernel's event queue is a binary heap because the live queue
+    //! is shallow: a few events per node plus pre-scheduled faults and
+    //! application timers (DESIGN.md §13; the benchmark workloads peak
+    //! at 140–149 stored entries). These tests make that traffic
+    //! assumption executable — if a future workload breaks it, they
+    //! fail and the queue choice needs revisiting.
+
+    use super::*;
+    use ampnet_dk::{Features, Version};
+    use ampnet_topo::SwitchId;
+
+    /// What the heap is sized and justified for.
+    const SHALLOW: usize = 256;
+
+    /// Advance to `deadline` one event instant at a time, sampling the
+    /// queue between instants — where its depth peaks, since handlers
+    /// only push and the next pop only removes. Returns the high-water.
+    fn pending_high_water(c: &mut Cluster, deadline: SimTime) -> usize {
+        let mut high = c.sim.pending();
+        while let Some(t) = c.next_event_time().filter(|&t| t <= deadline) {
+            c.run_until(t);
+            high = high.max(c.sim.pending());
+        }
+        c.run_until(deadline);
+        high
+    }
+
+    #[test]
+    fn event_queue_stays_shallow_under_multiseg_style_bursts() {
+        // One segment of the `multiseg_scale` shape: 32 nodes, 96
+        // unicasts injected at once every 250 µs, sizes cycling so most
+        // datagrams fragment.
+        let mut c = Cluster::new(ClusterConfig::small(32).with_seed(16));
+        c.run_for(SimDuration::from_millis(2));
+        assert!(c.ring_up());
+        let payload = [0xA5u8; 260];
+        let mut high = 0;
+        for round in 0..8usize {
+            for k in 0..96usize {
+                let src = k % 32;
+                let dst = (src + 1 + (k * 7 + round) % 31) % 32;
+                let len = [12, 68, 260][(round + k) % 3];
+                c.send_message(src as u8, dst as u8, crate::ROUTE_STREAM, &payload[..len]);
+            }
+            let deadline = c.now() + SimDuration::from_micros(250);
+            high = high.max(pending_high_water(&mut c, deadline));
+        }
+        assert_eq!(c.total_drops(), 0);
+        assert!(high < SHALLOW, "queue high-water {high} under bursts");
+    }
+
+    #[test]
+    fn event_queue_stays_shallow_through_a_heal_cycle() {
+        // One `chaos_heal` cycle — crash, cut, rejoin (online ~71 ms
+        // after it is asked to), splice — under all-to-all traffic and
+        // a replicated cache write from every node every 4 ms.
+        let mut c = Cluster::new(ClusterConfig::small(16).with_seed(16));
+        c.run_for(SimDuration::from_millis(10));
+        assert!(c.ring_up());
+        let t0 = c.now();
+        let at = |ms| t0 + SimDuration::from_millis(ms);
+        let fiber = Component::Link(NodeId(5), SwitchId(0));
+        c.schedule_failure(at(8), Component::Node(NodeId(3)));
+        c.schedule_failure(at(16), fiber);
+        let req = JoinRequest {
+            node: 3,
+            version: Version::new(1, 0, 0),
+            features: Features::NONE,
+            diagnostics_pass: true,
+        };
+        c.schedule_join(at(24), 3, req);
+        c.schedule_repair(at(104), fiber);
+        let mut high = 0;
+        for step in 1..=30 {
+            let online: Vec<u8> = (0..16).filter(|&n| c.node_online(n)).collect();
+            for &src in &online {
+                for &dst in online.iter().filter(|&&d| d != src) {
+                    c.send_message(src, dst, 1, &[src; 32]);
+                }
+                c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]);
+            }
+            high = high.max(pending_high_water(&mut c, at(4 * step)));
+        }
+        assert!(c.ring_up());
+        assert_eq!(c.ring().len(), 16, "node 3 is back and the fiber spliced");
+        assert_eq!(
+            c.roster_history().len(),
+            4,
+            "boot, crash, cut, rejoin (the splice enlarges nothing)"
+        );
+        assert!(high < SHALLOW, "queue high-water {high} through healing");
+    }
+}

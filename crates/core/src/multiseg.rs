@@ -303,15 +303,19 @@ pub struct MultiSegment {
     coord: Option<CoordTel>,
 }
 
+/// Bytes of route header ahead of the payload: destination and source
+/// `(segment, node)`.
+const ROUTE_HEADER: usize = 4;
+
 fn encode(dst: GlobalAddr, src: GlobalAddr, payload: &[u8]) -> Vec<u8> {
-    let mut wire = Vec::with_capacity(4 + payload.len());
+    let mut wire = Vec::with_capacity(ROUTE_HEADER + payload.len());
     wire.extend_from_slice(&[dst.segment, dst.node, src.segment, src.node]);
     wire.extend_from_slice(payload);
     wire
 }
 
 fn decode(wire: &[u8]) -> Option<(GlobalAddr, GlobalAddr, &[u8])> {
-    if wire.len() < 4 {
+    if wire.len() < ROUTE_HEADER {
         return None;
     }
     Some((
@@ -323,7 +327,7 @@ fn decode(wire: &[u8]) -> Option<(GlobalAddr, GlobalAddr, &[u8])> {
             segment: wire[2],
             node: wire[3],
         },
-        &wire[4..],
+        &wire[ROUTE_HEADER..],
     ))
 }
 
@@ -536,22 +540,24 @@ impl Exchange<'_> {
                 // Collect with the shard locked, then route with the
                 // lock released (routing peeks at other shards).
                 let mut datagrams = std::mem::take(&mut routes.datagrams);
-                datagrams.clear();
                 {
                     let mut c = shard(&cells[seg as usize]);
                     while let Some(d) = c.pop_message_on(node, ROUTE_STREAM) {
                         datagrams.push(d);
                     }
                 }
-                for d in &datagrams {
-                    let Some((dst, src, payload)) = decode(&d.payload) else {
+                for mut d in datagrams.drain(..) {
+                    let Some((dst, src, _)) = decode(&d.payload) else {
                         continue;
                     };
                     let here = GlobalAddr { segment: seg, node };
                     if dst == here {
+                        // Final hop: the reassembled buffer becomes the
+                        // delivered payload, minus the route header.
+                        d.payload.drain(..ROUTE_HEADER);
                         self.delivered[seg as usize][node as usize].push_back(GlobalDatagram {
                             src,
-                            payload: payload.to_vec(),
+                            payload: d.payload,
                         });
                     } else if dst.segment == seg {
                         // Mis-delivered within segment (should not
@@ -574,7 +580,7 @@ impl Exchange<'_> {
                                     self.crossing.push(bi, InFlight {
                                         deliver_at: now + br.latency,
                                         ingress: remote,
-                                        wire: d.payload.clone(),
+                                        wire: d.payload,
                                     });
                                 } else {
                                     // Reach the proper router first.
@@ -784,7 +790,10 @@ impl Drop for DoneGuard<'_> {
 }
 
 /// One planned slice: the boundary every shard advances to, plus which
-/// shards actually have work before it.
+/// shards actually have work before it. One instance is re-planned in
+/// place for every slice of a `run_until`, so planning allocates
+/// nothing after the first slice.
+#[derive(Default)]
 struct SlicePlan {
     step_to: SimTime,
     /// `busy[i]` — shard `i` has an event due at or before `step_to`
@@ -792,42 +801,43 @@ struct SlicePlan {
     /// clock bump.
     busy: Vec<bool>,
     quiescent: u64,
+    /// Scratch: every shard's next event time, as peeked for this plan.
+    nexts: Vec<Option<SimTime>>,
 }
 
-/// Plan the next slice, or `None` once every shard has reached
-/// `deadline`. Pure function of deterministic shard state (clock
-/// maxima, queue peeks, in-flight crossings), so Serial and Threads
-/// modes plan identical boundary sequences — the whole determinism
-/// argument reduces to this.
-fn plan_slice(
-    cells: &[ShardCell<'_>],
-    crossing: &CrossingSet,
-    planner: &SlicePlanner,
-    deadline: SimTime,
-) -> Option<SlicePlan> {
-    let mut now = SimTime::ZERO;
-    let mut nexts = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let mut c = shard(cell);
-        now = now.max(c.now());
-        nexts.push(c.next_event_time());
+impl SlicePlan {
+    /// Plan the next slice; `false` once every shard has reached
+    /// `deadline`. Pure function of deterministic shard state (clock
+    /// maxima, queue peeks, in-flight crossings), so Serial and Threads
+    /// modes plan identical boundary sequences — the whole determinism
+    /// argument reduces to this.
+    fn next(
+        &mut self,
+        cells: &[ShardCell<'_>],
+        crossing: &CrossingSet,
+        planner: &SlicePlanner,
+        deadline: SimTime,
+    ) -> bool {
+        let mut now = SimTime::ZERO;
+        self.nexts.clear();
+        for cell in cells {
+            let mut c = shard(cell);
+            now = now.max(c.now());
+            self.nexts.push(c.next_event_time());
+        }
+        if now >= deadline {
+            return false;
+        }
+        let earliest_event = self.nexts.iter().flatten().copied().min();
+        let earliest_crossing = crossing.earliest_after(now);
+        let step_to = planner.boundary(now, deadline, earliest_event, earliest_crossing);
+        self.step_to = step_to;
+        self.busy.clear();
+        self.busy
+            .extend(self.nexts.iter().map(|nx| nx.is_some_and(|t| t <= step_to)));
+        self.quiescent = self.busy.iter().filter(|b| !**b).count() as u64;
+        true
     }
-    if now >= deadline {
-        return None;
-    }
-    let earliest_event = nexts.iter().flatten().copied().min();
-    let earliest_crossing = crossing.earliest_after(now);
-    let step_to = planner.boundary(now, deadline, earliest_event, earliest_crossing);
-    let busy: Vec<bool> = nexts
-        .iter()
-        .map(|nx| nx.is_some_and(|t| t <= step_to))
-        .collect();
-    let quiescent = busy.iter().filter(|b| !**b).count() as u64;
-    Some(SlicePlan {
-        step_to,
-        busy,
-        quiescent,
-    })
 }
 
 impl MultiSegment {
@@ -1131,8 +1141,9 @@ impl MultiSegment {
             tally.slices += 1;
         }
         let mut routes = RouteCtx::default();
+        let mut plan = SlicePlan::default();
         if workers <= 1 {
-            while let Some(plan) = plan_slice(&cells, xch.crossing, &planner, deadline) {
+            while plan.next(&cells, xch.crossing, &planner, deadline) {
                 tally.quiescent_shard_slices += plan.quiescent;
                 if plan.quiescent == cells.len() as u64 {
                     tally.barriers_elided += 1;
@@ -1189,7 +1200,7 @@ impl MultiSegment {
                         })
                     })
                     .collect();
-                while let Some(plan) = plan_slice(&cells, xch.crossing, &planner, deadline) {
+                while plan.next(&cells, xch.crossing, &planner, deadline) {
                     tally.quiescent_shard_slices += plan.quiescent;
                     let mut mask = 0u64;
                     for w in 0..workers {

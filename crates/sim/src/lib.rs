@@ -24,7 +24,6 @@
 
 mod digest;
 mod queue;
-mod queue_heap;
 mod rng;
 mod seqset;
 #[allow(clippy::module_inception)]
@@ -35,12 +34,10 @@ mod trace;
 
 pub use digest::{fnv64, Fnv64};
 pub use queue::{EventId, EventQueue};
-// Test support for `tests/queue_differential.rs`: the seeded wheel
-// defects and the heap oracle they are caught against.
+// Test support for `tests/queue_differential.rs`: the seeded queue
+// defects its in-file model must catch.
 #[doc(hidden)]
 pub use queue::QueueMutation;
-#[doc(hidden)]
-pub use queue_heap::HeapEventQueue;
 pub use rng::SimRng;
 pub use sim::Sim;
 pub use stats::{jain_fairness, mean, stddev, Counter, Histogram, Throughput};

@@ -1,93 +1,45 @@
-//! Deterministic future-event queue — hierarchical timer wheel.
+//! Deterministic future-event queue — one binary heap keyed on
+//! `(time, sequence)`.
 //!
-//! Through PR 5 this was a binary heap keyed on `(time, sequence)`
-//! (now `HeapEventQueue` in `queue_heap.rs`, kept only as the
-//! differential-test oracle). Every heap schedule/pop pays an O(log n)
-//! sift through a pointer-chasing heap, which capped serial throughput
-//! at ~2.1M events/s when PR 6 measured it. The wheel replaces both
-//! operations with O(1) bucket pushes and amortized-O(1) cursor
-//! advancement:
+//! The live queue is small: a few entries per node plus the
+//! pre-scheduled faults and application timers — 30 to 150 stored
+//! entries on every workload the repo runs (`ampnet-core` pins the
+//! high-water under 256 in a unit test). At that depth a contiguous
+//! implicit heap is a handful of cache lines and a pop is ~7
+//! comparisons, which beats any structure whose footprint scales with
+//! the time horizon instead of the population (DESIGN.md §13 has the
+//! measurements, including the six-level timer wheel this replaced).
 //!
-//! * **Near wheel** — [`LEVELS`] levels of [`SLOTS`] slots each. Level
-//!   `k` slots are `64^k` ns wide, so level 0 resolves single
-//!   nanoseconds and the whole wheel spans `64^6` ns (~69 s) past the
-//!   cursor. An entry lands in the level of its highest time-digit
-//!   that differs from the cursor — one `leading_zeros` and a shift.
-//! * **Overflow** — events beyond the wheel horizon (long timers,
-//!   `SimTime::MAX` "never" sentinels) wait in a small `(time, seq)`
-//!   min-heap and migrate into the wheel as the cursor's window
-//!   reaches them.
-//! * **Due batch** — the cursor advances slot-by-slot (per-level
-//!   occupancy bitmaps make "next occupied slot" a couple of bit ops);
-//!   higher-level slots *cascade* their entries down a level until the
-//!   level-0 bucket for one exact timestamp is reached. That bucket is
-//!   drained into the `due` staging queue **sorted by sequence
-//!   number**, which restores global `(time, sequence)` order no
-//!   matter how schedules and cascades interleaved — same-instant
-//!   events pop in scheduling order, bit-identical to the heap. The
-//!   differential harness (`tests/queue_differential.rs`) holds the
-//!   wheel to that.
-//!
-//! Timers can be cancelled; cancellation is lazy (the entry stays in
-//! its bucket and is skipped when drained), which keeps `cancel` O(1).
-//! As in the heap, tombstones are compacted once they outnumber live
-//! entries, so cancel-heavy churn keeps total storage within 2× the
-//! live count.
+//! * **Order** — entries pop in `(time, sequence)` order; the sequence
+//!   number is the schedule counter, so same-instant events pop in
+//!   scheduling order (FIFO tie-break) and the schedule is a pure
+//!   function of the calls made.
+//! * **Cancellation** is lazy: `cancel` clears the id from the
+//!   [`SeqWindow`] liveness bitmap in O(1) and leaves a tombstone in
+//!   the heap, skipped when it surfaces. Once tombstones outnumber live
+//!   entries the heap is compacted in place, so cancel-heavy churn
+//!   keeps storage within 2× the live count.
+//! * **No tombstones, no probes** — the pop path consults the bitmap
+//!   only while a tombstone is actually stored; a run that never
+//!   cancels pays one bitmap clear per event and nothing else.
+//! * **Zero-alloc steady state** — the heap is reserved for
+//!   [`PREALLOC`] entries at construction, so no run in the repo grows
+//!   it on the record path.
 
 use crate::seqset::SeqWindow;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-// The pending set is membership-only (insert/remove/contains) — it is
-// never iterated, so its internals cannot leak into the schedule. It
-// is hit 3–5 times per simulated event, so it is a sliding-window
-// bitmap over the monotone sequence counter ([`crate::seqset`])
-// rather than any flavour of hash set.
-
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Handle identifying one scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(u64);
 
-impl EventId {
-    /// Build a handle from a raw sequence number (crate-internal: the
-    /// heap oracle mints ids the same way the wheel does).
-    pub(crate) fn from_seq(seq: u64) -> Self {
-        EventId(seq)
-    }
-
-    /// The raw sequence number (crate-internal).
-    pub(crate) fn seq(self) -> u64 {
-        self.0
-    }
-}
-
-/// Bits per wheel level: 64 slots each.
-const LEVEL_BITS: u32 = 6;
-/// Slots per level.
-const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel depth. Six levels span `64^6` ns ≈ 69 s past the cursor;
-/// anything further waits in the overflow heap.
-const LEVELS: usize = 6;
-
-/// Initial capacity of every bucket, reserved at construction so the
-/// run-phase hot path stays allocation-free (the telemetry-overhead
-/// bench asserts the whole simulator's allocs/packet budget): buckets
-/// never surrender their capacity (drains are in-place or swap it
-/// back), so only a bucket's *first* growth past this ever allocates.
-const BUCKET_PREALLOC: usize = 8;
-
-/// Width in nanoseconds of one slot at `level`.
-#[inline]
-const fn slot_width(level: usize) -> u64 {
-    1u64 << (LEVEL_BITS * level as u32)
-}
-
-/// The cursor's slot index at `level`.
-#[inline]
-const fn slot_index(t: u64, level: usize) -> usize {
-    ((t >> (LEVEL_BITS * level as u32)) as usize) & (SLOTS - 1)
-}
+/// Heap capacity reserved at construction. Every workload in the repo
+/// stores fewer than 150 entries at its high-water, so the run phase
+/// never grows the heap (the telemetry-overhead guard counts the whole
+/// simulator's allocations per packet).
+const PREALLOC: usize = 256;
 
 #[derive(Debug)]
 struct Entry<E> {
@@ -96,11 +48,17 @@ struct Entry<E> {
     event: E,
 }
 
-// Ordering for the overflow heap: earliest time first, then FIFO
-// within a timestamp.
+impl<E> Entry<E> {
+    /// `(at, seq)` as one integer — earliest time first, then FIFO
+    /// within a timestamp — so a sift step is one branch-free compare.
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -111,7 +69,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -124,49 +82,27 @@ pub enum QueueMutation {
     /// The shipping queue: no defect.
     #[default]
     None,
-    /// Skip the sequence-number sort when a level-0 bucket is drained,
-    /// so same-instant events pop in cascade order instead of schedule
-    /// order (the FIFO-tie-break bug the sort exists to prevent).
-    UnsortedDrain,
-    /// Stage beyond-horizon events as immediately due instead of
-    /// parking them in the overflow heap — long timers cut ahead of
-    /// nearer events still in the wheel.
-    EagerOverflow,
-    /// Ignore the pending-set check when settling the due queue, so
-    /// lazily-cancelled events are popped instead of skipped (the
-    /// wheel analog of a dropped generation bump).
+    /// Break timestamp ties as a comparator on the time alone would:
+    /// a same-instant event scheduled later can pop first (the
+    /// FIFO-tie-break bug the sequence number exists to prevent).
+    TimeOnlyTieBreak,
+    /// Skip the liveness check when a tombstone surfaces, so
+    /// lazily-cancelled events are popped instead of skipped.
     ResurrectCancelled,
 }
 
-/// A future-event list with deterministic tie-breaking and O(1) lazy
-/// cancellation, implemented as a hierarchical timer wheel.
+/// A future-event list with deterministic FIFO tie-breaking and O(1)
+/// lazy cancellation, implemented as a binary heap.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Bucket `k * SLOTS + slot` holds entries whose time digit `k`
-    /// equals `slot` and whose digits above `k` equal the cursor's.
-    /// Flattened to one contiguous allocation so the 384 bucket
-    /// headers share a few cache lines instead of chasing two
-    /// pointer levels per filing.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Per-level occupancy bitmap (bit `s` ⇔ bucket `k * SLOTS + s` nonempty).
-    occupied: [u64; LEVELS],
-    /// The wheel cursor: the timestamp of the most recently drained
-    /// level-0 bucket. Entries still in the wheel all fire at or after
-    /// it; entries at or before it live in `due`.
-    cur: u64,
-    /// Staging queue of entries ready to pop, sorted by `(at, seq)`.
-    due: VecDeque<Entry<E>>,
-    /// Events beyond the wheel horizon, earliest first.
-    overflow: BinaryHeap<Reverse<Entry<E>>>,
+    /// Min-heap on `(at, seq)`; may hold tombstones.
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     /// Sequence numbers of events that are scheduled and not yet fired
     /// or cancelled. Stored entries whose seq is absent here are
     /// tombstones left behind by `cancel`.
     pending: SeqWindow,
-    /// Tombstones still stored in a bucket, `due` or the overflow.
+    /// Tombstones still stored in the heap.
     dead: usize,
-    /// Scratch buffer reused across cascades (keeps the steady state
-    /// allocation-free).
-    spill: Vec<Entry<E>>,
     next_seq: u64,
     mutation: QueueMutation,
 }
@@ -181,23 +117,16 @@ impl<E> EventQueue<E> {
     /// Empty queue.
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..LEVELS * SLOTS)
-                .map(|_| Vec::with_capacity(BUCKET_PREALLOC))
-                .collect(),
-            occupied: [0; LEVELS],
-            cur: 0,
-            due: VecDeque::with_capacity(SLOTS),
-            overflow: BinaryHeap::with_capacity(16),
+            heap: BinaryHeap::with_capacity(PREALLOC),
             pending: SeqWindow::new(),
             dead: 0,
-            spill: Vec::with_capacity(BUCKET_PREALLOC),
             next_seq: 0,
             mutation: QueueMutation::None,
         }
     }
 
     /// Arm a seeded defect. Test-only: exists so the differential
-    /// harness can prove it bites on a broken wheel.
+    /// harness can prove it bites on a broken queue.
     #[doc(hidden)]
     pub fn set_mutation_for_tests(&mut self, m: QueueMutation) {
         self.mutation = m;
@@ -216,7 +145,7 @@ impl<E> EventQueue<E> {
     /// Entries currently stored, including tombstones. Exposed so
     /// tests can assert the compaction bound.
     pub fn heap_len(&self) -> usize {
-        self.pending.len() + self.dead
+        self.heap.len()
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -224,60 +153,15 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.insert(seq);
-        self.place(Entry { at, seq, event });
+        self.heap.push(Reverse(Entry { at, seq, event }));
         EventId(seq)
-    }
-
-    /// File an entry into `due`, the wheel, or the overflow, relative
-    /// to the current cursor.
-    fn place(&mut self, e: Entry<E>) {
-        let t = e.at.0;
-        let x = self.cur ^ t;
-        if t <= self.cur || x == 0 {
-            // At or before the cursor (the heap would pop it next, in
-            // (at, seq) order): merge into the sorted due queue. The
-            // common case — an L0 drain or a same-instant follow-up —
-            // appends at the back.
-            let key = (e.at, e.seq);
-            match self.due.back() {
-                Some(b) if (b.at, b.seq) < key => self.due.push_back(e),
-                None => self.due.push_back(e),
-                _ => {
-                    let pos = self
-                        .due
-                        .binary_search_by(|p| (p.at, p.seq).cmp(&key))
-                        .unwrap_err();
-                    self.due.insert(pos, e);
-                }
-            }
-            return;
-        }
-        let level = ((63 - x.leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            if self.mutation == QueueMutation::EagerOverflow {
-                // Seeded defect: stage it as due right now — it will
-                // pop ahead of nearer events still in the wheel.
-                let key = (e.at, e.seq);
-                let pos = self
-                    .due
-                    .binary_search_by(|p| (p.at, p.seq).cmp(&key))
-                    .unwrap_err();
-                self.due.insert(pos, e);
-                return;
-            }
-            self.overflow.push(Reverse(e));
-            return;
-        }
-        let slot = slot_index(t, level);
-        self.buckets[level * SLOTS + slot].push(e);
-        self.occupied[level] |= 1 << slot;
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event
     /// was still pending (i.e. not yet fired or cancelled).
     ///
     /// Cancellation is lazy, but tombstones are not allowed to pile up
-    /// forever: once they outnumber live entries the buckets are
+    /// forever: once they outnumber live entries the heap is
     /// compacted, so cancel-heavy timer churn (roster misses, pacing
     /// reschedules) keeps storage within 2× the live-event count
     /// instead of growing unbounded at 256-node scale.
@@ -290,11 +174,12 @@ impl<E> EventQueue<E> {
         removed
     }
 
-    /// Sweep tombstones out of every bucket when they dominate.
+    /// Sweep tombstones out of the heap when they dominate.
     ///
     /// Amortised O(1) per cancel: compaction costs O(n) but only runs
     /// after Ω(n) cancellations have accumulated since the last one.
-    /// Pop order is unaffected — surviving entries keep their buckets.
+    /// Pop order is unaffected — it is a function of the surviving
+    /// keys alone.
     fn maybe_compact(&mut self) {
         const COMPACT_MIN: usize = 64;
         let live = self.pending.len();
@@ -302,33 +187,52 @@ impl<E> EventQueue<E> {
             return;
         }
         let pending = &self.pending;
-        for (i, bucket) in self.buckets.iter_mut().enumerate() {
-            bucket.retain(|e| pending.contains(e.seq));
-            if bucket.is_empty() {
-                self.occupied[i / SLOTS] &= !(1 << (i % SLOTS));
+        self.heap.retain(|Reverse(e)| pending.contains(e.seq));
+        self.dead = 0;
+    }
+
+    /// Pop tombstones off the top until the earliest stored entry is
+    /// live. Free when nothing is cancelled: the liveness bitmap is
+    /// consulted only while a tombstone is actually stored.
+    fn skip_dead(&mut self) {
+        while self.dead > 0 && self.mutation != QueueMutation::ResurrectCancelled {
+            match self.heap.peek_mut() {
+                Some(top) if !self.pending.contains(top.0.seq) => {
+                    PeekMut::pop(top);
+                    self.dead -= 1;
+                }
+                _ => break,
             }
         }
-        self.due.retain(|e| pending.contains(e.seq));
-        if self.overflow.iter().any(|Reverse(e)| !pending.contains(e.seq)) {
-            let heap = std::mem::take(&mut self.overflow);
-            self.overflow = heap
-                .into_iter()
-                .filter(|Reverse(e)| pending.contains(e.seq))
-                .collect();
-        }
-        self.dead = 0;
     }
 
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle_due();
-        self.due.front().map(|e| e.at)
+        self.skip_dead();
+        self.heap.peek().map(|Reverse(e)| e.at)
+    }
+
+    /// Remove the top entry, live or not.
+    fn take_top(&mut self) -> Option<Entry<E>> {
+        let Reverse(e) = self.heap.pop()?;
+        if self.mutation == QueueMutation::TimeOnlyTieBreak
+            && self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(next)| next.at == e.at)
+        {
+            // Seeded defect: a same-instant rival surfaces first.
+            let Reverse(rival) = self.heap.pop()?;
+            self.heap.push(Reverse(e));
+            return Some(rival);
+        }
+        Some(e)
     }
 
     /// Remove and return the next live event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.settle_due();
-        let e = self.due.pop_front()?;
+        self.skip_dead();
+        let e = self.take_top()?;
         self.pending.remove(e.seq);
         Some((e.at, e.event))
     }
@@ -337,196 +241,26 @@ impl<E> EventQueue<E> {
     /// that instant is at or before `deadline`; append them to `out`
     /// in sequence order and return the instant. Equivalent to popping
     /// one at a time while `peek_time()` stays equal — the per-instant
-    /// batch dispatch `Sim::pop_batch` is built on — but settles the
-    /// due queue once per *instant* instead of twice per *event*.
-    /// Same-instant completeness needs no wheel re-scan: every stored
-    /// entry at or before the cursor is already in `due`, and the
-    /// wheel/overflow only hold strictly later times.
+    /// batch dispatch `Sim::pop_batch` is built on — with one deadline
+    /// check per *instant* instead of one per *event*.
     pub fn pop_instant_into(
         &mut self,
         deadline: SimTime,
         out: &mut Vec<(SimTime, E)>,
     ) -> Option<SimTime> {
-        self.settle_due();
-        let at = match self.due.front() {
-            Some(f) if f.at <= deadline => f.at,
-            _ => return None,
-        };
-        loop {
-            let e = self.due.pop_front().expect("settled front vanished"); // lint: allow(panic-freedom): due was observed non-empty under the same borrow
+        let at = self.peek_time().filter(|&at| at <= deadline)?;
+        while self.heap.peek().is_some_and(|Reverse(top)| top.at == at) {
+            let Some(e) = self.take_top() else { break };
             self.pending.remove(e.seq);
             out.push((e.at, e.event));
-            // Skip tombstones to reach the next live entry (mirrors
-            // `settle_due`, including the seeded-defect behavior).
-            while let Some(f) = self.due.front() {
-                if self.pending.contains(f.seq)
-                    || self.mutation == QueueMutation::ResurrectCancelled
-                {
-                    break;
-                }
-                self.due.pop_front();
-                self.dead -= 1;
-            }
-            match self.due.front() {
-                Some(f) if f.at == at => {}
-                _ => break,
-            }
+            self.skip_dead();
         }
         Some(at)
     }
 
-    /// Ensure the front of `due` is the earliest *live* entry, pulling
-    /// from the wheel and overflow as needed.
-    fn settle_due(&mut self) {
-        loop {
-            // Skip tombstones at the front.
-            while let Some(front) = self.due.front() {
-                if self.pending.contains(front.seq)
-                    || self.mutation == QueueMutation::ResurrectCancelled
-                {
-                    return;
-                }
-                self.due.pop_front();
-                self.dead -= 1;
-            }
-            if !self.advance_wheel() {
-                return;
-            }
-        }
-    }
-
-    /// Advance the cursor one step: migrate matured overflow entries,
-    /// then either drain the next level-0 bucket into `due` or cascade
-    /// the next occupied higher-level slot down. Returns `false` when
-    /// nothing is stored anywhere.
-    fn advance_wheel(&mut self) -> bool {
-        // Overflow entries whose time fell inside the top-level window
-        // (the cursor advanced since they were parked) re-enter the
-        // wheel so they interleave correctly with near events.
-        let span = slot_width(LEVELS - 1) << LEVEL_BITS; // 64^LEVELS
-        // Inclusive last instant of the cursor's top-level window —
-        // saturating, so events at u64::MAX migrate once the cursor's
-        // window reaches them instead of being stranded by overflow.
-        let window_last = (self.cur & !(span - 1)).saturating_add(span - 1);
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.at.0 > window_last {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry vanished"); // lint: allow(panic-freedom): pop follows a successful peek under the same borrow
-            self.place(e);
-        }
-        if !self.due.is_empty() {
-            return true;
-        }
-        // Find the earliest occupied slot, lowest level first. Slots
-        // behind the cursor's digit are always empty (already drained
-        // or cascaded), so a masked trailing_zeros finds the next one.
-        for level in 0..LEVELS {
-            let from = slot_index(self.cur, level);
-            let bits = self.occupied[level] & (!0u64 << from);
-            if bits == 0 {
-                continue;
-            }
-            let slot = bits.trailing_zeros() as usize;
-            self.occupied[level] &= !(1 << slot);
-            if level == 0 {
-                // One exact timestamp: drain to due in seq order. The
-                // drain is in place (disjoint fields), so the bucket
-                // keeps its capacity.
-                self.cur = (self.cur & !(SLOTS as u64 - 1)) | slot as u64;
-                let cur = self.cur;
-                let pending = &self.pending;
-                let mut dead = 0;
-                for e in self.buckets[slot].drain(..) {
-                    if pending.contains(e.seq) {
-                        debug_assert_eq!(e.at.0, cur);
-                        self.due.push_back(e);
-                    } else {
-                        dead += 1;
-                    }
-                }
-                self.dead -= dead;
-                // Singleton drains (the sparse-timestamp common case)
-                // are trivially sorted; skip the contiguity shuffle.
-                if self.due.len() > 1 && self.mutation != QueueMutation::UnsortedDrain {
-                    self.due.make_contiguous().sort_unstable_by_key(|e| e.seq);
-                }
-            } else if self.buckets[level * SLOTS + slot].len() == 1 {
-                // Singleton fast path — the sparse-timestamp common
-                // case. This entry is the earliest stored event
-                // anywhere: lower levels held nothing at or ahead of
-                // the cursor, other slots and higher levels start
-                // strictly later, the overflow was migrated down to
-                // strictly beyond the top-level window, and `due` is
-                // empty. Jump the cursor straight to its instant and
-                // stage it, skipping the level-by-level re-filing.
-                let e = self.buckets[level * SLOTS + slot].pop().expect("occupied slot was empty"); // lint: allow(panic-freedom): len() == 1 was just observed under the same borrow
-                if self.pending.contains(e.seq) {
-                    self.cur = e.at.0;
-                    self.due.push_back(e);
-                } else {
-                    self.dead -= 1;
-                }
-            } else {
-                // Cascade: move the cursor to the slot's start and
-                // re-file its entries one level (or more) down. The
-                // re-filing needs `place` (&mut self), so the bucket
-                // is swapped out through the spill buffer — and its
-                // own capacity is swapped back afterwards (`place`
-                // never targets this slot again: every cascaded
-                // entry's differing digit now sits below `level`).
-                let level_span = slot_width(level) << LEVEL_BITS;
-                self.cur =
-                    (self.cur & !(level_span - 1)) + (slot as u64) * slot_width(level);
-                let mut bucket = std::mem::take(&mut self.spill);
-                std::mem::swap(&mut bucket, &mut self.buckets[level * SLOTS + slot]);
-                for e in bucket.drain(..) {
-                    if self.pending.contains(e.seq) {
-                        self.place(e);
-                    } else {
-                        self.dead -= 1;
-                    }
-                }
-                std::mem::swap(&mut bucket, &mut self.buckets[level * SLOTS + slot]);
-                self.spill = bucket;
-            }
-            return true;
-        }
-        // Wheel empty: jump the cursor to the earliest overflow entry.
-        // Drain EVERY entry at that instant, not just the top — the
-        // invariant "overflow holds only times strictly after the
-        // cursor" is what stops a later same-instant schedule (which
-        // goes straight to `due`) from cutting ahead of an older event
-        // still parked here.
-        let jump_to = match self.overflow.peek() {
-            Some(Reverse(top)) => top.at.0,
-            None => return false,
-        };
-        self.cur = jump_to;
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.at.0 != self.cur {
-                break;
-            }
-            let Reverse(e) = self.overflow.pop().expect("peeked entry vanished"); // lint: allow(panic-freedom): pop follows a successful peek under the same borrow
-            if self.pending.contains(e.seq) {
-                self.place(e); // lands in due (at == cur), seq-ascending
-            } else {
-                self.dead -= 1;
-            }
-        }
-        true
-    }
-
-    /// Drop every pending event. The cursor is retained, so the queue
-    /// keeps accepting schedules relative to the owning simulator's
-    /// clock.
+    /// Drop every pending event.
     pub fn clear(&mut self) {
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.occupied = [0; LEVELS];
-        self.due.clear();
-        self.overflow.clear();
+        self.heap.clear();
         self.pending.clear();
         self.dead = 0;
     }
@@ -686,10 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_horizon() {
-        // Beyond 64^6 ns the wheel parks events in the overflow heap;
-        // they must still pop in global order, including a "never"
-        // timer at SimTime::MAX.
+    fn far_future_events_pop_in_global_order() {
+        // Minutes-out timers and a "never" timer at SimTime::MAX share
+        // the heap with near events and still pop in global order.
         let mut q = EventQueue::new();
         q.schedule(SimTime::MAX, "never");
         q.schedule(SimTime(90_000_000_000), "90s");
@@ -703,49 +436,22 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_ties_survive_overflow_jump() {
-        // Regression (found by the differential harness): two events at
-        // the same beyond-horizon instant, one drained by a cursor
-        // jump, plus a later direct schedule at that instant. The one
-        // still in overflow must not be overtaken.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::MAX, 0);
-        q.schedule(SimTime::MAX, 1);
-        assert_eq!(q.pop(), Some((SimTime::MAX, 0)));
-        q.schedule(SimTime::MAX, 2);
-        assert_eq!(q.pop(), Some((SimTime::MAX, 1)));
-        assert_eq!(q.pop(), Some((SimTime::MAX, 2)));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cascade_preserves_fifo_ties() {
-        // Two events at the same far instant, scheduled at different
-        // cursor positions: one cascades in from a high level, the
-        // other is filed after pops advanced the cursor. Seq order
-        // must survive.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(100_000), 1); // far: lands in a high level
-        q.schedule(SimTime(10), 0);
-        assert_eq!(q.pop(), Some((SimTime(10), 0)));
-        q.schedule(SimTime(100_000), 2); // nearer cursor now
-        q.schedule(SimTime(100_000), 3);
-        assert_eq!(q.pop(), Some((SimTime(100_000), 1)));
-        assert_eq!(q.pop(), Some((SimTime(100_000), 2)));
-        assert_eq!(q.pop(), Some((SimTime(100_000), 3)));
-    }
-
-    #[test]
-    fn schedule_at_cursor_after_pop() {
-        // An event scheduled exactly at the cursor (a same-instant
-        // follow-up) pops after everything already due at that instant.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(50), "a");
-        q.schedule(SimTime(50), "b");
-        assert_eq!(q.pop(), Some((SimTime(50), "a")));
-        q.schedule(SimTime(50), "c");
-        assert_eq!(q.pop(), Some((SimTime(50), "b")));
-        assert_eq!(q.pop(), Some((SimTime(50), "c")));
+    fn ties_stay_fifo_across_interleaved_pops() {
+        // Events at one instant scheduled before and after pops moved
+        // the heap around: schedule order must survive, at SimTime::MAX
+        // as anywhere else.
+        for at in [SimTime(100_000), SimTime::MAX] {
+            let mut q = EventQueue::new();
+            q.schedule(at, 1);
+            q.schedule(SimTime(10), 0);
+            assert_eq!(q.pop(), Some((SimTime(10), 0)));
+            q.schedule(at, 2);
+            assert_eq!(q.pop(), Some((at, 1)));
+            q.schedule(at, 3);
+            assert_eq!(q.pop(), Some((at, 2)));
+            assert_eq!(q.pop(), Some((at, 3)));
+            assert_eq!(q.pop(), None);
+        }
     }
 
     #[test]

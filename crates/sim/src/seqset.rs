@@ -1,10 +1,13 @@
 //! Sliding-window liveness set for monotonically issued sequence
 //! numbers.
 //!
-//! The timer wheel tags every scheduled event with a strictly
+//! The event queue tags every scheduled event with a strictly
 //! increasing `seq` and needs a membership set for lazy cancellation:
-//! insert on schedule, remove on pop/cancel, contains on tombstone
-//! checks. A hash set answers those in ~tens of ns; but because seqs
+//! insert on schedule, remove on pop/cancel, contains when a tombstone
+//! may be on top of the heap. It is what lets `cancel` stay O(1) on a
+//! binary heap (no search, no position index to maintain through every
+//! sift) while `len()` and `cancel`'s return value stay exact. A hash
+//! set answers those in ~tens of ns; but because seqs
 //! are issued densely in order and almost all events die young, the
 //! live ids at any instant sit inside a narrow moving window. This
 //! set stores exactly that window as a bitmap — one `u64` block per
@@ -46,7 +49,7 @@ impl SeqWindow {
     }
 
     /// Insert `seq`. Seqs must arrive in strictly increasing order
-    /// (the wheel's `next_seq` counter guarantees it).
+    /// (the queue's `next_seq` counter guarantees it).
     pub(crate) fn insert(&mut self, seq: u64) {
         let block = seq >> 6;
         if self.blocks.is_empty() {

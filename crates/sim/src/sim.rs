@@ -131,8 +131,10 @@ impl<E> Sim<E> {
     /// schedules *for the current instant* gets a later sequence
     /// number, so it lands in the *next* batch — exactly where
     /// one-at-a-time popping would place it. Batch dispatch is
-    /// therefore bit-for-bit equivalent while touching the heap once
-    /// per instant instead of once per event.
+    /// therefore bit-for-bit equivalent; what it saves is the peek,
+    /// the deadline comparison and the clock update, paid once per
+    /// instant instead of once per event (each event is still one
+    /// heap pop).
     pub fn pop_batch(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
         let before = out.len();
         match self.queue.pop_instant_into(deadline, out) {
