@@ -14,32 +14,37 @@
 //! The segments run in lockstep time slices (conservative parallel
 //! discrete-event simulation). Each slice, every cluster *shard*
 //! advances to the same simulated instant — under
-//! [`ParallelMode::Threads`] the shards advance concurrently on a
-//! scoped worker pool synchronized by a sense-reversing *epoch gate*
-//! (see `EpochGate`) — then the coordinator performs the *boundary
-//! exchange*: route-stream inboxes are drained in deterministic
-//! `(segment, node, FIFO seq)` order and matured bridge crossings
-//! injected per *dirty* bridge in bridge-registration order.
+//! [`ParallelMode::Threads`] contiguous chunks of the shard slice
+//! advance concurrently on scoped threads (see `advance`) — then the
+//! caller performs the *boundary exchange*: route-stream inboxes are
+//! drained in deterministic `(segment, node, FIFO seq)` order and
+//! matured bridge crossings injected per *dirty* bridge in
+//! bridge-registration order.
 //!
 //! Why determinism survives threads: shards only interact through the
 //! exchange. During a slice each cluster is advanced by exactly one
-//! worker (shard confinement — its kernel, RNG, trace and telemetry
-//! registry are private to the shard), so its state after the slice is
-//! a pure function of its state before it, independent of scheduling.
-//! The exchange itself always runs single-threaded on the coordinator
-//! in a fixed total order. The minimum bridge latency is the classic
-//! conservative *lookahead*: a datagram handed to a bridge at one
-//! boundary cannot affect the far segment before `latency` has passed,
-//! so slices up to that long never miss a causal interaction. (Slices
-//! may be *coarser*: inboxes are drained only at boundaries, so the
-//! effective crossing time is quantised to the slice either way;
-//! crossings are injected exactly at their maturity instant, see
-//! [`MultiSegment::run_until`].)
+//! thread, which holds the only `&mut` to it (shard confinement — its
+//! kernel, RNG, trace and telemetry registry are private to the
+//! shard), so its state after the slice is a pure function of its
+//! state before it, independent of scheduling. The engine has no
+//! synchronisation code of its own: `chunks_mut` proves the chunks
+//! disjoint, the end of `std::thread::scope` is the barrier, and a
+//! panicking shard propagates through the scope's join. The exchange
+//! itself always runs on the caller, after that join, in a fixed total
+//! order.
+//!
+//! The minimum bridge latency is the classic conservative *lookahead*:
+//! a datagram handed to a bridge at one boundary cannot affect the far
+//! segment before `latency` has passed, so slices up to that long
+//! never miss a causal interaction. (Slices may be *coarser*: inboxes
+//! are drained only at boundaries, so the effective crossing time is
+//! quantised to the slice either way; crossings are injected exactly
+//! at their maturity instant, see [`MultiSegment::run_until`].)
 //!
 //! # Adaptive lookahead
 //!
-//! Fixed slices charge the full synchronization price — two gate
-//! crossings and an exchange scan — every `slice` nanoseconds, even
+//! Fixed slices charge the full synchronization price — a plan, a
+//! thread join and an exchange scan — every `slice` nanoseconds, even
 //! through phases where no bridge carries any traffic. The engine
 //! amortizes that four ways (all default, see [`Lookahead`]):
 //!
@@ -50,15 +55,14 @@
 //!   quiet phase is established ([`crate::FUSE_AFTER`] consecutive
 //!   quiet exchanges) and no crossing is in flight, consecutive quiet
 //!   slices *fuse*: one [`crate::FUSE_FACTOR`]-wide window is planned
-//!   and published in a single epoch-gate publication instead of
-//!   re-planning each slice.
+//!   and advanced as a single slice instead of re-planning each one.
 //! * **Quiescent-shard skipping**: a shard with no event due within
-//!   the slice does not wake its worker — the coordinator bumps its
-//!   clock inline (an O(1) operation) while workers that do have work
-//!   run concurrently. Every shard's clock still advances every slice;
-//!   only the wake is skipped. When *every* shard is quiescent the
-//!   epoch gate is never touched at all (a fully elided barrier,
-//!   counted in [`SliceStats::barriers_elided`]).
+//!   the slice costs an O(1) clock bump, and a chunk of nothing but
+//!   such shards is bumped on the caller instead of on a thread. Every
+//!   shard's clock still advances every slice. Threads are spawned
+//!   only when two or more chunks hold a busy shard, so a slice where
+//!   *every* shard is quiescent spawns none (counted in
+//!   [`SliceStats::barriers_elided`]).
 //! * **Dirty-bridge exchange**: in-flight crossings are queued per
 //!   bridge (`CrossingSet`); a bridge is *dirty* while its queue is
 //!   non-empty. The delivery merge runs only over dirty bridges, the
@@ -86,8 +90,6 @@ use crate::planner::{Lookahead, SlicePlanner};
 use ampnet_sim::{Fnv64, SimDuration, SimTime};
 use ampnet_telemetry::{defs, CounterHandle, MetricsSnapshot, Telemetry, GLOBAL};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Message stream reserved for inter-segment routing.
 pub const ROUTE_STREAM: u8 = 5;
@@ -165,6 +167,17 @@ impl CrossingSet {
             .min()
     }
 
+    /// Take bridge `idx`'s front crossing if it matured at or before
+    /// `now`.
+    fn pop_matured(&mut self, idx: usize, now: SimTime) -> Option<InFlight> {
+        let queue = &mut self.per_bridge[idx];
+        if queue.front()?.deliver_at <= now {
+            queue.pop_front()
+        } else {
+            None
+        }
+    }
+
     /// Does any bridge hold a crossing matured at or before `t`?
     fn any_matured(&self, t: SimTime) -> bool {
         self.per_bridge
@@ -193,10 +206,12 @@ pub enum ParallelMode {
     /// One thread advances every shard in segment order — the
     /// reference execution.
     Serial,
-    /// A scoped pool of this many worker threads advances the shards
-    /// concurrently (worker `w` takes segments `w, w + n, ...`).
-    /// Produces bit-identical results to [`ParallelMode::Serial`] for
-    /// the same seed — enforced by `tests/parallel_equivalence.rs`.
+    /// The shards are split into this many contiguous chunks (at most
+    /// one per shard) and, in a slice where two or more chunks hold a
+    /// busy shard, the busy chunks advance concurrently: one scoped
+    /// thread each, the last on the caller. Produces bit-identical
+    /// results to [`ParallelMode::Serial`] for the same seed —
+    /// enforced by `tests/parallel_equivalence.rs`.
     Threads(usize),
 }
 
@@ -204,11 +219,11 @@ pub enum ParallelMode {
 /// [`MultiSegment`] across all `run_until` calls.
 ///
 /// All fields except [`SliceStats::worker_wakes`] are *mode-invariant*:
-/// computed by the coordinator from deterministic simulation state, so
-/// they are bit-identical across [`ParallelMode`]s for the same seed
-/// (and safe to publish through telemetry). `worker_wakes` depends on
-/// the worker count and is reported here only — never in a digest or a
-/// merged snapshot.
+/// computed from deterministic simulation state, so they are
+/// bit-identical across [`ParallelMode`]s for the same seed (and safe
+/// to publish through telemetry). `worker_wakes` depends on the chunk
+/// count and is reported here only — never in a digest or a merged
+/// snapshot.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SliceStats {
     /// Lockstep slices executed (boundary exchanges reached).
@@ -220,15 +235,13 @@ pub struct SliceStats {
     /// in-flight crossing had matured.
     pub deliveries_elided: u64,
     /// (shard, slice) pairs where the shard had no event due within
-    /// the slice — its clock was bumped without waking a worker.
-    /// Counted exactly once per planned slice, at plan consumption
-    /// (both drive paths share the tally site), so slice fusion —
-    /// which replaces several notional slices with one planned one —
-    /// never double-counts.
+    /// the slice — advancing it was a bare clock bump. Counted exactly
+    /// once per planned slice, so slice fusion — which replaces
+    /// several notional slices with one planned one — never
+    /// double-counts.
     pub quiescent_shard_slices: u64,
-    /// Slices where *every* shard was quiescent: the epoch gate was
-    /// never touched (threaded mode publishes nothing, wakes no one).
-    /// A pure plan property, so mode-invariant.
+    /// Slices where *every* shard was quiescent, so no thread was
+    /// spawned in any mode. A pure plan property, so mode-invariant.
     pub barriers_elided: u64,
     /// Boundaries where the entire exchange was skipped: no shard held
     /// `ROUTE_STREAM` backlog *and* no crossing had matured.
@@ -237,8 +250,9 @@ pub struct SliceStats {
     /// after the drain — the numerator of the dirty-bridge ratio
     /// (denominator: `slices × bridges`).
     pub dirty_bridges: u64,
-    /// Worker wake-ups under [`ParallelMode::Threads`] (always 0 under
-    /// Serial). The one mode-*dependent* field.
+    /// Threads spawned under [`ParallelMode::Threads`] (always 0 under
+    /// Serial, and 0 for any slice with fewer than two busy chunks).
+    /// The one mode-*dependent* field.
     pub worker_wakes: u64,
 }
 
@@ -294,6 +308,9 @@ pub struct MultiSegment {
     mode: ParallelMode,
     lookahead: Lookahead,
     stats: SliceStats,
+    /// Routing memo shared by [`MultiSegment::send_global`] and the
+    /// boundary exchange.
+    routes: RouteCtx,
     /// Per-shard telemetry handles (one registry per segment, so no
     /// cross-thread interleaving can touch registration order). Empty
     /// until [`MultiSegment::enable_telemetry`].
@@ -331,29 +348,16 @@ fn decode(wire: &[u8]) -> Option<(GlobalAddr, GlobalAddr, &[u8])> {
     ))
 }
 
-/// One shard slot. Workers and the coordinator strictly alternate
-/// access (workers only between the two barrier waits of a slice, the
-/// coordinator only outside them), so every lock is uncontended — the
-/// mutex exists to make that alternation safe, not to arbitrate.
-type ShardCell<'a> = Mutex<&'a mut Cluster>;
-
-/// Lock a shard cell. A poisoned cell means a worker panicked mid-run;
-/// propagate the panic rather than computing with a half-advanced
-/// shard.
-fn shard<'g, 'a>(cell: &'g ShardCell<'a>) -> MutexGuard<'g, &'a mut Cluster> {
-    cell.lock().expect("shard worker panicked") // lint: allow(panic-freedom): a poisoned cell means a worker panicked mid-slice; propagate instead of computing with a half-advanced shard
-}
-
-/// Routing context carried across boundary exchanges. The
-/// usable-bridge set is a function of node liveness, which only
-/// changes while shards advance — never during an exchange, when
-/// every shard is parked at the boundary. So it is computed at most
-/// once per boundary (lazily: pure final-hop deliveries never pay the
-/// 2-locks-per-bridge liveness scan) and the per-destination BFS
-/// distance tables derived from it are memoized for as long as the
-/// set stays identical between boundaries — in steady state each
-/// destination segment's BFS runs once per `run_until`, not once per
-/// bridge hop.
+/// Routing memo carried across boundary exchanges and
+/// [`MultiSegment::send_global`] calls. The usable-bridge set is a
+/// function of node liveness, which only changes while shards advance
+/// or the caller injects a fault — never during an exchange. So it is
+/// computed at most once per boundary (lazily: pure final-hop
+/// deliveries never pay the two-probes-per-bridge liveness scan) and
+/// the per-destination BFS distance tables derived from it are
+/// memoized for as long as the set stays identical between boundaries
+/// — in steady state each destination segment's BFS runs once, not
+/// once per bridge hop or per `send_global`.
 #[derive(Default)]
 struct RouteCtx {
     /// Usable set (bridge registration indices, ascending) for the
@@ -365,54 +369,58 @@ struct RouteCtx {
     /// Memoized BFS distances, indexed by destination segment.
     dist_to: Vec<Option<Box<[usize]>>>,
     queue: VecDeque<usize>,
-    /// Reusable collect buffer for one node's ROUTE_STREAM drain.
-    datagrams: Vec<ampnet_services::msg::Datagram>,
 }
 
 impl RouteCtx {
-    /// Forget the boundary-local usable set (liveness may change while
-    /// shards advance to the next boundary). The distance tables stay:
-    /// they are revalidated against the fresh set on next use.
+    /// Forget the boundary-local usable set (liveness may have changed
+    /// since it was taken). The distance tables stay: they are
+    /// revalidated against the fresh set on next use.
     fn new_boundary(&mut self) {
         self.usable = None;
     }
 
-    /// Next hop (bridge registration index) for `from_seg` →
-    /// `dst_seg`, identical to [`route_next_hop`] over the current
-    /// usable set but with the liveness scan amortized per boundary
-    /// and the BFS amortized per liveness change.
+    /// Next-hop router (bridge registration index) for traffic from
+    /// `from_seg` toward `dst_seg`: BFS from the destination over the
+    /// usable bridges (both router nodes online), then the first usable
+    /// bridge (registration order) out of `from_seg` that decreases the
+    /// distance. A pure function of liveness, so serial and threaded
+    /// execution route identically; the liveness scan is amortized per
+    /// boundary and the BFS per liveness change.
     fn route(
         &mut self,
-        xch: &Exchange<'_>,
-        cells: &[ShardCell<'_>],
+        bridges: &[Bridge],
+        clusters: &[Cluster],
         from_seg: u8,
         dst_seg: u8,
     ) -> Option<usize> {
-        if self.usable.is_none() {
-            let fresh = xch.usable_bridges(cells);
+        let usable = self.usable.get_or_insert_with(|| {
+            let fresh = usable_bridges(bridges, clusters);
             if fresh != self.tables_for {
                 self.tables_for.clone_from(&fresh);
-                self.dist_to.iter_mut().for_each(|t| *t = None);
+                self.dist_to.clear();
             }
-            self.usable = Some(fresh);
+            fresh
+        });
+        if self.dist_to.len() < clusters.len() {
+            self.dist_to.resize(clusters.len(), None);
         }
-        let usable = self.usable.as_deref().expect("filled above"); // lint: allow(panic-freedom): usable is filled by the branch directly above
-        if self.dist_to.len() < cells.len() {
-            self.dist_to.resize(cells.len(), None);
-        }
-        let slot = &mut self.dist_to[dst_seg as usize];
-        let dist = match slot {
-            Some(d) => &**d,
-            None => &**slot.insert(route_distances(
-                xch.bridges,
-                usable,
-                cells.len(),
-                dst_seg,
-                &mut self.queue,
-            )),
-        };
-        first_descending_bridge(xch.bridges, usable, dist, from_seg)
+        let dist = self.dist_to[dst_seg as usize].get_or_insert_with(|| {
+            route_distances(bridges, usable, clusters.len(), dst_seg, &mut self.queue)
+        });
+        first_descending_bridge(bridges, usable, dist, from_seg)
     }
+}
+
+/// Registration indices of bridges whose *both* router nodes are
+/// online right now (ascending, preserving registration order).
+fn usable_bridges(bridges: &[Bridge], clusters: &[Cluster]) -> Vec<usize> {
+    let online = |a: GlobalAddr| clusters[a.segment as usize].node_online(a.node);
+    bridges
+        .iter()
+        .enumerate()
+        .filter(|(_, br)| online(br.a) && online(br.b))
+        .map(|(i, _)| i)
+        .collect()
 }
 
 /// Hop distances from every segment to `dst_seg` over the `usable`
@@ -469,326 +477,6 @@ fn first_descending_bridge(
         .copied()
 }
 
-/// Next-hop router (bridge registration index) for traffic from
-/// `from_seg` toward `dst_seg`, given the currently `usable` bridges
-/// (both router nodes online): BFS from the destination, then the
-/// first usable bridge (registration order) out of `from_seg` that
-/// decreases the distance. Pure function of
-/// `usable`/`n_segments`/`from_seg`/`dst_seg`, so serial and threaded
-/// execution route identically; [`RouteCtx::route`] is the memoized
-/// hot-path equivalent.
-fn route_next_hop(
-    bridges: &[Bridge],
-    usable: &[usize],
-    n_segments: usize,
-    from_seg: u8,
-    dst_seg: u8,
-    queue: &mut VecDeque<usize>,
-) -> Option<usize> {
-    let dist = route_distances(bridges, usable, n_segments, dst_seg, queue);
-    first_descending_bridge(bridges, usable, &dist, from_seg)
-}
-
-/// The barrier-exchange state: everything the coordinator mutates
-/// between slices, split from the shard cells so the *same* exchange
-/// code runs under both [`ParallelMode`]s. All methods take the cells
-/// and hold at most one shard lock at a time (routing decisions peek
-/// at several shards in sequence), which rules out lock-order cycles.
-struct Exchange<'a> {
-    bridges: &'a [Bridge],
-    crossing: &'a mut CrossingSet,
-    delivered: &'a mut [Vec<VecDeque<GlobalDatagram>>],
-    unroutable: &'a mut u64,
-}
-
-impl Exchange<'_> {
-    /// Registration indices of bridges whose *both* router nodes are
-    /// online right now (ascending, preserving registration order).
-    fn usable_bridges(&self, cells: &[ShardCell<'_>]) -> Vec<usize> {
-        self.bridges
-            .iter()
-            .enumerate()
-            .filter(|(_, br)| {
-                shard(&cells[br.a.segment as usize]).node_online(br.a.node)
-                    // lint: allow(lock-discipline): coordinator-only probe while every worker is parked at the slice boundary — both guards are uncontended and no cross-thread order cycle exists
-                    && shard(&cells[br.b.segment as usize]).node_online(br.b.node)
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Pull ROUTE_STREAM datagrams out of every node's inbox: deliver
-    /// finals, queue bridge crossings, forward multi-hop traffic.
-    /// Iteration order — segment ascending, node ascending, FIFO
-    /// within an inbox — is the deterministic exchange order.
-    fn drain_route_streams(
-        &mut self,
-        cells: &[ShardCell<'_>],
-        now: SimTime,
-        routes: &mut RouteCtx,
-    ) {
-        for seg in 0..cells.len() as u8 {
-            let n_nodes = {
-                let c = shard(&cells[seg as usize]);
-                // Whole segment clean: skip its node loop outright.
-                if c.pending_messages_on(ROUTE_STREAM) == 0 {
-                    continue;
-                }
-                c.n_nodes() as u8
-            };
-            for node in 0..n_nodes {
-                // Collect with the shard locked, then route with the
-                // lock released (routing peeks at other shards).
-                let mut datagrams = std::mem::take(&mut routes.datagrams);
-                {
-                    let mut c = shard(&cells[seg as usize]);
-                    while let Some(d) = c.pop_message_on(node, ROUTE_STREAM) {
-                        datagrams.push(d);
-                    }
-                }
-                for mut d in datagrams.drain(..) {
-                    let Some((dst, src, _)) = decode(&d.payload) else {
-                        continue;
-                    };
-                    let here = GlobalAddr { segment: seg, node };
-                    if dst == here {
-                        // Final hop: the reassembled buffer becomes the
-                        // delivered payload, minus the route header.
-                        d.payload.drain(..ROUTE_HEADER);
-                        self.delivered[seg as usize][node as usize].push_back(GlobalDatagram {
-                            src,
-                            payload: d.payload,
-                        });
-                    } else if dst.segment == seg {
-                        // Mis-delivered within segment (should not
-                        // happen: unicast goes straight to the node).
-                        shard(&cells[seg as usize]).send_message(
-                            node,
-                            dst.node,
-                            ROUTE_STREAM,
-                            &d.payload,
-                        );
-                    } else {
-                        // This node is a router on the path: cross the
-                        // bridge toward dst, marking its queue dirty.
-                        match routes.route(self, cells, seg, dst.segment) {
-                            Some(bi) => {
-                                let br = self.bridges[bi];
-                                let (local, remote) =
-                                    if br.a.segment == seg { (br.a, br.b) } else { (br.b, br.a) };
-                                if local.node == node {
-                                    self.crossing.push(bi, InFlight {
-                                        deliver_at: now + br.latency,
-                                        ingress: remote,
-                                        wire: d.payload,
-                                    });
-                                } else {
-                                    // Reach the proper router first.
-                                    shard(&cells[seg as usize]).send_message(
-                                        node,
-                                        local.node,
-                                        ROUTE_STREAM,
-                                        &d.payload,
-                                    );
-                                }
-                            }
-                            None => *self.unroutable += 1,
-                        }
-                    }
-                }
-                routes.datagrams = datagrams;
-            }
-        }
-    }
-
-    /// Inject matured crossings into their ingress segment: the merge
-    /// over *dirty* bridges, in bridge registration order, FIFO within
-    /// each queue. Clean bridges (empty queues) cost one `is_empty`
-    /// peek; a multi-hop re-cross pushed during the merge lands at
-    /// `now + latency > now` and is therefore never reprocessed within
-    /// the same boundary, wherever its target queue sits in the order.
-    fn deliver_crossings(
-        &mut self,
-        cells: &[ShardCell<'_>],
-        now: SimTime,
-        routes: &mut RouteCtx,
-    ) {
-        for b in 0..self.crossing.per_bridge.len() {
-            while self.crossing.per_bridge[b]
-                .front()
-                .is_some_and(|x| x.deliver_at <= now)
-            {
-                let Some(x) = self.crossing.per_bridge[b].pop_front() else {
-                    break;
-                };
-                let Some((dst, _src, _payload)) = decode(&x.wire) else {
-                    continue;
-                };
-                let seg = x.ingress.segment as usize;
-                if !shard(&cells[seg]).node_online(x.ingress.node) {
-                    // Router died while the frame crossed; re-route
-                    // from any online node... the originator will
-                    // re-send at the application layer. Count it.
-                    *self.unroutable += 1;
-                    continue;
-                }
-                if dst.segment == x.ingress.segment {
-                    // Final segment: router forwards to the
-                    // destination (or delivers to itself).
-                    shard(&cells[seg]).send_message(
-                        x.ingress.node,
-                        dst.node,
-                        ROUTE_STREAM,
-                        &x.wire,
-                    );
-                } else {
-                    // Multi-hop: route onward from the ingress router.
-                    match routes.route(self, cells, x.ingress.segment, dst.segment) {
-                        Some(bi) => {
-                            let br = self.bridges[bi];
-                            let (local, remote) = if br.a.segment == x.ingress.segment {
-                                (br.a, br.b)
-                            } else {
-                                (br.b, br.a)
-                            };
-                            if local.node == x.ingress.node {
-                                self.crossing.push(bi, InFlight {
-                                    deliver_at: now + br.latency,
-                                    ingress: remote,
-                                    wire: x.wire,
-                                });
-                            } else {
-                                shard(&cells[seg]).send_message(
-                                    x.ingress.node,
-                                    local.node,
-                                    ROUTE_STREAM,
-                                    &x.wire,
-                                );
-                            }
-                        }
-                        None => *self.unroutable += 1,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The sense-reversing epoch gate: the single synchronization
-/// primitive of the threaded drive, replacing the old per-worker
-/// channel wake plus shared done-channel protocol (two blocking
-/// channel crossings per worker per slice).
-///
-/// Protocol. The coordinator *publishes* a slice by storing the
-/// boundary (`step`), the busy-worker mask (`busy`), a zeroed `done`
-/// count, and then — the sense reversal — advancing the monotone
-/// `epoch` word (release ordering makes the other stores visible to
-/// anyone who observes the new epoch). Workers park on the epoch word
-/// (bounded spin, then [`std::thread::park`]); a worker that observes
-/// an epoch it has not completed re-reads `busy`/`step`, **re-checks
-/// the epoch word** (a changed epoch means the publication was torn
-/// across the reads — retry), advances its partition if its busy bit
-/// is set, and bumps `done`. The coordinator waits until `done`
-/// reaches the popcount of `busy`.
-///
-/// What the gate buys over the channels it replaces:
-/// * a worker whose partition is fully quiescent is never woken *and
-///   never contributes a crossing* — the coordinator bumps its shards
-///   inline and the worker stays parked through any number of epochs
-///   (it catches up by observing only the latest);
-/// * a fully-quiescent slice touches the gate not at all (no store,
-///   no unpark — [`SliceStats::barriers_elided`]);
-/// * a fused quiet window ([`crate::FUSE_FACTOR`] notional slices) is
-///   one publication.
-///
-/// Unpark tokens are sticky, so the publish-then-unpark order has no
-/// lost-wake window; a stale token at worst costs one spurious loop
-/// iteration (the worker re-parks on an unchanged epoch). `done` is
-/// bumped through a drop guard, so a panicking worker still releases
-/// the coordinator, which then propagates the panic through the
-/// poisoned shard mutex instead of spinning forever.
-struct EpochGate {
-    /// Monotone publication counter (the sense word).
-    epoch: AtomicU64,
-    /// Boundary instant (nanos) published with the current epoch.
-    step: AtomicU64,
-    /// Bit `w`: worker `w` owns at least one busy shard this epoch.
-    /// A `u64` caps the pool at 64 workers (enforced in `run_until`).
-    busy: AtomicU64,
-    /// Workers finished with the current epoch.
-    done: AtomicU64,
-    /// Set (before the final epoch bump) to shut the pool down.
-    shutdown: AtomicBool,
-}
-
-impl EpochGate {
-    fn new() -> Self {
-        EpochGate {
-            epoch: AtomicU64::new(0),
-            step: AtomicU64::new(0),
-            busy: AtomicU64::new(0),
-            done: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    /// Publish a slice: `mask` must be non-zero (an all-quiescent
-    /// slice elides the gate instead). Returns the new epoch.
-    fn publish(&self, step: SimTime, mask: u64) -> u64 {
-        debug_assert_ne!(mask, 0, "publishing an empty slice");
-        self.step.store(step.0, Ordering::Relaxed);
-        self.done.store(0, Ordering::Relaxed);
-        self.busy.store(mask, Ordering::Relaxed);
-        // The release bump orders every store above before the epoch
-        // observation that makes workers act on them.
-        self.epoch.fetch_add(1, Ordering::Release) + 1
-    }
-
-    /// Coordinator-side wait until `finished` workers completed the
-    /// current epoch. Bounded spin, then yield: slices are short, but
-    /// on an oversubscribed host the workers need the core more than
-    /// a spinning coordinator does.
-    fn await_done(&self, finished: u64) {
-        let mut spins = 0u32;
-        while self.done.load(Ordering::Acquire) < finished {
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Worker-side wait for an epoch newer than `seen`. Bounded spin,
-    /// then park (tokens make the race with `unpark` benign).
-    fn await_epoch(&self, seen: u64) -> u64 {
-        let mut spins = 0u32;
-        loop {
-            let e = self.epoch.load(Ordering::Acquire);
-            if e != seen {
-                return e;
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::park();
-            }
-        }
-    }
-}
-
-/// Bumps a counter on drop: keeps `EpochGate::await_done` finite even
-/// when a worker's slice panics (see the gate's protocol doc).
-struct DoneGuard<'g>(&'g AtomicU64);
-
-impl Drop for DoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
-}
-
 /// One planned slice: the boundary every shard advances to, plus which
 /// shards actually have work before it. One instance is re-planned in
 /// place for every slice of a `run_until`, so planning allocates
@@ -796,9 +484,8 @@ impl Drop for DoneGuard<'_> {
 #[derive(Default)]
 struct SlicePlan {
     step_to: SimTime,
-    /// `busy[i]` — shard `i` has an event due at or before `step_to`
-    /// and must be advanced by a worker; quiescent shards only need a
-    /// clock bump.
+    /// `busy[i]` — shard `i` has an event due at or before `step_to`;
+    /// advancing a quiescent shard is a bare clock bump.
     busy: Vec<bool>,
     quiescent: u64,
     /// Scratch: every shard's next event time, as peeked for this plan.
@@ -813,15 +500,14 @@ impl SlicePlan {
     /// argument reduces to this.
     fn next(
         &mut self,
-        cells: &[ShardCell<'_>],
+        clusters: &mut [Cluster],
         crossing: &CrossingSet,
         planner: &SlicePlanner,
         deadline: SimTime,
     ) -> bool {
         let mut now = SimTime::ZERO;
         self.nexts.clear();
-        for cell in cells {
-            let mut c = shard(cell);
+        for c in clusters {
             now = now.max(c.now());
             self.nexts.push(c.next_event_time());
         }
@@ -838,6 +524,40 @@ impl SlicePlan {
         self.quiescent = self.busy.iter().filter(|b| !**b).count() as u64;
         true
     }
+}
+
+/// Advance every shard to `plan.step_to`, in chunks of `per`
+/// consecutive shards. With fewer than two chunks holding a busy shard
+/// there is nothing to overlap and the caller advances them all in
+/// segment order — always the case under [`ParallelMode::Serial`],
+/// whose one chunk is the whole slice. Otherwise every busy chunk but
+/// the last gets a scoped thread, the caller advances the last one,
+/// and the end of the scope is the barrier: it joins every thread and
+/// re-raises a shard's panic. Returns the number of threads spawned.
+fn advance(clusters: &mut [Cluster], plan: &SlicePlan, per: usize) -> u64 {
+    let step_to = plan.step_to;
+    let run = move |chunk: &mut [Cluster]| chunk.iter_mut().for_each(|c| c.run_until(step_to));
+    let is_busy = |flags: &[bool]| flags.contains(&true);
+    if plan.busy.chunks(per).filter(|flags| is_busy(flags)).count() < 2 {
+        run(clusters);
+        return 0;
+    }
+    let mut spawned = 0;
+    std::thread::scope(|scope| {
+        let mut mine = None;
+        for (chunk, flags) in clusters.chunks_mut(per).zip(plan.busy.chunks(per)) {
+            if !is_busy(flags) {
+                run(chunk);
+            } else if let Some(earlier) = mine.replace(chunk) {
+                scope.spawn(move || run(earlier));
+                spawned += 1;
+            }
+        }
+        if let Some(last) = mine {
+            run(last);
+        }
+    });
+    spawned
 }
 
 impl MultiSegment {
@@ -857,6 +577,7 @@ impl MultiSegment {
             mode: ParallelMode::Serial,
             lookahead: Lookahead::default(),
             stats: SliceStats::default(),
+            routes: RouteCtx::default(),
             shard_tels: vec![],
             coord: None,
         }
@@ -928,8 +649,8 @@ impl MultiSegment {
     }
 
     /// Enable telemetry with one *private* registry per segment (shard
-    /// confinement: a worker thread only ever records into the shard it
-    /// is advancing). [`MultiSegment::merged_metrics_snapshot`] folds
+    /// confinement: a thread only ever records into the shard it is
+    /// advancing). [`MultiSegment::merged_metrics_snapshot`] folds
     /// them deterministically.
     pub fn enable_telemetry(&mut self, flight_capacity: usize) {
         self.shard_tels = self
@@ -995,66 +716,204 @@ impl MultiSegment {
         self.clusters.iter().map(|c| c.events_processed()).sum()
     }
 
-    /// Send a globally-addressed datagram.
+    /// Does the network have this address?
+    fn knows(&self, a: GlobalAddr) -> bool {
+        self.delivered
+            .get(a.segment as usize)
+            .is_some_and(|nodes| (a.node as usize) < nodes.len())
+    }
+
+    /// Send a globally-addressed datagram. One whose sender or
+    /// destination the network does not have is counted in
+    /// [`MultiSegment::unroutable`]; one addressed to its own sender is
+    /// delivered on the spot.
     pub fn send_global(&mut self, src: GlobalAddr, dst: GlobalAddr, payload: &[u8]) {
+        if !self.knows(src) || !self.knows(dst) {
+            self.unroutable += 1;
+            return;
+        }
         let wire = encode(dst, src, payload);
-        if src.segment == dst.segment {
+        if src == dst {
+            self.deliver(dst, src, wire);
+        } else if src.segment == dst.segment {
             self.clusters[src.segment as usize].send_message(
                 src.node,
                 dst.node,
                 ROUTE_STREAM,
                 &wire,
             );
-            return;
-        }
-        let usable: Vec<usize> = self
-            .bridges
-            .iter()
-            .enumerate()
-            .filter(|(_, br)| {
-                self.clusters[br.a.segment as usize].node_online(br.a.node)
-                    && self.clusters[br.b.segment as usize].node_online(br.b.node)
-            })
-            .map(|(i, _)| i)
-            .collect();
-        let mut queue = VecDeque::new();
-        match route_next_hop(
-            &self.bridges,
-            &usable,
-            self.clusters.len(),
-            src.segment,
-            dst.segment,
-            &mut queue,
-        ) {
-            Some(bi) => {
-                let br = self.bridges[bi];
-                let router = if br.a.segment == src.segment { br.a } else { br.b };
-                if router.node == src.node {
-                    // The sender IS the router: queue straight across
-                    // (marking the bridge dirty).
-                    let now = self.clusters[src.segment as usize].now();
-                    let egress = if br.a.segment == src.segment { br.b } else { br.a };
-                    self.crossing.push(bi, InFlight {
-                        deliver_at: now + br.latency,
-                        ingress: egress,
-                        wire,
-                    });
-                } else {
-                    self.clusters[src.segment as usize].send_message(
-                        src.node,
-                        router.node,
-                        ROUTE_STREAM,
-                        &wire,
-                    );
-                }
-            }
-            None => self.unroutable += 1,
+        } else {
+            // Faults may have been injected since the last boundary.
+            self.routes.new_boundary();
+            let now = self.clusters[src.segment as usize].now();
+            self.forward(src, dst, wire, now);
         }
     }
 
-    /// Pop the next delivered global datagram at an address.
+    /// Pop the next delivered global datagram at an address (`None`
+    /// at one the network does not have).
     pub fn pop_global(&mut self, at: GlobalAddr) -> Option<GlobalDatagram> {
-        self.delivered[at.segment as usize][at.node as usize].pop_front()
+        self.delivered
+            .get_mut(at.segment as usize)?
+            .get_mut(at.node as usize)?
+            .pop_front()
+    }
+
+    /// Final hop: `wire` minus its route header is the payload
+    /// delivered at `at`. A datagram already held by its destination (a
+    /// self-addressed send, a crossing whose ingress router is the
+    /// destination) comes straight here — a ring strips a frame
+    /// addressed to its own sender.
+    fn deliver(&mut self, at: GlobalAddr, src: GlobalAddr, mut wire: Vec<u8>) {
+        wire.drain(..ROUTE_HEADER);
+        self.delivered[at.segment as usize][at.node as usize]
+            .push_back(GlobalDatagram { src, payload: wire });
+    }
+
+    /// Move `wire` one step toward the segment of `dst` from the node
+    /// `from`: straight across the bridge (marking it dirty) when
+    /// `from` is the router [`RouteCtx::route`] picks, over the local
+    /// ring to that router otherwise. No usable route: counted.
+    fn forward(&mut self, from: GlobalAddr, dst: GlobalAddr, wire: Vec<u8>, now: SimTime) {
+        let Some(bi) = self
+            .routes
+            .route(&self.bridges, &self.clusters, from.segment, dst.segment)
+        else {
+            self.unroutable += 1;
+            return;
+        };
+        let br = self.bridges[bi];
+        let (local, remote) = if br.a.segment == from.segment {
+            (br.a, br.b)
+        } else {
+            (br.b, br.a)
+        };
+        if local.node == from.node {
+            let crossing = InFlight {
+                deliver_at: now + br.latency,
+                ingress: remote,
+                wire,
+            };
+            self.crossing.push(bi, crossing);
+        } else {
+            self.clusters[from.segment as usize].send_message(
+                from.node,
+                local.node,
+                ROUTE_STREAM,
+                &wire,
+            );
+        }
+    }
+
+    /// Pull ROUTE_STREAM datagrams out of every node's inbox: deliver
+    /// finals, forward the rest. Iteration order — segment ascending,
+    /// node ascending, FIFO within an inbox — is the deterministic
+    /// exchange order.
+    fn drain_route_streams(&mut self, now: SimTime) {
+        for seg in 0..self.clusters.len() {
+            // Whole segment clean: skip its node loop outright.
+            if self.clusters[seg].pending_messages_on(ROUTE_STREAM) == 0 {
+                continue;
+            }
+            for node in 0..self.clusters[seg].n_nodes() as u8 {
+                while let Some(d) = self.clusters[seg].pop_message_on(node, ROUTE_STREAM) {
+                    let Some((dst, src, _)) = decode(&d.payload) else {
+                        continue;
+                    };
+                    let here = GlobalAddr {
+                        segment: seg as u8,
+                        node,
+                    };
+                    if dst == here {
+                        self.deliver(here, src, d.payload);
+                    } else if dst.segment == here.segment {
+                        // Mis-delivered within segment (should not
+                        // happen: unicast goes straight to the node).
+                        self.clusters[seg].send_message(node, dst.node, ROUTE_STREAM, &d.payload);
+                    } else {
+                        // This node is a router on the path.
+                        self.forward(here, dst, d.payload, now);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Inject matured crossings into their ingress segment: the merge
+    /// over *dirty* bridges, in bridge registration order, FIFO within
+    /// each queue. Clean bridges (empty queues) cost one `front` peek;
+    /// a multi-hop re-cross pushed during the merge lands at
+    /// `now + latency > now` and is therefore never reprocessed within
+    /// the same boundary, wherever its target queue sits in the order.
+    fn deliver_crossings(&mut self, now: SimTime) {
+        for b in 0..self.crossing.per_bridge.len() {
+            while let Some(x) = self.crossing.pop_matured(b, now) {
+                let Some((dst, src, _)) = decode(&x.wire) else {
+                    continue;
+                };
+                let cluster = &mut self.clusters[x.ingress.segment as usize];
+                if !cluster.node_online(x.ingress.node) {
+                    // Router died while the frame crossed; the
+                    // originator will re-send at the application
+                    // layer. Count it.
+                    self.unroutable += 1;
+                } else if dst == x.ingress {
+                    self.deliver(dst, src, x.wire);
+                } else if dst.segment == x.ingress.segment {
+                    // Final segment: router forwards to the
+                    // destination.
+                    cluster.send_message(x.ingress.node, dst.node, ROUTE_STREAM, &x.wire);
+                } else {
+                    // Multi-hop: route onward from the ingress router.
+                    self.forward(x.ingress, dst, x.wire, now);
+                }
+            }
+        }
+    }
+
+    /// The boundary exchange at `step_to`. Elision: draining is a
+    /// no-op unless some shard holds ROUTE_STREAM backlog (O(shards)
+    /// reads), delivery is a no-op unless a dirty bridge holds a
+    /// matured crossing (one front peek per bridge) — all deterministic
+    /// state, so the elision decisions are mode-invariant (and under
+    /// `Lookahead::Fixed` eliding changes nothing at all). When both
+    /// halves elide, the whole exchange was a proven no-op: counted as
+    /// skipped.
+    fn exchange_at(
+        &mut self,
+        step_to: SimTime,
+        planner: &mut SlicePlanner,
+        tally: &mut SliceStats,
+    ) {
+        // Liveness cannot change during the exchange, so one lazily
+        // computed usable-bridge set serves both phases; the distance
+        // tables memoized in `routes` survive boundaries until the set
+        // changes.
+        self.routes.new_boundary();
+        let any_backlog = self
+            .clusters
+            .iter()
+            .any(|c| c.pending_messages_on(ROUTE_STREAM) > 0);
+        if any_backlog {
+            self.drain_route_streams(step_to);
+        } else {
+            tally.drains_elided += 1;
+        }
+        // Crossings queued by the drain just now mature at
+        // `step_to + latency` (latency > 0), never at `step_to`
+        // itself, so checking after the drain misses nothing.
+        let any_matured = self.crossing.any_matured(step_to);
+        if any_matured {
+            self.deliver_crossings(step_to);
+        } else {
+            tally.deliveries_elided += 1;
+        }
+        if !any_backlog && !any_matured {
+            tally.exchanges_skipped += 1;
+        }
+        tally.dirty_bridges += self.crossing.dirty_count();
+        planner.note_exchange(any_backlog || any_matured);
+        tally.slices += 1;
     }
 
     /// Advance every segment in lockstep to `deadline`, moving bridge
@@ -1063,185 +922,33 @@ impl MultiSegment {
     /// and fused through established quiet phases — under
     /// [`Lookahead::Adaptive`]); boundaries are additionally placed at
     /// crossing maturity instants and at `deadline`. Under
-    /// [`ParallelMode::Threads`] the busy shards of each slice advance
-    /// concurrently behind the sense-reversing `EpochGate` (quiescent
-    /// shards get an inline clock bump without a publication; fully
-    /// quiescent slices never touch the gate); the exchange between
-    /// slices is always performed by this thread in deterministic
-    /// order, runs its delivery merge only over dirty bridges, and is
-    /// skipped outright when it provably has nothing to move.
+    /// [`ParallelMode::Threads`] the busy chunks of each slice advance
+    /// concurrently on scoped threads (see `advance`); the exchange
+    /// between slices is always performed by this thread in
+    /// deterministic order, runs its delivery merge only over dirty
+    /// bridges, and is skipped outright when it provably has nothing
+    /// to move.
     pub fn run_until(&mut self, deadline: SimTime, slice: SimDuration) {
         assert!(slice.as_nanos() > 0, "slice must be positive");
         if self.clusters.is_empty() {
             return;
         }
-        let workers = match self.mode {
+        let chunks = match self.mode {
             ParallelMode::Serial => 1,
-            // The epoch gate's busy mask caps the pool at 64 — far
-            // beyond any host this runs on, and more workers than
-            // shards would idle anyway.
-            ParallelMode::Threads(n) => n.min(self.clusters.len()).clamp(1, 64),
+            // More chunks than shards would be empty ones.
+            ParallelMode::Threads(n) => n.min(self.clusters.len()),
         };
+        let per = self.clusters.len().div_ceil(chunks);
         let mut planner = SlicePlanner::new(slice, self.lookahead);
         let mut tally = SliceStats::default();
-        // Split borrows: the shard cells take `clusters`; the exchange
-        // takes everything else. Serial and threaded paths then share
-        // all slice/exchange code.
-        self.crossing.ensure(self.bridges.len());
-        let cells: Vec<ShardCell<'_>> = self.clusters.iter_mut().map(Mutex::new).collect();
-        let mut xch = Exchange {
-            bridges: &self.bridges,
-            crossing: &mut self.crossing,
-            delivered: &mut self.delivered,
-            unroutable: &mut self.unroutable,
-        };
-        // The boundary exchange, shared by both drive paths. Elision:
-        // draining is a no-op unless some shard holds ROUTE_STREAM
-        // backlog (O(shards) reads), delivery is a no-op unless a
-        // dirty bridge holds a matured crossing (one front peek per
-        // bridge) — all deterministic state, so the elision decisions
-        // are mode-invariant (and under `Lookahead::Fixed` eliding
-        // changes nothing at all). When both halves elide, the whole
-        // exchange was a proven no-op: counted as skipped.
-        fn exchange_at(
-            xch: &mut Exchange<'_>,
-            cells: &[ShardCell<'_>],
-            step_to: SimTime,
-            planner: &mut SlicePlanner,
-            tally: &mut SliceStats,
-            routes: &mut RouteCtx,
-        ) {
-            // Liveness cannot change while every shard is parked at
-            // this boundary, so one lazily computed usable-bridge set
-            // serves both phases; the distance tables memoized in
-            // `routes` survive boundaries until the set changes.
-            routes.new_boundary();
-            let any_backlog = cells
-                .iter()
-                .any(|c| shard(c).pending_messages_on(ROUTE_STREAM) > 0);
-            if any_backlog {
-                xch.drain_route_streams(cells, step_to, routes);
-            } else {
-                tally.drains_elided += 1;
-            }
-            // Crossings queued by the drain just now mature at
-            // `step_to + latency` (latency > 0), never at `step_to`
-            // itself, so checking after the drain misses nothing.
-            let any_matured = xch.crossing.any_matured(step_to);
-            if any_matured {
-                xch.deliver_crossings(cells, step_to, routes);
-            } else {
-                tally.deliveries_elided += 1;
-            }
-            if !any_backlog && !any_matured {
-                tally.exchanges_skipped += 1;
-            }
-            tally.dirty_bridges += xch.crossing.dirty_count();
-            planner.note_exchange(any_backlog || any_matured);
-            tally.slices += 1;
-        }
-        let mut routes = RouteCtx::default();
         let mut plan = SlicePlan::default();
-        if workers <= 1 {
-            while plan.next(&cells, xch.crossing, &planner, deadline) {
-                tally.quiescent_shard_slices += plan.quiescent;
-                if plan.quiescent == cells.len() as u64 {
-                    tally.barriers_elided += 1;
-                }
-                for cell in &cells {
-                    shard(cell).run_until(plan.step_to);
-                }
-                exchange_at(&mut xch, &cells, plan.step_to, &mut planner, &mut tally, &mut routes);
+        while plan.next(&mut self.clusters, &self.crossing, &planner, deadline) {
+            tally.quiescent_shard_slices += plan.quiescent;
+            if plan.quiescent == self.clusters.len() as u64 {
+                tally.barriers_elided += 1;
             }
-        } else {
-            // Threaded drive: persistent workers parked on the epoch
-            // gate. Each slice the coordinator publishes the boundary
-            // and the busy-worker mask once, unparks exactly the busy
-            // workers, bumps the clocks of every other shard inline
-            // (O(1) each — their queues are empty up to the boundary),
-            // waits on the done count, then runs the exchange while
-            // all workers are parked. Worker `w` owns segments
-            // `w, w + n, ...` — a fixed partition, so across slices a
-            // shard is only ever touched by its worker or (when the
-            // whole partition is quiescent) the coordinator, never two
-            // threads in the same slice.
-            let gate = EpochGate::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let cells = &cells;
-                        let gate = &gate;
-                        scope.spawn(move || {
-                            let mut seen = 0u64;
-                            loop {
-                                let cur = gate.await_epoch(seen);
-                                if gate.shutdown.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let mask = gate.busy.load(Ordering::Acquire);
-                                let step = SimTime(gate.step.load(Ordering::Acquire));
-                                if gate.epoch.load(Ordering::Acquire) != cur {
-                                    // Torn read: a newer publication
-                                    // landed between the loads. Retry
-                                    // against the new epoch (`seen` is
-                                    // still the last one *completed*).
-                                    continue;
-                                }
-                                if mask & (1u64 << w) != 0 {
-                                    let _done = DoneGuard(&gate.done);
-                                    let mut i = w;
-                                    while i < cells.len() {
-                                        shard(&cells[i]).run_until(step);
-                                        i += workers;
-                                    }
-                                }
-                                seen = cur;
-                            }
-                        })
-                    })
-                    .collect();
-                while plan.next(&cells, xch.crossing, &planner, deadline) {
-                    tally.quiescent_shard_slices += plan.quiescent;
-                    let mut mask = 0u64;
-                    for w in 0..workers {
-                        let has_busy = (w..cells.len()).step_by(workers).any(|i| plan.busy[i]);
-                        if has_busy {
-                            mask |= 1u64 << w;
-                        } else {
-                            // Entire partition quiescent: bump the
-                            // clocks here instead of a wake.
-                            let mut i = w;
-                            while i < cells.len() {
-                                shard(&cells[i]).run_until(plan.step_to);
-                                i += workers;
-                            }
-                        }
-                    }
-                    if mask == 0 {
-                        // Fully quiescent slice (or fused window): the
-                        // gate is never touched — no publication, no
-                        // unpark, no wait.
-                        tally.barriers_elided += 1;
-                    } else {
-                        gate.publish(plan.step_to, mask);
-                        let mut woken = 0u64;
-                        for (w, h) in handles.iter().enumerate() {
-                            if mask & (1u64 << w) != 0 {
-                                h.thread().unpark();
-                                woken += 1;
-                            }
-                        }
-                        gate.await_done(woken);
-                        tally.worker_wakes += woken;
-                    }
-                    exchange_at(&mut xch, &cells, plan.step_to, &mut planner, &mut tally, &mut routes);
-                }
-                gate.shutdown.store(true, Ordering::Release);
-                gate.epoch.fetch_add(1, Ordering::Release);
-                for h in &handles {
-                    h.thread().unpark();
-                }
-            });
+            tally.worker_wakes += advance(&mut self.clusters, &plan, per);
+            self.exchange_at(plan.step_to, &mut planner, &mut tally);
         }
         self.stats.absorb(&tally);
         if let Some(coord) = &self.coord {

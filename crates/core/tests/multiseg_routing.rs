@@ -239,6 +239,37 @@ fn more_threads_than_segments_is_fine() {
     );
 }
 
+#[test]
+fn hostile_and_degenerate_addresses_are_counted_or_delivered() {
+    // `(src, dst, lands)`: no address may panic the network, and every
+    // datagram is either popped at `dst` or counted unroutable. The
+    // `pop_global` at each unknown `dst` is part of the check.
+    let cases = [
+        (ga(0, 1), ga(7, 0), false), // no such segment
+        (ga(0, 1), ga(1, 9), false), // no such node, across the bridge
+        (ga(0, 1), ga(0, 9), false), // no such node, own segment
+        (ga(7, 0), ga(0, 1), false), // sender on no such segment
+        (ga(0, 9), ga(0, 1), false), // no such sender node
+        (ga(0, 1), ga(0, 1), true),  // addressed to its own sender
+        (ga(0, 3), ga(0, 3), true),  // ... who is a router
+        (ga(0, 1), ga(1, 0), true),  // the ingress router is the destination
+    ];
+    for (i, (src, dst, lands)) in cases.into_iter().enumerate() {
+        let mut net = two_segments(70 + i as u64);
+        net.send_global(src, dst, b"edge case");
+        net.run_for(SimDuration::from_millis(3));
+        let got = net.pop_global(dst);
+        assert_eq!(got.is_some(), lands, "{src:?} -> {dst:?}");
+        if let Some(d) = got {
+            assert_eq!(
+                (d.src, d.payload.as_slice()),
+                (src, b"edge case".as_slice())
+            );
+        }
+        assert_eq!(net.unroutable, u64::from(!lands), "{src:?} -> {dst:?}");
+    }
+}
+
 // Re-exported type sanity.
 #[test]
 fn cluster_accessors() {

@@ -2,12 +2,11 @@
 //!
 //! AmpNet's availability story rests on its protocol state machines
 //! being deterministic functions of their inputs, on the data plane
-//! staying allocation-free, on protocol code not panicking mid-storm,
-//! and on the sharded engine's lock protocol staying cycle-free. All
-//! four are invariants the repo already pays for dynamically (digest
-//! equality tests, alloc-count tests, chaos sweeps, the model
-//! checker); this crate makes them hold *statically*, before a
-//! refactor ever reaches those harnesses.
+//! staying allocation-free, and on protocol code not panicking
+//! mid-storm. All three are invariants the repo already pays for
+//! dynamically (digest equality tests, alloc-count tests, chaos
+//! sweeps, the model checker); this crate makes them hold
+//! *statically*, before a refactor ever reaches those harnesses.
 //!
 //! The engine is dependency-free by necessity (crates.io is
 //! unreachable from the build environment — no `syn`): a hand-rolled
@@ -71,13 +70,6 @@ pub const RULE_DOCS: &[RuleDoc] = &[
         fix: "Return an error or propagate an Option; where the state really is impossible, keep the call and justify it in a scoped allow.",
     },
     RuleDoc {
-        id: "lock-discipline",
-        scope: "the sharded engine (crates/core/src/multiseg.rs)",
-        rationale: "The PDES engine shares shard cells (Mutex<&mut Cluster>) between workers and the coordinator; the Serial \u{2261} Threads(n) digest guarantee assumes no lock-order cycles and no guard held across a blocking synchronization point — Barrier::wait and channel recv from the barrier era, plus the epoch-gate primitives that replaced them (await_epoch, await_done, and the thread::park() both fall back to) — the two footguns barrier elision creates. Nested acquisitions must be provably in ascending shard order (literal indices); anything dynamic takes locks one at a time or justifies itself.",
-        example: "let a = shard(&cells[1]);\nlet b = shard(&cells[0]); // cycle with any thread locking 0 then 1",
-        fix: "Take shard locks one statement at a time and release before every wait()/recv()/await_epoch()/await_done()/park(); provably-ascending literal orders pass as-is.",
-    },
-    RuleDoc {
         id: "allow-audit",
         scope: "every scanned file",
         rationale: "The escape hatch polices itself: an allow must name a real rule and carry a non-empty justification, and an allow that no longer suppresses anything is itself a finding — the opt-out catalogue cannot outlive the code it excused.",
@@ -111,7 +103,7 @@ pub fn reference_doc() -> String {
          rule and a non-empty justification — trailing on the line itself,\n\
          or alone on the line directly above it:\n\n\
          ```rust\n\
-         cell.lock().expect(\"shard worker panicked\") // lint: allow(panic-freedom): poisoned cell means a worker died mid-slice; propagate\n\
+         self.queue.pop().expect(\"peeked event vanished\") // lint: allow(panic-freedom): pop follows a successful peek in the same critical section\n\
          ```\n\n\
          Allows are audited: unknown rule ids, empty justifications and\n\
          allows that no longer suppress anything are findings themselves.\n\n\

@@ -1,11 +1,11 @@
 //! The per-crate rule configuration for THIS workspace, and the
 //! driver that walks it. Rules are opt-in by scope: the policy names
 //! which crates are sim-facing (R1), which modules are declared hot
-//! paths (R2), which crates are panic-free protocol code (R3) and
-//! which files carry the shard-lock discipline (R4). Everything the
-//! policy says here is something the repo already pays for at run
-//! time — a bench guard, a digest-equality test, or a model-checked
-//! invariant; the lint makes the same promise hold statically.
+//! paths (R2) and which crates are panic-free protocol code (R3).
+//! Everything the policy says here is something the repo already pays
+//! for at run time — a bench guard, a digest-equality test, or a
+//! model-checked invariant; the lint makes the same promise hold
+//! statically.
 
 use crate::report::Report;
 use crate::rules::{run_rules, Finding, RuleSet};
@@ -26,9 +26,6 @@ pub struct Policy {
     /// R3 `panic-freedom`: crates where panicking constructs need a
     /// scoped justification.
     pub panic_freedom_crates: &'static [&'static str],
-    /// R4 `lock-discipline`: files running the sharded engine's
-    /// lock protocol.
-    pub lock_discipline_files: &'static [&'static str],
     /// Crates excluded from the walk entirely. The lint engine's own
     /// sources document the allow syntax in prose, which would read
     /// as (deliberately malformed) allows; its correctness is proven
@@ -80,7 +77,6 @@ pub const REPO_POLICY: Policy = Policy {
     panic_freedom_crates: &[
         "sim", "ring", "packet", "phy", "core", "cache", "roster", "dk", "telemetry", "chaos",
     ],
-    lock_discipline_files: &["crates/core/src/multiseg.rs"],
     skip_crates: &["lint"],
 };
 
@@ -103,7 +99,6 @@ pub fn rule_set_for(p: &Policy, rel: &str) -> RuleSet {
         digest_path: p.digest_path_files.contains(&rel),
         hot_path_alloc: p.hot_path_files.contains(&rel),
         panic_freedom: in_src && p.panic_freedom_crates.contains(&crate_name),
-        lock_discipline: p.lock_discipline_files.contains(&rel),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The rule catalogue: four rule families over the scanned token
+//! The rule catalogue: three rule families over the scanned token
 //! stream, plus the allow audit that keeps the opt-out catalogue
 //! honest. Each rule is a pure function of one file's [`Analysis`]
 //! and the [`RuleSet`] selecting what runs there; the workspace
@@ -13,7 +13,6 @@ pub const RULE_IDS: &[&str] = &[
     "nondeterminism",
     "hot-path-alloc",
     "panic-freedom",
-    "lock-discipline",
     "allow-audit",
 ];
 
@@ -30,8 +29,6 @@ pub struct RuleSet {
     pub hot_path_alloc: bool,
     /// R3: panicking constructs need a scoped justification.
     pub panic_freedom: bool,
-    /// R4: shard-lock ordering and guard-across-barrier discipline.
-    pub lock_discipline: bool,
 }
 
 impl RuleSet {
@@ -42,7 +39,6 @@ impl RuleSet {
             digest_path: true,
             hot_path_alloc: true,
             panic_freedom: true,
-            lock_discipline: true,
         }
     }
 
@@ -53,7 +49,6 @@ impl RuleSet {
             "nondeterminism" => self.nondeterminism = false,
             "hot-path-alloc" => self.hot_path_alloc = false,
             "panic-freedom" => self.panic_freedom = false,
-            "lock-discipline" => self.lock_discipline = false,
             other => panic!("unknown rule id {other:?}"),
         }
         self
@@ -99,9 +94,6 @@ pub fn run_rules(file: &str, a: &Analysis<'_>, rules: RuleSet) -> (Vec<Finding>,
     }
     if rules.panic_freedom {
         panic_freedom(file, a, &mut raw);
-    }
-    if rules.lock_discipline {
-        lock_discipline(file, a, &mut raw);
     }
     allow_audit(file, a, &mut raw);
 
@@ -313,243 +305,6 @@ fn panic_freedom(file: &str, a: &Analysis<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-// ---------------------------------------------------------------- R4
-
-/// R4 `lock-discipline`, scoped to the sharded engine: every nested
-/// shard-lock acquisition (`shard(…)` / `.lock()`) must be provably
-/// in ascending shard order, and no guard may be held across a
-/// blocking synchronization point — `Barrier::wait`, channel `recv`,
-/// or the epoch-gate primitives that replaced the barrier protocol:
-/// the worker-side `.await_epoch()` / coordinator-side `.await_done()`
-/// spin-then-block waits and the `std::thread::park()` they fall back
-/// to. A guard held across any of them deadlocks the pool the moment
-/// the parked thread's wake depends on the guard's owner.
-///
-/// The analysis is intraprocedural and block-structured: guards bound
-/// by `let` live until their enclosing block closes or an explicit
-/// `drop(name)`; acquisitions inside one statement coexist as
-/// temporaries until the statement ends. Ascending order is only
-/// *provable* when both index expressions are integer literals —
-/// anything else must either drop to a single lock or carry a
-/// justified allow.
-fn lock_discipline(file: &str, a: &Analysis<'_>, out: &mut Vec<Finding>) {
-    let code = code_tokens(a);
-
-    #[derive(Debug)]
-    struct LiveGuard {
-        name: Option<String>,
-        depth: u32,
-        index: Option<i64>,
-        line: u32,
-    }
-
-    // One acquisition site: where, and the literal shard index if the
-    // argument is provably `…[<int>]…`.
-    struct Acq {
-        tok_i: usize,
-        index: Option<i64>,
-    }
-
-    let acq_at = |i: usize| -> Option<usize> {
-        // `shard(…)` call (not the `fn shard` definition) …
-        let t = code[i];
-        let text = t.text(a.src);
-        if t.kind == TokenKind::Ident
-            && text == "shard"
-            && code.get(i + 1).map(|n| n.text(a.src)) == Some("(")
-            && i.checked_sub(1)
-                .map(|j| code[j].text(a.src))
-                .is_none_or(|p| p != "fn" && p != ".")
-        {
-            return Some(i + 1);
-        }
-        // … or a `.lock()` call.
-        if t.kind == TokenKind::Ident
-            && text == "lock"
-            && code.get(i + 1).map(|n| n.text(a.src)) == Some("(")
-            && i.checked_sub(1).map(|j| code[j].text(a.src)) == Some(".")
-        {
-            return Some(i + 1);
-        }
-        None
-    };
-
-    // Literal shard index inside the acquisition's argument list:
-    // present iff exactly one integer literal appears between the
-    // opening paren and its match.
-    let literal_index = |open: usize| -> Option<i64> {
-        let mut depth = 0i32;
-        let mut j = open;
-        let mut lit: Option<i64> = None;
-        let mut lits = 0;
-        loop {
-            let t = code.get(j)?;
-            match t.text(a.src) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {
-                    if t.kind == TokenKind::Int {
-                        lits += 1;
-                        lit = t.text(a.src).replace('_', "").parse().ok();
-                    }
-                }
-            }
-            j += 1;
-        }
-        if lits == 1 {
-            lit
-        } else {
-            None
-        }
-    };
-
-    let mut depth = 0u32;
-    let mut guards: Vec<LiveGuard> = Vec::new();
-    let mut stmt_acqs: Vec<Acq> = Vec::new();
-    let mut stmt_is_let = false;
-    let mut stmt_let_name: Option<String> = None;
-    let mut stmt_start = true;
-
-    let mut i = 0;
-    while i < code.len() {
-        let t = code[i];
-        let text = t.text(a.src);
-        match text {
-            "{" => {
-                depth += 1;
-                stmt_acqs.clear();
-                stmt_is_let = false;
-                stmt_start = true;
-                i += 1;
-                continue;
-            }
-            "}" => {
-                guards.retain(|g| g.depth < depth);
-                depth = depth.saturating_sub(1);
-                stmt_acqs.clear();
-                stmt_is_let = false;
-                stmt_start = true;
-                i += 1;
-                continue;
-            }
-            ";" => {
-                // A `let` statement that acquired exactly once binds a
-                // live guard; multi-acquisition statements were already
-                // reported as nested temporaries.
-                if stmt_is_let && stmt_acqs.len() == 1 {
-                    guards.push(LiveGuard {
-                        name: stmt_let_name.clone(),
-                        depth,
-                        index: stmt_acqs[0].index,
-                        line: code[stmt_acqs[0].tok_i].span.line,
-                    });
-                }
-                stmt_acqs.clear();
-                stmt_is_let = false;
-                stmt_let_name = None;
-                stmt_start = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if stmt_start {
-            stmt_is_let = text == "let";
-            stmt_let_name = None;
-            stmt_start = false;
-            if stmt_is_let {
-                // First plain ident after `let` (skipping `mut`).
-                let mut j = i + 1;
-                while let Some(n) = code.get(j) {
-                    let nt = n.text(a.src);
-                    if nt == "mut" {
-                        j += 1;
-                        continue;
-                    }
-                    if n.kind == TokenKind::Ident {
-                        stmt_let_name = Some(nt.to_string());
-                    }
-                    break;
-                }
-            }
-        }
-        // Explicit `drop(name)` releases that guard.
-        if t.kind == TokenKind::Ident
-            && text == "drop"
-            && code.get(i + 1).map(|n| n.text(a.src)) == Some("(")
-        {
-            if let Some(name) = code.get(i + 2).map(|n| n.text(a.src)) {
-                guards.retain(|g| g.name.as_deref() != Some(name));
-            }
-        }
-        // Blocking synchronization point while a guard is live? Method
-        // calls cover the barrier-era waits and the epoch gate that
-        // replaced them; `park` is a free function (`thread::park()`),
-        // so it matches on a non-method, non-definition call site.
-        let blocking_method = t.kind == TokenKind::Ident
-            && matches!(text, "wait" | "recv" | "await_epoch" | "await_done")
-            && code.get(i + 1).map(|n| n.text(a.src)) == Some("(")
-            && i.checked_sub(1).map(|j| code[j].text(a.src)) == Some(".");
-        let blocking_park = t.kind == TokenKind::Ident
-            && text == "park"
-            && code.get(i + 1).map(|n| n.text(a.src)) == Some("(")
-            && i.checked_sub(1)
-                .map(|j| code[j].text(a.src))
-                .is_none_or(|p| p != "." && p != "fn");
-        if blocking_method || blocking_park {
-            if let Some(g) = guards.last() {
-                out.push(finding(
-                    file,
-                    t,
-                    "lock-discipline",
-                    format!(
-                        "shard guard from line {} is still live across this \
-                         blocking `{text}()` — release every guard before \
-                         parking at the epoch gate",
-                        g.line
-                    ),
-                ));
-            }
-        }
-        if let Some(open) = acq_at(i) {
-            let index = literal_index(open);
-            // Nested vs an earlier acquisition in the same statement
-            // (temporaries coexist to the statement's end) or vs a
-            // live `let`-bound guard.
-            let prior_same_stmt = stmt_acqs
-                .last()
-                .map(|acq| (acq.index, code[acq.tok_i].span.line));
-            let prior_guard = guards.last().map(|g| (g.index, g.line));
-            if let Some((prior_index, prior_line)) = prior_same_stmt.or(prior_guard) {
-                let provably_ascending = matches!(
-                    (prior_index, index),
-                    (Some(p), Some(n)) if p < n
-                );
-                if !provably_ascending {
-                    out.push(finding(
-                        file,
-                        t,
-                        "lock-discipline",
-                        format!(
-                            "nested shard-lock acquisition (outer lock at line \
-                             {prior_line}) is not provably in ascending shard \
-                             order — take locks one at a time, or in \
-                             literal ascending indices"
-                        ),
-                    ));
-                }
-            }
-            stmt_acqs.push(Acq { tok_i: i, index });
-        }
-        i += 1;
-    }
-}
-
 // -------------------------------------------------------- allow audit
 
 /// The opt-out catalogue polices itself: allows naming unknown rules
@@ -567,7 +322,7 @@ fn allow_audit(file: &str, a: &Analysis<'_>, out: &mut Vec<Finding>) {
                 message: format!(
                     "allow names unknown rule `{}` — rule-scoped ids are {:?}",
                     al.rule,
-                    &RULE_IDS[..4]
+                    &RULE_IDS[..RULE_IDS.len() - 1]
                 ),
             });
         } else if al.why.is_empty() {

@@ -165,89 +165,6 @@ fn r3_skips_test_items_and_attribute_mentions() {
     assert!(lint(src, RuleSet::all()).is_empty());
 }
 
-// ---------------------------------------------------------------- R4
-
-#[test]
-fn r4_detects_unordered_nested_shard_locks() {
-    // Dynamic indices: not provably ascending even if they happen to be.
-    let src = "fn f(cells: &[ShardCell], i: usize, j: usize) -> bool {\n    shard(&cells[i]).ok() && shard(&cells[j]).ok()\n}\n";
-    let found = lint(src, RuleSet::all());
-    assert!(
-        spans(&found).contains(&(2, 30, "lock-discipline")),
-        "nested dynamic-index locks must flag at the inner site: {found:?}"
-    );
-    assert!(lint(src, RuleSet::all().without("lock-discipline")).is_empty());
-}
-
-#[test]
-fn r4_detects_descending_literal_order_and_passes_ascending() {
-    let descending = "fn f(cells: &[ShardCell]) {\n    let a = shard(&cells[1]);\n    let b = shard(&cells[0]);\n    drop(b);\n    drop(a);\n}\n";
-    let found = lint(descending, RuleSet::all());
-    assert!(
-        spans(&found).contains(&(3, 13, "lock-discipline")),
-        "descending literal order must flag: {found:?}"
-    );
-    let ascending = descending.replace("cells[1]", "cells[9]").replace("cells[0]", "cells[1]").replace("cells[9]", "cells[0]");
-    assert!(
-        lint(&ascending, RuleSet::all()).is_empty(),
-        "provably ascending literal order is legal"
-    );
-}
-
-#[test]
-fn r4_detects_guard_held_across_wait_and_recv() {
-    // Barrier-era waits plus the epoch-gate primitives that replaced
-    // them: worker-side `await_epoch`, coordinator-side `await_done`,
-    // and the `thread::park()` both fall back to.
-    for sync in [
-        "barrier.wait()",
-        "rx.recv()",
-        "gate.await_epoch(seen)",
-        "gate.await_done(finished)",
-        "std::thread::park()",
-        "park()",
-    ] {
-        let src = format!(
-            "fn f(cells: &[ShardCell]) {{\n    let g = shard(&cells[0]);\n    {sync};\n    drop(g);\n}}\n"
-        );
-        let found = lint(&src, RuleSet::all());
-        assert!(
-            found
-                .iter()
-                .any(|f| f.rule == "lock-discipline" && f.line == 3),
-            "guard across {sync} must flag: {found:?}"
-        );
-        assert!(lint(&src, RuleSet::all().without("lock-discipline")).is_empty());
-    }
-}
-
-#[test]
-fn r4_park_matches_only_blocking_call_sites() {
-    // `unpark` is a wake, not a wait; a method-call `.park()` on some
-    // unrelated type and a `fn park` definition are not the primitive.
-    for benign in ["handle.thread().unpark()", "car.park()"] {
-        let src = format!(
-            "fn f(cells: &[ShardCell]) {{\n    let g = shard(&cells[0]);\n    {benign};\n    drop(g);\n}}\n"
-        );
-        assert!(
-            lint(&src, RuleSet::all()).is_empty(),
-            "{benign} must not flag"
-        );
-    }
-    let def = "fn park() {}\nfn f(cells: &[ShardCell]) {\n    let g = shard(&cells[0]);\n    g.tick();\n}\n";
-    assert!(lint(def, RuleSet::all()).is_empty());
-}
-
-#[test]
-fn r4_releases_guards_at_block_close_and_drop() {
-    // Guard scoped to an inner block: the later wait is legal.
-    let scoped = "fn f(cells: &[ShardCell], b: &Barrier) {\n    {\n        let g = shard(&cells[0]);\n        g.tick();\n    }\n    b.wait();\n}\n";
-    assert!(lint(scoped, RuleSet::all()).is_empty());
-    // Explicit drop before the wait is legal too.
-    let dropped = "fn f(cells: &[ShardCell], b: &Barrier) {\n    let g = shard(&cells[0]);\n    drop(g);\n    b.wait();\n}\n";
-    assert!(lint(dropped, RuleSet::all()).is_empty());
-}
-
 // ------------------------------------------------------- allow audit
 
 #[test]

@@ -170,10 +170,10 @@ def!(PDES_EXCHANGES_ELIDED, "pdes_exchanges_elided", Counter, Events, Pdes, fals
 def!(PDES_QUIESCENT_SHARD_SLICES, "pdes_quiescent_shard_slices", Counter, Events, Pdes,
     false,
     "slide 15",
-    "Shard-slices advanced as a bare clock bump (no event due, no worker wake)");
+    "Shard-slices advanced as a bare clock bump (no event due within the slice)");
 def!(PDES_BARRIERS_ELIDED, "pdes_barriers_elided", Counter, Events, Pdes, false,
     "slide 15",
-    "Slices where every shard was quiescent, so the epoch gate was never touched");
+    "Slices where every shard was quiescent, so no worker thread was spawned");
 def!(PDES_EXCHANGES_SKIPPED, "pdes_exchanges_skipped", Counter, Events, Pdes, false,
     "slide 15",
     "Boundaries where the whole exchange was skipped (no backlog and no matured crossing)");

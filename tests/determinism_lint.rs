@@ -5,8 +5,8 @@
 //! level static-analysis engine, which runs the full rule catalogue
 //! (`docs/LINTS.md`): R1 `nondeterminism` (alias-aware, float
 //! equality on digest paths), R2 `hot-path-alloc`, R3
-//! `panic-freedom`, R4 `lock-discipline`, plus the allow audit that
-//! keeps the opt-out catalogue honest. The same engine and policy
+//! `panic-freedom`, plus the allow audit that keeps the opt-out
+//! catalogue honest. The same engine and policy
 //! back `figures --lint` (committed `LINT_report.json`) and the CI
 //! `lint` job — this test is the copy that runs on every
 //! `cargo test`.

@@ -1,12 +1,15 @@
 //! Tier-1 acceptance for the sharded-PDES engine: same seed ⇒ same
 //! digest AND byte-identical merged metrics, whether the shards
-//! advance on one thread (`ParallelMode::Serial`) or on a worker pool
-//! (`Threads(2)`, `Threads(8)`) — and that contract holds under BOTH
-//! slice-sizing policies ([`Lookahead::Fixed`], the PR-5 reference
-//! decision, and [`Lookahead::Adaptive`], the default). This is the
-//! determinism contract that makes the threaded mode usable at all —
-//! if it ever fails, every reproducibility guarantee of the workspace
-//! is off.
+//! advance on one thread (`ParallelMode::Serial`) or in chunks on
+//! scoped threads (`Threads(2)`, `Threads(3)`, `Threads(8)`,
+//! `Threads(65)`: over the 3- and 4-shard networks below that is even
+//! chunks, uneven chunks `[2, 1]`, a thread count that does not divide
+//! the shards, and more threads than shards) — and that contract holds
+//! under BOTH slice-sizing policies ([`Lookahead::Fixed`], the PR-5
+//! reference decision, and [`Lookahead::Adaptive`], the default). This
+//! is the determinism contract that makes the threaded mode usable at
+//! all — if it ever fails, every reproducibility guarantee of the
+//! workspace is off.
 //!
 //! The adaptive-specific legs pin the three amortizations the planner
 //! adds: slice growth through quiet phases (far fewer boundaries than
@@ -23,10 +26,12 @@ fn ga(segment: u8, node: u8) -> GlobalAddr {
     GlobalAddr { segment, node }
 }
 
-const MODES: [ParallelMode; 3] = [
+const MODES: [ParallelMode; 5] = [
     ParallelMode::Serial,
     ParallelMode::Threads(2),
+    ParallelMode::Threads(3),
     ParallelMode::Threads(8),
+    ParallelMode::Threads(65),
 ];
 
 const POLICIES: [Lookahead; 2] = [Lookahead::Fixed, Lookahead::Adaptive];
@@ -80,8 +85,8 @@ fn healthy_run_is_mode_invariant_under_both_policies() {
         let (digest, metrics) = healthy_run(ParallelMode::Serial, policy);
         assert_ne!(digest, 0);
         assert!(metrics.contains("mac_inserted"), "metrics actually merged");
-        for mode in [ParallelMode::Threads(2), ParallelMode::Threads(8)] {
-            let (d, m) = healthy_run(mode, policy);
+        for mode in &MODES[1..] {
+            let (d, m) = healthy_run(*mode, policy);
             assert_eq!(digest, d, "trace digest differs under {mode:?}/{policy:?}");
             assert_eq!(metrics, m, "merged metrics differ under {mode:?}/{policy:?}");
         }
@@ -199,7 +204,7 @@ fn bursty_storm_is_mode_invariant_under_both_policies() {
 }
 
 /// The quiescent-wake pin: a segment that has been idle long enough
-/// for the engine to stop waking its worker receives a bridge crossing
+/// to advance by bare clock bumps receives a bridge crossing
 /// and must resume — delivering at exactly the crossing's maturity, in
 /// every mode, with identical digests and identical mode-invariant
 /// slice accounting (`worker_wakes` is the one deliberately
@@ -221,7 +226,7 @@ fn quiescent_segment_wakes_on_crossing() {
         let slice = net.min_bridge_latency().unwrap();
 
         // A long quiet stretch: slices grow, exchanges elide, idle
-        // shards stop being woken.
+        // shards advance by clock bumps.
         let t0 = net.segment(0).now() + SimDuration::from_millis(3);
         net.run_until(t0, slice);
 
@@ -261,20 +266,20 @@ fn quiescent_segment_wakes_on_crossing() {
     }
 }
 
-/// Exact-count pin for the quiescence tally. The engine has two tally
-/// sites — the serial shard loop and the threaded coordinator fold —
-/// and both must bump `quiescent_shard_slices` once per *planned*
-/// slice, so a fused window counts its shards once, not once per
-/// fused-away sub-boundary. This scripts a schedule whose counts are
-/// derivable by hand and pins them exactly, in every mode:
+/// Exact-count pin for the quiescence tally: `quiescent_shard_slices`
+/// is bumped once per *planned* slice, so a fused window counts its
+/// shards once, not once per fused-away sub-boundary. This scripts a
+/// schedule whose counts are derivable by hand and pins them exactly,
+/// in every mode:
 ///
 /// * Quiet phase under `Fixed`: the fixed policy marches `now + base`
 ///   regardless of pending events, so a stretch of `K` slice-widths
 ///   is exactly `K` slices; with every shard drained, each one counts
 ///   all `SEGS` shards quiescent, elides its barrier and skips its
-///   exchange — and never wakes a worker, even under `Threads(8)`.
+///   exchange — and never spawns a thread, even under `Threads(8)`.
 /// * Busy phase: one intra-segment datagram makes segment 0 busy for
-///   a pinned number of boundaries while the other three stay quiet.
+///   a pinned number of boundaries while the other three stay quiet —
+///   a single busy chunk, which runs on the caller in every mode.
 /// * The same quiet stretch under `Adaptive` is ONE slice (the planner
 ///   jumps an eventless window straight to the deadline), counting its
 ///   shards once.
@@ -306,6 +311,11 @@ fn quiescence_accounting_is_exact() {
         let t0 = net.segment(0).now() + SimDuration::from_millis(3);
         net.run_until(t0, slice);
         let settled = net.slice_stats();
+        assert_eq!(
+            settled.worker_wakes == 0,
+            mode == ParallelMode::Serial,
+            "booting four rings at once spawns threads in every mode but Serial ({mode:?})"
+        );
 
         net.run_until(t0 + slice.saturating_mul(QUIET), slice);
         let quiet = net.slice_stats();
@@ -327,7 +337,7 @@ fn quiescence_accounting_is_exact() {
         );
         assert_eq!(
             quiet.worker_wakes, settled.worker_wakes,
-            "an all-quiet slice never touches the epoch gate ({mode:?})"
+            "an all-quiet slice spawns no thread ({mode:?})"
         );
 
         // Busy phase: one local datagram on segment 0. Its delivery
@@ -343,6 +353,10 @@ fn quiescence_accounting_is_exact() {
         assert_eq!(
             busy_shard_slices, 1,
             "segment 0 is busy for exactly one boundary ({mode:?})"
+        );
+        assert_eq!(
+            busy.worker_wakes, quiet.worker_wakes,
+            "a single busy chunk runs on the caller and never spawns ({mode:?})"
         );
 
         // The full mode-invariant delta tuple (worker_wakes excluded —
@@ -386,7 +400,10 @@ fn quiescence_accounting_is_exact() {
         );
         assert_eq!(quiet.barriers_elided - settled.barriers_elided, 1);
         assert_eq!(quiet.exchanges_skipped - settled.exchanges_skipped, 1);
-        assert_eq!(quiet.worker_wakes, settled.worker_wakes, "({mode:?})");
+        assert_eq!(
+            quiet.worker_wakes, settled.worker_wakes,
+            "the jumped window spawns no thread ({mode:?})"
+        );
     }
 }
 
