@@ -315,13 +315,11 @@ impl NetworkCache {
         Ok(crc32(region))
     }
 
-    /// Do two replicas agree byte-for-byte on every defined region?
+    /// Do two replicas define the same regions and agree byte-for-byte
+    /// on each? Compares the storage itself; [`Self::region_crc`] is
+    /// there for callers that want the number.
     pub fn converged_with(&self, other: &NetworkCache) -> bool {
-        self.region_ids() == other.region_ids()
-            && self.region_ids().iter().all(|&id| {
-                self.regions[id as usize].as_ref().map(|r| crc32(r))
-                    == other.regions[id as usize].as_ref().map(|r| crc32(r))
-            })
+        self.regions == other.regions
     }
 }
 
@@ -423,6 +421,24 @@ mod tests {
         a.write(1, 0, b"x", 0, 0).unwrap();
         assert!(!a.converged_with(&b));
         assert_ne!(a.region_crc(1).unwrap(), b.region_crc(1).unwrap());
+    }
+
+    #[test]
+    fn replicas_with_different_region_sets_do_not_converge() {
+        // Every region both define is identical (all zeros); only the
+        // set differs, in either direction.
+        let a = cache_with_region(0, 1, 256);
+        let mut b = cache_with_region(1, 1, 256);
+        assert!(a.converged_with(&b));
+        b.define_region(2, 64).unwrap();
+        assert!(!a.converged_with(&b));
+        assert!(!b.converged_with(&a));
+        // Same ids, different sizes: not converged either.
+        let mut c = cache_with_region(2, 1, 256);
+        c.define_region(2, 128).unwrap();
+        assert!(!b.converged_with(&c));
+        b.drop_region(2);
+        assert!(a.converged_with(&b));
     }
 
     #[test]

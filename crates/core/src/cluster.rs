@@ -429,12 +429,10 @@ impl Cluster {
     /// Do all online nodes hold byte-identical caches right now?
     /// (Only meaningful when traffic has quiesced.)
     pub fn caches_converged(&self) -> bool {
-        let online: Vec<&NodeCtx> = self.nodes.iter().filter(|n| n.online).collect();
-        match online.split_first() {
+        let mut online = self.nodes.iter().filter(|n| n.online);
+        match online.next() {
             None => true,
-            Some((first, rest)) => rest
-                .iter()
-                .all(|n| first.cache.converged_with(&n.cache)),
+            Some(first) => online.all(|n| first.cache.converged_with(&n.cache)),
         }
     }
 

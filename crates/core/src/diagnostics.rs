@@ -4,10 +4,11 @@
 //! After every roster episode the master runs a certification sweep:
 //! an Echo probe travels the new ring once (proving every hop really
 //! forwards), then every member reports the CRC of each cache region
-//! so divergent replicas are caught before applications resume. The
-//! sweep runs *inside* the simulation (Diagnostic MicroPackets over
-//! the fresh ring) and its verdict is recorded on the corresponding
-//! [`RosterEvent`](crate::RosterEvent).
+//! so divergent replicas are caught before applications resume (the
+//! simulation compares the replicas' bytes directly, which is what
+//! equal CRCs stand for). The sweep runs *inside* the simulation
+//! (Diagnostic MicroPackets over the fresh ring) and its verdict is
+//! recorded on the corresponding [`RosterEvent`](crate::RosterEvent).
 
 use crate::cluster::Cluster;
 use ampnet_packet::build::{self, DiagOp};
@@ -85,9 +86,10 @@ impl Cluster {
         }
         // CRC audit: all online replicas must agree region-by-region.
         // (The master gathers CrcAudit responses; replica content is
-        // already synchronously visible to the simulation, so we audit
-        // directly — the packet cost of the audit is one fixed cell
-        // per region per node, negligible next to the echo tour.)
+        // already synchronously visible to the simulation, so we
+        // compare the bytes directly — the packet cost of the audit is
+        // one fixed cell per region per node, negligible next to the
+        // echo tour.)
         let crc_uniform = self.caches_converged();
         self.diag.running_epoch = None;
         self.log(
@@ -112,4 +114,36 @@ impl Cluster {
 /// episode starts.
 pub(crate) fn abandon_if_running(cluster: &mut Cluster) {
     cluster.diag.running_epoch = None;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ClusterConfig;
+    use ampnet_sim::SimDuration;
+
+    /// The audit's negative case: one flipped byte in one online
+    /// replica, while the echo probe is still touring, fails the sweep.
+    #[test]
+    fn a_diverged_replica_fails_certification() {
+        let mut c = Cluster::new(ClusterConfig::small(6).with_seed(20));
+        c.run_for(SimDuration::from_millis(4));
+        assert_eq!(c.certifications().len(), 1, "boot epoch certified");
+        assert!(c.certifications()[0].passed());
+        assert!(c.caches_converged());
+
+        c.start_certification();
+        assert!(c.diag.running_epoch.is_some(), "probe in flight");
+        assert!(c.node_online(3));
+        let word = c.nodes[3].cache.read_u64(0, 4096).unwrap();
+        c.nodes[3].cache.write_u64_local(0, 4096, word ^ 1).unwrap();
+        c.run_for(SimDuration::from_micros(200));
+
+        assert_eq!(c.certifications().len(), 2, "sweep finished");
+        let cert = &c.certifications()[1];
+        assert!(cert.echo_completed, "the ring itself is healthy");
+        assert!(!cert.crc_uniform, "the flipped byte must be caught");
+        assert!(!cert.passed());
+        assert!(!c.caches_converged());
+    }
 }

@@ -237,8 +237,10 @@ struct LoadRun<'a> {
     topic_seq: Vec<u64>,
     subs_per_topic: u64,
     subscribers: Vec<(u8, Subscriber)>,
-    // cache: per-file write count and outstanding (version, sent_at).
+    // cache: per-file name, write count and outstanding (version,
+    // sent_at).
     store: FileStore,
+    file_names: Vec<String>,
     file_writes: Vec<u32>,
     file_outstanding: Vec<VecDeque<(u32, SimTime)>>,
     // socket: server on the last node, every other node a client;
@@ -325,6 +327,7 @@ impl<'a> LoadRun<'a> {
             subs_per_topic,
             subscribers,
             store: FileStore::new(files),
+            file_names: (0..N_FILES).map(|k| format!("k{k:02}")).collect(),
             file_writes: vec![0; N_FILES as usize],
             file_outstanding: (0..N_FILES).map(|_| VecDeque::new()).collect(),
             socket_in_flight: 0,
@@ -415,7 +418,7 @@ impl<'a> LoadRun<'a> {
         let mut payload = [0u8; FILE_PAYLOAD];
         payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
         payload[8..12].copy_from_slice(&self.file_writes[k].to_be_bytes());
-        let written = cluster.file_write(writer, &self.store, &file_name(k), &payload).is_ok();
+        let written = cluster.file_write(writer, &self.store, &self.file_names[k], &payload).is_ok();
         if written {
             self.file_writes[k] += 1;
             self.file_outstanding[k].push_back((self.file_writes[k], cluster.now()));
@@ -501,7 +504,7 @@ impl<'a> LoadRun<'a> {
             if !cluster.node_online(reader) {
                 continue;
             }
-            let Ok(info) = self.store.stat(cluster.cache(reader), &file_name(k)) else {
+            let Ok(info) = self.store.stat(cluster.cache(reader), &self.file_names[k]) else {
                 continue;
             };
             while let Some(&(version, sent_at)) = outstanding.front() {
@@ -656,10 +659,6 @@ fn topic(t: usize) -> TopicLayout {
     let (region, slots, slot_len) = (TOPIC_REGION, TOPIC_SLOTS, TOPIC_SLOT_LEN);
     let first = TopicLayout { region, base: 0, slots, slot_len };
     TopicLayout { base: t as u32 * first.footprint(), ..first }
-}
-
-fn file_name(k: usize) -> String {
-    format!("k{k:02}")
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! time, semaphore acquire latency), throughput counters and fairness
 //! indices. The core scalar instruments — [`Counter`] and the
 //! log-linear [`Histogram`] — are re-homed in `ampnet-telemetry` so
-//! the whole stack can record into one `MetricsRegistry`; they are
+//! the whole stack can record into one `Telemetry` registry; they are
 //! re-exported here so existing call sites keep working.
 
 use crate::time::SimDuration;

@@ -3,11 +3,14 @@
 //!
 //! Both types started life in `ampnet-sim::stats` and were re-homed
 //! here so every crate (including ones below the simulator in the
-//! dependency graph) can record into the [`MetricsRegistry`]
-//! without a cycle. `ampnet-sim` re-exports them, so existing
+//! dependency graph) can record into a [`Telemetry`](crate::Telemetry)
+//! registry without a cycle. `ampnet-sim` re-exports them, so existing
 //! `ampnet_sim::{Counter, Histogram}` call sites are unaffected.
 //!
-//! [`MetricsRegistry`]: crate::MetricsRegistry
+//! A *registered* histogram keeps these same fields as atomic cells
+//! (`cells.rs`), bucketed by the same [`Histogram::index_of`]; a
+//! snapshot loads the cells back into a plain [`Histogram`], so both
+//! forms share one quantile and merge implementation.
 
 /// Monotonic event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,8 +46,7 @@ impl Counter {
 /// Buckets: 64 powers-of-two decades, each split into 16 linear
 /// sub-buckets, giving ≤ 6.25 % relative error per recorded value.
 /// All bucket storage is allocated once in [`Histogram::new`];
-/// [`Histogram::record`] is allocation-free, which is what lets the
-/// registry keep its zero-alloc hot-path guarantee.
+/// [`Histogram::record`] is allocation-free.
 ///
 /// ```
 /// use ampnet_telemetry::Histogram;
@@ -68,6 +70,8 @@ pub struct Histogram {
 
 const SUB: usize = 16;
 const SUB_BITS: u32 = 4;
+/// Buckets in every histogram.
+pub(crate) const BUCKETS: usize = 64 * SUB;
 
 impl Default for Histogram {
     fn default() -> Self {
@@ -79,7 +83,7 @@ impl Histogram {
     /// Empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; 64 * SUB], // lint: allow(hot-path-alloc): constructor: the bucket array is allocated once at registration
+            buckets: vec![0; BUCKETS], // lint: allow(hot-path-alloc): constructor: a plain histogram allocates its bucket array once, here
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -87,7 +91,16 @@ impl Histogram {
         }
     }
 
-    fn index_of(value: u64) -> usize {
+    /// The histogram cells a snapshot loaded (`min` is `u64::MAX` when
+    /// `count` is 0).
+    pub(crate) fn from_parts(buckets: Vec<u64>, count: u64, sum: u128, min: u64, max: u64) -> Self {
+        debug_assert_eq!(buckets.len(), BUCKETS);
+        Histogram { buckets, count, sum, min, max }
+    }
+
+    /// Bucket of `value`.
+    #[inline]
+    pub(crate) fn index_of(value: u64) -> usize {
         if value < SUB as u64 {
             return value as usize;
         }

@@ -111,6 +111,20 @@ pub enum Plane {
 }
 
 impl Plane {
+    /// Every plane in declaration order, so `ALL[p as usize] == p`:
+    /// how a flight event's packed plane code is read back.
+    pub(crate) const ALL: [Plane; 9] = [
+        Plane::Phy,
+        Plane::Mac,
+        Plane::Delivery,
+        Plane::Transport,
+        Plane::Membership,
+        Plane::Cache,
+        Plane::Services,
+        Plane::Pdes,
+        Plane::Load,
+    ];
+
     /// Lower-case name used in snapshots and the metrics reference.
     pub fn as_str(self) -> &'static str {
         match self {

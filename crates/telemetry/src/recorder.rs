@@ -1,17 +1,20 @@
 //! The flight recorder: a bounded, preallocated ring of the last N
 //! plane events, stamped with simulated time.
 //!
-//! Where the [`crate::MetricsRegistry`] answers "how many / how long",
-//! the recorder answers "what happened just before it went wrong". It
-//! keeps the most recent [`FlightRecorder::capacity`] events — PHY
-//! fault bursts, MAC insert/strip decisions, roster transitions,
-//! seqlock retries, semaphore grants — and can render them as one
-//! correlated timeline. The chaos engine dumps this next to the shrunk
-//! fault schedule whenever an invariant trips.
+//! Where the metrics registry answers "how many / how long", the
+//! recorder answers "what happened just before it went wrong". It
+//! keeps the most recent N events — PHY fault bursts, MAC insert/strip
+//! decisions, roster transitions, seqlock retries, semaphore grants —
+//! and can render them as one correlated timeline. The chaos engine
+//! dumps this next to the shrunk fault schedule whenever an invariant
+//! trips.
 //!
-//! The ring is fully allocated up front; recording overwrites slots in
-//! place, so the hot path never allocates regardless of event volume.
+//! This module is the event vocabulary and the timeline rendering; the
+//! ring itself is `FlightRing` in `cells.rs`, fully allocated up
+//! front and overwritten in place, so the hot path never allocates
+//! regardless of event volume.
 
+use crate::cells::FlightRing;
 use crate::metric::Plane;
 use crate::registry::GLOBAL;
 
@@ -46,6 +49,27 @@ pub enum FlightKind {
     JoinRejected,
     /// Node brought online into the roster: `a` = node id.
     NodeOnline,
+}
+
+impl FlightKind {
+    /// Every kind in declaration order, so `ALL[k as usize] == k`: how
+    /// a flight event's packed kind code is read back. A new variant
+    /// goes at the end of both lists.
+    pub(crate) const ALL: [FlightKind; 13] = [
+        FlightKind::Empty,
+        FlightKind::PhyBurst,
+        FlightKind::MacInsert,
+        FlightKind::MacDeliver,
+        FlightKind::MacStrip,
+        FlightKind::RosterDown,
+        FlightKind::RosterUp,
+        FlightKind::StaleFrame,
+        FlightKind::Replay,
+        FlightKind::SeqlockBusy,
+        FlightKind::SemAcquire,
+        FlightKind::JoinRejected,
+        FlightKind::NodeOnline,
+    ];
 }
 
 /// One entry in the flight-recorder ring.
@@ -112,99 +136,29 @@ impl FlightEvent {
     }
 }
 
-/// Bounded ring of the last N [`FlightEvent`]s.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    slots: Vec<FlightEvent>,
-    head: usize,
-    recorded: u64,
-}
-
-impl FlightRecorder {
-    /// Ring with room for `capacity` events (capacity must be > 0).
-    /// The whole ring is allocated here; recording never allocates.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "flight recorder needs capacity > 0");
-        FlightRecorder {
-            slots: vec![FlightEvent::default(); capacity],
-            head: 0,
-            recorded: 0,
-        }
+/// Render the ring's retained window as a correlated timeline, oldest
+/// first, one line per event.
+pub(crate) fn dump(ring: &FlightRing) -> String {
+    let mut out = format!(
+        "flight recorder: {} event(s) retained, {} dropped to wraparound\n",
+        ring.len(),
+        ring.recorded() - ring.len() as u64
+    );
+    for ev in ring.events() {
+        let node = if ev.node == GLOBAL {
+            "  -".to_string()
+        } else {
+            format!("{:3}", ev.node)
+        };
+        out.push_str(&format!(
+            "[{:>12} ns] node {} {:<10} {}\n",
+            ev.at_ns,
+            node,
+            ev.plane.as_str(),
+            ev.describe()
+        ));
     }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Events currently retained (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.recorded.min(self.slots.len() as u64) as usize
-    }
-
-    /// Whether nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.recorded == 0
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events lost to wraparound.
-    pub fn dropped(&self) -> u64 {
-        self.recorded - self.len() as u64
-    }
-
-    /// Append an event, overwriting the oldest once full. Zero-alloc.
-    #[inline]
-    pub fn record(&mut self, ev: FlightEvent) {
-        self.slots[self.head] = ev;
-        self.head = (self.head + 1) % self.slots.len();
-        self.recorded += 1;
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightEvent> {
-        let len = self.len();
-        let start = (self.head + self.slots.len() - len) % self.slots.len();
-        (0..len).map(move |i| &self.slots[(start + i) % self.slots.len()])
-    }
-
-    /// Render the retained window as a correlated timeline, oldest
-    /// first, one line per event.
-    pub fn dump(&self) -> String {
-        let mut out = format!(
-            "flight recorder: {} event(s) retained, {} dropped to wraparound\n",
-            self.len(),
-            self.dropped()
-        );
-        for ev in self.iter() {
-            let node = if ev.node == GLOBAL {
-                "  -".to_string()
-            } else {
-                format!("{:3}", ev.node)
-            };
-            out.push_str(&format!(
-                "[{:>12} ns] node {} {:<10} {}\n",
-                ev.at_ns,
-                node,
-                ev.plane.as_str(),
-                ev.describe()
-            ));
-        }
-        out
-    }
-
-    /// Forget everything (capacity is kept).
-    pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = FlightEvent::default();
-        }
-        self.head = 0;
-        self.recorded = 0;
-    }
+    out
 }
 
 #[cfg(test)]
@@ -222,49 +176,57 @@ mod tests {
         }
     }
 
+    /// The ring's round-trip test (`cells.rs`) proves `ALL` decodes
+    /// what it lists; this proves it lists everything. Exhaustive on
+    /// purpose: a new variant stops this compiling until it is appended
+    /// to `ALL` and named here.
+    #[test]
+    fn code_tables_name_every_variant() {
+        for kind in FlightKind::ALL {
+            use FlightKind::*;
+            match kind {
+                Empty | PhyBurst | MacInsert | MacDeliver | MacStrip | RosterDown | RosterUp
+                | StaleFrame | Replay | SeqlockBusy | SemAcquire | JoinRejected | NodeOnline => {}
+            }
+        }
+        for plane in Plane::ALL {
+            use Plane::*;
+            match plane {
+                Phy | Mac | Delivery | Transport | Membership | Cache | Services | Pdes | Load => {}
+            }
+        }
+    }
+
     #[test]
     fn retains_recent_events_in_order() {
-        let mut r = FlightRecorder::new(8);
+        let r = FlightRing::new(8);
         for i in 0..5 {
             r.record(ev(i * 10, i));
         }
         assert_eq!(r.len(), 5);
-        assert_eq!(r.dropped(), 0);
-        let ats: Vec<u64> = r.iter().map(|e| e.at_ns).collect();
+        assert_eq!(r.recorded(), 5);
+        let ats: Vec<u64> = r.events().map(|e| e.at_ns).collect();
         assert_eq!(ats, [0, 10, 20, 30, 40]);
+        assert!(dump(&r).contains("5 event(s) retained, 0 dropped"));
     }
 
     #[test]
     fn wraparound_keeps_newest_window() {
-        let mut r = FlightRecorder::new(4);
+        let r = FlightRing::new(4);
         for i in 0..10u64 {
             r.record(ev(i, i));
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.recorded(), 10);
-        assert_eq!(r.dropped(), 6);
-        let ats: Vec<u64> = r.iter().map(|e| e.at_ns).collect();
+        let ats: Vec<u64> = r.events().map(|e| e.at_ns).collect();
         assert_eq!(ats, [6, 7, 8, 9], "oldest-first window after wrap");
-        let dump = r.dump();
+        let dump = dump(&r);
         assert!(dump.contains("6 dropped to wraparound"), "{dump}");
     }
 
     #[test]
-    fn clear_resets_but_keeps_capacity() {
-        let mut r = FlightRecorder::new(4);
-        for i in 0..9u64 {
-            r.record(ev(i, i));
-        }
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.capacity(), 4);
-        r.record(ev(99, 0));
-        assert_eq!(r.iter().next().unwrap().at_ns, 99);
-    }
-
-    #[test]
     fn dump_renders_global_and_node_events() {
-        let mut r = FlightRecorder::new(4);
+        let r = FlightRing::new(4);
         r.record(FlightEvent {
             at_ns: 5,
             node: GLOBAL,
@@ -274,7 +236,7 @@ mod tests {
             b: 6,
         });
         r.record(ev(7, 3));
-        let dump = r.dump();
+        let dump = dump(&r);
         assert!(dump.contains("node   - membership ring up: epoch 2, 6 node(s)"), "{dump}");
         assert!(dump.contains("node   1 mac"), "{dump}");
     }

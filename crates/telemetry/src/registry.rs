@@ -1,10 +1,13 @@
-//! The handle-based [`MetricsRegistry`].
+//! Metric handles and the cold side of the registry.
 //!
-//! Registration (setup time) allocates; recording (hot path) does not.
-//! A handle is a dense `u32` index into a pre-grown instrument table,
-//! so `inc`/`add`/`set`/`record` compile down to an array index plus an
-//! integer bump — no hashing, no string comparison, no allocation.
+//! A handle is the dense `u32` index of an instrument's first cell in
+//! the registry's `Cells` (`cells.rs`), so `inc`/`add`/`set`/`record`
+//! never come here. What lives here runs under the registry mutex, at
+//! setup and export time only: which `(metric, node)` owns which cells,
+//! in registration order, and how those cells are read back into a
+//! snapshot or folded across shards.
 
+use crate::cells::{Cells, HIST_CELLS};
 use crate::hist::Histogram;
 use crate::metric::{MetricDef, MetricKind};
 use crate::snapshot::{MetricsSnapshot, SnapValue, SnapshotEntry};
@@ -47,6 +50,7 @@ handle!(
     HistHandle
 );
 
+/// An instrument's value, read out of its cells.
 #[derive(Debug)]
 enum Value {
     Counter(u64),
@@ -54,130 +58,91 @@ enum Value {
     Hist(Histogram),
 }
 
+impl Value {
+    fn snap(&self) -> SnapValue {
+        match self {
+            Value::Counter(c) => SnapValue::Counter(*c),
+            Value::Gauge(g) => SnapValue::Gauge(*g),
+            Value::Hist(h) => SnapValue::Hist {
+                count: h.count(),
+                sum: h.sum(),
+                min: h.min(),
+                max: h.max(),
+                p50: h.p50(),
+                p99: h.p99(),
+            },
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Instrument {
     def: &'static MetricDef,
     node: u8,
-    value: Value,
+    /// First cell: the only one for a counter or gauge, the start of a
+    /// [`HIST_CELLS`] block for a histogram.
+    cell: u32,
 }
 
-/// Registry of all instruments for one cluster or segment.
+impl Instrument {
+    fn value(&self, cells: &Cells) -> Value {
+        match self.def.kind {
+            MetricKind::Counter => Value::Counter(cells.load(self.cell)),
+            MetricKind::Gauge => Value::Gauge(cells.load(self.cell) as i64),
+            MetricKind::Histogram => Value::Hist(cells.histogram(self.cell)),
+        }
+    }
+}
+
+/// Which instrument owns which cells, for one cluster or segment.
 ///
 /// Iteration order (and therefore snapshot order) is registration
 /// order, which the instrumented stack performs deterministically —
 /// that is what makes same-seed snapshot bytes identical.
 #[derive(Debug, Default)]
-pub struct MetricsRegistry {
+pub(crate) struct MetricsRegistry {
     instruments: Vec<Instrument>,
     by_key: BTreeMap<(&'static str, u8), u32>,
+    /// First cell no instrument owns yet.
+    next_cell: u32,
 }
 
 impl MetricsRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(&mut self, def: &'static MetricDef, node: u8) -> u32 {
-        if let Some(&idx) = self.by_key.get(&(def.name, node)) {
-            return idx;
+    /// Register (or look up) `def` at `node` and return its first cell.
+    /// `node` labels per-node instruments; pass [`GLOBAL`] for
+    /// cluster-wide ones. `kind` is how the caller's handle type will
+    /// record: asking for a def of another kind is a bug (debug builds
+    /// assert) and yields the inert `NONE` index.
+    pub(crate) fn register(
+        &mut self,
+        cells: &Cells,
+        def: &'static MetricDef,
+        node: u8,
+        kind: MetricKind,
+    ) -> u32 {
+        debug_assert_eq!(def.kind, kind, "{} is not a {}", def.name, kind.as_str());
+        if def.kind != kind {
+            return u32::MAX;
         }
-        let idx = u32::try_from(self.instruments.len()).expect("registry overflow"); // lint: allow(panic-freedom): u32::MAX instruments is a configuration explosion; fail at registration, which is the cold path
-        let value = match def.kind {
-            MetricKind::Counter => Value::Counter(0),
-            MetricKind::Gauge => Value::Gauge(0),
-            MetricKind::Histogram => Value::Hist(Histogram::new()),
+        if let Some(&cell) = self.by_key.get(&(def.name, node)) {
+            return cell;
+        }
+        let len = match kind {
+            MetricKind::Histogram => HIST_CELLS,
+            MetricKind::Counter | MetricKind::Gauge => 1,
         };
-        self.instruments.push(Instrument { def, node, value });
-        self.by_key.insert((def.name, node), idx);
-        idx
-    }
-
-    /// Register (or look up) a counter instance. `node` labels per-node
-    /// instruments; pass [`GLOBAL`] for cluster-wide ones.
-    pub fn counter(&mut self, def: &'static MetricDef, node: u8) -> CounterHandle {
-        debug_assert_eq!(def.kind, MetricKind::Counter, "{} is not a counter", def.name);
-        CounterHandle(self.register(def, node))
-    }
-
-    /// Register (or look up) a gauge instance.
-    pub fn gauge(&mut self, def: &'static MetricDef, node: u8) -> GaugeHandle {
-        debug_assert_eq!(def.kind, MetricKind::Gauge, "{} is not a gauge", def.name);
-        GaugeHandle(self.register(def, node))
-    }
-
-    /// Register (or look up) a histogram instance.
-    pub fn histogram(&mut self, def: &'static MetricDef, node: u8) -> HistHandle {
-        debug_assert_eq!(
-            def.kind,
-            MetricKind::Histogram,
-            "{} is not a histogram",
-            def.name
-        );
-        HistHandle(self.register(def, node))
-    }
-
-    /// Add `n` to a counter. Zero-alloc; ignores [`CounterHandle::NONE`].
-    #[inline]
-    pub fn add(&mut self, h: CounterHandle, n: u64) {
-        if let Some(Instrument { value: Value::Counter(c), .. }) =
-            self.instruments.get_mut(h.0 as usize)
-        {
-            *c += n;
-        }
-    }
-
-    /// Set a gauge. Zero-alloc; ignores [`GaugeHandle::NONE`].
-    #[inline]
-    pub fn set(&mut self, h: GaugeHandle, v: i64) {
-        if let Some(Instrument { value: Value::Gauge(g), .. }) =
-            self.instruments.get_mut(h.0 as usize)
-        {
-            *g = v;
-        }
-    }
-
-    /// Record a histogram sample. Zero-alloc; ignores [`HistHandle::NONE`].
-    #[inline]
-    pub fn record(&mut self, h: HistHandle, sample: u64) {
-        if let Some(Instrument { value: Value::Hist(hist), .. }) =
-            self.instruments.get_mut(h.0 as usize)
-        {
-            hist.record(sample);
-        }
-    }
-
-    /// Current value of a counter (0 for [`CounterHandle::NONE`]).
-    pub fn counter_value(&self, h: CounterHandle) -> u64 {
-        match self.instruments.get(h.0 as usize) {
-            Some(Instrument { value: Value::Counter(c), .. }) => *c,
-            _ => 0,
-        }
-    }
-
-    /// Current value of a gauge (0 for [`GaugeHandle::NONE`]).
-    pub fn gauge_value(&self, h: GaugeHandle) -> i64 {
-        match self.instruments.get(h.0 as usize) {
-            Some(Instrument { value: Value::Gauge(g), .. }) => *g,
-            _ => 0,
-        }
-    }
-
-    /// Number of registered instruments (instances, not defs).
-    pub fn len(&self) -> usize {
-        self.instruments.len()
-    }
-
-    /// Whether nothing has been registered yet.
-    pub fn is_empty(&self) -> bool {
-        self.instruments.is_empty()
+        let cell = cells.reserve(self.next_cell, len).expect("registry overflow"); // lint: allow(panic-freedom): 2^32 cells is a configuration explosion; fail at registration, which is the cold path
+        self.next_cell = cell + len as u32;
+        self.instruments.push(Instrument { def, node, cell });
+        self.by_key.insert((def.name, node), cell);
+        cell
     }
 
     /// The distinct [`MetricDef`]s registered so far, in first-seen
     /// order. Used by the docs-sync test to prove the full-stack
     /// exercise touches every catalog entry.
-    pub fn registered_defs(&self) -> Vec<&'static MetricDef> {
-        let mut seen: Vec<&'static MetricDef> = Vec::new(); // lint: allow(hot-path-alloc): cold diagnostic backing the docs-sync test, never on the record path
+    pub(crate) fn registered_defs(&self) -> Vec<&'static MetricDef> {
+        let mut seen: Vec<&'static MetricDef> = Vec::new();
         for inst in &self.instruments {
             if !seen.iter().any(|d| d.name == inst.def.name) {
                 seen.push(inst.def);
@@ -186,58 +151,58 @@ impl MetricsRegistry {
         seen
     }
 
-    /// Fold this registry's instruments into `acc` under the [`GLOBAL`]
-    /// node label: counters and gauges sum, histograms bucket-merge.
-    /// Entry order in `acc` is first-seen order across successive
-    /// `aggregate_into` calls, so folding per-shard registries in shard
-    /// order yields a deterministic merged snapshot. Used by
-    /// [`crate::Telemetry::merge_shards`].
-    pub fn aggregate_into(&self, acc: &mut MetricsRegistry) {
-        for inst in &self.instruments {
-            match &inst.value {
-                Value::Counter(c) => {
-                    let h = acc.counter(inst.def, GLOBAL);
-                    acc.add(h, *c);
-                }
-                Value::Gauge(g) => {
-                    let h = acc.gauge(inst.def, GLOBAL);
-                    let cur = acc.gauge_value(h);
-                    acc.set(h, cur.saturating_add(*g));
-                }
-                Value::Hist(hist) => {
-                    let h = acc.histogram(inst.def, GLOBAL);
-                    if let Some(Instrument { value: Value::Hist(dst), .. }) =
-                        acc.instruments.get_mut(h.0 as usize)
-                    {
-                        dst.merge(hist);
-                    }
-                }
-            }
-        }
-    }
-
     /// Point-in-time snapshot of every instrument, in registration
     /// order. Deterministic given deterministic registration/recording.
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self, cells: &Cells) -> MetricsSnapshot {
         let entries = self
             .instruments
             .iter()
             .map(|inst| SnapshotEntry {
                 def: inst.def,
                 node: (inst.node != GLOBAL).then_some(inst.node),
-                value: match &inst.value {
-                    Value::Counter(c) => SnapValue::Counter(*c),
-                    Value::Gauge(g) => SnapValue::Gauge(*g),
-                    Value::Hist(h) => SnapValue::Hist {
-                        count: h.count(),
-                        sum: h.sum(),
-                        min: h.min(),
-                        max: h.max(),
-                        p50: h.p50(),
-                        p99: h.p99(),
-                    },
-                },
+                value: inst.value(cells).snap(),
             })
+            .collect();
+        MetricsSnapshot { entries }
+    }
+}
+
+/// Cross-shard fold behind [`crate::Telemetry::merge_shards`]: one
+/// [`GLOBAL`] entry per [`MetricDef`], in first-seen order across
+/// successive [`Merged::fold`] calls, so folding per-shard registries
+/// in shard order yields a deterministic merged snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct Merged {
+    entries: Vec<(&'static MetricDef, Value)>,
+    by_name: BTreeMap<&'static str, usize>,
+}
+
+impl Merged {
+    /// Fold one registry in: counters and gauges sum, histograms
+    /// bucket-merge.
+    pub(crate) fn fold(&mut self, registry: &MetricsRegistry, cells: &Cells) {
+        for inst in &registry.instruments {
+            let value = inst.value(cells);
+            let Some(&at) = self.by_name.get(inst.def.name) else {
+                self.by_name.insert(inst.def.name, self.entries.len());
+                self.entries.push((inst.def, value));
+                continue;
+            };
+            // One name is one def, so the kinds always pair up.
+            match (&mut self.entries[at].1, value) {
+                (Value::Counter(acc), Value::Counter(c)) => *acc += c,
+                (Value::Gauge(acc), Value::Gauge(g)) => *acc = acc.saturating_add(g),
+                (Value::Hist(acc), Value::Hist(h)) => acc.merge(&h),
+                _ => {}
+            }
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        let entries = self
+            .entries
+            .iter()
+            .map(|(def, value)| SnapshotEntry { def, node: None, value: value.snap() })
             .collect();
         MetricsSnapshot { entries }
     }
@@ -248,75 +213,52 @@ mod tests {
     use super::*;
     use crate::defs;
 
+    fn register(
+        reg: &mut MetricsRegistry,
+        cells: &Cells,
+        def: &'static MetricDef,
+        node: u8,
+    ) -> u32 {
+        reg.register(cells, def, node, def.kind)
+    }
+
     #[test]
     fn registration_is_idempotent() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter(&defs::MAC_INSERTED, 3);
-        let b = reg.counter(&defs::MAC_INSERTED, 3);
-        let c = reg.counter(&defs::MAC_INSERTED, 4);
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        let a = register(&mut reg, &cells, &defs::MAC_INSERTED, 3);
+        let b = register(&mut reg, &cells, &defs::MAC_INSERTED, 3);
+        let c = register(&mut reg, &cells, &defs::MAC_INSERTED, 4);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(reg.len(), 2);
+        assert_eq!(reg.instruments.len(), 2);
         assert_eq!(reg.registered_defs().len(), 1);
     }
 
     #[test]
-    fn none_handles_are_inert() {
-        let mut reg = MetricsRegistry::new();
-        let real = reg.counter(&defs::MAC_INSERTED, 0);
-        reg.add(CounterHandle::NONE, 99);
-        reg.set(GaugeHandle::NONE, -5);
-        reg.record(HistHandle::NONE, 123);
-        reg.add(real, 2);
-        assert_eq!(reg.counter_value(real), 2);
-        assert_eq!(reg.counter_value(CounterHandle::NONE), 0);
-        assert_eq!(reg.len(), 1);
+    fn a_histogram_owns_a_block_and_a_scalar_one_cell() {
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        let c = register(&mut reg, &cells, &defs::MAC_INSERTED, 0);
+        let h = register(&mut reg, &cells, &defs::RING_TOUR_NS, GLOBAL);
+        let g = register(&mut reg, &cells, &defs::MAC_WOULD_DROP, 0);
+        assert_eq!((c, h, g), (0, 1, 1 + HIST_CELLS as u32));
     }
 
     #[test]
-    fn aggregate_folds_shards_into_global_entries() {
-        let mut shard0 = MetricsRegistry::new();
-        let mut shard1 = MetricsRegistry::new();
-        let c0 = shard0.counter(&defs::MAC_INSERTED, 0);
-        shard0.add(c0, 3);
-        let g0 = shard0.gauge(&defs::MAC_WOULD_DROP, 0);
-        shard0.set(g0, 2);
-        let h0 = shard0.histogram(&defs::RING_TOUR_NS, GLOBAL);
-        shard0.record(h0, 100);
-        let c1 = shard1.counter(&defs::MAC_INSERTED, 5);
-        shard1.add(c1, 4);
-        let g1 = shard1.gauge(&defs::MAC_WOULD_DROP, 5);
-        shard1.set(g1, -1);
-        let h1 = shard1.histogram(&defs::RING_TOUR_NS, GLOBAL);
-        shard1.record(h1, 900);
-
-        let mut acc = MetricsRegistry::new();
-        shard0.aggregate_into(&mut acc);
-        shard1.aggregate_into(&mut acc);
-        let snap = acc.snapshot();
-        assert_eq!(snap.entries.len(), 3);
-        assert_eq!(snap.counter_total("mac_inserted"), 7);
-        // Every merged entry carries the GLOBAL label.
-        assert!(snap.entries.iter().all(|e| e.node.is_none()));
-        match snap.entries[1].value {
-            SnapValue::Gauge(v) => assert_eq!(v, 1),
-            ref v => panic!("expected gauge, got {v:?}"),
-        }
-        match snap.entries[2].value {
-            SnapValue::Hist { count, min, max, .. } => {
-                assert_eq!((count, min, max), (2, 100, 900));
-            }
-            ref v => panic!("expected hist, got {v:?}"),
-        }
+    #[cfg(not(debug_assertions))]
+    fn a_handle_of_the_wrong_kind_is_inert() {
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        let cell = reg.register(&cells, &defs::MAC_INSERTED, 0, MetricKind::Histogram);
+        assert_eq!(cell, u32::MAX);
+        assert!(reg.snapshot(&cells).entries.is_empty());
     }
 
     #[test]
     fn snapshot_orders_by_registration() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter(&defs::MAC_STRIPPED, 1);
-        reg.gauge(&defs::MAC_WOULD_DROP, 1);
-        reg.histogram(&defs::RING_TOUR_NS, GLOBAL);
-        let snap = reg.snapshot();
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        register(&mut reg, &cells, &defs::MAC_STRIPPED, 1);
+        register(&mut reg, &cells, &defs::MAC_WOULD_DROP, 1);
+        register(&mut reg, &cells, &defs::RING_TOUR_NS, GLOBAL);
+        let snap = reg.snapshot(&cells);
         let names: Vec<_> = snap.entries.iter().map(|e| e.def.name).collect();
         assert_eq!(
             names,

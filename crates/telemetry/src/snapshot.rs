@@ -1,4 +1,4 @@
-//! Point-in-time export of a [`MetricsRegistry`](crate::MetricsRegistry).
+//! Point-in-time export of a [`Telemetry`](crate::Telemetry) registry.
 //!
 //! The JSON writer is hand-rolled and emits only integers in registration order, so a snapshot of a
 //! deterministic run is byte-identical across same-seed executions —
@@ -105,22 +105,21 @@ impl MetricsSnapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::defs;
-    use crate::registry::{MetricsRegistry, GLOBAL};
+    use crate::{defs, Telemetry, GLOBAL};
 
     #[test]
     fn json_is_deterministic_and_integer_only() {
         let build = || {
-            let mut reg = MetricsRegistry::new();
-            let c = reg.counter(&defs::MAC_INSERTED, 2);
-            let g = reg.gauge(&defs::MAC_WOULD_DROP, 2);
-            let h = reg.histogram(&defs::RING_TOUR_NS, GLOBAL);
-            reg.add(c, 7);
-            reg.set(g, 0);
+            let tel = Telemetry::new(1);
+            let c = tel.counter(&defs::MAC_INSERTED, 2);
+            let g = tel.gauge(&defs::MAC_WOULD_DROP, 2);
+            let h = tel.histogram(&defs::RING_TOUR_NS, GLOBAL);
+            tel.add(c, 7);
+            tel.set(g, 0);
             for i in 1..=100 {
-                reg.record(h, i * 1000);
+                tel.record(h, i * 1000);
             }
-            reg.snapshot().to_json()
+            tel.snapshot().to_json()
         };
         let a = build();
         let b = build();
@@ -133,12 +132,10 @@ mod tests {
 
     #[test]
     fn lookup_helpers() {
-        let mut reg = MetricsRegistry::new();
-        let c0 = reg.counter(&defs::MAC_INSERTED, 0);
-        let c1 = reg.counter(&defs::MAC_INSERTED, 1);
-        reg.add(c0, 3);
-        reg.add(c1, 4);
-        let snap = reg.snapshot();
+        let tel = Telemetry::new(1);
+        tel.add(tel.counter(&defs::MAC_INSERTED, 0), 3);
+        tel.add(tel.counter(&defs::MAC_INSERTED, 1), 4);
+        let snap = tel.snapshot();
         assert_eq!(snap.counter_total("mac_inserted"), 7);
         assert!(snap.get("mac_inserted", Some(1)).is_some());
         assert!(snap.get("mac_inserted", Some(9)).is_none());
