@@ -479,7 +479,9 @@ impl Cluster {
     /// Time of the earliest pending simulation event, if any (always
     /// after [`Cluster::now`]). The multi-segment slice planner uses
     /// this to skip dead air and to leave quiescent shards unwoken.
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
+    /// A read of the heap's top — every stored event is pending — so
+    /// the planner needs only `&Cluster`.
+    pub fn next_event_time(&self) -> Option<SimTime> {
         self.sim.peek_time()
     }
 

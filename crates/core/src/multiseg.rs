@@ -500,7 +500,7 @@ impl SlicePlan {
     /// argument reduces to this.
     fn next(
         &mut self,
-        clusters: &mut [Cluster],
+        clusters: &[Cluster],
         crossing: &CrossingSet,
         planner: &SlicePlanner,
         deadline: SimTime,
@@ -644,6 +644,9 @@ impl MultiSegment {
     pub fn add_bridge(&mut self, a: GlobalAddr, b: GlobalAddr, latency: SimDuration) {
         assert_ne!(a.segment, b.segment, "bridges join distinct segments");
         assert!(latency.as_nanos() > 0, "a zero-latency bridge has no lookahead");
+        for end in [a, b] {
+            assert!(self.knows(end), "bridge endpoint {end:?} is not in the network");
+        }
         self.bridges.push(Bridge { a, b, latency });
         self.crossing.ensure(self.bridges.len());
     }
@@ -942,7 +945,7 @@ impl MultiSegment {
         let mut planner = SlicePlanner::new(slice, self.lookahead);
         let mut tally = SliceStats::default();
         let mut plan = SlicePlan::default();
-        while plan.next(&mut self.clusters, &self.crossing, &planner, deadline) {
+        while plan.next(&self.clusters, &self.crossing, &planner, deadline) {
             tally.quiescent_shard_slices += plan.quiescent;
             if plan.quiescent == self.clusters.len() as u64 {
                 tally.barriers_elided += 1;

@@ -270,6 +270,27 @@ fn hostile_and_degenerate_addresses_are_counted_or_delivered() {
     }
 }
 
+/// Two unbooted 4-node segments, for the registration checks.
+fn unbridged() -> MultiSegment {
+    MultiSegment::new(vec![ClusterConfig::small(4), ClusterConfig::small(4)])
+}
+
+#[test]
+#[should_panic(
+    expected = "bridge endpoint GlobalAddr { segment: 1, node: 9 } is not in the network"
+)]
+fn bridge_to_an_unknown_node_is_rejected_at_registration() {
+    unbridged().add_bridge(ga(0, 1), ga(1, 9), SimDuration::from_micros(5));
+}
+
+#[test]
+#[should_panic(
+    expected = "bridge endpoint GlobalAddr { segment: 7, node: 0 } is not in the network"
+)]
+fn bridge_to_an_unknown_segment_is_rejected_at_registration() {
+    unbridged().add_bridge(ga(0, 1), ga(7, 0), SimDuration::from_micros(5));
+}
+
 // Re-exported type sanity.
 #[test]
 fn cluster_accessors() {

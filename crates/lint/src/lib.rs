@@ -103,7 +103,7 @@ pub fn reference_doc() -> String {
          rule and a non-empty justification — trailing on the line itself,\n\
          or alone on the line directly above it:\n\n\
          ```rust\n\
-         self.queue.pop().expect(\"peeked event vanished\") // lint: allow(panic-freedom): pop follows a successful peek in the same critical section\n\
+         enc.encode(Symbol::Ctrl(K28_5)).expect(\"K28.5 is valid\"), // lint: allow(panic-freedom): K28.5 is a valid control symbol by definition\n\
          ```\n\n\
          Allows are audited: unknown rule ids, empty justifications and\n\
          allows that no longer suppress anything are findings themselves.\n\n\

@@ -68,9 +68,9 @@ impl OrderedSet {
         let id = self.identifier();
         [
             enc.encode(Symbol::Ctrl(K28_5)).expect("K28.5 is valid"), // lint: allow(panic-freedom): K28.5 is a valid control symbol by definition
-            enc.encode(Symbol::Data(id[0])).expect("data total"), // lint: allow(panic-freedom): 8b/10b encode is total over data bytes
-            enc.encode(Symbol::Data(id[1])).expect("data total"), // lint: allow(panic-freedom): 8b/10b encode is total over data bytes
-            enc.encode(Symbol::Data(id[2])).expect("data total"), // lint: allow(panic-freedom): 8b/10b encode is total over data bytes
+            enc.encode_data(id[0]),
+            enc.encode_data(id[1]),
+            enc.encode_data(id[2]),
         ]
     }
 

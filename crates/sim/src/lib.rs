@@ -6,13 +6,14 @@
 //! simulation. This crate is the kernel every other crate builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution clock.
-//! * [`EventQueue`] — deterministic future-event list with FIFO
-//!   tie-breaking and O(1) timer cancellation.
+//! * [`EventQueue`] — deterministic future-event list: one binary
+//!   heap with FIFO tie-breaking. Timers are retired by stamp in the
+//!   handlers, not cancelled in the queue.
 //! * [`Sim`] — executor: clock + queue + seeded randomness.
 //! * [`SimRng`] — labelled ChaCha8 streams; independent randomness per
 //!   subsystem so experiments are reproducible and comparable.
-//! * [`Histogram`], [`Counter`], [`jain_fairness`] — the measurement
-//!   primitives the benchmark harness reports.
+//! * [`Histogram`], [`jain_fairness`] — the measurement primitives
+//!   the benchmark harness reports.
 //! * [`Trace`] — bounded milestone log for debugging scenarios.
 //!
 //! Determinism contract: for a fixed seed and identical inputs, every
@@ -25,7 +26,6 @@
 mod digest;
 mod queue;
 mod rng;
-mod seqset;
 #[allow(clippy::module_inception)]
 mod sim;
 mod stats;
@@ -40,7 +40,7 @@ pub use queue::{EventId, EventQueue};
 pub use queue::QueueMutation;
 pub use rng::SimRng;
 pub use sim::Sim;
-pub use stats::{jain_fairness, mean, stddev, Counter, Histogram, Throughput};
+pub use stats::{jain_fairness, Histogram};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Level, Trace, TraceEntry};
 

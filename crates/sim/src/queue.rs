@@ -14,22 +14,20 @@
 //!   number is the schedule counter, so same-instant events pop in
 //!   scheduling order (FIFO tie-break) and the schedule is a pure
 //!   function of the calls made.
-//! * **Cancellation** is lazy: `cancel` clears the id from the
-//!   [`SeqWindow`] liveness bitmap in O(1) and leaves a tombstone in
-//!   the heap, skipped when it surfaces. Once tombstones outnumber live
-//!   entries the heap is compacted in place, so cancel-heavy churn
-//!   keeps storage within 2× the live count.
-//! * **No tombstones, no probes** — the pop path consults the bitmap
-//!   only while a tombstone is actually stored; a run that never
-//!   cancels pays one bitmap clear per event and nothing else.
+//! * **Every stored entry is live** — `schedule` is a heap push, `pop`
+//!   a heap pop, `len` the heap's own, and peeking is read-only. The
+//!   protocol code retires a timer by *stamp* (the handler compares a
+//!   sequence number or epoch carried in the event and ignores a stale
+//!   one — DESIGN.md §13), so the queue keeps no liveness set beside
+//!   the heap. [`EventQueue::cancel`] removes its entry eagerly in
+//!   O(live); no workload calls it.
 //! * **Zero-alloc steady state** — the heap is reserved for
 //!   [`PREALLOC`] entries at construction, so no run in the repo grows
 //!   it on the record path.
 
-use crate::seqset::SeqWindow;
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BinaryHeap;
 
 /// Handle identifying one scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,23 +84,14 @@ pub enum QueueMutation {
     /// a same-instant event scheduled later can pop first (the
     /// FIFO-tie-break bug the sequence number exists to prevent).
     TimeOnlyTieBreak,
-    /// Skip the liveness check when a tombstone surfaces, so
-    /// lazily-cancelled events are popped instead of skipped.
-    ResurrectCancelled,
 }
 
-/// A future-event list with deterministic FIFO tie-breaking and O(1)
-/// lazy cancellation, implemented as a binary heap.
+/// A future-event list with deterministic FIFO tie-breaking,
+/// implemented as a binary heap.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap on `(at, seq)`; may hold tombstones.
+    /// Min-heap on `(at, seq)`; every stored entry is pending.
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Sequence numbers of events that are scheduled and not yet fired
-    /// or cancelled. Stored entries whose seq is absent here are
-    /// tombstones left behind by `cancel`.
-    pending: SeqWindow,
-    /// Tombstones still stored in the heap.
-    dead: usize,
     next_seq: u64,
     mutation: QueueMutation,
 }
@@ -118,8 +107,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(PREALLOC),
-            pending: SeqWindow::new(),
-            dead: 0,
             next_seq: 0,
             mutation: QueueMutation::None,
         }
@@ -132,27 +119,20 @@ impl<E> EventQueue<E> {
         self.mutation = m;
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Entries currently stored, including tombstones. Exposed so
-    /// tests can assert the compaction bound.
-    pub fn heap_len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// Whether no pending events remain.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pending.insert(seq);
         self.heap.push(Reverse(Entry { at, seq, event }));
         EventId(seq)
     }
@@ -160,59 +140,23 @@ impl<E> EventQueue<E> {
     /// Cancel a previously scheduled event. Returns `true` if the event
     /// was still pending (i.e. not yet fired or cancelled).
     ///
-    /// Cancellation is lazy, but tombstones are not allowed to pile up
-    /// forever: once they outnumber live entries the heap is
-    /// compacted, so cancel-heavy timer churn (roster misses, pacing
-    /// reschedules) keeps storage within 2× the live-event count
-    /// instead of growing unbounded at 256-node scale.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        let removed = self.pending.remove(id.0);
-        if removed {
-            self.dead += 1;
-            self.maybe_compact();
-        }
-        removed
-    }
-
-    /// Sweep tombstones out of the heap when they dominate.
-    ///
-    /// Amortised O(1) per cancel: compaction costs O(n) but only runs
-    /// after Ω(n) cancellations have accumulated since the last one.
+    /// Eager and O(live): the entry is removed and the heap rebuilt.
     /// Pop order is unaffected — it is a function of the surviving
-    /// keys alone.
-    fn maybe_compact(&mut self) {
-        const COMPACT_MIN: usize = 64;
-        let live = self.pending.len();
-        if live + self.dead < COMPACT_MIN || self.dead <= live {
-            return;
-        }
-        let pending = &self.pending;
-        self.heap.retain(|Reverse(e)| pending.contains(e.seq));
-        self.dead = 0;
+    /// keys alone. Nothing in the simulator calls this (timers are
+    /// retired by stamp); it exists for the benchmark's
+    /// `sim.queue_cancel_ns` leg and goes with it.
+    pub fn cancel(&mut self, id: EventId) -> bool {
+        let before = self.heap.len();
+        self.heap.retain(|Reverse(e)| e.seq != id.0);
+        self.heap.len() != before
     }
 
-    /// Pop tombstones off the top until the earliest stored entry is
-    /// live. Free when nothing is cancelled: the liveness bitmap is
-    /// consulted only while a tombstone is actually stored.
-    fn skip_dead(&mut self) {
-        while self.dead > 0 && self.mutation != QueueMutation::ResurrectCancelled {
-            match self.heap.peek_mut() {
-                Some(top) if !self.pending.contains(top.0.seq) => {
-                    PeekMut::pop(top);
-                    self.dead -= 1;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_dead();
+    /// Time of the next event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(e)| e.at)
     }
 
-    /// Remove the top entry, live or not.
+    /// Remove the top entry.
     fn take_top(&mut self) -> Option<Entry<E>> {
         let Reverse(e) = self.heap.pop()?;
         if self.mutation == QueueMutation::TimeOnlyTieBreak
@@ -229,15 +173,12 @@ impl<E> EventQueue<E> {
         Some(e)
     }
 
-    /// Remove and return the next live event.
+    /// Remove and return the next event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_dead();
-        let e = self.take_top()?;
-        self.pending.remove(e.seq);
-        Some((e.at, e.event))
+        self.take_top().map(|e| (e.at, e.event))
     }
 
-    /// Pop every live event at the earliest pending instant, provided
+    /// Pop every event at the earliest pending instant, provided
     /// that instant is at or before `deadline`; append them to `out`
     /// in sequence order and return the instant. Equivalent to popping
     /// one at a time while `peek_time()` stays equal — the per-instant
@@ -251,18 +192,9 @@ impl<E> EventQueue<E> {
         let at = self.peek_time().filter(|&at| at <= deadline)?;
         while self.heap.peek().is_some_and(|Reverse(top)| top.at == at) {
             let Some(e) = self.take_top() else { break };
-            self.pending.remove(e.seq);
             out.push((e.at, e.event));
-            self.skip_dead();
         }
         Some(at)
-    }
-
-    /// Drop every pending event.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pending.clear();
-        self.dead = 0;
     }
 }
 
@@ -343,39 +275,21 @@ mod tests {
     }
 
     #[test]
-    fn clear_removes_everything() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(1), 1);
-        q.schedule(SimTime(2), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn cancel_heavy_churn_keeps_heap_bounded() {
-        // Regression: lazy cancellation used to leave tombstones in the
-        // heap forever, so a cancel/reschedule loop (timer churn) grew
-        // storage without bound. With compaction it stays within a
-        // small multiple of the live-event count.
+        // A cancel/reschedule loop (timer churn) stores exactly the
+        // live events: a cancelled entry leaves the heap at once.
         let mut q = EventQueue::new();
         let mut live: Vec<EventId> = (0..32)
             .map(|i| q.schedule(SimTime(1_000 + i), i))
             .collect();
         // Miri interprets ~100x slower; a few hundred rounds still
-        // crosses several compaction cycles.
+        // cancel every slot several times over.
         let rounds: u64 = if cfg!(miri) { 256 } else { 10_000 };
         for round in 0..rounds {
             let slot = (round % 32) as usize;
             assert!(q.cancel(live[slot]));
             live[slot] = q.schedule(SimTime(2_000 + round), round);
             assert_eq!(q.len(), 32);
-            assert!(
-                q.heap_len() <= 2 * q.len().max(64),
-                "round {round}: stored {} for {} live events",
-                q.heap_len(),
-                q.len()
-            );
         }
         // The queue still pops everything, in time order.
         let mut last = SimTime(0);
@@ -389,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_pop_order() {
+    fn cancelling_buried_entries_preserves_pop_order() {
         let mut q = EventQueue::new();
         let mut keep = Vec::new();
         for i in 0..512u64 {
@@ -397,7 +311,7 @@ mod tests {
             if i % 7 == 0 {
                 keep.push((SimTime(10_000 - i * 10), i));
             } else {
-                q.cancel(id); // triggers compaction along the way
+                q.cancel(id); // rebuilds the heap around the survivors
             }
         }
         keep.sort();

@@ -32,7 +32,6 @@ pub struct Sim<E> {
     now: SimTime,
     rng: SimRng,
     processed: u64,
-    seed: u64,
 }
 
 impl<E> Sim<E> {
@@ -43,7 +42,6 @@ impl<E> Sim<E> {
             now: SimTime::ZERO,
             rng: SimRng::new(seed),
             processed: 0,
-            seed,
         }
     }
 
@@ -51,11 +49,6 @@ impl<E> Sim<E> {
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The seed this simulation was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Number of events processed so far.
@@ -89,13 +82,8 @@ impl<E> Sim<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
-    /// Cancel a pending event; `true` if it had not yet fired.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
     /// Time of the next pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -104,21 +92,17 @@ impl<E> Sim<E> {
     /// next event lies beyond the deadline (the clock then advances to
     /// the deadline itself, so repeated calls are monotonic).
     pub fn pop_next(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.queue.peek_time() {
-            Some(t) if t <= deadline => {
-                let (at, ev) = self.queue.pop().expect("peeked event vanished"); // lint: allow(panic-freedom): pop follows a successful peek in the same critical section
-                debug_assert!(at >= self.now, "event queue yielded a past event");
-                self.now = at;
-                self.processed += 1;
-                Some((at, ev))
+        if self.queue.peek_time().is_none_or(|t| t > deadline) {
+            if deadline > self.now && deadline != SimTime::MAX {
+                self.now = deadline;
             }
-            _ => {
-                if deadline > self.now && deadline != SimTime::MAX {
-                    self.now = deadline;
-                }
-                None
-            }
+            return None;
         }
+        let (at, ev) = self.queue.pop()?;
+        debug_assert!(at >= self.now, "event queue yielded a past event");
+        self.now = at;
+        self.processed += 1;
+        Some((at, ev))
     }
 
     /// Drain the whole batch of events sharing the earliest pending
@@ -151,11 +135,6 @@ impl<E> Sim<E> {
                 0
             }
         }
-    }
-
-    /// Drop all pending events (used when tearing a scenario down).
-    pub fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -199,16 +178,6 @@ mod tests {
         sim.schedule_at(SimTime(10), Ev::A);
         sim.pop_next(SimTime::MAX);
         sim.schedule_at(SimTime(5), Ev::B);
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim: Sim<Ev> = Sim::new(1);
-        let id = sim.schedule_at(SimTime(10), Ev::A);
-        sim.schedule_at(SimTime(20), Ev::B);
-        assert!(sim.cancel(id));
-        let (t, ev) = sim.pop_next(SimTime::MAX).unwrap();
-        assert_eq!((t, ev), (SimTime(20), Ev::B));
     }
 
     #[test]

@@ -116,6 +116,11 @@ impl Trace {
             .fold(message.as_bytes());
         self.digest = h.finish();
         self.accepted += 1;
+        if self.capacity == 0 {
+            // Digest only: the entry is accepted and evicted at once.
+            self.dropped += 1;
+            return;
+        }
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
             self.dropped += 1;
@@ -205,6 +210,20 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let first = t.entries().next().unwrap();
         assert_eq!(first.message, "m2");
+    }
+
+    #[test]
+    fn zero_capacity_keeps_the_digest_and_retains_nothing() {
+        let mut none = Trace::enabled(0, Level::Debug);
+        let mut large = Trace::enabled(1000, Level::Debug);
+        for i in 0..100u64 {
+            none.log(SimTime(i), Level::Info, "x", format!("m{i}"));
+            large.log(SimTime(i), Level::Info, "x", format!("m{i}"));
+        }
+        assert_eq!(none.len(), 0);
+        assert_eq!(none.accepted(), 100);
+        assert_eq!(none.dropped(), 100);
+        assert_eq!(none.digest(), large.digest());
     }
 
     #[test]

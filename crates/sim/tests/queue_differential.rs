@@ -1,18 +1,17 @@
 //! Differential harness: the shipping [`EventQueue`] against a
 //! trivially-correct model kept in this file.
 //!
-//! The model is a `BTreeMap` keyed on `(time, schedule index)` with
-//! eager cancellation — no heap, no tombstones, no compaction, so its
-//! `(time, sequence)` ordering is correct by inspection and it is the
-//! trusted side. Every test drives both with the same operation
-//! sequence and demands identical observable behavior: pop results,
-//! peek times, cancel return values, live counts. The property sweeps
+//! The model is a `BTreeMap` keyed on `(time, schedule index)` — no
+//! heap, so its `(time, sequence)` ordering is correct by inspection
+//! and it is the trusted side. Cancellation is eager on both sides.
+//! Every test drives both with the same operation sequence and demands
+//! identical observable behavior: pop results, peek times, cancel
+//! return values, live counts. The property sweeps
 //! cover randomized push/cancel/pop interleavings, same-instant
 //! bursts, far-future times (minutes out, and the `SimTime::MAX`
-//! "never" sentinel), the cancel-heavy tombstone-compaction regime
-//! from PR 5, and the batch pop.
+//! "never" sentinel), cancel-heavy churn, and the batch pop.
 //!
-//! The final tests arm each seeded [`QueueMutation`] defect and assert
+//! The final tests arm the seeded [`QueueMutation`] defect and assert
 //! the harness *detects* it — a differential suite that cannot fail on
 //! a broken queue proves nothing.
 
@@ -212,11 +211,11 @@ proptest! {
         }
     }
 
-    /// The PR-5 tombstone regime: cancel-heavy churn keeps queue and
-    /// model in lockstep through compactions, and stored entries stay
-    /// within the bound pinned in PR 5.
+    /// Cancel-heavy churn: a standing population whose members are
+    /// cancelled and rescheduled keeps queue and model in lockstep
+    /// through every heap rebuild.
     #[test]
-    fn tombstone_compaction_regime_matches(
+    fn cancel_heavy_churn_matches(
         churn in proptest::collection::vec(
             ((0u64..100_000), (0usize..4096)), 64..300
         ),
@@ -235,32 +234,12 @@ proptest! {
             }
         }
         run_differential(&ops);
-
-        // Replay on the queue alone to check the compaction bound.
-        let mut queue = EventQueue::new();
-        let mut ids = Vec::new();
-        for op in &ops {
-            match *op {
-                Op::Schedule(at) => ids.push(queue.schedule(SimTime(at), 0u64)),
-                Op::Cancel(i) => {
-                    queue.cancel(ids[i % ids.len()]);
-                }
-                Op::Pop => {
-                    queue.pop();
-                }
-                Op::Peek => {}
-            }
-            prop_assert!(
-                queue.heap_len() <= 2 * queue.len().max(64),
-                "stored {} for {} live", queue.heap_len(), queue.len()
-            );
-        }
     }
 
     /// `pop_instant_into` — the batch pop `Sim::pop_batch` rides on —
     /// equals popping the model one event at a time while its peek
-    /// time stays at the same instant, under cancels, tombstone skips,
-    /// far-future keys and deadline cutoffs alike.
+    /// time stays at the same instant, under cancels, far-future keys
+    /// and deadline cutoffs alike.
     #[test]
     fn batch_pop_matches_model(
         ops in proptest::collection::vec(op_strategy(), 1..300),
@@ -321,9 +300,9 @@ proptest! {
 
 // ---- seeded-defect detection -------------------------------------------
 //
-// Each QueueMutation models a real implementation mistake a heap can
-// make. The harness must catch every one, otherwise "queue == model"
-// is vacuous.
+// The QueueMutation models a real implementation mistake a heap can
+// make. The harness must catch it, otherwise "queue == model" is
+// vacuous.
 
 /// `TimeOnlyTieBreak` bites as soon as a same-instant run is longer
 /// than the heap keeps in insertion order by accident: with the
@@ -343,33 +322,13 @@ fn time_only_tie_break_mutation_is_detected() {
     assert!(err.contains("pop"), "divergence should be a pop: {err}");
 }
 
-/// `ResurrectCancelled` bites when a cancelled event reaches the top
-/// of the heap: the defect pops the tombstone the model never sees.
-#[test]
-fn resurrect_cancelled_mutation_is_detected() {
-    let ops = [
-        Op::Schedule(10), // #0
-        Op::Schedule(10), // #1
-        Op::Pop,          // pops #0; #1 is now the top
-        Op::Cancel(1),    // tombstone #1 in place
-        Op::Schedule(20), // #2: the correct next pop
-        Op::Pop,
-    ];
-    let err = run_with_mutation(&ops, QueueMutation::ResurrectCancelled)
-        .expect_err("harness must detect resurrected tombstones");
-    assert!(err.contains("pop") || err.contains("peek") || err.contains("len"));
-}
-
 /// And the sweeps themselves must flag mutations, not just the
-/// hand-built scripts: run the randomized differential against each
+/// hand-built script: run the randomized differential against each
 /// defect and require at least one divergence across the case budget.
 #[test]
 fn property_sweep_detects_every_mutation() {
     use proptest::test_runner::TestRng;
-    for mutation in [
-        QueueMutation::TimeOnlyTieBreak,
-        QueueMutation::ResurrectCancelled,
-    ] {
+    for mutation in [QueueMutation::TimeOnlyTieBreak] {
         let mut rng = TestRng::for_test("queue_differential::sweep_mutations");
         let mut detected = false;
         'cases: for _ in 0..1_000 {
@@ -379,7 +338,7 @@ fn property_sweep_detects_every_mutation() {
                 // Times are quantized to a handful of distinct instants
                 // so same-instant collisions (where ordering defects
                 // live) are common at every scale; pops dominate so
-                // tombstones keep reaching the top.
+                // same-instant runs keep reaching the top.
                 ops.push(match r % 8 {
                     0 => Op::Schedule((rng.next_u64() % 8) * 700),
                     1 => Op::Schedule((rng.next_u64() % 4) * 10_000_000),

@@ -1,45 +1,15 @@
-//! Scalar measurement primitives: [`Counter`] and the log-linear
-//! [`Histogram`].
+//! The log-linear [`Histogram`].
 //!
-//! Both types started life in `ampnet-sim::stats` and were re-homed
-//! here so every crate (including ones below the simulator in the
-//! dependency graph) can record into a [`Telemetry`](crate::Telemetry)
-//! registry without a cycle. `ampnet-sim` re-exports them, so existing
-//! `ampnet_sim::{Counter, Histogram}` call sites are unaffected.
+//! It started life in `ampnet-sim::stats` and was re-homed here so
+//! every crate (including ones below the simulator in the dependency
+//! graph) can record into a [`Telemetry`](crate::Telemetry) registry
+//! without a cycle. `ampnet-sim` re-exports it, so existing
+//! `ampnet_sim::Histogram` call sites are unaffected.
 //!
 //! A *registered* histogram keeps these same fields as atomic cells
 //! (`cells.rs`), bucketed by the same [`Histogram::index_of`]; a
 //! snapshot loads the cells back into a plain [`Histogram`], so both
 //! forms share one quantile and merge implementation.
-
-/// Monotonic event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Log-linear histogram of `u64` samples (typically nanoseconds).
 ///
@@ -212,14 +182,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_exact_small_values() {

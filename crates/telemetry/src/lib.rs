@@ -55,7 +55,7 @@ mod recorder;
 mod registry;
 mod snapshot;
 
-pub use hist::{Counter, Histogram};
+pub use hist::Histogram;
 pub use metric::{MetricDef, MetricKind, Plane, Unit};
 pub use recorder::{FlightEvent, FlightKind};
 pub use registry::{CounterHandle, GaugeHandle, HistHandle, GLOBAL};
