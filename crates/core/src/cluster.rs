@@ -7,7 +7,9 @@
 //! event loop. The per-node data-plane is an `ampnet-ring`
 //! [`NodeStack`] (SerialPhy → RegisterMac → HostQueues) fed from a
 //! cluster-owned [`FrameArena`]: each packet is serialized once at its
-//! source and hops move pooled frame handles. Failures injected into
+//! source, hops move pooled frame handles, and a delivered frame is
+//! decoded once, straight into its handler (nothing is queued in
+//! between). Failures injected into
 //! the plant trigger detection and rostering exactly as slides 16/18
 //! describe (see `membership.rs`); while the ring heals, traffic
 //! pauses, and sources replay their unacknowledged packets afterwards
@@ -84,6 +86,31 @@ pub(crate) struct NodeCtx {
     pub(crate) outstanding_unicast: VecDeque<(SimTime, MicroPacket)>,
 }
 
+/// One node's output port. A transmission ends at a known `(time,
+/// sequence)` position — the one its `Ev::TxDone` would occupy on the
+/// heap — but the event itself is pushed only once something waits
+/// for the port (see `transport.rs`). The port is busy while that
+/// position lies after the event in hand.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TxPort {
+    /// Instant the frame on the wire has been clocked out.
+    pub(crate) free_at: SimTime,
+    /// Sequence number reserved at the send for the `TxDone` at
+    /// `free_at`.
+    pub(crate) seq: u64,
+    /// That `TxDone` has been pushed (or the port never sent).
+    pub(crate) requested: bool,
+}
+
+impl TxPort {
+    /// A port that has not sent since the ring came up.
+    pub(crate) const IDLE: TxPort = TxPort {
+        free_at: SimTime::ZERO,
+        seq: 0,
+        requested: true,
+    };
+}
+
 #[derive(Debug)]
 pub(crate) enum Ev {
     Arrival { epoch: u64, node: u8, frame: FrameRef },
@@ -122,7 +149,18 @@ pub struct Cluster {
     pub(crate) nodes: Vec<NodeCtx>,
     /// Pooled wire frames shared by every node's data-plane.
     pub(crate) arena: FrameArena,
-    pub(crate) tx_busy: Vec<bool>,
+    /// Per-node output port state (see [`TxPort`]).
+    pub(crate) ports: Vec<TxPort>,
+    /// Sequence number of the event being handled; `u64::MAX` between
+    /// [`Cluster::run_until`] calls, when every event at or before
+    /// `now` has been. With `now` it is the key a port's `(free_at,
+    /// seq)` is compared against.
+    pub(crate) in_hand: u64,
+    /// The eager reference for the differential test: push every
+    /// `TxDone` at its send, whether or not anything will wait for it.
+    /// Does not exist outside this crate's unit tests.
+    #[cfg(test)]
+    pub(crate) eager_tx_done: bool,
     pub(crate) retry_pending: Vec<bool>,
     pub(crate) pending_roster: Option<(RosterReason, RosterOutcome)>,
     pub(crate) history: Vec<RosterEvent>,
@@ -151,8 +189,11 @@ pub struct Cluster {
     pub(crate) observations: Vec<(SimTime, ObservedEvent)>,
     /// Cluster-wide telemetry handles (disabled by default).
     pub(crate) tel: CoreTelemetry,
-    /// Reusable same-instant event batch (allocated once).
-    batch: Vec<(SimTime, Ev)>,
+    /// The same-instant batch being handled, *latest first* (allocated
+    /// once): `run_until` pops the event in hand off the back, and a
+    /// `TxDone` found to be due at this very instant is inserted at
+    /// its sequence position among those still to come.
+    pub(crate) batch: Vec<(u64, Ev)>,
     /// Cached unicast replay-expiry window, keyed by ring length
     /// (`usize::MAX` = stale). `quiet_tour() * 2` only changes when
     /// the ring does, not per arrival.
@@ -184,7 +225,7 @@ impl Cluster {
                     stack: NodeStack::new(
                         port.clone(),
                         RegisterMac::new(i as u8, cfg.mac),
-                        HostQueues::retaining(cfg.n_nodes),
+                        HostQueues::new(cfg.n_nodes),
                     ),
                     cache,
                     online: true,
@@ -213,7 +254,10 @@ impl Cluster {
             sim,
             nodes,
             arena: FrameArena::new(),
-            tx_busy: vec![false; n],
+            ports: vec![TxPort::IDLE; n],
+            in_hand: u64::MAX,
+            #[cfg(test)]
+            eager_tx_done: false,
             retry_pending: vec![false; n],
             pending_roster: Some((RosterReason::Boot, boot)),
             history: vec![],
@@ -245,19 +289,18 @@ impl Cluster {
 
     /// Run the event loop until `deadline`. Events are dispatched in
     /// same-instant batches; the order is identical to one-at-a-time
-    /// popping (see [`Sim::pop_batch`]).
+    /// popping (see [`Sim::pop_batch`]), including for the one event a
+    /// handler can add to the batch in hand — a `TxDone` requested at
+    /// the instant it is due (`transport.rs`).
     pub fn run_until(&mut self, deadline: SimTime) {
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            batch.clear();
-            if self.sim.pop_batch(deadline, &mut batch) == 0 {
-                break;
-            }
-            for (_, ev) in batch.drain(..) {
+        while self.sim.pop_batch(deadline, &mut self.batch) > 0 {
+            self.batch.reverse();
+            while let Some((seq, ev)) = self.batch.pop() {
+                self.in_hand = seq;
                 self.handle(ev);
             }
         }
-        self.batch = batch;
+        self.in_hand = u64::MAX;
     }
 
     /// Run the event loop for `d` more simulated time.
@@ -391,9 +434,12 @@ impl Cluster {
         self.tel.tel.flight_dump()
     }
 
-    /// Simulation events processed by this cluster's kernel so far.
-    /// The scaling benchmark sums this across shards for an events/sec
-    /// figure.
+    /// Simulation events popped from this cluster's kernel so far. The
+    /// scaling benchmark sums this across shards for an events/sec
+    /// figure. Kernel pops only: an end of transmission nobody waited
+    /// for is never an event, and one inserted straight into the batch
+    /// in hand is handled without passing through the kernel; neither
+    /// is counted.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()
     }
@@ -479,10 +525,19 @@ impl Cluster {
     /// Time of the earliest pending simulation event, if any (always
     /// after [`Cluster::now`]). The multi-segment slice planner uses
     /// this to skip dead air and to leave quiescent shards unwoken.
-    /// A read of the heap's top — every stored event is pending — so
-    /// the planner needs only `&Cluster`.
+    /// The earlier of the heap's top — every stored event is pending —
+    /// and the end of any transmission in progress whose `TxDone` has
+    /// not been pushed: such an end still counts as an event here, so
+    /// the planner sees the dead air, and plans the boundaries, of a
+    /// schedule that pushed them all. Read-only: the planner needs
+    /// only `&Cluster`.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.sim.peek_time()
+        self.ports
+            .iter()
+            .filter(|p| self.tx_done_unrequested(p))
+            .map(|p| p.free_at)
+            .chain(self.sim.peek_time())
+            .min()
     }
 
     /// Number of configured nodes.

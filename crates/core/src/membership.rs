@@ -8,13 +8,12 @@
 //! (crashed nodes, cut fibers, dead switches) hit the plant directly
 //! and trigger rostering through loss of light, as on slides 16/18.
 
-use crate::cluster::{Cluster, Ev, RosterEvent, RosterReason};
+use crate::cluster::{Cluster, Ev, RosterEvent, RosterReason, TxPort};
 use crate::observe::ObservedEvent;
 use ampnet_dk::{assimilate, JoinRequest};
-use ampnet_packet::MicroPacket;
 use ampnet_ring::PlaneFault;
 use ampnet_roster::{planned_rostering, run_rostering, RosterOutcome, RosterSkip};
-use ampnet_sim::{Level, SimDuration, SimTime};
+use ampnet_sim::{Level, SimDuration};
 use ampnet_topo::montecarlo::Component;
 use ampnet_topo::{NodeId, PlantRing};
 
@@ -110,7 +109,16 @@ impl Cluster {
 
     /// Start a roster episode (failure, repair or join alike): the ring
     /// stops carrying traffic until `outcome` completes.
-    fn begin_episode(&mut self, reason: RosterReason, outcome: RosterOutcome) {
+    pub(crate) fn begin_episode(&mut self, reason: RosterReason, outcome: RosterOutcome) {
+        // Nothing will ask for the transmissions still in progress once
+        // the ring is down, but their ends stay on the schedule as
+        // stale-epoch events (see `transport.rs`): push them while the
+        // epoch is still theirs.
+        for node in 0..self.ports.len() {
+            if self.tx_done_unrequested(&self.ports[node]) {
+                self.request_tx_done(node as u8);
+            }
+        }
         self.ring_up = false;
         self.epoch = outcome.epoch;
         self.sim
@@ -177,7 +185,7 @@ impl Cluster {
             ring_len: self.ring.len(),
         });
         self.ring_up = true;
-        self.tx_busy.fill(false);
+        self.ports.fill(TxPort::IDLE);
         self.retry_pending.fill(false);
         // Smart data recovery: every surviving member replays its
         // unacknowledged traffic (idempotent at the receivers). A
@@ -194,15 +202,15 @@ impl Cluster {
                 self.nodes[i].outstanding_unicast.clear();
                 continue;
             }
-            let replay: Vec<MicroPacket> = self.nodes[i].outstanding.drain(..).collect();
-            let unicast: Vec<(SimTime, MicroPacket)> =
-                self.nodes[i].outstanding_unicast.drain(..).collect();
-            let bcast_count = replay.len() as u64;
+            // Drained in place: nothing re-enters these lists before
+            // `kick_all` below, and the deques keep their capacity for
+            // the traffic that follows.
+            let bcast_count = self.nodes[i].outstanding.len() as u64;
             let mut ucast_count = 0u64;
-            for p in replay {
+            while let Some(p) = self.nodes[i].outstanding.pop_front() {
                 self.enqueue_own(i as u8, p);
             }
-            for (t, p) in unicast {
+            while let Some((t, p)) = self.nodes[i].outstanding_unicast.pop_front() {
                 if t >= replay_after {
                     ucast_count += 1;
                     self.enqueue_own(i as u8, p);

@@ -7,9 +7,45 @@
 //! cluster's shared `FrameArena`. Frames leave the pool when they
 //! leave the ring (unicast delivery, source strip) or when a ring
 //! reconfiguration invalidates them in flight (stale-epoch arrivals
-//! are released, modelling the packet loss replay then repairs).
+//! are released, modelling the packet loss replay then repairs). A
+//! delivered frame is decoded once, from the arena onto the handler's
+//! stack, and dispatched by reference; no host queue sits in between.
+//!
+//! # One kernel event per hop, a second only on demand
+//!
+//! A hop is an `Arrival` at the successor and the end of transmission
+//! at the sender. The second is an event (`Ev::TxDone`) only if
+//! something is waiting for the output port when it frees: a `TxDone`
+//! that finds the MAC empty does nothing (`next_tx` on an empty MAC
+//! returns before it touches any state), so it need not exist. But it
+//! must not shift anything else, so a send always *reserves* the
+//! sequence number the event would have had
+//! ([`Sim::reserve_seq`](ampnet_sim::Sim::reserve_seq)) — every later
+//! `(time, sequence)` tie breaks as if it had been pushed — and
+//! records `(free_at, seq)` in the node's
+//! [`TxPort`]. The port is busy
+//! while that key lies after the key of the event in hand. The event
+//! is pushed, under the reserved number, from exactly three places:
+//!
+//! * at the send, if the MAC still has a backlog behind the frame it
+//!   just gave up;
+//! * by the first `kick` that finds the port busy and the MAC
+//!   backlogged — every MAC fill (`send_own`, an `Arrival`) is followed
+//!   by a `kick`, so the MAC cannot become non-empty unnoticed. If the
+//!   port frees later, the event goes on the heap; if it frees at this
+//!   very instant, the event belongs to the batch `run_until` is
+//!   handling and is inserted there at its sequence position (a heap
+//!   push would pop after the rest of the batch);
+//! * by `begin_episode`, for every port still unrequested, before the
+//!   epoch changes — a schedule that pushed every `TxDone` would pop
+//!   them as stale no-ops, `next_event_time` must keep reporting them,
+//!   and `restore_ring` idles every port.
+//!
+//! An end of transmission that is never requested costs nothing;
+//! [`Cluster::next_event_time`] still reports it, so the multi-segment
+//! planner plans the same slices either way.
 
-use crate::cluster::{Cluster, Ev};
+use crate::cluster::{Cluster, Ev, TxPort};
 use ampnet_cache::atomics;
 use ampnet_cache::SemaphoreAction;
 use ampnet_packet::{build, MicroPacket, PacketType};
@@ -51,9 +87,52 @@ impl Cluster {
         self.kick(node);
     }
 
+    /// Whether `port` is mid-transmission: the end of its frame lies
+    /// after the event in hand — where the eager schedule would still
+    /// have the `TxDone` on the heap.
+    fn port_busy(&self, port: &TxPort) -> bool {
+        (port.free_at, port.seq) > (self.sim.now(), self.in_hand)
+    }
+
+    /// Whether `port` is mid-transmission with no `TxDone` pushed for
+    /// its end — the ends `next_event_time` reports and
+    /// `begin_episode` materialises.
+    pub(crate) fn tx_done_unrequested(&self, port: &TxPort) -> bool {
+        !port.requested && self.port_busy(port)
+    }
+
+    /// Push `node`'s `TxDone` where a push at the send would have put
+    /// it: on the heap under the reserved number, or — when the port
+    /// frees at the instant being handled — into the rest of the
+    /// batch, by sequence number (the batch is held latest first).
+    pub(crate) fn request_tx_done(&mut self, node: u8) {
+        let port = &mut self.ports[node as usize];
+        port.requested = true;
+        let (at, seq) = (port.free_at, port.seq);
+        let ev = Ev::TxDone {
+            epoch: self.epoch,
+            node,
+        };
+        if at > self.sim.now() {
+            self.sim.schedule_reserved(at, seq, ev);
+        } else {
+            let behind = self.batch.partition_point(|&(later, _)| later > seq);
+            self.batch.insert(behind, (seq, ev));
+        }
+    }
+
     pub(crate) fn kick(&mut self, node: u8) {
         let i = node as usize;
-        if !self.ring_up || !self.nodes[i].online || self.tx_busy[i] {
+        if !self.ring_up || !self.nodes[i].online {
+            return;
+        }
+        let port = self.ports[i];
+        if self.port_busy(&port) {
+            // The first kick that has something for the port asks to
+            // be woken when it frees.
+            if !port.requested && self.nodes[i].stack.mac.has_backlog() {
+                self.request_tx_done(node);
+            }
             return;
         }
         let Some(succ) = self.ring_succ[i] else {
@@ -74,13 +153,24 @@ impl Cluster {
                     }
                 }
                 let (ser, latency) = self.nodes[i].stack.phy.hop_timing(frame.wire_bytes as usize);
-                self.tx_busy[i] = true;
-                let epoch = self.epoch;
-                self.sim.schedule_in(ser, Ev::TxDone { epoch, node });
+                // The end of transmission takes its place in the
+                // schedule now, and becomes an event only if the MAC
+                // already has the next frame waiting.
+                self.ports[i] = TxPort {
+                    free_at: now + ser,
+                    seq: self.sim.reserve_seq(),
+                    requested: false,
+                };
+                let waiting = self.nodes[i].stack.mac.has_backlog();
+                #[cfg(test)]
+                let waiting = waiting || self.eager_tx_done;
+                if waiting {
+                    self.request_tx_done(node);
+                }
                 self.sim.schedule_in(
                     latency,
                     Ev::Arrival {
-                        epoch,
+                        epoch: self.epoch,
                         node: succ,
                         frame: frame.frame,
                     },
@@ -114,12 +204,12 @@ impl Cluster {
 
     // ----- packet dispatch -----
 
-    fn dispatch(&mut self, node: u8, pkt: MicroPacket) {
+    fn dispatch(&mut self, node: u8, pkt: &MicroPacket) {
         let i = node as usize;
         match pkt.ctrl.ptype {
             PacketType::Dma => {
-                if MsgRx::is_message(&pkt) {
-                    if let Some(d) = self.nodes[i].msg_rx.on_packet(&pkt) {
+                if MsgRx::is_message(pkt) {
+                    if let Some(d) = self.nodes[i].msg_rx.on_packet(pkt) {
                         if d.stream == AMPIP_STREAM {
                             self.nodes[i].ampip.on_datagram(d);
                         } else if !self.try_collective(node, d.stream, &d.payload) {
@@ -130,8 +220,8 @@ impl Cluster {
                 } else {
                     // Cache update; tolerate regions this replica has
                     // not defined (e.g. a node that joined later).
-                    let _ = self.nodes[i].cache.apply_packet(&pkt);
-                    crate::apps::on_cache_update(self, node, &pkt);
+                    let _ = self.nodes[i].cache.apply_packet(pkt);
+                    crate::apps::on_cache_update(self, node, pkt);
                 }
             }
             PacketType::Data => {
@@ -146,8 +236,8 @@ impl Cluster {
             }
             PacketType::D64Atomic => {
                 if pkt.ctrl.flags.contains(ampnet_packet::Flags::RESPONSE) {
-                    self.on_atomic_response(node, &pkt);
-                } else if let Some(req) = build::parse_atomic_request(&pkt) {
+                    self.on_atomic_response(node, pkt);
+                } else if let Some(req) = build::parse_atomic_request(pkt) {
                     let requester = pkt.ctrl.src;
                     if let Ok(effect) =
                         atomics::execute(&mut self.nodes[i].cache, requester, req)
@@ -157,7 +247,7 @@ impl Cluster {
                 }
             }
             PacketType::Interrupt => {
-                if let Some(ip) = build::parse_interrupt(&pkt) {
+                if let Some(ip) = build::parse_interrupt(pkt) {
                     if ip.vector == THREAD_VECTOR && self.task_table.is_some() {
                         self.on_thread_interrupt(node, ip.cookie as u32);
                     } else {
@@ -218,22 +308,22 @@ impl Cluster {
 
     fn on_atomic_response(&mut self, node: u8, pkt: &MicroPacket) {
         let now = self.sim.now();
-        let i = node as usize;
-        if self.nodes[i].sem.is_some() {
-            // Any response settles the in-flight request: invalidate
-            // the pending retransmission timer.
-            self.nodes[i].sem_seq += 1;
-            let sem = self.nodes[i].sem.as_mut().expect("checked"); // lint: allow(panic-freedom): presence checked by the enclosing match on sem_enabled
-            match sem.on_response(now, pkt) {
-                SemaphoreAction::Send(p) => {
-                    self.sem_send(node, p);
-                }
-                SemaphoreAction::WaitUntil(t) => {
-                    self.sim.schedule_at(t, Ev::SemPoll { node });
-                }
-                SemaphoreAction::None => {
-                    crate::apps::on_sem_transition(self, node);
-                }
+        let ctx = &mut self.nodes[node as usize];
+        let Some(sem) = ctx.sem.as_mut() else {
+            return;
+        };
+        // Any response settles the in-flight request: invalidate
+        // the pending retransmission timer.
+        ctx.sem_seq += 1;
+        match sem.on_response(now, pkt) {
+            SemaphoreAction::Send(p) => {
+                self.sem_send(node, p);
+            }
+            SemaphoreAction::WaitUntil(t) => {
+                self.sim.schedule_at(t, Ev::SemPoll { node });
+            }
+            SemaphoreAction::None => {
+                crate::apps::on_sem_transition(self, node);
             }
         }
     }
@@ -252,11 +342,15 @@ impl Cluster {
                 }
                 let now = self.sim.now();
                 let i = node as usize;
-                match self.nodes[i].stack.on_wire_arrival(now, &mut self.arena, frame) {
-                    StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded => {
-                        if let Some(p) = self.nodes[i].stack.delivery.pending.pop_front() {
-                            self.dispatch(node, p);
+                match self.nodes[i].stack.classify_arrival(now, &mut self.arena, frame) {
+                    outcome @ (StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded) => {
+                        let pkt = self.arena.decode(frame);
+                        if outcome == StackOutcome::Delivered {
+                            // Consumed here: the slot goes back to the
+                            // pool before the handler inserts anything.
+                            self.arena.release(frame);
                         }
+                        self.dispatch(node, &pkt);
                     }
                     StackOutcome::Stripped => {
                         crate::apps::on_strip(self, node);
@@ -291,10 +385,11 @@ impl Cluster {
                 self.kick(node);
             }
             Ev::TxDone { epoch, node } => {
+                // The port is free by the clock (its key is the one in
+                // hand); all the event does is serve the backlog.
                 if epoch != self.epoch {
                     return;
                 }
-                self.tx_busy[node as usize] = false;
                 self.kick(node);
             }
             Ev::Retry { node } => {
@@ -342,5 +437,265 @@ impl Cluster {
             Ev::DiagSweep => self.run_diag_sweep(),
             Ev::ErrorBurst { node, seed, errors } => self.apply_error_burst(node, seed, errors),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The on-demand `TxDone` schedule against the eager one:
+    //! `Cluster::eager_tx_done` (test builds only) pushes the event at
+    //! every send, two heap entries per hop. The two must be
+    //! indistinguishable from outside, instant by instant.
+
+    use super::*;
+    use crate::apps::SemStressConfig;
+    use crate::cluster::RosterReason;
+    use crate::ClusterConfig;
+    use ampnet_cache::SemaphoreAddr;
+    use ampnet_dk::{Features, JoinRequest, Version};
+    use ampnet_roster::planned_rostering;
+    use ampnet_sim::{SimRng, SimTime};
+    use ampnet_topo::montecarlo::Component;
+    use ampnet_topo::{NodeId, SwitchId};
+
+    /// The eager reference and the shipping schedule, same config.
+    fn pair(nodes: usize, seed: u64) -> [Cluster; 2] {
+        [true, false].map(|eager| {
+            let mut c = Cluster::new(ClusterConfig::small(nodes).with_seed(seed));
+            c.eager_tx_done = eager;
+            c.enable_trace(4096);
+            c
+        })
+    }
+
+    /// What every instant is checked for: the clocks, what the planner
+    /// would be told, and how many frames each port has clocked out.
+    fn assert_in_step(eager: &Cluster, lazy: &Cluster, at: &str) {
+        assert_eq!(eager.now(), lazy.now(), "{at}: clock");
+        assert_eq!(
+            eager.next_event_time(),
+            lazy.next_event_time(),
+            "{at}: next event time"
+        );
+        assert_eq!(eager.arena().stats(), lazy.arena().stats(), "{at}: arena");
+        for (n, (e, l)) in eager.nodes.iter().zip(&lazy.nodes).enumerate() {
+            assert_eq!(e.stack.phy.tx_frames, l.stack.phy.tx_frames, "{at}: node {n} PHY");
+        }
+    }
+
+    /// Everything one can see of a cluster from outside, compared.
+    fn assert_indistinguishable(eager: &Cluster, lazy: &Cluster, at: &str) {
+        assert_in_step(eager, lazy, at);
+        assert_eq!(eager.trace().digest(), lazy.trace().digest(), "{at}: trace");
+        assert_eq!(eager.observations(), lazy.observations(), "{at}: journal");
+        assert_eq!(eager.epoch(), lazy.epoch(), "{at}: epoch");
+        for (n, (e, l)) in eager.nodes.iter().zip(&lazy.nodes).enumerate() {
+            assert_eq!(
+                format!("{:?}", e.stack.mac.stats()),
+                format!("{:?}", l.stack.mac.stats()),
+                "{at}: node {n} MAC counters"
+            );
+            assert_eq!(e.online, l.online, "{at}: node {n} liveness");
+            if e.online {
+                assert!(
+                    e.cache.read(0, 0, 64 * 1024) == l.cache.read(0, 0, 64 * 1024),
+                    "{at}: node {n} cache bytes"
+                );
+            }
+        }
+    }
+
+    /// Advance both to `deadline` one event instant at a time — every
+    /// instant the eager schedule stops at, the on-demand one reports
+    /// too — with the full comparison every 256th instant.
+    fn run_in_step(eager: &mut Cluster, lazy: &mut Cluster, deadline: SimTime, at: &str) {
+        let mut instants = 0u32;
+        while let Some(next) = eager.next_event_time().filter(|&t| t <= deadline) {
+            eager.run_until(next);
+            lazy.run_until(next);
+            instants += 1;
+            if instants.trailing_zeros() >= 8 {
+                assert_indistinguishable(eager, lazy, at);
+            } else {
+                assert_in_step(eager, lazy, at);
+            }
+        }
+        eager.run_until(deadline);
+        lazy.run_until(deadline);
+        assert_indistinguishable(eager, lazy, at);
+    }
+
+    /// Both clusters deliver the same datagrams in the same order.
+    fn pop_all(eager: &mut Cluster, lazy: &mut Cluster, at: &str) -> usize {
+        let mut popped = 0;
+        for n in 0..eager.n_nodes() as u8 {
+            loop {
+                let (e, l) = (eager.pop_message(n), lazy.pop_message(n));
+                assert_eq!(e, l, "{at}: node {n} datagram {popped}");
+                if e.is_none() {
+                    break;
+                }
+                popped += 1;
+            }
+        }
+        popped
+    }
+
+    /// One heal cycle of the `event_queue_stays_shallow_through_a_heal_
+    /// cycle` shape — crash, cut, rejoin, splice under all-to-all
+    /// traffic and cache writes — plus a semaphore pair, with every
+    /// fault pushed 0–3 µs off the traffic grid so it lands while
+    /// frames are on the wire. Returns the kernel events each popped.
+    fn heal_cycle(seed: u64) -> (u64, u64) {
+        let [mut eager, mut lazy] = pair(16, seed);
+        let mut jitter = SimRng::new(seed);
+        let t0 = SimTime::ZERO + SimDuration::from_millis(10);
+        let mut at =
+            |ms| t0 + SimDuration::from_millis(ms) + SimDuration::from_nanos(jitter.below(3001));
+        let fiber = Component::Link(NodeId(5), SwitchId(0));
+        let req = JoinRequest {
+            node: 3,
+            version: Version::new(1, 0, 0),
+            features: Features::NONE,
+            diagnostics_pass: true,
+        };
+        let (crash, cut, rejoin, splice) = (at(8), at(16), at(24), at(104));
+        for c in [&mut eager, &mut lazy] {
+            c.run_until(t0);
+            assert!(c.ring_up());
+            c.schedule_failure(crash, Component::Node(NodeId(3)));
+            c.schedule_failure(cut, fiber);
+            c.schedule_join(rejoin, 3, req);
+            c.schedule_repair(splice, fiber);
+            c.start_sem_stress(SemStressConfig {
+                addr: SemaphoreAddr {
+                    home: 0,
+                    region: 0,
+                    offset: 4096,
+                },
+                contenders: vec![1, 2],
+                rounds: 40,
+                crit: SimDuration::from_micros(50),
+                backoff: Default::default(),
+            });
+        }
+        let mut delivered = 0;
+        for step in 1..=30u64 {
+            let ctx = format!("seed {seed} step {step}");
+            let online: Vec<u8> = (0..16).filter(|&n| eager.node_online(n)).collect();
+            for c in [&mut eager, &mut lazy] {
+                for &src in &online {
+                    for &dst in online.iter().filter(|&&d| d != src) {
+                        c.send_message(src, dst, 1, &[src; 32]);
+                    }
+                    c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]);
+                }
+            }
+            // A send from outside the loop while the burst is on the
+            // wire, and another into its thinning tail.
+            let begin = t0 + SimDuration::from_millis(4 * (step - 1));
+            for (k, us) in [(0usize, 40), (1, 90 + 7 * step)] {
+                run_in_step(&mut eager, &mut lazy, begin + SimDuration::from_micros(us), &ctx);
+                let (src, dst) = (online[(step as usize + k) % online.len()], online[k]);
+                eager.send_message(src, dst, 2, &[k as u8; 100]);
+                lazy.send_message(src, dst, 2, &[k as u8; 100]);
+            }
+            run_in_step(&mut eager, &mut lazy, begin + SimDuration::from_millis(4), &ctx);
+            delivered += pop_all(&mut eager, &mut lazy, &ctx);
+        }
+        assert!(delivered > 5_000, "seed {seed}: traffic flowed ({delivered})");
+        assert_eq!(eager.ring().len(), 16, "seed {seed}: healed");
+        assert_eq!(eager.roster_history().len(), 4, "seed {seed}: boot, crash, cut, rejoin");
+        let sem = eager.sem_report().expect("started");
+        assert!(sem.acquisitions > 0, "seed {seed}: the semaphore pair ran");
+        assert_eq!(
+            eager.sim.reserve_seq(),
+            lazy.sim.reserve_seq(),
+            "seed {seed}: every skipped event consumed its sequence number"
+        );
+        (eager.events_processed(), lazy.events_processed())
+    }
+
+    #[test]
+    fn on_demand_tx_done_matches_the_eager_schedule() {
+        for seed in 1..=8 {
+            let (eager, lazy) = heal_cycle(seed);
+            assert!(
+                lazy < eager,
+                "seed {seed}: on-demand pops {lazy} kernel events, eager {eager}"
+            );
+        }
+    }
+
+    /// Three events at one instant on a quiet ring: a transit frame
+    /// reaches node 1 (scheduled before node 1's send), node 1's port
+    /// frees (its `TxDone`, reserved at the send, never pushed), a
+    /// second transit frame reaches node 1 (scheduled after the send).
+    /// The first arrival finds the port busy and asks for the `TxDone`,
+    /// which must run *between* the two arrivals: pushed onto the heap
+    /// it would run after both, and the transit buffer would hold two
+    /// frames where the hardware held one.
+    #[test]
+    fn tx_done_due_now_joins_the_batch_at_its_sequence_position() {
+        let [mut eager, mut lazy] = pair(4, 7);
+        let transit = build::data(0, 3, 0, [9; 8]);
+        let mut popped = [0, 0];
+        for (c, popped) in [&mut eager, &mut lazy].into_iter().zip(&mut popped) {
+            c.run_for(SimDuration::from_millis(5));
+            assert!(c.ring_up());
+            let booted = c.events_processed();
+            let (ser, _) = c.nodes[1].stack.phy.hop_timing(transit.wire_bytes());
+            let frees = c.now() + ser;
+            let epoch = c.epoch;
+            let forge = |c: &mut Cluster| {
+                let frame = c.arena.insert(&transit);
+                c.sim.schedule_at(frees, Ev::Arrival { epoch, node: 1, frame });
+            };
+            forge(c);
+            c.send_own(1, [build::data(1, 3, 0, [1; 8])]);
+            assert_eq!(c.ports[1].free_at, frees, "node 1 is transmitting");
+            forge(c);
+            c.run_until(frees);
+            *popped = c.events_processed() - booted;
+        }
+        assert_eq!(
+            popped,
+            [3, 2],
+            "two arrivals; the TxDone between them passes through the kernel only when eager"
+        );
+        assert_indistinguishable(&eager, &lazy, "at the shared instant");
+        assert_eq!(
+            lazy.nodes[1].stack.mac.stats().transit_highwater,
+            transit.wire_bytes(),
+            "one transit frame at a time"
+        );
+        let settled = eager.now() + SimDuration::from_micros(50);
+        run_in_step(&mut eager, &mut lazy, settled, "draining");
+    }
+
+    /// An episode that completes before a frame has left its port — no
+    /// real roster is that quick, which is why it is forced here.
+    /// `restore_ring` idles every port, so the end of that
+    /// transmission survives only because `begin_episode` pushed it:
+    /// a stale-epoch event the planner is still told about.
+    #[test]
+    fn transmission_outliving_an_episode_still_ends_on_schedule() {
+        let [mut eager, mut lazy] = pair(4, 7);
+        for c in [&mut eager, &mut lazy] {
+            c.run_for(SimDuration::from_millis(5));
+            c.send_own(2, [build::data(2, 0, 0, [1; 8])]);
+            let frees = c.ports[2].free_at;
+            let mut outcome =
+                planned_rostering(&c.topo, &c.ring, c.now(), c.epoch + 1, &c.cfg.timing.roster)
+                    .expect("nodes alive");
+            outcome.completed_at = c.now() + SimDuration::from_nanos(10);
+            assert!(outcome.completed_at < frees);
+            c.begin_episode(RosterReason::Repair(Component::Switch(SwitchId(0))), outcome);
+            c.run_until(frees - SimDuration::from_nanos(1));
+            assert!(c.ring_up(), "the forced episode is over");
+            assert_eq!(c.next_event_time(), Some(frees));
+        }
+        let settled = eager.now() + SimDuration::from_micros(50);
+        run_in_step(&mut eager, &mut lazy, settled, "after the episode");
     }
 }

@@ -179,7 +179,7 @@ pub struct Segment {
     /// per-window, the delivery counters are not).
     reported_payload: u64,
     /// Reusable same-instant event batch (allocated once).
-    batch: Vec<(SimTime, Ev)>,
+    batch: Vec<(u64, Ev)>,
     /// Shared registry (disabled unless [`Segment::enable_telemetry`]).
     tel: Telemetry,
     tour_h: HistHandle,

@@ -125,16 +125,22 @@ impl SerialPhy {
 
 /// The delivery plane, where frames addressed to this node leave the
 /// ring pipeline and enter the host: per-source accounting plus an
-/// optional decoded-packet queue for hosts that consume payloads.
+/// optional decoded-packet queue for a host that collects payloads
+/// and reads them later ([`Segment`](crate::Segment) with
+/// `collect_deliveries`). A host that consumes each frame as it
+/// arrives (`ampnet-core`'s `Cluster`) queues nothing: it goes through
+/// [`NodeStack::classify_arrival`] and reads the frame in the arena.
 #[derive(Debug, Default)]
 pub struct HostQueues {
     /// Payload bytes delivered here, per source node (sized lazily).
     pub delivered_from: Vec<u64>,
     /// Decoded packets awaiting the host, oldest first. Populated only
-    /// when [`HostQueues::retain_packets`] is on.
+    /// by [`NodeStack::on_wire_arrival`], and only when
+    /// [`HostQueues::retain_packets`] is on.
     pub pending: VecDeque<MicroPacket>,
-    /// Decode and queue every delivered packet (hosts that dispatch
-    /// payloads); off = accounting only, the payload is never decoded.
+    /// Decode and queue every packet delivered through
+    /// [`NodeStack::on_wire_arrival`]; off = accounting only, the
+    /// payload is never decoded.
     pub retain_packets: bool,
     /// Frames delivered in total.
     pub delivered: u64,
@@ -149,21 +155,19 @@ impl HostQueues {
         }
     }
 
-    /// A delivery plane that decodes and queues packets for the host.
-    pub fn retaining(n_sources: usize) -> Self {
-        let mut h = Self::new(n_sources);
-        h.retain_packets = true;
-        h
+    /// Count a frame for this node (unicast, or a broadcast copy).
+    fn account(&mut self, frame: &WireFrame) {
+        self.delivered += 1;
+        if let Some(slot) = self.delivered_from.get_mut(frame.ctrl.src as usize) {
+            *slot += frame.payload_bytes as u64;
+        }
     }
 
     /// A frame for this node arrived (unicast, or a broadcast copy).
     /// `view` borrows the pooled frame body; it is decoded only when
     /// the host retains packets.
     fn deliver(&mut self, frame: &WireFrame, view: FrameView<'_>) {
-        self.delivered += 1;
-        if let Some(slot) = self.delivered_from.get_mut(frame.ctrl.src as usize) {
-            *slot += frame.payload_bytes as u64;
-        }
+        self.account(frame);
         if self.retain_packets {
             self.pending.push_back(view.to_packet());
         }
@@ -287,7 +291,9 @@ impl StackTelemetry {
 /// What happened to a frame that arrived off the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackOutcome {
-    /// Unicast to this node: consumed (frame released).
+    /// Unicast to this node: consumed (frame released by
+    /// [`NodeStack::on_wire_arrival`], left to the caller by
+    /// [`NodeStack::classify_arrival`]).
     Delivered,
     /// Broadcast: delivered here and still circulating.
     DeliveredAndForwarded,
@@ -357,8 +363,9 @@ impl NodeStack {
     }
 
     /// A frame's last byte arrived from upstream: classify it, hand
-    /// deliverable copies to the delivery plane, and recycle frames
-    /// that leave the ring here.
+    /// deliverable copies to the delivery plane (decoded and queued
+    /// when it retains packets), and recycle frames that leave the
+    /// ring here.
     pub fn on_wire_arrival(
         &mut self,
         now: SimTime,
@@ -376,6 +383,55 @@ impl NodeStack {
             MacAction::DeliverAndForward(wf) => {
                 self.telemetry.delivered(now, &wf);
                 self.delivery.deliver(&wf, arena.view(wf.frame));
+                StackOutcome::DeliveredAndForwarded
+            }
+            MacAction::Strip(wf) => {
+                self.telemetry.tel.inc(self.telemetry.stripped);
+                self.telemetry.tel.flight(FlightEvent {
+                    at_ns: now.0,
+                    node: self.telemetry.node,
+                    plane: Plane::Mac,
+                    kind: FlightKind::MacStrip,
+                    a: wf.wire_bytes as u64,
+                    b: 0,
+                });
+                arena.release(wf.frame);
+                StackOutcome::Stripped
+            }
+            MacAction::Forward => StackOutcome::Forwarded,
+        }
+    }
+
+    /// [`NodeStack::on_wire_arrival`] for a host that consumes a
+    /// delivered frame where it lies: classify the frame and account
+    /// for it on every plane (MAC counters, delivery totals,
+    /// telemetry) without decoding or queueing anything. A stripped
+    /// frame is recycled here. A [`StackOutcome::Delivered`] frame is
+    /// **still live** on return: the caller reads it from `arena` and
+    /// releases it; a `DeliveredAndForwarded` one is on loan from the
+    /// transit buffer and must only be read.
+    ///
+    /// The two arrival methods repeat one `match` on purpose. Built as
+    /// `on_wire_arrival` = this + queue + release, the optimiser stopped
+    /// inlining `Segment::kick` into `Segment::run_for`, and the
+    /// saturated-ring benchmark ran 2.1 % slower than with the `match`
+    /// repeated (9 of 10 pairs, EXPERIMENTS.md §B9).
+    pub fn classify_arrival(
+        &mut self,
+        now: SimTime,
+        arena: &mut FrameArena,
+        frame: FrameRef,
+    ) -> StackOutcome {
+        let wf = WireFrame::of(arena, frame);
+        match self.mac.on_arrival(now, wf) {
+            MacAction::Deliver(wf) => {
+                self.telemetry.delivered(now, &wf);
+                self.delivery.account(&wf);
+                StackOutcome::Delivered
+            }
+            MacAction::DeliverAndForward(wf) => {
+                self.telemetry.delivered(now, &wf);
+                self.delivery.account(&wf);
                 StackOutcome::DeliveredAndForwarded
             }
             MacAction::Strip(wf) => {

@@ -273,6 +273,14 @@ impl MsgRx {
             }
             let expected_len =
                 u32::from_be_bytes(chunk[..4].try_into().expect("4 bytes")) as usize;
+            if expected_len > MAX_DATAGRAM {
+                // No sender can have fragmented this (`MsgTx::send`
+                // refuses it): a forged or corrupted header. The
+                // length sizes the reassembly buffer, so it is bounded
+                // before anything is reserved.
+                self.stats.sequence_errors += 1;
+                return None;
+            }
             let crc = u32::from_be_bytes(chunk[4..8].try_into().expect("4 bytes"));
             let mut data = Vec::with_capacity(expected_len);
             data.extend_from_slice(&chunk[HEADER..]);
@@ -363,6 +371,30 @@ mod tests {
         let d = rx.on_packet(&pkts[0]).unwrap();
         assert_eq!(d.payload, b"hello ampnet");
         assert_eq!(d.stream, 5);
+        assert_eq!(rx.stats().delivered, 1);
+    }
+
+    #[test]
+    fn forged_length_is_counted_not_reserved() {
+        // Fragment 0 of datagram 0 from node 1, claiming 4 GiB − 1.
+        let mut header = [0u8; HEADER];
+        header[..4].copy_from_slice(&[0xFF; 4]);
+        let ctrl = DmaCtrl {
+            channel: 0,
+            region: MSG_REGION,
+            offset: 0,
+            len: 0,
+        };
+        let forged = build::dma(1, 2, 0, ctrl, &header).expect("one cell");
+        let mut rx = MsgRx::new();
+        assert!(rx.on_packet(&forged).is_none());
+        assert_eq!(rx.stats().sequence_errors, 1);
+        assert!(rx.partials.is_empty(), "nothing stored for it");
+        // The same source's next well-formed datagram still delivers
+        // (it reuses id 0, which the forgery must not have claimed).
+        let mut tx = MsgTx::new(1);
+        let d = tx.send(2, 0, b"after the forgery").into_iter().find_map(|p| rx.on_packet(&p));
+        assert_eq!(d.expect("delivered").payload, b"after the forgery");
         assert_eq!(rx.stats().delivered, 1);
     }
 

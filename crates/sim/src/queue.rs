@@ -13,7 +13,11 @@
 //! * **Order** — entries pop in `(time, sequence)` order; the sequence
 //!   number is the schedule counter, so same-instant events pop in
 //!   scheduling order (FIFO tie-break) and the schedule is a pure
-//!   function of the calls made.
+//!   function of the calls made. A caller that knows an event's place
+//!   before it knows whether the event is needed takes the number
+//!   first ([`EventQueue::reserve_seq`]) and pushes later, or never
+//!   ([`EventQueue::schedule_reserved`]): the order is that of the
+//!   numbers, not of the pushes.
 //! * **Every stored entry is live** — `schedule` is a heap push, `pop`
 //!   a heap pop, `len` the heap's own, and peeking is read-only. The
 //!   protocol code retires a timer by *stamp* (the handler compares a
@@ -131,8 +135,27 @@ impl<E> EventQueue<E> {
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event)
+    }
+
+    /// Take the next sequence number without storing anything: the
+    /// tie-break position an event scheduled *now* would get. Every
+    /// later [`EventQueue::schedule`] sorts after it within a
+    /// timestamp, whether or not the number is ever used.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a number taken earlier with
+    /// [`EventQueue::reserve_seq`]: it pops exactly where a
+    /// [`EventQueue::schedule`] made at the time of the reservation
+    /// would. `seq` must come from `reserve_seq` and be used at most
+    /// once — two stored entries with one key have no defined order.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
+        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
         self.heap.push(Reverse(Entry { at, seq, event }));
         EventId(seq)
     }
@@ -180,19 +203,20 @@ impl<E> EventQueue<E> {
 
     /// Pop every event at the earliest pending instant, provided
     /// that instant is at or before `deadline`; append them to `out`
-    /// in sequence order and return the instant. Equivalent to popping
+    /// in sequence order, each with its sequence number (they share
+    /// the timestamp), and return the instant. Equivalent to popping
     /// one at a time while `peek_time()` stays equal — the per-instant
     /// batch dispatch `Sim::pop_batch` is built on — with one deadline
     /// check per *instant* instead of one per *event*.
     pub fn pop_instant_into(
         &mut self,
         deadline: SimTime,
-        out: &mut Vec<(SimTime, E)>,
+        out: &mut Vec<(u64, E)>,
     ) -> Option<SimTime> {
         let at = self.peek_time().filter(|&at| at <= deadline)?;
         while self.heap.peek().is_some_and(|Reverse(top)| top.at == at) {
             let Some(e) = self.take_top() else { break };
-            out.push((e.at, e.event));
+            out.push((e.seq, e.event));
         }
         Some(at)
     }
@@ -331,6 +355,25 @@ mod tests {
         // 2 was scheduled before 3, same timestamp.
         assert_eq!(q.pop(), Some((SimTime(10), 2)));
         assert_eq!(q.pop(), Some((SimTime(10), 3)));
+    }
+
+    #[test]
+    fn reserved_number_keeps_its_place_however_late_it_is_pushed() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(10), "a");
+        let held = q.reserve_seq();
+        let never = q.reserve_seq();
+        q.schedule(SimTime(10), "c");
+        assert_eq!(q.len(), 2, "a reservation stores nothing");
+        assert_eq!(q.pop(), Some((SimTime(10), "a")));
+        q.schedule(SimTime(10), "d");
+        q.schedule_reserved(SimTime(10), held, "b");
+        // `never` is skipped without leaving a gap anyone can see.
+        assert!(never > held);
+        for expected in ["b", "c", "d"] {
+            assert_eq!(q.pop(), Some((SimTime(10), expected)));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -82,6 +82,36 @@ impl<E> Sim<E> {
         self.queue.schedule(self.now + delay, event)
     }
 
+    /// Take the sequence number a `schedule_*` call made now would
+    /// stamp its event with, storing nothing. For an event whose
+    /// *position* is known before its *need* is: reserve when the
+    /// position is decided, and hand the number to
+    /// [`Sim::schedule_reserved`] if and when something turns out to
+    /// wait for the event. Every event scheduled after the reservation
+    /// breaks `(time, sequence)` ties behind it either way, so a run
+    /// that skips the event and a run that pushes it at once pop
+    /// everything else in the same order.
+    pub fn reserve_seq(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
+    /// Schedule `event` at `at` in the tie-break position `seq`
+    /// reserved earlier. The number must come from
+    /// [`Sim::reserve_seq`] and be used at most once, and `at` must not
+    /// lie in the past (both checked in debug builds). An event due
+    /// *at* the current instant while that instant's batch is being
+    /// handled pops in the next [`Sim::pop_batch`], after the batch —
+    /// a caller that needs it inside the batch at its sequence position
+    /// inserts it there itself (`ampnet-core`'s `Cluster` does).
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past: at={at} now={}",
+            self.now
+        );
+        self.queue.schedule_reserved(at, seq, event)
+    }
+
     /// Time of the next pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -106,9 +136,11 @@ impl<E> Sim<E> {
     }
 
     /// Drain the whole batch of events sharing the earliest pending
-    /// timestamp at or before `deadline` into `out`, advancing the
-    /// clock to that instant. Returns how many events were drained
-    /// (0 behaves exactly like [`Sim::pop_next`] returning `None`).
+    /// timestamp at or before `deadline` into `out`, each with its
+    /// sequence number, advancing the clock to that instant (the
+    /// batch's timestamp is [`Sim::now`]). Returns how many events were
+    /// drained (0 behaves exactly like [`Sim::pop_next`] returning
+    /// `None`).
     ///
     /// Order is identical to repeated `pop_next` calls: the queue
     /// breaks timestamp ties by schedule order, and anything a handler
@@ -118,8 +150,11 @@ impl<E> Sim<E> {
     /// therefore bit-for-bit equivalent; what it saves is the peek,
     /// the deadline comparison and the clock update, paid once per
     /// instant instead of once per event (each event is still one
-    /// heap pop).
-    pub fn pop_batch(&mut self, deadline: SimTime, out: &mut Vec<(SimTime, E)>) -> usize {
+    /// heap pop). The one event a handler can owe the *current* batch
+    /// is one scheduled under a reserved number
+    /// ([`Sim::schedule_reserved`]); the sequence numbers in `out` are
+    /// what lets its owner place it.
+    pub fn pop_batch(&mut self, deadline: SimTime, out: &mut Vec<(u64, E)>) -> usize {
         let before = out.len();
         match self.queue.pop_instant_into(deadline, out) {
             Some(at) => {
@@ -221,8 +256,8 @@ mod tests {
             if batched_sim.pop_batch(SimTime::MAX, &mut buf) == 0 {
                 break;
             }
-            for &(t, n) in &buf {
-                batched.push((t, n));
+            for &(_, n) in &buf {
+                batched.push((batched_sim.now(), n));
                 if n < 60 {
                     batched_sim.schedule_in(SimDuration::ZERO, n + 100);
                 }

@@ -3,13 +3,17 @@
 //!
 //! The model is a `BTreeMap` keyed on `(time, schedule index)` — no
 //! heap, so its `(time, sequence)` ordering is correct by inspection
-//! and it is the trusted side. Cancellation is eager on both sides.
+//! and it is the trusted side. Cancellation is eager on both sides. A
+//! reservation takes an index and stores nothing; scheduling under it
+//! later inserts at `(time, that index)` — the same map, so "pops
+//! where an eager schedule would have" is again true by inspection.
 //! Every test drives both with the same operation sequence and demands
 //! identical observable behavior: pop results, peek times, cancel
 //! return values, live counts. The property sweeps
 //! cover randomized push/cancel/pop interleavings, same-instant
 //! bursts, far-future times (minutes out, and the `SimTime::MAX`
-//! "never" sentinel), cancel-heavy churn, and the batch pop.
+//! "never" sentinel), cancel-heavy churn, reserved sequence numbers
+//! used late or never, and the batch pop.
 //!
 //! The final tests arm the seeded [`QueueMutation`] defect and assert
 //! the harness *detects* it — a differential suite that cannot fail on
@@ -19,7 +23,7 @@
 // interpreter; everything here is safe Rust anyway.
 #![cfg(not(miri))]
 
-use ampnet_sim::{EventQueue, QueueMutation, SimTime};
+use ampnet_sim::{EventId, EventQueue, QueueMutation, Sim, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -27,24 +31,37 @@ use std::collections::BTreeMap;
 /// any timer the stack arms.
 const FAR: u64 = 1 << 36;
 
-/// The reference queue. Schedules are numbered 0, 1, 2, … in call
-/// order; that index is both the FIFO tie-break and the cancel handle.
+/// The reference queue. Sequence numbers are handed out 0, 1, 2, … in
+/// call order (a schedule or a reservation takes one); that index is
+/// the FIFO tie-break, the payload and the cancel handle.
 #[derive(Default)]
 struct Model {
-    /// Live events only: `(time, schedule index) → payload`.
+    /// Live events only: `(time, index) → payload`.
     live: BTreeMap<(SimTime, usize), u64>,
-    /// Scheduled time of every event ever scheduled, by index.
-    when: Vec<SimTime>,
+    /// By index: the time of every event ever stored, `None` for a
+    /// reservation nothing has been scheduled under.
+    when: Vec<Option<SimTime>>,
 }
 
 impl Model {
-    fn schedule(&mut self, at: SimTime, payload: u64) {
-        self.live.insert((at, self.when.len()), payload);
-        self.when.push(at);
+    fn schedule(&mut self, at: SimTime) -> usize {
+        let index = self.reserve();
+        self.schedule_reserved(index, at);
+        index
+    }
+
+    fn reserve(&mut self) -> usize {
+        self.when.push(None);
+        self.when.len() - 1
+    }
+
+    fn schedule_reserved(&mut self, index: usize, at: SimTime) {
+        self.live.insert((at, index), index as u64);
+        self.when[index] = Some(at);
     }
 
     fn cancel(&mut self, index: usize) -> bool {
-        self.live.remove(&(self.when[index], index)).is_some()
+        self.when[index].is_some_and(|at| self.live.remove(&(at, index)).is_some())
     }
 
     fn peek_time(&self) -> Option<SimTime> {
@@ -57,11 +74,12 @@ impl Model {
             .map(|((at, _), payload)| (at, payload))
     }
 
-    /// The run of single pops sharing the front instant `at`.
-    fn pop_instant(&mut self, at: SimTime) -> Vec<(SimTime, u64)> {
+    /// The run of single pops sharing the front instant `at`, each as
+    /// `(sequence number, payload)` — what the batch pop yields.
+    fn pop_instant(&mut self, at: SimTime) -> Vec<(u64, u64)> {
         let mut run = Vec::new();
         while self.peek_time() == Some(at) {
-            run.extend(self.pop());
+            run.extend(self.live.pop_first().map(|((_, index), payload)| (index as u64, payload)));
         }
         run
     }
@@ -76,12 +94,78 @@ impl Model {
 enum Op {
     /// Schedule at an absolute time.
     Schedule(u64),
-    /// Cancel the event minted by the `i % scheduled`-th schedule.
+    /// Take a sequence number and store nothing.
+    Reserve,
+    /// Schedule at an absolute time under the `i % unused`-th
+    /// reservation still unused.
+    ScheduleReserved(usize, u64),
+    /// Cancel the event stored under sequence number `i % minted`.
     Cancel(usize),
     /// Pop one event.
     Pop,
     /// Peek the next event time.
     Peek,
+}
+
+/// The queue under test beside the model, fed the same storing ops.
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue<u64>,
+    model: Model,
+    /// By sequence number: the queue's handle, `None` while the number
+    /// is only reserved.
+    ids: Vec<Option<EventId>>,
+    /// Reservations nothing has been scheduled under yet.
+    unused: Vec<u64>,
+}
+
+impl Pair {
+    /// Apply a schedule / reserve / cancel op to both sides; `Err` on
+    /// the first observable difference. Pops and peeks are the
+    /// caller's (the two sweeps observe them differently).
+    fn store(&mut self, op: Op) -> Result<(), String> {
+        match op {
+            Op::Schedule(at) => {
+                let index = self.model.schedule(SimTime(at));
+                let id = self.queue.schedule(SimTime(at), index as u64);
+                if self.ids.iter().flatten().any(|&earlier| earlier >= id) {
+                    return Err(format!("id {id:?} not after every earlier id"));
+                }
+                self.ids.push(Some(id));
+            }
+            Op::Reserve => {
+                let seq = self.queue.reserve_seq();
+                if seq != self.model.reserve() as u64 {
+                    return Err(format!("reserved {seq}, model is at {}", self.ids.len()));
+                }
+                self.ids.push(None);
+                self.unused.push(seq);
+            }
+            Op::ScheduleReserved(i, at) => {
+                if self.unused.is_empty() {
+                    return Ok(());
+                }
+                let seq = self.unused.swap_remove(i % self.unused.len());
+                self.model.schedule_reserved(seq as usize, SimTime(at));
+                self.ids[seq as usize] = Some(self.queue.schedule_reserved(SimTime(at), seq, seq));
+            }
+            Op::Cancel(i) => {
+                if self.ids.is_empty() {
+                    return Ok(());
+                }
+                let index = i % self.ids.len();
+                // A number that is only reserved has no handle and no
+                // entry: nothing to cancel on either side.
+                let q = self.ids[index].is_some_and(|id| self.queue.cancel(id));
+                let m = self.model.cancel(index);
+                if q != m {
+                    return Err(format!("cancel(#{index}) {q} vs {m}"));
+                }
+            }
+            Op::Pop | Op::Peek => {}
+        }
+        Ok(())
+    }
 }
 
 /// Drive queue and model through `ops`, asserting equal observables at
@@ -97,33 +181,13 @@ fn run_with_mutation(
     ops: &[Op],
     mutation: QueueMutation,
 ) -> Result<Vec<(SimTime, u64)>, String> {
-    let mut queue = EventQueue::new();
-    queue.set_mutation_for_tests(mutation);
-    let mut model = Model::default();
-    let mut ids = Vec::new();
+    let mut pair = Pair::default();
+    pair.queue.set_mutation_for_tests(mutation);
     let mut popped = Vec::new();
     for (step, op) in ops.iter().enumerate() {
+        pair.store(*op).map_err(|e| format!("step {step}: {e}"))?;
+        let Pair { queue, model, .. } = &mut pair;
         match *op {
-            Op::Schedule(at) => {
-                let payload = ids.len() as u64;
-                let id = queue.schedule(SimTime(at), payload);
-                model.schedule(SimTime(at), payload);
-                if ids.last().is_some_and(|&last| last >= id) {
-                    return Err(format!("step {step}: id {id:?} not after {:?}", ids.last()));
-                }
-                ids.push(id);
-            }
-            Op::Cancel(i) => {
-                if ids.is_empty() {
-                    continue;
-                }
-                let index = i % ids.len();
-                let q = queue.cancel(ids[index]);
-                let m = model.cancel(index);
-                if q != m {
-                    return Err(format!("step {step}: cancel(#{index}) {q} vs {m}"));
-                }
-            }
             Op::Pop => {
                 let q = queue.pop();
                 let m = model.pop();
@@ -139,6 +203,7 @@ fn run_with_mutation(
                     return Err(format!("step {step}: peek {q:?} vs {m:?}"));
                 }
             }
+            _ => {}
         }
         if queue.len() != model.len() {
             return Err(format!(
@@ -148,6 +213,7 @@ fn run_with_mutation(
             ));
         }
     }
+    let Pair { mut queue, mut model, .. } = pair;
     // Drain both to the end — any latent misordering must surface.
     loop {
         let q = queue.pop();
@@ -172,6 +238,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..50_000_000).prop_map(Op::Schedule),
         (FAR - 1_000..FAR + 1_000_000).prop_map(Op::Schedule),
         Just(Op::Schedule(u64::MAX)),
+        Just(Op::Reserve),
+        ((0usize..64), (0u64..5_000)).prop_map(|(i, at)| Op::ScheduleReserved(i, at)),
+        ((0usize..64), (0u64..50_000_000)).prop_map(|(i, at)| Op::ScheduleReserved(i, at)),
         (0usize..4096).prop_map(Op::Cancel),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -244,24 +313,13 @@ proptest! {
     fn batch_pop_matches_model(
         ops in proptest::collection::vec(op_strategy(), 1..300),
     ) {
-        let mut queue = EventQueue::new();
-        let mut model = Model::default();
-        let mut ids = Vec::new();
-        let mut buf: Vec<(SimTime, u64)> = Vec::new();
+        let mut pair = Pair::default();
+        let mut buf: Vec<(u64, u64)> = Vec::new();
         for op in &ops {
+            prop_assert_eq!(pair.store(*op), Ok(()));
+            let Pair { queue, model, .. } = &mut pair;
             match *op {
-                Op::Schedule(at) => {
-                    let payload = ids.len() as u64;
-                    ids.push(queue.schedule(SimTime(at), payload));
-                    model.schedule(SimTime(at), payload);
-                }
-                Op::Cancel(i) => {
-                    if ids.is_empty() {
-                        continue;
-                    }
-                    let index = i % ids.len();
-                    prop_assert_eq!(queue.cancel(ids[index]), model.cancel(index));
-                }
+                Op::Schedule(_) | Op::Reserve | Op::ScheduleReserved(..) | Op::Cancel(_) => {}
                 Op::Pop | Op::Peek => {
                     // A deadline before the front instant must leave
                     // the queue untouched and return nothing...
@@ -287,6 +345,7 @@ proptest! {
             }
         }
         // Drain the remainder batch-by-batch; every instant must match.
+        let Pair { mut queue, mut model, .. } = pair;
         loop {
             let got = queue.pop_instant_into(SimTime::MAX, &mut buf);
             prop_assert_eq!(got, model.peek_time());
@@ -296,6 +355,69 @@ proptest! {
         }
         prop_assert!(queue.is_empty() && model.len() == 0);
     }
+}
+
+// ---- a reserved number due at the instant in hand ------------------------
+
+/// The one event a handler can owe the batch being handled: reserved
+/// earlier, found to be needed only now, and due now. Pushed onto the
+/// heap it would pop in the *next* batch, after events that were
+/// scheduled behind it; inserted into the batch by its sequence number
+/// it is handled exactly where the eager schedule has it.
+#[test]
+fn batch_insertion_at_the_current_instant_pops_in_sequence_position() {
+    const AT: SimTime = SimTime(10);
+    // `late` marks the event that is either scheduled eagerly or only
+    // reserved; handling event 0 is what reveals that it is needed.
+    fn script(sim: &mut Sim<u32>, late: Option<u32>) -> Option<u64> {
+        sim.schedule_at(AT, 0);
+        let reserved = match late {
+            Some(ev) => {
+                sim.schedule_at(AT, ev);
+                None
+            }
+            None => Some(sim.reserve_seq()),
+        };
+        sim.schedule_at(AT, 2);
+        sim.schedule_at(AT, 3);
+        reserved
+    }
+    /// Handle every batch front to back; `on_first` runs while event 0
+    /// is in hand and may add to the rest of its batch.
+    fn drain(sim: &mut Sim<u32>, mut on_first: impl FnMut(&mut Sim<u32>, &mut Vec<(u64, u32)>)) -> Vec<u32> {
+        let (mut order, mut batch) = (Vec::new(), Vec::new());
+        while sim.pop_batch(SimTime::MAX, &mut batch) > 0 {
+            batch.reverse(); // handled from the back, so descending
+            while let Some((_, ev)) = batch.pop() {
+                order.push(ev);
+                if ev == 0 {
+                    on_first(sim, &mut batch);
+                }
+            }
+        }
+        order
+    }
+
+    let mut eager = Sim::new(1);
+    script(&mut eager, Some(1));
+    let reference = drain(&mut eager, |_, _| {});
+    assert_eq!(reference, [0, 1, 2, 3]);
+
+    let mut inserted = Sim::new(1);
+    let seq = script(&mut inserted, None).expect("reserved");
+    let order = drain(&mut inserted, |_, batch| {
+        let at = batch.partition_point(|&(s, _)| s > seq);
+        batch.insert(at, (seq, 1));
+    });
+    assert_eq!(order, reference, "inserted by sequence number");
+    assert_eq!(inserted.reserve_seq(), eager.reserve_seq(), "same numbers consumed");
+
+    let mut pushed = Sim::new(1);
+    let seq = script(&mut pushed, None).expect("reserved");
+    let order = drain(&mut pushed, |sim, _| {
+        sim.schedule_reserved(AT, seq, 1);
+    });
+    assert_eq!(order, [0, 2, 3, 1], "a heap push misses the batch in hand");
 }
 
 // ---- seeded-defect detection -------------------------------------------
