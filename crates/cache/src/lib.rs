@@ -13,8 +13,7 @@
 //!   ablation A2).
 //! * [`atomics`] — D64 Atomic execution at a word's home node.
 //! * [`SemaphoreClient`] — binary network semaphores (slide 10) as a
-//!   sans-IO client state machine with deterministic backoff;
-//!   [`counting`] adds the multi-permit variant on `FetchAdd`.
+//!   sans-IO client state machine with deterministic backoff.
 //! * [`host`] — the same two-counter discipline against real memory:
 //!   a safe `AtomicU64`-based seqlock and the write-through registered
 //!   region, stress-tested under real threads.
@@ -25,7 +24,6 @@
 #![forbid(unsafe_code)]
 
 pub mod atomics;
-pub mod counting;
 pub mod host;
 pub mod refresh;
 pub mod seqlock_msg;

@@ -7,8 +7,8 @@
 //! home node. The client side is a small sans-IO state machine:
 //! acquire issues `TestAndSet` D64 requests (with deterministic
 //! exponential backoff between attempts while contended), release
-//! issues `Clear`. Counting semaphores use `FetchAdd`. Mutual
-//! exclusion follows from serialization at the home node.
+//! issues `Clear`. Mutual exclusion follows from serialization at the
+//! home node.
 
 use ampnet_packet::build::{self, AtomicOp, AtomicRequest};
 use ampnet_packet::MicroPacket;

@@ -123,29 +123,6 @@ pub fn try_read(cache: &NetworkCache, layout: RecordLayout) -> Result<ReadOutcom
     })
 }
 
-/// Read the protocol to completion, counting retries. In a live
-/// simulation retries happen across event steps; this helper is for
-/// quiescent replicas and tests.
-pub fn read_record(
-    cache: &NetworkCache,
-    layout: RecordLayout,
-    max_retries: u32,
-) -> Result<(Vec<u8>, u64, u32), CacheError> {
-    let mut retries = 0;
-    loop {
-        match try_read(cache, layout)? {
-            ReadOutcome::Ok { data, generation } => return Ok((data, generation, retries)),
-            ReadOutcome::Busy => {
-                retries += 1;
-                assert!(
-                    retries <= max_retries,
-                    "record stuck busy after {max_retries} retries"
-                );
-            }
-        }
-    }
-}
-
 /// The ablation-A2 read: ignore the counters entirely. With concurrent
 /// writers this can return torn data — that is the point of measuring
 /// it.
@@ -178,10 +155,13 @@ mod tests {
         let (mut c, layout) = setup();
         let data = vec![7u8; 100];
         write_record(&mut c, layout, &data, 0, 0).unwrap();
-        let (read, generation, retries) = read_record(&c, layout, 0).unwrap();
-        assert_eq!(read, data);
-        assert_eq!(generation, 1);
-        assert_eq!(retries, 0);
+        assert_eq!(
+            try_read(&c, layout).unwrap(),
+            ReadOutcome::Ok {
+                data,
+                generation: 1
+            }
+        );
     }
 
     #[test]
@@ -189,8 +169,10 @@ mod tests {
         let (mut c, layout) = setup();
         for expected in 1..=5u64 {
             write_record(&mut c, layout, &[expected as u8; 100], 0, 0).unwrap();
-            let (_, generation, _) = read_record(&c, layout, 0).unwrap();
-            assert_eq!(generation, expected);
+            match try_read(&c, layout).unwrap() {
+                ReadOutcome::Ok { generation, .. } => assert_eq!(generation, expected),
+                ReadOutcome::Busy => panic!("quiescent replica read busy"),
+            }
         }
     }
 

@@ -162,11 +162,6 @@ impl NetworkCache {
         Ok(())
     }
 
-    /// Remove a region (used when tearing down).
-    pub fn drop_region(&mut self, id: RegionId) {
-        self.regions[id as usize] = None;
-    }
-
     /// Defined region ids, ascending.
     pub fn region_ids(&self) -> Vec<RegionId> {
         (0u16..256)
@@ -437,8 +432,6 @@ mod tests {
         let mut c = cache_with_region(2, 1, 256);
         c.define_region(2, 128).unwrap();
         assert!(!b.converged_with(&c));
-        b.drop_region(2);
-        assert!(a.converged_with(&b));
     }
 
     #[test]

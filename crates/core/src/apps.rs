@@ -316,6 +316,12 @@ pub(crate) fn on_node_death(cluster: &mut Cluster, node: u8) {
     }
 }
 
+pub(crate) fn on_node_online(cluster: &mut Cluster, node: u8) {
+    if let Some(app) = cluster.apps.counter.as_mut() {
+        app.group.mark_online(node);
+    }
+}
+
 pub(crate) fn on_ring_restored(_cluster: &mut Cluster) {
     // Traffic replay is handled by the cluster core; apps keep going.
 }

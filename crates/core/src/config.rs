@@ -38,7 +38,6 @@ impl TimingModel {
         LinkParams {
             baud: self.baud,
             length_m,
-            ..LinkParams::default()
         }
     }
 }
@@ -137,12 +136,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style switch count override.
-    pub fn with_switches(mut self, s: usize) -> Self {
-        self.n_switches = s;
-        self
-    }
-
     /// Builder-style region override.
     pub fn with_regions(mut self, regions: Vec<(RegionId, u32)>) -> Self {
         self.cache_regions = regions;
@@ -197,12 +190,10 @@ mod tests {
         let c = ClusterConfig::small(4)
             .with_seed(7)
             .with_fiber(1000.0)
-            .with_switches(2)
             .with_regions(vec![(1, 128)]);
         assert_eq!(c.n_nodes, 4);
         assert_eq!(c.seed, 7);
         assert_eq!(c.fiber_length_m, 1000.0);
-        assert_eq!(c.n_switches, 2);
         assert_eq!(c.cache_regions, vec![(1, 128)]);
     }
 

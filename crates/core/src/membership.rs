@@ -274,7 +274,8 @@ impl Cluster {
         self.topo.restore(Component::Node(NodeId(node)));
         // Cache refresh completed (time already charged): copy the
         // sponsor's replica. The packet-level protocol is validated in
-        // ampnet-cache::refresh.
+        // ampnet-cache::refresh; the cluster does not run it yet
+        // (ROADMAP item 2).
         let sponsor = (0..self.nodes.len())
             .find(|&i| i != node as usize && self.nodes[i].online);
         if let Some(s) = sponsor {
@@ -284,6 +285,7 @@ impl Cluster {
             self.nodes[node as usize].cache = cache;
         }
         self.nodes[node as usize].online = true;
+        crate::apps::on_node_online(self, node);
         self.observe(ObservedEvent::NodeOnline(node));
         // Extend the ring: a join-triggered roster episode.
         let best = self.topo.largest_ring();

@@ -608,11 +608,6 @@ impl MultiSegment {
         self.mode = mode;
     }
 
-    /// The active [`ParallelMode`].
-    pub fn parallel_mode(&self) -> ParallelMode {
-        self.mode
-    }
-
     /// Select the slice-sizing policy. [`Lookahead::Adaptive`] is the
     /// default; [`Lookahead::Fixed`] reproduces the fixed-slice engine
     /// exactly (the reference `tests/parallel_equivalence.rs` runs

@@ -13,6 +13,16 @@ fn booted(n: usize, seed: u64) -> Cluster {
     c
 }
 
+/// A join request every default policy admits.
+fn compatible_join(node: u8) -> JoinRequest {
+    JoinRequest {
+        node,
+        version: Version::new(1, 0, 0),
+        features: Features::NONE,
+        diagnostics_pass: true,
+    }
+}
+
 #[test]
 fn boot_builds_full_ring() {
     let c = booted(8, 1);
@@ -151,13 +161,7 @@ fn node_rejoin_after_assimilation() {
     c.cache_write(0, 0, 100, b"written while away");
     c.run_for(SimDuration::from_millis(1));
 
-    let req = JoinRequest {
-        node: 2,
-        version: Version::new(1, 0, 0),
-        features: Features::NONE,
-        diagnostics_pass: true,
-    };
-    c.schedule_join(c.now(), 2, req);
+    c.schedule_join(c.now(), 2, compatible_join(2));
     // Assimilation takes boot + diag + refresh ≈ 70+ ms.
     c.run_for(SimDuration::from_millis(200));
     assert!(c.ring_up());
@@ -174,10 +178,8 @@ fn incompatible_joiner_rejected() {
     c.schedule_failure(c.now(), Component::Node(NodeId(3)));
     c.run_for(SimDuration::from_millis(5));
     let req = JoinRequest {
-        node: 3,
         version: Version::new(9, 0, 0), // wrong major
-        features: Features::NONE,
-        diagnostics_pass: true,
+        ..compatible_join(3)
     };
     c.schedule_join(c.now(), 3, req);
     c.run_for(SimDuration::from_millis(200));
@@ -259,11 +261,10 @@ fn semaphores_mutually_exclude() {
     assert!(r.acquire_latency.count() == 50);
 }
 
-#[test]
-fn counter_app_failover_no_data_loss() {
-    let mut c = booted(6, 15);
-    let deadline = c.now() + SimDuration::from_millis(30);
-    c.start_counter_app(CounterAppConfig {
+/// Three-member control group (node 1 best qualified, then 3, then 2)
+/// with a 1 ms failover period, incrementing until `deadline`.
+fn counter_app(deadline: SimTime) -> CounterAppConfig {
+    CounterAppConfig {
         members: vec![(1, 90), (2, 70), (3, 80)],
         policy: FailoverPolicy {
             failover_period: SimDuration::from_millis(1),
@@ -280,7 +281,13 @@ fn counter_app_failover_no_data_loss() {
             data_len: 8,
         },
         deadline,
-    });
+    }
+}
+
+#[test]
+fn counter_app_failover_no_data_loss() {
+    let mut c = booted(6, 15);
+    c.start_counter_app(counter_app(c.now() + SimDuration::from_millis(30)));
     // Kill the initial leader (node 1, qualification 90) mid-run.
     c.schedule_failure(
         c.now() + SimDuration::from_millis(8),
@@ -303,6 +310,37 @@ fn counter_app_failover_no_data_loss() {
     // Survivors agree on the final value.
     let vals: Vec<u64> = r.final_values.iter().map(|&(_, v)| v).collect();
     assert!(vals.windows(2).all(|w| w[0] == w[1]), "{vals:?}");
+}
+
+#[test]
+fn rejoined_member_regains_control() {
+    // Slide 19: control passes to the best-qualified computer — which
+    // includes one that crashed and re-assimilated. Every member dies
+    // once; the two that rejoin must be eligible again.
+    let mut c = booted(6, 15);
+    let t0 = c.now();
+    let at = |ms| t0 + SimDuration::from_millis(ms);
+    c.start_counter_app(counter_app(at(420)));
+    c.schedule_failure(at(8), Component::Node(NodeId(1)));
+    c.schedule_join(at(20), 1, compatible_join(1)); // online ≈ +91 ms
+    c.schedule_failure(at(150), Component::Node(NodeId(3)));
+    c.schedule_join(at(160), 3, compatible_join(3));
+    c.schedule_failure(at(300), Component::Node(NodeId(2)));
+    c.run_until(at(400));
+    let before = c.counter_report().unwrap().increments_issued;
+    c.run_until(at(420));
+    let r = c.counter_report().unwrap();
+    let leaders: Vec<u8> = r.resumes.iter().map(|x| x.new_leader).collect();
+    assert_eq!(
+        leaders,
+        [3, 1],
+        "1 dies: 3 (80) takes over; 3 dies: rejoined 1 (90) beats 2 (70); 2 dies a non-leader"
+    );
+    assert!(r.resumes.iter().all(|x| x.lost_committed == 0));
+    assert!(
+        r.increments_issued > before,
+        "the service is still incrementing after every member has died once"
+    );
 }
 
 #[test]

@@ -2,10 +2,10 @@
 //!
 //! Network-centric services organize redundant application instances
 //! into *control groups*. Each member advertises a qualification
-//! score; the best-qualified online member holds control. The group
-//! table lives in the network cache, so every survivor can make the
-//! same failover decision locally ("control passes to the best
-//! qualified computer").
+//! score; the best-qualified online member holds control. Liveness
+//! follows roster membership, so every survivor makes the same
+//! failover decision locally ("control passes to the best qualified
+//! computer").
 
 /// Identifier of a control group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -92,17 +92,6 @@ impl ControlGroup {
         }
     }
 
-    /// Update a member's qualification (e.g. load changed).
-    pub fn requalify(&mut self, node: u8, qualification: u32) -> Result<(), GroupError> {
-        for m in &mut self.members {
-            if m.node == node {
-                m.qualification = qualification;
-                return Ok(());
-            }
-        }
-        Err(GroupError::NotMember(node))
-    }
-
     /// All members (sorted by node id).
     pub fn members(&self) -> &[Member] {
         &self.members
@@ -120,36 +109,6 @@ impl ControlGroup {
                     .cmp(&b.qualification)
                     .then(b.node.cmp(&a.node)) // lower id wins ties
             })
-    }
-
-    /// Serialize the group table for the network cache (fixed 6-byte
-    /// records: node, online, qualification).
-    pub fn to_cache_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + self.members.len() * 6);
-        out.extend_from_slice(&self.id.0.to_be_bytes());
-        for m in &self.members {
-            out.push(m.node);
-            out.push(m.online as u8);
-            out.extend_from_slice(&m.qualification.to_be_bytes());
-        }
-        out
-    }
-
-    /// Parse a group table from cache bytes.
-    pub fn from_cache_bytes(bytes: &[u8]) -> Option<ControlGroup> {
-        if bytes.len() < 2 || !(bytes.len() - 2).is_multiple_of(6) {
-            return None;
-        }
-        let id = GroupId(u16::from_be_bytes([bytes[0], bytes[1]]));
-        let mut g = ControlGroup::new(id);
-        for rec in bytes[2..].chunks_exact(6) {
-            g.members.push(Member {
-                node: rec[0],
-                online: rec[1] != 0,
-                qualification: u32::from_be_bytes([rec[2], rec[3], rec[4], rec[5]]),
-            });
-        }
-        Some(g)
     }
 }
 
@@ -206,29 +165,11 @@ mod tests {
     }
 
     #[test]
-    fn leave_and_requalify() {
+    fn leave_removes_member() {
         let mut g = group();
-        g.requalify(2, 200).unwrap();
-        assert_eq!(g.leader().unwrap().node, 2);
-        g.leave(2).unwrap();
-        assert_eq!(g.leader().unwrap().node, 5);
-        assert_eq!(g.leave(2), Err(GroupError::NotMember(2)));
-        assert_eq!(g.requalify(99, 1), Err(GroupError::NotMember(99)));
-    }
-
-    #[test]
-    fn cache_roundtrip() {
-        let mut g = group();
-        g.mark_offline(9);
-        let bytes = g.to_cache_bytes();
-        let back = ControlGroup::from_cache_bytes(&bytes).unwrap();
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn cache_parse_rejects_garbage() {
-        assert!(ControlGroup::from_cache_bytes(&[]).is_none());
-        assert!(ControlGroup::from_cache_bytes(&[1, 2, 3]).is_none());
+        g.leave(5).unwrap();
+        assert_eq!(g.leader().unwrap().node, 9);
+        assert_eq!(g.leave(5), Err(GroupError::NotMember(5)));
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //!
 //! * [`Version`]/[`CompatPolicy`] — network-wide version and feature
 //!   compatibility enforcement for joining nodes.
-//! * [`Lifecycle`]/[`assimilate`] — the assimilation pipeline
-//!   (self-boot → diagnostics → version check → cache refresh → CRC
-//!   certification → online) with full phase timing, swept by
-//!   experiment E9.
+//! * [`assimilate`] — the assimilation rules (self-boot → diagnostics
+//!   → version check → cache refresh → CRC certification → online)
+//!   with full phase timing, swept by experiment E9.
 //! * [`ControlGroup`] — redundant application instances ranked by
-//!   qualification; the table lives in the network cache so every
-//!   survivor reaches the same decision.
+//!   qualification, with the online set every survivor decides from.
 //! * [`FailoverEngine`] — millisecond application failure detection,
 //!   the application-definable failover period, best-qualified
 //!   takeover and recovery rules (experiment E10).
@@ -30,6 +28,5 @@ pub use failover::{
 pub use group::{ControlGroup, GroupError, GroupId, Member};
 pub use lifecycle::{
     assimilate, AssimilationFailure, AssimilationParams, AssimilationTimeline, JoinRequest,
-    Lifecycle, NodeState,
 };
 pub use version::{CompatPolicy, Features, Rejection, Version};

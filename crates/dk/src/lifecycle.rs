@@ -1,35 +1,17 @@
-//! Node lifecycle and assimilation (slide 17).
+//! Assimilation rules and timeline (slide 17).
 //!
 //! "Every node is a real-time Micro Computer, managed by the AmpNet
 //! Distributed Kernel. Instantly self-boots — doesn't need a host.
 //! Conforms to assimilation rules before coming online."
 //!
-//! The lifecycle: `Offline → SelfBoot → Diagnostics → VersionCheck →
-//! CacheRefresh → Certify → Online` (any gate can bounce the node back
-//! to `Offline` with a reason). [`assimilate`] runs the whole timeline
-//! and accounts every phase, which is what experiment E9 sweeps.
+//! A joining node passes self-boot, diagnostics, the version check,
+//! the cache refresh and its CRC certification in that order, and any
+//! gate can refuse it with a reason. [`assimilate`] evaluates the
+//! gates and accounts every phase, which is what `Cluster::handle_join`
+//! charges and experiment E9 sweeps.
 
 use crate::version::{CompatPolicy, Features, Rejection, Version};
 use ampnet_sim::SimDuration;
-
-/// Lifecycle states of an AmpDK node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeState {
-    /// Powered off or expelled.
-    Offline,
-    /// Firmware booting from flash (no host needed).
-    SelfBoot,
-    /// Built-in self-test running.
-    Diagnostics,
-    /// Version/feature handshake with the network.
-    VersionCheck,
-    /// Streaming the network cache from a sponsor.
-    CacheRefresh,
-    /// CRC certification of the refreshed cache.
-    Certify,
-    /// Full member of the logical ring.
-    Online,
-}
 
 /// Timing knobs for assimilation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,8 +89,8 @@ pub struct JoinRequest {
 
 /// Evaluate a join against the policy and compute the timeline for a
 /// cache of `cache_bytes`. Pure accounting — the packet-level refresh
-/// itself is exercised by `ampnet-cache::refresh` and the cluster
-/// integration.
+/// itself is validated in `ampnet-cache::refresh`; the cluster does
+/// not run it yet (ROADMAP item 2).
 pub fn assimilate(
     req: JoinRequest,
     policy: CompatPolicy,
@@ -133,73 +115,6 @@ pub fn assimilate(
         refresh,
         certify,
     })
-}
-
-/// The lifecycle state machine, for step-by-step drivers.
-#[derive(Debug, Clone)]
-pub struct Lifecycle {
-    state: NodeState,
-    failure: Option<AssimilationFailure>,
-}
-
-impl Default for Lifecycle {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Lifecycle {
-    /// A node starting from power-off.
-    pub fn new() -> Self {
-        Lifecycle {
-            state: NodeState::Offline,
-            failure: None,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> NodeState {
-        self.state
-    }
-
-    /// The failure that sent the node offline, if any.
-    pub fn failure(&self) -> Option<AssimilationFailure> {
-        self.failure
-    }
-
-    /// Power on: begin self-boot.
-    pub fn power_on(&mut self) {
-        assert_eq!(self.state, NodeState::Offline, "power_on from {:?}", self.state);
-        self.state = NodeState::SelfBoot;
-        self.failure = None;
-    }
-
-    /// Advance one phase; gates report pass/fail.
-    pub fn advance(&mut self, gate_pass: Result<(), AssimilationFailure>) -> NodeState {
-        match gate_pass {
-            Err(f) => {
-                self.failure = Some(f);
-                self.state = NodeState::Offline;
-            }
-            Ok(()) => {
-                self.state = match self.state {
-                    NodeState::Offline => NodeState::Offline,
-                    NodeState::SelfBoot => NodeState::Diagnostics,
-                    NodeState::Diagnostics => NodeState::VersionCheck,
-                    NodeState::VersionCheck => NodeState::CacheRefresh,
-                    NodeState::CacheRefresh => NodeState::Certify,
-                    NodeState::Certify => NodeState::Online,
-                    NodeState::Online => NodeState::Online,
-                };
-            }
-        }
-        self.state
-    }
-
-    /// The node died or was expelled.
-    pub fn fail(&mut self) {
-        self.state = NodeState::Offline;
-    }
 }
 
 #[cfg(test)]
@@ -259,57 +174,5 @@ mod tests {
             assimilate(j, policy(), 1000, &Default::default()),
             Err(AssimilationFailure::Incompatible(_))
         ));
-    }
-
-    #[test]
-    fn lifecycle_happy_path() {
-        let mut lc = Lifecycle::new();
-        lc.power_on();
-        assert_eq!(lc.state(), NodeState::SelfBoot);
-        for expect in [
-            NodeState::Diagnostics,
-            NodeState::VersionCheck,
-            NodeState::CacheRefresh,
-            NodeState::Certify,
-            NodeState::Online,
-        ] {
-            assert_eq!(lc.advance(Ok(())), expect);
-        }
-        assert_eq!(lc.state(), NodeState::Online);
-        assert!(lc.failure().is_none());
-    }
-
-    #[test]
-    fn lifecycle_gate_failure_goes_offline() {
-        let mut lc = Lifecycle::new();
-        lc.power_on();
-        lc.advance(Ok(())); // Diagnostics
-        let s = lc.advance(Err(AssimilationFailure::DiagnosticsFailed));
-        assert_eq!(s, NodeState::Offline);
-        assert_eq!(lc.failure(), Some(AssimilationFailure::DiagnosticsFailed));
-        // Can retry after fixing.
-        lc.power_on();
-        assert_eq!(lc.state(), NodeState::SelfBoot);
-        assert!(lc.failure().is_none());
-    }
-
-    #[test]
-    fn fail_from_online() {
-        let mut lc = Lifecycle::new();
-        lc.power_on();
-        for _ in 0..5 {
-            lc.advance(Ok(()));
-        }
-        assert_eq!(lc.state(), NodeState::Online);
-        lc.fail();
-        assert_eq!(lc.state(), NodeState::Offline);
-    }
-
-    #[test]
-    #[should_panic(expected = "power_on from")]
-    fn double_power_on_panics() {
-        let mut lc = Lifecycle::new();
-        lc.power_on();
-        lc.power_on();
     }
 }

@@ -65,11 +65,6 @@ impl Features {
     pub const fn bits(self) -> u8 {
         self.0
     }
-
-    /// From raw bits.
-    pub const fn from_bits(b: u8) -> Features {
-        Features(b)
-    }
 }
 
 impl std::ops::BitOr for Features {
@@ -239,7 +234,6 @@ mod tests {
         assert!(all.includes(Features::D64_ATOMIC));
         assert!(all.includes(Features::NONE));
         assert!(!Features::NONE.includes(Features::ROUTING));
-        assert_eq!(Features::from_bits(all.bits()), all);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests for AmpDK: the failover engine always elects the
 //! best-qualified online survivor; version policies partition joiners
-//! correctly; control-group cache serialization is lossless.
+//! correctly; a control group's leader follows its online set through
+//! any crash/rejoin history.
 
 use ampnet_dk::{
     assimilate, AssimilationParams, CompatPolicy, ControlGroup, FailoverEngine, FailoverPolicy,
@@ -8,6 +9,8 @@ use ampnet_dk::{
 };
 use ampnet_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 fn arb_members() -> impl Strategy<Value = Vec<(u8, u32)>> {
     proptest::collection::btree_map(0u8..20, 0u32..1000, 2..8)
@@ -51,20 +54,40 @@ proptest! {
         }
     }
 
-    /// Group tables survive the cache roundtrip byte-exactly.
+    /// Liveness algebra: after any `mark_offline`/`mark_online`
+    /// history the leader is the best-qualified member of the set that
+    /// history leaves online (ties to the lower id), and a member that
+    /// crashes and rejoins gives the group back the leader it had.
     #[test]
-    fn group_cache_roundtrip(members in arb_members(), offline_mask in any::<u32>()) {
+    fn leader_follows_the_online_set(
+        // Few distinct qualifications, so ties are the common case.
+        members in proptest::collection::btree_map(0u8..20, 0u32..4, 2..8),
+        history in proptest::collection::vec((any::<bool>(), 0usize..8), 0..40),
+    ) {
         let mut g = ControlGroup::new(GroupId(9));
-        for &(node, q) in &members {
+        for (&node, &q) in &members {
             g.join(node, q).unwrap();
         }
-        for (i, &(node, _)) in members.iter().enumerate() {
-            if offline_mask & (1 << (i % 32)) != 0 {
+        let nodes: Vec<u8> = members.keys().copied().collect();
+        let mut online: BTreeSet<u8> = members.keys().copied().collect();
+        for (up, pick) in history {
+            let node = nodes[pick % nodes.len()];
+            if up {
+                g.mark_online(node);
+                online.insert(node);
+            } else {
                 g.mark_offline(node);
+                online.remove(&node);
+            }
+            // Highest qualification, then lowest id.
+            let best = online.iter().copied().min_by_key(|n| (Reverse(members[n]), *n));
+            prop_assert_eq!(g.leader().map(|m| m.node), best);
+            for &bounced in &online {
+                g.mark_offline(bounced);
+                g.mark_online(bounced);
+                prop_assert_eq!(g.leader().map(|m| m.node), best);
             }
         }
-        let bytes = g.to_cache_bytes();
-        prop_assert_eq!(ControlGroup::from_cache_bytes(&bytes), Some(g));
     }
 
     /// The failover engine, driven by arbitrary polling cadence, always

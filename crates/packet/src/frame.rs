@@ -127,11 +127,6 @@ impl<'a> FrameView<'a> {
         }
     }
 
-    /// One payload byte without materializing the packet.
-    pub fn payload_byte(&self, i: usize) -> u8 {
-        self.payload[i / WORD].to_be_bytes()[i % WORD]
-    }
-
     /// Materialize a [`MicroPacket`] — the delivery-plane boundary,
     /// where a real NIU would DMA the frame into host memory.
     pub fn to_packet(&self) -> MicroPacket {
@@ -282,35 +277,6 @@ impl FrameArena {
         self.try_insert(pkt).expect("frame arena exhausted") // lint: allow(panic-freedom): arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud
     }
 
-    /// Adopt already-serialized packet bytes — for ingesting frames
-    /// off a real deserializer, and for the legacy serialize-per-hop
-    /// cost model the before/after bench replays.
-    pub fn insert_bytes(&mut self, bytes: &[u8]) -> Result<FrameRef, PacketError> {
-        if bytes.is_empty()
-            || !bytes.len().is_multiple_of(WORD)
-            || bytes.len() / WORD > MAX_FRAME_WORDS
-        {
-            return Err(PacketError::BadSize(bytes.len()));
-        }
-        let n = bytes.len() / WORD;
-        let i = self.acquire().ok_or(PacketError::BadSize(bytes.len()))?;
-        for (w, chunk) in self.slots[i as usize].words[..n]
-            .iter_mut()
-            .zip(bytes.chunks_exact(WORD))
-        {
-            *w = u32::from_be_bytes(chunk.try_into().expect("4 bytes")); // lint: allow(panic-freedom): chunks(4) over a length-checked slice yields exact 4-byte windows
-        }
-        // Validate before committing so a bad frame never goes live.
-        let fr = self.commit(i, n);
-        match FrameView::parse(self.words(fr)) {
-            Ok(_) => Ok(fr),
-            Err(e) => {
-                self.release(fr);
-                Err(e)
-            }
-        }
-    }
-
     fn slot(&self, f: FrameRef) -> &Slot {
         let s = &self.slots[f.slot as usize];
         assert!(
@@ -396,19 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_byte_matches_packet() {
-        let mut a = FrameArena::new();
-        let pkt = dma(29);
-        let f = a.insert(&pkt);
-        let v = a.view(f);
-        for (i, &b) in pkt.dma_payload().unwrap().iter().enumerate() {
-            assert_eq!(v.payload_byte(i), b);
-        }
-        let fx = a.insert(&fixed(5));
-        assert_eq!(a.view(fx).payload_byte(3), 5);
-    }
-
-    #[test]
     fn slots_are_reused_after_release() {
         let mut a = FrameArena::new();
         let f0 = a.insert(&fixed(0));
@@ -451,20 +404,6 @@ mod tests {
         let f = a.insert(&fixed(0));
         a.release(f);
         a.release(f);
-    }
-
-    #[test]
-    fn insert_bytes_matches_encode_into() {
-        let mut a = FrameArena::new();
-        for pkt in [fixed(1), dma(7), dma(64)] {
-            let mut bytes = Vec::new();
-            pkt.encode(&mut bytes);
-            let via_bytes = a.insert_bytes(&bytes).unwrap();
-            let direct = a.insert(&pkt);
-            assert_eq!(a.words(via_bytes), a.words(direct));
-        }
-        assert!(a.insert_bytes(&[0; 3]).is_err(), "non-word-multiple");
-        assert!(a.insert_bytes(&[0; 21 * 4]).is_err(), "oversized");
     }
 
     #[test]

@@ -83,13 +83,17 @@ mod tests {
     }
 
     #[test]
-    fn detects_any_single_byte_change() {
+    fn detects_every_single_bit_flip() {
+        // What makes a line error that slips past 8b/10b still fail
+        // the frame check sequence.
         let base = b"micropacket payload words".to_vec();
         let orig = crc32(&base);
         for i in 0..base.len() {
-            let mut m = base.clone();
-            m[i] ^= 0x01;
-            assert_ne!(crc32(&m), orig, "change at byte {i} undetected");
+            for bit in 0..8 {
+                let mut m = base.clone();
+                m[i] ^= 1 << bit;
+                assert_ne!(crc32(&m), orig, "flip of bit {bit} in byte {i} undetected");
+            }
         }
     }
 

@@ -363,12 +363,6 @@ impl Decoder {
         }
         Ok(entry.sym)
     }
-
-    /// Resynchronize the decoder disparity (after a comma, hardware
-    /// realigns; tests use this to model resync).
-    pub fn resync(&mut self, rd: Disparity) {
-        self.rd = rd;
-    }
 }
 
 /// Maximum run length of identical bits across a code-group sequence —

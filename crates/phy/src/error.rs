@@ -33,11 +33,6 @@ impl ErrorBurst {
         self.remaining
     }
 
-    /// Whether the burst has dispensed all its errors.
-    pub fn is_exhausted(&self) -> bool {
-        self.remaining == 0
-    }
-
     fn next(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
@@ -57,70 +52,31 @@ impl ErrorBurst {
         let bit = (self.next() % 10) as u16;
         group ^ (1 << bit)
     }
-
-    /// Corrupt up to one bit of `data` (a frame payload). Returns the
-    /// number of flips applied (0 if the burst is spent or the frame is
-    /// empty, 1 otherwise).
-    pub fn corrupt_bytes(&mut self, data: &mut [u8]) -> u32 {
-        if self.remaining == 0 || data.is_empty() {
-            return 0;
-        }
-        self.remaining -= 1;
-        let r = self.next();
-        let idx = (r % data.len() as u64) as usize;
-        let bit = ((r >> 32) % 8) as u8;
-        data[idx] ^= 1 << bit;
-        1
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crc32;
     use crate::{Decoder, Encoder, Symbol};
 
     #[test]
     fn deterministic_per_seed() {
-        let mut a = ErrorBurst::new(7, 16);
-        let mut b = ErrorBurst::new(7, 16);
-        let mut c = ErrorBurst::new(8, 16);
-        let mut da = [0xAAu8; 32];
-        let mut db = [0xAAu8; 32];
-        let mut dc = [0xAAu8; 32];
-        for _ in 0..16 {
-            a.corrupt_bytes(&mut da);
-            b.corrupt_bytes(&mut db);
-            c.corrupt_bytes(&mut dc);
-        }
-        assert_eq!(da, db);
-        assert_ne!(da, dc);
-        assert!(a.is_exhausted() && b.is_exhausted());
+        let run = |seed| {
+            let mut burst = ErrorBurst::new(seed, 16);
+            let flips: Vec<u16> = (0..16).map(|_| burst.corrupt_group(0x155)).collect();
+            assert_eq!(burst.remaining(), 0);
+            flips
+        };
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8));
     }
 
     #[test]
     fn exhausted_burst_is_inert() {
         let mut burst = ErrorBurst::new(1, 1);
-        let mut data = [0u8; 8];
-        assert_eq!(burst.corrupt_bytes(&mut data), 1);
-        assert_eq!(burst.corrupt_bytes(&mut data), 0);
-        let before = data;
-        assert_eq!(burst.corrupt_bytes(&mut data), 0);
-        assert_eq!(data, before);
+        assert_ne!(burst.corrupt_group(0x155), 0x155);
         assert_eq!(burst.corrupt_group(0x155), 0x155);
-    }
-
-    #[test]
-    fn crc_detects_every_burst_flip() {
-        // CRC-32 detects all single-bit errors, so a burst-corrupted
-        // frame can never pass the FCS check.
-        for seed in 0..50u64 {
-            let mut burst = ErrorBurst::new(seed, 1);
-            let data: Vec<u8> = (0..64u8).collect();
-            let mut hit = data.clone();
-            assert_eq!(burst.corrupt_bytes(&mut hit), 1);
-            assert_ne!(crc32(&data), crc32(&hit), "seed {seed}");
-        }
+        assert_eq!(burst.remaining(), 0);
     }
 
     #[test]

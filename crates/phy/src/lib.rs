@@ -11,28 +11,24 @@
 //!   variable, EOF, EOF-abort).
 //! * [`Crc32`] — frame check sequence used by MicroPackets and the
 //!   post-rostering diagnostics sweep.
-//! * [`WordAligner`] — receiver word alignment: comma hunting in the
-//!   raw bit stream, loss-of-lock detection and re-acquisition.
-//! * [`LinkParams`]/[`CarrierMonitor`] — the timing model (1.0625
-//!   Gbaud serialization, fiber propagation) and the hardware
-//!   loss-of-light detector that triggers rostering.
+//! * [`LinkParams`] — the timing model (1.0625 Gbaud serialization,
+//!   fiber propagation).
+//! * [`ErrorBurst`] — seeded line-error injection on encoded groups.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod align;
 mod crc;
 mod enc8b10b;
 mod error;
 mod link;
 mod ordered;
 
-pub use align::{groups_to_bits, AlignEvent, WordAligner};
 pub use crc::{crc32, Crc32};
 pub use enc8b10b::{
     cumulative_disparity, max_run_length, CodeError, Decoder, Disparity, Encoder, Symbol, K23_7,
     K27_7, K28_1, K28_5, K29_7, K30_7, VALID_K,
 };
 pub use error::ErrorBurst;
-pub use link::{CarrierMonitor, LinkParams, LinkState, FC_GIGABIT_BAUD, FIBER_M_PER_S};
+pub use link::{LinkParams, FC_GIGABIT_BAUD, FIBER_M_PER_S};
 pub use ordered::OrderedSet;

@@ -4,10 +4,8 @@
 //! (slide 3, slide 11). This module turns wire bytes into simulated
 //! time: serialization at the line baud rate (every data byte costs 10
 //! line bits after 8b/10b) plus distance-proportional propagation.
-//! It also models the hardware failure detector: a receiver that stops
-//! seeing light (or idles) reports loss-of-light within a fixed
-//! detection window — the trigger for rostering (slide 16/18,
-//! "network failures detected by hardware").
+//! The loss-of-light detection window that triggers rostering (slide
+//! 16/18) is `RosterParams::detect_loss_of_light` in `ampnet-roster`.
 
 use ampnet_sim::SimDuration;
 
@@ -24,9 +22,6 @@ pub struct LinkParams {
     pub baud: u64,
     /// Fiber length in metres.
     pub length_m: f64,
-    /// Time for receiver hardware to declare loss-of-light after the
-    /// signal disappears.
-    pub loss_of_light_detect: SimDuration,
 }
 
 impl Default for LinkParams {
@@ -34,28 +29,17 @@ impl Default for LinkParams {
         LinkParams {
             baud: FC_GIGABIT_BAUD,
             length_m: 100.0,
-            loss_of_light_detect: SimDuration::from_micros(10),
         }
     }
 }
 
 impl LinkParams {
-    /// A gigabit link of the given length with default detection time.
+    /// A gigabit link of the given length.
     pub fn gigabit(length_m: f64) -> Self {
         LinkParams {
             length_m,
             ..Default::default()
         }
-    }
-
-    /// Time to serialize one encoded byte (10 line bits).
-    pub fn byte_time(&self) -> SimDuration {
-        SimDuration::from_nanos((10.0 * 1e9 / self.baud as f64).round() as u64)
-    }
-
-    /// Time to serialize one 4-byte transmission word.
-    pub fn word_time(&self) -> SimDuration {
-        self.serialize_time(4)
     }
 
     /// Time to serialize `n` wire bytes.
@@ -69,13 +53,6 @@ impl LinkParams {
         SimDuration::from_nanos((self.length_m / FIBER_M_PER_S * 1e9).round() as u64)
     }
 
-    /// Latency for a frame of `n` wire bytes to fully arrive at the
-    /// far end: serialization + propagation (store-and-forward at the
-    /// receiving elasticity buffer).
-    pub fn frame_latency(&self, n: usize) -> SimDuration {
-        self.serialize_time(n) + self.propagation()
-    }
-
     /// Effective payload bandwidth in megabytes per second given a
     /// frame of `wire_bytes` carrying `payload_bytes`.
     pub fn effective_mbps(&self, wire_bytes: usize, payload_bytes: usize) -> f64 {
@@ -87,61 +64,9 @@ impl LinkParams {
     }
 }
 
-/// Operational state of a link as seen by the downstream receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkState {
-    /// Carrier present, idles or frames arriving.
-    Up,
-    /// Carrier lost; timestamp semantics are handled by the caller.
-    Down,
-}
-
-/// Receiver-side carrier monitor: converts "signal disappeared" into a
-/// loss-of-light report after the configured detection window.
-#[derive(Debug, Clone)]
-pub struct CarrierMonitor {
-    state: LinkState,
-    params: LinkParams,
-}
-
-impl CarrierMonitor {
-    /// New monitor for a link that is initially up.
-    pub fn new(params: LinkParams) -> Self {
-        CarrierMonitor {
-            state: LinkState::Up,
-            params,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> LinkState {
-        self.state
-    }
-
-    /// Signal disappeared now; returns the delay after which hardware
-    /// reports loss-of-light (the caller schedules the event).
-    pub fn signal_lost(&mut self) -> SimDuration {
-        self.state = LinkState::Down;
-        self.params.loss_of_light_detect
-    }
-
-    /// Signal restored (e.g. upstream neighbour re-inserted).
-    pub fn signal_restored(&mut self) {
-        self.state = LinkState::Up;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gigabit_byte_time() {
-        let p = LinkParams::default();
-        // 10 bits at 1.0625 Gbaud ≈ 9.4 ns.
-        assert_eq!(p.byte_time().as_nanos(), 9);
-        assert_eq!(p.word_time().as_nanos(), 38);
-    }
 
     #[test]
     fn serialize_scales_linearly() {
@@ -163,15 +88,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_latency_is_sum() {
-        let p = LinkParams::gigabit(200.0);
-        assert_eq!(
-            p.frame_latency(64),
-            p.serialize_time(64) + p.propagation()
-        );
-    }
-
-    #[test]
     fn effective_bandwidth() {
         let p = LinkParams::default();
         // Raw line: 106.25 MB/s of encoded bytes.
@@ -180,16 +96,5 @@ mod tests {
         // A DMA micropacket: 64 payload bytes in 84 wire bytes.
         let dma = p.effective_mbps(84, 64);
         assert!((dma - 80.9).abs() < 1.5, "dma {dma}");
-    }
-
-    #[test]
-    fn carrier_monitor_transitions() {
-        let mut m = CarrierMonitor::new(LinkParams::default());
-        assert_eq!(m.state(), LinkState::Up);
-        let delay = m.signal_lost();
-        assert_eq!(m.state(), LinkState::Down);
-        assert_eq!(delay, SimDuration::from_micros(10));
-        m.signal_restored();
-        assert_eq!(m.state(), LinkState::Up);
     }
 }

@@ -49,18 +49,8 @@ impl OrderedSet {
     }
 
     /// Parse an identifier triple back into an ordered set.
-    pub fn from_identifier(id: [u8; 3]) -> Option<OrderedSet> {
+    fn from_identifier(id: [u8; 3]) -> Option<OrderedSet> {
         OrderedSet::ALL.into_iter().find(|os| os.identifier() == id)
-    }
-
-    /// Is this a start-of-frame set?
-    pub fn is_sof(self) -> bool {
-        matches!(self, OrderedSet::SofFixed | OrderedSet::SofVariable)
-    }
-
-    /// Is this an end-of-frame set (normal or abort)?
-    pub fn is_eof(self) -> bool {
-        matches!(self, OrderedSet::Eof | OrderedSet::EofAbort)
     }
 
     /// Encode this ordered set as four 10-bit code groups.
@@ -118,17 +108,6 @@ mod tests {
     #[test]
     fn from_identifier_rejects_unknown() {
         assert_eq!(OrderedSet::from_identifier([0, 0, 0]), None);
-    }
-
-    #[test]
-    fn classification() {
-        assert!(OrderedSet::SofFixed.is_sof());
-        assert!(OrderedSet::SofVariable.is_sof());
-        assert!(!OrderedSet::Eof.is_sof());
-        assert!(OrderedSet::Eof.is_eof());
-        assert!(OrderedSet::EofAbort.is_eof());
-        assert!(!OrderedSet::Idle.is_eof());
-        assert!(!OrderedSet::Idle.is_sof());
     }
 
     #[test]

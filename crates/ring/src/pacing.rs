@@ -5,7 +5,7 @@
 //!
 //! The *no-drop* property of the register-insertion MAC is structural
 //! (a node only inserts when its insertion buffer is empty, and the
-//! buffer is sized for the worst case — see [`crate::node`]). What the
+//! buffer is sized for the worst case — see [`crate::mac`]). What the
 //! adaptive governor adds is *fairness and bounded transit latency*:
 //! a node whose insertion buffer keeps filling up is a node on a
 //! congested segment, so it multiplicatively backs off its insertion
@@ -68,12 +68,10 @@ pub struct InsertionGovernor {
 
 /// One multiplicative back-off step, clamped into `[min_gap, max_gap]`.
 ///
-/// This used to be duplicated inline in `on_insert` and `on_congestion`
-/// (which also skipped the `min_gap` floor), so the two paths could
-/// drift — and with a huge `backoff_factor` the saturating multiply
-/// lands on `SimDuration::MAX` and *must* be clamped on both. The
-/// `recover_step` floor bootstraps the gap off zero, where a
-/// multiplicative step alone would be stuck.
+/// With a huge `backoff_factor` the saturating multiply lands on
+/// `SimDuration::MAX` and *must* be clamped. The `recover_step` floor
+/// bootstraps the gap off zero, where a multiplicative step alone
+/// would be stuck.
 fn backed_off_gap(gap: SimDuration, p: &AimdParams) -> SimDuration {
     gap.saturating_mul(p.backoff_factor as u64)
         .max(p.recover_step)
@@ -133,18 +131,6 @@ impl InsertionGovernor {
             self.next_allowed = now + self.gap;
         }
     }
-
-    /// Congestion observed without an insertion (transit packet passed
-    /// through a backed-up buffer): also backs off under AIMD.
-    pub fn on_congestion(&mut self, now: SimTime) {
-        if let PacingMode::Adaptive(p) = self.mode {
-            self.gap = backed_off_gap(self.gap, &p);
-            self.backoffs += 1;
-            if self.next_allowed < now + self.gap {
-                self.next_allowed = now + self.gap;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,7 +147,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_backs_off_on_congestion() {
+    fn adaptive_backs_off_when_congested() {
         let p = AimdParams::default();
         let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
         assert!(g.may_insert(SimTime(0)));
@@ -198,7 +184,7 @@ mod tests {
         };
         let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
         for _ in 0..64 {
-            g.on_congestion(SimTime(0));
+            g.on_insert(g.next_allowed(), p.congestion_bytes);
         }
         assert_eq!(g.gap(), SimDuration::from_nanos(500));
     }
@@ -206,26 +192,25 @@ mod tests {
     #[test]
     fn gap_stays_in_bounds_under_any_interleaving() {
         // The clamp invariant must hold after *any* interleaving of
-        // backoff and recovery steps, on both backoff entry points.
+        // backoff and recovery steps.
         let p = AimdParams {
             min_gap: SimDuration::from_nanos(50),
             max_gap: SimDuration::from_nanos(700),
             ..AimdParams::default()
         };
         let in_bounds = |g: &InsertionGovernor| p.min_gap <= g.gap() && g.gap() <= p.max_gap;
-        // Exhaust every 8-step interleaving of the three transitions.
-        for pattern in 0..3u32.pow(8) {
+        // Exhaust every 8-step interleaving of the two transitions.
+        for pattern in 0..2u32.pow(8) {
             let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
             assert!(in_bounds(&g), "initial gap out of bounds");
             let mut code = pattern;
             for step in 0..8 {
                 let now = g.next_allowed();
-                match code % 3 {
+                match code % 2 {
                     0 => g.on_insert(now, p.congestion_bytes), // backoff
-                    1 => g.on_insert(now, 0),                  // recover
-                    _ => g.on_congestion(now),                 // backoff, no insert
+                    _ => g.on_insert(now, 0),                  // recover
                 }
-                code /= 3;
+                code /= 2;
                 assert!(
                     in_bounds(&g),
                     "pattern {pattern} step {step}: gap {:?} outside [{:?}, {:?}]",
@@ -240,9 +225,7 @@ mod tests {
     #[test]
     fn backoff_factor_overflow_saturates_then_clamps() {
         // A pathological factor drives the saturating multiply to
-        // SimDuration::MAX; the unified clamp must still bound the gap
-        // (the old on_congestion path applied max_gap but skipped
-        // min_gap; both paths now share one helper).
+        // SimDuration::MAX; the clamp must still bound the gap.
         let p = AimdParams {
             min_gap: SimDuration::from_nanos(10),
             max_gap: SimDuration::from_micros(5),
@@ -251,11 +234,9 @@ mod tests {
         };
         let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
         for _ in 0..4 {
-            g.on_congestion(SimTime(0));
+            g.on_insert(g.next_allowed(), p.congestion_bytes);
             assert_eq!(g.gap(), p.max_gap, "saturated backoff must clamp to max_gap");
         }
-        g.on_insert(SimTime(0), p.congestion_bytes);
-        assert_eq!(g.gap(), p.max_gap);
         // And recovery from the clamped gap still respects the floor.
         for _ in 0..10_000 {
             g.on_insert(g.next_allowed(), 0);
@@ -284,13 +265,5 @@ mod tests {
         // Two queued max-size frames are a real backlog: still backs off.
         g.on_insert(g.next_allowed(), 2 * crate::mac::MAX_PACKET_WIRE);
         assert_eq!(g.backoffs(), 1);
-    }
-
-    #[test]
-    fn on_congestion_defers_next_allowed() {
-        let p = AimdParams::default();
-        let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
-        g.on_congestion(SimTime(1_000));
-        assert!(g.next_allowed() > SimTime(1_000));
     }
 }

@@ -90,32 +90,6 @@ impl SimRng {
         let u = 1.0 - self.f64(); // avoid ln(0)
         -mean * u.ln()
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Choose one element uniformly, `None` for an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.below(items.len() as u64) as usize])
-        }
-    }
-
-    /// Sample `k` distinct indices from `0..n` (k ≤ n), in random order.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "cannot sample {k} from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut idx);
-        idx.truncate(k);
-        idx
-    }
 }
 
 /// SplitMix64 finalizer, used to whiten derived seeds.
@@ -198,36 +172,6 @@ mod tests {
             (mean - 250.0).abs() < 15.0,
             "sample mean {mean} too far from 250"
         );
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::new(4);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct() {
-        let mut r = SimRng::new(8);
-        let s = r.sample_indices(50, 10);
-        assert_eq!(s.len(), 10);
-        let mut uniq = s.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 10);
-        assert!(s.iter().all(|&i| i < 50));
-    }
-
-    #[test]
-    fn choose_empty_is_none() {
-        let mut r = SimRng::new(1);
-        let empty: &[u8] = &[];
-        assert!(r.choose(empty).is_none());
-        assert_eq!(r.choose(&[42]), Some(&42));
     }
 
     #[test]

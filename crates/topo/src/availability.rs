@@ -47,20 +47,6 @@ pub fn p_no_isolated_node(n_nodes: u64, n_switches: u64, k: u64) -> f64 {
     p.clamp(0.0, 1.0)
 }
 
-/// Expected number of isolated nodes for `k` fiber failures.
-pub fn expected_isolated_nodes(n_nodes: u64, n_switches: u64, k: u64) -> f64 {
-    let total = n_nodes * n_switches;
-    if k > total {
-        return n_nodes as f64;
-    }
-    if k < n_switches {
-        return 0.0; // cannot darken any node's full fiber set
-    }
-    // Linearity: P(one specific node isolated) × n.
-    let p_one = choose(total - n_switches, k - n_switches) / choose(total, k);
-    n_nodes as f64 * p_one
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,22 +120,6 @@ mod tests {
                     bound
                 );
             }
-        }
-    }
-
-    #[test]
-    fn expected_isolated_sanity() {
-        assert_eq!(expected_isolated_nodes(6, 2, 0), 0.0);
-        let e = expected_isolated_nodes(6, 2, 12);
-        assert!((e - 6.0).abs() < 1e-9, "{e}");
-        // One failure can isolate nobody when s >= 2.
-        assert_eq!(expected_isolated_nodes(6, 2, 1), 0.0);
-        // Monotone in k.
-        let mut last = 0.0;
-        for k in 0..=12 {
-            let e = expected_isolated_nodes(6, 2, k);
-            assert!(e >= last - 1e-12);
-            last = e;
         }
     }
 }
