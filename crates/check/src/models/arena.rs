@@ -1,6 +1,6 @@
 //! Model 4: the frame-loan ownership protocol on the ring.
 //!
-//! The node data-plane serializes each MicroPacket once into a pooled
+//! The node data-plane stores each MicroPacket once into a pooled
 //! [`FrameArena`] slot and forwards the 8-byte [`FrameRef`] handle
 //! from node to node; the slot is released exactly once, when the real
 //! MAC classification ([`ampnet_ring::classify`]) says `Strip` (frame
@@ -141,7 +141,7 @@ pub struct ArenaState {
 /// One atomic step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArenaAction {
-    /// The next script packet is serialized into the pool at its
+    /// The next script packet is stored into the pool at its
     /// source (enabled only while the pool has a free slot —
     /// backpressure).
     Inject,
@@ -250,7 +250,7 @@ impl Model for ArenaModel {
             }
             ArenaAction::Arrive(k) => {
                 let flight = n.flights[k as usize];
-                // View the frame exactly as the transit plane would.
+                // Read the header exactly as the transit plane would.
                 // On the real arena a stale handle panics here; the
                 // raw pool silently returns whatever occupies the slot.
                 let ctrl = match &n.pool {
@@ -258,7 +258,7 @@ impl Model for ArenaModel {
                         let Handle::Real(f) = flight.handle else {
                             unreachable!("real pool holds real handles");
                         };
-                        arena.view(f).ctrl
+                        arena.header(f).0
                     }
                     Pool::Raw(arena) => {
                         let Handle::Raw(i) = flight.handle else {

@@ -6,10 +6,10 @@
 //! message endpoints, semaphore client, DK lifecycle) and the global
 //! event loop. The per-node data-plane is an `ampnet-ring`
 //! [`NodeStack`] (SerialPhy → RegisterMac → HostQueues) fed from a
-//! cluster-owned [`FrameArena`]: each packet is serialized once at its
-//! source, hops move pooled frame handles, and a delivered frame is
-//! decoded once, straight into its handler (nothing is queued in
-//! between). Failures injected into
+//! cluster-owned [`FrameArena`]: each packet is stored once at its
+//! source, hops move pooled frame handles and read their headers in
+//! place, and a delivered frame is copied out once, straight into its
+//! handler (nothing is parsed or queued in between). Failures injected into
 //! the plant trigger detection and rostering exactly as slides 16/18
 //! describe (see `membership.rs`); while the ring heals, traffic
 //! pauses, and sources replay their unacknowledged packets afterwards

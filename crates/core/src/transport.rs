@@ -3,13 +3,15 @@
 //!
 //! Every hop moves a pooled [`FrameRef`](ampnet_packet::FrameRef)
 //! through the destination's [`NodeStack`](ampnet_ring::NodeStack):
-//! the packet was serialized exactly once, at its source, into the
-//! cluster's shared `FrameArena`. Frames leave the pool when they
+//! the packet was stored exactly once, at its source, into the
+//! cluster's shared `FrameArena`, and each hop reads its header fields
+//! in place. Frames leave the pool when they
 //! leave the ring (unicast delivery, source strip) or when a ring
 //! reconfiguration invalidates them in flight (stale-epoch arrivals
 //! are released, modelling the packet loss replay then repairs). A
-//! delivered frame is decoded once, from the arena onto the handler's
-//! stack, and dispatched by reference; no host queue sits in between.
+//! delivered frame is copied once, out of its arena slot onto the
+//! handler's stack, and dispatched by reference; nothing re-parses it
+//! and no host queue sits in between.
 //!
 //! # One kernel event per hop, a second only on demand
 //!
@@ -143,8 +145,8 @@ impl Cluster {
             Some(MacTx { frame, own, .. }) => {
                 if own {
                     // Smart-data-recovery bookkeeping wants the packet
-                    // itself (it is re-encoded if replayed): one decode
-                    // per own insertion, not per hop.
+                    // itself (it is re-inserted if replayed): one copy
+                    // out per own insertion, not per hop.
                     let packet = self.arena.decode(frame.frame);
                     if packet.ctrl.is_broadcast() {
                         self.nodes[i].outstanding.push_back(packet);

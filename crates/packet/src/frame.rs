@@ -1,13 +1,16 @@
-//! Pooled zero-copy wire buffers for the node data-plane.
+//! Pooled packet slots for the node data-plane.
 //!
 //! The [`FrameArena`] models the register-insertion pipeline the
 //! paper describes, instead of passing whole [`MicroPacket`] values
-//! through every hop and heap-serializing them each time: a packet
-//! is serialized **once** at its source into a pooled frame slot
-//! ([`MicroPacket::encode_into`]), transit nodes forward the 8-byte
-//! [`FrameRef`] handle, and only the delivery plane materializes a
-//! packet again — via the borrowing [`FrameView`] /
-//! [`MicroPacket::decode_ref`] path.
+//! through every hop: a packet is **stored once** at its source into a
+//! pooled slot, transit nodes forward the 8-byte [`FrameRef`] handle
+//! and read the header fields in place ([`FrameArena::header`]), and
+//! the delivery plane copies the packet back out
+//! ([`FrameArena::decode`]). A slot holds the fields the source built —
+//! control word, DMA control, payload bytes — never their wire words,
+//! so no hop parses a header and no delivery rebuilds a packet. The
+//! wire codec ([`MicroPacket::encode_into`], [`FrameView`](crate::FrameView))
+//! is the reference for the line format and stays off this path.
 //!
 //! Slots are recycled through a free list, so a steady-state ring
 //! forwards packets with zero heap allocations. Frames carry a
@@ -21,13 +24,15 @@
 //! let ctrl = ControlWord::new(PacketType::Data, 2, 5, 7);
 //! let pkt = MicroPacket::new(ctrl, Body::Fixed([0xAB; 8])).unwrap();
 //!
-//! // Source: serialize once into a pooled slot.
+//! // Source: store once into a pooled slot.
 //! let frame = arena.insert(&pkt);
 //!
-//! // Transit/delivery: borrow the words, never copy the payload.
-//! let view = arena.view(frame);
-//! assert_eq!(view.ctrl.dst, 5);
-//! assert_eq!(view.to_packet(), pkt);
+//! // Transit: read the header in place, never the payload.
+//! let (ctrl, dma) = arena.header(frame);
+//! assert_eq!((ctrl.dst, dma), (5, None));
+//!
+//! // Delivery: copy the packet out of its slot.
+//! assert_eq!(arena.decode(frame), pkt);
 //!
 //! // Strip: the slot returns to the free list for the next insert.
 //! arena.release(frame);
@@ -35,129 +40,43 @@
 //! ```
 
 use crate::control::ControlWord;
-use crate::types::LengthClass;
-use crate::wire::{DmaCtrl, MicroPacket, PacketError, FIXED_PAYLOAD, WORD};
+use crate::types::{LengthClass, PacketType};
+use crate::wire::{Body, DmaCtrl, MicroPacket, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
 
-/// Largest MicroPacket in transmission words (control + 2 DMA control
-/// + 16 payload words): the size of one arena slot.
-pub const MAX_FRAME_WORDS: usize = 19;
-
-/// Handle to one serialized packet inside a [`FrameArena`].
+/// Handle to one pooled packet inside a [`FrameArena`].
 ///
 /// Copyable and 8 bytes wide — this is what transit buffers and the
-/// event queue carry instead of ~100-byte packet values.
+/// event queue carry instead of ~84-byte packet values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameRef {
     slot: u32,
     gen: u32,
 }
 
-/// A borrowed, decoded view over serialized packet words.
-///
-/// Parsing validates the header exactly like [`MicroPacket::decode`]
-/// but borrows the payload instead of copying it into fresh arrays.
-#[derive(Debug, Clone, Copy)]
-pub struct FrameView<'a> {
-    /// Word 0, decoded.
-    pub ctrl: ControlWord,
-    /// DMA control words for variable frames.
-    pub dma: Option<DmaCtrl>,
-    /// Payload words (2 for fixed frames, `ceil(len/4)` for DMA).
-    payload: &'a [u32],
-}
-
-impl<'a> FrameView<'a> {
-    /// Parse serialized words (as produced by
-    /// [`MicroPacket::encode_into`]) without copying the payload.
-    pub fn parse(words: &'a [u32]) -> Result<FrameView<'a>, PacketError> {
-        if words.len() < 3 {
-            return Err(PacketError::BadSize(words.len() * WORD));
-        }
-        let ctrl = ControlWord::from_bytes(words[0].to_be_bytes())?;
-        match ctrl.ptype.length_class() {
-            LengthClass::Fixed => {
-                if words.len() != 3 {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                Ok(FrameView {
-                    ctrl,
-                    dma: None,
-                    payload: &words[1..3],
-                })
-            }
-            LengthClass::Variable => {
-                if words.len() < 4 {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                let mut dma_bytes = [0u8; 8];
-                dma_bytes[..4].copy_from_slice(&words[1].to_be_bytes());
-                dma_bytes[4..].copy_from_slice(&words[2].to_be_bytes());
-                let dma = DmaCtrl::from_bytes(dma_bytes);
-                if dma.len == 0 || dma.len as usize > crate::wire::MAX_DMA_PAYLOAD {
-                    return Err(PacketError::BadDmaLen(dma.len));
-                }
-                let n = (dma.len as usize).div_ceil(WORD);
-                if words.len() != 3 + n {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                Ok(FrameView {
-                    ctrl,
-                    dma: Some(dma),
-                    payload: &words[3..],
-                })
-            }
-        }
-    }
-
-    /// Payload-bearing transmission words (control word included).
-    pub fn words(&self) -> usize {
-        1 + self.dma.is_some() as usize * 2 + self.payload.len()
-    }
-
-    /// Total line bytes including SOF/EOF framing.
-    pub fn wire_bytes(&self) -> usize {
-        (self.words() + 2) * WORD
-    }
-
-    /// Application payload bytes carried.
-    pub fn payload_bytes(&self) -> usize {
-        match self.dma {
-            Some(d) => d.len as usize,
-            None => FIXED_PAYLOAD,
-        }
-    }
-
-    /// Materialize a [`MicroPacket`] — the delivery-plane boundary,
-    /// where a real NIU would DMA the frame into host memory.
-    pub fn to_packet(&self) -> MicroPacket {
-        match self.dma {
-            None => {
-                let mut p = [0u8; FIXED_PAYLOAD];
-                p[..4].copy_from_slice(&self.payload[0].to_be_bytes());
-                p[4..].copy_from_slice(&self.payload[1].to_be_bytes());
-                MicroPacket::new(self.ctrl, crate::wire::Body::Fixed(p)).expect("parsed frame") // lint: allow(panic-freedom): the words were written by encode_into, so re-parsing is total
-            }
-            Some(dma) => {
-                let mut data = [0u8; crate::wire::MAX_DMA_PAYLOAD];
-                for (w, chunk) in self.payload.iter().zip(data.chunks_exact_mut(WORD)) {
-                    chunk.copy_from_slice(&w.to_be_bytes());
-                }
-                MicroPacket::new(
-                    self.ctrl,
-                    crate::wire::Body::Variable { ctrl: dma, data },
-                )
-                .expect("parsed frame") // lint: allow(panic-freedom): the frame was produced by encode_into, so rebuilding the packet is total
-            }
-        }
-    }
-}
-
+/// One pooled packet, stored unpacked: 5 + 1 + 4 + 8 + 64 bytes,
+/// padded to the 84 of the 19-word wire slot it replaced (a queued
+/// frame's memory sets `ring_saturated`'s peak RSS).
 #[derive(Debug, Clone)]
 struct Slot {
-    words: [u32; MAX_FRAME_WORDS],
-    len: u8,
-    gen: u32,
+    ctrl: ControlWord,
     live: bool,
+    gen: u32,
+    /// DMA control of a variable frame; stale for a fixed one.
+    dma: DmaCtrl,
+    /// Payload bytes; a fixed frame uses the first [`FIXED_PAYLOAD`].
+    payload: [u8; MAX_DMA_PAYLOAD],
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() <= 84);
+
+impl Slot {
+    /// The DMA control, for frames whose type is variable-length.
+    fn dma(&self) -> Option<DmaCtrl> {
+        match self.ctrl.ptype.length_class() {
+            LengthClass::Variable => Some(self.dma),
+            LengthClass::Fixed => None,
+        }
+    }
 }
 
 /// Allocation/reuse counters of a [`FrameArena`].
@@ -173,7 +92,7 @@ pub struct ArenaStats {
     pub peak_live: usize,
 }
 
-/// A pool of fixed-size wire-frame slots with O(1) acquire/release.
+/// A pool of fixed-size packet slots with O(1) acquire/release.
 #[derive(Debug, Clone)]
 pub struct FrameArena {
     slots: Vec<Slot>,
@@ -244,35 +163,36 @@ impl FrameArena {
             }
         }
         self.slots.push(Slot {
-            words: [0; MAX_FRAME_WORDS],
-            len: 0,
-            gen: 0,
+            ctrl: ControlWord::new(PacketType::Data, 0, 0, 0),
             live: false,
+            gen: 0,
+            dma: DmaCtrl { channel: 0, region: 0, offset: 0, len: 0 },
+            payload: [0; MAX_DMA_PAYLOAD],
         });
         Some(self.slots.len() as u32 - 1)
     }
 
-    fn commit(&mut self, i: u32, len: usize) -> FrameRef {
+    /// Store `pkt` into a pooled slot. `None` only for a
+    /// [`FrameArena::bounded`] arena with every slot live.
+    pub fn try_insert(&mut self, pkt: &MicroPacket) -> Option<FrameRef> {
+        let i = self.acquire()?;
         let slot = &mut self.slots[i as usize];
-        slot.len = len as u8;
+        slot.ctrl = pkt.ctrl;
+        match &pkt.body {
+            Body::Fixed(p) => slot.payload[..FIXED_PAYLOAD].copy_from_slice(p),
+            Body::Variable { ctrl, data } => {
+                slot.dma = *ctrl;
+                slot.payload = *data;
+            }
+        }
         slot.live = true;
         self.live += 1;
         self.stats.acquired += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.live);
-        FrameRef { slot: i, gen: slot.gen }
+        Some(FrameRef { slot: i, gen: slot.gen })
     }
 
-    /// Serialize `pkt` into a pooled slot. `None` only for a
-    /// [`FrameArena::bounded`] arena with every slot live.
-    pub fn try_insert(&mut self, pkt: &MicroPacket) -> Option<FrameRef> {
-        let i = self.acquire()?;
-        let len = pkt
-            .encode_into(&mut self.slots[i as usize].words)
-            .expect("slot fits the largest MicroPacket"); // lint: allow(panic-freedom): slots are sized to MAX_PACKET_WIRE by construction
-        Some(self.commit(i, len))
-    }
-
-    /// Serialize `pkt` into a pooled slot; panics on exhaustion.
+    /// Store `pkt` into a pooled slot; panics on exhaustion.
     pub fn insert(&mut self, pkt: &MicroPacket) -> FrameRef {
         self.try_insert(pkt).expect("frame arena exhausted") // lint: allow(panic-freedom): arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud
     }
@@ -289,20 +209,23 @@ impl FrameArena {
         s
     }
 
-    /// The serialized words of a live frame.
-    pub fn words(&self, f: FrameRef) -> &[u32] {
+    /// The header of a live frame: its control word and, for a DMA
+    /// frame, its DMA control — everything a hop decides on, read in
+    /// place.
+    pub fn header(&self, f: FrameRef) -> (ControlWord, Option<DmaCtrl>) {
         let s = self.slot(f);
-        &s.words[..s.len as usize]
+        (s.ctrl, s.dma())
     }
 
-    /// Borrowing decoded view of a live frame.
-    pub fn view(&self, f: FrameRef) -> FrameView<'_> {
-        FrameView::parse(self.words(f)).expect("live frames hold valid packets") // lint: allow(panic-freedom): live generation-checked frames were encoded by this arena; parse is total on them
-    }
-
-    /// Materialize the packet (delivery boundary; frame stays live).
+    /// Copy the packet out of a live frame (delivery boundary; the
+    /// frame stays live).
     pub fn decode(&self, f: FrameRef) -> MicroPacket {
-        self.view(f).to_packet()
+        let s = self.slot(f);
+        let body = match s.dma() {
+            Some(ctrl) => Body::Variable { ctrl, data: s.payload },
+            None => Body::Fixed(std::array::from_fn(|i| s.payload[i])),
+        };
+        MicroPacket { ctrl: s.ctrl, body }
     }
 
     /// Return a frame's slot to the pool. Panics on double release.
@@ -351,14 +274,27 @@ mod tests {
         let mut a = FrameArena::new();
         for pkt in [fixed(9), dma(1), dma(13), dma(64)] {
             let f = a.insert(&pkt);
-            let v = a.view(f);
-            assert_eq!(v.ctrl, pkt.ctrl);
-            assert_eq!(v.words(), pkt.words());
-            assert_eq!(v.wire_bytes(), pkt.wire_bytes());
-            assert_eq!(v.payload_bytes(), pkt.payload_bytes());
-            assert_eq!(a.decode(f), pkt, "materialized packet bit-identical");
+            let (ctrl, dma) = a.header(f);
+            assert_eq!(ctrl, pkt.ctrl);
+            let dma_ctrl = match &pkt.body {
+                Body::Variable { ctrl, .. } => Some(*ctrl),
+                Body::Fixed(_) => None,
+            };
+            assert_eq!(dma, dma_ctrl);
+            assert_eq!(a.decode(f), pkt, "copied-out packet bit-identical");
             a.release(f);
         }
+    }
+
+    #[test]
+    fn fixed_frame_reusing_a_dma_slot_decodes_fixed() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&dma(64));
+        a.release(f);
+        let f = a.insert(&fixed(5));
+        assert_eq!(a.capacity(), 1);
+        assert_eq!(a.header(f).1, None, "the stale DMA control is not read");
+        assert_eq!(a.decode(f), fixed(5));
     }
 
     #[test]
@@ -368,7 +304,7 @@ mod tests {
         a.release(f0);
         for tag in 1..100u8 {
             let f = a.insert(&fixed(tag));
-            assert_eq!(a.view(f).ctrl.tag, tag);
+            assert_eq!(a.header(f).0.tag, tag);
             a.release(f);
         }
         assert_eq!(a.capacity(), 1, "steady-state traffic reuses one slot");
@@ -394,7 +330,16 @@ mod tests {
         let f = a.insert(&fixed(0));
         a.release(f);
         a.insert(&fixed(1)); // recycles the slot under a new generation
-        a.view(f);
+        a.header(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale FrameRef")]
+    fn decode_after_release_panics() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&fixed(0));
+        a.release(f);
+        a.decode(f);
     }
 
     #[test]
@@ -404,12 +349,6 @@ mod tests {
         let f = a.insert(&fixed(0));
         a.release(f);
         a.release(f);
-    }
-
-    #[test]
-    fn view_parse_rejects_garbage() {
-        assert!(FrameView::parse(&[]).is_err());
-        assert!(FrameView::parse(&[0xFFFF_FFFF, 0, 0]).is_err(), "bad control");
     }
 
     #[test]

@@ -25,8 +25,9 @@ mod types;
 mod wire;
 
 pub use control::{ControlError, ControlWord, Flags, BROADCAST};
-pub use frame::{ArenaStats, FrameArena, FrameRef, FrameView, MAX_FRAME_WORDS};
+pub use frame::{ArenaStats, FrameArena, FrameRef};
 pub use types::{LengthClass, PacketType};
 pub use wire::{
-    Body, DmaCtrl, MicroPacket, PacketError, FIXED_PAYLOAD, FRAME_OVERHEAD, MAX_DMA_PAYLOAD, WORD,
+    Body, DmaCtrl, FrameView, MicroPacket, PacketError, FIXED_PAYLOAD, FRAME_OVERHEAD,
+    MAX_DMA_PAYLOAD, MAX_FRAME_WORDS, WORD,
 };

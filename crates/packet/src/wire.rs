@@ -232,9 +232,9 @@ impl MicroPacket {
     }
 
     /// Parse serialized transmission words into a borrowing
-    /// [`FrameView`](crate::FrameView) — no payload copy.
-    pub fn decode_ref(words: &[u32]) -> Result<crate::FrameView<'_>, PacketError> {
-        crate::FrameView::parse(words)
+    /// [`FrameView`] — no payload copy.
+    pub fn decode_ref(words: &[u32]) -> Result<FrameView<'_>, PacketError> {
+        FrameView::parse(words)
     }
 
     /// Parse packet words produced by [`MicroPacket::encode`].
@@ -272,6 +272,107 @@ impl MicroPacket {
                 let mut data = [0u8; MAX_DMA_PAYLOAD];
                 data[..tail.len()].copy_from_slice(tail);
                 MicroPacket::new(ctrl, Body::Variable { ctrl: dma, data })
+            }
+        }
+    }
+}
+
+/// Largest MicroPacket in transmission words (control + 2 DMA control
+/// + 16 payload words).
+pub const MAX_FRAME_WORDS: usize = 19;
+
+/// A borrowed, decoded view over serialized packet words.
+///
+/// Parsing validates the header exactly like [`MicroPacket::decode`]
+/// but borrows the payload instead of copying it into fresh arrays.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameView<'a> {
+    /// Word 0, decoded.
+    pub ctrl: ControlWord,
+    /// DMA control words for variable frames.
+    pub dma: Option<DmaCtrl>,
+    /// Payload words (2 for fixed frames, `ceil(len/4)` for DMA).
+    payload: &'a [u32],
+}
+
+impl<'a> FrameView<'a> {
+    /// Parse serialized words (as produced by
+    /// [`MicroPacket::encode_into`]) without copying the payload.
+    pub fn parse(words: &'a [u32]) -> Result<FrameView<'a>, PacketError> {
+        if words.len() < 3 {
+            return Err(PacketError::BadSize(words.len() * WORD));
+        }
+        let ctrl = ControlWord::from_bytes(words[0].to_be_bytes())?;
+        match ctrl.ptype.length_class() {
+            LengthClass::Fixed => {
+                if words.len() != 3 {
+                    return Err(PacketError::BadSize(words.len() * WORD));
+                }
+                Ok(FrameView {
+                    ctrl,
+                    dma: None,
+                    payload: &words[1..3],
+                })
+            }
+            LengthClass::Variable => {
+                if words.len() < 4 {
+                    return Err(PacketError::BadSize(words.len() * WORD));
+                }
+                let mut dma_bytes = [0u8; 8];
+                dma_bytes[..4].copy_from_slice(&words[1].to_be_bytes());
+                dma_bytes[4..].copy_from_slice(&words[2].to_be_bytes());
+                let dma = DmaCtrl::from_bytes(dma_bytes);
+                if dma.len == 0 || dma.len as usize > MAX_DMA_PAYLOAD {
+                    return Err(PacketError::BadDmaLen(dma.len));
+                }
+                let n = (dma.len as usize).div_ceil(WORD);
+                if words.len() != 3 + n {
+                    return Err(PacketError::BadSize(words.len() * WORD));
+                }
+                Ok(FrameView {
+                    ctrl,
+                    dma: Some(dma),
+                    payload: &words[3..],
+                })
+            }
+        }
+    }
+
+    /// Payload-bearing transmission words (control word included).
+    pub fn words(&self) -> usize {
+        1 + self.dma.is_some() as usize * 2 + self.payload.len()
+    }
+
+    /// Total line bytes including SOF/EOF framing.
+    pub fn wire_bytes(&self) -> usize {
+        (self.words() + 2) * WORD
+    }
+
+    /// Application payload bytes carried.
+    pub fn payload_bytes(&self) -> usize {
+        match self.dma {
+            Some(d) => d.len as usize,
+            None => FIXED_PAYLOAD,
+        }
+    }
+
+    /// Materialize a [`MicroPacket`] — where a real NIU would DMA the
+    /// received frame into host memory.
+    pub fn to_packet(&self) -> MicroPacket {
+        match self.dma {
+            None => {
+                let mut p = [0u8; FIXED_PAYLOAD];
+                p[..4].copy_from_slice(&self.payload[0].to_be_bytes());
+                p[4..].copy_from_slice(&self.payload[1].to_be_bytes());
+                MicroPacket::new(self.ctrl, Body::Fixed(p)).expect("parsed frame") // lint: allow(panic-freedom): parse validated the type class, so rebuilding the fixed packet is total
+            }
+            Some(dma) => {
+                let mut data = [0u8; MAX_DMA_PAYLOAD];
+                for (w, chunk) in self.payload.iter().zip(data.chunks_exact_mut(WORD)) {
+                    chunk.copy_from_slice(&w.to_be_bytes());
+                }
+                MicroPacket::new(self.ctrl, Body::Variable { ctrl: dma, data })
+                    .expect("parsed frame") // lint: allow(panic-freedom): parse validated the class and the DMA length, so rebuilding the packet is total
             }
         }
     }
@@ -498,6 +599,12 @@ mod tests {
             MicroPacket::decode(&bytes),
             Err(PacketError::BadSize(16))
         ));
+    }
+
+    #[test]
+    fn view_parse_rejects_garbage() {
+        assert!(FrameView::parse(&[]).is_err());
+        assert!(FrameView::parse(&[0xFFFF_FFFF, 0, 0]).is_err(), "bad control");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! packets, and wire sizes always match the slide-5/6 formats.
 
 use ampnet_packet::build::{self, AtomicOp, AtomicRequest, InterruptPayload};
-use ampnet_packet::{Body, ControlWord, DmaCtrl, MicroPacket, PacketType, FIXED_PAYLOAD};
+use ampnet_packet::{
+    Body, ControlWord, DmaCtrl, MicroPacket, PacketType, FIXED_PAYLOAD, MAX_FRAME_WORDS,
+};
 use proptest::prelude::*;
 
 /// The byte-level reference encoding the zero-copy paths must match.
@@ -76,6 +78,41 @@ proptest! {
     #[test]
     fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
         let _ = MicroPacket::decode(&bytes);
+    }
+
+    /// The word codec sees only words from outside the simulation (the
+    /// arena never parses its own frames), so it must reject garbage
+    /// without panicking — and whatever it accepts must be a packet
+    /// that re-encodes to exactly those words. Half the cases are
+    /// steered onto a valid type code and a matching length so the
+    /// accepting branch is exercised, not just the rejections.
+    #[test]
+    fn decode_ref_never_panics_on_garbage_words(
+        mut words in proptest::collection::vec(any::<u32>(), 0..24),
+        steer in any::<bool>(),
+        code in 1u32..=6,
+        dma_len in 1u32..=64,
+    ) {
+        if steer {
+            let dma = code == PacketType::Dma.code() as u32;
+            let n = if dma { 3 + dma_len.div_ceil(4) as usize } else { 3 };
+            words.resize(n, 0x5A5A_5A5A);
+            words[0] = (words[0] & 0x0FFF_FFFF) | (code << 28);
+            if dma {
+                words[2] = (words[2] & 0xFFFF_0000) | dma_len;
+            }
+        }
+        let parsed = MicroPacket::decode_ref(&words);
+        prop_assert!(!steer || parsed.is_ok(), "steered words must parse: {:?}", words);
+        if let Ok(view) = parsed {
+            let p = view.to_packet();
+            prop_assert_eq!(view.wire_bytes(), p.wire_bytes());
+            prop_assert_eq!(view.payload_bytes(), p.payload_bytes());
+            let mut again = [0u32; MAX_FRAME_WORDS];
+            let n = p.encode_into(&mut again).unwrap();
+            prop_assert_eq!(&again[..n], &words[..]);
+            prop_assert_eq!(MicroPacket::decode_ref(&again[..n]).unwrap().to_packet(), p);
+        }
     }
 
     #[test]

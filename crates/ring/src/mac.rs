@@ -23,13 +23,13 @@
 //!   insertion rate.
 //!
 //! The MAC never touches packet payloads: it operates on [`WireFrame`]
-//! descriptors — a decoded control word, cached sizes, and a
-//! [`FrameRef`] into the serialized frame pool — so forwarding a
-//! packet moves 16 bytes and zero heap.
+//! descriptors — the control word, cached sizes, and a [`FrameRef`]
+//! into the packet pool — so forwarding a packet moves 16 bytes and
+//! zero heap.
 
 use crate::pacing::{InsertionGovernor, PacingMode};
 use crate::stream::{StreamId, StreamSet, WireSized};
-use ampnet_packet::{ControlWord, Flags, FrameArena, FrameRef, MicroPacket};
+use ampnet_packet::{ControlWord, Flags, FrameArena, FrameRef, MicroPacket, FIXED_PAYLOAD, WORD};
 use ampnet_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -79,25 +79,26 @@ pub struct RingNodeStats {
     pub delivered_payload_bytes: u64,
 }
 
-/// Descriptor of one serialized packet in flight: the decoded control
-/// word, the sizes every MAC decision needs, and a handle to the
-/// pooled frame body. This is what transit buffers, stream queues and
-/// arrival events carry.
+/// Descriptor of one pooled packet in flight: the control word, the
+/// sizes every MAC decision needs, and a handle to the pooled frame.
+/// Transit buffers and stream queues carry it; arrival events carry
+/// only the [`FrameRef`], and the receiving stack rebuilds the
+/// descriptor with [`WireFrame::of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireFrame {
-    /// Word 0, decoded once at the source.
+    /// Word 0, as the source built it.
     pub ctrl: ControlWord,
     /// Total line bytes including SOF/EOF (serialization cost).
     pub wire_bytes: u16,
     /// Application payload bytes carried (delivery accounting).
     pub payload_bytes: u16,
-    /// The serialized frame body in the segment's [`FrameArena`].
+    /// The pooled packet in the segment's [`FrameArena`].
     pub frame: FrameRef,
 }
 
 impl WireFrame {
-    /// Serialize `pkt` into `arena` — the *single* encode of a
-    /// packet's life, at its source — and describe it.
+    /// Store `pkt` into `arena` — the *single* copy of a packet's
+    /// life, at its source — and describe it.
     pub fn insert(arena: &mut FrameArena, pkt: &MicroPacket) -> WireFrame {
         WireFrame {
             ctrl: pkt.ctrl,
@@ -107,13 +108,20 @@ impl WireFrame {
         }
     }
 
-    /// Describe an already-pooled frame.
+    /// Describe an already-pooled frame from its header fields, read
+    /// in place (generation-checked, nothing parsed).
     pub fn of(arena: &FrameArena, frame: FrameRef) -> WireFrame {
-        let v = arena.view(frame);
+        let (ctrl, dma) = arena.header(frame);
+        // Control word + DMA control + ceil(len/4) payload words, or
+        // control word + two fixed payload words; SOF/EOF on top.
+        let (body_words, payload_bytes) = match dma {
+            Some(d) => (3 + d.len.div_ceil(WORD as u16), d.len),
+            None => (3, FIXED_PAYLOAD as u16),
+        };
         WireFrame {
-            ctrl: v.ctrl,
-            wire_bytes: v.wire_bytes() as u16,
-            payload_bytes: v.payload_bytes() as u16,
+            ctrl,
+            wire_bytes: (body_words + 2) * WORD as u16,
+            payload_bytes,
             frame,
         }
     }

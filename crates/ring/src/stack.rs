@@ -8,20 +8,21 @@
 //! (crate::Segment) simulator and `ampnet-core`'s `Cluster` both drive
 //! it, instead of each carrying its own MAC/delivery copy.
 //!
-//! Zero-copy buffer lifecycle: a packet is serialized **once** at its
-//! source (`MicroPacket::encode_into` into a
-//! [`FrameArena`](ampnet_packet::FrameArena) slot); every hop moves
-//! the 16-byte [`WireFrame`] descriptor; the payload is re-read only
-//! at the delivery boundary (borrowing
-//! [`FrameView`](ampnet_packet::FrameView)) and the slot is recycled
-//! when the frame leaves the ring (unicast delivery or source strip).
+//! Buffer lifecycle — stored once, read in place: a packet is copied
+//! **once** at its source into a
+//! [`FrameArena`](ampnet_packet::FrameArena) slot; every hop reads the
+//! slot's header fields into the 16-byte [`WireFrame`] descriptor
+//! without parsing anything; the payload is read only at the delivery
+//! boundary (a copy out of the slot, and only for a host that retains
+//! packets) and the slot is recycled when the frame leaves the ring
+//! (unicast delivery or source strip).
 //! Fault injection addresses a plane, not a node blob: an error burst
 //! is a [`PlaneFault::Phy`] assessed by the [`SerialPhy`]'s 8b/10b
 //! checker.
 
 use crate::mac::{MacAction, MacTx, RegisterMac, RingNodeStats, WireFrame, MAX_PACKET_WIRE};
 use crate::stream::StreamId;
-use ampnet_packet::{FrameArena, FrameRef, FrameView, MicroPacket};
+use ampnet_packet::{FrameArena, FrameRef, MicroPacket};
 use ampnet_phy::LinkParams;
 use ampnet_sim::{SimDuration, SimTime};
 use ampnet_telemetry::{
@@ -125,7 +126,7 @@ impl SerialPhy {
 
 /// The delivery plane, where frames addressed to this node leave the
 /// ring pipeline and enter the host: per-source accounting plus an
-/// optional decoded-packet queue for a host that collects payloads
+/// optional packet queue for a host that collects payloads
 /// and reads them later ([`Segment`](crate::Segment) with
 /// `collect_deliveries`). A host that consumes each frame as it
 /// arrives (`ampnet-core`'s `Cluster`) queues nothing: it goes through
@@ -134,13 +135,13 @@ impl SerialPhy {
 pub struct HostQueues {
     /// Payload bytes delivered here, per source node (sized lazily).
     pub delivered_from: Vec<u64>,
-    /// Decoded packets awaiting the host, oldest first. Populated only
+    /// Delivered packets awaiting the host, oldest first. Populated only
     /// by [`NodeStack::on_wire_arrival`], and only when
     /// [`HostQueues::retain_packets`] is on.
     pub pending: VecDeque<MicroPacket>,
-    /// Decode and queue every packet delivered through
+    /// Copy out and queue every packet delivered through
     /// [`NodeStack::on_wire_arrival`]; off = accounting only, the
-    /// payload is never decoded.
+    /// payload is never read.
     pub retain_packets: bool,
     /// Frames delivered in total.
     pub delivered: u64,
@@ -164,12 +165,12 @@ impl HostQueues {
     }
 
     /// A frame for this node arrived (unicast, or a broadcast copy).
-    /// `view` borrows the pooled frame body; it is decoded only when
-    /// the host retains packets.
-    fn deliver(&mut self, frame: &WireFrame, view: FrameView<'_>) {
+    /// The packet is copied out of `arena` only when the host retains
+    /// packets.
+    fn deliver(&mut self, frame: &WireFrame, arena: &FrameArena) {
         self.account(frame);
         if self.retain_packets {
-            self.pending.push_back(view.to_packet());
+            self.pending.push_back(arena.decode(frame.frame));
         }
     }
 }
@@ -363,7 +364,7 @@ impl NodeStack {
     }
 
     /// A frame's last byte arrived from upstream: classify it, hand
-    /// deliverable copies to the delivery plane (decoded and queued
+    /// deliverable copies to the delivery plane (copied out and queued
     /// when it retains packets), and recycle frames that leave the
     /// ring here.
     pub fn on_wire_arrival(
@@ -376,13 +377,13 @@ impl NodeStack {
         match self.mac.on_arrival(now, wf) {
             MacAction::Deliver(wf) => {
                 self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(&wf, arena.view(wf.frame));
+                self.delivery.deliver(&wf, arena);
                 arena.release(wf.frame);
                 StackOutcome::Delivered
             }
             MacAction::DeliverAndForward(wf) => {
                 self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(&wf, arena.view(wf.frame));
+                self.delivery.deliver(&wf, arena);
                 StackOutcome::DeliveredAndForwarded
             }
             MacAction::Strip(wf) => {
@@ -405,7 +406,7 @@ impl NodeStack {
     /// [`NodeStack::on_wire_arrival`] for a host that consumes a
     /// delivered frame where it lies: classify the frame and account
     /// for it on every plane (MAC counters, delivery totals,
-    /// telemetry) without decoding or queueing anything. A stripped
+    /// telemetry) without copying or queueing anything. A stripped
     /// frame is recycled here. A [`StackOutcome::Delivered`] frame is
     /// **still live** on return: the caller reads it from `arena` and
     /// releases it; a `DeliveredAndForwarded` one is on loan from the

@@ -1,11 +1,15 @@
 //! Property tests for the register-insertion ring MAC:
 //! conservation (no loss, no duplication), per-stream FIFO at the
 //! receiver, and the structural no-drop bound — under arbitrary
-//! workloads.
+//! workloads; and the packet arena every hop reads.
 
+use ampnet_packet::{
+    Body, ControlWord, DmaCtrl, Flags, FrameArena, LengthClass, MicroPacket, PacketType,
+    MAX_DMA_PAYLOAD,
+};
 use ampnet_ring::{
     ArrivalProcess, DstPattern, PacingMode, PacketKind, Segment, SegmentParams, StreamWorkload,
-    MAX_PACKET_WIRE,
+    WireFrame, MAX_PACKET_WIRE,
 };
 use ampnet_phy::LinkParams;
 use ampnet_sim::SimDuration;
@@ -153,5 +157,60 @@ proptest! {
         for (rcv, _) in seg.deliveries() {
             prop_assert_eq!(*rcv, dst);
         }
+    }
+}
+
+/// Every packet type, and for DMA every length 1..=64, over one
+/// pooled slot: the arena hands back the packet its source built, and
+/// a hop's descriptor reports the packet's own sizes.
+fn arena_cases(
+    src: u8,
+    dst: u8,
+    tag: u8,
+    flags: u8,
+    dma: DmaCtrl,
+    data: [u8; MAX_DMA_PAYLOAD],
+) -> Vec<MicroPacket> {
+    let mut out = Vec::new();
+    for t in PacketType::ALL {
+        let ctrl = ControlWord::new(t, src, dst, tag).with_flags(Flags::from_bits_truncate(flags));
+        match t.length_class() {
+            LengthClass::Fixed => {
+                let fixed = std::array::from_fn(|i| data[i]);
+                out.push(MicroPacket::new(ctrl, Body::Fixed(fixed)).unwrap());
+            }
+            LengthClass::Variable => out.extend((1..=MAX_DMA_PAYLOAD as u16).map(|len| {
+                MicroPacket::new(ctrl, Body::Variable { ctrl: DmaCtrl { len, ..dma }, data })
+                    .unwrap()
+            })),
+        }
+    }
+    out
+}
+
+proptest! {
+    #[test]
+    fn arena_returns_every_packet_and_its_sizes(
+        src in any::<u8>(),
+        dst in any::<u8>(),
+        tag in any::<u8>(),
+        flags in any::<u8>(),
+        channel in 0u8..16,
+        region in any::<u8>(),
+        offset in any::<u32>(),
+        data in any::<[u8; MAX_DMA_PAYLOAD]>(),
+    ) {
+        let dma = DmaCtrl { channel, region, offset, len: 0 };
+        let mut arena = FrameArena::new();
+        for p in arena_cases(src, dst, tag, flags, dma, data) {
+            let wf = WireFrame::insert(&mut arena, &p);
+            let hop = WireFrame::of(&arena, wf.frame);
+            prop_assert_eq!(hop, wf);
+            prop_assert_eq!(hop.wire_bytes as usize, p.wire_bytes());
+            prop_assert_eq!(hop.payload_bytes as usize, p.payload_bytes());
+            prop_assert_eq!(arena.decode(wf.frame), p);
+            arena.release(wf.frame);
+        }
+        prop_assert_eq!(arena.capacity(), 1, "one slot, reused by every case");
     }
 }

@@ -306,6 +306,9 @@ impl MsgRx {
             }
             p.next_frag += 1;
             p.data.extend_from_slice(chunk);
+            // A partial completes the moment it reaches its length, so
+            // it holds at most one cell past a length bounded above.
+            debug_assert!(p.data.len() < p.expected_len + MAX_DMA_PAYLOAD);
         }
 
         let done = self

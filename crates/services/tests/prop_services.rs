@@ -1,10 +1,12 @@
 //! Property tests for the AmpDC services: file-store consistency under
 //! arbitrary operation sequences, pub/sub delivery semantics, and
-//! message-layer robustness under replication order.
+//! message-layer robustness under replication order and hostile
+//! fragments.
 
 use ampnet_cache::NetworkCache;
 use ampnet_services::files::{FileError, FileStore, FileStoreLayout};
-use ampnet_services::msg::{MsgRx, MsgTx};
+use ampnet_packet::{build, DmaCtrl, BROADCAST};
+use ampnet_services::msg::{MsgRx, MsgTx, MAX_DATAGRAM, MSG_REGION};
 use ampnet_services::subscribe::{PollOutcome, Publisher, Subscriber, TopicLayout};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -160,5 +162,51 @@ proptest! {
         }
         prop_assert_eq!(rx.stats().crc_errors, 0);
         prop_assert_eq!(rx.stats().sequence_errors, 0);
+    }
+
+    /// Message layer under hostile input: arbitrary message-region
+    /// cells — any source, datagram id and fragment index, fragment-0
+    /// headers with any length and CRC — never panic the reassembler
+    /// and never grow a partial past one cell over the largest
+    /// datagram (`on_packet` asserts that bound on every fragment in
+    /// debug builds). Runs of consecutive fragments let partials grow.
+    #[test]
+    fn msg_rx_survives_hostile_fragments(
+        cells in proptest::collection::vec(
+            (
+                0u8..3,
+                0u16..4,
+                prop_oneof![Just(0u32), 1u32..6, any::<u16>().prop_map(u32::from)],
+                prop_oneof![0u32..400, (MAX_DATAGRAM as u32 - 8)..=(MAX_DATAGRAM as u32 + 8), any::<u32>()],
+                0u16..40,
+                proptest::collection::vec(any::<u8>(), 1..=64),
+            ),
+            1..40,
+        ),
+    ) {
+        let mut rx = MsgRx::new();
+        let mut fed = 0u64;
+        for (src, id, frag, header_len, run, mut payload) in cells {
+            if frag == 0 && payload.len() >= 4 {
+                payload[..4].copy_from_slice(&header_len.to_be_bytes());
+            }
+            // Fragment `frag`, then a run of its successors.
+            for f in frag..=(frag + u32::from(run)).min(0xFFFF) {
+                let ctrl = DmaCtrl {
+                    channel: 14,
+                    region: MSG_REGION,
+                    offset: ((id as u32) << 16) | f,
+                    len: 0,
+                };
+                let pkt = build::dma(src, BROADCAST, 0, ctrl, &payload).unwrap();
+                fed += 1;
+                if let Some(d) = rx.on_packet(&pkt) {
+                    prop_assert!(d.payload.len() <= MAX_DATAGRAM);
+                    prop_assert_eq!(d.src, src);
+                }
+            }
+        }
+        let s = rx.stats();
+        prop_assert!(s.delivered + s.crc_errors + s.sequence_errors <= fed);
     }
 }
