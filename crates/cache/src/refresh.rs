@@ -73,7 +73,7 @@ impl RefreshSource {
                 self.dst,
                 region,
                 self.offset,
-                data,
+                &data,
                 15, // refresh rides the highest DMA channel
                 0,
             );
@@ -182,7 +182,7 @@ mod tests {
         assert_eq!(sink.received_bytes(), 1300);
         assert_eq!(src.sent_bytes(), 1300);
         assert!(RefreshSink::certify(&j, &s));
-        assert_eq!(j.read(5, 100, 9).unwrap(), b"roster db");
+        assert_eq!(&*j.read(5, 100, 9).unwrap(), b"roster db");
     }
 
     #[test]

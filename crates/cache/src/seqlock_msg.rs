@@ -110,7 +110,7 @@ pub fn try_read(cache: &NetworkCache, layout: RecordLayout) -> Result<ReadOutcom
     }
     let data = cache
         .read(layout.region, layout.data_offset(), layout.data_len)?
-        .to_vec();
+        .into_owned();
     let c1_again = cache.read_u64(layout.region, layout.offset)?;
     if c1_again != c1 {
         cache.note_seqlock_read(false);
@@ -132,7 +132,7 @@ pub fn read_unguarded(
 ) -> Result<Vec<u8>, CacheError> {
     Ok(cache
         .read(layout.region, layout.data_offset(), layout.data_len)?
-        .to_vec())
+        .into_owned())
 }
 
 #[cfg(test)]

@@ -6,6 +6,21 @@
 //! MicroPackets; every replica applies them in source order (the ring
 //! preserves per-source FIFO), so all copies converge. Reads are
 //! local and instantaneous — that is the whole point of the design.
+//!
+//! A simulated host holds one replica per node, so a region's bytes
+//! are allocated by the first write that stores into it, not when it is
+//! defined: a cluster whose nodes only exchange messages costs no cache
+//! memory however large the configured regions are (at the paper's
+//! smallest 2 MB, 512 nodes would otherwise need 1 GiB). Until then the
+//! region reads as zeros, and [`NetworkCache::read`] returns a
+//! [`Cow`]: borrowed from the region once written, borrowed from a
+//! static zero block for a short read of a never-written region, owned
+//! only for a longer one. Every observable answer — reads, sizes, CRCs,
+//! convergence — is the same as if the region had been zero-filled at
+//! definition.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use ampnet_packet::{build, DmaCtrl, MicroPacket, BROADCAST, MAX_DMA_PAYLOAD};
 use ampnet_phy::crc32;
@@ -79,11 +94,68 @@ impl CacheTelemetry {
     }
 }
 
+/// Reads of a never-written region up to this length borrow from it.
+static ZEROS: [u8; 4096] = [0; 4096];
+
+/// One defined region: its size, and its bytes once written.
+#[derive(Debug, Clone)]
+struct Region {
+    size: u32,
+    /// Empty until the first write that stores a byte, then exactly
+    /// `size` bytes; empty reads as all zeros.
+    bytes: Box<[u8]>,
+}
+
+impl Region {
+    /// The byte range `[offset, offset + len)`, if it lies inside.
+    fn span(&self, id: RegionId, offset: u32, len: u32) -> Result<Range<usize>, CacheError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.size => Ok(offset as usize..end as usize),
+            _ => Err(CacheError::OutOfBounds {
+                region: id,
+                offset,
+                len,
+                size: self.size,
+            }),
+        }
+    }
+
+    /// Give the region its bytes, zero-filled, for the first write that
+    /// stores into them. Out of line, like `zeros`.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self) {
+        self.bytes = vec![0; self.size as usize].into_boxed_slice();
+    }
+}
+
+/// `len` zero bytes, for a read of a never-written region longer than
+/// [`ZEROS`]. Out of line, so the read and write paths of a written
+/// region stay small enough to inline.
+#[cold]
+#[inline(never)]
+fn zeros(len: usize) -> Vec<u8> {
+    vec![0; len]
+}
+
+/// Byte equality, a never-written region standing for `size` zeros.
+impl PartialEq for Region {
+    fn eq(&self, other: &Self) -> bool {
+        let all_zero = |bytes: &[u8]| bytes.iter().all(|&b| b == 0);
+        self.size == other.size
+            && match (self.bytes.is_empty(), other.bytes.is_empty()) {
+                (false, false) => self.bytes == other.bytes,
+                (true, _) => all_zero(&other.bytes),
+                (false, true) => all_zero(&self.bytes),
+            }
+    }
+}
+
 /// One node's replica of the network cache.
 #[derive(Debug, Clone)]
 pub struct NetworkCache {
     node: u8,
-    regions: Vec<Option<Vec<u8>>>,
+    regions: Vec<Option<Region>>,
     /// Writes applied (local + remote), for audit.
     applied_writes: u64,
     telemetry: CacheTelemetry,
@@ -152,13 +224,17 @@ impl NetworkCache {
         self.node
     }
 
-    /// Define a zero-filled region of `size` bytes.
+    /// Define a region of `size` bytes, reading as zeros. Its storage
+    /// is allocated by the first write that stores into it.
     pub fn define_region(&mut self, id: RegionId, size: u32) -> Result<(), CacheError> {
         let slot = &mut self.regions[id as usize];
         if slot.is_some() {
             return Err(CacheError::Exists(id));
         }
-        *slot = Some(vec![0; size as usize]);
+        *slot = Some(Region {
+            size,
+            bytes: Box::default(),
+        });
         Ok(())
     }
 
@@ -172,10 +248,7 @@ impl NetworkCache {
 
     /// Size of a region.
     pub fn region_size(&self, id: RegionId) -> Result<u32, CacheError> {
-        self.regions[id as usize]
-            .as_ref()
-            .map(|r| r.len() as u32)
-            .ok_or(CacheError::NoRegion(id))
+        Ok(self.region(id)?.size)
     }
 
     /// Number of writes applied at this replica.
@@ -183,37 +256,45 @@ impl NetworkCache {
         self.applied_writes
     }
 
-    fn check(
-        &self,
-        id: RegionId,
-        offset: u32,
-        len: u32,
-    ) -> Result<&Vec<u8>, CacheError> {
-        let region = self.regions[id as usize]
-            .as_ref()
-            .ok_or(CacheError::NoRegion(id))?;
-        let size = region.len() as u32;
-        if offset.checked_add(len).map(|end| end <= size) != Some(true) {
-            return Err(CacheError::OutOfBounds {
-                region: id,
-                offset,
-                len,
-                size,
-            });
-        }
-        Ok(region)
+    /// Bytes held by this replica's written regions. A defined region
+    /// holds none until its first write, then its whole size.
+    pub fn resident_bytes(&self) -> u64 {
+        self.regions
+            .iter()
+            .flatten()
+            .map(|r| r.bytes.len() as u64)
+            .sum()
     }
 
-    /// Local read — the fast path AmpNet exists for.
-    pub fn read(&self, id: RegionId, offset: u32, len: u32) -> Result<&[u8], CacheError> {
-        let region = self.check(id, offset, len)?;
-        Ok(&region[offset as usize..(offset + len) as usize])
+    fn region(&self, id: RegionId) -> Result<&Region, CacheError> {
+        self.regions[id as usize]
+            .as_ref()
+            .ok_or(CacheError::NoRegion(id))
+    }
+
+    /// Local read — the fast path AmpNet exists for. Borrowed, except a
+    /// read of a never-written region longer than 4 KiB.
+    pub fn read(&self, id: RegionId, offset: u32, len: u32) -> Result<Cow<'_, [u8]>, CacheError> {
+        let region = self.region(id)?;
+        let span = region.span(id, offset, len)?;
+        Ok(if !region.bytes.is_empty() {
+            Cow::Borrowed(&region.bytes[span])
+        } else if span.len() <= ZEROS.len() {
+            Cow::Borrowed(&ZEROS[..span.len()])
+        } else {
+            Cow::Owned(zeros(span.len()))
+        })
     }
 
     /// Read one 64-bit word (D64 atomics operate on these).
     pub fn read_u64(&self, id: RegionId, offset: u32) -> Result<u64, CacheError> {
-        let b = self.read(id, offset, 8)?;
-        Ok(u64::from_be_bytes(b.try_into().expect("8 bytes"))) // lint: allow(panic-freedom): read() returned exactly 8 bytes for an 8-byte request
+        let region = self.region(id)?;
+        let span = region.span(id, offset, 8)?;
+        let mut word = [0u8; 8];
+        if !region.bytes.is_empty() {
+            word.copy_from_slice(&region.bytes[span]);
+        }
+        Ok(u64::from_be_bytes(word))
     }
 
     /// Write one 64-bit word locally (no packets; used by the atomic
@@ -227,11 +308,24 @@ impl NetworkCache {
         self.apply_raw(id, offset, &value.to_be_bytes())
     }
 
+    /// Inlined into its three callers: on a written region this is a
+    /// bounds check, one branch and the copy.
+    #[inline]
     fn apply_raw(&mut self, id: RegionId, offset: u32, data: &[u8]) -> Result<(), CacheError> {
-        self.check(id, offset, data.len() as u32)?;
-        let region = self.regions[id as usize].as_mut().expect("checked"); // lint: allow(panic-freedom): presence verified by the caller's guard just above
-        region[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        let region = self.regions[id as usize]
+            .as_mut()
+            .ok_or(CacheError::NoRegion(id))?;
+        let span = region.span(id, offset, data.len() as u32)?;
         self.applied_writes += 1;
+        if region.bytes.is_empty() {
+            // A zero-length write stores nothing, so it allocates
+            // nothing; any other first write allocates the region.
+            if data.is_empty() {
+                return Ok(());
+            }
+            region.allocate();
+        }
+        region.bytes[span].copy_from_slice(data);
         Ok(())
     }
 
@@ -268,7 +362,6 @@ impl NetworkCache {
         channel: u8,
         stream: u8,
     ) -> Result<Vec<MicroPacket>, CacheError> {
-        self.check(id, offset, data.len() as u32)?;
         self.apply_raw(id, offset, data)?;
         Ok(Self::segment_packets(
             self.node, BROADCAST, id, offset, data, channel, stream,
@@ -304,15 +397,13 @@ impl NetworkCache {
     /// CRC-32 of a whole region — the diagnostics audit primitive
     /// ("built-in diagnostics certify new configuration", slide 18).
     pub fn region_crc(&self, id: RegionId) -> Result<u32, CacheError> {
-        let region = self.regions[id as usize]
-            .as_ref()
-            .ok_or(CacheError::NoRegion(id))?;
-        Ok(crc32(region))
+        Ok(crc32(&self.read(id, 0, self.region_size(id)?)?))
     }
 
     /// Do two replicas define the same regions and agree byte-for-byte
-    /// on each? Compares the storage itself; [`Self::region_crc`] is
-    /// there for callers that want the number.
+    /// on each (a never-written region reading as zeros)? Compares the
+    /// storage itself; [`Self::region_crc`] is there for callers that
+    /// want the number.
     pub fn converged_with(&self, other: &NetworkCache) -> bool {
         self.regions == other.regions
     }
@@ -334,7 +425,46 @@ mod tests {
         assert_eq!(c.region_size(7).unwrap(), 1024);
         let pkts = c.write(7, 100, b"hello world", 0, 0).unwrap();
         assert_eq!(pkts.len(), 1);
-        assert_eq!(c.read(7, 100, 11).unwrap(), b"hello world");
+        assert_eq!(&*c.read(7, 100, 11).unwrap(), b"hello world");
+    }
+
+    #[test]
+    fn region_allocates_on_first_stored_byte() {
+        let mut c = cache_with_region(1, 7, 8192);
+        assert_eq!(c.resident_bytes(), 0);
+        // Never written: zeros, borrowed up to the zero block's length.
+        assert!(matches!(c.read(7, 0, 4096).unwrap(), Cow::Borrowed(b) if b == [0; 4096]));
+        assert!(matches!(c.read(7, 0, 8192).unwrap(), Cow::Owned(b) if b == [0; 8192]));
+        assert_eq!(c.read_u64(7, 8184).unwrap(), 0);
+        // Rejected and zero-length writes store nothing.
+        assert!(c.write(7, 8190, b"xyz", 0, 0).is_err());
+        assert!(c.write(8, 0, b"x", 0, 0).is_err());
+        assert!(c.write(7, 8192, b"", 0, 0).unwrap().is_empty());
+        assert_eq!(c.resident_bytes(), 0);
+        assert_eq!(c.applied_writes(), 1, "the zero-length write still counts");
+        c.write_u64_local(7, 8, 0x0102).unwrap();
+        assert_eq!(c.resident_bytes(), 8192);
+        assert!(matches!(c.read(7, 0, 8192).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(c.read_u64(7, 8).unwrap(), 0x0102);
+    }
+
+    #[test]
+    fn never_written_converges_with_all_zero_write() {
+        let mut written = cache_with_region(0, 3, 5000);
+        let untouched = cache_with_region(1, 3, 5000);
+        written.write(3, 0, &[0; 5000], 0, 0).unwrap();
+        assert_eq!(written.resident_bytes(), 5000);
+        assert_eq!(untouched.resident_bytes(), 0);
+        assert!(written.converged_with(&untouched));
+        assert!(untouched.converged_with(&written));
+        assert_eq!(written.region_crc(3), untouched.region_crc(3));
+        assert_eq!(written.region_crc(3).unwrap(), crc32(&[0; 5000]));
+        // A joiner cloned from either holds what its sponsor holds.
+        assert_eq!(untouched.rehomed(9).resident_bytes(), 0);
+        assert_eq!(written.rehomed(9).resident_bytes(), 5000);
+        written.write(3, 4999, &[1], 0, 0).unwrap();
+        assert!(!written.converged_with(&untouched));
+        assert!(!untouched.converged_with(&written));
     }
 
     #[test]
@@ -388,7 +518,7 @@ mod tests {
         }
         assert!(writer.converged_with(&replica));
         assert_eq!(
-            replica.read(5, 17, 25).unwrap(),
+            &*replica.read(5, 17, 25).unwrap(),
             b"the network is a computer"
         );
     }

@@ -201,7 +201,7 @@ impl Model for SeqlockModel {
                         n.replica
                             .read(REGION, layout.data_offset(), DATA_LEN)
                             .expect("data")
-                            .to_vec(),
+                            .into_owned(),
                     ),
                     ReaderPhase::GotData(c1, data) => {
                         let again = n.replica.read_u64(REGION, layout.offset).expect("c1 again");
@@ -222,7 +222,7 @@ impl Model for SeqlockModel {
     fn fingerprint(&self, s: &SeqState) -> u64 {
         let layout = Self::layout();
         let mut h = FnvHasher::new();
-        h.write(s.replica.read(REGION, 0, layout.footprint()).expect("record"));
+        h.write(&s.replica.read(REGION, 0, layout.footprint()).expect("record"));
         h.write_u8(s.writes_done);
         // Per-source FIFO: the in-flight queue is a suffix of the
         // deterministic packet stream, so its length pins its content.

@@ -70,7 +70,7 @@ fn cache_writes_replicate_everywhere() {
     c.run_for(SimDuration::from_millis(1));
     for n in 0..6u8 {
         assert_eq!(
-            c.cache(n).read(0, 512, 26).unwrap(),
+            &*c.cache(n).read(0, 512, 26).unwrap(),
             b"shared management database",
             "replica at node {n}"
         );
@@ -168,7 +168,7 @@ fn node_rejoin_after_assimilation() {
     assert_eq!(c.ring().len(), 5, "rejoined the ring");
     assert!(c.node_online(2));
     // The cache refresh brought it current.
-    assert_eq!(c.cache(2).read(0, 100, 18).unwrap(), b"written while away");
+    assert_eq!(&*c.cache(2).read(0, 100, 18).unwrap(), b"written while away");
     assert!(c.caches_converged());
 }
 

@@ -272,7 +272,7 @@ impl FileStore {
     pub fn read(&self, cache: &NetworkCache, name: &str) -> Result<Vec<u8>, FileError> {
         let slot = self.find(cache, name)?.ok_or(FileError::NotFound)?;
         let e = self.read_entry(cache, slot)?.ok_or(FileError::NotFound)?;
-        Ok(cache.read(self.layout.region, e.offset, e.len)?.to_vec())
+        Ok(cache.read(self.layout.region, e.offset, e.len)?.into_owned())
     }
 
     /// File metadata.

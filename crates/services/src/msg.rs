@@ -155,39 +155,37 @@ struct Partial {
 /// datagram would re-deliver as a duplicate).
 const DEDUP_WINDOW: usize = 128;
 
-/// Per-source window of recently delivered datagram ids: a fixed
-/// circular buffer of the last [`DEDUP_WINDOW`] ids. Exact-match
-/// lookup (not a `≤` cursor): a datagram whose first delivery attempt
-/// failed CRC must still deliver when replayed, even if newer ids
-/// from the same source landed in between.
+/// Per-source window of recently delivered datagram ids: the last
+/// [`DEDUP_WINDOW`] ids, in a vector that grows with the ids delivered
+/// and, once full, overwrites the oldest. Exact-match lookup (not a
+/// `≤` cursor): a datagram whose first delivery attempt failed CRC
+/// must still deliver when replayed, even if newer ids from the same
+/// source landed in between.
 #[derive(Debug)]
 struct DedupWindow {
     src: u8,
-    ids: [u16; DEDUP_WINDOW],
-    len: u16,
     /// Next overwrite position once the window is full (oldest entry).
     head: u16,
+    ids: Vec<u16>,
 }
 
 impl DedupWindow {
     fn new(src: u8) -> Self {
         DedupWindow {
             src,
-            ids: [0; DEDUP_WINDOW],
-            len: 0,
             head: 0,
+            ids: Vec::new(),
         }
     }
 
     #[inline]
     fn contains(&self, id: u16) -> bool {
-        self.ids[..self.len as usize].contains(&id)
+        self.ids.contains(&id)
     }
 
     fn push(&mut self, id: u16) {
-        if (self.len as usize) < DEDUP_WINDOW {
-            self.ids[self.len as usize] = id;
-            self.len += 1;
+        if self.ids.len() < DEDUP_WINDOW {
+            self.ids.push(id);
         } else {
             self.ids[self.head as usize] = id;
             self.head = (self.head + 1) % DEDUP_WINDOW as u16;
@@ -199,7 +197,7 @@ impl DedupWindow {
 ///
 /// Both lookup structures are linear-scan vectors, not maps: a
 /// receiver holds at most a handful of in-flight partials and one
-/// fixed-size dedup window per source, so the scan beats hashing on
+/// bounded dedup window per source, so the scan beats hashing on
 /// the packet hot path and order never influences behaviour (keyed
 /// access only). The dedup window used to be a single flat
 /// `Vec<(src, id)>` scanned end to end on *every* packet; with many
@@ -256,17 +254,29 @@ impl MsgRx {
         let chunk = pkt.dma_payload().expect("variable body");
 
         let key = (src, id);
-        if self
-            .delivered
-            .iter()
-            .find(|w| w.src == src)
-            .is_some_and(|w| w.contains(id))
+        // Invariant: a key that has a partial is never in its source's
+        // delivered window. A partial is created only after fragment 0
+        // passed the window check, and an id enters the window only
+        // when its delivery removes the partial. So a later fragment
+        // that continues a partial goes straight to reassembly; only
+        // fragment 0 and an orphan fragment need the window scan.
+        let partial = if frag == 0 {
+            None
+        } else {
+            self.partials.iter().position(|(k, _)| *k == key)
+        };
+        if partial.is_none()
+            && self
+                .delivered
+                .iter()
+                .find(|w| w.src == src)
+                .is_some_and(|w| w.contains(id))
         {
             // Retransmission of an already-delivered datagram
             // (post-rostering replay): drop silently.
             return None;
         }
-        if frag == 0 {
+        let at = if frag == 0 {
             if chunk.len() < HEADER {
                 self.stats.sequence_errors += 1;
                 return None;
@@ -290,18 +300,25 @@ impl MsgRx {
                 data,
                 next_frag: 1,
             };
-            match self.partials.iter_mut().find(|(k, _)| *k == key) {
-                Some(entry) => entry.1 = fresh,
-                None => self.partials.push((key, fresh)),
+            match self.partials.iter().position(|(k, _)| *k == key) {
+                Some(at) => {
+                    self.partials[at].1 = fresh;
+                    at
+                }
+                None => {
+                    self.partials.push((key, fresh));
+                    self.partials.len() - 1
+                }
             }
         } else {
-            let Some((_, p)) = self.partials.iter_mut().find(|(k, _)| *k == key) else {
+            let Some(at) = partial else {
                 self.stats.sequence_errors += 1;
                 return None;
             };
+            let p = &mut self.partials[at].1;
             if p.next_frag != frag {
                 self.stats.sequence_errors += 1;
-                self.partials.retain(|(k, _)| *k != key);
+                self.partials.swap_remove(at);
                 return None;
             }
             p.next_frag += 1;
@@ -309,44 +326,35 @@ impl MsgRx {
             // A partial completes the moment it reaches its length, so
             // it holds at most one cell past a length bounded above.
             debug_assert!(p.data.len() < p.expected_len + MAX_DMA_PAYLOAD);
-        }
+            at
+        };
 
-        let done = self
-            .partials
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, p)| p.data.len() >= p.expected_len)
-            .unwrap_or(false);
-        if done {
-            let at = self
-                .partials
-                .iter()
-                .position(|(k, _)| *k == key)
-                .expect("checked");
-            let (_, p) = self.partials.swap_remove(at);
-            let mut payload = p.data;
-            payload.truncate(p.expected_len);
-            if crc32(&payload) != p.crc {
-                self.stats.crc_errors += 1;
-                return None;
-            }
-            self.stats.delivered += 1;
-            match self.delivered.iter_mut().find(|w| w.src == src) {
-                Some(w) => w.push(id),
-                None => {
-                    let mut w = DedupWindow::new(src);
-                    w.push(id);
-                    self.delivered.push(w);
-                }
-            }
-            self.tel.inc(self.assembled);
-            return Some(Datagram {
-                src,
-                stream,
-                payload,
-            });
+        let p = &self.partials[at].1;
+        if p.data.len() < p.expected_len {
+            return None;
         }
-        None
+        let (_, p) = self.partials.swap_remove(at);
+        let mut payload = p.data;
+        payload.truncate(p.expected_len);
+        if crc32(&payload) != p.crc {
+            self.stats.crc_errors += 1;
+            return None;
+        }
+        self.stats.delivered += 1;
+        match self.delivered.iter_mut().find(|w| w.src == src) {
+            Some(w) => w.push(id),
+            None => {
+                let mut w = DedupWindow::new(src);
+                w.push(id);
+                self.delivered.push(w);
+            }
+        }
+        self.tel.inc(self.assembled);
+        Some(Datagram {
+            src,
+            stream,
+            payload,
+        })
     }
 }
 

@@ -50,7 +50,7 @@ fn main() {
     cluster.run_for(SimDuration::from_millis(1));
     for node in 0..6u8 {
         let bytes = cluster.cache(node).read(0, 128, 30).expect("replicated");
-        assert_eq!(bytes, b"the network is also a computer");
+        assert_eq!(&*bytes, b"the network is also a computer");
     }
     println!("cache write replicated to all 6 nodes (verified byte-for-byte)");
 
