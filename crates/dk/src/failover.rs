@@ -396,7 +396,7 @@ mod tests {
             },
             ..Default::default()
         };
-        assert_eq!(resume.recovery_time(), SimDuration::from_secs(1));
+        assert_eq!(resume.recovery_time(), SimDuration::from_millis(1000));
         let restart = FailoverPolicy {
             recovery: RecoveryRule::Restart {
                 startup: SimDuration::from_millis(30),

@@ -1,19 +1,27 @@
-//! Pooled packet slots for the node data-plane.
+//! Pooled packet heads and DMA bodies for the node data-plane.
 //!
 //! The [`FrameArena`] models the register-insertion pipeline the
 //! paper describes, instead of passing whole [`MicroPacket`] values
 //! through every hop: a packet is **stored once** at its source into a
-//! pooled slot, transit nodes forward the 8-byte [`FrameRef`] handle
+//! pooled frame, transit nodes forward the 8-byte [`FrameRef`] handle
 //! and read the header fields in place ([`FrameArena::header`]), and
 //! the delivery plane copies the packet back out
-//! ([`FrameArena::decode`]). A slot holds the fields the source built —
-//! control word, DMA control, payload bytes — never their wire words,
-//! so no hop parses a header and no delivery rebuilds a packet. The
-//! wire codec ([`MicroPacket::encode_into`], [`FrameView`](crate::FrameView))
-//! is the reference for the line format and stays off this path.
+//! ([`FrameArena::decode`]). A frame holds the fields the source built —
+//! control word, payload or DMA control, DMA data — never their wire
+//! words, so no hop parses a header and no delivery rebuilds a packet.
+//! The wire codec ([`MicroPacket::encode_into`],
+//! [`FrameView`](crate::FrameView)) is the reference for the line
+//! format and stays off this path.
 //!
-//! Slots are recycled through a free list, so a steady-state ring
-//! forwards packets with zero heap allocations. Frames carry a
+//! A frame is laid out as on the wire (slides 4–6): every MicroPacket
+//! starts with the same 3 words — the control word and one 8-byte
+//! field, a fixed cell's payload or a DMA cell's control — so every
+//! frame takes a 24-byte head, and only a DMA frame also takes a
+//! 64-byte body for its data words. A saturated ring of 3-word cells
+//! holds heads and no bodies.
+//!
+//! Heads and bodies are recycled through free lists, so a steady-state
+//! ring forwards packets with zero heap allocations. Frames carry a
 //! generation counter: using a released [`FrameRef`] panics
 //! deterministically instead of aliasing another packet's bytes.
 //!
@@ -24,17 +32,18 @@
 //! let ctrl = ControlWord::new(PacketType::Data, 2, 5, 7);
 //! let pkt = MicroPacket::new(ctrl, Body::Fixed([0xAB; 8])).unwrap();
 //!
-//! // Source: store once into a pooled slot.
+//! // Source: store once into a pooled head (a fixed cell takes no body).
 //! let frame = arena.insert(&pkt);
+//! assert_eq!(arena.resident_bytes(), 24);
 //!
 //! // Transit: read the header in place, never the payload.
 //! let (ctrl, dma) = arena.header(frame);
 //! assert_eq!((ctrl.dst, dma), (5, None));
 //!
-//! // Delivery: copy the packet out of its slot.
+//! // Delivery: copy the packet out of its frame.
 //! assert_eq!(arena.decode(frame), pkt);
 //!
-//! // Strip: the slot returns to the free list for the next insert.
+//! // Strip: the head returns to the free list for the next insert.
 //! arena.release(frame);
 //! assert_eq!(arena.live(), 0);
 //! ```
@@ -46,38 +55,31 @@ use crate::wire::{Body, DmaCtrl, MicroPacket, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
 /// Handle to one pooled packet inside a [`FrameArena`].
 ///
 /// Copyable and 8 bytes wide — this is what transit buffers and the
-/// event queue carry instead of ~84-byte packet values.
+/// event queue carry instead of packet values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameRef {
     slot: u32,
     gen: u32,
 }
 
-/// One pooled packet, stored unpacked: 5 + 1 + 4 + 8 + 64 bytes,
-/// padded to the 84 of the 19-word wire slot it replaced (a queued
-/// frame's memory sets `ring_saturated`'s peak RSS).
+/// The first 3 words of every MicroPacket, stored unpacked: control
+/// word, liveness and generation, the 8-byte field that follows the
+/// control word on the wire, and a DMA frame's body index.
 #[derive(Debug, Clone)]
-struct Slot {
+struct Head {
     ctrl: ControlWord,
     live: bool,
     gen: u32,
-    /// DMA control of a variable frame; stale for a fixed one.
-    dma: DmaCtrl,
-    /// Payload bytes; a fixed frame uses the first [`FIXED_PAYLOAD`].
-    payload: [u8; MAX_DMA_PAYLOAD],
+    /// A fixed frame's payload, or a DMA frame's control bytes.
+    field: [u8; FIXED_PAYLOAD],
+    /// A DMA frame's index into the bodies; unused by a fixed one.
+    body: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() <= 84);
+const _: () = assert!(std::mem::size_of::<Head>() <= 24);
 
-impl Slot {
-    /// The DMA control, for frames whose type is variable-length.
-    fn dma(&self) -> Option<DmaCtrl> {
-        match self.ctrl.ptype.length_class() {
-            LengthClass::Variable => Some(self.dma),
-            LengthClass::Fixed => None,
-        }
-    }
-}
+/// The data words of a DMA frame.
+type DmaBody = [u8; MAX_DMA_PAYLOAD];
 
 /// Allocation/reuse counters of a [`FrameArena`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,13 +94,15 @@ pub struct ArenaStats {
     pub peak_live: usize,
 }
 
-/// A pool of fixed-size packet slots with O(1) acquire/release.
+/// A pool of frame heads, and of DMA bodies, with O(1) acquire/release.
 #[derive(Debug, Clone)]
 pub struct FrameArena {
-    slots: Vec<Slot>,
+    heads: Vec<Head>,
     free: Vec<u32>,
+    bodies: Vec<DmaBody>,
+    free_bodies: Vec<u32>,
     live: usize,
-    /// Hard slot cap; `None` grows on demand.
+    /// Hard frame cap; `None` grows on demand.
     max_slots: Option<usize>,
     stats: ArenaStats,
 }
@@ -113,24 +117,26 @@ impl FrameArena {
     /// An arena that grows on demand.
     pub fn new() -> Self {
         FrameArena {
-            slots: Vec::new(),
+            heads: Vec::new(),
             free: Vec::new(),
+            bodies: Vec::new(),
+            free_bodies: Vec::new(),
             live: 0,
             max_slots: None,
             stats: ArenaStats::default(),
         }
     }
 
-    /// An arena pre-sized to `n` slots (still grows past it).
+    /// An arena pre-sized to `n` frames (still grows past it).
     pub fn with_capacity(n: usize) -> Self {
         let mut a = Self::new();
-        a.slots.reserve(n);
+        a.heads.reserve(n);
         a.free.reserve(n);
         a
     }
 
-    /// An arena hard-capped at `n` slots: [`FrameArena::try_insert`]
-    /// returns `None` once every slot is live (exhaustion).
+    /// An arena hard-capped at `n` frames: [`FrameArena::try_insert`]
+    /// returns `None` once every frame is live (exhaustion).
     pub fn bounded(n: usize) -> Self {
         let mut a = Self::with_capacity(n);
         a.max_slots = Some(n);
@@ -142,9 +148,16 @@ impl FrameArena {
         self.live
     }
 
-    /// Slots ever created (live + recycled).
+    /// Frames ever created (live + recycled).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.heads.len()
+    }
+
+    /// Bytes of frame storage ever created: every head, plus every
+    /// DMA body.
+    pub fn resident_bytes(&self) -> usize {
+        self.heads.len() * std::mem::size_of::<Head>()
+            + self.bodies.len() * std::mem::size_of::<DmaBody>()
     }
 
     /// Counters.
@@ -158,89 +171,110 @@ impl FrameArena {
             return Some(i);
         }
         if let Some(cap) = self.max_slots {
-            if self.slots.len() >= cap {
+            if self.heads.len() >= cap {
                 return None;
             }
         }
-        self.slots.push(Slot {
+        self.heads.push(Head {
             ctrl: ControlWord::new(PacketType::Data, 0, 0, 0),
             live: false,
             gen: 0,
-            dma: DmaCtrl { channel: 0, region: 0, offset: 0, len: 0 },
-            payload: [0; MAX_DMA_PAYLOAD],
+            field: [0; FIXED_PAYLOAD],
+            body: 0,
         });
-        Some(self.slots.len() as u32 - 1)
+        Some(self.heads.len() as u32 - 1)
     }
 
-    /// Store `pkt` into a pooled slot. `None` only for a
-    /// [`FrameArena::bounded`] arena with every slot live.
-    pub fn try_insert(&mut self, pkt: &MicroPacket) -> Option<FrameRef> {
-        let i = self.acquire()?;
-        let slot = &mut self.slots[i as usize];
-        slot.ctrl = pkt.ctrl;
-        match &pkt.body {
-            Body::Fixed(p) => slot.payload[..FIXED_PAYLOAD].copy_from_slice(p),
-            Body::Variable { ctrl, data } => {
-                slot.dma = *ctrl;
-                slot.payload = *data;
+    /// A body for `data`: a released one if any is free, else a new one.
+    fn store_body(&mut self, data: &DmaBody) -> u32 {
+        match self.free_bodies.pop() {
+            Some(b) => {
+                self.bodies[b as usize] = *data;
+                b
+            }
+            None => {
+                self.bodies.push(*data);
+                self.bodies.len() as u32 - 1
             }
         }
-        slot.live = true;
+    }
+
+    /// Store `pkt` into a pooled frame. `None` only for a
+    /// [`FrameArena::bounded`] arena with every frame live.
+    pub fn try_insert(&mut self, pkt: &MicroPacket) -> Option<FrameRef> {
+        let i = self.acquire()?;
+        let (field, body) = match &pkt.body {
+            Body::Fixed(p) => (*p, 0),
+            Body::Variable { ctrl, data } => (ctrl.to_bytes(), self.store_body(data)),
+        };
+        let head = &mut self.heads[i as usize];
+        head.ctrl = pkt.ctrl;
+        head.field = field;
+        head.body = body;
+        head.live = true;
         self.live += 1;
         self.stats.acquired += 1;
         self.stats.peak_live = self.stats.peak_live.max(self.live);
-        Some(FrameRef { slot: i, gen: slot.gen })
+        Some(FrameRef { slot: i, gen: head.gen })
     }
 
-    /// Store `pkt` into a pooled slot; panics on exhaustion.
+    /// Store `pkt` into a pooled frame; panics on exhaustion.
     pub fn insert(&mut self, pkt: &MicroPacket) -> FrameRef {
         self.try_insert(pkt).expect("frame arena exhausted") // lint: allow(panic-freedom): arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud
     }
 
-    fn slot(&self, f: FrameRef) -> &Slot {
-        let s = &self.slots[f.slot as usize];
+    fn head(&self, f: FrameRef) -> &Head {
+        let h = &self.heads[f.slot as usize];
         assert!(
-            s.live && s.gen == f.gen,
+            h.live && h.gen == f.gen,
             "stale FrameRef: frame was released (slot {}, gen {} vs {})",
             f.slot,
             f.gen,
-            s.gen
+            h.gen
         );
-        s
+        h
     }
 
     /// The header of a live frame: its control word and, for a DMA
-    /// frame, its DMA control — everything a hop decides on, read in
-    /// place.
+    /// frame, its DMA control — everything a hop decides on, read from
+    /// the head alone.
     pub fn header(&self, f: FrameRef) -> (ControlWord, Option<DmaCtrl>) {
-        let s = self.slot(f);
-        (s.ctrl, s.dma())
+        let h = self.head(f);
+        let dma = match h.ctrl.ptype.length_class() {
+            LengthClass::Variable => Some(DmaCtrl::from_bytes(h.field)),
+            LengthClass::Fixed => None,
+        };
+        (h.ctrl, dma)
     }
 
     /// Copy the packet out of a live frame (delivery boundary; the
     /// frame stays live).
     pub fn decode(&self, f: FrameRef) -> MicroPacket {
-        let s = self.slot(f);
-        let body = match s.dma() {
-            Some(ctrl) => Body::Variable { ctrl, data: s.payload },
-            None => Body::Fixed(std::array::from_fn(|i| s.payload[i])),
+        let h = self.head(f);
+        let body = match h.ctrl.ptype.length_class() {
+            LengthClass::Variable => Body::Variable {
+                ctrl: DmaCtrl::from_bytes(h.field),
+                data: self.bodies[h.body as usize],
+            },
+            LengthClass::Fixed => Body::Fixed(h.field),
         };
-        MicroPacket { ctrl: s.ctrl, body }
+        MicroPacket { ctrl: h.ctrl, body }
     }
 
-    /// Return a frame's slot to the pool. Panics on double release.
+    /// Return a frame, and a DMA frame's body, to the pool. Panics on
+    /// double release.
     pub fn release(&mut self, f: FrameRef) {
-        {
-            let s = &self.slots[f.slot as usize];
-            assert!(
-                s.live && s.gen == f.gen,
-                "double release of FrameRef (slot {})",
-                f.slot
-            );
+        let h = &mut self.heads[f.slot as usize];
+        assert!(
+            h.live && h.gen == f.gen,
+            "double release of FrameRef (slot {})",
+            f.slot
+        );
+        h.live = false;
+        h.gen = h.gen.wrapping_add(1);
+        if h.ctrl.ptype.length_class() == LengthClass::Variable {
+            self.free_bodies.push(h.body);
         }
-        let s = &mut self.slots[f.slot as usize];
-        s.live = false;
-        s.gen = s.gen.wrapping_add(1);
         self.live -= 1;
         self.stats.released += 1;
         self.free.push(f.slot);
@@ -298,6 +332,22 @@ mod tests {
     }
 
     #[test]
+    fn dma_frame_reusing_a_fixed_slot_takes_a_body_and_decodes_dma() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&fixed(5));
+        a.release(f);
+        assert_eq!(a.resident_bytes(), 24, "a fixed frame takes no body");
+        let f = a.insert(&dma(40));
+        assert_eq!(a.capacity(), 1, "the fixed frame's slot is reused");
+        assert_eq!(a.resident_bytes(), 24 + MAX_DMA_PAYLOAD);
+        assert_eq!(a.decode(f), dma(40));
+        a.release(f);
+        let f = a.insert(&dma(64));
+        assert_eq!(a.resident_bytes(), 24 + MAX_DMA_PAYLOAD, "the body is reused");
+        assert_eq!(a.decode(f), dma(64));
+    }
+
+    #[test]
     fn slots_are_reused_after_release() {
         let mut a = FrameArena::new();
         let f0 = a.insert(&fixed(0));
@@ -316,8 +366,9 @@ mod tests {
     fn bounded_arena_exhausts_and_recovers() {
         let mut a = FrameArena::bounded(2);
         let f0 = a.try_insert(&fixed(0)).unwrap();
-        let _f1 = a.try_insert(&fixed(1)).unwrap();
+        let _f1 = a.try_insert(&dma(8)).unwrap();
         assert!(a.try_insert(&fixed(2)).is_none(), "exhausted at the cap");
+        assert!(a.try_insert(&dma(8)).is_none(), "a DMA frame counts against the cap");
         a.release(f0);
         assert!(a.try_insert(&fixed(3)).is_some(), "release frees a slot");
         assert_eq!(a.capacity(), 2);
@@ -343,10 +394,28 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "stale FrameRef")]
+    fn dma_decode_after_release_panics() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&dma(64));
+        a.release(f);
+        a.decode(f);
+    }
+
+    #[test]
     #[should_panic(expected = "double release")]
     fn double_release_panics() {
         let mut a = FrameArena::new();
         let f = a.insert(&fixed(0));
+        a.release(f);
+        a.release(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "double release")]
+    fn dma_double_release_panics() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&dma(64));
         a.release(f);
         a.release(f);
     }

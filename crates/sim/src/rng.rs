@@ -76,13 +76,6 @@ impl SimRng {
         self.inner.random_range(0.0..1.0)
     }
 
-    /// Bernoulli trial.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        debug_assert!((0.0..=1.0).contains(&p));
-        self.f64() < p
-    }
-
     /// Exponentially distributed value with the given mean (for Poisson
     /// arrival processes).
     pub fn exponential(&mut self, mean: f64) -> f64 {
@@ -172,12 +165,5 @@ mod tests {
             (mean - 250.0).abs() < 15.0,
             "sample mean {mean} too far from 250"
         );
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SimRng::new(2);
-        assert!(!(0..100).any(|_| r.chance(0.0)));
-        assert!((0..100).all(|_| r.chance(1.0)));
     }
 }

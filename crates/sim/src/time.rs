@@ -85,12 +85,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
-    }
-
     /// Construct from fractional seconds, rounding to the nearest
     /// nanosecond. Panics on negative or non-finite input.
     pub fn from_secs_f64(s: f64) -> Self {
@@ -261,7 +255,7 @@ mod tests {
     fn construction_units() {
         assert_eq!(SimDuration::from_micros(3).as_nanos(), 3_000);
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
-        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
+        assert_eq!(SimDuration::from_millis(1000).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
     }
 
@@ -294,7 +288,7 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_nanos(7)), "7ns");
         assert_eq!(format!("{}", SimDuration::from_micros(2)), "2.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(1)), "1.000ms");
-        assert_eq!(format!("{}", SimDuration::from_secs(3)), "3.000s");
+        assert_eq!(format!("{}", SimDuration::from_millis(3000)), "3.000s");
     }
 
     #[test]
