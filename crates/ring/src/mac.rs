@@ -24,8 +24,8 @@
 //!
 //! The MAC never touches packet payloads: it operates on [`WireFrame`]
 //! descriptors — the control word, cached sizes, and a [`FrameRef`]
-//! into the packet pool — so forwarding a packet moves 16 bytes and
-//! zero heap.
+//! into the packet pool — so forwarding a packet moves 16 bytes (the
+//! descriptor's size, asserted below) and zero heap.
 
 use crate::pacing::{InsertionGovernor, PacingMode};
 use crate::stream::{StreamId, StreamSet, WireSized};
@@ -89,12 +89,18 @@ pub struct WireFrame {
     /// Word 0, as the source built it.
     pub ctrl: ControlWord,
     /// Total line bytes including SOF/EOF (serialization cost).
-    pub wire_bytes: u16,
+    pub wire_bytes: u8,
     /// Application payload bytes carried (delivery accounting).
-    pub payload_bytes: u16,
+    pub payload_bytes: u8,
     /// The pooled packet in the segment's [`FrameArena`].
     pub frame: FrameRef,
 }
+
+// Every MicroPacket's sizes fit the `u8` fields (84 wire bytes at
+// most), and the descriptor a transit buffer or stream queue holds per
+// frame stays at 16 bytes.
+const _: () = assert!(MAX_PACKET_WIRE <= u8::MAX as usize);
+const _: () = assert!(std::mem::size_of::<WireFrame>() == 16);
 
 impl WireFrame {
     /// Store `pkt` into `arena` — the *single* copy of a packet's
@@ -102,8 +108,8 @@ impl WireFrame {
     pub fn insert(arena: &mut FrameArena, pkt: &MicroPacket) -> WireFrame {
         WireFrame {
             ctrl: pkt.ctrl,
-            wire_bytes: pkt.wire_bytes() as u16,
-            payload_bytes: pkt.payload_bytes() as u16,
+            wire_bytes: pkt.wire_bytes() as u8,
+            payload_bytes: pkt.payload_bytes() as u8,
             frame: arena.insert(pkt),
         }
     }
@@ -114,13 +120,14 @@ impl WireFrame {
         let (ctrl, dma) = arena.header(frame);
         // Control word + DMA control + ceil(len/4) payload words, or
         // control word + two fixed payload words; SOF/EOF on top.
+        // A stored packet is valid, so `len` is at most 64.
         let (body_words, payload_bytes) = match dma {
-            Some(d) => (3 + d.len.div_ceil(WORD as u16), d.len),
-            None => (3, FIXED_PAYLOAD as u16),
+            Some(d) => (3 + d.len.div_ceil(WORD as u16) as u8, d.len as u8),
+            None => (3, FIXED_PAYLOAD as u8),
         };
         WireFrame {
             ctrl,
-            wire_bytes: (body_words + 2) * WORD as u16,
+            wire_bytes: (body_words + 2) * WORD as u8,
             payload_bytes,
             frame,
         }
@@ -269,6 +276,7 @@ impl RegisterMac {
     }
 
     /// Handle a frame arriving from the upstream link.
+    #[inline]
     pub fn on_arrival(&mut self, _now: SimTime, frame: WireFrame) -> MacAction {
         match classify(self.id, &frame.ctrl) {
             FrameClass::Strip => {
@@ -296,6 +304,7 @@ impl RegisterMac {
 
     /// Choose the next frame for a free output port, or `None` if
     /// nothing is eligible right now. `now` drives the pacing governor.
+    #[inline]
     pub fn next_tx(&mut self, now: SimTime) -> Option<MacTx> {
         // 1. Transit traffic has absolute priority.
         if let Some(frame) = self.transit.pop_front() {

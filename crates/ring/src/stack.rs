@@ -11,11 +11,11 @@
 //! Buffer lifecycle — stored once, read in place: a packet is copied
 //! **once** at its source into a
 //! [`FrameArena`](ampnet_packet::FrameArena) slot; every hop reads the
-//! slot's header fields into the 16-byte [`WireFrame`] descriptor
-//! without parsing anything; the payload is read only at the delivery
-//! boundary (a copy out of the slot, and only for a host that retains
-//! packets) and the slot is recycled when the frame leaves the ring
-//! (unicast delivery or source strip).
+//! slot's header fields into the 16-byte [`WireFrame`] descriptor (a
+//! compile-time assertion) without parsing anything; the payload is
+//! read only at the delivery boundary (a copy out of the slot, and only
+//! for a host that retains packets) and the slot is recycled when the
+//! frame leaves the ring (unicast delivery or source strip).
 //! Fault injection addresses a plane, not a node blob: an error burst
 //! is a [`PlaneFault::Phy`] assessed by the [`SerialPhy`]'s 8b/10b
 //! checker.
@@ -161,16 +161,6 @@ impl HostQueues {
         self.delivered += 1;
         if let Some(slot) = self.delivered_from.get_mut(frame.ctrl.src as usize) {
             *slot += frame.payload_bytes as u64;
-        }
-    }
-
-    /// A frame for this node arrived (unicast, or a broadcast copy).
-    /// The packet is copied out of `arena` only when the host retains
-    /// packets.
-    fn deliver(&mut self, frame: &WireFrame, arena: &FrameArena) {
-        self.account(frame);
-        if self.retain_packets {
-            self.pending.push_back(arena.decode(frame.frame));
         }
     }
 }
@@ -367,40 +357,23 @@ impl NodeStack {
     /// deliverable copies to the delivery plane (copied out and queued
     /// when it retains packets), and recycle frames that leave the
     /// ring here.
+    #[inline]
     pub fn on_wire_arrival(
         &mut self,
         now: SimTime,
         arena: &mut FrameArena,
         frame: FrameRef,
     ) -> StackOutcome {
-        let wf = WireFrame::of(arena, frame);
-        match self.mac.on_arrival(now, wf) {
-            MacAction::Deliver(wf) => {
-                self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(&wf, arena);
-                arena.release(wf.frame);
-                StackOutcome::Delivered
+        let outcome = self.classify_arrival(now, arena, frame);
+        if matches!(outcome, StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded) {
+            if self.delivery.retain_packets {
+                self.delivery.pending.push_back(arena.decode(frame));
             }
-            MacAction::DeliverAndForward(wf) => {
-                self.telemetry.delivered(now, &wf);
-                self.delivery.deliver(&wf, arena);
-                StackOutcome::DeliveredAndForwarded
+            if outcome == StackOutcome::Delivered {
+                arena.release(frame);
             }
-            MacAction::Strip(wf) => {
-                self.telemetry.tel.inc(self.telemetry.stripped);
-                self.telemetry.tel.flight(FlightEvent {
-                    at_ns: now.0,
-                    node: self.telemetry.node,
-                    plane: Plane::Mac,
-                    kind: FlightKind::MacStrip,
-                    a: wf.wire_bytes as u64,
-                    b: 0,
-                });
-                arena.release(wf.frame);
-                StackOutcome::Stripped
-            }
-            MacAction::Forward => StackOutcome::Forwarded,
         }
+        outcome
     }
 
     /// [`NodeStack::on_wire_arrival`] for a host that consumes a
@@ -412,11 +385,15 @@ impl NodeStack {
     /// releases it; a `DeliveredAndForwarded` one is on loan from the
     /// transit buffer and must only be read.
     ///
-    /// The two arrival methods repeat one `match` on purpose. Built as
-    /// `on_wire_arrival` = this + queue + release, the optimiser stopped
-    /// inlining `Segment::kick` into `Segment::run_for`, and the
-    /// saturated-ring benchmark ran 2.1 % slower than with the `match`
-    /// repeated (9 of 10 pairs, EXPERIMENTS.md §B9).
+    /// This is the stack's one arrival classification, and it and
+    /// the other per-frame calls (`on_wire_arrival`, `next_tx`,
+    /// `RegisterMac::{on_arrival, next_tx}`) are `#[inline]`: each has
+    /// two drivers, `Segment` and `Cluster`, and out of line every hop
+    /// stored its `WireFrame` / `MacTx` to the stack only for the
+    /// caller to load it back (EXPERIMENTS.md §B13). Inlined, the
+    /// shared body runs as fast as the copy of this `match` that
+    /// `on_wire_arrival` used to carry (§B9).
+    #[inline]
     pub fn classify_arrival(
         &mut self,
         now: SimTime,
@@ -471,6 +448,7 @@ impl NodeStack {
     /// already serialized in the arena, so transmitting only counts it;
     /// `_arena` stays in the signature for the `benchmark/` package,
     /// which builds against this API and is frozen.
+    #[inline]
     pub fn next_tx(&mut self, now: SimTime, _arena: &FrameArena) -> Option<MacTx> {
         let tx = self.mac.next_tx(now)?;
         self.phy.tx_frames += 1;

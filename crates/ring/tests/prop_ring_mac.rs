@@ -1,18 +1,21 @@
 //! Property tests for the register-insertion ring MAC:
 //! conservation (no loss, no duplication), per-stream FIFO at the
 //! receiver, and the structural no-drop bound — under arbitrary
-//! workloads; and the packet arena every hop reads.
+//! workloads; the packet arena every hop reads; and the stack's
+//! arrival path against the form it had before it was built on
+//! `NodeStack::classify_arrival`.
 
 use ampnet_packet::{
-    Body, ControlWord, DmaCtrl, Flags, FrameArena, LengthClass, MicroPacket, PacketType,
-    MAX_DMA_PAYLOAD,
+    Body, ControlWord, DmaCtrl, Flags, FrameArena, FrameRef, LengthClass, MicroPacket,
+    PacketType, BROADCAST, MAX_DMA_PAYLOAD,
 };
 use ampnet_ring::{
-    ArrivalProcess, DstPattern, PacingMode, PacketKind, Segment, SegmentParams, StreamWorkload,
-    WireFrame, MAX_PACKET_WIRE,
+    ArrivalProcess, DstPattern, HostQueues, MacAction, MacTx, NodeStack, PacingMode, PacketKind,
+    RingNodeParams, Segment, SegmentParams, StackOutcome, StreamWorkload, WireFrame,
+    MAX_PACKET_WIRE,
 };
 use ampnet_phy::LinkParams;
-use ampnet_sim::SimDuration;
+use ampnet_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn arb_workload() -> impl Strategy<Value = StreamWorkload> {
@@ -206,11 +209,190 @@ proptest! {
             let wf = WireFrame::insert(&mut arena, &p);
             let hop = WireFrame::of(&arena, wf.frame);
             prop_assert_eq!(hop, wf);
-            prop_assert_eq!(hop.wire_bytes as usize, p.wire_bytes());
-            prop_assert_eq!(hop.payload_bytes as usize, p.payload_bytes());
+            // The `u8` size fields hold every size exactly.
+            prop_assert_eq!(Ok(hop.wire_bytes), u8::try_from(p.wire_bytes()));
+            prop_assert_eq!(Ok(hop.payload_bytes), u8::try_from(p.payload_bytes()));
             prop_assert_eq!(arena.decode(wf.frame), p);
             arena.release(wf.frame);
         }
         prop_assert_eq!(arena.capacity(), 1, "one slot, reused by every case");
+    }
+}
+
+/// `NodeStack::on_wire_arrival` as it was written with its own copy of
+/// the classification `match`, through the stack's public planes. The
+/// stacks it drives are not instrumented, so that body's telemetry
+/// calls are left out.
+fn reference_on_wire_arrival(
+    s: &mut NodeStack,
+    now: SimTime,
+    arena: &mut FrameArena,
+    frame: FrameRef,
+) -> StackOutcome {
+    let wf = WireFrame::of(arena, frame);
+    match s.mac.on_arrival(now, wf) {
+        MacAction::Deliver(wf) => {
+            reference_deliver(&mut s.delivery, &wf, arena);
+            arena.release(wf.frame);
+            StackOutcome::Delivered
+        }
+        MacAction::DeliverAndForward(wf) => {
+            reference_deliver(&mut s.delivery, &wf, arena);
+            StackOutcome::DeliveredAndForwarded
+        }
+        MacAction::Strip(wf) => {
+            arena.release(wf.frame);
+            StackOutcome::Stripped
+        }
+        MacAction::Forward => StackOutcome::Forwarded,
+    }
+}
+
+/// The delivery that `reference_on_wire_arrival` made: account, then
+/// copy the packet out when the host retains packets.
+fn reference_deliver(q: &mut HostQueues, frame: &WireFrame, arena: &FrameArena) {
+    q.delivered += 1;
+    if let Some(slot) = q.delivered_from.get_mut(frame.ctrl.src as usize) {
+        *slot += frame.payload_bytes as u64;
+    }
+    if q.retain_packets {
+        q.pending.push_back(arena.decode(frame.frame));
+    }
+}
+
+type Arrival = fn(&mut NodeStack, SimTime, &mut FrameArena, FrameRef) -> StackOutcome;
+
+/// One step of a two-node ring.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A frame built elsewhere arrives at node `at`.
+    Arrive(usize, MicroPacket),
+    /// Node `at` queues an own packet.
+    Enqueue(usize, MicroPacket),
+    /// Node `at`'s output port is free: what it sends arrives at the
+    /// other node.
+    Tx(usize),
+}
+
+/// Two ring nodes over one arena, with an arrival path under test.
+struct TwoRing {
+    arena: FrameArena,
+    nodes: [NodeStack; 2],
+    arrive: Arrival,
+}
+
+impl TwoRing {
+    fn new(retain_packets: bool, arrive: Arrival) -> Self {
+        let params = RingNodeParams {
+            pacing: PacingMode::Greedy,
+            ..Default::default()
+        };
+        let node = |id| {
+            let mut s = NodeStack::with_defaults(
+                id,
+                params,
+                LinkParams::default(),
+                SimDuration::from_nanos(60),
+                3,
+            );
+            s.delivery.retain_packets = retain_packets;
+            s
+        };
+        TwoRing { arena: FrameArena::new(), nodes: [node(0), node(1)], arrive }
+    }
+
+    fn step(&mut self, now: SimTime, step: &Step) -> (Option<MacTx>, Option<StackOutcome>) {
+        match step {
+            Step::Arrive(at, pkt) => {
+                let f = self.arena.insert(pkt);
+                (None, Some((self.arrive)(&mut self.nodes[*at], now, &mut self.arena, f)))
+            }
+            Step::Enqueue(at, pkt) => {
+                self.nodes[*at].enqueue_packet(&mut self.arena, 0, pkt);
+                (None, None)
+            }
+            Step::Tx(at) => {
+                let Some(tx) = self.nodes[*at].next_tx(now, &self.arena) else {
+                    return (None, None);
+                };
+                let next = &mut self.nodes[1 - at];
+                let outcome = (self.arrive)(next, now, &mut self.arena, tx.frame.frame);
+                (Some(tx), Some(outcome))
+            }
+        }
+    }
+
+    /// Everything the arrival path may change, in comparable form.
+    fn state(&self) -> String {
+        let nodes: Vec<_> = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let q = &n.delivery;
+                format!(
+                    "{:?} {} {:?} {:?}",
+                    n.mac.stats(),
+                    q.delivered,
+                    q.delivered_from,
+                    q.pending
+                )
+            })
+            .collect();
+        format!("{nodes:?} live {} {:?}", self.arena.live(), self.arena.stats())
+    }
+}
+
+/// Any packet type between nodes 0 and 1 and a third party 2:
+/// unicast, broadcast, and frames that are a node's own.
+fn arb_packet() -> impl Strategy<Value = MicroPacket> {
+    (
+        0usize..PacketType::ALL.len(),
+        0u8..3,
+        prop_oneof![Just(BROADCAST), 0u8..3],
+        1u16..=MAX_DMA_PAYLOAD as u16,
+        any::<u8>(),
+    )
+        .prop_map(|(t, src, dst, len, fill)| {
+            let t = PacketType::ALL[t];
+            let ctrl = ControlWord::new(t, src, dst, fill);
+            let body = match t.length_class() {
+                LengthClass::Fixed => Body::Fixed([fill; 8]),
+                LengthClass::Variable => Body::Variable {
+                    ctrl: DmaCtrl { channel: fill % 16, region: fill, offset: 0, len },
+                    data: [fill; MAX_DMA_PAYLOAD],
+                },
+            };
+            MicroPacket::new(ctrl, body).unwrap()
+        })
+}
+
+/// Half the steps free an output port, so queued frames move.
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..2, arb_packet()).prop_map(|(at, p)| Step::Arrive(at, p)),
+        (0usize..2, arb_packet()).prop_map(|(at, p)| Step::Enqueue(at, p)),
+        (0usize..2).prop_map(Step::Tx),
+        (0usize..2).prop_map(Step::Tx),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The shared arrival path (`classify_arrival` + retain + release)
+    /// does exactly what the path with its own `match` did: same
+    /// outcome, MAC counters, host queues and arena after every step.
+    #[test]
+    fn shared_arrival_path_matches_the_reference(
+        retain_packets in any::<bool>(),
+        steps in proptest::collection::vec(arb_step(), 1..80),
+    ) {
+        let mut shipped = TwoRing::new(retain_packets, NodeStack::on_wire_arrival);
+        let mut reference = TwoRing::new(retain_packets, reference_on_wire_arrival);
+        for (i, step) in steps.iter().enumerate() {
+            let now = SimTime(i as u64 * 100);
+            prop_assert_eq!(shipped.step(now, step), reference.step(now, step), "step {}: {:?}", i, step);
+            prop_assert_eq!(shipped.state(), reference.state(), "after step {}: {:?}", i, step);
+        }
     }
 }

@@ -8,14 +8,17 @@
 //! * a queued frame costs its 24-byte head, and only a DMA frame also a
 //!   64-byte body (`FrameArena::resident_bytes`; when every frame took
 //!   a slot sized for the largest DMA cell, the count was 84 bytes per
-//!   frame).
+//!   frame);
+//! * the descriptor a transit buffer or stream queue holds for each
+//!   queued frame is 16 bytes (`WireFrame`; with `u16` size fields it
+//!   was 20).
 
 use ampnet::core::{
     Cluster, ClusterConfig, Component, Features, JoinRequest, NodeId, SimDuration, Version,
 };
 use ampnet::packet::{FrameArena, MAX_DMA_PAYLOAD};
 use ampnet::phy::LinkParams;
-use ampnet::ring::{Segment, SegmentParams};
+use ampnet::ring::{Segment, SegmentParams, WireFrame};
 
 const NODES: usize = 32;
 /// `ClusterConfig::small`'s one 64 KiB region.
@@ -121,6 +124,8 @@ fn a_saturated_ring_of_fixed_cells_holds_heads_and_no_bodies() {
         arena.capacity()
     );
     assert_eq!(arena.resident_bytes(), HEAD_BYTES * arena.capacity());
+    // Each of those frames is queued as one descriptor.
+    assert_eq!(std::mem::size_of::<WireFrame>(), 16);
 }
 
 /// Bodies follow DMA frames: the burst's 64 and 256 B datagrams travel
