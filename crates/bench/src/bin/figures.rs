@@ -7,14 +7,12 @@
 //! cargo run -p ampnet-bench --release --bin figures -- --json out.json
 //! cargo run -p ampnet-bench --release --bin figures -- --check CHECK_models.json
 //! cargo run -p ampnet-bench --release --bin figures -- --metrics METRICS_snapshot.json
-//! cargo run -p ampnet-bench --release --bin figures -- --lint LINT_report.json
 //! cargo run -p ampnet-bench --release --bin figures -- --metrics-doc > docs/METRICS.md
 //! cargo run -p ampnet-bench --release --bin figures -- --workloads-doc > docs/WORKLOADS.md
-//! cargo run -p ampnet-bench --release --bin figures -- --lints-doc > docs/LINTS.md
 //! ```
 //!
 //! This binary reports what the simulated network *does* (experiment
-//! tables, model-check verdicts, telemetry and lint snapshots). How
+//! tables, model-check verdicts and telemetry snapshots). How
 //! fast the simulator runs, layer by layer, is measured by the repo
 //! benchmark in `benchmark/` (see `BENCHMARK.json`), and nowhere else.
 //!
@@ -26,9 +24,8 @@
 //!
 //! `--metrics` runs the deterministic full-stack telemetry exercise
 //! (`ampnet_bench::metrics`) and writes the registry snapshot; same
-//! seed ⇒ byte-identical JSON. `--lint` runs the workspace lint under
-//! the repo policy and writes the byte-stable report. The three
-//! `--*-doc` modes print the generated `docs/` references.
+//! seed ⇒ byte-identical JSON. The two `--*-doc` modes print the
+//! generated `docs/` references.
 
 use ampnet_bench::experiments as ex;
 use ampnet_bench::host_seqlock::e5_host_seqlock;
@@ -131,33 +128,6 @@ fn all_tables(quick: bool) -> Vec<Table> {
     ]
 }
 
-/// `--lint`: run the workspace static-analysis engine under the repo
-/// policy, write the byte-stable `LINT_report.json`, and exit nonzero
-/// printing every finding when the gate fails. Same engine and policy
-/// as the tier-1 test `tests/determinism_lint.rs` and the CI `lint`
-/// job; the committed report is pinned by `tests/lints_reference.rs`.
-fn run_lint(path: &str) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = ampnet_lint::run_workspace(&root, &ampnet_lint::REPO_POLICY)
-        .unwrap_or_else(|e| {
-            eprintln!("lint walk failed: {e}");
-            std::process::exit(2);
-        });
-    std::fs::write(path, report.to_json()).expect("write lint report");
-    println!(
-        "lint: {} files scanned, {} finding(s), {} justified allow(s) — wrote {path}",
-        report.files_scanned,
-        report.findings.len(),
-        report.allows.len(),
-    );
-    if !report.findings.is_empty() {
-        for f in &report.findings {
-            eprintln!("{f}");
-        }
-        std::process::exit(1);
-    }
-}
-
 /// One mode that replaces the experiment tables, as `(flag, default
 /// path, run)`: `flag [PATH]` calls `run(PATH)`, or `run(default
 /// path)` when no path follows the flag.
@@ -167,10 +137,8 @@ type Mode = (&'static str, &'static str, fn(&str));
 const MODES: &[Mode] = &[
     ("--check", "CHECK_models.json", check_models),
     ("--metrics", "METRICS_snapshot.json", metrics_snapshot),
-    ("--lint", "LINT_report.json", run_lint),
     ("--metrics-doc", "", |_| print!("{}", ampnet_telemetry::defs::reference_doc())),
     ("--workloads-doc", "", |_| print!("{}", ampnet_load::reference_doc())),
-    ("--lints-doc", "", |_| print!("{}", ampnet_lint::reference_doc())),
 ];
 
 fn main() {

@@ -14,7 +14,7 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-#[allow(unsafe_code)] // sanctioned exception: GlobalAlloc requires unsafe
+#[expect(unsafe_code, reason = "sanctioned exception: GlobalAlloc requires unsafe")]
 // SAFETY: delegates verbatim to the system allocator; the counter is a
 // relaxed atomic with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {

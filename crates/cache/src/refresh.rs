@@ -22,12 +22,16 @@ pub struct RefreshSource {
 
 impl RefreshSource {
     /// Start a refresh of every region of `cache` toward `dst`.
+    #[expect(
+        clippy::expect_used,
+        reason = "id comes from the donor's region listing in this same chain"
+    )]
     pub fn new(cache: &NetworkCache, dst: u8) -> Self {
         RefreshSource {
             regions: cache
                 .region_ids()
                 .into_iter()
-                .map(|id| (id, cache.region_size(id).expect("listed region exists"))) // lint: allow(panic-freedom): id comes from the donor's region listing in this same chain
+                .map(|id| (id, cache.region_size(id).expect("listed region exists")))
                 .collect(),
             cursor: 0,
             offset: 0,
@@ -145,7 +149,11 @@ pub fn refresh_packet_count(cache: &NetworkCache) -> u64 {
         .region_ids()
         .iter()
         .map(|&id| {
-            let size = cache.region_size(id).expect("region exists") as u64; // lint: allow(panic-freedom): id was enumerated from regions() directly above
+            #[expect(
+                clippy::expect_used,
+                reason = "id was enumerated from regions() directly above"
+            )]
+            let size = cache.region_size(id).expect("region exists") as u64;
             size.div_ceil(MAX_DMA_PAYLOAD as u64)
         })
         .sum()

@@ -343,7 +343,11 @@ impl NetworkCache {
             return Ok(false);
         }
         if let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body {
-            let payload = pkt.dma_payload().expect("variable body"); // lint: allow(panic-freedom): dma packets built by this store always carry a variable body
+            #[expect(
+                clippy::expect_used,
+                reason = "dma packets built by this store always carry a variable body"
+            )]
+            let payload = pkt.dma_payload().expect("variable body");
             self.apply_dma(ctrl, payload)?;
             self.telemetry.tel.inc(self.telemetry.updates);
             return Ok(true);
@@ -388,7 +392,11 @@ impl NetworkCache {
                 offset: off,
                 len: 0, // set by build::dma
             };
-            out.push(build::dma(src, dst, stream, ctrl, chunk).expect("chunk within 1..=64")); // lint: allow(panic-freedom): chunk length is bounded 1..=64 by the split loop above
+            #[expect(
+                clippy::expect_used,
+                reason = "chunk length is bounded 1..=64 by the split loop above"
+            )]
+            out.push(build::dma(src, dst, stream, ctrl, chunk).expect("chunk within 1..=64"));
             off += chunk.len() as u32;
         }
         out

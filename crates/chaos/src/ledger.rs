@@ -25,11 +25,12 @@ pub(crate) fn encode_payload(id: u64, src: u8, dst: u8) -> Vec<u8> {
 
 /// Decode a tagged chaos payload, if it is one.
 pub(crate) fn decode_payload(p: &[u8]) -> Option<(u64, u8, u8)> {
-    if p.len() != 14 || p[..4] != MAGIC {
+    let rec: &[u8; 14] = p.try_into().ok()?;
+    let [m0, m1, m2, m3, id @ .., src, dst] = *rec;
+    if [m0, m1, m2, m3] != MAGIC {
         return None;
     }
-    let id = u64::from_le_bytes(p[4..12].try_into().expect("8 bytes")); // lint: allow(panic-freedom): ledger records are fixed-layout; bytes 4..12 always present
-    Some((id, p[12], p[13]))
+    Some((u64::from_le_bytes(id), src, dst))
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -144,7 +144,11 @@ impl Traffic {
     /// Semaphore contention among `contenders` (semaphore homed on the
     /// first contender, region 0).
     pub fn semaphores(contenders: Vec<u8>, rounds: u32) -> Traffic {
-        let home = *contenders.first().expect("contenders required"); // lint: allow(panic-freedom): the builder rejects empty contender sets at construction
+        #[expect(
+            clippy::expect_used,
+            reason = "the builder rejects empty contender sets at construction"
+        )]
+        let home = *contenders.first().expect("contenders required");
         Traffic::SemContention {
             addr: SemaphoreAddr { home, region: 0, offset: 2048 },
             contenders,

@@ -7,7 +7,7 @@
 //! flight-recorder dump, one line per action.
 
 use crate::model::{Model, Property, PropertyKind};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -135,7 +135,7 @@ pub fn check<M: Model>(model: &M, opts: CheckOptions) -> CheckReport {
     let mut eventually_met = vec![false; eventually.len()];
 
     let mut nodes: Vec<Node<M>> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut report = CheckReport {
         visited: 0,
@@ -150,7 +150,7 @@ pub fn check<M: Model>(model: &M, opts: CheckOptions) -> CheckReport {
                      parent: Option<(usize, M::Action)>,
                      nodes: &mut Vec<Node<M>>,
                      queue: &mut VecDeque<usize>,
-                     seen: &mut std::collections::HashSet<u64>|
+                     seen: &mut BTreeSet<u64>|
      -> Option<usize> {
         let fp = model.fingerprint(&state);
         if !seen.insert(fp) {

@@ -3,7 +3,7 @@
 //! Seeded simulation and the chaos sweeps *sample* the schedule space;
 //! this crate *enumerates* it. Every protocol state machine in the
 //! workspace is sans-IO (no wall clock, no ambient randomness — the
-//! determinism lint in `tests/determinism_lint.rs` enforces that), so
+//! root `clippy.toml` bans enforce that), so
 //! each can be driven as an explicit transition system: initial
 //! states, enabled actions, a deterministic successor function. The
 //! checker walks the bounded state graph breadth-first, dedups on

@@ -98,9 +98,14 @@ impl Cluster {
     pub fn start_counter_app(&mut self, cfg: CounterAppConfig) {
         let mut group = ControlGroup::new(GroupId(1));
         for &(node, q) in &cfg.members {
-            group.join(node, q).expect("distinct members"); // lint: allow(panic-freedom): each node joins exactly once in this boot loop
+            #[expect(clippy::expect_used, reason = "each node joins exactly once in this boot loop")]
+            group.join(node, q).expect("distinct members");
         }
-        let leader = group.leader().expect("non-empty group").node; // lint: allow(panic-freedom): the group was populated by the joins directly above
+        #[expect(
+            clippy::expect_used,
+            reason = "the group was populated by the joins directly above"
+        )]
+        let leader = group.leader().expect("non-empty group").node;
         let now = self.now();
         let engines = cfg
             .members
@@ -594,8 +599,12 @@ pub(crate) fn on_seq_reader_tick(cluster: &mut Cluster, node: u8) {
                 }
             }
         } else {
+            #[expect(
+                clippy::expect_used,
+                reason = "layout was validated when the counter app was configured"
+            )]
             let data = seqlock_msg::read_unguarded(cluster.cache(node), app.cfg.layout)
-                .expect("valid layout"); // lint: allow(panic-freedom): layout was validated when the counter app was configured
+                .expect("valid layout");
             app.report.reads_ok += 1;
             if !uniform(&data) {
                 app.report.torn += 1;

@@ -219,7 +219,11 @@ impl Cluster {
             .map(|i| {
                 let mut cache = NetworkCache::new(i as u8);
                 for &(region, size) in &cfg.cache_regions {
-                    cache.define_region(region, size).expect("unique regions"); // lint: allow(panic-freedom): region ids come from a deduplicated config map
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "region ids come from a deduplicated config map"
+                    )]
+                    cache.define_region(region, size).expect("unique regions");
                 }
                 NodeCtx {
                     stack: NodeStack::new(
@@ -243,7 +247,8 @@ impl Cluster {
             })
             .collect();
         let mut sim = Sim::new(cfg.seed);
-        let boot = initial_rostering(&topo, &cfg.timing.roster).expect("nodes exist"); // lint: allow(panic-freedom): ClusterConfig guarantees at least one node
+        #[expect(clippy::expect_used, reason = "ClusterConfig guarantees at least one node")]
+        let boot = initial_rostering(&topo, &cfg.timing.roster).expect("nodes exist");
         sim.schedule_at(boot.completed_at, Ev::RingRestored { epoch: 1 });
         let n = cfg.n_nodes;
         Cluster {
@@ -581,13 +586,21 @@ impl Cluster {
         target: u8,
         arg: u32,
     ) -> bool {
-        let table = self.task_table.expect("enable_threads first"); // lint: allow(panic-freedom): public task entry points are documented as gated on enable_threads
+        #[expect(
+            clippy::expect_used,
+            reason = "public task entry points are documented as gated on enable_threads"
+        )]
+        let table = self.task_table.expect("enable_threads first");
         let (pkts, doorbell) =
             match table.submit(&mut self.nodes[submitter as usize].cache, slot, kind, target, arg)
             {
                 Ok(out) => out,
                 Err(TaskError::SlotBusy) => return false,
-                Err(TaskError::Cache(e)) => panic!("task table region configured: {e}"), // lint: allow(panic-freedom): a misconfigured task-table region is a harness bug, not a protocol state; fail loud
+                #[expect(
+                    clippy::panic,
+                    reason = "a misconfigured task-table region is a harness bug, not a protocol state; fail loud"
+                )]
+                Err(TaskError::Cache(e)) => panic!("task table region configured: {e}"),
             };
         self.send_own(submitter, pkts.into_iter().chain([doorbell]));
         true
@@ -644,10 +657,14 @@ impl Cluster {
     /// Write to the network cache at `node`; the update replicates to
     /// every online node via broadcast DMA MicroPackets.
     pub fn cache_write(&mut self, node: u8, region: u8, offset: u32, data: &[u8]) {
+        #[expect(
+            clippy::expect_used,
+            reason = "the write targets a region defined during setup, offset bounded by layout"
+        )]
         let pkts = self.nodes[node as usize]
             .cache
             .write(region, offset, data, 1, 1)
-            .expect("valid cache write"); // lint: allow(panic-freedom): the write targets a region defined during setup, offset bounded by layout
+            .expect("valid cache write");
         self.send_own(node, pkts);
     }
 
@@ -670,15 +687,23 @@ impl Cluster {
 
     /// Write a seqlock record at `node` (slide 9 protocol).
     pub fn record_write(&mut self, node: u8, layout: RecordLayout, data: &[u8]) {
+        #[expect(
+            clippy::expect_used,
+            reason = "record regions are defined at setup with fixed record sizes"
+        )]
         let pkts =
             seqlock_msg::write_record(&mut self.nodes[node as usize].cache, layout, data, 1, 1)
-                .expect("valid record write"); // lint: allow(panic-freedom): record regions are defined at setup with fixed record sizes
+                .expect("valid record write");
         self.send_own(node, pkts);
     }
 
     /// One local seqlock read attempt at `node`.
+    #[expect(
+        clippy::expect_used,
+        reason = "layout was validated when the record region was defined"
+    )]
     pub fn record_try_read(&self, node: u8, layout: RecordLayout) -> ReadOutcome {
-        seqlock_msg::try_read(&self.nodes[node as usize].cache, layout).expect("valid layout") // lint: allow(panic-freedom): layout was validated when the record region was defined
+        seqlock_msg::try_read(&self.nodes[node as usize].cache, layout).expect("valid layout")
     }
 
     // ----- fault injection scheduling -----

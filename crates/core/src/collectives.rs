@@ -23,6 +23,18 @@ impl Cluster {
         }
     }
 
+    /// Rank `node`'s engine, for the collective entry points below.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented gate: collective calls require enable_collectives first"
+    )]
+    fn rank_mut(&mut self, node: u8) -> &mut Rank {
+        self.nodes[node as usize]
+            .rank
+            .as_mut()
+            .expect("enable_collectives first")
+    }
+
     fn coll_send(&mut self, node: u8, out: Outgoing) {
         match out {
             Outgoing::Broadcast(msg) => {
@@ -39,11 +51,7 @@ impl Cluster {
 
     /// Rank `node` enters barrier `tag`.
     pub fn coll_barrier(&mut self, node: u8, tag: u32) {
-        let out = self.nodes[node as usize]
-            .rank
-            .as_mut()
-            .expect("enable_collectives first") // lint: allow(panic-freedom): documented gate: collective calls require enable_collectives first
-            .barrier(tag);
+        let out = self.rank_mut(node).barrier(tag);
         self.coll_send(node, out);
     }
 
@@ -58,11 +66,7 @@ impl Cluster {
 
     /// Rank `node` contributes `value` to all-reduce `tag`.
     pub fn coll_allreduce(&mut self, node: u8, tag: u32, value: u64) {
-        let out = self.nodes[node as usize]
-            .rank
-            .as_mut()
-            .expect("enable_collectives first") // lint: allow(panic-freedom): documented gate: collective calls require enable_collectives first
-            .allreduce(tag, value);
+        let out = self.rank_mut(node).allreduce(tag, value);
         self.coll_send(node, out);
     }
 
@@ -76,11 +80,7 @@ impl Cluster {
 
     /// Rank `node` (the root) broadcasts `value` under `tag`.
     pub fn coll_bcast(&mut self, node: u8, tag: u32, value: u64) {
-        let out = self.nodes[node as usize]
-            .rank
-            .as_mut()
-            .expect("enable_collectives first") // lint: allow(panic-freedom): documented gate: collective calls require enable_collectives first
-            .bcast(tag, value);
+        let out = self.rank_mut(node).bcast(tag, value);
         self.coll_send(node, out);
     }
 
@@ -94,11 +94,7 @@ impl Cluster {
 
     /// Rank `node` contributes `value` to a gather rooted at `root`.
     pub fn coll_gather(&mut self, node: u8, tag: u32, root: u8, value: u64) {
-        let out = self.nodes[node as usize]
-            .rank
-            .as_mut()
-            .expect("enable_collectives first") // lint: allow(panic-freedom): documented gate: collective calls require enable_collectives first
-            .gather(tag, root, value);
+        let out = self.rank_mut(node).gather(tag, root, value);
         self.coll_send(node, out);
     }
 

@@ -83,6 +83,7 @@
 //! the planner never delivers a crossing past its maturity and never
 //! starves a shard; `tests/parallel_equivalence.rs` pins cross-mode
 //! digest equality under both policies.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;

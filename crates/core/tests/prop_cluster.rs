@@ -44,7 +44,7 @@ proptest! {
         // Inject the schedule, skipping faults that would kill nodes
         // 0..2 (keep a quorum for simple assertions).
         let base = c.now();
-        let mut killed_nodes = std::collections::HashSet::new();
+        let mut killed_nodes = std::collections::BTreeSet::new();
         for (us, f) in &schedule {
             let at = base + SimDuration::from_micros(*us);
             match f {

@@ -219,8 +219,12 @@ impl FrameArena {
     }
 
     /// Store `pkt` into a pooled frame; panics on exhaustion.
+    #[expect(
+        clippy::expect_used,
+        reason = "arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud"
+    )]
     pub fn insert(&mut self, pkt: &MicroPacket) -> FrameRef {
-        self.try_insert(pkt).expect("frame arena exhausted") // lint: allow(panic-freedom): arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud
+        self.try_insert(pkt).expect("frame arena exhausted")
     }
 
     fn head(&self, f: FrameRef) -> &Head {

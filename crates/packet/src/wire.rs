@@ -154,7 +154,11 @@ impl MicroPacket {
     pub fn fixed_payload(&self) -> &[u8; FIXED_PAYLOAD] {
         match &self.body {
             Body::Fixed(p) => p,
-            Body::Variable { .. } => panic!("fixed_payload on a variable packet"), // lint: allow(panic-freedom): documented contract: callers match Fixed before calling fixed_payload
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: callers match Fixed before calling fixed_payload"
+            )]
+            Body::Variable { .. } => panic!("fixed_payload on a variable packet"),
         }
     }
 
@@ -224,7 +228,7 @@ impl MicroPacket {
             Body::Variable { ctrl, data } => {
                 [out[1], out[2]] = be_words(ctrl.to_bytes());
                 for (w, chunk) in out[3..n].iter_mut().zip(data.chunks_exact(WORD)) {
-                    *w = u32::from_be_bytes(chunk.try_into().expect("4 bytes")); // lint: allow(panic-freedom): chunks_exact(WORD) yields exact 4-byte windows
+                    *w = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
                 }
             }
         }
@@ -364,15 +368,23 @@ impl<'a> FrameView<'a> {
                 let mut p = [0u8; FIXED_PAYLOAD];
                 p[..4].copy_from_slice(&self.payload[0].to_be_bytes());
                 p[4..].copy_from_slice(&self.payload[1].to_be_bytes());
-                MicroPacket::new(self.ctrl, Body::Fixed(p)).expect("parsed frame") // lint: allow(panic-freedom): parse validated the type class, so rebuilding the fixed packet is total
+                #[expect(
+                    clippy::expect_used,
+                    reason = "parse validated the type class, so rebuilding the fixed packet is total"
+                )]
+                MicroPacket::new(self.ctrl, Body::Fixed(p)).expect("parsed frame")
             }
             Some(dma) => {
                 let mut data = [0u8; MAX_DMA_PAYLOAD];
                 for (w, chunk) in self.payload.iter().zip(data.chunks_exact_mut(WORD)) {
                     chunk.copy_from_slice(&w.to_be_bytes());
                 }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "parse validated the class and the DMA length, so rebuilding the packet is total"
+                )]
                 MicroPacket::new(self.ctrl, Body::Variable { ctrl: dma, data })
-                    .expect("parsed frame") // lint: allow(panic-freedom): parse validated the class and the DMA length, so rebuilding the packet is total
+                    .expect("parsed frame")
             }
         }
     }

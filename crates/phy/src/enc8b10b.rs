@@ -314,7 +314,8 @@ fn decode_table() -> &'static [Option<DecodeEntry>; 1024] {
             }
             for &k in &VALID_K {
                 let mut enc = Encoder { rd };
-                let g = enc.encode(Symbol::Ctrl(k)).unwrap(); // lint: allow(panic-freedom): encode is total over the valid control symbols
+                #[expect(clippy::unwrap_used, reason = "encode is total over the valid control symbols")]
+                let g = enc.encode(Symbol::Ctrl(k)).unwrap();
                 insert(g, Symbol::Ctrl(k), rd_bit);
             }
         }
@@ -398,7 +399,7 @@ pub fn cumulative_disparity(groups: &[u16]) -> i32 {
 }
 
 #[cfg(test)]
-#[allow(clippy::unusual_byte_groupings)] // groups mirror the 6b/4b sub-blocks
+#[expect(clippy::unusual_byte_groupings, reason = "groups mirror the 6b/4b sub-blocks")]
 mod tests {
     use super::*;
 

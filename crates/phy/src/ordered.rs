@@ -54,10 +54,11 @@ impl OrderedSet {
     }
 
     /// Encode this ordered set as four 10-bit code groups.
+    #[expect(clippy::expect_used, reason = "K28.5 is a valid control symbol by definition")]
     pub fn encode(self, enc: &mut Encoder) -> [u16; 4] {
         let id = self.identifier();
         [
-            enc.encode(Symbol::Ctrl(K28_5)).expect("K28.5 is valid"), // lint: allow(panic-freedom): K28.5 is a valid control symbol by definition
+            enc.encode(Symbol::Ctrl(K28_5)).expect("K28.5 is valid"),
             enc.encode_data(id[0]),
             enc.encode_data(id[1]),
             enc.encode_data(id[2]),

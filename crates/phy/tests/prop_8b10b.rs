@@ -1,9 +1,64 @@
 //! Property tests for the 8b/10b codec and framing.
 
 use ampnet_phy::{
-    crc32, cumulative_disparity, max_run_length, Decoder, Disparity, Encoder, OrderedSet, Symbol,
+    crc32, cumulative_disparity, max_run_length, CodeError, Decoder, Disparity, Encoder,
+    OrderedSet, Symbol, VALID_K,
 };
 use proptest::prelude::*;
+
+/// An encoder at running disparity `rd`: RD− is the initial state, and
+/// the first data byte whose code group is unbalanced moves it to RD+.
+fn encoder_at(rd: Disparity) -> Encoder {
+    (0..=255u8)
+        .map(|b| {
+            let mut enc = Encoder::new();
+            if rd == Disparity::Positive {
+                enc.encode_data(b);
+            }
+            enc
+        })
+        .find(|enc| enc.disparity() == rd)
+        .unwrap()
+}
+
+/// The 10-bit groups an encoder at `rd` emits, over every data octet
+/// and every valid control character.
+fn emitted_at(rd: Disparity) -> [bool; 1024] {
+    let start = encoder_at(rd);
+    let mut out = [false; 1024];
+    for sym in (0..=255u8)
+        .map(Symbol::Data)
+        .chain(VALID_K.map(Symbol::Ctrl))
+    {
+        out[start.clone().encode(sym).unwrap() as usize] = true;
+    }
+    out
+}
+
+/// A code group as a hostile line delivers it: half the draws in the
+/// 10-bit range, where the decode table is consulted, half any `u16`.
+fn arb_group() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..1024, any::<u16>()]
+}
+
+/// A decoder that an encoded data prefix, plus one unbalanced byte if
+/// needed, has brought to `rd`.
+fn decoder_at(prefix: &[u8], rd: Disparity) -> Decoder {
+    let mut enc = Encoder::new();
+    let mut dec = Decoder::new();
+    for &b in prefix {
+        dec.decode(enc.encode_data(b)).unwrap();
+    }
+    if dec.disparity() != rd {
+        let g = (0..=255u8)
+            .map(|b| enc.clone().encode_data(b))
+            .find(|&g| g.count_ones() != 5)
+            .unwrap();
+        dec.decode(g).unwrap();
+    }
+    assert_eq!(dec.disparity(), rd);
+    dec
+}
 
 proptest! {
     /// Any byte stream roundtrips through encode/decode.
@@ -97,5 +152,62 @@ proptest! {
         }
         let groups = os.encode(&mut enc);
         prop_assert_eq!(OrderedSet::decode(groups, &mut dec), Some(os));
+    }
+
+    /// Decode is total over hostile groups from either starting
+    /// disparity: every `u16` yields a symbol or a typed error, never a
+    /// panic. `InvalidGroup` comes back exactly for groups outside the
+    /// code table, `DisparityError` for table groups the current
+    /// disparity cannot emit, and a symbol re-encodes to its group.
+    #[test]
+    fn decode_is_total_over_arbitrary_groups(
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+        start_pos in any::<bool>(),
+        groups in proptest::collection::vec(arb_group(), 1..64),
+    ) {
+        let rd = if start_pos { Disparity::Positive } else { Disparity::Negative };
+        let mut dec = decoder_at(&prefix, rd);
+        let neg = emitted_at(Disparity::Negative);
+        let pos = emitted_at(Disparity::Positive);
+        for g in groups {
+            let before = dec.disparity();
+            let in_table = g < 1024 && (neg[g as usize] || pos[g as usize]);
+            let legal = g < 1024
+                && match before {
+                    Disparity::Negative => neg[g as usize],
+                    Disparity::Positive => pos[g as usize],
+                };
+            match dec.decode(g) {
+                Ok(sym) => {
+                    prop_assert!(legal, "{:#x} decoded at {:?}", g, before);
+                    prop_assert_eq!(encoder_at(before).encode(sym), Ok(g));
+                }
+                Err(CodeError::InvalidGroup(x)) => {
+                    prop_assert_eq!(x, g);
+                    prop_assert!(!in_table, "table group {:#x} called invalid", g);
+                }
+                Err(CodeError::DisparityError(x)) => {
+                    prop_assert_eq!(x, g);
+                    prop_assert!(in_table && !legal, "{:#x} at {:?}", g, before);
+                }
+                Err(e) => prop_assert!(false, "decode returned {:?}", e),
+            }
+        }
+    }
+
+    /// Ordered-set decode of four hostile groups returns `None` rather
+    /// than panicking; anything it accepts is what the encoder emits
+    /// from the same disparity.
+    #[test]
+    fn ordered_set_decode_rejects_garbage(
+        prefix in proptest::collection::vec(any::<u8>(), 0..16),
+        start_pos in any::<bool>(),
+        g in (arb_group(), arb_group(), arb_group(), arb_group()),
+    ) {
+        let rd = if start_pos { Disparity::Positive } else { Disparity::Negative };
+        let groups = [g.0, g.1, g.2, g.3];
+        if let Some(os) = OrderedSet::decode(groups, &mut decoder_at(&prefix, rd)) {
+            prop_assert_eq!(os.encode(&mut encoder_at(rd)), groups);
+        }
     }
 }

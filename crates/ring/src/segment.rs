@@ -364,6 +364,7 @@ impl Segment {
         let tagbytes = self.seq.to_be_bytes();
         match w.kind {
             PacketKind::Message => build::data(src, dst, w.stream, tagbytes),
+            #[expect(clippy::expect_used, reason = "dma length is bounded by the chunking above")]
             PacketKind::File(len) => build::dma(
                 src,
                 dst,
@@ -376,7 +377,7 @@ impl Segment {
                 },
                 &[0xA5u8; 64][..len.clamp(1, 64) as usize],
             )
-            .expect("valid dma len"), // lint: allow(panic-freedom): dma length is bounded by the chunking above
+            .expect("valid dma len"),
         }
     }
 

@@ -151,7 +151,7 @@ impl HostQueues {
     /// Accounting over `n_sources` possible senders.
     pub fn new(n_sources: usize) -> Self {
         HostQueues {
-            delivered_from: vec![0; n_sources], // lint: allow(hot-path-alloc): constructor: per-source accounting allocated once at boot
+            delivered_from: vec![0; n_sources],
             ..Default::default()
         }
     }
@@ -234,7 +234,7 @@ impl StackTelemetry {
     /// Register this node's plane instruments in `tel`.
     pub fn new(tel: &Telemetry, node: u8) -> Self {
         StackTelemetry {
-            tel: tel.clone(), // lint: allow(hot-path-alloc): constructor: cloning the Telemetry handle is registration-time
+            tel: tel.clone(),
             node,
             phy_tx: tel.counter(&defs::PHY_TX_FRAMES, node),
             bursts: tel.counter(&defs::PHY_BURSTS_INJECTED, node),

@@ -58,7 +58,7 @@ pub type StreamId = u8;
 impl<T: WireSized> StreamSet<T> {
     /// A scheduler with `n` streams of equal weight.
     pub fn new(n: usize) -> Self {
-        Self::with_weights(&vec![1; n]) // lint: allow(hot-path-alloc): constructor: the equal-weights buffer is built once
+        Self::with_weights(&vec![1; n])
     }
 
     /// A scheduler with the given per-stream weights (must be ≥ 1).
@@ -112,6 +112,10 @@ impl<T: WireSized> StreamSet<T> {
     }
 
     /// Pick the next packet to insert, honouring DRR fairness.
+    #[expect(
+        clippy::unreachable,
+        reason = "quantum >= max packet size guarantees a backlogged stream sends within two rounds"
+    )]
     pub fn dequeue(&mut self) -> Option<(StreamId, T)> {
         if self.queued_packets == 0 {
             return None;
@@ -126,7 +130,11 @@ impl<T: WireSized> StreamSet<T> {
                 let need = head.wire_bytes() as i64;
                 if s.deficit >= need {
                     s.deficit -= need;
-                    let pkt = s.queue.pop_front().expect("head exists"); // lint: allow(panic-freedom): the scheduler checked non-empty before popping this head
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the scheduler checked non-empty before popping this head"
+                    )]
+                    let pkt = s.queue.pop_front().expect("head exists");
                     s.sent_bytes += pkt.wire_bytes() as u64;
                     s.sent_packets += 1;
                     self.queued_packets -= 1;
@@ -143,7 +151,7 @@ impl<T: WireSized> StreamSet<T> {
                 self.cursor = (i + 1) % self.streams.len();
             }
         }
-        unreachable!("quantum >= max packet guarantees progress within two rounds"); // lint: allow(panic-freedom): quantum >= max packet size guarantees a backlogged stream sends within two rounds
+        unreachable!("quantum >= max packet guarantees progress within two rounds");
     }
 
     /// Bytes sent so far per stream (for fairness metrics).

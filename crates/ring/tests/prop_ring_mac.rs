@@ -104,7 +104,7 @@ proptest! {
         let r = seg.run_for(SimDuration::from_millis(10));
         prop_assert_eq!(r.delivered_packets, count * (n as u64 - 1));
         // Exactly-once: group by (receiver, payload id).
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for (rcv, pkt) in seg.deliveries() {
             let key = (*rcv, *pkt.fixed_payload());
             prop_assert!(seen.insert(key), "duplicate delivery {:?}", key);

@@ -10,7 +10,7 @@ use ampnet_phy::crc32;
 use ampnet_services::msg::{Datagram, MsgRx, MsgRxStats, MsgTx, MAX_DATAGRAM, MSG_REGION};
 use ampnet_services::subscribe::{PollOutcome, Publisher, Subscriber, TopicLayout};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The receiver as it was before non-first fragments that continue a
 /// partial skipped the delivered-id scan: every fragment scans its
@@ -313,7 +313,7 @@ proptest! {
         let mut replica = NetworkCache::new(1);
         replica.define_region(1, layout.footprint()).unwrap();
         let fs = FileStore::new(layout);
-        let mut model: HashMap<String, Vec<u8>> = HashMap::new();
+        let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
         for op in ops {
             let (name, action): (String, _) = match op {
                 FsOp::Write(n, d) | FsOp::Overwrite(n, d) => (format!("f{n}"), Some(d)),

@@ -5,6 +5,7 @@
 //! explicit-state dedup. Keeping them on the same function means a
 //! state hash printed by the model checker can be compared against a
 //! trace digest dump without a translation table.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 /// Incremental FNV-1a (64-bit) hasher.
 ///

@@ -22,11 +22,21 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod digest;
 mod queue;
 mod rng;
-#[allow(clippy::module_inception)]
 mod sim;
 mod stats;
 mod time;

@@ -5,6 +5,7 @@
 //! log-linear [`Histogram`] is re-homed in `ampnet-telemetry` so the
 //! whole stack can record into one `Telemetry` registry; it is
 //! re-exported here so existing call sites keep working.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 pub use ampnet_telemetry::Histogram;
 
@@ -17,7 +18,7 @@ pub fn jain_fairness(xs: &[f64]) -> f64 {
     }
     let sum: f64 = xs.iter().sum();
     let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 { // lint: allow(nondeterminism): exact-zero guard against 0/0, not a tolerance compare
+    if sq == 0.0 {
         return 1.0;
     }
     (sum * sum) / (xs.len() as f64 * sq)

@@ -4,6 +4,7 @@
 //! decisions) into a bounded ring buffer. Tracing is off by default and
 //! costs one branch when disabled, so it can stay compiled into release
 //! simulations.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 use crate::digest::Fnv64;
 use crate::time::SimTime;

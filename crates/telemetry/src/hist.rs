@@ -10,6 +10,7 @@
 //! (`cells.rs`), bucketed by the same [`Histogram::index_of`]; a
 //! snapshot loads the cells back into a plain [`Histogram`], so both
 //! forms share one quantile and merge implementation.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 /// Log-linear histogram of `u64` samples (typically nanoseconds).
 ///
@@ -53,7 +54,7 @@ impl Histogram {
     /// Empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: vec![0; BUCKETS], // lint: allow(hot-path-alloc): constructor: a plain histogram allocates its bucket array once, here
+            buckets: vec![0; BUCKETS],
             count: 0,
             sum: 0,
             min: u64::MAX,

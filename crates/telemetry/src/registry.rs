@@ -131,7 +131,11 @@ impl MetricsRegistry {
             MetricKind::Histogram => HIST_CELLS,
             MetricKind::Counter | MetricKind::Gauge => 1,
         };
-        let cell = cells.reserve(self.next_cell, len).expect("registry overflow"); // lint: allow(panic-freedom): 2^32 cells is a configuration explosion; fail at registration, which is the cold path
+        #[expect(
+            clippy::expect_used,
+            reason = "2^32 cells is a configuration explosion; fail at registration, which is the cold path"
+        )]
+        let cell = cells.reserve(self.next_cell, len).expect("registry overflow");
         self.next_cell = cell + len as u32;
         self.instruments.push(Instrument { def, node, cell });
         self.by_key.insert((def.name, node), cell);

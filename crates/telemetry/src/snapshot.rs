@@ -3,6 +3,7 @@
 //! The JSON writer is hand-rolled and emits only integers in registration order, so a snapshot of a
 //! deterministic run is byte-identical across same-seed executions —
 //! pinned by a test and consumed by `figures --metrics`.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 use crate::metric::MetricDef;
 

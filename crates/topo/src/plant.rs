@@ -812,7 +812,10 @@ pub fn dfs_largest_ring(plant: &Plant) -> PlantRing {
     ring
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursive search threads its whole state through each call"
+)]
 fn dfs_cycles(
     adj: &[Vec<usize>],
     start: usize,
