@@ -34,7 +34,7 @@
 //!
 //! [`Scenario::sweep`] replays the same schedule under many seeds;
 //! a failing seed is shrunk to a minimal fault schedule and returned
-//! with the full [`ampnet_sim::Trace`] dump and the deterministic
+//! with the full [`ampnet_core::Trace`] dump and the deterministic
 //! trace digest for replay.
 
 #![warn(missing_docs)]

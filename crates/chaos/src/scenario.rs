@@ -248,7 +248,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Trace ring-buffer capacity for the run (default 512).
+    /// Lines the run's trace dump keeps (default 512).
     pub fn trace_capacity(mut self, n: usize) -> Self {
         self.scenario.trace_capacity = n;
         self

@@ -17,6 +17,7 @@
 //!   (torn reads appear).
 
 use crate::cluster::{Cluster, Ev};
+use crate::observe::ObservedEvent;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{
     BackoffPolicy, LockState, SemaphoreAction, SemaphoreAddr, SemaphoreClient,
@@ -230,16 +231,11 @@ pub(crate) fn on_failover_poll(cluster: &mut Cluster, node: u8) {
             }
         }
         if let Some(report) = became_leader {
-            cluster.log(
-                ampnet_sim::Level::Warn,
-                "failover",
-                format!(
-                    "node {} takes control of group {:?} (outage {})",
-                    node,
-                    app.group.id,
-                    report.total_outage()
-                ),
-            );
+            cluster.observe(ObservedEvent::FailoverTakeover {
+                node,
+                group: app.group.id,
+                outage: report.total_outage(),
+            });
             app.leader = node;
             app.leader_pending.clear();
             // Recovery rule: resume from the local replica.

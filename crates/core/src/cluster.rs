@@ -17,7 +17,7 @@
 //! `transport.rs`.
 
 use crate::config::ClusterConfig;
-use crate::observe::ObservedEvent;
+use crate::observe::{ObservedEvent, Trace};
 use crate::telemetry::CoreTelemetry;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{NetworkCache, SemaphoreClient};
@@ -30,7 +30,7 @@ use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
 use ampnet_services::socket::{AmpIp, Received, SockAddr, SocketError};
 use ampnet_services::files::{FileError, FileStore};
 use ampnet_services::threads::{TaskError, TaskKind, TaskTable};
-use ampnet_sim::{Level, Sim, SimDuration, SimTime, Trace};
+use ampnet_sim::{Sim, SimDuration, SimTime};
 use ampnet_telemetry::{MetricsSnapshot, Telemetry};
 use ampnet_topo::montecarlo::Component;
 use ampnet_topo::{NodeId, Plant, PlantRing};
@@ -164,7 +164,6 @@ pub struct Cluster {
     pub(crate) retry_pending: Vec<bool>,
     pub(crate) pending_roster: Option<(RosterReason, RosterOutcome)>,
     pub(crate) history: Vec<RosterEvent>,
-    pub(crate) rejections: Vec<(u8, AssimilationFailure)>,
     /// Position of each node in the current ring (usize::MAX = not a
     /// member).
     pub(crate) ring_pos: Vec<usize>,
@@ -175,17 +174,20 @@ pub struct Cluster {
     /// of recomputed per transmission attempt.
     pub(crate) ring_succ: Vec<Option<u8>>,
     pub(crate) apps: crate::apps::AppState,
-    pub(crate) diag: crate::diagnostics::DiagState,
-    pub(crate) trace: Trace,
+    /// Epoch of the certification sweep in flight, if any (see
+    /// `diagnostics.rs`).
+    pub(crate) certifying: Option<u64>,
+    /// Where the milestone trace starts in the journal, and how many
+    /// lines its dump keeps (None = tracing off).
+    pub(crate) trace_from: Option<(usize, usize)>,
     /// AmpThreads task table (enabled by `enable_threads`).
     pub(crate) task_table: Option<TaskTable>,
     /// Instant the ring last went down (replay-window anchor).
     pub(crate) ring_down_at: SimTime,
     /// Background sweep interval (None = disabled).
     pub(crate) sweep_interval: Option<SimDuration>,
-    /// Spare faults found by the background sweep: (found at, component).
-    pub(crate) spare_faults: Vec<(SimTime, Component)>,
-    /// Journal of externally visible transitions (see `observe.rs`).
+    /// Journal of externally visible transitions (see `observe.rs`):
+    /// the one milestone record besides `history`.
     pub(crate) observations: Vec<(SimTime, ObservedEvent)>,
     /// Cluster-wide telemetry handles (disabled by default).
     pub(crate) tel: CoreTelemetry,
@@ -266,16 +268,14 @@ impl Cluster {
             retry_pending: vec![false; n],
             pending_roster: Some((RosterReason::Boot, boot)),
             history: vec![],
-            rejections: vec![],
             ring_pos: vec![usize::MAX; n],
             ring_succ: vec![None; n],
             apps: Default::default(),
-            diag: Default::default(),
-            trace: Trace::disabled(),
+            certifying: None,
+            trace_from: None,
             task_table: None,
             ring_down_at: SimTime::ZERO,
             sweep_interval: None,
-            spare_faults: vec![],
             observations: vec![],
             tel: Default::default(),
             batch: vec![],
@@ -337,21 +337,17 @@ impl Cluster {
     }
 
     /// Enable milestone tracing (roster phases, failovers,
-    /// certifications), retaining the most recent `capacity` entries.
+    /// certifications) from now on; the dump keeps the most recent
+    /// `capacity` lines.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Trace::enabled(capacity, Level::Info);
+        self.trace_from = Some((self.observations.len(), capacity));
     }
 
-    /// The milestone trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    pub(crate) fn log(&mut self, level: Level, subsystem: &'static str, message: String) {
-        if self.trace.wants(level) {
-            let now = self.sim.now();
-            self.trace.log(now, level, subsystem, message);
-        }
+    /// The milestone trace: a rendering of the journal since
+    /// [`Cluster::enable_trace`] (empty if it never ran).
+    pub fn trace(&self) -> Trace<'_> {
+        let (from, capacity) = self.trace_from.unwrap_or((self.observations.len(), 0));
+        Trace::new(&self.observations[from..], capacity)
     }
 
     /// The observation journal: every externally visible transition
@@ -365,11 +361,11 @@ impl Cluster {
         let now = self.sim.now();
         match &ev {
             ObservedEvent::SpareFault(_) => self.tel.spare_fault(),
-            ObservedEvent::RosterStarted { epoch } => self.tel.roster_started(now, *epoch),
-            ObservedEvent::RingRestored { epoch, ring_len } => {
+            ObservedEvent::RosterStarted { epoch, .. } => self.tel.roster_started(now, *epoch),
+            ObservedEvent::RingRestored { epoch, ring_len, .. } => {
                 self.tel.ring_restored(now, *epoch, *ring_len)
             }
-            ObservedEvent::JoinRejected(node) => self.tel.join_rejected(now, *node),
+            ObservedEvent::JoinRejected(node, _) => self.tel.join_rejected(now, *node),
             ObservedEvent::NodeOnline(node) => self.tel.node_online(now, *node),
             ObservedEvent::ErrorBurstEscalated { .. } => self.tel.burst_escalated(),
             ObservedEvent::ErrorBurstAbsorbed { .. } => self.tel.burst_absorbed(),
@@ -449,9 +445,12 @@ impl Cluster {
         self.sim.processed()
     }
 
-    /// Join attempts rejected by DK policy.
-    pub fn rejections(&self) -> &[(u8, AssimilationFailure)] {
-        &self.rejections
+    /// Join attempts rejected by DK policy, oldest first.
+    pub fn rejections(&self) -> impl Iterator<Item = (u8, AssimilationFailure)> + '_ {
+        self.observations.iter().filter_map(|(_, ev)| match ev {
+            ObservedEvent::JoinRejected(node, f) => Some((*node, *f)),
+            _ => None,
+        })
     }
 
     /// The physical plant (for assertions).
@@ -561,9 +560,13 @@ impl Cluster {
         self.sweep_interval = Some(interval);
     }
 
-    /// Spare faults found by the background sweep, oldest first.
-    pub fn spare_faults(&self) -> &[(SimTime, Component)] {
-        &self.spare_faults
+    /// Spare faults found by the background sweep, oldest first, with
+    /// the instant each was found.
+    pub fn spare_faults(&self) -> impl Iterator<Item = (SimTime, Component)> + '_ {
+        self.observations.iter().filter_map(|(at, ev)| match ev {
+            ObservedEvent::SweepFoundSpare(c) => Some((*at, *c)),
+            _ => None,
+        })
     }
 
     /// Enable AmpThreads: the task table lives in `region` (must be a

@@ -8,9 +8,10 @@
 //! simulation compares the replicas' bytes directly, which is what
 //! equal CRCs stand for). The sweep runs *inside* the simulation
 //! (Diagnostic MicroPackets over the fresh ring) and its verdict is
-//! recorded on the corresponding [`RosterEvent`](crate::RosterEvent).
+//! journaled as an [`ObservedEvent::Certified`].
 
 use crate::cluster::Cluster;
+use crate::observe::ObservedEvent;
 use ampnet_packet::build::{self, DiagOp};
 use ampnet_packet::{MicroPacket, PacketType};
 use ampnet_sim::SimTime;
@@ -35,19 +36,13 @@ impl Certification {
     }
 }
 
-/// In-flight sweep state.
-#[derive(Debug, Default)]
-pub(crate) struct DiagState {
-    /// Epoch of the running sweep, if any.
-    pub(crate) running_epoch: Option<u64>,
-    /// Completed certifications.
-    pub(crate) certifications: Vec<Certification>,
-}
-
 impl Cluster {
     /// Completed certification sweeps, oldest first.
-    pub fn certifications(&self) -> &[Certification] {
-        &self.diag.certifications
+    pub fn certifications(&self) -> impl Iterator<Item = &Certification> {
+        self.observations.iter().filter_map(|(_, ev)| match ev {
+            ObservedEvent::Certified(cert) => Some(cert),
+            _ => None,
+        })
     }
 
     /// Launch the certification sweep for the epoch just installed.
@@ -57,7 +52,7 @@ impl Cluster {
             return;
         }
         let master = self.ring.order[0].0;
-        self.diag.running_epoch = Some(self.epoch);
+        self.certifying = Some(self.epoch);
         // Echo probe: a broadcast Diagnostic cell; when it returns to
         // the master (strip), the tour is proven. Payload tags the
         // epoch so stale probes are ignored.
@@ -74,7 +69,7 @@ impl Cluster {
         if pkt.ctrl.ptype != PacketType::Diagnostic {
             return;
         }
-        let Some(epoch) = self.diag.running_epoch else {
+        let Some(epoch) = self.certifying else {
             return;
         };
         if self.ring.is_empty() || self.ring.order[0].0 != node {
@@ -91,21 +86,13 @@ impl Cluster {
         // one fixed cell per region per node, negligible next to the
         // echo tour.)
         let crc_uniform = self.caches_converged();
-        self.diag.running_epoch = None;
-        self.log(
-            ampnet_sim::Level::Info,
-            "diag",
-            format!(
-                "epoch {epoch} certified: echo ok, replicas {}",
-                if crc_uniform { "uniform" } else { "DIVERGED" }
-            ),
-        );
-        self.diag.certifications.push(Certification {
+        self.certifying = None;
+        self.observe(ObservedEvent::Certified(Certification {
             epoch,
             echo_completed: true,
             crc_uniform,
             at: self.now(),
-        });
+        }));
     }
 }
 
@@ -113,7 +100,7 @@ impl Cluster {
 /// ring broke again mid-sweep), the sweep is abandoned when the next
 /// episode starts.
 pub(crate) fn abandon_if_running(cluster: &mut Cluster) {
-    cluster.diag.running_epoch = None;
+    cluster.certifying = None;
 }
 
 #[cfg(test)]
@@ -128,19 +115,19 @@ mod tests {
     fn a_diverged_replica_fails_certification() {
         let mut c = Cluster::new(ClusterConfig::small(6).with_seed(20));
         c.run_for(SimDuration::from_millis(4));
-        assert_eq!(c.certifications().len(), 1, "boot epoch certified");
-        assert!(c.certifications()[0].passed());
+        assert_eq!(c.certifications().count(), 1, "boot epoch certified");
+        assert!(c.certifications().all(Certification::passed));
         assert!(c.caches_converged());
 
         c.start_certification();
-        assert!(c.diag.running_epoch.is_some(), "probe in flight");
+        assert!(c.certifying.is_some(), "probe in flight");
         assert!(c.node_online(3));
         let word = c.nodes[3].cache.read_u64(0, 4096).unwrap();
         c.nodes[3].cache.write_u64_local(0, 4096, word ^ 1).unwrap();
         c.run_for(SimDuration::from_micros(200));
 
-        assert_eq!(c.certifications().len(), 2, "sweep finished");
-        let cert = &c.certifications()[1];
+        assert_eq!(c.certifications().count(), 2, "sweep finished");
+        let cert = c.certifications().last().unwrap();
         assert!(cert.echo_completed, "the ring itself is healthy");
         assert!(!cert.crc_uniform, "the flipped byte must be caught");
         assert!(!cert.passed());

@@ -54,7 +54,7 @@ pub use apps::{
     SeqProbeConfig, SeqProbeReport,
 };
 pub use cluster::{Cluster, RosterEvent, RosterReason};
-pub use observe::ObservedEvent;
+pub use observe::{ObservedEvent, Trace};
 pub use diagnostics::Certification;
 pub use multiseg::{
     Bridge, GlobalAddr, GlobalDatagram, MultiSegment, ParallelMode, SliceStats, ROUTE_STREAM,

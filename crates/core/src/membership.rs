@@ -13,7 +13,7 @@ use crate::observe::ObservedEvent;
 use ampnet_dk::{assimilate, JoinRequest};
 use ampnet_ring::PlaneFault;
 use ampnet_roster::{planned_rostering, run_rostering, RosterOutcome, RosterSkip};
-use ampnet_sim::{Level, SimDuration};
+use ampnet_sim::SimDuration;
 use ampnet_topo::montecarlo::Component;
 use ampnet_topo::{NodeId, PlantRing};
 
@@ -31,11 +31,6 @@ impl Cluster {
             .stack
             .inject_fault_at(now, PlaneFault::Phy { seed, errors });
         self.observe(ObservedEvent::ErrorBurst { node, errors, detected });
-        self.log(
-            Level::Warn,
-            "phy",
-            format!("node {node}: bit-error burst, {errors} injected, {detected} violations"),
-        );
         let pos = self.ring_pos[node as usize];
         if detected == 0 || !self.ring_up || pos == usize::MAX || self.ring.order.len() < 2 {
             // Nothing detectable, or the lasers are already down /
@@ -51,11 +46,6 @@ impl Cluster {
             self.topo
                 .hop_last_link(self.ring.order[up], NodeId(node), &self.ring.hops[up]);
         self.observe(ObservedEvent::ErrorBurstEscalated { node, link });
-        self.log(
-            Level::Warn,
-            "phy",
-            format!("node {node}: burst escalated, {link:?} lost sync"),
-        );
         self.inject_failure(link);
     }
 
@@ -77,31 +67,16 @@ impl Cluster {
         {
             Ok(outcome) => {
                 self.ring_down_at = now;
-                self.log(
-                    Level::Warn,
-                    "roster",
-                    format!(
-                        "{c:?} failed; epoch {} rostering, ETA {}",
-                        outcome.epoch, outcome.completed_at
-                    ),
-                );
+                let eta = outcome.completed_at;
                 self.begin_episode(RosterReason::Failure(c), outcome);
-                self.observe(ObservedEvent::RosterStarted { epoch: self.epoch });
+                self.observe(ObservedEvent::RosterStarted { epoch: self.epoch, cause: c, eta });
             }
-            Err(RosterSkip::SpareComponent) => {
-                self.log(
-                    Level::Info,
-                    "roster",
-                    format!("{c:?} failed but is spare; ring unaffected"),
-                );
-                self.observe(ObservedEvent::SpareFault(c));
-            }
+            Err(RosterSkip::SpareComponent) => self.observe(ObservedEvent::SpareFault(c)),
             Err(RosterSkip::NoSurvivors) => {
                 self.ring_up = false;
                 self.ring = PlantRing::empty();
                 self.ring_pos.fill(usize::MAX);
                 self.ring_succ.fill(None);
-                self.log(Level::Warn, "roster", format!("{c:?} failed; no survivors"));
                 self.observe(ObservedEvent::NoSurvivors(c));
             }
         }
@@ -165,24 +140,15 @@ impl Cluster {
             return;
         };
         self.install_ring(&outcome);
-        self.log(
-            Level::Info,
-            "roster",
-            format!(
-                "epoch {} live: {} nodes in {:.2} ring tours ({:?})",
-                epoch,
-                outcome.ring.len(),
-                outcome.recovery_in_tours(),
-                reason
-            ),
-        );
-        self.history.push(RosterEvent {
-            reason,
-            outcome,
-        });
         self.observe(ObservedEvent::RingRestored {
             epoch,
             ring_len: self.ring.len(),
+            reason: reason.clone(),
+            tours: outcome.recovery_in_tours(),
+        });
+        self.history.push(RosterEvent {
+            reason,
+            outcome,
         });
         self.ring_up = true;
         self.ports.fill(TxPort::IDLE);
@@ -232,11 +198,6 @@ impl Cluster {
             return;
         }
         self.topo.restore(c);
-        self.log(
-            Level::Info,
-            "repair",
-            format!("{c:?} repaired"),
-        );
         self.observe(ObservedEvent::RepairApplied(c));
         let best = self.topo.largest_ring();
         if best.len() > self.ring.len() && self.ring_up {
@@ -263,10 +224,7 @@ impl Cluster {
                 self.sim
                     .schedule_in(timeline.total(), Ev::NodeOnline { node });
             }
-            Err(f) => {
-                self.rejections.push((node, f));
-                self.observe(ObservedEvent::JoinRejected(node));
-            }
+            Err(f) => self.observe(ObservedEvent::JoinRejected(node, f)),
         }
     }
 
@@ -296,21 +254,29 @@ impl Cluster {
         let Some(interval) = self.sweep_interval else {
             return;
         };
-        let now = self.sim.now();
         // Scan: failed links/switches that are not on the current ring
         // (ring faults trigger rostering through loss of light).
         // `failed_components` reports dead switching elements first,
         // then dark fibers in enumeration order.
         for c in self.topo.failed_components() {
-            if !self.spare_faults.iter().any(|&(_, known)| known == c) {
-                self.log(
-                    Level::Warn,
-                    "diag",
-                    format!("background sweep found failed spare {c:?}"),
-                );
-                self.spare_faults.push((now, c));
+            if !self.sweep_reported(c) {
+                self.observe(ObservedEvent::SweepFoundSpare(c));
             }
         }
         self.sim.schedule_in(interval, Ev::DiagSweep);
+    }
+
+    /// Whether the sweep already reported `c` since its last repair: a
+    /// spare that fails, is repaired and fails again is a new fault.
+    fn sweep_reported(&self, c: Component) -> bool {
+        self.observations
+            .iter()
+            .rev()
+            .find_map(|(_, ev)| match ev {
+                ObservedEvent::SweepFoundSpare(k) if *k == c => Some(true),
+                ObservedEvent::RepairApplied(k) if *k == c => Some(false),
+                _ => None,
+            })
+            .unwrap_or(false)
     }
 }

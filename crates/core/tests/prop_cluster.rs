@@ -108,7 +108,7 @@ proptest! {
                 c.epoch(),
                 c.ring().order.clone(),
                 c.now().as_nanos(),
-                c.certifications().len(),
+                c.certifications().count(),
             )
         };
         prop_assert_eq!(run(), run());

@@ -1,10 +1,11 @@
 //! FNV-64 folding — the workspace's shared fingerprint primitive.
 //!
-//! One hash, three users: the [`Trace`](crate::Trace) replay digest,
-//! the chaos engine's run fingerprints, and `ampnet-check`'s
-//! explicit-state dedup. Keeping them on the same function means a
-//! state hash printed by the model checker can be compared against a
-//! trace digest dump without a translation table.
+//! One hash, three users: the milestone-trace replay digest (rendered
+//! from `ampnet-core`'s observation journal), the chaos engine's run
+//! fingerprints, and `ampnet-check`'s explicit-state dedup. Keeping
+//! them on the same function means a state hash printed by the model
+//! checker can be compared against a trace digest dump without a
+//! translation table.
 #![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 /// Incremental FNV-1a (64-bit) hasher.

@@ -14,7 +14,8 @@
 //!   subsystem so experiments are reproducible and comparable.
 //! * [`Histogram`], [`jain_fairness`] — the measurement primitives
 //!   the benchmark harness reports.
-//! * [`Trace`] — bounded milestone log for debugging scenarios.
+//! * [`Fnv64`] — the shared fingerprint for trace digests, run
+//!   digests and model-checker state dedup.
 //!
 //! Determinism contract: for a fixed seed and identical inputs, every
 //! simulation in this workspace produces bit-identical results. Nothing
@@ -40,7 +41,6 @@ mod rng;
 mod sim;
 mod stats;
 mod time;
-mod trace;
 
 pub use digest::{fnv64, Fnv64};
 pub use queue::{EventId, EventQueue};
@@ -52,7 +52,6 @@ pub use rng::SimRng;
 pub use sim::Sim;
 pub use stats::{jain_fairness, Histogram};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Level, Trace, TraceEntry};
 
 // Shard-confinement contract for the parallel multi-segment engine:
 // every kernel type is `Send`, so a whole simulator (and the `Cluster`
@@ -65,4 +64,3 @@ const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim<u64>>();
 const _: () = _assert_send::<EventQueue<u64>>();
 const _: () = _assert_send::<SimRng>();
-const _: () = _assert_send::<Trace>();

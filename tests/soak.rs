@@ -123,7 +123,7 @@ fn half_second_of_cluster_life() {
     assert_eq!(c.ring().len(), n, "full ring restored");
     assert!(c.caches_converged(), "replicas agree after the storm");
     assert!(
-        c.certifications().iter().all(|cert| cert.passed()),
+        c.certifications().all(|cert| cert.passed()),
         "every roster epoch certified"
     );
     assert!(c.roster_history().len() >= 4, "boot + failures + join + repair");
