@@ -15,10 +15,9 @@ use ampnet_packet::{build, Body, ControlWord, DmaCtrl, MicroPacket, PacketType};
 use ampnet_phy::LinkParams;
 use ampnet_ring::{PacingMode, Segment, SegmentParams};
 use ampnet_roster::{run_rostering, RosterParams};
-use ampnet_sim::SimTime as T;
+use ampnet_sim::{SimRng, SimTime as T};
 use ampnet_topo::montecarlo::{survival_sweep, FailureDomain};
 use ampnet_topo::Plant;
-use rand::SeedableRng;
 
 fn fixed_of(t: PacketType) -> MicroPacket {
     MicroPacket::new(ControlWord::new(t, 0, 1, 0), Body::Fixed([0; 8])).expect("fixed")
@@ -388,7 +387,7 @@ pub fn e7_redundancy(n_nodes: usize, trials: usize) -> Table {
             "quad mean ring",
         ],
     );
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7777);
+    let mut rng = SimRng::new(7777);
     let dual = Plant::crossbar(n_nodes, 2, 100.0);
     let quad = Plant::crossbar(n_nodes, 4, 100.0);
     let mut quad_wins = true;
@@ -429,7 +428,7 @@ pub fn e7b_analytic(n_nodes: usize, trials: usize) -> Table {
             "MC <= bound",
         ],
     );
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31337);
+    let mut rng = SimRng::new(31337);
     let dual = Plant::crossbar(n_nodes, 2, 100.0);
     let quad = Plant::crossbar(n_nodes, 4, 100.0);
     let mut ok = true;

@@ -398,11 +398,6 @@ impl Cluster {
         }
     }
 
-    /// Whether [`Cluster::enable_telemetry`] has been called.
-    pub fn telemetry_enabled(&self) -> bool {
-        self.tel.tel.enabled()
-    }
-
     /// The shared telemetry handle (disabled unless
     /// [`Cluster::enable_telemetry`] ran).
     pub fn telemetry(&self) -> &Telemetry {

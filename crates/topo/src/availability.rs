@@ -52,7 +52,7 @@ mod tests {
     use super::*;
     use crate::montecarlo::{survival_sweep, FailureDomain};
     use crate::plant::Plant;
-    use rand::SeedableRng;
+    use ampnet_sim::SimRng;
 
     #[test]
     fn choose_basics() {
@@ -106,7 +106,7 @@ mod tests {
         // Survival requires (at least) no isolated node: the simulated
         // full-ring probability must not exceed the analytic bound by
         // more than sampling noise.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(99);
+        let mut rng = SimRng::new(99);
         for (n, s) in [(6usize, 2usize), (6, 4)] {
             let base = Plant::crossbar(n, s, 100.0);
             for k in [2usize, 4, 6] {

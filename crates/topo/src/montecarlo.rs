@@ -6,7 +6,7 @@
 //! largest logical ring that remains.
 
 use crate::plant::{NodeId, Plant, SwitchId};
-use rand::Rng;
+use ampnet_sim::SimRng;
 
 /// What kinds of components a failure trial may hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,12 +57,12 @@ pub struct SurvivalStats {
 /// Run `trials` random-failure trials with `k` failures each and score
 /// survivability. Failures are sampled without replacement among the
 /// components of `domain`.
-pub fn survival_sweep<R: Rng>(
+pub fn survival_sweep(
     base: &Plant,
     k: usize,
     trials: usize,
     domain: FailureDomain,
-    rng: &mut R,
+    rng: &mut SimRng,
 ) -> SurvivalStats {
     let comps = base.components(domain);
     let k = k.min(comps.len());
@@ -74,7 +74,7 @@ pub fn survival_sweep<R: Rng>(
         // Sample k distinct components.
         let mut idx: Vec<usize> = (0..comps.len()).collect();
         for i in 0..k {
-            let j = rng.random_range(i..idx.len());
+            let j = rng.range(i as u64, idx.len() as u64) as usize;
             idx.swap(i, j);
             plant.apply(comps[idx[i]]);
         }
@@ -98,10 +98,9 @@ pub fn survival_sweep<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng() -> rand_chacha::ChaCha8Rng {
-        rand_chacha::ChaCha8Rng::seed_from_u64(42)
+    fn rng() -> SimRng {
+        SimRng::new(42)
     }
 
     #[test]
