@@ -18,6 +18,12 @@
 //! only for a longer one. Every observable answer — reads, sizes, CRCs,
 //! convergence — is the same as if the region had been zero-filled at
 //! definition.
+//!
+//! The region table is sized the same way: it holds one slot per id up
+//! to the highest one defined, not one per value of the 8-bit `region`
+//! byte, so a replica that defines ids 0–9 holds ten slots and a
+//! replica that defines none holds nothing. An id past the end of the
+//! table is simply not defined.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -155,6 +161,8 @@ impl PartialEq for Region {
 #[derive(Debug, Clone)]
 pub struct NetworkCache {
     node: u8,
+    /// Indexed by region id, and as long as the highest defined id + 1:
+    /// only `define_region` grows it, and it defines the last slot.
     regions: Vec<Option<Region>>,
     /// Writes applied (local + remote), for audit.
     applied_writes: u64,
@@ -166,7 +174,7 @@ impl NetworkCache {
     pub fn new(node: u8) -> Self {
         NetworkCache {
             node,
-            regions: vec![None; 256],
+            regions: Vec::new(),
             applied_writes: 0,
             telemetry: CacheTelemetry::disabled(),
         }
@@ -227,7 +235,11 @@ impl NetworkCache {
     /// Define a region of `size` bytes, reading as zeros. Its storage
     /// is allocated by the first write that stores into it.
     pub fn define_region(&mut self, id: RegionId, size: u32) -> Result<(), CacheError> {
-        let slot = &mut self.regions[id as usize];
+        let i = id as usize;
+        if i >= self.regions.len() {
+            self.regions.resize(i + 1, None);
+        }
+        let slot = &mut self.regions[i];
         if slot.is_some() {
             return Err(CacheError::Exists(id));
         }
@@ -240,9 +252,11 @@ impl NetworkCache {
 
     /// Defined region ids, ascending.
     pub fn region_ids(&self) -> Vec<RegionId> {
-        (0u16..256)
-            .filter(|&i| self.regions[i as usize].is_some())
-            .map(|i| i as RegionId)
+        self.regions
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.is_some())
+            .map(|(i, _)| i as RegionId)
             .collect()
     }
 
@@ -267,8 +281,9 @@ impl NetworkCache {
     }
 
     fn region(&self, id: RegionId) -> Result<&Region, CacheError> {
-        self.regions[id as usize]
-            .as_ref()
+        self.regions
+            .get(id as usize)
+            .and_then(Option::as_ref)
             .ok_or(CacheError::NoRegion(id))
     }
 
@@ -312,8 +327,10 @@ impl NetworkCache {
     /// bounds check, one branch and the copy.
     #[inline]
     fn apply_raw(&mut self, id: RegionId, offset: u32, data: &[u8]) -> Result<(), CacheError> {
-        let region = self.regions[id as usize]
-            .as_mut()
+        let region = self
+            .regions
+            .get_mut(id as usize)
+            .and_then(Option::as_mut)
             .ok_or(CacheError::NoRegion(id))?;
         let span = region.span(id, offset, data.len() as u32)?;
         self.applied_writes += 1;
@@ -411,7 +428,10 @@ impl NetworkCache {
     /// Do two replicas define the same regions and agree byte-for-byte
     /// on each (a never-written region reading as zeros)? Compares the
     /// storage itself; [`Self::region_crc`] is there for callers that
-    /// want the number.
+    /// want the number. Each table ends at its highest defined id, so
+    /// tables of different lengths define different regions: plain
+    /// equality is the comparison with the shorter one padded with
+    /// undefined slots.
     pub fn converged_with(&self, other: &NetworkCache) -> bool {
         self.regions == other.regions
     }
@@ -570,6 +590,28 @@ mod tests {
         let mut c = cache_with_region(2, 1, 256);
         c.define_region(2, 128).unwrap();
         assert!(!b.converged_with(&c));
+    }
+
+    #[test]
+    fn table_holds_one_slot_per_id_up_to_the_highest_defined() {
+        let mut c = NetworkCache::new(0);
+        assert_eq!(c.regions.len(), 0, "a new replica holds no slots");
+        c.define_region(0, 64).unwrap();
+        assert_eq!(c.regions.len(), 1);
+        let mut only_zero = c.clone();
+        c.define_region(9, 64).unwrap();
+        assert_eq!(c.regions.len(), 10);
+        assert_eq!(c.rehomed(3).regions.len(), 10);
+        // An id past the end of the table is not defined.
+        assert_eq!(only_zero.read(9, 0, 1), Err(CacheError::NoRegion(9)));
+        assert_eq!(only_zero.region_ids(), vec![0]);
+        // Tables of different lengths compare as if the shorter one
+        // were padded with undefined slots.
+        assert!(!only_zero.converged_with(&c));
+        assert!(!c.converged_with(&only_zero));
+        only_zero.define_region(9, 64).unwrap();
+        assert!(only_zero.converged_with(&c));
+        assert!(c.converged_with(&only_zero));
     }
 
     #[test]

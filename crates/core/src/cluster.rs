@@ -231,7 +231,8 @@ impl Cluster {
                     stack: NodeStack::new(
                         port.clone(),
                         RegisterMac::new(i as u8, cfg.mac),
-                        HostQueues::new(cfg.n_nodes),
+                        // No per-source accounting: nothing here reads it.
+                        HostQueues::new(0),
                     ),
                     cache,
                     online: true,

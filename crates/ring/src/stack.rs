@@ -133,7 +133,10 @@ impl SerialPhy {
 /// [`NodeStack::classify_arrival`] and reads the frame in the arena.
 #[derive(Debug, Default)]
 pub struct HostQueues {
-    /// Payload bytes delivered here, per source node (sized lazily).
+    /// Payload bytes delivered here, per source node: one slot per
+    /// source, sized by [`HostQueues::new`]. `Cluster` passes 0, so it
+    /// keeps no per-source accounting; a source past the end is not
+    /// counted.
     pub delivered_from: Vec<u64>,
     /// Delivered packets awaiting the host, oldest first. Populated only
     /// by [`NodeStack::on_wire_arrival`], and only when
