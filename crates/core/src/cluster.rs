@@ -5,7 +5,7 @@
 //! context per host (layered ring data-plane, network cache replica,
 //! message endpoints, semaphore client, DK lifecycle) and the global
 //! event loop. The per-node data-plane is an `ampnet-ring`
-//! [`NodeStack`] (SerialPhy → RegisterMac → HostQueues) fed from a
+//! [`NodeStack`] (SerialPhy → RegisterMac) fed from a
 //! cluster-owned [`FrameArena`]: each packet is stored once at its
 //! source, hops move pooled frame handles and read their headers in
 //! place, and a delivered frame is copied out once, straight into its
@@ -24,7 +24,7 @@ use ampnet_cache::{NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
 use ampnet_packet::build::{self, InterruptPayload};
 use ampnet_packet::{FrameArena, FrameRef, MicroPacket};
-use ampnet_ring::{HostQueues, NodeStack, RegisterMac, SerialPhy};
+use ampnet_ring::{NodeStack, RegisterMac, SerialPhy};
 use ampnet_roster::{initial_rostering, RosterOutcome};
 use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
 use ampnet_services::socket::{AmpIp, Received, SockAddr, SocketError};
@@ -228,12 +228,7 @@ impl Cluster {
                     cache.define_region(region, size).expect("unique regions");
                 }
                 NodeCtx {
-                    stack: NodeStack::new(
-                        port.clone(),
-                        RegisterMac::new(i as u8, cfg.mac),
-                        // No per-source accounting: nothing here reads it.
-                        HostQueues::new(0),
-                    ),
+                    stack: NodeStack::new(port.clone(), RegisterMac::new(i as u8, cfg.mac)),
                     cache,
                     online: true,
                     msg_tx: MsgTx::new(i as u8),

@@ -48,6 +48,8 @@ mod observe;
 mod planner;
 mod telemetry;
 mod transport;
+#[cfg(test)]
+mod driver_agreement;
 
 pub use apps::{
     CounterAppConfig, CounterAppReport, ResumeRecord, SemStressConfig, SemStressReport,

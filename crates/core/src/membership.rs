@@ -3,15 +3,15 @@
 //!
 //! Faults address a *plane* of the layered data-plane where they can:
 //! a bit-error burst is assessed by the target node's PHY plane
-//! ([`PlaneFault::Phy`]) and escalates to a topology-level link failure
-//! only if the 8b/10b checker flags violations. Topology faults
+//! ([`NodeStack::phy_burst`](ampnet_ring::NodeStack::phy_burst)) and
+//! escalates to a topology-level link failure only if the 8b/10b
+//! checker flags violations. Topology faults
 //! (crashed nodes, cut fibers, dead switches) hit the plant directly
 //! and trigger rostering through loss of light, as on slides 16/18.
 
 use crate::cluster::{Cluster, Ev, RosterEvent, RosterReason, TxPort};
 use crate::observe::ObservedEvent;
 use ampnet_dk::{assimilate, JoinRequest};
-use ampnet_ring::PlaneFault;
 use ampnet_roster::{planned_rostering, run_rostering, RosterOutcome, RosterSkip};
 use ampnet_sim::SimDuration;
 use ampnet_topo::montecarlo::Component;
@@ -27,9 +27,7 @@ impl Cluster {
         // Hand the burst to the PHY plane of the afflicted node; its
         // 8b/10b checker decides whether anything is detectable.
         let now = self.sim.now();
-        let detected = self.nodes[node as usize]
-            .stack
-            .inject_fault_at(now, PlaneFault::Phy { seed, errors });
+        let detected = self.nodes[node as usize].stack.phy_burst(now, seed, errors);
         self.observe(ObservedEvent::ErrorBurst { node, errors, detected });
         let pos = self.ring_pos[node as usize];
         if detected == 0 || !self.ring_up || pos == usize::MAX || self.ring.order.len() < 2 {

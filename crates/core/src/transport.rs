@@ -51,7 +51,7 @@ use crate::cluster::{Cluster, Ev, TxPort};
 use ampnet_cache::atomics;
 use ampnet_cache::SemaphoreAction;
 use ampnet_packet::{build, MicroPacket, PacketType};
-use ampnet_ring::{MacTx, StackOutcome};
+use ampnet_ring::{MacAction, MacTx};
 use ampnet_services::msg::{Datagram, MsgRx};
 use ampnet_services::socket::AMPIP_STREAM;
 use ampnet_services::threads::THREAD_VECTOR;
@@ -179,9 +179,8 @@ impl Cluster {
                 );
             }
             None => {
-                if self.nodes[i].stack.mac.streams_ref().has_traffic() && !self.retry_pending[i] {
-                    let at = self.nodes[i].stack.mac.next_insert_allowed().max(now);
-                    if at > now {
+                if !self.retry_pending[i] {
+                    if let Some(at) = self.nodes[i].stack.insert_retry_at(now) {
                         self.retry_pending[i] = true;
                         self.sim.schedule_at(at, Ev::Retry { node });
                     }
@@ -345,16 +344,16 @@ impl Cluster {
                 let now = self.sim.now();
                 let i = node as usize;
                 match self.nodes[i].stack.classify_arrival(now, &mut self.arena, frame) {
-                    outcome @ (StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded) => {
+                    action @ (MacAction::Deliver(_) | MacAction::DeliverAndForward(_)) => {
                         let pkt = self.arena.decode(frame);
-                        if outcome == StackOutcome::Delivered {
+                        if let MacAction::Deliver(_) = action {
                             // Consumed here: the slot goes back to the
                             // pool before the handler inserts anything.
                             self.arena.release(frame);
                         }
                         self.dispatch(node, &pkt);
                     }
-                    StackOutcome::Stripped => {
+                    MacAction::Strip(_) => {
                         crate::apps::on_strip(self, node);
                         // Retire the acknowledged broadcast (oldest
                         // outstanding entry — strips come back in
@@ -363,7 +362,7 @@ impl Cluster {
                             self.on_diag_strip(node, &acked);
                         }
                     }
-                    StackOutcome::Forwarded => {}
+                    MacAction::Forward => {}
                 }
                 // Expire confirmed unicasts (anything older than two
                 // tours has certainly reached its destination). The
@@ -471,7 +470,7 @@ mod tests {
     }
 
     /// What every instant is checked for: the clocks, what the planner
-    /// would be told, and how many frames each port has clocked out.
+    /// would be told, and how many frames each MAC has clocked out.
     fn assert_in_step(eager: &Cluster, lazy: &Cluster, at: &str) {
         assert_eq!(eager.now(), lazy.now(), "{at}: clock");
         assert_eq!(
@@ -481,7 +480,12 @@ mod tests {
         );
         assert_eq!(eager.arena().stats(), lazy.arena().stats(), "{at}: arena");
         for (n, (e, l)) in eager.nodes.iter().zip(&lazy.nodes).enumerate() {
-            assert_eq!(e.stack.phy.tx_frames, l.stack.phy.tx_frames, "{at}: node {n} PHY");
+            let (e, l) = (e.stack.mac.stats(), l.stack.mac.stats());
+            assert_eq!(
+                (e.inserted, e.forwarded),
+                (l.inserted, l.forwarded),
+                "{at}: node {n} frames clocked out"
+            );
         }
     }
 

@@ -261,6 +261,31 @@ fn semaphores_mutually_exclude() {
     assert!(r.acquire_latency.count() == 50);
 }
 
+/// A contender on the semaphore's home node addresses its D64 requests
+/// to itself. Such a unicast tours the ring and must be delivered back
+/// home: stripped at its source unread, it never reached the home and
+/// the contender retransmitted every 500 µs without end.
+#[test]
+fn self_homed_contender_completes_every_round() {
+    let mut c = booted(6, 0xC7);
+    c.start_sem_stress(SemStressConfig {
+        addr: SemaphoreAddr {
+            home: 1,
+            region: 0,
+            offset: 2048,
+        },
+        contenders: vec![1, 2, 3, 4],
+        rounds: 8,
+        crit: SimDuration::from_micros(30),
+        backoff: Default::default(),
+    });
+    c.run_for(SimDuration::from_millis(200));
+    let r = c.sem_report().unwrap();
+    assert_eq!(r.violations, 0, "mutual exclusion must hold");
+    assert_eq!(r.unfinished, 0, "the home node's own rounds finish too");
+    assert_eq!(r.acquisitions, 32, "4 contenders × 8 rounds");
+}
+
 /// Three-member control group (node 1 best qualified, then 3, then 2)
 /// with a 1 ms failover period, incrementing until `deadline`.
 fn counter_app(deadline: SimTime) -> CounterAppConfig {

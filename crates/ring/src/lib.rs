@@ -8,17 +8,20 @@
 //! simultaneous all-to-all broadcast never drops a packet* — is
 //! structural here and asserted by experiment E4.
 //!
-//! The node data-plane is one fixed pipeline of three concrete planes,
-//! like the NIU hardware it models (see `DESIGN.md` §9):
+//! The node data-plane is one fixed pipeline of two concrete planes,
+//! like the router half of the NIU hardware it models (see `DESIGN.md`
+//! §9):
 //!
 //! * [`SerialPhy`] — hop timing (the single owner of serialization and
 //!   propagation delays) and the 8b/10b line-error model.
 //! * [`RegisterMac`] — the register-insertion state machine itself
 //!   (arrival handling, transmit selection, insertion rules,
 //!   counters), operating on pooled [`WireFrame`]s.
-//! * [`HostQueues`] — what happens to packets addressed to this node.
 //!
-//! [`NodeStack`] composes the three.
+//! [`NodeStack`] composes the two with their telemetry, and both
+//! drivers — [`Segment`] here and `ampnet-core`'s `Cluster` — take
+//! every arrival through [`NodeStack::classify_arrival`]. What a
+//! delivered frame becomes on the host is the driver's business.
 //!
 //! * [`StreamSet`] — deficit-round-robin multi-stream scheduler
 //!   (slide 7).
@@ -55,5 +58,5 @@ pub use pacing::{AimdParams, InsertionGovernor, PacingMode};
 pub use segment::{
     ArrivalProcess, DstPattern, PacketKind, Segment, SegmentParams, SegmentReport, StreamWorkload,
 };
-pub use stack::{HostQueues, NodeStack, PlaneFault, SerialPhy, StackOutcome, StackTelemetry};
-pub use stream::{StreamId, StreamSet, WireSized};
+pub use stack::{NodeStack, SerialPhy, StackTelemetry};
+pub use stream::{StreamId, StreamSet};

@@ -28,7 +28,7 @@
 //! descriptor's size, asserted below) and zero heap.
 
 use crate::pacing::{InsertionGovernor, PacingMode};
-use crate::stream::{StreamId, StreamSet, WireSized};
+use crate::stream::{StreamId, StreamSet};
 use ampnet_packet::{ControlWord, Flags, FrameArena, FrameRef, MicroPacket, FIXED_PAYLOAD, WORD};
 use ampnet_sim::SimTime;
 use std::collections::VecDeque;
@@ -134,12 +134,6 @@ impl WireFrame {
     }
 }
 
-impl WireSized for WireFrame {
-    fn wire_bytes(&self) -> usize {
-        self.wire_bytes as usize
-    }
-}
-
 /// What the MAC decided about an arriving frame.
 ///
 /// Frame ownership: `Deliver` and `Strip` hand the frame back to the
@@ -179,13 +173,17 @@ pub enum FrameClass {
 }
 
 /// Classify a frame arriving at ring address `id` (see [`FrameClass`]).
+///
+/// A unicast's destination is tested before its source: a frame a node
+/// addresses to itself tours the ring and is delivered back home, not
+/// stripped unread. A broadcast always strips at its source.
 pub fn classify(id: u8, ctrl: &ControlWord) -> FrameClass {
-    if ctrl.src == id {
+    if ctrl.dst == id && !ctrl.is_broadcast() {
+        FrameClass::Deliver
+    } else if ctrl.src == id {
         FrameClass::Strip
     } else if ctrl.is_broadcast() {
         FrameClass::DeliverAndForward
-    } else if ctrl.dst == id {
-        FrameClass::Deliver
     } else {
         FrameClass::Forward
     }
@@ -212,7 +210,7 @@ pub struct RegisterMac {
     transit: VecDeque<WireFrame>,
     transit_bytes: usize,
     urgent: VecDeque<WireFrame>,
-    streams: StreamSet<WireFrame>,
+    streams: StreamSet,
     governor: InsertionGovernor,
     /// High-water mark of the transit buffer since the last insertion —
     /// the node's "local view of the network" congestion signal.
@@ -237,7 +235,7 @@ impl RegisterMac {
     }
 
     /// Immutable view of stream accounting.
-    pub fn streams_ref(&self) -> &StreamSet<WireFrame> {
+    pub fn streams_ref(&self) -> &StreamSet {
         &self.streams
     }
 
@@ -359,11 +357,6 @@ impl RegisterMac {
         self.governor.next_allowed()
     }
 
-    /// Whether any local stream has traffic waiting.
-    pub fn has_pending_streams(&self) -> bool {
-        self.streams.has_traffic()
-    }
-
     /// Whether the node has anything to send at all.
     pub fn has_backlog(&self) -> bool {
         !self.transit.is_empty() || !self.urgent.is_empty() || self.streams.has_traffic()
@@ -433,6 +426,15 @@ mod tests {
         assert_eq!(mac.on_arrival(SimTime(0), wf), MacAction::Strip(wf));
         assert_eq!(mac.stats().stripped, 1);
         assert!(mac.next_tx(SimTime(0)).is_none());
+    }
+
+    #[test]
+    fn self_addressed_unicast_is_delivered_back_home() {
+        let (mut mac, mut arena) = greedy(3);
+        let wf = WireFrame::insert(&mut arena, &build::data(3, 3, 0, [0; 8]));
+        assert_eq!(mac.on_arrival(SimTime(0), wf), MacAction::Deliver(wf));
+        assert_eq!(mac.stats().delivered, 1);
+        assert_eq!(mac.stats().stripped, 0);
     }
 
     #[test]

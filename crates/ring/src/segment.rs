@@ -1,7 +1,7 @@
 //! Standalone ring-segment simulator.
 //!
-//! Drives a ring of [`NodeStack`]s (SerialPhy → RegisterMac →
-//! HostQueues) over serial links with the `ampnet-sim` kernel, plus
+//! Drives a ring of [`NodeStack`]s (SerialPhy → RegisterMac) over
+//! serial links with the `ampnet-sim` kernel, plus
 //! the synthetic workloads the paper's claims are tested with: slide
 //! 7's mixed file/message streams (E3) and slide 8's simultaneous
 //! all-to-all broadcast (E4).
@@ -12,8 +12,8 @@
 //! zero heap allocations. The event loop drains same-instant batches
 //! ([`Sim::pop_batch`]) instead of popping one event at a time.
 
-use crate::mac::{MacTx, RegisterMac, RingNodeParams};
-use crate::stack::{NodeStack, StackOutcome};
+use crate::mac::{MacAction, MacTx, RegisterMac, RingNodeParams, WireFrame};
+use crate::stack::NodeStack;
 use crate::stream::StreamId;
 use ampnet_packet::{build, DmaCtrl, FrameArena, FrameRef, MicroPacket};
 use ampnet_phy::LinkParams;
@@ -173,6 +173,8 @@ pub struct Segment {
     access_latency: Histogram,
     rr_next: Vec<u8>,
     seq: u64,
+    /// Payload bytes delivered, per source node (summed over receivers).
+    delivered_from: Vec<u64>,
     collect_deliveries: bool,
     deliveries: Vec<(usize, MicroPacket)>,
     /// Cumulative delivered payload at the last report (goodput is
@@ -221,6 +223,7 @@ impl Segment {
             tour_latency: Histogram::new(),
             access_latency: Histogram::new(),
             rr_next: vec![0; params.n_nodes],
+            delivered_from: vec![0; params.n_nodes],
             nodes,
             params,
             seq: 0,
@@ -271,9 +274,6 @@ impl Segment {
     /// Record every delivered packet for invariant checking (tests).
     pub fn collect_deliveries(&mut self) {
         self.collect_deliveries = true;
-        for stack in &mut self.nodes {
-            stack.delivery.retain_packets = true;
-        }
     }
 
     /// Packets delivered so far as (receiving node, packet) pairs;
@@ -422,11 +422,8 @@ impl Segment {
                 );
             }
             None => {
-                // If streams still hold traffic, the governor said "not
-                // yet": schedule a retry at the allowed instant.
-                if self.nodes[node].mac.has_pending_streams() && !self.retry_pending[node] {
-                    let at = self.nodes[node].mac.next_insert_allowed().max(now);
-                    if at > now {
+                if !self.retry_pending[node] {
+                    if let Some(at) = self.nodes[node].insert_retry_at(now) {
                         self.retry_pending[node] = true;
                         self.sim.schedule_at(at, Ev::Retry { node });
                     }
@@ -435,26 +432,33 @@ impl Segment {
         }
     }
 
+    /// The host side of a delivery at `node`: count the payload for its
+    /// source and, when collecting, copy the packet out of its slot.
+    fn deliver(&mut self, node: usize, wf: &WireFrame) {
+        self.delivered_from[wf.ctrl.src as usize] += wf.payload_bytes as u64;
+        if self.collect_deliveries {
+            self.deliveries.push((node, self.arena.decode(wf.frame)));
+        }
+    }
+
     fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival { node, frame } => {
                 let now = self.sim.now();
-                match self.nodes[node].on_wire_arrival(now, &mut self.arena, frame) {
-                    StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded => {
-                        if self.collect_deliveries {
-                            while let Some(p) = self.nodes[node].delivery.pending.pop_front() {
-                                self.deliveries.push((node, p));
-                            }
-                        }
+                match self.nodes[node].classify_arrival(now, &mut self.arena, frame) {
+                    MacAction::Deliver(wf) => {
+                        self.deliver(node, &wf);
+                        self.arena.release(wf.frame);
                     }
-                    StackOutcome::Stripped => {
+                    MacAction::DeliverAndForward(wf) => self.deliver(node, &wf),
+                    MacAction::Strip(_) => {
                         if let Some(t0) = self.meters[node].tour_starts.pop_front() {
                             let tour = (now - t0).as_nanos();
                             self.tour_latency.record(tour);
                             self.tel.record(self.tour_h, tour);
                         }
                     }
-                    StackOutcome::Forwarded => {}
+                    MacAction::Forward => {}
                 }
                 self.kick(node);
             }
@@ -531,18 +535,15 @@ impl Segment {
         &self.nodes[i].mac
     }
 
+    /// Simulation events popped from this segment's kernel so far.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.processed()
+    }
+
     fn report(&mut self, duration: SimDuration) -> SegmentReport {
-        let n = self.params.n_nodes;
-        let mut per_source = vec![0u64; n];
-        let mut delivered_packets = 0;
-        let mut total_payload = 0u64;
-        for stack in &self.nodes {
-            for (src, &b) in stack.delivery.delivered_from.iter().enumerate() {
-                per_source[src] += b;
-                total_payload += b;
-            }
-            delivered_packets += stack.mac.stats().delivered;
-        }
+        let per_source = self.delivered_from.clone();
+        let total_payload: u64 = per_source.iter().sum();
+        let delivered_packets = self.nodes.iter().map(|s| s.mac.stats().delivered).sum();
         let drops: u64 = self.nodes.iter().map(|s| s.mac.stats().would_drop).sum();
         let max_occ = self
             .nodes

@@ -1,24 +1,26 @@
-//! The layered node data-plane: `SerialPhy → RegisterMac → HostQueues`.
+//! The layered node data-plane: `SerialPhy → RegisterMac`, the
+//! router half of the NIU.
 //!
 //! The paper's NIU (slides 7–8) is one fixed pipeline: the serial PHY
-//! recovers 8b/10b groups off the fiber, the register-insertion MAC
-//! decides *forward / deliver / strip*, and delivered frames DMA into
-//! the network cache or host queues. [`NodeStack`] models that
-//! pipeline once, as three concrete planes; the standalone [`Segment`]
-//! (crate::Segment) simulator and `ampnet-core`'s `Cluster` both drive
-//! it, instead of each carrying its own MAC/delivery copy.
+//! recovers 8b/10b groups off the fiber and the register-insertion MAC
+//! decides *forward / deliver / strip*. [`NodeStack`] models those
+//! planes once, with their telemetry; the standalone
+//! [`Segment`](crate::Segment) simulator and `ampnet-core`'s `Cluster`
+//! both drive it through [`NodeStack::classify_arrival`]. What a
+//! delivered frame becomes on the host side (a collected packet, a
+//! per-source byte count, a dispatched cache update) belongs to the
+//! driver: the stack hands it the MAC's [`MacAction`] and never reads
+//! a payload.
 //!
 //! Buffer lifecycle — stored once, read in place: a packet is copied
 //! **once** at its source into a
 //! [`FrameArena`](ampnet_packet::FrameArena) slot; every hop reads the
 //! slot's header fields into the 16-byte [`WireFrame`] descriptor (a
 //! compile-time assertion) without parsing anything; the payload is
-//! read only at the delivery boundary (a copy out of the slot, and only
-//! for a host that retains packets) and the slot is recycled when the
-//! frame leaves the ring (unicast delivery or source strip).
-//! Fault injection addresses a plane, not a node blob: an error burst
-//! is a [`PlaneFault::Phy`] assessed by the [`SerialPhy`]'s 8b/10b
-//! checker.
+//! read only by the driver at delivery, and the slot is recycled when
+//! the frame leaves the ring (unicast delivery or source strip).
+//! An error burst is assessed by the [`SerialPhy`]'s 8b/10b checker
+//! through [`NodeStack::phy_burst`].
 
 use crate::mac::{MacAction, MacTx, RegisterMac, RingNodeStats, WireFrame, MAX_PACKET_WIRE};
 use crate::stream::StreamId;
@@ -28,7 +30,6 @@ use ampnet_sim::{SimDuration, SimTime};
 use ampnet_telemetry::{
     defs, CounterHandle, FlightEvent, FlightKind, GaugeHandle, Plane, Telemetry,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The PHY plane — the paper's serial port: one outgoing fiber at a
@@ -46,8 +47,6 @@ use std::sync::Arc;
 pub struct SerialPhy {
     link: LinkParams,
     node_latency: SimDuration,
-    /// Frames clocked out by this port.
-    pub tx_frames: u64,
     /// Propagation + downstream re-timing for the current fiber, nanos.
     fixed_ns: u64,
     /// `serialize_time(bytes)` in nanos, indexed by wire size.
@@ -62,7 +61,6 @@ impl SerialPhy {
         SerialPhy {
             link,
             node_latency,
-            tx_frames: 0,
             fixed_ns: (link.propagation() + node_latency).as_nanos(),
             ser_ns: Arc::new(std::array::from_fn(|bytes| {
                 link.serialize_time(bytes).as_nanos()
@@ -122,64 +120,6 @@ impl SerialPhy {
         }
         detected
     }
-}
-
-/// The delivery plane, where frames addressed to this node leave the
-/// ring pipeline and enter the host: per-source accounting plus an
-/// optional packet queue for a host that collects payloads
-/// and reads them later ([`Segment`](crate::Segment) with
-/// `collect_deliveries`). A host that consumes each frame as it
-/// arrives (`ampnet-core`'s `Cluster`) queues nothing: it goes through
-/// [`NodeStack::classify_arrival`] and reads the frame in the arena.
-#[derive(Debug, Default)]
-pub struct HostQueues {
-    /// Payload bytes delivered here, per source node: one slot per
-    /// source, sized by [`HostQueues::new`]. `Cluster` passes 0, so it
-    /// keeps no per-source accounting; a source past the end is not
-    /// counted.
-    pub delivered_from: Vec<u64>,
-    /// Delivered packets awaiting the host, oldest first. Populated only
-    /// by [`NodeStack::on_wire_arrival`], and only when
-    /// [`HostQueues::retain_packets`] is on.
-    pub pending: VecDeque<MicroPacket>,
-    /// Copy out and queue every packet delivered through
-    /// [`NodeStack::on_wire_arrival`]; off = accounting only, the
-    /// payload is never read.
-    pub retain_packets: bool,
-    /// Frames delivered in total.
-    pub delivered: u64,
-}
-
-impl HostQueues {
-    /// Accounting over `n_sources` possible senders.
-    pub fn new(n_sources: usize) -> Self {
-        HostQueues {
-            delivered_from: vec![0; n_sources],
-            ..Default::default()
-        }
-    }
-
-    /// Count a frame for this node (unicast, or a broadcast copy).
-    fn account(&mut self, frame: &WireFrame) {
-        self.delivered += 1;
-        if let Some(slot) = self.delivered_from.get_mut(frame.ctrl.src as usize) {
-            *slot += frame.payload_bytes as u64;
-        }
-    }
-}
-
-/// A fault injected at a specific plane boundary (the chaos engine's
-/// hook into the data-plane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlaneFault {
-    /// PHY plane: a bit-error burst on the receive fiber, replayable
-    /// from `seed`.
-    Phy {
-        /// Replay seed of the corruption pattern.
-        seed: u64,
-        /// Single-bit corruptions injected into the serial stream.
-        errors: u32,
-    },
 }
 
 /// Per-node handles into a shared [`Telemetry`] registry, one per
@@ -282,23 +222,8 @@ impl StackTelemetry {
     }
 }
 
-/// What happened to a frame that arrived off the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StackOutcome {
-    /// Unicast to this node: consumed (frame released by
-    /// [`NodeStack::on_wire_arrival`], left to the caller by
-    /// [`NodeStack::classify_arrival`]).
-    Delivered,
-    /// Broadcast: delivered here and still circulating.
-    DeliveredAndForwarded,
-    /// Own frame back after a full tour (frame released).
-    Stripped,
-    /// Transit: queued for the output port.
-    Forwarded,
-}
-
-/// One node's layered data-plane: `phy` (serialization, 8b/10b),
-/// `mac` (insertion register + pacing), `delivery` (host queues).
+/// One node's layered data-plane: `phy` (serialization, 8b/10b) and
+/// `mac` (insertion register + pacing), with their telemetry.
 ///
 /// # Example
 ///
@@ -307,7 +232,7 @@ pub enum StackOutcome {
 ///
 /// ```
 /// use ampnet_packet::{build, FrameArena};
-/// use ampnet_ring::{NodeStack, PacingMode, RingNodeParams, StackOutcome};
+/// use ampnet_ring::{MacAction, NodeStack, PacingMode, RingNodeParams};
 /// use ampnet_phy::LinkParams;
 /// use ampnet_sim::{SimDuration, SimTime};
 ///
@@ -321,8 +246,8 @@ pub enum StackOutcome {
 ///
 /// tx.enqueue_packet(&mut arena, 0, &build::data(0, 1, 0, [7; 8]));
 /// let sent = tx.next_tx(SimTime(0), &arena).expect("eligible to insert");
-/// let outcome = rx.on_wire_arrival(SimTime(100), &mut arena, sent.frame.frame);
-/// assert_eq!(outcome, StackOutcome::Delivered);
+/// let action = rx.on_wire_arrival(SimTime(100), &mut arena, sent.frame.frame);
+/// assert!(matches!(action, MacAction::Deliver(_)));
 /// assert_eq!(arena.live(), 0, "delivery recycled the frame slot");
 /// ```
 #[derive(Debug)]
@@ -331,16 +256,14 @@ pub struct NodeStack {
     pub phy: SerialPhy,
     /// The insertion-MAC plane.
     pub mac: RegisterMac,
-    /// The delivery plane.
-    pub delivery: HostQueues,
     /// Per-plane metric handles (inert until [`NodeStack::instrument`]).
     pub telemetry: StackTelemetry,
 }
 
 impl NodeStack {
     /// Assemble a stack from its planes.
-    pub fn new(phy: SerialPhy, mac: RegisterMac, delivery: HostQueues) -> Self {
-        NodeStack { phy, mac, delivery, telemetry: StackTelemetry::disabled() }
+    pub fn new(phy: SerialPhy, mac: RegisterMac) -> Self {
+        NodeStack { phy, mac, telemetry: StackTelemetry::disabled() }
     }
 
     /// Attach this stack to a shared registry: registers its per-plane
@@ -356,64 +279,54 @@ impl NodeStack {
         self.telemetry.publish_mac_gauges(self.mac.stats());
     }
 
-    /// A frame's last byte arrived from upstream: classify it, hand
-    /// deliverable copies to the delivery plane (copied out and queued
-    /// when it retains packets), and recycle frames that leave the
-    /// ring here.
+    /// [`NodeStack::classify_arrival`] for a host that never reads a
+    /// delivered frame: a delivered unicast is recycled too. Only the
+    /// `benchmark/` package calls it; it builds against this API and
+    /// is frozen.
     #[inline]
     pub fn on_wire_arrival(
         &mut self,
         now: SimTime,
         arena: &mut FrameArena,
         frame: FrameRef,
-    ) -> StackOutcome {
-        let outcome = self.classify_arrival(now, arena, frame);
-        if matches!(outcome, StackOutcome::Delivered | StackOutcome::DeliveredAndForwarded) {
-            if self.delivery.retain_packets {
-                self.delivery.pending.push_back(arena.decode(frame));
-            }
-            if outcome == StackOutcome::Delivered {
-                arena.release(frame);
-            }
+    ) -> MacAction {
+        let action = self.classify_arrival(now, arena, frame);
+        if let MacAction::Deliver(wf) = action {
+            arena.release(wf.frame);
         }
-        outcome
+        action
     }
 
-    /// [`NodeStack::on_wire_arrival`] for a host that consumes a
-    /// delivered frame where it lies: classify the frame and account
-    /// for it on every plane (MAC counters, delivery totals,
-    /// telemetry) without copying or queueing anything. A stripped
-    /// frame is recycled here. A [`StackOutcome::Delivered`] frame is
-    /// **still live** on return: the caller reads it from `arena` and
-    /// releases it; a `DeliveredAndForwarded` one is on loan from the
-    /// transit buffer and must only be read.
+    /// A frame's last byte arrived from upstream: classify it and
+    /// account for it on every plane (MAC counters, telemetry). The
+    /// MAC's verdict comes back with the frame's descriptor:
     ///
-    /// This is the stack's one arrival classification, and it and
-    /// the other per-frame calls (`on_wire_arrival`, `next_tx`,
-    /// `RegisterMac::{on_arrival, next_tx}`) are `#[inline]`: each has
-    /// two drivers, `Segment` and `Cluster`, and out of line every hop
-    /// stored its `WireFrame` / `MacTx` to the stack only for the
-    /// caller to load it back (EXPERIMENTS.md §B13). Inlined, the
-    /// shared body runs as fast as the copy of this `match` that
-    /// `on_wire_arrival` used to carry (§B9).
+    /// * `Deliver`: the frame is **still live**; the driver reads it
+    ///   from `arena` and releases it.
+    /// * `DeliverAndForward`: the frame is on loan from the transit
+    ///   buffer and must only be read.
+    /// * `Strip`: the frame is **already back in the pool**; the
+    ///   descriptor names a released slot and only its header copy
+    ///   may be used.
+    /// * `Forward`: queued for the output port.
+    ///
+    /// This is the stack's one arrival path, and it and the other
+    /// per-frame calls (`next_tx`, `RegisterMac::{on_arrival,
+    /// next_tx}`) are `#[inline]`: each has two drivers, `Segment` and
+    /// `Cluster`, and out of line every hop stored its `WireFrame` /
+    /// `MacTx` to the stack only for the caller to load it back
+    /// (EXPERIMENTS.md §B13).
     #[inline]
     pub fn classify_arrival(
         &mut self,
         now: SimTime,
         arena: &mut FrameArena,
         frame: FrameRef,
-    ) -> StackOutcome {
-        let wf = WireFrame::of(arena, frame);
-        match self.mac.on_arrival(now, wf) {
-            MacAction::Deliver(wf) => {
+    ) -> MacAction {
+        let action = self.mac.on_arrival(now, WireFrame::of(arena, frame));
+        match action {
+            MacAction::Deliver(wf) | MacAction::DeliverAndForward(wf) => {
                 self.telemetry.delivered(now, &wf);
-                self.delivery.account(&wf);
-                StackOutcome::Delivered
-            }
-            MacAction::DeliverAndForward(wf) => {
-                self.telemetry.delivered(now, &wf);
-                self.delivery.account(&wf);
-                StackOutcome::DeliveredAndForwarded
             }
             MacAction::Strip(wf) => {
                 self.telemetry.tel.inc(self.telemetry.stripped);
@@ -426,10 +339,10 @@ impl NodeStack {
                     b: 0,
                 });
                 arena.release(wf.frame);
-                StackOutcome::Stripped
             }
-            MacAction::Forward => StackOutcome::Forwarded,
+            MacAction::Forward => {}
         }
+        action
     }
 
     /// Serialize an own packet into the arena (its single encode) and
@@ -454,7 +367,6 @@ impl NodeStack {
     #[inline]
     pub fn next_tx(&mut self, now: SimTime, _arena: &FrameArena) -> Option<MacTx> {
         let tx = self.mac.next_tx(now)?;
-        self.phy.tx_frames += 1;
         self.telemetry.tel.inc(self.telemetry.phy_tx);
         if tx.own {
             self.telemetry.tel.inc(self.telemetry.inserted);
@@ -472,50 +384,47 @@ impl NodeStack {
         Some(tx)
     }
 
-    /// Inject a fault at its plane boundary. Returns the plane's
-    /// detection verdict (e.g. 8b/10b violations flagged for a PHY
-    /// burst) so the control plane can decide whether to escalate.
-    pub fn inject_fault(&mut self, fault: PlaneFault) -> u32 {
-        self.inject_fault_at(SimTime(0), fault)
+    /// When [`NodeStack::next_tx`] gave nothing: the instant to try
+    /// again, if own traffic waits on the pacing governor. `None` when
+    /// no stream holds traffic or the governor already allows it — the
+    /// next arrival or end of transmission kicks the port anyway.
+    pub fn insert_retry_at(&self, now: SimTime) -> Option<SimTime> {
+        let at = self.mac.next_insert_allowed();
+        (self.mac.streams_ref().has_traffic() && at > now).then_some(at)
     }
 
-    /// [`NodeStack::inject_fault`], stamped with the simulated time so
-    /// the burst lands on the flight-recorder timeline.
-    pub fn inject_fault_at(&mut self, now: SimTime, fault: PlaneFault) -> u32 {
-        match fault {
-            PlaneFault::Phy { seed, errors } => {
-                let detected = self.phy.assess_burst(seed, errors);
-                self.telemetry.tel.inc(self.telemetry.bursts);
-                self.telemetry.tel.add(self.telemetry.bit_errors, errors as u64);
-                self.telemetry.tel.add(self.telemetry.violations, detected as u64);
-                self.telemetry.tel.flight(FlightEvent {
-                    at_ns: now.0,
-                    node: self.telemetry.node,
-                    plane: Plane::Phy,
-                    kind: FlightKind::PhyBurst,
-                    a: errors as u64,
-                    b: detected as u64,
-                });
-                detected
-            }
-        }
+    /// A bit-error burst of `errors` single-bit corruptions on the
+    /// receive fiber, replayable from `seed`, assessed by the PHY's
+    /// 8b/10b checker and stamped on the flight-recorder timeline at
+    /// `now`. Returns the violations flagged, so the control plane can
+    /// decide whether to escalate.
+    pub fn phy_burst(&mut self, now: SimTime, seed: u64, errors: u32) -> u32 {
+        let detected = self.phy.assess_burst(seed, errors);
+        self.telemetry.tel.inc(self.telemetry.bursts);
+        self.telemetry.tel.add(self.telemetry.bit_errors, errors as u64);
+        self.telemetry.tel.add(self.telemetry.violations, detected as u64);
+        self.telemetry.tel.flight(FlightEvent {
+            at_ns: now.0,
+            node: self.telemetry.node,
+            plane: Plane::Phy,
+            kind: FlightKind::PhyBurst,
+            a: errors as u64,
+            b: detected as u64,
+        });
+        detected
     }
 
-    /// The default stack: serial PHY, register-insertion MAC, host
-    /// queues with per-source accounting.
+    /// The default stack: serial PHY and register-insertion MAC.
+    /// `_n_sources` stays in the signature for the `benchmark/`
+    /// package, which builds against this API and is frozen.
     pub fn with_defaults(
         id: u8,
         params: crate::mac::RingNodeParams,
         link: LinkParams,
         node_latency: SimDuration,
-        n_sources: usize,
+        _n_sources: usize,
     ) -> Self {
-        NodeStack {
-            phy: SerialPhy::new(link, node_latency),
-            mac: RegisterMac::new(id, params),
-            delivery: HostQueues::new(n_sources),
-            telemetry: StackTelemetry::disabled(),
-        }
+        NodeStack::new(SerialPhy::new(link, node_latency), RegisterMac::new(id, params))
     }
 }
 
@@ -543,16 +452,19 @@ mod tests {
     fn unicast_frame_is_delivered_and_recycled() {
         let mut arena = FrameArena::new();
         let mut s = stack(2, 4);
-        s.delivery.retain_packets = true;
         let pkt = build::data(0, 2, 1, [9; 8]);
         let f = arena.insert(&pkt);
-        assert_eq!(
-            s.on_wire_arrival(SimTime(0), &mut arena, f),
-            StackOutcome::Delivered
-        );
-        assert_eq!(s.delivery.pending.pop_front(), Some(pkt));
-        assert_eq!(s.delivery.delivered_from[0], 8);
-        assert_eq!(arena.live(), 0, "frame recycled at delivery");
+        let MacAction::Deliver(wf) = s.classify_arrival(SimTime(0), &mut arena, f) else {
+            panic!("a unicast to node 2 is delivered there");
+        };
+        assert_eq!((wf.frame, wf.payload_bytes), (f, 8));
+        assert_eq!(arena.decode(f), pkt, "still live for the host to read");
+        let again = arena.insert(&pkt);
+        assert!(matches!(
+            s.on_wire_arrival(SimTime(0), &mut arena, again),
+            MacAction::Deliver(_)
+        ));
+        assert_eq!(arena.live(), 1, "on_wire_arrival recycled its frame");
     }
 
     #[test]
@@ -566,19 +478,19 @@ mod tests {
         assert!(tx.own);
         let mut f = tx.frame.frame;
         for hop in [1usize, 2] {
-            assert_eq!(
+            assert!(matches!(
                 stacks[hop].on_wire_arrival(SimTime(0), &mut arena, f),
-                StackOutcome::DeliveredAndForwarded
-            );
+                MacAction::DeliverAndForward(_)
+            ));
             let fwd = stacks[hop].next_tx(SimTime(0), &arena).unwrap();
             assert!(!fwd.own);
             assert_eq!(fwd.frame.frame, f, "same pooled frame all the way round");
             f = fwd.frame.frame;
         }
-        assert_eq!(
+        assert!(matches!(
             stacks[0].on_wire_arrival(SimTime(0), &mut arena, f),
-            StackOutcome::Stripped
-        );
+            MacAction::Strip(_)
+        ));
         assert_eq!(arena.live(), 0, "strip recycles the slot");
         assert_eq!(arena.stats().acquired, 1, "one encode for the whole tour");
     }
@@ -607,10 +519,10 @@ mod tests {
     #[test]
     fn phy_burst_assessment_is_deterministic() {
         let mut s = stack(0, 1);
-        let a = s.inject_fault(PlaneFault::Phy { seed: 77, errors: 9 });
-        let b = s.inject_fault(PlaneFault::Phy { seed: 77, errors: 9 });
+        let a = s.phy_burst(SimTime(0), 77, 9);
+        let b = s.phy_burst(SimTime(0), 77, 9);
         assert_eq!(a, b, "same seed, same verdict");
         assert!(a > 0, "a 9-error burst must trip the 8b/10b checker");
-        assert_eq!(s.inject_fault(PlaneFault::Phy { seed: 1, errors: 0 }), 0);
+        assert_eq!(s.phy_burst(SimTime(0), 1, 0), 0);
     }
 }

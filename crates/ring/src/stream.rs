@@ -7,44 +7,26 @@
 //! each stream gets line share proportional to its weight regardless of
 //! packet size mix.
 
-use ampnet_packet::MicroPacket;
+use crate::mac::WireFrame;
 use std::collections::VecDeque;
-
-/// Anything with a wire footprint the DRR scheduler can meter:
-/// whole [`MicroPacket`] values or pooled
-/// [`WireFrame`](crate::WireFrame) descriptors.
-pub trait WireSized {
-    /// Total line bytes including SOF/EOF framing.
-    fn wire_bytes(&self) -> usize;
-}
-
-impl WireSized for MicroPacket {
-    fn wire_bytes(&self) -> usize {
-        MicroPacket::wire_bytes(self)
-    }
-}
 
 /// One local transmit stream.
 #[derive(Debug)]
-struct Stream<T> {
-    queue: VecDeque<T>,
+struct Stream {
+    queue: VecDeque<WireFrame>,
     /// DRR weight: quantum bytes added per round.
     weight: u32,
     deficit: i64,
-    /// Total bytes ever enqueued/dequeued, for accounting.
-    enqueued_bytes: u64,
+    /// Total bytes and frames ever dequeued, for accounting.
     sent_bytes: u64,
     sent_packets: u64,
 }
 
-/// Deficit-round-robin scheduler over a node's transmit streams.
-///
-/// Generic over the queued item: the legacy packet-valued API uses
-/// `StreamSet<MicroPacket>` (the default), the zero-copy MAC plane
-/// queues [`WireFrame`](crate::WireFrame) descriptors.
+/// Deficit-round-robin scheduler over a node's transmit streams,
+/// queueing pooled [`WireFrame`] descriptors.
 #[derive(Debug)]
-pub struct StreamSet<T: WireSized = MicroPacket> {
-    streams: Vec<Stream<T>>,
+pub struct StreamSet {
+    streams: Vec<Stream>,
     /// Round-robin cursor.
     cursor: usize,
     /// Quantum granted per weight unit per round, in bytes.
@@ -55,7 +37,7 @@ pub struct StreamSet<T: WireSized = MicroPacket> {
 /// Identifier of a stream within one node (also the MicroPacket tag).
 pub type StreamId = u8;
 
-impl<T: WireSized> StreamSet<T> {
+impl StreamSet {
     /// A scheduler with `n` streams of equal weight.
     pub fn new(n: usize) -> Self {
         Self::with_weights(&vec![1; n])
@@ -72,7 +54,6 @@ impl<T: WireSized> StreamSet<T> {
                     queue: VecDeque::new(),
                     weight: w,
                     deficit: 0,
-                    enqueued_bytes: 0,
                     sent_bytes: 0,
                     sent_packets: 0,
                 })
@@ -103,20 +84,18 @@ impl<T: WireSized> StreamSet<T> {
         self.queued_packets > 0
     }
 
-    /// Enqueue a packet on a stream.
-    pub fn enqueue(&mut self, stream: StreamId, pkt: T) {
-        let s = &mut self.streams[stream as usize];
-        s.enqueued_bytes += pkt.wire_bytes() as u64;
-        s.queue.push_back(pkt);
+    /// Enqueue a frame on a stream.
+    pub fn enqueue(&mut self, stream: StreamId, frame: WireFrame) {
+        self.streams[stream as usize].queue.push_back(frame);
         self.queued_packets += 1;
     }
 
-    /// Pick the next packet to insert, honouring DRR fairness.
+    /// Pick the next frame to insert, honouring DRR fairness.
     #[expect(
         clippy::unreachable,
         reason = "quantum >= max packet size guarantees a backlogged stream sends within two rounds"
     )]
-    pub fn dequeue(&mut self) -> Option<(StreamId, T)> {
+    pub fn dequeue(&mut self) -> Option<(StreamId, WireFrame)> {
         if self.queued_packets == 0 {
             return None;
         }
@@ -127,20 +106,20 @@ impl<T: WireSized> StreamSet<T> {
             let quantum = self.quantum;
             let s = &mut self.streams[i];
             if let Some(head) = s.queue.front() {
-                let need = head.wire_bytes() as i64;
+                let need = head.wire_bytes as i64;
                 if s.deficit >= need {
                     s.deficit -= need;
                     #[expect(
                         clippy::expect_used,
                         reason = "the scheduler checked non-empty before popping this head"
                     )]
-                    let pkt = s.queue.pop_front().expect("head exists");
-                    s.sent_bytes += pkt.wire_bytes() as u64;
+                    let frame = s.queue.pop_front().expect("head exists");
+                    s.sent_bytes += frame.wire_bytes as u64;
                     s.sent_packets += 1;
                     self.queued_packets -= 1;
                     // Keep the cursor: a stream may send several
                     // packets per round while its deficit lasts.
-                    return Some((i as StreamId, pkt));
+                    return Some((i as StreamId, frame));
                 }
                 // Not enough deficit: grant a quantum and move on.
                 s.deficit += (s.weight * quantum) as i64;
@@ -168,15 +147,20 @@ impl<T: WireSized> StreamSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ampnet_packet::build;
-    use ampnet_packet::DmaCtrl;
+    use ampnet_packet::{build, DmaCtrl, FrameArena, MicroPacket};
 
-    fn data_pkt() -> MicroPacket {
-        build::data(0, 1, 0, [0; 8]) // 20 wire bytes
+    /// The descriptor of `pkt`. The scheduler reads only its sizes and
+    /// control word, never the pooled frame, so the arena is dropped.
+    fn frame(pkt: &MicroPacket) -> WireFrame {
+        WireFrame::insert(&mut FrameArena::new(), pkt)
     }
 
-    fn dma_pkt() -> MicroPacket {
-        build::dma(
+    fn data_frame() -> WireFrame {
+        frame(&build::data(0, 1, 0, [0; 8])) // 20 wire bytes
+    }
+
+    fn dma_frame() -> WireFrame {
+        frame(&build::dma(
             0,
             1,
             1,
@@ -188,12 +172,12 @@ mod tests {
             },
             &[0u8; 64],
         )
-        .unwrap() // 84 wire bytes
+        .unwrap()) // 84 wire bytes
     }
 
     #[test]
     fn empty_dequeues_none() {
-        let mut s: StreamSet = StreamSet::new(2);
+        let mut s = StreamSet::new(2);
         assert!(s.dequeue().is_none());
         assert!(!s.has_traffic());
     }
@@ -202,7 +186,7 @@ mod tests {
     fn single_stream_fifo() {
         let mut s = StreamSet::new(1);
         for i in 0..5u8 {
-            s.enqueue(0, build::data(0, 1, i, [i; 8]));
+            s.enqueue(0, frame(&build::data(0, 1, i, [i; 8])));
         }
         for i in 0..5u8 {
             let (_, p) = s.dequeue().unwrap();
@@ -216,16 +200,16 @@ mod tests {
         // Stream 0 sends small Data packets, stream 1 large DMA ones.
         let mut s = StreamSet::new(2);
         for _ in 0..400 {
-            s.enqueue(0, data_pkt());
+            s.enqueue(0, data_frame());
         }
         for _ in 0..100 {
-            s.enqueue(1, dma_pkt());
+            s.enqueue(1, dma_frame());
         }
         // Drain ~half the total bytes, then compare per-stream bytes.
         let mut drained = 0u64;
         while drained < 4000 {
             let (_, p) = s.dequeue().unwrap();
-            drained += p.wire_bytes() as u64;
+            drained += p.wire_bytes as u64;
         }
         let sent = s.sent_bytes();
         let ratio = sent[0] as f64 / sent[1].max(1) as f64;
@@ -239,8 +223,8 @@ mod tests {
     fn weighted_streams_get_proportional_share() {
         let mut s = StreamSet::with_weights(&[3, 1]);
         for _ in 0..1000 {
-            s.enqueue(0, data_pkt());
-            s.enqueue(1, data_pkt());
+            s.enqueue(0, data_frame());
+            s.enqueue(1, data_frame());
         }
         let mut drained = 0;
         while drained < 400 {
@@ -260,15 +244,15 @@ mod tests {
         let mut s = StreamSet::new(2);
         // Stream 1 idle for a long time while stream 0 sends.
         for _ in 0..100 {
-            s.enqueue(0, data_pkt());
+            s.enqueue(0, data_frame());
         }
         for _ in 0..100 {
             s.dequeue().unwrap();
         }
         // Now both have traffic; stream 1 must not burst ahead.
         for _ in 0..50 {
-            s.enqueue(0, data_pkt());
-            s.enqueue(1, data_pkt());
+            s.enqueue(0, data_frame());
+            s.enqueue(1, data_frame());
         }
         let before = s.sent_packets();
         for _ in 0..20 {
@@ -286,8 +270,8 @@ mod tests {
     #[test]
     fn counts_track() {
         let mut s = StreamSet::new(2);
-        s.enqueue(0, data_pkt());
-        s.enqueue(1, dma_pkt());
+        s.enqueue(0, data_frame());
+        s.enqueue(1, dma_frame());
         assert_eq!(s.queued_packets(), 2);
         s.dequeue().unwrap();
         assert_eq!(s.queued_packets(), 1);
@@ -298,6 +282,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one stream")]
     fn zero_streams_rejected() {
-        let _: StreamSet = StreamSet::with_weights(&[]);
+        StreamSet::with_weights(&[]);
     }
 }

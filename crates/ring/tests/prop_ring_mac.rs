@@ -2,17 +2,16 @@
 //! conservation (no loss, no duplication), per-stream FIFO at the
 //! receiver, and the structural no-drop bound — under arbitrary
 //! workloads; the packet arena every hop reads; and the stack's
-//! arrival path against the form it had before it was built on
-//! `NodeStack::classify_arrival`.
+//! arrival path against the MAC's own decision, taken through the
+//! stack's public planes.
 
 use ampnet_packet::{
     Body, ControlWord, DmaCtrl, Flags, FrameArena, FrameRef, LengthClass, MicroPacket,
     PacketType, BROADCAST, MAX_DMA_PAYLOAD,
 };
 use ampnet_ring::{
-    ArrivalProcess, DstPattern, HostQueues, MacAction, MacTx, NodeStack, PacingMode, PacketKind,
-    RingNodeParams, Segment, SegmentParams, StackOutcome, StreamWorkload, WireFrame,
-    MAX_PACKET_WIRE,
+    ArrivalProcess, DstPattern, MacAction, MacTx, NodeStack, PacingMode, PacketKind,
+    RingNodeParams, Segment, SegmentParams, StreamWorkload, WireFrame, MAX_PACKET_WIRE,
 };
 use ampnet_phy::LinkParams;
 use ampnet_sim::{SimDuration, SimTime};
@@ -219,48 +218,25 @@ proptest! {
     }
 }
 
-/// `NodeStack::on_wire_arrival` as it was written with its own copy of
-/// the classification `match`, through the stack's public planes. The
-/// stacks it drives are not instrumented, so that body's telemetry
+/// `NodeStack::on_wire_arrival` written out through the stack's public
+/// planes: the MAC decides, and a frame that leaves the ring here
+/// (delivered unicast, stripped own frame) goes back to the pool. The
+/// stacks it drives are not instrumented, so the stack's telemetry
 /// calls are left out.
 fn reference_on_wire_arrival(
     s: &mut NodeStack,
     now: SimTime,
     arena: &mut FrameArena,
     frame: FrameRef,
-) -> StackOutcome {
-    let wf = WireFrame::of(arena, frame);
-    match s.mac.on_arrival(now, wf) {
-        MacAction::Deliver(wf) => {
-            reference_deliver(&mut s.delivery, &wf, arena);
-            arena.release(wf.frame);
-            StackOutcome::Delivered
-        }
-        MacAction::DeliverAndForward(wf) => {
-            reference_deliver(&mut s.delivery, &wf, arena);
-            StackOutcome::DeliveredAndForwarded
-        }
-        MacAction::Strip(wf) => {
-            arena.release(wf.frame);
-            StackOutcome::Stripped
-        }
-        MacAction::Forward => StackOutcome::Forwarded,
+) -> MacAction {
+    let action = s.mac.on_arrival(now, WireFrame::of(arena, frame));
+    if let MacAction::Deliver(wf) | MacAction::Strip(wf) = action {
+        arena.release(wf.frame);
     }
+    action
 }
 
-/// The delivery that `reference_on_wire_arrival` made: account, then
-/// copy the packet out when the host retains packets.
-fn reference_deliver(q: &mut HostQueues, frame: &WireFrame, arena: &FrameArena) {
-    q.delivered += 1;
-    if let Some(slot) = q.delivered_from.get_mut(frame.ctrl.src as usize) {
-        *slot += frame.payload_bytes as u64;
-    }
-    if q.retain_packets {
-        q.pending.push_back(arena.decode(frame.frame));
-    }
-}
-
-type Arrival = fn(&mut NodeStack, SimTime, &mut FrameArena, FrameRef) -> StackOutcome;
+type Arrival = fn(&mut NodeStack, SimTime, &mut FrameArena, FrameRef) -> MacAction;
 
 /// One step of a two-node ring.
 #[derive(Debug, Clone)]
@@ -282,26 +258,18 @@ struct TwoRing {
 }
 
 impl TwoRing {
-    fn new(retain_packets: bool, arrive: Arrival) -> Self {
+    fn new(arrive: Arrival) -> Self {
         let params = RingNodeParams {
             pacing: PacingMode::Greedy,
             ..Default::default()
         };
         let node = |id| {
-            let mut s = NodeStack::with_defaults(
-                id,
-                params,
-                LinkParams::default(),
-                SimDuration::from_nanos(60),
-                3,
-            );
-            s.delivery.retain_packets = retain_packets;
-            s
+            NodeStack::with_defaults(id, params, LinkParams::default(), SimDuration::from_nanos(60), 3)
         };
         TwoRing { arena: FrameArena::new(), nodes: [node(0), node(1)], arrive }
     }
 
-    fn step(&mut self, now: SimTime, step: &Step) -> (Option<MacTx>, Option<StackOutcome>) {
+    fn step(&mut self, now: SimTime, step: &Step) -> (Option<MacTx>, Option<MacAction>) {
         match step {
             Step::Arrive(at, pkt) => {
                 let f = self.arena.insert(pkt);
@@ -324,20 +292,7 @@ impl TwoRing {
 
     /// Everything the arrival path may change, in comparable form.
     fn state(&self) -> String {
-        let nodes: Vec<_> = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let q = &n.delivery;
-                format!(
-                    "{:?} {} {:?} {:?}",
-                    n.mac.stats(),
-                    q.delivered,
-                    q.delivered_from,
-                    q.pending
-                )
-            })
-            .collect();
+        let nodes: Vec<_> = self.nodes.iter().map(|n| format!("{:?}", n.mac.stats())).collect();
         format!("{nodes:?} live {} {:?}", self.arena.live(), self.arena.stats())
     }
 }
@@ -379,16 +334,17 @@ fn arb_step() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The shared arrival path (`classify_arrival` + retain + release)
-    /// does exactly what the path with its own `match` did: same
-    /// outcome, MAC counters, host queues and arena after every step.
+    /// The shared arrival path (`classify_arrival` + release of a
+    /// delivered unicast) does exactly what the MAC's decision spelled
+    /// out does: same action, MAC counters and arena after every step.
+    /// What a host copies out of a delivered frame is the driver's, and
+    /// the `collect_deliveries` properties above check it.
     #[test]
     fn shared_arrival_path_matches_the_reference(
-        retain_packets in any::<bool>(),
         steps in proptest::collection::vec(arb_step(), 1..80),
     ) {
-        let mut shipped = TwoRing::new(retain_packets, NodeStack::on_wire_arrival);
-        let mut reference = TwoRing::new(retain_packets, reference_on_wire_arrival);
+        let mut shipped = TwoRing::new(NodeStack::on_wire_arrival);
+        let mut reference = TwoRing::new(reference_on_wire_arrival);
         for (i, step) in steps.iter().enumerate() {
             let now = SimTime(i as u64 * 100);
             prop_assert_eq!(shipped.step(now, step), reference.step(now, step), "step {}: {:?}", i, step);

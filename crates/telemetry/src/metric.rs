@@ -81,16 +81,18 @@ impl Unit {
 
 /// Which layer of the stack a metric (or flight event) belongs to.
 ///
-/// Mirrors the PR 2 plane split: `SerialPhy` → `RegisterMac` →
-/// `HostQueues` inside one node, with transport/membership above the
-/// ring and the cache/services planes above those.
+/// Mirrors the plane split: `SerialPhy` → `RegisterMac` inside one
+/// node's `NodeStack`, then the delivery boundary where a frame leaves
+/// the ring for the host, with transport/membership above the ring and
+/// the cache/services planes above those.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Plane {
     /// Serialisation, hop latency, error bursts (`SerialPhy`).
     Phy,
     /// Register-insertion decisions (`RegisterMac`).
     Mac,
-    /// Host-side delivery queues (`HostQueues`).
+    /// Frames the MAC hands to this node's host (`NodeStack` counts
+    /// them; what the host does with them belongs to the ring driver).
     Delivery,
     /// Frame arena, replay and per-hop scheduling (`ampnet-core`).
     Transport,
