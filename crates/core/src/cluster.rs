@@ -111,7 +111,7 @@ impl TxPort {
     };
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     Arrival { epoch: u64, node: u8, frame: FrameRef },
     TxDone { epoch: u64, node: u8 },
@@ -191,11 +191,6 @@ pub struct Cluster {
     pub(crate) observations: Vec<(SimTime, ObservedEvent)>,
     /// Cluster-wide telemetry handles (disabled by default).
     pub(crate) tel: CoreTelemetry,
-    /// The same-instant batch being handled, *latest first* (allocated
-    /// once): `run_until` pops the event in hand off the back, and a
-    /// `TxDone` found to be due at this very instant is inserted at
-    /// its sequence position among those still to come.
-    pub(crate) batch: Vec<(u64, Ev)>,
     /// Cached unicast replay-expiry window, keyed by ring length
     /// (`usize::MAX` = stale). `quiet_tour() * 2` only changes when
     /// the ring does, not per arrival.
@@ -274,7 +269,6 @@ impl Cluster {
             sweep_interval: None,
             observations: vec![],
             tel: Default::default(),
-            batch: vec![],
             unicast_expiry: (usize::MAX, SimDuration::ZERO),
             stream_backlog: [0; 256],
             cfg,
@@ -288,18 +282,13 @@ impl Cluster {
         self.sim.now()
     }
 
-    /// Run the event loop until `deadline`. Events are dispatched in
-    /// same-instant batches; the order is identical to one-at-a-time
-    /// popping (see [`Sim::pop_batch`]), including for the one event a
-    /// handler can add to the batch in hand — a `TxDone` requested at
-    /// the instant it is due (`transport.rs`).
+    /// Run the event loop until `deadline`, one event at a time; the
+    /// kernel fuses each pop with the handler's first schedule (see
+    /// [`Sim::next_event`]).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.sim.pop_batch(deadline, &mut self.batch) > 0 {
-            self.batch.reverse();
-            while let Some((seq, ev)) = self.batch.pop() {
-                self.in_hand = seq;
-                self.handle(ev);
-            }
+        while let Some((seq, ev)) = self.sim.next_event(deadline) {
+            self.in_hand = seq;
+            self.handle(ev);
         }
         self.in_hand = u64::MAX;
     }
@@ -429,9 +418,7 @@ impl Cluster {
     /// Simulation events popped from this cluster's kernel so far. The
     /// scaling benchmark sums this across shards for an events/sec
     /// figure. Kernel pops only: an end of transmission nobody waited
-    /// for is never an event, and one inserted straight into the batch
-    /// in hand is handled without passing through the kernel; neither
-    /// is counted.
+    /// for is never an event and is not counted.
     pub fn events_processed(&self) -> u64 {
         self.sim.processed()
     }

@@ -33,11 +33,11 @@
 //!   just gave up;
 //! * by the first `kick` that finds the port busy and the MAC
 //!   backlogged — every MAC fill (`send_own`, an `Arrival`) is followed
-//!   by a `kick`, so the MAC cannot become non-empty unnoticed. If the
-//!   port frees later, the event goes on the heap; if it frees at this
-//!   very instant, the event belongs to the batch `run_until` is
-//!   handling and is inserted there at its sequence position (a heap
-//!   push would pop after the rest of the batch);
+//!   by a `kick`, so the MAC cannot become non-empty unnoticed. The
+//!   event goes on the heap under its reserved number even when the
+//!   port frees at this very instant: `run_until` takes one event at a
+//!   time, so it pops at its sequence position among the instant's
+//!   remaining events;
 //! * by `begin_episode`, for every port still unrequested, before the
 //!   epoch changes — a schedule that pushed every `TxDone` would pop
 //!   them as stale no-ops, `next_event_time` must keep reporting them,
@@ -46,6 +46,12 @@
 //! An end of transmission that is never requested costs nothing;
 //! [`Cluster::next_event_time`] still reports it, so the multi-segment
 //! planner plans the same slices either way.
+//!
+//! `run_until` handles one event at a time
+//! ([`Sim::next_event`](ampnet_sim::Sim::next_event)), and the kernel
+//! fuses each pop with the handler's first schedule: the `Arrival` a
+//! hop schedules at the successor takes the heap slot of the event
+//! that caused it, one sift instead of a pop and a push.
 
 use crate::cluster::{Cluster, Ev, TxPort};
 use ampnet_cache::atomics;
@@ -103,24 +109,17 @@ impl Cluster {
         !port.requested && self.port_busy(port)
     }
 
-    /// Push `node`'s `TxDone` where a push at the send would have put
-    /// it: on the heap under the reserved number, or — when the port
-    /// frees at the instant being handled — into the rest of the
-    /// batch, by sequence number (the batch is held latest first).
+    /// Push `node`'s `TxDone` under the number reserved at the send:
+    /// it pops where a push at the send would have, even when the port
+    /// frees at the instant being handled.
     pub(crate) fn request_tx_done(&mut self, node: u8) {
         let port = &mut self.ports[node as usize];
         port.requested = true;
-        let (at, seq) = (port.free_at, port.seq);
         let ev = Ev::TxDone {
             epoch: self.epoch,
             node,
         };
-        if at > self.sim.now() {
-            self.sim.schedule_reserved(at, seq, ev);
-        } else {
-            let behind = self.batch.partition_point(|&(later, _)| later > seq);
-            self.batch.insert(behind, (seq, ev));
-        }
+        self.sim.schedule_reserved(port.free_at, port.seq, ev);
     }
 
     pub(crate) fn kick(&mut self, node: u8) {
@@ -638,11 +637,11 @@ mod tests {
     /// frees (its `TxDone`, reserved at the send, never pushed), a
     /// second transit frame reaches node 1 (scheduled after the send).
     /// The first arrival finds the port busy and asks for the `TxDone`,
-    /// which must run *between* the two arrivals: pushed onto the heap
-    /// it would run after both, and the transit buffer would hold two
-    /// frames where the hardware held one.
+    /// which must run *between* the two arrivals: popped after both,
+    /// the transit buffer would hold two frames where the hardware
+    /// held one.
     #[test]
-    fn tx_done_due_now_joins_the_batch_at_its_sequence_position() {
+    fn tx_done_due_now_pops_at_its_sequence_position() {
         let [mut eager, mut lazy] = pair(4, 7);
         let transit = build::data(0, 3, 0, [9; 8]);
         let mut popped = [0, 0];
@@ -666,8 +665,8 @@ mod tests {
         }
         assert_eq!(
             popped,
-            [3, 2],
-            "two arrivals; the TxDone between them passes through the kernel only when eager"
+            [3, 3],
+            "two arrivals and the TxDone between them, all through the kernel"
         );
         assert_indistinguishable(&eager, &lazy, "at the shared instant");
         assert_eq!(

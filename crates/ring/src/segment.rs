@@ -9,8 +9,10 @@
 //! Packets are serialized once, at their source, into the segment's
 //! shared [`FrameArena`]; arrival events and transit buffers carry
 //! [`FrameRef`] handles, so the steady-state forwarding path performs
-//! zero heap allocations. The event loop drains same-instant batches
-//! ([`Sim::pop_batch`]) instead of popping one event at a time.
+//! zero heap allocations. The event loop takes one event at a time;
+//! the pop is fused with the handler's first schedule
+//! ([`Sim::next_event`]), so a hop that schedules its successor costs
+//! one heap sift, not two.
 
 use crate::mac::{MacAction, MacTx, RegisterMac, RingNodeParams, WireFrame};
 use crate::stack::NodeStack;
@@ -100,7 +102,7 @@ impl SegmentParams {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Last byte of a frame arrived at `node`.
     Arrival { node: usize, frame: FrameRef },
@@ -180,8 +182,6 @@ pub struct Segment {
     /// Cumulative delivered payload at the last report (goodput is
     /// per-window, the delivery counters are not).
     reported_payload: u64,
-    /// Reusable same-instant event batch (allocated once).
-    batch: Vec<(u64, Ev)>,
     /// Shared registry (disabled unless [`Segment::enable_telemetry`]).
     tel: Telemetry,
     tour_h: HistHandle,
@@ -230,7 +230,6 @@ impl Segment {
             collect_deliveries: false,
             deliveries: vec![],
             reported_payload: 0,
-            batch: vec![],
             tel: Telemetry::disabled(),
             tour_h: HistHandle::NONE,
             access_h: HistHandle::NONE,
@@ -512,21 +511,13 @@ impl Segment {
     }
 
     /// Run until `deadline` of simulated time, then report. Events are
-    /// dispatched in same-instant batches; the order is identical to
-    /// one-at-a-time popping (see [`Sim::pop_batch`]).
+    /// handled one at a time; the kernel fuses each pop with the
+    /// handler's first schedule (see [`Sim::next_event`]).
     pub fn run_for(&mut self, duration: SimDuration) -> SegmentReport {
         let deadline = self.sim.now() + duration;
-        let mut batch = std::mem::take(&mut self.batch);
-        loop {
-            batch.clear();
-            if self.sim.pop_batch(deadline, &mut batch) == 0 {
-                break;
-            }
-            for (_, ev) in batch.drain(..) {
-                self.handle(ev);
-            }
+        while let Some((_, ev)) = self.sim.next_event(deadline) {
+            self.handle(ev);
         }
-        self.batch = batch;
         self.report(duration)
     }
 

@@ -7,8 +7,9 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution clock.
 //! * [`EventQueue`] — deterministic future-event list: one binary
-//!   heap with FIFO tie-breaking. Timers are retired by stamp in the
-//!   handlers, not cancelled in the queue.
+//!   heap with FIFO tie-breaking, whose pop is fused with the next
+//!   schedule. Timers are retired by stamp in the handlers, not
+//!   cancelled in the queue.
 //! * [`Sim`] — executor: clock + queue + seeded randomness.
 //! * [`SimRng`] — labelled ChaCha8 streams; independent randomness per
 //!   subsystem so experiments are reproducible and comparable.

@@ -18,13 +18,20 @@
 //!   first ([`EventQueue::reserve_seq`]) and pushes later, or never
 //!   ([`EventQueue::schedule_reserved`]): the order is that of the
 //!   numbers, not of the pushes.
-//! * **Every stored entry is live** — `schedule` is a heap push, `pop`
-//!   a heap pop, `len` the heap's own, and peeking is read-only. The
-//!   protocol code retires a timer by *stamp* (the handler compares a
-//!   sequence number or epoch carried in the event and ignores a stale
-//!   one — DESIGN.md §13), so the queue keeps no liveness set beside
-//!   the heap. [`EventQueue::cancel`] removes its entry eagerly in
-//!   O(live); no workload calls it.
+//! * **One sift per event** — [`EventQueue::take_next`] hands out a
+//!   copy of the top entry and leaves it in place, marked *in hand*;
+//!   the next `schedule` overwrites it (`BinaryHeap::peek_mut`: one
+//!   sift-down that stops early) instead of paying a pop that sifts to
+//!   the bottom and a push that sifts back up. A handler that schedules
+//!   nothing leaves a dead root, which the next take, `pop`, `cancel`
+//!   or `pop_instant_into` removes first. The in-hand entry is not
+//!   pending: `len` leaves it out and `peek_time` reads past it.
+//! * **Every other stored entry is live** — the protocol code retires
+//!   a timer by *stamp* (the handler compares a sequence number or
+//!   epoch carried in the event and ignores a stale one — DESIGN.md
+//!   §13), so the queue keeps no liveness set beside the heap.
+//!   [`EventQueue::cancel`] removes its entry eagerly in O(live); no
+//!   workload calls it.
 //! * **Zero-alloc steady state** — the heap is reserved for
 //!   [`PREALLOC`] entries at construction, so no run in the repo grows
 //!   it on the record path.
@@ -88,14 +95,22 @@ pub enum QueueMutation {
     /// a same-instant event scheduled later can pop first (the
     /// FIFO-tie-break bug the sequence number exists to prevent).
     TimeOnlyTieBreak,
+    /// A schedule after [`EventQueue::take_next`] pushes instead of
+    /// overwriting the entry in hand, which stays live: the taken event
+    /// comes out a second time.
+    StaleRoot,
 }
 
 /// A future-event list with deterministic FIFO tie-breaking,
 /// implemented as a binary heap.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap on `(at, seq)`; every stored entry is pending.
+    /// Min-heap on `(at, seq)`; every stored entry is pending except
+    /// the root while `in_hand`.
     heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// The root was handed out by [`EventQueue::take_next`] and is dead:
+    /// the next schedule overwrites it, anything else removes it.
+    in_hand: bool,
     next_seq: u64,
     mutation: QueueMutation,
 }
@@ -111,6 +126,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(PREALLOC),
+            in_hand: false,
             next_seq: 0,
             mutation: QueueMutation::None,
         }
@@ -123,14 +139,14 @@ impl<E> EventQueue<E> {
         self.mutation = m;
     }
 
-    /// Number of pending events.
+    /// Number of pending events (the one in hand is not).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.in_hand)
     }
 
     /// Whether no pending events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedule `event` to fire at absolute time `at`.
@@ -154,9 +170,21 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::schedule`] made at the time of the reservation
     /// would. `seq` must come from `reserve_seq` and be used at most
     /// once — two stored entries with one key have no defined order.
+    ///
+    /// The first schedule after a [`EventQueue::take_next`] takes the
+    /// in-hand entry's slot: it is written over the root and sifted
+    /// down from there, one sift that stops early in place of a pop
+    /// and a push.
     pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
         debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
-        self.heap.push(Reverse(Entry { at, seq, event }));
+        let entry = Reverse(Entry { at, seq, event });
+        if std::mem::take(&mut self.in_hand) && self.mutation != QueueMutation::StaleRoot {
+            if let Some(mut root) = self.heap.peek_mut() {
+                *root = entry;
+                return EventId(seq);
+            }
+        }
+        self.heap.push(entry);
         EventId(seq)
     }
 
@@ -167,20 +195,69 @@ impl<E> EventQueue<E> {
     /// Pop order is unaffected — it is a function of the surviving
     /// keys alone. Nothing in the simulator calls this (timers are
     /// retired by stamp); it exists for the benchmark's
-    /// `sim.queue_cancel_ns` leg and goes with it.
+    /// `sim.queue_cancel_ns` leg and goes with it. The event in hand
+    /// has fired: cancelling it returns `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
+        self.settle();
         let before = self.heap.len();
         self.heap.retain(|Reverse(e)| e.seq != id.0);
         self.heap.len() != before
     }
 
-    /// Time of the next event, if any.
+    /// Time of the next event, if any. While an event is in hand the
+    /// next one is the earlier of the root's two children.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        if self.in_hand {
+            let children = self.heap.as_slice().iter().skip(1).take(2);
+            children.map(|Reverse(e)| e.at).min()
+        } else {
+            self.heap.peek().map(|Reverse(e)| e.at)
+        }
+    }
+
+    /// Remove the dead root a handler that scheduled nothing left.
+    fn settle(&mut self) {
+        if std::mem::take(&mut self.in_hand) {
+            self.heap.pop();
+        }
+    }
+
+    /// Hand out the next event at or before `deadline` — its time,
+    /// sequence number and a copy of the event — and leave its entry
+    /// on the heap as the one in hand, for the next schedule to
+    /// overwrite. Events come out in [`EventQueue::pop`]'s order: the
+    /// pending set is the same either way, and `(at, seq)` keys are
+    /// unique.
+    pub fn take_next(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)>
+    where
+        E: Copy,
+    {
+        self.settle();
+        if self.mutation == QueueMutation::TimeOnlyTieBreak {
+            self.surface_rival();
+        }
+        let Reverse(top) = self.heap.peek().filter(|Reverse(e)| e.at <= deadline)?;
+        let taken = (top.at, top.seq, top.event);
+        self.in_hand = true;
+        Some(taken)
+    }
+
+    /// Seeded `TimeOnlyTieBreak` for [`EventQueue::take_next`]: the
+    /// root trades events with a same-instant child, as if the sift had
+    /// surfaced that child first. Keys stay put, so the heap is intact.
+    fn surface_rival(&mut self) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        if let [Reverse(root), rest @ ..] = entries.as_mut_slice() {
+            if let Some(Reverse(rival)) = rest.iter_mut().take(2).find(|Reverse(e)| e.at == root.at) {
+                std::mem::swap(&mut root.event, &mut rival.event);
+            }
+        }
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// Remove the top entry.
     fn take_top(&mut self) -> Option<Entry<E>> {
+        self.settle();
         let Reverse(e) = self.heap.pop()?;
         if self.mutation == QueueMutation::TimeOnlyTieBreak
             && self
@@ -208,11 +285,17 @@ impl<E> EventQueue<E> {
     /// one at a time while `peek_time()` stays equal — the per-instant
     /// batch dispatch `Sim::pop_batch` is built on — with one deadline
     /// check per *instant* instead of one per *event*.
+    ///
+    /// Kept only because the frozen benchmark leg
+    /// `sim.pop_batch_ns_per_event` calls it through `Sim::pop_batch`;
+    /// both ring drivers take one event at a time
+    /// ([`EventQueue::take_next`]).
     pub fn pop_instant_into(
         &mut self,
         deadline: SimTime,
         out: &mut Vec<(u64, E)>,
     ) -> Option<SimTime> {
+        self.settle();
         let at = self.peek_time().filter(|&at| at <= deadline)?;
         while self.heap.peek().is_some_and(|Reverse(top)| top.at == at) {
             let Some(e) = self.take_top() else { break };
@@ -409,6 +492,79 @@ mod tests {
             assert_eq!(q.pop(), Some((at, 3)));
             assert_eq!(q.pop(), None);
         }
+    }
+
+    #[test]
+    fn take_hands_out_in_pop_order_and_the_next_schedule_takes_its_slot() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(20), "b");
+        q.schedule(SimTime(10), "a");
+        assert_eq!(q.take_next(SimTime(9)), None, "deadline before the top");
+        assert_eq!(q.take_next(SimTime(10)), Some((SimTime(10), 1, "a")));
+        q.schedule(SimTime(30), "c"); // written over "a"
+        assert_eq!(q.heap.len(), 2, "the overwrite stores nothing extra");
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(20), 0, "b")));
+        // Nothing scheduled after "b": the next take drops its entry.
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(30), 2, "c")));
+        assert_eq!(q.take_next(SimTime::MAX), None);
+        assert!(q.heap.is_empty(), "the last dead root went too");
+    }
+
+    #[test]
+    fn len_leaves_out_the_event_in_hand() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), 1);
+        q.schedule(SimTime(2), 2);
+        assert!(q.take_next(SimTime::MAX).is_some());
+        assert_eq!(q.len(), 1);
+        assert!(q.take_next(SimTime::MAX).is_some());
+        assert!(q.is_empty());
+        q.schedule(SimTime(3), 3);
+        assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn peek_time_reads_past_the_event_in_hand() {
+        let mut q = EventQueue::new();
+        for t in [1, 5, 3, 9, 7] {
+            q.schedule(SimTime(t), t);
+        }
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(1), 0, 1)));
+        assert_eq!(q.peek_time(), Some(SimTime(3)), "the earlier child");
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(3), 2, 3)));
+        assert_eq!(q.peek_time(), Some(SimTime(5)));
+        let mut last = EventQueue::new();
+        last.schedule(SimTime(4), 4);
+        last.take_next(SimTime::MAX);
+        assert_eq!(last.peek_time(), None, "nothing below the root");
+    }
+
+    #[test]
+    fn pop_and_batch_pop_settle_the_dead_root() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime(1), 1);
+        q.schedule(SimTime(2), 2);
+        q.schedule(SimTime(2), 3);
+        q.take_next(SimTime::MAX);
+        assert_eq!(q.pop(), Some((SimTime(2), 2)));
+        q.schedule(SimTime(4), 4);
+        q.take_next(SimTime::MAX);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_instant_into(SimTime::MAX, &mut out), Some(SimTime(4)));
+        assert_eq!(out, [(3, 4)]);
+        assert!(q.heap.is_empty());
+    }
+
+    #[test]
+    fn cancelling_the_event_in_hand_is_false() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime(1), "a");
+        let b = q.schedule(SimTime(2), "b");
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(1), 0, "a")));
+        assert!(!q.cancel(a), "the event in hand has fired");
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(b));
+        assert!(q.is_empty() && q.heap.is_empty());
     }
 
     #[test]

@@ -6,20 +6,21 @@
 //! ```
 //! use ampnet_sim::{Sim, SimTime, SimDuration};
 //!
-//! #[derive(Debug)]
+//! #[derive(Debug, Clone, Copy)]
 //! enum Ev { Ping(u32) }
 //!
 //! let mut sim: Sim<Ev> = Sim::new(42);
 //! sim.schedule_in(SimDuration::from_micros(5), Ev::Ping(1));
 //! let mut seen = vec![];
-//! while let Some((t, ev)) = sim.pop_next(SimTime::MAX) {
-//!     match ev { Ev::Ping(n) => seen.push((t, n)) }
+//! while let Some((_seq, ev)) = sim.next_event(SimTime::MAX) {
+//!     match ev { Ev::Ping(n) => seen.push((sim.now(), n)) }
 //! }
 //! assert_eq!(seen, vec![(SimTime(5_000), 1)]);
 //! ```
 //!
-//! `pop_next` advances `now` to the event's timestamp, so handlers can
-//! schedule follow-up events relative to the current instant.
+//! `next_event` advances `now` to the event's timestamp, so handlers
+//! can schedule follow-up events relative to the current instant; the
+//! first such schedule reuses the handed-out event's heap slot.
 
 use crate::queue::{EventId, EventQueue};
 use crate::rng::SimRng;
@@ -98,11 +99,11 @@ impl<E> Sim<E> {
     /// Schedule `event` at `at` in the tie-break position `seq`
     /// reserved earlier. The number must come from
     /// [`Sim::reserve_seq`] and be used at most once, and `at` must not
-    /// lie in the past (both checked in debug builds). An event due
-    /// *at* the current instant while that instant's batch is being
-    /// handled pops in the next [`Sim::pop_batch`], after the batch —
-    /// a caller that needs it inside the batch at its sequence position
-    /// inserts it there itself (`ampnet-core`'s `Cluster` does).
+    /// lie in the past (both checked in debug builds). Under
+    /// [`Sim::next_event`] an event due *at* the current instant pops
+    /// at its sequence position among that instant's remaining events,
+    /// exactly where it would have popped had it been scheduled when
+    /// the number was reserved.
     pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
         debug_assert!(
             at >= self.now,
@@ -117,43 +118,49 @@ impl<E> Sim<E> {
         self.queue.peek_time()
     }
 
-    /// Pop the next event at or before `deadline`, advancing the clock
-    /// to its timestamp. Returns `None` when the queue is empty or the
-    /// next event lies beyond the deadline (the clock then advances to
-    /// the deadline itself, so repeated calls are monotonic).
-    pub fn pop_next(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.queue.peek_time().is_none_or(|t| t > deadline) {
-            if deadline > self.now && deadline != SimTime::MAX {
-                self.now = deadline;
-            }
+    /// Hand out the next event at or before `deadline` with its
+    /// sequence number, advancing the clock to its timestamp. Returns
+    /// `None` when the queue is empty or the next event lies beyond the
+    /// deadline (the clock then advances to the deadline itself, so
+    /// repeated calls are monotonic).
+    ///
+    /// Events come out in `(time, sequence)` order. The event's heap
+    /// entry stays in place until the handler's first schedule
+    /// overwrites it ([`EventQueue::take_next`]): the pop is fused
+    /// with that schedule into one sift. Both ring drivers run on this.
+    pub fn next_event(&mut self, deadline: SimTime) -> Option<(u64, E)>
+    where
+        E: Copy,
+    {
+        let Some((at, seq, ev)) = self.queue.take_next(deadline) else {
+            self.idle_until(deadline);
             return None;
-        }
-        let (at, ev) = self.queue.pop()?;
+        };
         debug_assert!(at >= self.now, "event queue yielded a past event");
         self.now = at;
         self.processed += 1;
-        Some((at, ev))
+        Some((seq, ev))
     }
 
     /// Drain the whole batch of events sharing the earliest pending
     /// timestamp at or before `deadline` into `out`, each with its
     /// sequence number, advancing the clock to that instant (the
     /// batch's timestamp is [`Sim::now`]). Returns how many events were
-    /// drained (0 behaves exactly like [`Sim::pop_next`] returning
+    /// drained (0 behaves exactly like [`Sim::next_event`] returning
     /// `None`).
     ///
-    /// Order is identical to repeated `pop_next` calls: the queue
+    /// Order is identical to repeated `next_event` calls: the queue
     /// breaks timestamp ties by schedule order, and anything a handler
     /// schedules *for the current instant* gets a later sequence
     /// number, so it lands in the *next* batch — exactly where
-    /// one-at-a-time popping would place it. Batch dispatch is
-    /// therefore bit-for-bit equivalent; what it saves is the peek,
-    /// the deadline comparison and the clock update, paid once per
-    /// instant instead of once per event (each event is still one
-    /// heap pop). The one event a handler can owe the *current* batch
-    /// is one scheduled under a reserved number
-    /// ([`Sim::schedule_reserved`]); the sequence numbers in `out` are
-    /// what lets its owner place it.
+    /// one-at-a-time popping would place it. The exception is an event
+    /// scheduled under a number reserved earlier
+    /// ([`Sim::schedule_reserved`]): it lands in the next batch even
+    /// when its number belongs inside this one.
+    ///
+    /// Kept only because the frozen benchmark leg
+    /// `sim.pop_batch_ns_per_event` calls it; the ring drivers use
+    /// [`Sim::next_event`].
     pub fn pop_batch(&mut self, deadline: SimTime, out: &mut Vec<(u64, E)>) -> usize {
         let before = out.len();
         match self.queue.pop_instant_into(deadline, out) {
@@ -164,11 +171,16 @@ impl<E> Sim<E> {
                 n
             }
             None => {
-                if deadline > self.now && deadline != SimTime::MAX {
-                    self.now = deadline;
-                }
+                self.idle_until(deadline);
                 0
             }
+        }
+    }
+
+    /// Nothing is due by `deadline`: advance the clock to it.
+    fn idle_until(&mut self, deadline: SimTime) {
+        if deadline > self.now && deadline != SimTime::MAX {
+            self.now = deadline;
         }
     }
 }
@@ -177,7 +189,7 @@ impl<E> Sim<E> {
 mod tests {
     use super::*;
 
-    #[derive(Debug, PartialEq)]
+    #[derive(Debug, Clone, Copy, PartialEq)]
     enum Ev {
         A,
         B,
@@ -188,12 +200,11 @@ mod tests {
         let mut sim: Sim<Ev> = Sim::new(1);
         sim.schedule_in(SimDuration::from_nanos(10), Ev::A);
         sim.schedule_in(SimDuration::from_nanos(20), Ev::B);
-        let (t1, e1) = sim.pop_next(SimTime::MAX).unwrap();
-        assert_eq!((t1, e1), (SimTime(10), Ev::A));
+        assert_eq!(sim.next_event(SimTime::MAX), Some((0, Ev::A)));
         assert_eq!(sim.now(), SimTime(10));
-        let (t2, _) = sim.pop_next(SimTime::MAX).unwrap();
-        assert_eq!(t2, SimTime(20));
-        assert!(sim.pop_next(SimTime::MAX).is_none());
+        assert_eq!(sim.next_event(SimTime::MAX), Some((1, Ev::B)));
+        assert_eq!(sim.now(), SimTime(20));
+        assert!(sim.next_event(SimTime::MAX).is_none());
         assert_eq!(sim.processed(), 2);
     }
 
@@ -201,9 +212,10 @@ mod tests {
     fn deadline_stops_and_advances_clock() {
         let mut sim: Sim<Ev> = Sim::new(1);
         sim.schedule_at(SimTime(100), Ev::A);
-        assert!(sim.pop_next(SimTime(50)).is_none());
+        assert!(sim.next_event(SimTime(50)).is_none());
         assert_eq!(sim.now(), SimTime(50), "clock advances to deadline");
-        assert!(sim.pop_next(SimTime(100)).is_some());
+        assert_eq!(sim.next_event(SimTime(100)), Some((0, Ev::A)));
+        assert_eq!(sim.pending(), 0, "the event in hand is not pending");
     }
 
     #[test]
@@ -211,7 +223,7 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut sim: Sim<Ev> = Sim::new(1);
         sim.schedule_at(SimTime(10), Ev::A);
-        sim.pop_next(SimTime::MAX);
+        sim.next_event(SimTime::MAX);
         sim.schedule_at(SimTime(5), Ev::B);
     }
 
@@ -220,7 +232,7 @@ mod tests {
         let mut sim: Sim<u32> = Sim::new(1);
         sim.schedule_at(SimTime(1), 0);
         let mut fired = vec![];
-        while let Some((_, n)) = sim.pop_next(SimTime::MAX) {
+        while let Some((_, n)) = sim.next_event(SimTime::MAX) {
             fired.push(n);
             if n < 4 {
                 sim.schedule_in(SimDuration::from_nanos(1), n + 1);
@@ -231,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_matches_pop_next_order() {
+    fn next_event_and_pop_batch_agree_on_order() {
         fn seeded(seed: u64) -> Sim<u32> {
             let mut sim: Sim<u32> = Sim::new(seed);
             for i in 0..50 {
@@ -240,31 +252,42 @@ mod tests {
             }
             sim
         }
-        let mut one = seeded(9);
-        let mut serial = vec![];
-        while let Some((t, n)) = one.pop_next(SimTime::MAX) {
-            serial.push((t, n));
-            if n < 60 {
-                one.schedule_in(SimDuration::ZERO, n + 100); // same-instant followup
+        // Follow-ups at this instant and later, and handlers that
+        // schedule nothing, exercise both ends of the fused pop.
+        fn handle(sim: &mut Sim<u32>, n: u32) {
+            match n % 3 {
+                0 => {
+                    sim.schedule_in(SimDuration::ZERO, n + 100);
+                }
+                1 => {
+                    sim.schedule_in(SimDuration::from_nanos(3), n + 100);
+                    sim.schedule_in(SimDuration::ZERO, n + 200);
+                }
+                _ => {}
+            }
+        }
+        let mut fused = seeded(9);
+        let mut taken = vec![];
+        while let Some((_, n)) = fused.next_event(SimTime::MAX) {
+            taken.push((fused.now(), n));
+            if n < 300 {
+                handle(&mut fused, n);
             }
         }
         let mut batched_sim = seeded(9);
         let mut batched = vec![];
         let mut buf = Vec::new();
-        loop {
-            buf.clear();
-            if batched_sim.pop_batch(SimTime::MAX, &mut buf) == 0 {
-                break;
-            }
-            for &(_, n) in &buf {
+        while batched_sim.pop_batch(SimTime::MAX, &mut buf) > 0 {
+            for (_, n) in buf.drain(..) {
                 batched.push((batched_sim.now(), n));
-                if n < 60 {
-                    batched_sim.schedule_in(SimDuration::ZERO, n + 100);
+                if n < 300 {
+                    handle(&mut batched_sim, n);
                 }
             }
         }
-        assert_eq!(serial, batched, "batch dispatch preserves global order");
-        assert_eq!(one.processed(), batched_sim.processed());
+        assert_eq!(taken, batched, "same global order");
+        assert_eq!(fused.processed(), batched_sim.processed());
+        assert_eq!(fused.pending(), 0);
     }
 
     #[test]
@@ -288,8 +311,8 @@ mod tests {
                 let d = sim.rng().below(100);
                 sim.schedule_in(SimDuration::from_nanos(d), 0);
             }
-            while let Some((t, _)) = sim.pop_next(SimTime::MAX) {
-                out.push(t.as_nanos());
+            while sim.next_event(SimTime::MAX).is_some() {
+                out.push(sim.now().as_nanos());
             }
             out
         }

@@ -7,17 +7,21 @@
 //! reservation takes an index and stores nothing; scheduling under it
 //! later inserts at `(time, that index)` — the same map, so "pops
 //! where an eager schedule would have" is again true by inspection.
+//! A take ([`EventQueue::take_next`]) removes the model's minimum at
+//! once; the queue leaves that entry on its heap, in hand, until the
+//! next schedule overwrites it, so every operation that follows a take
+//! runs against a heap holding one dead entry.
 //! Every test drives both with the same operation sequence and demands
-//! identical observable behavior: pop results, peek times, cancel
-//! return values, live counts. The property sweeps
-//! cover randomized push/cancel/pop interleavings, same-instant
+//! identical observable behavior: pop and take results, peek times,
+//! cancel return values, live counts. The property sweeps
+//! cover randomized push/cancel/pop/take interleavings, same-instant
 //! bursts, far-future times (minutes out, and the `SimTime::MAX`
 //! "never" sentinel), cancel-heavy churn, reserved sequence numbers
 //! used late or never, and the batch pop.
 //!
-//! The final tests arm the seeded [`QueueMutation`] defect and assert
-//! the harness *detects* it — a differential suite that cannot fail on
-//! a broken queue proves nothing.
+//! The final tests arm the seeded [`QueueMutation`] defects and assert
+//! the harness *detects* each — a differential suite that cannot fail
+//! on a broken queue proves nothing.
 
 // Case-count-heavy property sweeps are a poor fit for Miri's
 // interpreter; everything here is safe Rust anyway.
@@ -74,6 +78,13 @@ impl Model {
             .map(|((at, _), payload)| (at, payload))
     }
 
+    /// A take is a pop that also reports the sequence number.
+    fn take(&mut self) -> Option<(SimTime, u64, u64)> {
+        self.live
+            .pop_first()
+            .map(|((at, index), payload)| (at, index as u64, payload))
+    }
+
     /// The run of single pops sharing the front instant `at`, each as
     /// `(sequence number, payload)` — what the batch pop yields.
     fn pop_instant(&mut self, at: SimTime) -> Vec<(u64, u64)> {
@@ -103,6 +114,9 @@ enum Op {
     Cancel(usize),
     /// Pop one event.
     Pop,
+    /// Take one event ([`EventQueue::take_next`]): the next op runs
+    /// with its entry in hand.
+    Take,
     /// Peek the next event time.
     Peek,
 }
@@ -162,14 +176,14 @@ impl Pair {
                     return Err(format!("cancel(#{index}) {q} vs {m}"));
                 }
             }
-            Op::Pop | Op::Peek => {}
+            Op::Pop | Op::Take | Op::Peek => {}
         }
         Ok(())
     }
 }
 
 /// Drive queue and model through `ops`, asserting equal observables at
-/// every step. Returns the popped `(time, payload)` sequence.
+/// every step. Returns the popped and taken `(time, payload)` sequence.
 fn run_differential(ops: &[Op]) -> Vec<(SimTime, u64)> {
     run_with_mutation(ops, QueueMutation::None).expect("model divergence")
 }
@@ -195,6 +209,14 @@ fn run_with_mutation(
                     return Err(format!("step {step}: pop {q:?} vs {m:?}"));
                 }
                 popped.extend(q);
+            }
+            Op::Take => {
+                let q = queue.take_next(SimTime::MAX);
+                let m = model.take();
+                if q != m {
+                    return Err(format!("step {step}: take {q:?} vs {m:?}"));
+                }
+                popped.extend(q.map(|(at, _, payload)| (at, payload)));
             }
             Op::Peek => {
                 let q = queue.peek_time();
@@ -243,7 +265,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0usize..64), (0u64..50_000_000)).prop_map(|(i, at)| Op::ScheduleReserved(i, at)),
         (0usize..4096).prop_map(Op::Cancel),
         Just(Op::Pop),
-        Just(Op::Pop),
+        Just(Op::Take),
+        Just(Op::Take),
         Just(Op::Peek),
     ]
 }
@@ -261,16 +284,15 @@ proptest! {
     }
 
     /// Same-instant bursts: many events at few distinct times, so long
-    /// runs of equal timestamps must come out in FIFO order.
+    /// runs of equal timestamps must come out in FIFO order, popped or
+    /// taken.
     #[test]
     fn same_instant_bursts_stay_fifo(
         times in proptest::collection::vec((0u64..8).prop_map(|t| t * 1_000), 2..150),
-        pops in 0usize..64,
+        pops in proptest::collection::vec(any::<bool>(), 0..64),
     ) {
         let mut ops: Vec<Op> = times.iter().map(|&t| Op::Schedule(t)).collect();
-        for _ in 0..pops {
-            ops.push(Op::Pop);
-        }
+        ops.extend(pops.iter().map(|&take| if take { Op::Take } else { Op::Pop }));
         let popped = run_differential(&ops);
         // FIFO within a timestamp: payloads (schedule order) ascend.
         for w in popped.windows(2) {
@@ -282,7 +304,7 @@ proptest! {
 
     /// Cancel-heavy churn: a standing population whose members are
     /// cancelled and rescheduled keeps queue and model in lockstep
-    /// through every heap rebuild.
+    /// through every heap rebuild, with and without an entry in hand.
     #[test]
     fn cancel_heavy_churn_matches(
         churn in proptest::collection::vec(
@@ -298,8 +320,10 @@ proptest! {
         for (k, &(at, victim)) in churn.iter().enumerate() {
             ops.push(Op::Cancel(victim));
             ops.push(Op::Schedule(at));
-            if k % 9 == 0 {
-                ops.push(Op::Pop);
+            match k % 9 {
+                0 => ops.push(Op::Pop),
+                4 => ops.push(Op::Take),
+                _ => {}
             }
         }
         run_differential(&ops);
@@ -307,8 +331,9 @@ proptest! {
 
     /// `pop_instant_into` — the batch pop `Sim::pop_batch` rides on —
     /// equals popping the model one event at a time while its peek
-    /// time stays at the same instant, under cancels, far-future keys
-    /// and deadline cutoffs alike.
+    /// time stays at the same instant, under cancels, far-future keys,
+    /// deadline cutoffs and an entry in hand alike; a take stops at
+    /// the same deadlines.
     #[test]
     fn batch_pop_matches_model(
         ops in proptest::collection::vec(op_strategy(), 1..300),
@@ -320,6 +345,15 @@ proptest! {
             let Pair { queue, model, .. } = &mut pair;
             match *op {
                 Op::Schedule(_) | Op::Reserve | Op::ScheduleReserved(..) | Op::Cancel(_) => {}
+                Op::Take => {
+                    if let Some(SimTime(t)) = model.peek_time() {
+                        if t > 0 {
+                            prop_assert_eq!(queue.take_next(SimTime(t - 1)), None);
+                        }
+                    }
+                    prop_assert_eq!(queue.take_next(SimTime::MAX), model.take());
+                    prop_assert_eq!(queue.len(), model.len());
+                }
                 Op::Pop | Op::Peek => {
                     // A deadline before the front instant must leave
                     // the queue untouched and return nothing...
@@ -359,13 +393,15 @@ proptest! {
 
 // ---- a reserved number due at the instant in hand ------------------------
 
-/// The one event a handler can owe the batch being handled: reserved
-/// earlier, found to be needed only now, and due now. Pushed onto the
-/// heap it would pop in the *next* batch, after events that were
-/// scheduled behind it; inserted into the batch by its sequence number
-/// it is handled exactly where the eager schedule has it.
+/// The one event a handler can owe the instant being handled: reserved
+/// earlier, found to be needed only now, and due now. Taken one at a
+/// time ([`Sim::next_event`]), it pops at its sequence position whether
+/// it is the handler's first schedule (written over the entry in hand)
+/// or a later one (a plain push) — exactly where the eager schedule has
+/// it. Drained in same-instant batches ([`Sim::pop_batch`]) and pushed,
+/// it would pop after the rest of the batch.
 #[test]
-fn batch_insertion_at_the_current_instant_pops_in_sequence_position() {
+fn reserved_number_due_now_pops_at_its_sequence_position() {
     const AT: SimTime = SimTime(10);
     // `late` marks the event that is either scheduled eagerly or only
     // reserved; handling event 0 is what reveals that it is needed.
@@ -382,17 +418,14 @@ fn batch_insertion_at_the_current_instant_pops_in_sequence_position() {
         sim.schedule_at(AT, 3);
         reserved
     }
-    /// Handle every batch front to back; `on_first` runs while event 0
-    /// is in hand and may add to the rest of its batch.
-    fn drain(sim: &mut Sim<u32>, mut on_first: impl FnMut(&mut Sim<u32>, &mut Vec<(u64, u32)>)) -> Vec<u32> {
-        let (mut order, mut batch) = (Vec::new(), Vec::new());
-        while sim.pop_batch(SimTime::MAX, &mut batch) > 0 {
-            batch.reverse(); // handled from the back, so descending
-            while let Some((_, ev)) = batch.pop() {
-                order.push(ev);
-                if ev == 0 {
-                    on_first(sim, &mut batch);
-                }
+    /// Take every event in turn; `on_first` runs while event 0 is in
+    /// hand.
+    fn drain(sim: &mut Sim<u32>, mut on_first: impl FnMut(&mut Sim<u32>)) -> Vec<u32> {
+        let mut order = Vec::new();
+        while let Some((_, ev)) = sim.next_event(SimTime::MAX) {
+            order.push(ev);
+            if ev == 0 {
+                on_first(sim);
             }
         }
         order
@@ -400,57 +433,101 @@ fn batch_insertion_at_the_current_instant_pops_in_sequence_position() {
 
     let mut eager = Sim::new(1);
     script(&mut eager, Some(1));
-    let reference = drain(&mut eager, |_, _| {});
+    let reference = drain(&mut eager, |_| {});
     assert_eq!(reference, [0, 1, 2, 3]);
 
-    let mut inserted = Sim::new(1);
-    let seq = script(&mut inserted, None).expect("reserved");
-    let order = drain(&mut inserted, |_, batch| {
-        let at = batch.partition_point(|&(s, _)| s > seq);
-        batch.insert(at, (seq, 1));
-    });
-    assert_eq!(order, reference, "inserted by sequence number");
-    assert_eq!(inserted.reserve_seq(), eager.reserve_seq(), "same numbers consumed");
-
-    let mut pushed = Sim::new(1);
-    let seq = script(&mut pushed, None).expect("reserved");
-    let order = drain(&mut pushed, |sim, _| {
+    let mut first = Sim::new(1);
+    let seq = script(&mut first, None).expect("reserved");
+    let order = drain(&mut first, |sim| {
         sim.schedule_reserved(AT, seq, 1);
     });
-    assert_eq!(order, [0, 2, 3, 1], "a heap push misses the batch in hand");
+    assert_eq!(order, reference, "the first schedule overwrites the entry in hand");
+    assert_eq!(first.reserve_seq(), eager.reserve_seq(), "same numbers consumed");
+
+    let mut second = Sim::new(1);
+    let seq = script(&mut second, None).expect("reserved");
+    let order = drain(&mut second, |sim| {
+        sim.schedule_at(AT + ampnet_sim::SimDuration::from_nanos(5), 4);
+        sim.schedule_reserved(AT, seq, 1);
+    });
+    assert_eq!(order, [0, 1, 2, 3, 4], "a later schedule is a push");
+
+    let mut batched = Sim::new(1);
+    let seq = script(&mut batched, None).expect("reserved");
+    let (mut order, mut batch) = (Vec::new(), Vec::new());
+    while batched.pop_batch(SimTime::MAX, &mut batch) > 0 {
+        for (_, ev) in batch.drain(..) {
+            order.push(ev);
+            if ev == 0 {
+                batched.schedule_reserved(AT, seq, 1);
+            }
+        }
+    }
+    assert_eq!(order, [0, 2, 3, 1], "a push misses the batch in hand");
 }
 
 // ---- seeded-defect detection -------------------------------------------
 //
-// The QueueMutation models a real implementation mistake a heap can
+// Each QueueMutation models a real implementation mistake a heap can
 // make. The harness must catch it, otherwise "queue == model" is
 // vacuous.
 
 /// `TimeOnlyTieBreak` bites as soon as a same-instant run is longer
 /// than the heap keeps in insertion order by accident: with the
 /// sequence number out of the key, whichever entry the sift happens to
-/// surface pops next.
+/// surface comes out next — popped or taken.
 #[test]
 fn time_only_tie_break_mutation_is_detected() {
-    let mut ops = vec![Op::Schedule(10); 8];
-    ops.extend([Op::Pop; 8]);
+    for out in [Op::Pop, Op::Take] {
+        let mut ops = vec![Op::Schedule(10); 8];
+        ops.extend([out; 8]);
+        assert_eq!(
+            run_differential(&ops),
+            (0..8).map(|i| (SimTime(10), i)).collect::<Vec<_>>(),
+            "sanity: the healthy queue hands out the burst in schedule order"
+        );
+        let err = run_with_mutation(&ops, QueueMutation::TimeOnlyTieBreak)
+            .expect_err("harness must detect the dropped FIFO tie-break");
+        let what = if matches!(out, Op::Take) { "take" } else { "pop" };
+        assert!(err.contains(what), "divergence should be a {what}: {err}");
+    }
+}
+
+/// `StaleRoot` keeps the taken entry live when the handler's schedule
+/// is pushed beside it instead of written over it: the queue counts
+/// one event too many at once, and hands the taken event out again.
+#[test]
+fn stale_root_mutation_is_detected() {
+    let ops = [Op::Schedule(10), Op::Schedule(20), Op::Take, Op::Schedule(30)];
     assert_eq!(
         run_differential(&ops),
-        (0..8).map(|i| (SimTime(10), i)).collect::<Vec<_>>(),
-        "sanity: the healthy queue pops the burst in schedule order"
+        [(SimTime(10), 0), (SimTime(20), 1), (SimTime(30), 2)],
+        "sanity: the healthy queue overwrites the entry in hand"
     );
-    let err = run_with_mutation(&ops, QueueMutation::TimeOnlyTieBreak)
-        .expect_err("harness must detect the dropped FIFO tie-break");
-    assert!(err.contains("pop"), "divergence should be a pop: {err}");
+    let err = run_with_mutation(&ops, QueueMutation::StaleRoot)
+        .expect_err("harness must detect the revived entry");
+    assert!(err.starts_with("step 3: len 3 vs 2"), "the schedule after the take: {err}");
+
+    let mut queue = EventQueue::new();
+    queue.set_mutation_for_tests(QueueMutation::StaleRoot);
+    queue.schedule(SimTime(10), "a");
+    assert_eq!(queue.take_next(SimTime::MAX), Some((SimTime(10), 0, "a")));
+    queue.schedule(SimTime(30), "b");
+    assert_eq!(
+        queue.take_next(SimTime::MAX),
+        Some((SimTime(10), 0, "a")),
+        "the defect: the taken event comes out twice"
+    );
 }
 
 /// And the sweeps themselves must flag mutations, not just the
-/// hand-built script: run the randomized differential against each
-/// defect and require at least one divergence across the case budget.
+/// hand-built scripts: run the randomized differential against each
+/// defect, events leaving through `take_next` only, and require at
+/// least one divergence across the case budget.
 #[test]
 fn property_sweep_detects_every_mutation() {
     use proptest::test_runner::TestRng;
-    for mutation in [QueueMutation::TimeOnlyTieBreak] {
+    for mutation in [QueueMutation::TimeOnlyTieBreak, QueueMutation::StaleRoot] {
         let mut rng = TestRng::for_test("queue_differential::sweep_mutations");
         let mut detected = false;
         'cases: for _ in 0..1_000 {
@@ -459,17 +536,19 @@ fn property_sweep_detects_every_mutation() {
                 let r = rng.next_u64();
                 // Times are quantized to a handful of distinct instants
                 // so same-instant collisions (where ordering defects
-                // live) are common at every scale; pops dominate so
-                // same-instant runs keep reaching the top.
+                // live) are common at every scale; takes dominate so
+                // same-instant runs keep reaching the top, and most
+                // schedules follow a take.
                 ops.push(match r % 8 {
                     0 => Op::Schedule((rng.next_u64() % 8) * 700),
                     1 => Op::Schedule((rng.next_u64() % 4) * 10_000_000),
                     2 | 3 => Op::Schedule(FAR + 5 + (rng.next_u64() % 2) * 5),
                     4 => Op::Cancel((rng.next_u64() % 64) as usize),
-                    _ => Op::Pop,
+                    _ => Op::Take,
                 });
             }
-            if run_with_mutation(&ops, mutation).is_err() {
+            if let Err(err) = run_with_mutation(&ops, mutation) {
+                assert!(!err.starts_with("drain"), "{mutation:?} caught only by the drain: {err}");
                 detected = true;
                 break 'cases;
             }
