@@ -20,6 +20,7 @@
 
 use crate::store::{CacheError, NetworkCache, RegionId};
 use ampnet_packet::MicroPacket;
+use std::borrow::Cow;
 
 /// Layout of a seqlock-guarded record within a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +53,12 @@ impl RecordLayout {
 
 /// One read attempt's outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadOutcome {
+pub enum ReadOutcome<'a> {
     /// Consistent snapshot, with the generation that produced it.
     Ok {
-        /// Record payload.
-        data: Vec<u8>,
+        /// Record payload, lent by the replica (a caller that keeps it
+        /// takes `into_owned`).
+        data: Cow<'a, [u8]>,
         /// Writer generation (value of both counters).
         generation: u64,
     },
@@ -101,16 +103,17 @@ pub fn write_record(
 }
 
 /// One attempt of the slide-9 read protocol against a local replica.
-pub fn try_read(cache: &NetworkCache, layout: RecordLayout) -> Result<ReadOutcome, CacheError> {
+pub fn try_read(
+    cache: &NetworkCache,
+    layout: RecordLayout,
+) -> Result<ReadOutcome<'_>, CacheError> {
     let c1 = cache.read_u64(layout.region, layout.offset)?;
     let c2 = cache.read_u64(layout.region, layout.counter2_offset())?;
     if c1 != c2 {
         cache.note_seqlock_read(false);
         return Ok(ReadOutcome::Busy);
     }
-    let data = cache
-        .read(layout.region, layout.data_offset(), layout.data_len)?
-        .into_owned();
+    let data = cache.read(layout.region, layout.data_offset(), layout.data_len)?;
     let c1_again = cache.read_u64(layout.region, layout.offset)?;
     if c1_again != c1 {
         cache.note_seqlock_read(false);
@@ -158,7 +161,7 @@ mod tests {
         assert_eq!(
             try_read(&c, layout).unwrap(),
             ReadOutcome::Ok {
-                data,
+                data: data.into(),
                 generation: 1
             }
         );

@@ -683,7 +683,7 @@ impl Cluster {
         clippy::expect_used,
         reason = "layout was validated when the record region was defined"
     )]
-    pub fn record_try_read(&self, node: u8, layout: RecordLayout) -> ReadOutcome {
+    pub fn record_try_read(&self, node: u8, layout: RecordLayout) -> ReadOutcome<'_> {
         seqlock_msg::try_read(&self.nodes[node as usize].cache, layout).expect("valid layout")
     }
 

@@ -101,7 +101,7 @@ impl Cluster {
 
     /// A planned episode onto `ring`, the plant's largest ring: a join
     /// or a repair extends the live ring.
-    fn extend_ring(&mut self, reason: RosterReason, ring: &PlantRing) {
+    fn extend_ring(&mut self, reason: RosterReason, ring: PlantRing) {
         let (now, epoch) = (self.sim.now(), self.epoch + 1);
         if let Ok(outcome) =
             planned_rostering(&self.topo, ring, now, epoch, &self.cfg.timing.roster)
@@ -200,7 +200,7 @@ impl Cluster {
         let best = self.topo.largest_ring();
         if best.len() > self.ring.len() && self.ring_up {
             // Re-roster to absorb the recovered capacity.
-            self.extend_ring(RosterReason::Repair(c), &best);
+            self.extend_ring(RosterReason::Repair(c), best);
         }
     }
 
@@ -245,7 +245,7 @@ impl Cluster {
         self.observe(ObservedEvent::NodeOnline(node));
         // Extend the ring: a join-triggered roster episode.
         let best = self.topo.largest_ring();
-        self.extend_ring(RosterReason::Join(NodeId(node)), &best);
+        self.extend_ring(RosterReason::Join(NodeId(node)), best);
     }
 
     pub(crate) fn run_diag_sweep(&mut self) {

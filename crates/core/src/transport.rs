@@ -691,7 +691,7 @@ mod tests {
             c.send_own(2, [build::data(2, 0, 0, [1; 8])]);
             let frees = c.ports[2].free_at;
             let mut outcome =
-                planned_rostering(&c.topo, &c.ring, c.now(), c.epoch + 1, &c.cfg.timing.roster)
+                planned_rostering(&c.topo, c.ring.clone(), c.now(), c.epoch + 1, &c.cfg.timing.roster)
                     .expect("nodes alive");
             outcome.completed_at = c.now() + SimDuration::from_nanos(10);
             assert!(outcome.completed_at < frees);

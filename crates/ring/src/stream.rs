@@ -40,24 +40,30 @@ pub type StreamId = u8;
 impl StreamSet {
     /// A scheduler with `n` streams of equal weight.
     pub fn new(n: usize) -> Self {
-        Self::with_weights(&vec![1; n])
+        Self::from_weights(std::iter::repeat_n(1, n))
     }
 
     /// A scheduler with the given per-stream weights (must be ≥ 1).
     pub fn with_weights(weights: &[u32]) -> Self {
-        assert!(!weights.is_empty(), "at least one stream");
-        assert!(weights.iter().all(|&w| w >= 1), "weights must be >= 1");
-        StreamSet {
-            streams: weights
-                .iter()
-                .map(|&w| Stream {
+        Self::from_weights(weights.iter().copied())
+    }
+
+    fn from_weights(weights: impl Iterator<Item = u32>) -> Self {
+        let streams: Vec<Stream> = weights
+            .map(|weight| {
+                assert!(weight >= 1, "weights must be >= 1");
+                Stream {
                     queue: VecDeque::new(),
-                    weight: w,
+                    weight,
                     deficit: 0,
                     sent_bytes: 0,
                     sent_packets: 0,
-                })
-                .collect(),
+                }
+            })
+            .collect();
+        assert!(!streams.is_empty(), "at least one stream");
+        StreamSet {
+            streams,
             cursor: 0,
             quantum: 128, // ≥ the largest MicroPacket, so progress is guaranteed
             queued_packets: 0,

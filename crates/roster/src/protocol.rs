@@ -128,7 +128,7 @@ pub fn run_rostering(
 
     // The ring the algorithm will discover and commit.
     let ring = plant.largest_ring();
-    Ok(episode(plant, &ring, master, failed_at, detect_time, epoch + 1, params))
+    Ok(episode(plant, ring, master, failed_at, detect_time, epoch + 1, params))
 }
 
 /// Bring-up rostering: boot the whole plant with no prior ring.
@@ -137,7 +137,7 @@ pub fn initial_rostering(
     plant: &Plant,
     params: &RosterParams,
 ) -> Result<RosterOutcome, RosterSkip> {
-    planned_rostering(plant, &plant.largest_ring(), SimTime::ZERO, 1, params)
+    planned_rostering(plant, plant.largest_ring(), SimTime::ZERO, 1, params)
 }
 
 /// A planned episode — bring-up, or a join or repair extending a live
@@ -146,19 +146,22 @@ pub fn initial_rostering(
 /// at `at`.
 pub fn planned_rostering(
     plant: &Plant,
-    ring: &PlantRing,
+    ring: PlantRing,
     at: SimTime,
     epoch: u64,
     params: &RosterParams,
 ) -> Result<RosterOutcome, RosterSkip> {
-    let master = plant.alive_nodes().first().copied().ok_or(RosterSkip::NoSurvivors)?;
+    let master = plant
+        .node_ids()
+        .find(|&n| plant.node_alive(n))
+        .ok_or(RosterSkip::NoSurvivors)?;
     Ok(episode(plant, ring, master, at, SimDuration::ZERO, epoch, params))
 }
 
 /// Account the two token tours that commit `ring` from `master`.
 fn episode(
     plant: &Plant,
-    ring: &PlantRing,
+    ring: PlantRing,
     master: NodeId,
     failed_at: SimTime,
     detect_time: SimDuration,
@@ -208,15 +211,12 @@ fn episode(
     }
 }
 
-fn rotate_to(ring: &PlantRing, start: NodeId) -> PlantRing {
-    let Some(pos) = ring.order.iter().position(|&n| n == start) else {
-        return ring.clone();
-    };
-    let mut order = ring.order.clone();
-    let mut hops = ring.hops.clone();
-    order.rotate_left(pos);
-    hops.rotate_left(pos);
-    PlantRing { order, hops }
+fn rotate_to(mut ring: PlantRing, start: NodeId) -> PlantRing {
+    if let Some(pos) = ring.order.iter().position(|&n| n == start) {
+        ring.order.rotate_left(pos);
+        ring.hops.rotate_left(pos);
+    }
+    ring
 }
 
 /// Nodes with ids cyclically strictly between `u` and `v` that are not

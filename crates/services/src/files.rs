@@ -55,7 +55,8 @@ impl FileStoreLayout {
 /// Decoded directory entry (in-use slots only).
 #[derive(Debug, Clone)]
 struct RawEntry {
-    name: String,
+    /// The stored name bytes, NUL-padded.
+    name: [u8; NAME_LEN],
     /// Active buffer offset (absolute region offset).
     offset: u32,
     /// Committed file length.
@@ -67,6 +68,22 @@ struct RawEntry {
     alt_offset: u32,
     /// Standby buffer capacity (0 when none allocated yet).
     alt_cap: u32,
+}
+
+impl RawEntry {
+    /// The stored name, up to its first NUL.
+    fn name_bytes(&self) -> &[u8] {
+        let end = self.name.iter().position(|&b| b == 0).unwrap_or(NAME_LEN);
+        &self.name[..end]
+    }
+
+    fn info(&self) -> FileInfo {
+        FileInfo {
+            name: String::from_utf8_lossy(self.name_bytes()).into_owned(),
+            len: self.len,
+            version: self.version,
+        }
+    }
 }
 
 /// File metadata.
@@ -145,14 +162,9 @@ impl FileStore {
         if flags == 0 {
             return Ok(None);
         }
-        let name_end = raw[..NAME_LEN]
-            .iter()
-            .position(|&b| b == 0)
-            .unwrap_or(NAME_LEN);
-        let name = String::from_utf8_lossy(&raw[..name_end]).into_owned();
         let word = |at: usize| u32::from_be_bytes(raw[at..at + 4].try_into().expect("4 bytes"));
         Ok(Some(RawEntry {
-            name,
+            name: raw[..NAME_LEN].try_into().expect("16 bytes"),
             offset: word(16),
             len: word(20),
             version: word(24),
@@ -162,10 +174,12 @@ impl FileStore {
         }))
     }
 
+    /// The slot holding `name`, compared byte for byte with the stored
+    /// name in place.
     fn find(&self, cache: &NetworkCache, name: &str) -> Result<Option<u32>, FileError> {
         for slot in 0..self.layout.max_files {
             if let Some(e) = self.read_entry(cache, slot)? {
-                if e.name == name {
+                if e.name_bytes() == name.as_bytes() {
                     return Ok(Some(slot));
                 }
             }
@@ -279,11 +293,7 @@ impl FileStore {
     pub fn stat(&self, cache: &NetworkCache, name: &str) -> Result<FileInfo, FileError> {
         let slot = self.find(cache, name)?.ok_or(FileError::NotFound)?;
         let e = self.read_entry(cache, slot)?.ok_or(FileError::NotFound)?;
-        Ok(FileInfo {
-            name: e.name,
-            len: e.len,
-            version: e.version,
-        })
+        Ok(e.info())
     }
 
     /// Delete a file; returns the replication packets.
@@ -308,11 +318,7 @@ impl FileStore {
         let mut out = vec![];
         for slot in 0..self.layout.max_files {
             if let Some(e) = self.read_entry(cache, slot)? {
-                out.push(FileInfo {
-                    name: e.name,
-                    len: e.len,
-                    version: e.version,
-                });
+                out.push(e.info());
             }
         }
         Ok(out)

@@ -165,7 +165,7 @@ impl Subscriber {
     pub fn poll(&mut self, cache: &NetworkCache) -> Result<PollOutcome, CacheError> {
         let head = match seqlock_msg::try_read(cache, self.layout.head_record())? {
             ReadOutcome::Ok { data, .. } => {
-                u64::from_be_bytes(data.as_slice().try_into().expect("8 bytes"))
+                u64::from_be_bytes(data[..].try_into().expect("8 bytes"))
             }
             ReadOutcome::Busy => return Ok(PollOutcome::Empty),
         };
@@ -183,7 +183,7 @@ impl Subscriber {
         while self.cursor < head {
             match seqlock_msg::try_read(cache, self.layout.slot_record(self.cursor))? {
                 ReadOutcome::Ok { data, .. } => {
-                    records.push(data);
+                    records.push(data.into_owned());
                     self.cursor += 1;
                 }
                 ReadOutcome::Busy => break, // racing write; next poll

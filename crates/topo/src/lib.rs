@@ -31,7 +31,8 @@ mod plant;
 mod ring_solver;
 
 pub use plant::{
-    HopRoute, NodeId, Plant, PlantRing, SwitchId, GRAPH_EXACT_THRESHOLD, GRAPH_HEURISTIC_BUDGET,
+    HopRoute, NodeId, Plant, PlantRing, SwitchId, SwitchPath, GRAPH_EXACT_THRESHOLD,
+    GRAPH_HEURISTIC_BUDGET,
 };
 
 /// The two ring solvers behind [`Plant::largest_ring`], callable

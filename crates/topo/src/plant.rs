@@ -80,34 +80,109 @@ pub const GRAPH_EXACT_THRESHOLD: usize = 12;
 /// the DFS ring solver.
 pub const GRAPH_HEURISTIC_BUDGET: u64 = 200_000;
 
+/// Switching elements a [`SwitchPath`] holds in place. One covers a
+/// crossbar hop, none a torus trunk and three an unfaulted folded-Clos
+/// hop (leaf, spine, leaf); only a Clos route detouring around cut
+/// stage fibers is longer, and is boxed.
+const INLINE_SWITCHES: usize = 3;
+
+/// An ordered run of switching elements, read as a `&[SwitchId]`.
+///
+/// Up to three elements live in the value itself, so
+/// cloning a [`PlantRing`] copies its routes' bytes instead of
+/// allocating one list per hop. A longer path is boxed behind the same
+/// slice view: there is no cap on route length.
+#[derive(Clone)]
+pub struct SwitchPath(PathRepr);
+
+#[derive(Clone)]
+enum PathRepr {
+    Inline {
+        len: u8,
+        ids: [SwitchId; INLINE_SWITCHES],
+    },
+    Boxed(Box<[SwitchId]>),
+}
+
+impl SwitchPath {
+    fn from_slice(ids: &[SwitchId]) -> SwitchPath {
+        if ids.len() <= INLINE_SWITCHES {
+            let mut inline = [SwitchId(0); INLINE_SWITCHES];
+            inline[..ids.len()].copy_from_slice(ids);
+            SwitchPath(PathRepr::Inline {
+                len: ids.len() as u8,
+                ids: inline,
+            })
+        } else {
+            SwitchPath(PathRepr::Boxed(ids.into()))
+        }
+    }
+
+    fn reverse(&mut self) {
+        match &mut self.0 {
+            PathRepr::Inline { len, ids } => ids[..*len as usize].reverse(),
+            PathRepr::Boxed(ids) => ids.reverse(),
+        }
+    }
+}
+
+impl std::ops::Deref for SwitchPath {
+    type Target = [SwitchId];
+
+    fn deref(&self) -> &[SwitchId] {
+        match &self.0 {
+            PathRepr::Inline { len, ids } => &ids[..*len as usize],
+            PathRepr::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl PartialEq for SwitchPath {
+    fn eq(&self, other: &SwitchPath) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for SwitchPath {}
+
+impl fmt::Debug for SwitchPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// The switch path carrying one ring hop `u → v`.
 ///
 /// * crossbar hop: `via = [shared switch]`
 /// * torus trunk hop: `via = []` (direct node–node fiber)
 /// * multistage hop: `via = [leaf_u, spine, leaf_v]` (or `[leaf]` when
-///   both nodes share a leaf)
+///   both nodes share a leaf; longer around cut stage fibers)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopRoute {
     /// Switching elements traversed, in order from `u` to `v`.
-    pub via: Vec<SwitchId>,
+    pub via: SwitchPath,
 }
 
 impl HopRoute {
     /// Route through a single switch (the crossbar case).
     pub fn through(s: SwitchId) -> HopRoute {
-        HopRoute { via: vec![s] }
+        HopRoute {
+            via: SwitchPath::from_slice(&[s]),
+        }
     }
 
     /// Direct node–node trunk route (no switching element).
     pub fn direct() -> HopRoute {
-        HopRoute { via: vec![] }
+        HopRoute {
+            via: SwitchPath::from_slice(&[]),
+        }
     }
 
     /// The same physical path traversed in the opposite direction.
     pub fn reversed(&self) -> HopRoute {
-        HopRoute {
-            via: self.via.iter().rev().copied().collect(),
-        }
+        let mut via = self.via.clone();
+        via.reverse();
+        HopRoute { via }
     }
 }
 
@@ -257,6 +332,17 @@ impl Plant {
         }
     }
 
+    /// Size every port list once, before the builder cables it:
+    /// `per_node` ports on each node, `per_switch(s)` on switch `s`.
+    fn reserve_ports(&mut self, per_node: usize, per_switch: impl Fn(usize) -> usize) {
+        for ports in &mut self.ports {
+            ports.reserve_exact(per_node);
+        }
+        for (s, nodes) in self.switch_ports.iter_mut().enumerate() {
+            nodes.reserve_exact(per_switch(s));
+        }
+    }
+
     fn add_port(&mut self, n: NodeId, s: SwitchId, length_m: f64) {
         self.ports[n.0 as usize].push((s, Fiber { length_m, up: true }));
         self.switch_ports[s.0 as usize].push(n);
@@ -289,6 +375,7 @@ impl Plant {
     pub fn crossbar(n_nodes: usize, n_switches: usize, length_m: f64) -> Plant {
         assert!((1..=8).contains(&n_switches), "1..=8 switches");
         let mut p = Plant::new("crossbar", n_nodes, n_switches);
+        p.reserve_ports(n_switches, |_| n_nodes);
         for n in 0..n_nodes {
             for s in 0..n_switches {
                 p.add_port(NodeId(n as u8), SwitchId(s as u8), length_m);
@@ -339,6 +426,9 @@ impl Plant {
         assert!(leaves >= 1 && spines >= 1, "need >=1 leaf and >=1 spine");
         assert!(leaves + spines <= 255, "<=255 switching elements");
         let mut p = Plant::new("folded-clos", n_nodes, leaves + spines);
+        // Leaf `l` cables nodes `l, l + leaves, …`; spines cable none.
+        let per_leaf = |l: usize| n_nodes.saturating_sub(l).div_ceil(leaves);
+        p.reserve_ports(1, |s| if s < leaves { per_leaf(s) } else { 0 });
         for i in 0..n_nodes {
             p.add_port(NodeId(i as u8), SwitchId((i % leaves) as u8), length_m);
         }
@@ -638,7 +728,9 @@ impl Plant {
             d -= 1;
         }
         via_rev.reverse();
-        Some(HopRoute { via: via_rev })
+        Some(HopRoute {
+            via: SwitchPath::from_slice(&via_rev),
+        })
     }
 
     /// Transmitter-side usability of a committed route: `u` alive and
@@ -1055,9 +1147,9 @@ mod tests {
         let p = Plant::folded_clos(4, 2, 2, 100.0);
         // Same leaf: one switch. Different leaves: leaf-spine-leaf.
         let same = p.hop_route(NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(same.via, vec![SwitchId(0)]);
+        assert_eq!(*same.via, [SwitchId(0)]);
         let cross = p.hop_route(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(cross.via, vec![SwitchId(0), SwitchId(2), SwitchId(1)]);
+        assert_eq!(*cross.via, [SwitchId(0), SwitchId(2), SwitchId(1)]);
         assert_eq!(p.hop_fiber_m(NodeId(0), NodeId(1), &cross), 400.0);
     }
 
@@ -1077,7 +1169,42 @@ mod tests {
         let mut p = Plant::folded_clos(4, 2, 2, 100.0);
         p.apply(Component::Stage(SwitchId(0), SwitchId(2)));
         let cross = p.hop_route(NodeId(0), NodeId(1)).unwrap();
-        assert_eq!(cross.via, vec![SwitchId(0), SwitchId(3), SwitchId(1)]);
+        assert_eq!(*cross.via, [SwitchId(0), SwitchId(3), SwitchId(1)]);
+    }
+
+    /// Three leaves, two spines; leaf 0 keeps only spine 3, leaf 2 only
+    /// spine 4, so node 0 (leaf 0) reaches node 2 (leaf 2) through leaf
+    /// 1: five switching elements, more than a route holds in place.
+    #[test]
+    fn clos_stage_cuts_detour_through_a_third_leaf() {
+        let mut p = Plant::folded_clos(6, 3, 2, 50.0);
+        p.apply(Component::Stage(SwitchId(0), SwitchId(4)));
+        p.apply(Component::Stage(SwitchId(2), SwitchId(3)));
+        let (u, v) = (NodeId(0), NodeId(2));
+        let route = p.hop_route(u, v).expect("a detour through leaf 1");
+        let path = [0, 3, 1, 4, 2].map(SwitchId);
+        assert!(path.len() > INLINE_SWITCHES);
+        assert_eq!(*route.via, path);
+
+        let back = route.reversed();
+        assert_eq!(*back.via, [2, 4, 1, 3, 0].map(SwitchId));
+        assert_eq!(back.reversed(), route);
+        assert_ne!(back, route);
+        assert_eq!(format!("{route:?}"), format!("HopRoute {{ via: {path:?} }}"));
+
+        // Two ports and four stage fibers of 50 m.
+        assert_eq!(p.hop_fiber_m(u, v, &route), 300.0);
+        assert_eq!(p.hop_fiber_m(v, u, &back), 300.0);
+        assert_eq!(p.hop_last_link(u, v, &route), Component::Link(v, SwitchId(2)));
+        assert_eq!(p.hop_last_link(v, u, &back), Component::Link(u, SwitchId(0)));
+        assert!(p.hop_usable(u, v, &route));
+        assert!(p.hop_usable(v, u, &back));
+        // Cutting the detour's leaf 1 – spine 4 stage breaks it both ways.
+        p.apply(Component::Stage(SwitchId(1), SwitchId(4)));
+        assert!(!p.hop_usable(u, v, &route));
+        assert!(!p.hop_usable(v, u, &back));
+        assert_eq!(p.hop_fiber_m(u, v, &route), 300.0, "lengths outlive the cut");
+        assert_eq!(p.hop_route(u, v), None);
     }
 
     #[test]
@@ -1086,7 +1213,7 @@ mod tests {
         clos.apply(Component::Node(NodeId(1)));
         let r = ring_of(&clos);
         assert_eq!(r.len(), 1);
-        assert_eq!(r.hops[0].via, vec![SwitchId(0)]);
+        assert_eq!(*r.hops[0].via, [SwitchId(0)]);
 
         let mut torus = Plant::torus3d([2, 1, 1], 100.0);
         torus.apply(Component::Node(NodeId(1)));

@@ -11,7 +11,18 @@
 //!   frame);
 //! * the descriptor a transit buffer or stream queue holds for each
 //!   queued frame is 16 bytes (`WireFrame`; with `u16` size fields it
-//!   was 20).
+//!   was 20);
+//! * a ring route is a value: cloning a 32-node crossbar ring takes two
+//!   allocations, its order and its hop list (one heap list per hop
+//!   made it 34), and building a cluster costs at most 4 allocations
+//!   per node (6.4 when each hop owned a list and the plant's
+//!   per-switch port lists regrew as they were cabled).
+//!
+//! Allocations are counted on the calling thread only, so the tests of
+//! this binary may run in parallel.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 use ampnet::core::{
     Cluster, ClusterConfig, Component, Features, JoinRequest, NodeId, SimDuration, Version,
@@ -19,6 +30,57 @@ use ampnet::core::{
 use ampnet::packet::{FrameArena, MAX_DMA_PAYLOAD};
 use ampnet::phy::LinkParams;
 use ampnet::ring::{Segment, SegmentParams, WireFrame};
+use ampnet::topo::Plant;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every allocation and reallocation made by the current thread.
+struct ThreadCountingAlloc;
+
+fn note_alloc() {
+    // `try_with`: a thread being torn down has no counter left.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+#[expect(unsafe_code, reason = "GlobalAlloc requires unsafe")]
+// SAFETY: delegates verbatim to the system allocator; the counter is a
+// const-initialised thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for ThreadCountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from the matching `alloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc();
+        // SAFETY: caller upholds GlobalAlloc's contract; forwarded as-is.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: ThreadCountingAlloc = ThreadCountingAlloc;
+
+/// `f`'s result and the allocations this thread made while running it.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    let out = f();
+    (out, THREAD_ALLOCS.with(Cell::get) - before)
+}
 
 const NODES: usize = 32;
 /// `ClusterConfig::small`'s one 64 KiB region.
@@ -140,5 +202,25 @@ fn dma_bodies_never_outnumber_the_peak_of_live_frames() {
         "{} bodies for a peak of {} live frames",
         bodies(arena),
         arena.stats().peak_live
+    );
+}
+
+#[test]
+fn a_crossbar_ring_clones_in_two_allocations() {
+    let ring = Plant::crossbar(NODES, 4, 100.0).largest_ring();
+    assert_eq!(ring.len(), NODES);
+    let (copy, allocs) = allocations(|| ring.clone());
+    assert_eq!(copy, ring);
+    assert!(allocs <= 2, "{allocs} allocations to clone a {NODES}-node ring");
+}
+
+#[test]
+fn a_cluster_builds_in_at_most_four_allocations_per_node() {
+    let build = |n: usize| allocations(|| Cluster::new(ClusterConfig::small(n))).1;
+    let (small, large) = (build(16), build(32));
+    let per_node = (large - small) as f64 / 16.0;
+    assert!(
+        per_node <= 4.0,
+        "{per_node} allocations per node ({small} at 16 nodes, {large} at 32)"
     );
 }
