@@ -30,7 +30,7 @@ use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
 use ampnet_services::socket::{AmpIp, Received, SockAddr, SocketError};
 use ampnet_services::files::{FileError, FileStore};
 use ampnet_services::threads::{TaskError, TaskKind, TaskTable};
-use ampnet_sim::{Sim, SimDuration, SimTime};
+use ampnet_sim::{Sim, SimDuration, SimTime, TieClass};
 use ampnet_telemetry::{MetricsSnapshot, Telemetry};
 use ampnet_topo::montecarlo::Component;
 use ampnet_topo::{NodeId, Plant, PlantRing};
@@ -86,19 +86,16 @@ pub(crate) struct NodeCtx {
     pub(crate) outstanding_unicast: VecDeque<(SimTime, MicroPacket)>,
 }
 
-/// One node's output port. A transmission ends at a known `(time,
-/// sequence)` position — the one its `Ev::TxDone` would occupy on the
-/// heap — but the event itself is pushed only once something waits
-/// for the port (see `transport.rs`). The port is busy while that
-/// position lies after the event in hand.
+/// One node's output port. A transmission ends with an `Ev::TxDone`
+/// at `free_at`, but the event is pushed only once something waits for
+/// the port (see `transport.rs`). The port is busy while that event's
+/// key lies after the event in hand.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TxPort {
     /// Instant the frame on the wire has been clocked out.
     pub(crate) free_at: SimTime,
-    /// Sequence number reserved at the send for the `TxDone` at
-    /// `free_at`.
-    pub(crate) seq: u64,
-    /// That `TxDone` has been pushed (or the port never sent).
+    /// The `TxDone` at `free_at` has been pushed (or the port never
+    /// sent).
     pub(crate) requested: bool,
 }
 
@@ -106,7 +103,6 @@ impl TxPort {
     /// A port that has not sent since the ring came up.
     pub(crate) const IDLE: TxPort = TxPort {
         free_at: SimTime::ZERO,
-        seq: 0,
         requested: true,
     };
 }
@@ -138,6 +134,29 @@ pub(crate) enum Ev {
     ErrorBurst { node: u8, seed: u64, errors: u32 },
 }
 
+/// Same-instant order by rule: `rank·256 + node`. At one node and
+/// instant a `Retry` pops before an `Arrival`, and both before the
+/// port's `TxDone`: the transit frame enters the register before the
+/// port frees, so transit goes first and the node inserts only into an
+/// empty register (slide 8). Every other event ranks below them, under
+/// its node, or node 0 when it has none.
+impl TieClass for Ev {
+    fn tie_class(&self) -> u16 {
+        let (rank, node) = match *self {
+            Ev::Retry { node } => (1, node),
+            Ev::Arrival { node, .. } => (2, node),
+            Ev::TxDone { node, .. } => (3, node),
+            Ev::Join { node, .. } | Ev::NodeOnline { node } | Ev::SemPoll { node } => (0, node),
+            Ev::SemCritDone { node } | Ev::SemTimeout { node, .. } => (0, node),
+            Ev::FailoverPoll { node } | Ev::SeqReaderTick { node } => (0, node),
+            Ev::ThreadRetry { node, .. } | Ev::ErrorBurst { node, .. } => (0, node),
+            Ev::Fail(_) | Ev::Repair(_) | Ev::RingRestored { .. } | Ev::DiagSweep => (0, 0),
+            Ev::CounterTick | Ev::SeqWriterTick => (0, 0),
+        };
+        rank << 8 | u16::from(node)
+    }
+}
+
 /// The simulated AmpNet cluster.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
@@ -151,11 +170,11 @@ pub struct Cluster {
     pub(crate) arena: FrameArena,
     /// Per-node output port state (see [`TxPort`]).
     pub(crate) ports: Vec<TxPort>,
-    /// Sequence number of the event being handled; `u64::MAX` between
+    /// Tie class of the event being handled; `u16::MAX` between
     /// [`Cluster::run_until`] calls, when every event at or before
-    /// `now` has been. With `now` it is the key a port's `(free_at,
-    /// seq)` is compared against.
-    pub(crate) in_hand: u64,
+    /// `now` has been. With `now` it is the key a port's `TxDone` is
+    /// compared against.
+    pub(crate) in_hand: u16,
     /// The eager reference for the differential test: push every
     /// `TxDone` at its send, whether or not anything will wait for it.
     /// Does not exist outside this crate's unit tests.
@@ -253,7 +272,7 @@ impl Cluster {
             nodes,
             arena: FrameArena::new(),
             ports: vec![TxPort::IDLE; n],
-            in_hand: u64::MAX,
+            in_hand: u16::MAX,
             #[cfg(test)]
             eager_tx_done: false,
             retry_pending: vec![false; n],
@@ -286,11 +305,11 @@ impl Cluster {
     /// kernel fuses each pop with the handler's first schedule (see
     /// [`Sim::next_event`]).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some((seq, ev)) = self.sim.next_event(deadline) {
-            self.in_hand = seq;
+        while let Some((class, ev)) = self.sim.next_event(deadline) {
+            self.in_hand = class;
             self.handle(ev);
         }
-        self.in_hand = u64::MAX;
+        self.in_hand = u16::MAX;
     }
 
     /// Run the event loop for `d` more simulated time.
@@ -508,16 +527,17 @@ impl Cluster {
     /// after [`Cluster::now`]). The multi-segment slice planner uses
     /// this to skip dead air and to leave quiescent shards unwoken.
     /// The earlier of the heap's top — every stored event is pending —
-    /// and the end of any transmission in progress whose `TxDone` has
-    /// not been pushed: such an end still counts as an event here, so
-    /// the planner sees the dead air, and plans the boundaries, of a
-    /// schedule that pushed them all. Read-only: the planner needs
-    /// only `&Cluster`.
+    /// and the end of any transmission in progress, whether or not its
+    /// `TxDone` has been pushed: such an end still counts as an event
+    /// here, so the planner sees the dead air, and plans the
+    /// boundaries, of a schedule that pushed them all. Read-only: the
+    /// planner needs only `&Cluster`.
     pub fn next_event_time(&self) -> Option<SimTime> {
+        let now = self.sim.now();
         self.ports
             .iter()
-            .filter(|p| self.tx_done_unrequested(p))
             .map(|p| p.free_at)
+            .filter(|&free_at| free_at > now)
             .chain(self.sim.peek_time())
             .min()
     }

@@ -83,15 +83,6 @@ impl Cluster {
     /// Start a roster episode (failure, repair or join alike): the ring
     /// stops carrying traffic until `outcome` completes.
     pub(crate) fn begin_episode(&mut self, reason: RosterReason, outcome: RosterOutcome) {
-        // Nothing will ask for the transmissions still in progress once
-        // the ring is down, but their ends stay on the schedule as
-        // stale-epoch events (see `transport.rs`): push them while the
-        // epoch is still theirs.
-        for node in 0..self.ports.len() {
-            if self.tx_done_unrequested(&self.ports[node]) {
-                self.request_tx_done(node as u8);
-            }
-        }
         self.ring_up = false;
         self.epoch = outcome.epoch;
         self.sim

@@ -19,33 +19,34 @@
 //! at the sender. The second is an event (`Ev::TxDone`) only if
 //! something is waiting for the output port when it frees: a `TxDone`
 //! that finds the MAC empty does nothing (`next_tx` on an empty MAC
-//! returns before it touches any state), so it need not exist. But it
-//! must not shift anything else, so a send always *reserves* the
-//! sequence number the event would have had
-//! ([`Sim::reserve_seq`](ampnet_sim::Sim::reserve_seq)) — every later
-//! `(time, sequence)` tie breaks as if it had been pushed — and
-//! records `(free_at, seq)` in the node's
-//! [`TxPort`]. The port is busy
-//! while that key lies after the key of the event in hand. The event
-//! is pushed, under the reserved number, from exactly three places:
+//! returns before it touches any state), so it need not exist.
+//!
+//! Leaving it out moves nothing else, because the kernel orders
+//! same-instant events by what they are, not by when they were pushed.
+//! The key is `(time, rank·256 + node, push)`, with ranks
+//! non-hop < `Retry` < `Arrival` < `TxDone` (`TieClass for Ev`): at one
+//! node and instant a retry and an arriving transit frame are handled
+//! before the port frees, so transit goes first and the node inserts
+//! only into an empty register (slide 8). Only a `TxDone` can share a
+//! `TxDone`'s node, rank and instant, so where a pushed one pops does
+//! not depend on when it was pushed. The node's [`TxPort`] records
+//! `free_at`, and the port is busy while `(free_at, class of its
+//! TxDone)` lies after `(now, class of the event in hand)`. The event
+//! is pushed from exactly two places:
 //!
 //! * at the send, if the MAC still has a backlog behind the frame it
 //!   just gave up;
 //! * by the first `kick` that finds the port busy and the MAC
 //!   backlogged — every MAC fill (`send_own`, an `Arrival`) is followed
-//!   by a `kick`, so the MAC cannot become non-empty unnoticed. The
-//!   event goes on the heap under its reserved number even when the
-//!   port frees at this very instant: `run_until` takes one event at a
-//!   time, so it pops at its sequence position among the instant's
-//!   remaining events;
-//! * by `begin_episode`, for every port still unrequested, before the
-//!   epoch changes — a schedule that pushed every `TxDone` would pop
-//!   them as stale no-ops, `next_event_time` must keep reporting them,
-//!   and `restore_ring` idles every port.
+//!   by a `kick`, so the MAC cannot become non-empty unnoticed. A
+//!   `TxDone` due at this very instant pops after the event in hand,
+//!   because its class is the higher.
 //!
 //! An end of transmission that is never requested costs nothing;
 //! [`Cluster::next_event_time`] still reports it, so the multi-segment
-//! planner plans the same slices either way.
+//! planner plans the same slices either way. A roster episode leaves
+//! unrequested ends alone: the ring is down until `restore_ring`,
+//! which idles every port.
 //!
 //! `run_until` handles one event at a time
 //! ([`Sim::next_event`](ampnet_sim::Sim::next_event)), and the kernel
@@ -61,7 +62,7 @@ use ampnet_ring::{MacAction, MacTx};
 use ampnet_services::msg::{Datagram, MsgRx};
 use ampnet_services::socket::AMPIP_STREAM;
 use ampnet_services::threads::THREAD_VECTOR;
-use ampnet_sim::SimDuration;
+use ampnet_sim::{SimDuration, TieClass};
 
 impl Cluster {
     // ----- insertion -----
@@ -95,31 +96,15 @@ impl Cluster {
         self.kick(node);
     }
 
-    /// Whether `port` is mid-transmission: the end of its frame lies
-    /// after the event in hand — where the eager schedule would still
-    /// have the `TxDone` on the heap.
-    fn port_busy(&self, port: &TxPort) -> bool {
-        (port.free_at, port.seq) > (self.sim.now(), self.in_hand)
-    }
-
-    /// Whether `port` is mid-transmission with no `TxDone` pushed for
-    /// its end — the ends `next_event_time` reports and
-    /// `begin_episode` materialises.
-    pub(crate) fn tx_done_unrequested(&self, port: &TxPort) -> bool {
-        !port.requested && self.port_busy(port)
-    }
-
-    /// Push `node`'s `TxDone` under the number reserved at the send:
-    /// it pops where a push at the send would have, even when the port
-    /// frees at the instant being handled.
-    pub(crate) fn request_tx_done(&mut self, node: u8) {
+    /// Push `node`'s `TxDone` for the end of the frame on its wire.
+    fn request_tx_done(&mut self, node: u8) {
         let port = &mut self.ports[node as usize];
         port.requested = true;
         let ev = Ev::TxDone {
             epoch: self.epoch,
             node,
         };
-        self.sim.schedule_reserved(port.free_at, port.seq, ev);
+        self.sim.schedule_at(port.free_at, ev);
     }
 
     pub(crate) fn kick(&mut self, node: u8) {
@@ -128,7 +113,11 @@ impl Cluster {
             return;
         }
         let port = self.ports[i];
-        if self.port_busy(&port) {
+        // Mid-transmission: the port's `TxDone` pops after the event in
+        // hand — where the eager schedule would still have it stored.
+        let epoch = self.epoch;
+        let done = Ev::TxDone { epoch, node }.tie_class();
+        if (port.free_at, done) > (self.sim.now(), self.in_hand) {
             // The first kick that has something for the port asks to
             // be woken when it frees.
             if !port.requested && self.nodes[i].stack.mac.has_backlog() {
@@ -154,12 +143,10 @@ impl Cluster {
                     }
                 }
                 let (ser, latency) = self.nodes[i].stack.phy.hop_timing(frame.wire_bytes as usize);
-                // The end of transmission takes its place in the
-                // schedule now, and becomes an event only if the MAC
-                // already has the next frame waiting.
+                // The end of transmission becomes an event only if the
+                // MAC already has the next frame waiting.
                 self.ports[i] = TxPort {
                     free_at: now + ser,
-                    seq: self.sim.reserve_seq(),
                     requested: false,
                 };
                 let waiting = self.nodes[i].stack.mac.has_backlog();
@@ -613,11 +600,6 @@ mod tests {
         assert_eq!(eager.roster_history().len(), 4, "seed {seed}: boot, crash, cut, rejoin");
         let sem = eager.sem_report().expect("started");
         assert!(sem.acquisitions > 0, "seed {seed}: the semaphore pair ran");
-        assert_eq!(
-            eager.sim.reserve_seq(),
-            lazy.sim.reserve_seq(),
-            "seed {seed}: every skipped event consumed its sequence number"
-        );
         (eager.events_processed(), lazy.events_processed())
     }
 
@@ -632,64 +614,67 @@ mod tests {
         }
     }
 
-    /// Three events at one instant on a quiet ring: a transit frame
-    /// reaches node 1 (scheduled before node 1's send), node 1's port
-    /// frees (its `TxDone`, reserved at the send, never pushed), a
-    /// second transit frame reaches node 1 (scheduled after the send).
-    /// The first arrival finds the port busy and asks for the `TxDone`,
-    /// which must run *between* the two arrivals: popped after both,
-    /// the transit buffer would hold two frames where the hardware
-    /// held one.
+    /// Node 1's hop events at one instant, pushed in reverse rank
+    /// order on a quiet ring: its port's `TxDone` (at the send, because
+    /// a second own frame waits), a transit frame's `Arrival`, then a
+    /// `Retry`. They pop in rank order, so the transit frame is in the
+    /// register when the port frees and leaves before the waiting own
+    /// frame: transit goes first, and the register never holds more
+    /// than that one frame. Push order would have popped the `TxDone`
+    /// first and inserted the own frame.
     #[test]
-    fn tx_done_due_now_pops_at_its_sequence_position() {
+    fn same_instant_hop_events_pop_in_rank_order() {
         let [mut eager, mut lazy] = pair(4, 7);
         let transit = build::data(0, 3, 0, [9; 8]);
-        let mut popped = [0, 0];
-        for (c, popped) in [&mut eager, &mut lazy].into_iter().zip(&mut popped) {
+        for c in [&mut eager, &mut lazy] {
             c.run_for(SimDuration::from_millis(5));
             assert!(c.ring_up());
-            let booted = c.events_processed();
-            let (ser, _) = c.nodes[1].stack.phy.hop_timing(transit.wire_bytes());
-            let frees = c.now() + ser;
-            let epoch = c.epoch;
-            let forge = |c: &mut Cluster| {
-                let frame = c.arena.insert(&transit);
-                c.sim.schedule_at(frees, Ev::Arrival { epoch, node: 1, frame });
-            };
-            forge(c);
-            c.send_own(1, [build::data(1, 3, 0, [1; 8])]);
-            assert_eq!(c.ports[1].free_at, frees, "node 1 is transmitting");
-            forge(c);
-            c.run_until(frees);
-            *popped = c.events_processed() - booted;
+            let before = *c.nodes[1].stack.mac.stats();
+            c.send_own(1, [1, 2].map(|b| build::data(1, 3, 0, [b; 8])));
+            let (frees, epoch) = (c.ports[1].free_at, c.epoch);
+            assert!(c.ports[1].requested, "the TxDone was pushed at the send");
+            let frame = c.arena.insert(&transit);
+            c.sim.schedule_at(frees, Ev::Arrival { epoch, node: 1, frame });
+            c.retry_pending[1] = true;
+            c.sim.schedule_at(frees, Ev::Retry { node: 1 });
+            // `run_until`, recording node 1's hop events.
+            let mut popped = Vec::new();
+            while let Some((class, ev)) = c.sim.next_event(frees) {
+                c.in_hand = class;
+                popped.extend(match ev {
+                    Ev::Retry { node: 1 } => Some("Retry"),
+                    Ev::Arrival { node: 1, .. } => Some("Arrival"),
+                    Ev::TxDone { node: 1, .. } => Some("TxDone"),
+                    _ => None,
+                });
+                c.handle(ev);
+            }
+            c.in_hand = u16::MAX;
+            assert_eq!(popped, ["Retry", "Arrival", "TxDone"]);
+            let after = *c.nodes[1].stack.mac.stats();
+            assert_eq!(after.forwarded - before.forwarded, 1, "the transit frame left at the release");
+            assert_eq!(after.inserted - before.inserted, 1, "the second own frame still waits");
+            assert_eq!(after.transit_highwater, transit.wire_bytes(), "one transit frame at a time");
         }
-        assert_eq!(
-            popped,
-            [3, 3],
-            "two arrivals and the TxDone between them, all through the kernel"
-        );
         assert_indistinguishable(&eager, &lazy, "at the shared instant");
-        assert_eq!(
-            lazy.nodes[1].stack.mac.stats().transit_highwater,
-            transit.wire_bytes(),
-            "one transit frame at a time"
-        );
         let settled = eager.now() + SimDuration::from_micros(50);
         run_in_step(&mut eager, &mut lazy, settled, "draining");
     }
 
     /// An episode that completes before a frame has left its port — no
     /// real roster is that quick, which is why it is forced here.
-    /// `restore_ring` idles every port, so the end of that
-    /// transmission survives only because `begin_episode` pushed it:
-    /// a stale-epoch event the planner is still told about.
+    /// Nothing waits for that end, so the on-demand schedule never
+    /// pushes it, and `restore_ring` idles the port: the end goes with
+    /// its epoch. The eager schedule pops it as a stale no-op; past it,
+    /// the two agree.
     #[test]
-    fn transmission_outliving_an_episode_still_ends_on_schedule() {
+    fn transmission_outliving_an_episode_leaves_no_event() {
         let [mut eager, mut lazy] = pair(4, 7);
+        let mut frees = SimTime::ZERO;
         for c in [&mut eager, &mut lazy] {
             c.run_for(SimDuration::from_millis(5));
             c.send_own(2, [build::data(2, 0, 0, [1; 8])]);
-            let frees = c.ports[2].free_at;
+            frees = c.ports[2].free_at;
             let mut outcome =
                 planned_rostering(&c.topo, c.ring.clone(), c.now(), c.epoch + 1, &c.cfg.timing.roster)
                     .expect("nodes alive");
@@ -698,9 +683,12 @@ mod tests {
             c.begin_episode(RosterReason::Repair(Component::Switch(SwitchId(0))), outcome);
             c.run_until(frees - SimDuration::from_nanos(1));
             assert!(c.ring_up(), "the forced episode is over");
-            assert_eq!(c.next_event_time(), Some(frees));
         }
-        let settled = eager.now() + SimDuration::from_micros(50);
-        run_in_step(&mut eager, &mut lazy, settled, "after the episode");
+        assert_eq!(eager.next_event_time(), Some(frees), "stored at the send");
+        assert_ne!(lazy.next_event_time(), Some(frees), "never pushed");
+        let settled = frees + SimDuration::from_micros(50);
+        eager.run_until(settled);
+        lazy.run_until(settled);
+        assert_indistinguishable(&eager, &lazy, "past the stale end");
     }
 }

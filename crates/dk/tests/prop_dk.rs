@@ -4,13 +4,41 @@
 //! any crash/rejoin history.
 
 use ampnet_dk::{
-    assimilate, AssimilationParams, CompatPolicy, ControlGroup, FailoverEngine, FailoverPolicy,
-    Features, GroupId, JoinRequest, Version,
+    assimilate, AssimilationFailure, AssimilationParams, CompatPolicy, ControlGroup,
+    FailoverEngine, FailoverPolicy, Features, GroupId, JoinRequest, Rejection, Version,
 };
 use ampnet_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BTreeSet;
+
+/// Any subset of the optional features.
+fn arb_features() -> impl Strategy<Value = Features> {
+    (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(atomic, crc, routing)| {
+        [(atomic, Features::D64_ATOMIC), (crc, Features::CRC_OFFLOAD), (routing, Features::ROUTING)]
+            .into_iter()
+            .filter(|&(on, _)| on)
+            .fold(Features::NONE, |set, (_, f)| set | f)
+    })
+}
+
+/// A version drawn near the policy's numbers half the time, so every
+/// gate is reached, and from the whole range otherwise.
+fn arb_version() -> impl Strategy<Value = Version> {
+    let near = (0u16..3, 0u16..4, any::<u16>());
+    let any_version = (any::<u16>(), any::<u16>(), any::<u16>());
+    prop_oneof![near, any_version].prop_map(|(major, minor, patch)| Version::new(major, minor, patch))
+}
+
+fn arb_policy() -> impl Strategy<Value = CompatPolicy> {
+    (0u16..3, 0u16..4, arb_features()).prop_map(|(required_major, min_minor, required_features)| {
+        CompatPolicy {
+            required_major,
+            min_minor,
+            required_features,
+        }
+    })
+}
 
 fn arb_members() -> impl Strategy<Value = Vec<(u8, u32)>> {
     proptest::collection::btree_map(0u8..20, 0u32..1000, 2..8)
@@ -186,5 +214,45 @@ proptest! {
         } else {
             prop_assert!(ta >= tb);
         }
+    }
+
+    /// Hostile joins: any version, feature set, self-test result and
+    /// cache size, against any policy. Nothing panics; a join is
+    /// admitted iff its self-test passes and the policy admits it;
+    /// otherwise the typed failure names the first gate that failed —
+    /// diagnostics, then major, minor floor and features in turn.
+    #[test]
+    fn assimilate_admits_exactly_the_compatible_and_names_the_first_failed_gate(
+        node in any::<u8>(),
+        version in arb_version(),
+        features in arb_features(),
+        diagnostics_pass in any::<bool>(),
+        cache_bytes in any::<u64>(),
+        policy in arb_policy(),
+    ) {
+        let req = JoinRequest { node, version, features, diagnostics_pass };
+        let got = assimilate(req, policy, cache_bytes, &AssimilationParams::default());
+        prop_assert_eq!(got.is_ok(), diagnostics_pass && policy.check(version, features).is_ok());
+        let first_failed = if !diagnostics_pass {
+            Some(AssimilationFailure::DiagnosticsFailed)
+        } else if version.major != policy.required_major {
+            Some(AssimilationFailure::Incompatible(Rejection::MajorMismatch {
+                required: policy.required_major,
+                got: version.major,
+            }))
+        } else if version.minor < policy.min_minor {
+            Some(AssimilationFailure::Incompatible(Rejection::TooOld {
+                min_minor: policy.min_minor,
+                got: version.minor,
+            }))
+        } else if !features.includes(policy.required_features) {
+            Some(AssimilationFailure::Incompatible(Rejection::MissingFeatures {
+                required: policy.required_features,
+                got: features,
+            }))
+        } else {
+            None
+        };
+        prop_assert_eq!(got.err(), first_failed);
     }
 }

@@ -19,7 +19,7 @@ use crate::stack::NodeStack;
 use crate::stream::StreamId;
 use ampnet_packet::{build, DmaCtrl, FrameArena, FrameRef, MicroPacket};
 use ampnet_phy::LinkParams;
-use ampnet_sim::{jain_fairness, Histogram, Sim, SimDuration, SimTime};
+use ampnet_sim::{jain_fairness, Histogram, Sim, SimDuration, SimTime, TieClass};
 use ampnet_telemetry::{defs, GaugeHandle, HistHandle, Telemetry, GLOBAL};
 use std::collections::VecDeque;
 
@@ -113,6 +113,10 @@ enum Ev {
     /// Pacing governor may allow an insertion now.
     Retry { node: usize },
 }
+
+/// Class 0 throughout: the segment's same-instant events pop in the
+/// order they were scheduled.
+impl TieClass for Ev {}
 
 #[derive(Debug, Default, Clone)]
 struct NodeMeters {

@@ -102,7 +102,8 @@ pub struct FileInfo {
 pub enum FileError {
     /// Underlying cache failure.
     Cache(CacheError),
-    /// Name longer than [`NAME_LEN`] bytes or empty.
+    /// Name empty, longer than [`NAME_LEN`] bytes, or holding a NUL
+    /// byte (the directory reads a name only up to its first NUL).
     BadName,
     /// Directory full.
     DirectoryFull,
@@ -122,7 +123,7 @@ impl std::fmt::Display for FileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FileError::Cache(e) => write!(f, "cache: {e}"),
-            FileError::BadName => write!(f, "file name empty or over {NAME_LEN} bytes"),
+            FileError::BadName => write!(f, "file name empty, over {NAME_LEN} bytes or holding a NUL"),
             FileError::DirectoryFull => write!(f, "directory full"),
             FileError::HeapFull => write!(f, "data heap exhausted"),
             FileError::NotFound => write!(f, "no such file"),
@@ -147,7 +148,7 @@ impl FileStore {
 
     fn encode_name(name: &str) -> Result<[u8; NAME_LEN], FileError> {
         let bytes = name.as_bytes();
-        if bytes.is_empty() || bytes.len() > NAME_LEN {
+        if bytes.is_empty() || bytes.len() > NAME_LEN || bytes.contains(&0) {
             return Err(FileError::BadName);
         }
         let mut out = [0u8; NAME_LEN];
@@ -449,6 +450,18 @@ mod tests {
             fs.write(&mut a, "a-name-that-is-way-too-long", b"x"),
             Err(FileError::BadName)
         );
+    }
+
+    /// A NUL would end the stored name early: `"a\0b"` would be listed
+    /// as `"a"` and never found again, a second write making a second
+    /// entry.
+    #[test]
+    fn names_holding_a_nul_are_rejected() {
+        let (mut a, _, fs) = setup();
+        for name in ["a\0b", "\0", "ab\0"] {
+            assert_eq!(fs.write(&mut a, name, b"x"), Err(FileError::BadName), "{name:?}");
+        }
+        assert!(fs.list(&a).unwrap().is_empty(), "nothing was stored");
     }
 
     #[test]

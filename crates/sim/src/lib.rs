@@ -7,7 +7,8 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution clock.
 //! * [`EventQueue`] — deterministic future-event list: one binary
-//!   heap with FIFO tie-breaking, whose pop is fused with the next
+//!   heap that breaks same-instant ties by the event's [`TieClass`],
+//!   then first in first out, and whose pop is fused with the next
 //!   schedule. Timers are retired by stamp in the handlers, not
 //!   cancelled in the queue.
 //! * [`Sim`] — executor: clock + queue + seeded randomness.
@@ -44,7 +45,7 @@ mod stats;
 mod time;
 
 pub use digest::{fnv64, Fnv64};
-pub use queue::{EventId, EventQueue};
+pub use queue::{EventId, EventQueue, TieClass};
 // Test support for `tests/queue_differential.rs`: the seeded queue
 // defects its in-file model must catch.
 #[doc(hidden)]

@@ -1,5 +1,5 @@
 //! Deterministic future-event queue — one binary heap keyed on
-//! `(time, sequence)`.
+//! `(time, tie class, push)`.
 //!
 //! The live queue is small: a few entries per node plus the
 //! pre-scheduled faults and application timers — 30 to 150 stored
@@ -10,14 +10,14 @@
 //! the time horizon instead of the population (DESIGN.md §13 has the
 //! measurements, including the six-level timer wheel this replaced).
 //!
-//! * **Order** — entries pop in `(time, sequence)` order; the sequence
-//!   number is the schedule counter, so same-instant events pop in
-//!   scheduling order (FIFO tie-break) and the schedule is a pure
-//!   function of the calls made. A caller that knows an event's place
-//!   before it knows whether the event is needed takes the number
-//!   first ([`EventQueue::reserve_seq`]) and pushes later, or never
-//!   ([`EventQueue::schedule_reserved`]): the order is that of the
-//!   numbers, not of the pushes.
+//! * **Order** — entries pop in `(time, class, push)` order. The class
+//!   is the event's own ([`TieClass`]): a model orders its
+//!   same-instant events by what they are, not by when they happened
+//!   to be scheduled. The push counter breaks what the class leaves
+//!   tied, first scheduled first (FIFO); an event type that keeps the
+//!   default class 0 gets plain FIFO ties. Either way the schedule is
+//!   a pure function of the calls made, and leaving an event out does
+//!   not move any other.
 //! * **One sift per event** — [`EventQueue::take_next`] hands out a
 //!   copy of the top entry and leaves it in place, marked *in hand*;
 //!   the next `schedule` overwrites it (`BinaryHeap::peek_mut`: one
@@ -50,18 +50,44 @@ pub struct EventId(u64);
 /// simulator's allocations per packet).
 const PREALLOC: usize = 256;
 
+/// Bits of an entry's tie word that count pushes; the tie class sits
+/// above them. 2^54 pushes outlast any run by orders of magnitude.
+const PUSH_BITS: u32 = 54;
+
+/// Where an event stands among the events due at its instant: lower
+/// classes pop first, and equal classes pop in push order. A class is
+/// below `2^10`. The default, 0 for every event, leaves every tie to
+/// push order.
+pub trait TieClass {
+    /// This event's same-instant class.
+    fn tie_class(&self) -> u16 {
+        0
+    }
+}
+
+/// A plain integer payload has no class of its own: its ties pop first
+/// in, first out.
+impl TieClass for u32 {}
+
 #[derive(Debug)]
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    /// `class << PUSH_BITS | push`.
+    tie: u64,
     event: E,
 }
 
 impl<E> Entry<E> {
-    /// `(at, seq)` as one integer — earliest time first, then FIFO
-    /// within a timestamp — so a sift step is one branch-free compare.
+    /// `(at, class, push)` as one integer — earliest time first, then
+    /// lowest class, then FIFO — so a sift step is one branch-free
+    /// compare.
     fn key(&self) -> u128 {
-        (u128::from(self.at.0) << 64) | u128::from(self.seq)
+        (u128::from(self.at.0) << 64) | u128::from(self.tie)
+    }
+
+    /// The push number, which is also the entry's [`EventId`].
+    fn push(&self) -> u64 {
+        self.tie & ((1 << PUSH_BITS) - 1)
     }
 }
 
@@ -93,41 +119,45 @@ pub enum QueueMutation {
     None,
     /// Break timestamp ties as a comparator on the time alone would:
     /// a same-instant event scheduled later can pop first (the
-    /// FIFO-tie-break bug the sequence number exists to prevent).
+    /// FIFO-tie-break bug the push counter exists to prevent).
     TimeOnlyTieBreak,
+    /// Store every entry under class 0, as a key that dropped the tie
+    /// class would: same-instant events pop in push order whatever
+    /// their classes.
+    ClassBlind,
     /// A schedule after [`EventQueue::take_next`] pushes instead of
     /// overwriting the entry in hand, which stays live: the taken event
     /// comes out a second time.
     StaleRoot,
 }
 
-/// A future-event list with deterministic FIFO tie-breaking,
-/// implemented as a binary heap.
+/// A future-event list that breaks same-instant ties by class, then
+/// first in first out, implemented as a binary heap.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Min-heap on `(at, seq)`; every stored entry is pending except
-    /// the root while `in_hand`.
+    /// Min-heap on `(at, class, push)`; every stored entry is pending
+    /// except the root while `in_hand`.
     heap: BinaryHeap<Reverse<Entry<E>>>,
     /// The root was handed out by [`EventQueue::take_next`] and is dead:
     /// the next schedule overwrites it, anything else removes it.
     in_hand: bool,
-    next_seq: u64,
+    pushes: u64,
     mutation: QueueMutation,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: TieClass> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: TieClass> EventQueue<E> {
     /// Empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(PREALLOC),
             in_hand: false,
-            next_seq: 0,
+            pushes: 0,
             mutation: QueueMutation::None,
         }
     }
@@ -149,43 +179,30 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Schedule `event` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
-        let seq = self.reserve_seq();
-        self.schedule_reserved(at, seq, event)
-    }
-
-    /// Take the next sequence number without storing anything: the
-    /// tie-break position an event scheduled *now* would get. Every
-    /// later [`EventQueue::schedule`] sorts after it within a
-    /// timestamp, whether or not the number is ever used.
-    pub fn reserve_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Schedule `event` at `at` under a number taken earlier with
-    /// [`EventQueue::reserve_seq`]: it pops exactly where a
-    /// [`EventQueue::schedule`] made at the time of the reservation
-    /// would. `seq` must come from `reserve_seq` and be used at most
-    /// once — two stored entries with one key have no defined order.
+    /// Schedule `event` to fire at absolute time `at`, behind every
+    /// stored event of its instant and class.
     ///
     /// The first schedule after a [`EventQueue::take_next`] takes the
     /// in-hand entry's slot: it is written over the root and sifted
     /// down from there, one sift that stops early in place of a pop
     /// and a push.
-    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
-        debug_assert!(seq < self.next_seq, "sequence number {seq} was never reserved");
-        let entry = Reverse(Entry { at, seq, event });
+    #[inline]
+    pub fn schedule(&mut self, at: SimTime, event: E) -> EventId {
+        let push = self.pushes;
+        self.pushes += 1;
+        let blind = self.mutation == QueueMutation::ClassBlind;
+        let class = if blind { 0 } else { event.tie_class() };
+        debug_assert!(class < 1 << (64 - PUSH_BITS), "class {class} too large");
+        let tie = u64::from(class) << PUSH_BITS | push;
+        let entry = Reverse(Entry { at, tie, event });
         if std::mem::take(&mut self.in_hand) && self.mutation != QueueMutation::StaleRoot {
             if let Some(mut root) = self.heap.peek_mut() {
                 *root = entry;
-                return EventId(seq);
+                return EventId(push);
             }
         }
         self.heap.push(entry);
-        EventId(seq)
+        EventId(push)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event
@@ -200,7 +217,7 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.settle();
         let before = self.heap.len();
-        self.heap.retain(|Reverse(e)| e.seq != id.0);
+        self.heap.retain(|Reverse(e)| e.push() != id.0);
         self.heap.len() != before
     }
 
@@ -222,13 +239,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Hand out the next event at or before `deadline` — its time,
-    /// sequence number and a copy of the event — and leave its entry
-    /// on the heap as the one in hand, for the next schedule to
-    /// overwrite. Events come out in [`EventQueue::pop`]'s order: the
-    /// pending set is the same either way, and `(at, seq)` keys are
-    /// unique.
-    pub fn take_next(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)>
+    /// Hand out the next event at or before `deadline` — its time, tie
+    /// class and a copy of the event — and leave its entry on the heap
+    /// as the one in hand, for the next schedule to overwrite. Events
+    /// come out in [`EventQueue::pop`]'s order: the pending set is the
+    /// same either way, and keys are unique.
+    pub fn take_next(&mut self, deadline: SimTime) -> Option<(SimTime, u16, E)>
     where
         E: Copy,
     {
@@ -237,7 +253,7 @@ impl<E> EventQueue<E> {
             self.surface_rival();
         }
         let Reverse(top) = self.heap.peek().filter(|Reverse(e)| e.at <= deadline)?;
-        let taken = (top.at, top.seq, top.event);
+        let taken = (top.at, (top.tie >> PUSH_BITS) as u16, top.event);
         self.in_hand = true;
         Some(taken)
     }
@@ -280,8 +296,8 @@ impl<E> EventQueue<E> {
 
     /// Pop every event at the earliest pending instant, provided
     /// that instant is at or before `deadline`; append them to `out`
-    /// in sequence order, each with its sequence number (they share
-    /// the timestamp), and return the instant. Equivalent to popping
+    /// in pop order, each with its push number (they share the
+    /// timestamp), and return the instant. Equivalent to popping
     /// one at a time while `peek_time()` stays equal — the per-instant
     /// batch dispatch `Sim::pop_batch` is built on — with one deadline
     /// check per *instant* instead of one per *event*.
@@ -299,7 +315,7 @@ impl<E> EventQueue<E> {
         let at = self.peek_time().filter(|&at| at <= deadline)?;
         while self.heap.peek().is_some_and(|Reverse(top)| top.at == at) {
             let Some(e) = self.take_top() else { break };
-            out.push((e.seq, e.event));
+            out.push((e.push(), e.event));
         }
         Some(at)
     }
@@ -308,6 +324,10 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TieClass for i32 {}
+    impl TieClass for u64 {}
+    impl TieClass for &str {}
 
     #[test]
     fn pops_in_time_order() {
@@ -440,21 +460,28 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(10), 3)));
     }
 
+    /// A payload that carries its class, for the ordering tests.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Classed(u16, &'static str);
+    impl TieClass for Classed {
+        fn tie_class(&self) -> u16 {
+            self.0
+        }
+    }
+
     #[test]
-    fn reserved_number_keeps_its_place_however_late_it_is_pushed() {
+    fn ties_break_by_class_then_fifo() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime(10), "a");
-        let held = q.reserve_seq();
-        let never = q.reserve_seq();
-        q.schedule(SimTime(10), "c");
-        assert_eq!(q.len(), 2, "a reservation stores nothing");
-        assert_eq!(q.pop(), Some((SimTime(10), "a")));
-        q.schedule(SimTime(10), "d");
-        q.schedule_reserved(SimTime(10), held, "b");
-        // `never` is skipped without leaving a gap anyone can see.
-        assert!(never > held);
-        for expected in ["b", "c", "d"] {
-            assert_eq!(q.pop(), Some((SimTime(10), expected)));
+        for ev in [Classed(3, "d"), Classed(1, "b"), Classed(3, "e"), Classed(0, "a")] {
+            q.schedule(SimTime(10), ev);
+        }
+        q.schedule(SimTime(5), Classed(1023, "first"));
+        assert_eq!(q.pop(), Some((SimTime(5), Classed(1023, "first"))), "time first");
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(10), 0, Classed(0, "a"))));
+        // Scheduled after the rest, but of a lower class than "d".
+        q.schedule(SimTime(10), Classed(2, "c"));
+        for expected in ["b", "c", "d", "e"] {
+            assert_eq!(q.pop().map(|(at, ev)| (at, ev.1)), Some((SimTime(10), expected)));
         }
         assert_eq!(q.pop(), None);
     }
@@ -500,12 +527,12 @@ mod tests {
         q.schedule(SimTime(20), "b");
         q.schedule(SimTime(10), "a");
         assert_eq!(q.take_next(SimTime(9)), None, "deadline before the top");
-        assert_eq!(q.take_next(SimTime(10)), Some((SimTime(10), 1, "a")));
+        assert_eq!(q.take_next(SimTime(10)), Some((SimTime(10), 0, "a")));
         q.schedule(SimTime(30), "c"); // written over "a"
         assert_eq!(q.heap.len(), 2, "the overwrite stores nothing extra");
         assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(20), 0, "b")));
         // Nothing scheduled after "b": the next take drops its entry.
-        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(30), 2, "c")));
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(30), 0, "c")));
         assert_eq!(q.take_next(SimTime::MAX), None);
         assert!(q.heap.is_empty(), "the last dead root went too");
     }
@@ -531,7 +558,7 @@ mod tests {
         }
         assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(1), 0, 1)));
         assert_eq!(q.peek_time(), Some(SimTime(3)), "the earlier child");
-        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(3), 2, 3)));
+        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(3), 0, 3)));
         assert_eq!(q.peek_time(), Some(SimTime(5)));
         let mut last = EventQueue::new();
         last.schedule(SimTime(4), 4);

@@ -4,15 +4,16 @@
 //! stream. The owner (e.g. `ampnet-core`'s `Cluster`) drives the loop:
 //!
 //! ```
-//! use ampnet_sim::{Sim, SimTime, SimDuration};
+//! use ampnet_sim::{Sim, SimTime, SimDuration, TieClass};
 //!
 //! #[derive(Debug, Clone, Copy)]
 //! enum Ev { Ping(u32) }
+//! impl TieClass for Ev {} // same-instant pings pop first in, first out
 //!
 //! let mut sim: Sim<Ev> = Sim::new(42);
 //! sim.schedule_in(SimDuration::from_micros(5), Ev::Ping(1));
 //! let mut seen = vec![];
-//! while let Some((_seq, ev)) = sim.next_event(SimTime::MAX) {
+//! while let Some((_class, ev)) = sim.next_event(SimTime::MAX) {
 //!     match ev { Ev::Ping(n) => seen.push((sim.now(), n)) }
 //! }
 //! assert_eq!(seen, vec![(SimTime(5_000), 1)]);
@@ -22,7 +23,7 @@
 //! can schedule follow-up events relative to the current instant; the
 //! first such schedule reuses the handed-out event's heap slot.
 
-use crate::queue::{EventId, EventQueue};
+use crate::queue::{EventId, EventQueue, TieClass};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -35,7 +36,7 @@ pub struct Sim<E> {
     processed: u64,
 }
 
-impl<E> Sim<E> {
+impl<E: TieClass> Sim<E> {
     /// Create a simulator whose randomness derives from `seed`.
     pub fn new(seed: u64) -> Self {
         Sim {
@@ -69,6 +70,7 @@ impl<E> Sim<E> {
 
     /// Schedule an event at an absolute instant. Scheduling in the past
     /// panics: that is always a model bug.
+    #[inline]
     pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
             at >= self.now,
@@ -79,38 +81,9 @@ impl<E> Sim<E> {
     }
 
     /// Schedule an event `delay` after the current instant.
+    #[inline]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
         self.queue.schedule(self.now + delay, event)
-    }
-
-    /// Take the sequence number a `schedule_*` call made now would
-    /// stamp its event with, storing nothing. For an event whose
-    /// *position* is known before its *need* is: reserve when the
-    /// position is decided, and hand the number to
-    /// [`Sim::schedule_reserved`] if and when something turns out to
-    /// wait for the event. Every event scheduled after the reservation
-    /// breaks `(time, sequence)` ties behind it either way, so a run
-    /// that skips the event and a run that pushes it at once pop
-    /// everything else in the same order.
-    pub fn reserve_seq(&mut self) -> u64 {
-        self.queue.reserve_seq()
-    }
-
-    /// Schedule `event` at `at` in the tie-break position `seq`
-    /// reserved earlier. The number must come from
-    /// [`Sim::reserve_seq`] and be used at most once, and `at` must not
-    /// lie in the past (both checked in debug builds). Under
-    /// [`Sim::next_event`] an event due *at* the current instant pops
-    /// at its sequence position among that instant's remaining events,
-    /// exactly where it would have popped had it been scheduled when
-    /// the number was reserved.
-    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: E) -> EventId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: at={at} now={}",
-            self.now
-        );
-        self.queue.schedule_reserved(at, seq, event)
     }
 
     /// Time of the next pending event.
@@ -118,45 +91,44 @@ impl<E> Sim<E> {
         self.queue.peek_time()
     }
 
-    /// Hand out the next event at or before `deadline` with its
-    /// sequence number, advancing the clock to its timestamp. Returns
-    /// `None` when the queue is empty or the next event lies beyond the
-    /// deadline (the clock then advances to the deadline itself, so
-    /// repeated calls are monotonic).
+    /// Hand out the next event at or before `deadline` with its tie
+    /// class, advancing the clock to its timestamp. Returns `None` when the queue is empty
+    /// or the next event lies beyond the deadline (the clock then
+    /// advances to the deadline itself, so repeated calls are
+    /// monotonic).
     ///
-    /// Events come out in `(time, sequence)` order. The event's heap
+    /// Events come out in `(time, class, push)` order. The event's heap
     /// entry stays in place until the handler's first schedule
     /// overwrites it ([`EventQueue::take_next`]): the pop is fused
     /// with that schedule into one sift. Both ring drivers run on this.
-    pub fn next_event(&mut self, deadline: SimTime) -> Option<(u64, E)>
+    pub fn next_event(&mut self, deadline: SimTime) -> Option<(u16, E)>
     where
         E: Copy,
     {
-        let Some((at, seq, ev)) = self.queue.take_next(deadline) else {
+        let Some((at, class, ev)) = self.queue.take_next(deadline) else {
             self.idle_until(deadline);
             return None;
         };
         debug_assert!(at >= self.now, "event queue yielded a past event");
         self.now = at;
         self.processed += 1;
-        Some((seq, ev))
+        Some((class, ev))
     }
 
     /// Drain the whole batch of events sharing the earliest pending
     /// timestamp at or before `deadline` into `out`, each with its
-    /// sequence number, advancing the clock to that instant (the
-    /// batch's timestamp is [`Sim::now`]). Returns how many events were
+    /// push number, advancing the clock to that instant (the batch's
+    /// timestamp is [`Sim::now`]). Returns how many events were
     /// drained (0 behaves exactly like [`Sim::next_event`] returning
     /// `None`).
     ///
-    /// Order is identical to repeated `next_event` calls: the queue
-    /// breaks timestamp ties by schedule order, and anything a handler
-    /// schedules *for the current instant* gets a later sequence
-    /// number, so it lands in the *next* batch — exactly where
-    /// one-at-a-time popping would place it. The exception is an event
-    /// scheduled under a number reserved earlier
-    /// ([`Sim::schedule_reserved`]): it lands in the next batch even
-    /// when its number belongs inside this one.
+    /// For events of one class the order is identical to repeated
+    /// `next_event` calls: anything a handler schedules *for the
+    /// current instant* gets a later push number, so it lands in the
+    /// *next* batch — exactly where one-at-a-time popping would place
+    /// it. An event of a lower class than the rest of the batch lands
+    /// in the next batch even though one-at-a-time popping would take
+    /// it first.
     ///
     /// Kept only because the frozen benchmark leg
     /// `sim.pop_batch_ns_per_event` calls it; the ring drivers use
@@ -194,6 +166,8 @@ mod tests {
         A,
         B,
     }
+    impl TieClass for Ev {}
+    impl TieClass for u8 {}
 
     #[test]
     fn clock_advances_with_events() {
@@ -202,7 +176,7 @@ mod tests {
         sim.schedule_in(SimDuration::from_nanos(20), Ev::B);
         assert_eq!(sim.next_event(SimTime::MAX), Some((0, Ev::A)));
         assert_eq!(sim.now(), SimTime(10));
-        assert_eq!(sim.next_event(SimTime::MAX), Some((1, Ev::B)));
+        assert_eq!(sim.next_event(SimTime::MAX), Some((0, Ev::B)));
         assert_eq!(sim.now(), SimTime(20));
         assert!(sim.next_event(SimTime::MAX).is_none());
         assert_eq!(sim.processed(), 2);

@@ -1,23 +1,20 @@
 //! Differential harness: the shipping [`EventQueue`] against a
 //! trivially-correct model kept in this file.
 //!
-//! The model is a `BTreeMap` keyed on `(time, schedule index)` — no
-//! heap, so its `(time, sequence)` ordering is correct by inspection
-//! and it is the trusted side. Cancellation is eager on both sides. A
-//! reservation takes an index and stores nothing; scheduling under it
-//! later inserts at `(time, that index)` — the same map, so "pops
-//! where an eager schedule would have" is again true by inspection.
-//! A take ([`EventQueue::take_next`]) removes the model's minimum at
-//! once; the queue leaves that entry on its heap, in hand, until the
-//! next schedule overwrites it, so every operation that follows a take
-//! runs against a heap holding one dead entry.
+//! The model is a `BTreeMap` keyed on `(time, tie class, schedule
+//! index)` — no heap, so its ordering is correct by inspection and it
+//! is the trusted side. Cancellation is eager on both sides. A take
+//! ([`EventQueue::take_next`]) removes the model's minimum at once; the
+//! queue leaves that entry on its heap, in hand, until the next
+//! schedule overwrites it, so every operation that follows a take runs
+//! against a heap holding one dead entry.
 //! Every test drives both with the same operation sequence and demands
 //! identical observable behavior: pop and take results, peek times,
-//! cancel return values, live counts. The property sweeps
-//! cover randomized push/cancel/pop/take interleavings, same-instant
-//! bursts, far-future times (minutes out, and the `SimTime::MAX`
-//! "never" sentinel), cancel-heavy churn, reserved sequence numbers
-//! used late or never, and the batch pop.
+//! cancel return values, live counts. The property sweeps cover
+//! randomized push/cancel/pop/take interleavings over drawn tie
+//! classes, same-instant bursts, far-future times (minutes out, and the
+//! `SimTime::MAX` "never" sentinel), cancel-heavy churn, and the batch
+//! pop.
 //!
 //! The final tests arm the seeded [`QueueMutation`] defects and assert
 //! the harness *detects* each — a differential suite that cannot fail
@@ -27,7 +24,7 @@
 // interpreter; everything here is safe Rust anyway.
 #![cfg(not(miri))]
 
-use ampnet_sim::{EventId, EventQueue, QueueMutation, Sim, SimTime};
+use ampnet_sim::{EventId, EventQueue, QueueMutation, Sim, SimTime, TieClass};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -35,62 +32,65 @@ use std::collections::BTreeMap;
 /// any timer the stack arms.
 const FAR: u64 = 1 << 36;
 
-/// The reference queue. Sequence numbers are handed out 0, 1, 2, … in
-/// call order (a schedule or a reservation takes one); that index is
-/// the FIFO tie-break, the payload and the cancel handle.
+/// The payload both sides store: its tie class and its schedule
+/// index, handed out 0, 1, 2, … in call order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ev {
+    class: u16,
+    index: u64,
+}
+
+impl TieClass for Ev {
+    fn tie_class(&self) -> u16 {
+        self.class
+    }
+}
+
+/// The reference queue. The schedule index is the FIFO tie-break
+/// within a class, and the cancel handle.
 #[derive(Default)]
 struct Model {
-    /// Live events only: `(time, index) → payload`.
-    live: BTreeMap<(SimTime, usize), u64>,
-    /// By index: the time of every event ever stored, `None` for a
-    /// reservation nothing has been scheduled under.
-    when: Vec<Option<SimTime>>,
+    /// Live events only: `(time, class, index) → payload`.
+    live: BTreeMap<(SimTime, u16, u64), Ev>,
+    /// By index: the time and class of every event ever stored.
+    when: Vec<(SimTime, u16)>,
 }
 
 impl Model {
-    fn schedule(&mut self, at: SimTime) -> usize {
-        let index = self.reserve();
-        self.schedule_reserved(index, at);
-        index
-    }
-
-    fn reserve(&mut self) -> usize {
-        self.when.push(None);
-        self.when.len() - 1
-    }
-
-    fn schedule_reserved(&mut self, index: usize, at: SimTime) {
-        self.live.insert((at, index), index as u64);
-        self.when[index] = Some(at);
+    fn schedule(&mut self, at: SimTime, class: u16) -> Ev {
+        let ev = Ev {
+            class,
+            index: self.when.len() as u64,
+        };
+        self.live.insert((at, class, ev.index), ev);
+        self.when.push((at, class));
+        ev
     }
 
     fn cancel(&mut self, index: usize) -> bool {
-        self.when[index].is_some_and(|at| self.live.remove(&(at, index)).is_some())
+        let (at, class) = self.when[index];
+        self.live.remove(&(at, class, index as u64)).is_some()
     }
 
     fn peek_time(&self) -> Option<SimTime> {
-        self.live.first_key_value().map(|(&(at, _), _)| at)
+        self.live.first_key_value().map(|(&(at, ..), _)| at)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.live
-            .pop_first()
-            .map(|((at, _), payload)| (at, payload))
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        self.live.pop_first().map(|((at, ..), ev)| (at, ev))
     }
 
-    /// A take is a pop that also reports the sequence number.
-    fn take(&mut self) -> Option<(SimTime, u64, u64)> {
-        self.live
-            .pop_first()
-            .map(|((at, index), payload)| (at, index as u64, payload))
+    /// A take is a pop that also reports the tie class.
+    fn take(&mut self) -> Option<(SimTime, u16, Ev)> {
+        self.pop().map(|(at, ev)| (at, ev.class, ev))
     }
 
     /// The run of single pops sharing the front instant `at`, each as
-    /// `(sequence number, payload)` — what the batch pop yields.
-    fn pop_instant(&mut self, at: SimTime) -> Vec<(u64, u64)> {
+    /// `(push number, payload)` — what the batch pop yields.
+    fn pop_instant(&mut self, at: SimTime) -> Vec<(u64, Ev)> {
         let mut run = Vec::new();
         while self.peek_time() == Some(at) {
-            run.extend(self.live.pop_first().map(|((_, index), payload)| (index as u64, payload)));
+            run.extend(self.live.pop_first().map(|(_, ev)| (ev.index, ev)));
         }
         run
     }
@@ -100,17 +100,15 @@ impl Model {
     }
 }
 
+/// The largest tie class the queue's key holds.
+const TOP_CLASS: u16 = (1 << 10) - 1;
+
 /// One scripted operation applied to both queues.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// Schedule at an absolute time.
-    Schedule(u64),
-    /// Take a sequence number and store nothing.
-    Reserve,
-    /// Schedule at an absolute time under the `i % unused`-th
-    /// reservation still unused.
-    ScheduleReserved(usize, u64),
-    /// Cancel the event stored under sequence number `i % minted`.
+    /// Schedule at an absolute time, in a tie class.
+    Schedule(u64, u16),
+    /// Cancel the event stored under schedule index `i % scheduled`.
     Cancel(usize),
     /// Pop one event.
     Pop,
@@ -124,53 +122,32 @@ enum Op {
 /// The queue under test beside the model, fed the same storing ops.
 #[derive(Default)]
 struct Pair {
-    queue: EventQueue<u64>,
+    queue: EventQueue<Ev>,
     model: Model,
-    /// By sequence number: the queue's handle, `None` while the number
-    /// is only reserved.
-    ids: Vec<Option<EventId>>,
-    /// Reservations nothing has been scheduled under yet.
-    unused: Vec<u64>,
+    /// By schedule index: the queue's handle.
+    ids: Vec<EventId>,
 }
 
 impl Pair {
-    /// Apply a schedule / reserve / cancel op to both sides; `Err` on
-    /// the first observable difference. Pops and peeks are the
-    /// caller's (the two sweeps observe them differently).
+    /// Apply a schedule / cancel op to both sides; `Err` on the first
+    /// observable difference. Pops and peeks are the caller's (the two
+    /// sweeps observe them differently).
     fn store(&mut self, op: Op) -> Result<(), String> {
         match op {
-            Op::Schedule(at) => {
-                let index = self.model.schedule(SimTime(at));
-                let id = self.queue.schedule(SimTime(at), index as u64);
-                if self.ids.iter().flatten().any(|&earlier| earlier >= id) {
+            Op::Schedule(at, class) => {
+                let ev = self.model.schedule(SimTime(at), class);
+                let id = self.queue.schedule(SimTime(at), ev);
+                if self.ids.last().is_some_and(|&earlier| earlier >= id) {
                     return Err(format!("id {id:?} not after every earlier id"));
                 }
-                self.ids.push(Some(id));
-            }
-            Op::Reserve => {
-                let seq = self.queue.reserve_seq();
-                if seq != self.model.reserve() as u64 {
-                    return Err(format!("reserved {seq}, model is at {}", self.ids.len()));
-                }
-                self.ids.push(None);
-                self.unused.push(seq);
-            }
-            Op::ScheduleReserved(i, at) => {
-                if self.unused.is_empty() {
-                    return Ok(());
-                }
-                let seq = self.unused.swap_remove(i % self.unused.len());
-                self.model.schedule_reserved(seq as usize, SimTime(at));
-                self.ids[seq as usize] = Some(self.queue.schedule_reserved(SimTime(at), seq, seq));
+                self.ids.push(id);
             }
             Op::Cancel(i) => {
                 if self.ids.is_empty() {
                     return Ok(());
                 }
                 let index = i % self.ids.len();
-                // A number that is only reserved has no handle and no
-                // entry: nothing to cancel on either side.
-                let q = self.ids[index].is_some_and(|id| self.queue.cancel(id));
+                let q = self.queue.cancel(self.ids[index]);
                 let m = self.model.cancel(index);
                 if q != m {
                     return Err(format!("cancel(#{index}) {q} vs {m}"));
@@ -184,7 +161,7 @@ impl Pair {
 
 /// Drive queue and model through `ops`, asserting equal observables at
 /// every step. Returns the popped and taken `(time, payload)` sequence.
-fn run_differential(ops: &[Op]) -> Vec<(SimTime, u64)> {
+fn run_differential(ops: &[Op]) -> Vec<(SimTime, Ev)> {
     run_with_mutation(ops, QueueMutation::None).expect("model divergence")
 }
 
@@ -194,7 +171,7 @@ fn run_differential(ops: &[Op]) -> Vec<(SimTime, u64)> {
 fn run_with_mutation(
     ops: &[Op],
     mutation: QueueMutation,
-) -> Result<Vec<(SimTime, u64)>, String> {
+) -> Result<Vec<(SimTime, Ev)>, String> {
     let mut pair = Pair::default();
     pair.queue.set_mutation_for_tests(mutation);
     let mut popped = Vec::new();
@@ -216,7 +193,7 @@ fn run_with_mutation(
                 if q != m {
                     return Err(format!("step {step}: take {q:?} vs {m:?}"));
                 }
-                popped.extend(q.map(|(at, _, payload)| (at, payload)));
+                popped.extend(q.map(|(at, _, ev)| (at, ev)));
             }
             Op::Peek => {
                 let q = queue.peek_time();
@@ -251,18 +228,25 @@ fn run_with_mutation(
     Ok(popped)
 }
 
+/// Strategy for a tie class: mostly a few low classes, so classes tie
+/// too, and now and then the top of the range.
+fn class_strategy() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..4, 0u16..4, 0u16..4, 0u16..4, Just(TOP_CLASS)]
+}
+
 /// Strategy for one operation. Times mix three scales — frame times,
 /// protocol timers, minutes-out timers — plus the `SimTime::MAX`
 /// sentinel, so the heap holds keys of very different magnitude.
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let at = |times: std::ops::Range<u64>| {
+        (times, class_strategy()).prop_map(|(at, class)| Op::Schedule(at, class))
+    };
     prop_oneof![
-        (0u64..5_000).prop_map(Op::Schedule),
-        (0u64..50_000_000).prop_map(Op::Schedule),
-        (FAR - 1_000..FAR + 1_000_000).prop_map(Op::Schedule),
-        Just(Op::Schedule(u64::MAX)),
-        Just(Op::Reserve),
-        ((0usize..64), (0u64..5_000)).prop_map(|(i, at)| Op::ScheduleReserved(i, at)),
-        ((0usize..64), (0u64..50_000_000)).prop_map(|(i, at)| Op::ScheduleReserved(i, at)),
+        at(0..5_000),
+        at(0..5_000),
+        at(0..50_000_000),
+        at(FAR - 1_000..FAR + 1_000_000),
+        class_strategy().prop_map(|class| Op::Schedule(u64::MAX, class)),
         (0usize..4096).prop_map(Op::Cancel),
         Just(Op::Pop),
         Just(Op::Take),
@@ -283,21 +267,22 @@ proptest! {
         run_differential(&ops);
     }
 
-    /// Same-instant bursts: many events at few distinct times, so long
-    /// runs of equal timestamps must come out in FIFO order, popped or
-    /// taken.
+    /// Same-instant bursts: many events at few distinct times and
+    /// classes, so long runs of equal timestamps must come out by
+    /// class, and FIFO within a class, popped or taken.
     #[test]
-    fn same_instant_bursts_stay_fifo(
-        times in proptest::collection::vec((0u64..8).prop_map(|t| t * 1_000), 2..150),
+    fn same_instant_bursts_order_by_class_then_fifo(
+        events in proptest::collection::vec(((0u64..8).prop_map(|t| t * 1_000), class_strategy()), 2..150),
         pops in proptest::collection::vec(any::<bool>(), 0..64),
     ) {
-        let mut ops: Vec<Op> = times.iter().map(|&t| Op::Schedule(t)).collect();
+        let mut ops: Vec<Op> = events.iter().map(|&(t, class)| Op::Schedule(t, class)).collect();
         ops.extend(pops.iter().map(|&take| if take { Op::Take } else { Op::Pop }));
         let popped = run_differential(&ops);
-        // FIFO within a timestamp: payloads (schedule order) ascend.
+        // Within a timestamp, `Ev`'s order — class, then schedule
+        // index — ascends.
         for w in popped.windows(2) {
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated: {w:?}");
+                prop_assert!(w[0].1 < w[1].1, "tie order violated: {w:?}");
             }
         }
     }
@@ -315,11 +300,11 @@ proptest! {
         // Standing population, then cancel/reschedule churn with
         // occasional pops.
         for i in 0..48u64 {
-            ops.push(Op::Schedule(1_000 + i));
+            ops.push(Op::Schedule(1_000 + i, (i % 3) as u16));
         }
         for (k, &(at, victim)) in churn.iter().enumerate() {
             ops.push(Op::Cancel(victim));
-            ops.push(Op::Schedule(at));
+            ops.push(Op::Schedule(at, (k % 3) as u16));
             match k % 9 {
                 0 => ops.push(Op::Pop),
                 4 => ops.push(Op::Take),
@@ -339,12 +324,12 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..300),
     ) {
         let mut pair = Pair::default();
-        let mut buf: Vec<(u64, u64)> = Vec::new();
+        let mut buf: Vec<(u64, Ev)> = Vec::new();
         for op in &ops {
             prop_assert_eq!(pair.store(*op), Ok(()));
             let Pair { queue, model, .. } = &mut pair;
             match *op {
-                Op::Schedule(_) | Op::Reserve | Op::ScheduleReserved(..) | Op::Cancel(_) => {}
+                Op::Schedule(..) | Op::Cancel(_) => {}
                 Op::Take => {
                     if let Some(SimTime(t)) = model.peek_time() {
                         if t > 0 {
@@ -391,40 +376,34 @@ proptest! {
     }
 }
 
-// ---- a reserved number due at the instant in hand ------------------------
+// ---- an event due at the instant in hand ---------------------------------
 
-/// The one event a handler can owe the instant being handled: reserved
-/// earlier, found to be needed only now, and due now. Taken one at a
-/// time ([`Sim::next_event`]), it pops at its sequence position whether
-/// it is the handler's first schedule (written over the entry in hand)
-/// or a later one (a plain push) — exactly where the eager schedule has
-/// it. Drained in same-instant batches ([`Sim::pop_batch`]) and pushed,
-/// it would pop after the rest of the batch.
+/// An event a handler schedules for the instant being handled, of a
+/// lower class than the instant's other events. Taken one at a time
+/// ([`Sim::next_event`]), it pops next whether it is the handler's
+/// first schedule (written over the entry in hand) or a later one (a
+/// plain push) — where it would have popped had it been scheduled with
+/// the rest. Drained in same-instant batches ([`Sim::pop_batch`]), it
+/// misses the batch in hand.
 #[test]
-fn reserved_number_due_now_pops_at_its_sequence_position() {
+fn lower_class_due_now_pops_next() {
     const AT: SimTime = SimTime(10);
-    // `late` marks the event that is either scheduled eagerly or only
-    // reserved; handling event 0 is what reveals that it is needed.
-    fn script(sim: &mut Sim<u32>, late: Option<u32>) -> Option<u64> {
-        sim.schedule_at(AT, 0);
-        let reserved = match late {
-            Some(ev) => {
-                sim.schedule_at(AT, ev);
-                None
-            }
-            None => Some(sim.reserve_seq()),
-        };
-        sim.schedule_at(AT, 2);
-        sim.schedule_at(AT, 3);
-        reserved
+    let ev = |class: u16| Ev {
+        class,
+        index: u64::from(class),
+    };
+    fn script(sim: &mut Sim<Ev>, classes: &[u16]) {
+        for &class in classes {
+            sim.schedule_at(AT, Ev { class, index: u64::from(class) });
+        }
     }
-    /// Take every event in turn; `on_first` runs while event 0 is in
-    /// hand.
-    fn drain(sim: &mut Sim<u32>, mut on_first: impl FnMut(&mut Sim<u32>)) -> Vec<u32> {
+    /// Take every event in turn, recording classes; `on_first` runs
+    /// while class 0 is in hand.
+    fn drain(sim: &mut Sim<Ev>, mut on_first: impl FnMut(&mut Sim<Ev>)) -> Vec<u16> {
         let mut order = Vec::new();
         while let Some((_, ev)) = sim.next_event(SimTime::MAX) {
-            order.push(ev);
-            if ev == 0 {
+            order.push(ev.class);
+            if ev.class == 0 {
                 on_first(sim);
             }
         }
@@ -432,34 +411,32 @@ fn reserved_number_due_now_pops_at_its_sequence_position() {
     }
 
     let mut eager = Sim::new(1);
-    script(&mut eager, Some(1));
-    let reference = drain(&mut eager, |_| {});
-    assert_eq!(reference, [0, 1, 2, 3]);
+    script(&mut eager, &[3, 1, 2, 0]);
+    assert_eq!(drain(&mut eager, |_| {}), [0, 1, 2, 3]);
 
     let mut first = Sim::new(1);
-    let seq = script(&mut first, None).expect("reserved");
+    script(&mut first, &[3, 2, 0]);
     let order = drain(&mut first, |sim| {
-        sim.schedule_reserved(AT, seq, 1);
+        sim.schedule_at(AT, ev(1));
     });
-    assert_eq!(order, reference, "the first schedule overwrites the entry in hand");
-    assert_eq!(first.reserve_seq(), eager.reserve_seq(), "same numbers consumed");
+    assert_eq!(order, [0, 1, 2, 3], "the first schedule overwrites the entry in hand");
 
     let mut second = Sim::new(1);
-    let seq = script(&mut second, None).expect("reserved");
+    script(&mut second, &[3, 2, 0]);
     let order = drain(&mut second, |sim| {
-        sim.schedule_at(AT + ampnet_sim::SimDuration::from_nanos(5), 4);
-        sim.schedule_reserved(AT, seq, 1);
+        sim.schedule_at(AT + ampnet_sim::SimDuration::from_nanos(5), ev(4));
+        sim.schedule_at(AT, ev(1));
     });
     assert_eq!(order, [0, 1, 2, 3, 4], "a later schedule is a push");
 
     let mut batched = Sim::new(1);
-    let seq = script(&mut batched, None).expect("reserved");
+    script(&mut batched, &[3, 2, 0]);
     let (mut order, mut batch) = (Vec::new(), Vec::new());
     while batched.pop_batch(SimTime::MAX, &mut batch) > 0 {
-        for (_, ev) in batch.drain(..) {
-            order.push(ev);
-            if ev == 0 {
-                batched.schedule_reserved(AT, seq, 1);
+        for (_, e) in batch.drain(..) {
+            order.push(e.class);
+            if e.class == 0 {
+                batched.schedule_at(AT, ev(1));
             }
         }
     }
@@ -473,17 +450,17 @@ fn reserved_number_due_now_pops_at_its_sequence_position() {
 // vacuous.
 
 /// `TimeOnlyTieBreak` bites as soon as a same-instant run is longer
-/// than the heap keeps in insertion order by accident: with the
-/// sequence number out of the key, whichever entry the sift happens to
-/// surface comes out next — popped or taken.
+/// than the heap keeps in insertion order by accident: with the push
+/// counter out of the key, whichever entry the sift happens to surface
+/// comes out next — popped or taken.
 #[test]
 fn time_only_tie_break_mutation_is_detected() {
     for out in [Op::Pop, Op::Take] {
-        let mut ops = vec![Op::Schedule(10); 8];
+        let mut ops = vec![Op::Schedule(10, 0); 8];
         ops.extend([out; 8]);
         assert_eq!(
             run_differential(&ops),
-            (0..8).map(|i| (SimTime(10), i)).collect::<Vec<_>>(),
+            (0..8).map(|index| (SimTime(10), Ev { class: 0, index })).collect::<Vec<_>>(),
             "sanity: the healthy queue hands out the burst in schedule order"
         );
         let err = run_with_mutation(&ops, QueueMutation::TimeOnlyTieBreak)
@@ -493,15 +470,32 @@ fn time_only_tie_break_mutation_is_detected() {
     }
 }
 
+/// `ClassBlind` stores every entry under class 0: a same-instant event
+/// of a lower class scheduled later comes out after the earlier one.
+#[test]
+fn class_blind_mutation_is_detected() {
+    for out in [Op::Pop, Op::Take] {
+        let ops = [Op::Schedule(10, 3), Op::Schedule(10, 1), out, out];
+        assert_eq!(
+            run_differential(&ops),
+            [(SimTime(10), Ev { class: 1, index: 1 }), (SimTime(10), Ev { class: 3, index: 0 })],
+            "sanity: the healthy queue hands out the lower class first"
+        );
+        let err = run_with_mutation(&ops, QueueMutation::ClassBlind)
+            .expect_err("harness must detect the dropped tie class");
+        assert!(err.starts_with("step 2: "), "the first {out:?}: {err}");
+    }
+}
+
 /// `StaleRoot` keeps the taken entry live when the handler's schedule
 /// is pushed beside it instead of written over it: the queue counts
 /// one event too many at once, and hands the taken event out again.
 #[test]
 fn stale_root_mutation_is_detected() {
-    let ops = [Op::Schedule(10), Op::Schedule(20), Op::Take, Op::Schedule(30)];
+    let ops = [Op::Schedule(10, 0), Op::Schedule(20, 0), Op::Take, Op::Schedule(30, 0)];
     assert_eq!(
-        run_differential(&ops),
-        [(SimTime(10), 0), (SimTime(20), 1), (SimTime(30), 2)],
+        run_differential(&ops).iter().map(|(at, ev)| (at.0, ev.index)).collect::<Vec<_>>(),
+        [(10, 0), (20, 1), (30, 2)],
         "sanity: the healthy queue overwrites the entry in hand"
     );
     let err = run_with_mutation(&ops, QueueMutation::StaleRoot)
@@ -510,12 +504,12 @@ fn stale_root_mutation_is_detected() {
 
     let mut queue = EventQueue::new();
     queue.set_mutation_for_tests(QueueMutation::StaleRoot);
-    queue.schedule(SimTime(10), "a");
-    assert_eq!(queue.take_next(SimTime::MAX), Some((SimTime(10), 0, "a")));
-    queue.schedule(SimTime(30), "b");
+    queue.schedule(SimTime(10), 1u32);
+    assert_eq!(queue.take_next(SimTime::MAX), Some((SimTime(10), 0, 1)));
+    queue.schedule(SimTime(30), 2);
     assert_eq!(
         queue.take_next(SimTime::MAX),
-        Some((SimTime(10), 0, "a")),
+        Some((SimTime(10), 0, 1)),
         "the defect: the taken event comes out twice"
     );
 }
@@ -527,7 +521,11 @@ fn stale_root_mutation_is_detected() {
 #[test]
 fn property_sweep_detects_every_mutation() {
     use proptest::test_runner::TestRng;
-    for mutation in [QueueMutation::TimeOnlyTieBreak, QueueMutation::StaleRoot] {
+    for mutation in [
+        QueueMutation::TimeOnlyTieBreak,
+        QueueMutation::ClassBlind,
+        QueueMutation::StaleRoot,
+    ] {
         let mut rng = TestRng::for_test("queue_differential::sweep_mutations");
         let mut detected = false;
         'cases: for _ in 0..1_000 {
@@ -535,14 +533,15 @@ fn property_sweep_detects_every_mutation() {
             for _ in 0..160 {
                 let r = rng.next_u64();
                 // Times are quantized to a handful of distinct instants
-                // so same-instant collisions (where ordering defects
-                // live) are common at every scale; takes dominate so
-                // same-instant runs keep reaching the top, and most
-                // schedules follow a take.
+                // and classes drawn from a few, so same-instant
+                // collisions (where ordering defects live) are common at
+                // every scale; takes dominate so same-instant runs keep
+                // reaching the top, and most schedules follow a take.
+                let class = (rng.next_u64() % 3) as u16;
                 ops.push(match r % 8 {
-                    0 => Op::Schedule((rng.next_u64() % 8) * 700),
-                    1 => Op::Schedule((rng.next_u64() % 4) * 10_000_000),
-                    2 | 3 => Op::Schedule(FAR + 5 + (rng.next_u64() % 2) * 5),
+                    0 => Op::Schedule((rng.next_u64() % 8) * 700, class),
+                    1 => Op::Schedule((rng.next_u64() % 4) * 10_000_000, class),
+                    2 | 3 => Op::Schedule(FAR + 5 + (rng.next_u64() % 2) * 5, class),
                     4 => Op::Cancel((rng.next_u64() % 64) as usize),
                     _ => Op::Take,
                 });
