@@ -68,9 +68,13 @@ pub struct AssimilationTimeline {
 }
 
 impl AssimilationTimeline {
-    /// Total time from power-on to Online.
+    /// Total time from power-on to Online, saturating at
+    /// [`SimDuration::MAX`]: [`assimilate`] saturates `refresh` there
+    /// for a huge cache, and the sum of the phases must not wrap.
     pub fn total(&self) -> SimDuration {
-        self.boot + self.diagnostics + self.handshake + self.refresh + self.certify
+        [self.diagnostics, self.handshake, self.refresh, self.certify]
+            .into_iter()
+            .fold(self.boot, SimDuration::saturating_add)
     }
 }
 

@@ -216,6 +216,35 @@ proptest! {
         }
     }
 
+    /// The total of an admitted join's phases saturates rather than
+    /// wrapping: up to a huge cache it is the exact sum, and a cache
+    /// whose refresh saturates reads [`SimDuration::MAX`].
+    #[test]
+    fn assimilation_total_saturates(cache_bytes in any::<u64>()) {
+        let policy = CompatPolicy {
+            required_major: 1,
+            min_minor: 0,
+            required_features: Features::NONE,
+        };
+        let req = JoinRequest {
+            node: 1,
+            version: Version::new(1, 0, 0),
+            features: Features::NONE,
+            diagnostics_pass: true,
+        };
+        let p = AssimilationParams::default();
+        for bytes in [cache_bytes, u64::MAX] {
+            let t = assimilate(req, policy, bytes, &p).unwrap();
+            let exact = [t.boot, t.diagnostics, t.handshake, t.refresh, t.certify]
+                .iter()
+                .map(|d| u128::from(d.as_nanos()))
+                .sum::<u128>();
+            prop_assert_eq!(u128::from(t.total().as_nanos()), exact.min(u128::from(u64::MAX)));
+        }
+        let huge = assimilate(req, policy, u64::MAX, &p).unwrap();
+        prop_assert_eq!(huge.total(), SimDuration::MAX);
+    }
+
     /// Hostile joins: any version, feature set, self-test result and
     /// cache size, against any policy. Nothing panics; a join is
     /// admitted iff its self-test passes and the policy admits it;

@@ -58,5 +58,5 @@ pub use pacing::{AimdParams, InsertionGovernor, PacingMode};
 pub use segment::{
     ArrivalProcess, DstPattern, PacketKind, Segment, SegmentParams, SegmentReport, StreamWorkload,
 };
-pub use stack::{NodeStack, SerialPhy, StackTelemetry};
+pub use stack::{NodeStack, SerialPhy, StackTelemetry, BURST_WINDOW_GROUPS};
 pub use stream::{StreamId, StreamSet};

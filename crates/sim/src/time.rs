@@ -116,6 +116,12 @@ impl SimDuration {
         self.0 as f64 / 1_000_000_000.0
     }
 
+    /// Saturating addition.
+    #[inline]
+    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(rhs.0))
+    }
+
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

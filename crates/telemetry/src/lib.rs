@@ -460,4 +460,35 @@ mod tests {
             ref v => panic!("expected hist, got {v:?}"),
         }
     }
+
+    #[test]
+    fn merge_shards_lists_defs_in_first_seen_order() {
+        let counters: Vec<&'static MetricDef> = defs::ALL
+            .iter()
+            .copied()
+            .filter(|d| d.kind == MetricKind::Counter)
+            .collect();
+        let (head, tail) = counters.split_at(counters.len() / 2);
+        let shards = [Telemetry::new(1), Telemetry::new(1)];
+        // The first shard sees the first half backwards; the second
+        // sees every counter forwards, at two nodes.
+        for &def in head.iter().rev() {
+            shards[0].inc(shards[0].counter(def, 0));
+        }
+        for node in [3, 4] {
+            for &def in &counters {
+                shards[1].inc(shards[1].counter(def, node));
+            }
+        }
+        let snap = Telemetry::merge_shards(&shards);
+        let merged: Vec<_> = snap.entries.iter().map(|e| e.def.name).collect();
+        let first_seen: Vec<_> = head.iter().rev().chain(tail).map(|d| d.name).collect();
+        assert_eq!(merged, first_seen);
+        // A counter of the first half was bumped once by each shard's
+        // nodes: 1 + 2; one of the second half only by the second's.
+        for (i, entry) in snap.entries.iter().enumerate() {
+            let want = if i < head.len() { 3 } else { 2 };
+            assert_eq!(entry.value, SnapValue::Counter(want), "{}", entry.def.name);
+        }
+    }
 }

@@ -11,10 +11,21 @@ use crate::cells::{Cells, HIST_CELLS};
 use crate::hist::Histogram;
 use crate::metric::{MetricDef, MetricKind};
 use crate::snapshot::{MetricsSnapshot, SnapValue, SnapshotEntry};
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Node label on a per-node instrument; [`GLOBAL`] for cluster-wide ones.
 pub const GLOBAL: u8 = u8::MAX;
+
+/// A metric's identity: the address of its `static` [`MetricDef`].
+/// Every def is a distinct `static` in [`crate::defs`] and no two share
+/// a name (`defs::tests::catalog_names_are_unique`), so identity and
+/// name pick out the same metric, but identity compares as one integer.
+/// A def built anywhere else is a metric of its own, whatever its name.
+/// It is a lookup key only: nothing iterates in its order.
+fn identity(def: &'static MetricDef) -> usize {
+    std::ptr::from_ref(def) as usize
+}
 
 macro_rules! handle {
     ($(#[$doc:meta])* $name:ident) => {
@@ -102,7 +113,8 @@ impl Instrument {
 #[derive(Debug, Default)]
 pub(crate) struct MetricsRegistry {
     instruments: Vec<Instrument>,
-    by_key: BTreeMap<(&'static str, u8), u32>,
+    /// `(identity, node)` → first cell.
+    by_key: BTreeMap<(usize, u8), u32>,
     /// First cell no instrument owns yet.
     next_cell: u32,
 }
@@ -124,9 +136,10 @@ impl MetricsRegistry {
         if def.kind != kind {
             return u32::MAX;
         }
-        if let Some(&cell) = self.by_key.get(&(def.name, node)) {
-            return cell;
-        }
+        let slot = match self.by_key.entry((identity(def), node)) {
+            Entry::Occupied(known) => return *known.get(),
+            Entry::Vacant(slot) => slot,
+        };
         let len = match kind {
             MetricKind::Histogram => HIST_CELLS,
             MetricKind::Counter | MetricKind::Gauge => 1,
@@ -138,21 +151,19 @@ impl MetricsRegistry {
         let cell = cells.reserve(self.next_cell, len).expect("registry overflow");
         self.next_cell = cell + len as u32;
         self.instruments.push(Instrument { def, node, cell });
-        self.by_key.insert((def.name, node), cell);
-        cell
+        *slot.insert(cell)
     }
 
     /// The distinct [`MetricDef`]s registered so far, in first-seen
     /// order. Used by the docs-sync test to prove the full-stack
     /// exercise touches every catalog entry.
     pub(crate) fn registered_defs(&self) -> Vec<&'static MetricDef> {
-        let mut seen: Vec<&'static MetricDef> = Vec::new();
-        for inst in &self.instruments {
-            if !seen.iter().any(|d| d.name == inst.def.name) {
-                seen.push(inst.def);
-            }
-        }
-        seen
+        let mut seen = BTreeSet::new();
+        self.instruments
+            .iter()
+            .map(|inst| inst.def)
+            .filter(|&def| seen.insert(identity(def)))
+            .collect()
     }
 
     /// Point-in-time snapshot of every instrument, in registration
@@ -178,7 +189,8 @@ impl MetricsRegistry {
 #[derive(Debug, Default)]
 pub(crate) struct Merged {
     entries: Vec<(&'static MetricDef, Value)>,
-    by_name: BTreeMap<&'static str, usize>,
+    /// Identity → index into `entries`.
+    by_def: BTreeMap<usize, usize>,
 }
 
 impl Merged {
@@ -187,12 +199,15 @@ impl Merged {
     pub(crate) fn fold(&mut self, registry: &MetricsRegistry, cells: &Cells) {
         for inst in &registry.instruments {
             let value = inst.value(cells);
-            let Some(&at) = self.by_name.get(inst.def.name) else {
-                self.by_name.insert(inst.def.name, self.entries.len());
-                self.entries.push((inst.def, value));
-                continue;
+            let at = match self.by_def.entry(identity(inst.def)) {
+                Entry::Occupied(known) => *known.get(),
+                Entry::Vacant(slot) => {
+                    slot.insert(self.entries.len());
+                    self.entries.push((inst.def, value));
+                    continue;
+                }
             };
-            // One name is one def, so the kinds always pair up.
+            // One identity is one def, so the kinds always pair up.
             match (&mut self.entries[at].1, value) {
                 (Value::Counter(acc), Value::Counter(c)) => *acc += c,
                 (Value::Gauge(acc), Value::Gauge(g)) => *acc = acc.saturating_add(g),
@@ -270,5 +285,54 @@ mod tests {
         );
         assert_eq!(snap.entries[0].node, Some(1));
         assert_eq!(snap.entries[2].node, None);
+    }
+
+    #[test]
+    fn every_def_registers_once_per_node() {
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        let nodes = [GLOBAL, 0, 7];
+        let register_all = |reg: &mut MetricsRegistry| -> Vec<u32> {
+            nodes
+                .iter()
+                .flat_map(|&node| defs::ALL.iter().map(move |&def| (def, node)))
+                .map(|(def, node)| register(reg, &cells, def, node))
+                .collect()
+        };
+        let first = register_all(&mut reg);
+        let again = register_all(&mut reg);
+        assert_eq!(first, again, "a second registration hands back the same cells");
+        let distinct: BTreeSet<u32> = first.iter().copied().collect();
+        assert_eq!(distinct.len(), nodes.len() * defs::ALL.len());
+        assert_eq!(reg.instruments.len(), first.len());
+        let names: Vec<_> = reg.registered_defs().iter().map(|d| d.name).collect();
+        let catalog: Vec<_> = defs::ALL.iter().map(|d| d.name).collect();
+        assert_eq!(names, catalog);
+    }
+
+    #[test]
+    fn snapshot_lists_every_def_in_registration_order() {
+        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
+        // Reversed and node-interleaved, so neither catalog, name nor
+        // address order can pass for registration order.
+        let order: Vec<(&'static MetricDef, u8)> = defs::ALL
+            .iter()
+            .rev()
+            .enumerate()
+            .map(|(i, &def)| (def, if i % 2 == 0 { GLOBAL } else { (i % 5) as u8 }))
+            .collect();
+        for &(def, node) in &order {
+            register(&mut reg, &cells, def, node);
+        }
+        for &(def, node) in order.iter().rev() {
+            register(&mut reg, &cells, def, node);
+        }
+        let listed: Vec<_> = reg
+            .snapshot(&cells)
+            .entries
+            .iter()
+            .map(|e| (e.def.name, e.node.unwrap_or(GLOBAL)))
+            .collect();
+        let registered: Vec<_> = order.iter().map(|&(def, node)| (def.name, node)).collect();
+        assert_eq!(listed, registered);
     }
 }
