@@ -6,16 +6,17 @@
 
 use crate::report::{f2, f3, ns_ms, ns_us, Table};
 use ampnet_core::{
-    Cluster, ClusterConfig, Component, CounterAppConfig, FailoverPolicy, Features, JoinRequest,
-    NodeId, RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig, SimDuration, SimTime,
+    CellTraffic, Cluster, ClusterConfig, Component, CounterAppConfig, FailoverPolicy, Features,
+    JoinRequest, NodeId, RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig, SimDuration,
     Version,
 };
 use ampnet_dk::{assimilate, AssimilationParams, CompatPolicy};
 use ampnet_packet::{build, Body, ControlWord, DmaCtrl, MicroPacket, PacketType};
 use ampnet_phy::LinkParams;
-use ampnet_ring::{PacingMode, Segment, SegmentParams};
+use ampnet_ring::{PacingMode, RegisterMac};
 use ampnet_roster::{run_rostering, RosterParams};
-use ampnet_sim::{SimRng, SimTime as T};
+use ampnet_sim::{jain_fairness, SimRng, SimTime as T};
+use ampnet_telemetry::{SnapValue, Telemetry};
 use ampnet_topo::montecarlo::{survival_sweep, FailureDomain};
 use ampnet_topo::Plant;
 
@@ -129,24 +130,115 @@ pub fn e2_wire_formats() -> Table {
     t
 }
 
+/// A booted `n`-node cluster (100 m of fiber per ring hop) with the
+/// given pacing, telemetry attached after boot so that the ring meters
+/// hold only the experiment's cells, and its traffic driver.
+fn ring_cluster(n: usize, pacing: PacingMode, seed: u64) -> (Cluster, CellTraffic) {
+    let mut cfg = ClusterConfig::small(n).with_fiber(50.0).with_seed(seed);
+    cfg.mac.pacing = pacing;
+    let mut c = Cluster::new(cfg);
+    c.run_for(SimDuration::from_millis(5));
+    c.enable_telemetry_with(&Telemetry::new(1));
+    (c, CellTraffic::new(seed))
+}
+
+/// Mean gap at which `n` nodes together offer `load` × the ring's
+/// capacity of one `wire_bytes` cell per serialization time.
+fn gap(n: usize, load: f64, wire_bytes: usize) -> SimDuration {
+    let ser = ClusterConfig::default().timing.link(0.0).serialize_time(wire_bytes);
+    SimDuration::from_nanos((ser.as_nanos() as f64 * n as f64 / load).round() as u64)
+}
+
+/// A full network-cache update from `node` on `stream`, broadcast:
+/// slide 8's all-to-all traffic.
+fn cache_update(node: u8, stream: u8) -> MicroPacket {
+    let ctrl = DmaCtrl { channel: stream, region: 0, offset: 64 * node as u32, len: 0 };
+    build::dma(node, ampnet_packet::BROADCAST, stream, ctrl, &[node; 64]).expect("full cell")
+}
+
+/// Slide 7's two broadcast streams at every node, each alone offering
+/// the ring its capacity: cache updates ("files", stream 0) and Data
+/// cells ("messages", stream 1).
+fn mixed_streams(c: &Cluster, traffic: &mut CellTraffic) {
+    let n = c.n_nodes();
+    for node in 0..n as u8 {
+        traffic.poisson(node, cache_update(node, 0), gap(n, 1.0, 84), c.now());
+        traffic.poisson(node, build::data_broadcast(node, 1, [0; 8]), gap(n, 1.0, 20), c.now());
+    }
+}
+
+/// What a ring experiment reads off the cluster over one window: the
+/// payload delivered (summed over receivers), drops, Jain fairness over
+/// the bytes each node inserted, the bytes inserted per node and stream,
+/// the largest insertion-buffer occupancy since boot, governor
+/// back-offs, and `(p50, p99)` of the broadcast tour and access wait.
+struct RingWindow {
+    goodput_mbps: f64,
+    drops: u64,
+    fairness: f64,
+    stream_bytes: Vec<Vec<u64>>,
+    max_transit: usize,
+    backoffs: u64,
+    tour: (u64, u64),
+    access: (u64, u64),
+}
+
+/// Run `traffic` on `c` for `window` and measure it. Delivered Data
+/// cells are popped from the inboxes every 100 µs; nothing reads them.
+fn ring_window(c: &mut Cluster, traffic: &mut CellTraffic, window: SimDuration) -> RingWindow {
+    let nodes = 0..c.n_nodes() as u8;
+    // Per node: MAC counters, bytes sent per stream, back-offs.
+    let macs = |c: &Cluster| -> Vec<_> {
+        let read = |m: &RegisterMac| (*m.stats(), m.streams_ref().sent_bytes(), m.backoffs());
+        nodes.clone().map(|k| read(c.mac(k))).collect()
+    };
+    let before = macs(c);
+    let end = c.now() + window;
+    while c.now() < end {
+        traffic.run_until(c, (c.now() + SimDuration::from_micros(100)).min(end));
+        for node in nodes.clone() {
+            while c.pop_message(node).is_some() {}
+        }
+    }
+    let after = macs(c);
+    let pairs = || after.iter().zip(&before);
+    let stream_bytes: Vec<Vec<u64>> = pairs()
+        .map(|(a, b)| a.1.iter().zip(&b.1).map(|(a, b)| a - b).collect())
+        .collect();
+    let per_node: Vec<f64> = stream_bytes.iter().map(|s| s.iter().sum::<u64>() as f64).collect();
+    let snap = c.metrics_snapshot();
+    let quantiles = |name| match snap.get(name, None).map(|e| e.value) {
+        Some(SnapValue::Hist { p50, p99, .. }) => (p50, p99),
+        _ => (0, 0),
+    };
+    let delivered: u64 = pairs()
+        .map(|(a, b)| a.0.delivered_payload_bytes - b.0.delivered_payload_bytes)
+        .sum();
+    RingWindow {
+        goodput_mbps: delivered as f64 / window.as_secs_f64() / 1e6,
+        drops: c.total_drops(),
+        fairness: jain_fairness(&per_node),
+        stream_bytes,
+        max_transit: after.iter().map(|a| a.0.transit_highwater).max().unwrap_or(0),
+        backoffs: pairs().map(|(a, b)| a.2 - b.2).sum(),
+        tour: quantiles("ring_tour_ns"),
+        access: quantiles("ring_access_ns"),
+    }
+}
+
 /// E3 (slide 7): multiple concurrent streams per node on one segment.
 pub fn e3_multi_stream() -> Table {
-    let params = SegmentParams {
-        n_nodes: 4,
-        link: LinkParams::gigabit(100.0),
-        ..Default::default()
-    };
-    let mut seg = Segment::new(params, 42);
-    seg.slide7_mixed_streams();
+    let (mut c, mut traffic) = ring_cluster(4, ClusterConfig::default().mac.pacing, 42);
+    mixed_streams(&c, &mut traffic);
     let window = SimDuration::from_millis(10);
-    let r = seg.run_for(window);
+    let r = ring_window(&mut c, &mut traffic, window);
     let mut t = Table::new(
         "E3",
         "Multiple data streams inserted per node (4 nodes, file + message streams)",
         "slide 7: every node concurrently inserts a file stream (DMA) and a message stream (Data)",
         &["node", "file stream MB/s", "msg stream MB/s", "both progress"],
     );
-    for (node, per_stream) in r.per_node_stream_bytes.iter().enumerate() {
+    for (node, per_stream) in r.stream_bytes.iter().enumerate() {
         let file = per_stream[0] as f64 / window.as_secs_f64() / 1e6;
         let msg = per_stream[1] as f64 / window.as_secs_f64() / 1e6;
         t.row(vec![
@@ -179,23 +271,21 @@ pub fn e4_flow_control(n_nodes: usize) -> Table {
     );
     let mut all_zero = true;
     for load in [0.25, 0.5, 1.0, 1.5, 2.0] {
-        let params = SegmentParams {
-            n_nodes,
-            link: LinkParams::gigabit(100.0),
-            ..Default::default()
-        };
-        let mut seg = Segment::new(params, 1000 + (load * 4.0) as u64);
-        seg.all_to_all_broadcast(load);
-        let r = seg.run_for(SimDuration::from_millis(10));
+        let seed = 1000 + (load * 4.0) as u64;
+        let (mut c, mut traffic) = ring_cluster(n_nodes, ClusterConfig::default().mac.pacing, seed);
+        for node in 0..n_nodes as u8 {
+            traffic.poisson(node, cache_update(node, 0), gap(n_nodes, load, 84), c.now());
+        }
+        let r = ring_window(&mut c, &mut traffic, SimDuration::from_millis(10));
         all_zero &= r.drops == 0;
         t.row(vec![
             format!("{load:.2}x"),
-            f2(r.aggregate_goodput_mbps),
+            f2(r.goodput_mbps),
             r.drops.to_string(),
             f3(r.fairness),
-            ns_us(r.tour_latency.p50()),
-            ns_us(r.access_latency.p99()),
-            r.max_transit_occupancy.to_string(),
+            ns_us(r.tour.0),
+            ns_us(r.access.1),
+            r.max_transit.to_string(),
         ]);
     }
     t.note(format!(
@@ -226,23 +316,17 @@ pub fn a1_pacing_ablation() -> Table {
         ("greedy", PacingMode::Greedy),
         ("adaptive", PacingMode::Adaptive(Default::default())),
     ] {
-        let mut params = SegmentParams {
-            n_nodes: 6,
-            link: LinkParams::gigabit(100.0),
-            ..Default::default()
-        };
-        params.node.pacing = pacing;
-        let mut seg = Segment::new(params, 777);
-        seg.slide7_mixed_streams();
-        let r = seg.run_for(SimDuration::from_millis(10));
-        rows.push((r.aggregate_goodput_mbps, r.backoffs, r.drops));
+        let (mut c, mut traffic) = ring_cluster(6, pacing, 777);
+        mixed_streams(&c, &mut traffic);
+        let r = ring_window(&mut c, &mut traffic, SimDuration::from_millis(10));
+        rows.push((r.goodput_mbps, r.backoffs, r.drops));
         t.row(vec![
             name.into(),
-            f2(r.aggregate_goodput_mbps),
+            f2(r.goodput_mbps),
             r.drops.to_string(),
             f3(r.fairness),
-            ns_us(r.tour_latency.p99()),
-            r.max_transit_occupancy.to_string(),
+            ns_us(r.tour.1),
+            r.max_transit.to_string(),
             r.backoffs.to_string(),
         ]);
     }
@@ -691,11 +775,6 @@ pub fn e10_failover() -> Table {
     ));
     t.note("takeover tracks the application-definable failover period, as slide 19 promises");
     t
-}
-
-/// Quick sanity deadline for SimTime arithmetic in tables.
-pub fn deadline_in(c: &Cluster, ms: u64) -> SimTime {
-    c.now() + SimDuration::from_millis(ms)
 }
 
 #[cfg(test)]

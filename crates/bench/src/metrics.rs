@@ -5,10 +5,9 @@
 //! recovery and the workload engine's load plane — into a single
 //! shared telemetry registry, then snapshots it.
 //!
-//! The cluster and a standalone ring segment share one
-//! [`Telemetry`] handle (the segment contributes the tour/access
-//! latency histograms that only segment-level runs measure), so the
-//! exported snapshot covers the whole metric catalog in
+//! Every leg records into one shared [`Telemetry`] handle (the
+//! cluster leg's ring meters give the tour/access latency histograms),
+//! so the exported snapshot covers the whole metric catalog in
 //! `ampnet_telemetry::defs::ALL`. Everything is driven by the
 //! simulated clock: same seed ⇒ byte-identical snapshot JSON.
 
@@ -18,20 +17,17 @@ use ampnet_core::{
     SimDuration, SwitchId, Version,
 };
 use ampnet_load::{ArrivalProcess, LoadReport, LoadSpec};
-use ampnet_ring::{Segment, SegmentParams};
 use ampnet_telemetry::{MetricsSnapshot, Telemetry};
 
 /// Flight-recorder depth for the exercise (large enough that the
 /// timeline of the final fault reaction survives intact).
 pub const FLIGHT_CAPACITY: usize = 2048;
 
-/// A completed telemetry exercise: the cluster and ring segment that
-/// ran it, both recording into the shared [`Telemetry`].
+/// A completed telemetry exercise: the cluster that ran it, recording
+/// into the shared [`Telemetry`].
 pub struct TelemetryExercise {
     /// The cluster after the fault/traffic schedule completed.
     pub cluster: Cluster,
-    /// The standalone ring segment (tour/access latency source).
-    pub segment: Segment,
     /// The workload-engine leg's report (load-plane metrics source).
     pub load: LoadReport,
     /// The shared registry + flight recorder.
@@ -42,7 +38,6 @@ impl TelemetryExercise {
     /// Snapshot the shared registry with every gauge freshly
     /// published. Byte-identical for identical seeds.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.segment.publish_metrics();
         self.cluster.metrics_snapshot()
     }
 }
@@ -51,7 +46,7 @@ impl TelemetryExercise {
 pub fn telemetry_exercise(seed: u64) -> TelemetryExercise {
     let tel = Telemetry::new(FLIGHT_CAPACITY);
 
-    // ----- cluster leg: control plane, cache, services -----
+    // ----- cluster leg: ring, control plane, cache, services -----
     let mut cluster = Cluster::new(ClusterConfig::small(5).with_seed(seed));
     cluster.enable_telemetry_with(&tel);
     cluster.run_for(SimDuration::from_millis(5)); // boot
@@ -175,20 +170,7 @@ pub fn telemetry_exercise(seed: u64) -> TelemetryExercise {
         &tel,
     );
 
-    // ----- ring-segment leg: tour/access latency histograms -----
-    let mut segment = Segment::new(
-        SegmentParams {
-            n_nodes: 4,
-            link: ampnet_phy::LinkParams::gigabit(25.0),
-            ..Default::default()
-        },
-        seed,
-    );
-    segment.enable_telemetry(&tel);
-    segment.all_to_all_broadcast(1.0);
-    let _ = segment.run_for(SimDuration::from_millis(1));
-
-    TelemetryExercise { cluster, segment, load, tel }
+    TelemetryExercise { cluster, load, tel }
 }
 
 #[cfg(test)]

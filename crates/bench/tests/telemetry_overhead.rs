@@ -1,12 +1,17 @@
-//! Telemetry must cost nothing on the data-plane hot path: a segment
+//! Telemetry must cost nothing on the data-plane hot path: a cluster
 //! run with a live registry + flight recorder performs exactly the
 //! same number of heap allocations inside the measured window as a run
 //! with telemetry disabled (registration happens before the window and
 //! is the only part allowed to allocate).
+//!
+//! The traffic is slide 8's all-to-all broadcast of network-cache
+//! updates (full DMA cells), which a receiver applies to its replica
+//! in place. A Data cell would not do: each one delivered into an
+//! inbox allocates its `Datagram`, so a Data-cell leg would measure the
+//! inbox, not telemetry.
 
-use ampnet_ring::{Segment, SegmentParams};
-use ampnet_sim::SimDuration;
-use ampnet_telemetry::Telemetry;
+use ampnet_core::{CellTraffic, Cluster, ClusterConfig, SimDuration, Telemetry};
+use ampnet_packet::{build, DmaCtrl, BROADCAST};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,23 +44,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+const NODES: u8 = 6;
+
 /// One measured leg: allocations and packets delivered during the run
-/// window (after build + telemetry registration).
+/// window (after boot, telemetry registration and the traffic set-up).
 fn leg(telemetry: bool) -> (u64, u64) {
-    let params = SegmentParams {
-        n_nodes: 6,
-        link: ampnet_phy::LinkParams::gigabit(25.0),
-        ..Default::default()
-    };
-    let mut seg = Segment::new(params, 0xBEEF);
-    seg.all_to_all_broadcast(1.5);
+    let mut c = Cluster::new(ClusterConfig::small(NODES as usize).with_seed(0xBEEF));
+    c.run_for(SimDuration::from_millis(5));
     let tel = telemetry.then(|| Telemetry::new(256));
     if let Some(tel) = &tel {
-        seg.enable_telemetry(tel);
+        c.enable_telemetry_with(tel);
     }
+    // Every node offers its share of 1.5× the ring's one full cell per
+    // serialization time.
+    let ser = ClusterConfig::default().timing.link(0.0).serialize_time(84);
+    let gap = SimDuration::from_nanos(ser.as_nanos() * NODES as u64 * 2 / 3);
+    let mut traffic = CellTraffic::new(0xBEEF);
+    for node in 0..NODES {
+        let ctrl = DmaCtrl {
+            channel: 0,
+            region: 0,
+            offset: 64 * node as u32,
+            len: 0,
+        };
+        let update = build::dma(node, BROADCAST, 0, ctrl, &[node; 64]).unwrap();
+        traffic.poisson(node, update, gap, c.now());
+    }
+    let delivered = |c: &Cluster| -> u64 { (0..NODES).map(|n| c.mac(n).stats().delivered).sum() };
+    let (end, delivered0) = (c.now() + SimDuration::from_millis(3), delivered(&c));
     let before = ALLOCS.load(Ordering::Relaxed);
-    let r = seg.run_for(SimDuration::from_millis(3));
-    (ALLOCS.load(Ordering::Relaxed) - before, r.delivered_packets)
+    traffic.run_until(&mut c, end);
+    (
+        ALLOCS.load(Ordering::Relaxed) - before,
+        delivered(&c) - delivered0,
+    )
 }
 
 #[test]

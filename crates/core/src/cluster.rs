@@ -24,7 +24,7 @@ use ampnet_cache::{NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
 use ampnet_packet::build::{self, InterruptPayload};
 use ampnet_packet::{FrameArena, FrameRef, MicroPacket};
-use ampnet_ring::{NodeStack, RegisterMac, SerialPhy};
+use ampnet_ring::{NodeStack, RegisterMac, RingMeters, SerialPhy};
 use ampnet_roster::{initial_rostering, RosterOutcome};
 use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
 use ampnet_services::socket::{AmpIp, Received, SockAddr, SocketError};
@@ -76,10 +76,11 @@ pub(crate) struct NodeCtx {
     /// Monotonic counter of semaphore sends; stale retransmission
     /// timers compare against it.
     pub(crate) sem_seq: u64,
-    /// Own broadcasts inserted and not yet stripped (replayed after a
-    /// roster episode — slide 18 smart data recovery). FIFO: strips
-    /// acknowledge the oldest entry, so retirement is a `pop_front`.
-    pub(crate) outstanding: VecDeque<MicroPacket>,
+    /// Own broadcasts inserted and not yet stripped, with insertion
+    /// time (replayed after a roster episode — slide 18 smart data
+    /// recovery). FIFO: strips acknowledge the oldest entry, so
+    /// retirement is a `pop_front`.
+    pub(crate) outstanding: VecDeque<(SimTime, MicroPacket)>,
     /// Own unicasts in flight, with insertion time (replayed likewise;
     /// entries expire after two quiet tours). Insertion times are
     /// monotone, so expiry pops an aged prefix off the front.
@@ -210,6 +211,8 @@ pub struct Cluster {
     pub(crate) observations: Vec<(SimTime, ObservedEvent)>,
     /// Cluster-wide telemetry handles (disabled by default).
     pub(crate) tel: CoreTelemetry,
+    /// Access-wait and tour meters (record once telemetry is enabled).
+    pub(crate) meters: RingMeters,
     /// Cached unicast replay-expiry window, keyed by ring length
     /// (`usize::MAX` = stale). `quiet_tour() * 2` only changes when
     /// the ring does, not per arrival.
@@ -288,6 +291,7 @@ impl Cluster {
             sweep_interval: None,
             observations: vec![],
             tel: Default::default(),
+            meters: RingMeters::new(cfg.mac.n_streams),
             unicast_expiry: (usize::MAX, SimDuration::ZERO),
             stream_backlog: [0; 256],
             cfg,
@@ -394,6 +398,7 @@ impl Cluster {
     /// segment) share one registry and one flight recorder.
     pub fn enable_telemetry_with(&mut self, tel: &Telemetry) {
         self.tel = CoreTelemetry::new(tel);
+        self.meters.instrument(tel);
         for (i, ctx) in self.nodes.iter_mut().enumerate() {
             ctx.stack.instrument(tel);
             ctx.cache.set_telemetry(tel);
@@ -497,6 +502,13 @@ impl Cluster {
         self.send_own(src, pkts);
     }
 
+    /// Queue one raw MicroPacket for insertion at `node`, as the host
+    /// queues its own traffic (on stream `tag % n_streams`, or ahead of
+    /// the streams if urgent).
+    pub fn send_cell(&mut self, node: u8, cell: MicroPacket) {
+        self.send_own(node, [cell]);
+    }
+
     /// Pop the next delivered datagram at `node`.
     pub fn pop_message(&mut self, node: u8) -> Option<Datagram> {
         let d = self.nodes[node as usize].inbox.pop_front()?;
@@ -540,6 +552,11 @@ impl Cluster {
             .filter(|&free_at| free_at > now)
             .chain(self.sim.peek_time())
             .min()
+    }
+
+    /// A node's register-insertion MAC, read-only.
+    pub fn mac(&self, node: u8) -> &RegisterMac {
+        &self.nodes[node as usize].stack.mac
     }
 
     /// Number of configured nodes.

@@ -38,6 +38,7 @@
 )]
 
 mod apps;
+mod cell_traffic;
 mod cluster;
 mod collectives;
 mod config;
@@ -55,6 +56,7 @@ pub use apps::{
     CounterAppConfig, CounterAppReport, ResumeRecord, SemStressConfig, SemStressReport,
     SeqProbeConfig, SeqProbeReport,
 };
+pub use cell_traffic::CellTraffic;
 pub use cluster::{Cluster, RosterEvent, RosterReason};
 pub use observe::{ObservedEvent, Trace};
 pub use diagnostics::Certification;

@@ -162,7 +162,7 @@ impl Cluster {
             // the traffic that follows.
             let bcast_count = self.nodes[i].outstanding.len() as u64;
             let mut ucast_count = 0u64;
-            while let Some(p) = self.nodes[i].outstanding.pop_front() {
+            while let Some((_, p)) = self.nodes[i].outstanding.pop_front() {
                 self.enqueue_own(i as u8, p);
             }
             while let Some((t, p)) = self.nodes[i].outstanding_unicast.pop_front() {

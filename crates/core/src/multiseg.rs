@@ -98,7 +98,7 @@ pub const ROUTE_STREAM: u8 = 5;
 /// A global address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalAddr {
-    /// Segment index.
+    /// Index of the segment.
     pub segment: u8,
     /// Node within the segment.
     pub node: u8,

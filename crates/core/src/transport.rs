@@ -85,6 +85,7 @@ impl Cluster {
             ctx.stack.enqueue_urgent_packet(&mut self.arena, &pkt);
         } else {
             ctx.stack.enqueue_packet(&mut self.arena, stream, &pkt);
+            self.meters.enqueued(node as usize, stream, self.sim.now());
         }
     }
 
@@ -130,14 +131,15 @@ impl Cluster {
         };
         let now = self.sim.now();
         match self.nodes[i].stack.next_tx(now, &self.arena) {
-            Some(MacTx { frame, own, .. }) => {
+            Some(MacTx { frame, own, stream }) => {
                 if own {
+                    self.meters.inserted(i, stream, now);
                     // Smart-data-recovery bookkeeping wants the packet
                     // itself (it is re-inserted if replayed): one copy
                     // out per own insertion, not per hop.
                     let packet = self.arena.decode(frame.frame);
                     if packet.ctrl.is_broadcast() {
-                        self.nodes[i].outstanding.push_back(packet);
+                        self.nodes[i].outstanding.push_back((now, packet));
                     } else {
                         self.nodes[i].outstanding_unicast.push_back((now, packet));
                     }
@@ -339,12 +341,15 @@ impl Cluster {
                         }
                         self.dispatch(node, &pkt);
                     }
-                    MacAction::Strip(_) => {
+                    MacAction::Strip(wf) => {
                         crate::apps::on_strip(self, node);
                         // Retire the acknowledged broadcast (oldest
                         // outstanding entry — strips come back in
-                        // insertion order).
-                        if let Some(acked) = self.nodes[i].outstanding.pop_front() {
+                        // insertion order) and meter its tour.
+                        if let Some((inserted_at, acked)) = self.nodes[i].outstanding.pop_front() {
+                            if wf.ctrl.is_broadcast() {
+                                self.meters.toured(inserted_at, now);
+                            }
                             self.on_diag_strip(node, &acked);
                         }
                     }

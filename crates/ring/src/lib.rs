@@ -19,16 +19,19 @@
 //!   counters), operating on pooled [`WireFrame`]s.
 //!
 //! [`NodeStack`] composes the two with their telemetry, and both
-//! drivers — [`Segment`] here and `ampnet-core`'s `Cluster` — take
+//! drivers — `ampnet-core`'s `Cluster` and [`Segment`] here — take
 //! every arrival through [`NodeStack::classify_arrival`]. What a
 //! delivered frame becomes on the host is the driver's business.
 //!
 //! * [`StreamSet`] — deficit-round-robin multi-stream scheduler
 //!   (slide 7).
-//! * [`InsertionGovernor`]/[`PacingMode`] — AIMD flow control
-//!   (slide 8); ablation A1 toggles it.
-//! * [`Segment`] — standalone discrete-event driver with the paper's
-//!   workloads and measurement (goodput, fairness, tour latency).
+//! * [`PacingMode`] — the AIMD insertion governor (slide 8) or none;
+//!   ablation A1 toggles it.
+//! * [`RingMeters`] — the access-wait and tour meters both drivers
+//!   record through (`ring_access_ns`, `ring_tour_ns`).
+//! * [`Segment`] — a standalone driver kept as the benchmark's
+//!   `ring_saturated` fixture. The ring experiments (E3, E4, A1) and
+//!   the MAC properties run on `Cluster`, fed by `ampnet_core::CellTraffic`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,6 +48,7 @@
 )]
 
 mod mac;
+mod meters;
 mod pacing;
 mod segment;
 mod stack;
@@ -54,9 +58,8 @@ pub use mac::{
     classify, FrameClass, MacAction, MacTx, RegisterMac, RingNodeParams, RingNodeStats, WireFrame,
     MAX_PACKET_WIRE,
 };
-pub use pacing::{AimdParams, InsertionGovernor, PacingMode};
-pub use segment::{
-    ArrivalProcess, DstPattern, PacketKind, Segment, SegmentParams, SegmentReport, StreamWorkload,
-};
+pub use meters::RingMeters;
+pub use pacing::{AimdParams, PacingMode};
+pub use segment::{Segment, SegmentParams, SegmentReport};
 pub use stack::{NodeStack, SerialPhy, StackTelemetry, BURST_WINDOW_GROUPS};
 pub use stream::{StreamId, StreamSet};

@@ -254,11 +254,6 @@ impl RegisterMac {
         &self.stats
     }
 
-    /// Current transit (insertion) buffer occupancy in bytes.
-    pub fn transit_bytes(&self) -> usize {
-        self.transit_bytes
-    }
-
     fn push_transit(&mut self, frame: WireFrame) {
         let sz = frame.wire_bytes as usize;
         if self.transit_bytes + sz > self.params.transit_capacity {
@@ -493,7 +488,7 @@ mod tests {
         }
         assert_eq!(mac.stats().would_drop, 1);
         assert_eq!(mac.stats().transit_highwater, 60);
-        assert_eq!(mac.transit_bytes(), 60);
+        assert_eq!(mac.transit_bytes, 60);
     }
 
     #[test]

@@ -57,9 +57,9 @@ impl Default for AimdParams {
     }
 }
 
-/// Per-node insertion governor.
+/// Per-node insertion governor (inside [`RegisterMac`](crate::RegisterMac)).
 #[derive(Debug, Clone)]
-pub struct InsertionGovernor {
+pub(crate) struct InsertionGovernor {
     mode: PacingMode,
     gap: SimDuration,
     next_allowed: SimTime,
@@ -101,11 +101,6 @@ impl InsertionGovernor {
     /// Earliest instant insertion will be allowed.
     pub fn next_allowed(&self) -> SimTime {
         self.next_allowed
-    }
-
-    /// Current enforced gap.
-    pub fn gap(&self) -> SimDuration {
-        self.gap
     }
 
     /// Times the governor backed off.
@@ -154,9 +149,9 @@ mod tests {
         g.on_insert(SimTime(0), p.congestion_bytes); // congested
         assert!(g.backoffs() == 1);
         assert!(!g.may_insert(SimTime(0)));
-        let gap1 = g.gap();
+        let gap1 = g.gap;
         g.on_insert(g.next_allowed(), p.congestion_bytes);
-        assert!(g.gap() > gap1, "gap grows multiplicatively");
+        assert!(g.gap > gap1, "gap grows multiplicatively");
     }
 
     #[test]
@@ -167,13 +162,13 @@ mod tests {
         for _ in 0..8 {
             g.on_insert(g.next_allowed(), p.congestion_bytes);
         }
-        let congested_gap = g.gap();
+        let congested_gap = g.gap;
         assert!(congested_gap > SimDuration::ZERO);
         // Now a long run of clear insertions recovers to min_gap.
         for _ in 0..1000 {
             g.on_insert(g.next_allowed(), 0);
         }
-        assert_eq!(g.gap(), p.min_gap);
+        assert_eq!(g.gap, p.min_gap);
     }
 
     #[test]
@@ -186,7 +181,7 @@ mod tests {
         for _ in 0..64 {
             g.on_insert(g.next_allowed(), p.congestion_bytes);
         }
-        assert_eq!(g.gap(), SimDuration::from_nanos(500));
+        assert_eq!(g.gap, SimDuration::from_nanos(500));
     }
 
     #[test]
@@ -198,7 +193,7 @@ mod tests {
             max_gap: SimDuration::from_nanos(700),
             ..AimdParams::default()
         };
-        let in_bounds = |g: &InsertionGovernor| p.min_gap <= g.gap() && g.gap() <= p.max_gap;
+        let in_bounds = |g: &InsertionGovernor| p.min_gap <= g.gap && g.gap <= p.max_gap;
         // Exhaust every 8-step interleaving of the two transitions.
         for pattern in 0..2u32.pow(8) {
             let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
@@ -214,7 +209,7 @@ mod tests {
                 assert!(
                     in_bounds(&g),
                     "pattern {pattern} step {step}: gap {:?} outside [{:?}, {:?}]",
-                    g.gap(),
+                    g.gap,
                     p.min_gap,
                     p.max_gap
                 );
@@ -235,13 +230,13 @@ mod tests {
         let mut g = InsertionGovernor::new(PacingMode::Adaptive(p));
         for _ in 0..4 {
             g.on_insert(g.next_allowed(), p.congestion_bytes);
-            assert_eq!(g.gap(), p.max_gap, "saturated backoff must clamp to max_gap");
+            assert_eq!(g.gap, p.max_gap, "saturated backoff must clamp to max_gap");
         }
         // And recovery from the clamped gap still respects the floor.
         for _ in 0..10_000 {
             g.on_insert(g.next_allowed(), 0);
         }
-        assert_eq!(g.gap(), p.min_gap);
+        assert_eq!(g.gap, p.min_gap);
     }
 
     #[test]
@@ -261,7 +256,7 @@ mod tests {
             g.on_insert(g.next_allowed(), crate::mac::MAX_PACKET_WIRE);
         }
         assert_eq!(g.backoffs(), 0, "one frame in transit must not back off");
-        assert_eq!(g.gap(), p.min_gap);
+        assert_eq!(g.gap, p.min_gap);
         // Two queued max-size frames are a real backlog: still backs off.
         g.on_insert(g.next_allowed(), 2 * crate::mac::MAX_PACKET_WIRE);
         assert_eq!(g.backoffs(), 1);

@@ -70,19 +70,9 @@ impl StreamSet {
         }
     }
 
-    /// Number of streams.
-    pub fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Packets waiting across all streams.
     pub fn queued_packets(&self) -> usize {
         self.queued_packets
-    }
-
-    /// Packets waiting on one stream.
-    pub fn queued_in(&self, stream: StreamId) -> usize {
-        self.streams[stream as usize].queue.len()
     }
 
     /// Whether any stream has traffic waiting.
