@@ -24,22 +24,6 @@ fn fixed_of(t: PacketType) -> MicroPacket {
     MicroPacket::new(ControlWord::new(t, 0, 1, 0), Body::Fixed([0; 8])).expect("fixed")
 }
 
-fn dma_full() -> MicroPacket {
-    build::dma(
-        0,
-        1,
-        0,
-        DmaCtrl {
-            channel: 0,
-            region: 0,
-            offset: 0,
-            len: 0,
-        },
-        &[0u8; 64],
-    )
-    .expect("valid")
-}
-
 /// E1 (slide 4): the MicroPacket type table.
 pub fn e1_type_table() -> Table {
     let mut t = Table::new(
@@ -125,45 +109,18 @@ pub fn e2_wire_formats() -> Table {
         "fixed cell = {} wire bytes ({} words + SOF + EOF); full DMA cell = {} wire bytes",
         fx.wire_bytes(),
         fx.words(),
-        dma_full().wire_bytes()
+        CellTraffic::cache_update(0, 0).wire_bytes()
     ));
     t
-}
-
-/// A booted `n`-node cluster (100 m of fiber per ring hop) with the
-/// given pacing, telemetry attached after boot so that the ring meters
-/// hold only the experiment's cells, and its traffic driver.
-fn ring_cluster(n: usize, pacing: PacingMode, seed: u64) -> (Cluster, CellTraffic) {
-    let mut cfg = ClusterConfig::small(n).with_fiber(50.0).with_seed(seed);
-    cfg.mac.pacing = pacing;
-    let mut c = Cluster::new(cfg);
-    c.run_for(SimDuration::from_millis(5));
-    c.enable_telemetry_with(&Telemetry::new(1));
-    (c, CellTraffic::new(seed))
-}
-
-/// Mean gap at which `n` nodes together offer `load` × the ring's
-/// capacity of one `wire_bytes` cell per serialization time.
-fn gap(n: usize, load: f64, wire_bytes: usize) -> SimDuration {
-    let ser = ClusterConfig::default().timing.link(0.0).serialize_time(wire_bytes);
-    SimDuration::from_nanos((ser.as_nanos() as f64 * n as f64 / load).round() as u64)
-}
-
-/// A full network-cache update from `node` on `stream`, broadcast:
-/// slide 8's all-to-all traffic.
-fn cache_update(node: u8, stream: u8) -> MicroPacket {
-    let ctrl = DmaCtrl { channel: stream, region: 0, offset: 64 * node as u32, len: 0 };
-    build::dma(node, ampnet_packet::BROADCAST, stream, ctrl, &[node; 64]).expect("full cell")
 }
 
 /// Slide 7's two broadcast streams at every node, each alone offering
 /// the ring its capacity: cache updates ("files", stream 0) and Data
 /// cells ("messages", stream 1).
 fn mixed_streams(c: &Cluster, traffic: &mut CellTraffic) {
-    let n = c.n_nodes();
-    for node in 0..n as u8 {
-        traffic.poisson(node, cache_update(node, 0), gap(n, 1.0, 84), c.now());
-        traffic.poisson(node, build::data_broadcast(node, 1, [0; 8]), gap(n, 1.0, 20), c.now());
+    for node in 0..c.n_nodes() as u8 {
+        traffic.poisson_at_load(c, node, CellTraffic::cache_update(node, 0), 1.0);
+        traffic.poisson_at_load(c, node, build::data_broadcast(node, 1, [0; 8]), 1.0);
     }
 }
 
@@ -183,23 +140,32 @@ struct RingWindow {
     access: (u64, u64),
 }
 
-/// Run `traffic` on `c` for `window` and measure it. Delivered Data
-/// cells are popped from the inboxes every 100 µs; nothing reads them.
-fn ring_window(c: &mut Cluster, traffic: &mut CellTraffic, window: SimDuration) -> RingWindow {
-    let nodes = 0..c.n_nodes() as u8;
+/// Boot an `n`-node cluster (100 m of fiber per ring hop) with the
+/// given pacing, attach telemetry so that the ring meters hold only the
+/// experiment's cells, run the traffic `offer` adds for `window` and
+/// measure it. Delivered Data cells are discarded; nothing reads them.
+fn ring_window(
+    n: usize,
+    pacing: PacingMode,
+    seed: u64,
+    offer: impl FnOnce(&Cluster, &mut CellTraffic),
+    window: SimDuration,
+) -> RingWindow {
+    let mut cfg = ClusterConfig::small(n).with_fiber(50.0).with_seed(seed);
+    cfg.mac.pacing = pacing;
+    let c = &mut Cluster::new(cfg);
+    c.run_for(SimDuration::from_millis(5));
+    c.enable_telemetry_with(&Telemetry::new(1));
+    let mut traffic = CellTraffic::new(seed);
+    offer(c, &mut traffic);
+    let nodes = 0..n as u8;
     // Per node: MAC counters, bytes sent per stream, back-offs.
     let macs = |c: &Cluster| -> Vec<_> {
         let read = |m: &RegisterMac| (*m.stats(), m.streams_ref().sent_bytes(), m.backoffs());
         nodes.clone().map(|k| read(c.mac(k))).collect()
     };
     let before = macs(c);
-    let end = c.now() + window;
-    while c.now() < end {
-        traffic.run_until(c, (c.now() + SimDuration::from_micros(100)).min(end));
-        for node in nodes.clone() {
-            while c.pop_message(node).is_some() {}
-        }
-    }
+    traffic.run_discarding(c, window);
     let after = macs(c);
     let pairs = || after.iter().zip(&before);
     let stream_bytes: Vec<Vec<u64>> = pairs()
@@ -228,10 +194,8 @@ fn ring_window(c: &mut Cluster, traffic: &mut CellTraffic, window: SimDuration) 
 
 /// E3 (slide 7): multiple concurrent streams per node on one segment.
 pub fn e3_multi_stream() -> Table {
-    let (mut c, mut traffic) = ring_cluster(4, ClusterConfig::default().mac.pacing, 42);
-    mixed_streams(&c, &mut traffic);
     let window = SimDuration::from_millis(10);
-    let r = ring_window(&mut c, &mut traffic, window);
+    let r = ring_window(4, ClusterConfig::default().mac.pacing, 42, mixed_streams, window);
     let mut t = Table::new(
         "E3",
         "Multiple data streams inserted per node (4 nodes, file + message streams)",
@@ -271,12 +235,14 @@ pub fn e4_flow_control(n_nodes: usize) -> Table {
     );
     let mut all_zero = true;
     for load in [0.25, 0.5, 1.0, 1.5, 2.0] {
+        let all_to_all = |c: &Cluster, traffic: &mut CellTraffic| {
+            for node in 0..n_nodes as u8 {
+                traffic.poisson_at_load(c, node, CellTraffic::cache_update(node, 0), load);
+            }
+        };
         let seed = 1000 + (load * 4.0) as u64;
-        let (mut c, mut traffic) = ring_cluster(n_nodes, ClusterConfig::default().mac.pacing, seed);
-        for node in 0..n_nodes as u8 {
-            traffic.poisson(node, cache_update(node, 0), gap(n_nodes, load, 84), c.now());
-        }
-        let r = ring_window(&mut c, &mut traffic, SimDuration::from_millis(10));
+        let pacing = ClusterConfig::default().mac.pacing;
+        let r = ring_window(n_nodes, pacing, seed, all_to_all, SimDuration::from_millis(10));
         all_zero &= r.drops == 0;
         t.row(vec![
             format!("{load:.2}x"),
@@ -316,10 +282,8 @@ pub fn a1_pacing_ablation() -> Table {
         ("greedy", PacingMode::Greedy),
         ("adaptive", PacingMode::Adaptive(Default::default())),
     ] {
-        let (mut c, mut traffic) = ring_cluster(6, pacing, 777);
-        mixed_streams(&c, &mut traffic);
-        let r = ring_window(&mut c, &mut traffic, SimDuration::from_millis(10));
-        rows.push((r.goodput_mbps, r.backoffs, r.drops));
+        let r = ring_window(6, pacing, 777, mixed_streams, SimDuration::from_millis(10));
+        rows.push((r.goodput_mbps, r.backoffs, r.drops, r.fairness));
         t.row(vec![
             name.into(),
             f2(r.goodput_mbps),
@@ -331,11 +295,15 @@ pub fn a1_pacing_ablation() -> Table {
         ]);
     }
     t.note(format!(
-        "the governor throttled {} times yet cost only {:.2}% goodput: because the no-drop \
-         property is structural (insert-when-empty + sized buffer), adaptive pacing is nearly \
-         free insurance against asymmetric overload",
+        "the governor throttled {} times, cost {:.2}% goodput and moved Jain fairness by \
+         {:+.1}% (greedy {} / adaptive {}): under open-loop 2x overload the governors, each \
+         acting on its own node's view of the ring, leave the nodes' shares less even, so the \
+         insurance is not free",
         rows[1].1,
-        100.0 * (rows[0].0 - rows[1].0) / rows[0].0
+        100.0 * (rows[0].0 - rows[1].0) / rows[0].0,
+        100.0 * (rows[1].3 - rows[0].3) / rows[0].3,
+        f3(rows[0].3),
+        f3(rows[1].3)
     ));
     t.note(format!(
         "drops: greedy {} / adaptive {} — the guarantee never depended on the governor",

@@ -11,7 +11,6 @@
 //! inbox, not telemetry.
 
 use ampnet_core::{CellTraffic, Cluster, ClusterConfig, SimDuration, Telemetry};
-use ampnet_packet::{build, DmaCtrl, BROADCAST};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,18 +56,9 @@ fn leg(telemetry: bool) -> (u64, u64) {
     }
     // Every node offers its share of 1.5× the ring's one full cell per
     // serialization time.
-    let ser = ClusterConfig::default().timing.link(0.0).serialize_time(84);
-    let gap = SimDuration::from_nanos(ser.as_nanos() * NODES as u64 * 2 / 3);
     let mut traffic = CellTraffic::new(0xBEEF);
     for node in 0..NODES {
-        let ctrl = DmaCtrl {
-            channel: 0,
-            region: 0,
-            offset: 64 * node as u32,
-            len: 0,
-        };
-        let update = build::dma(node, BROADCAST, 0, ctrl, &[node; 64]).unwrap();
-        traffic.poisson(node, update, gap, c.now());
+        traffic.poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 1.5);
     }
     let delivered = |c: &Cluster| -> u64 { (0..NODES).map(|n| c.mac(n).stats().delivered).sum() };
     let (end, delivered0) = (c.now() + SimDuration::from_millis(3), delivered(&c));

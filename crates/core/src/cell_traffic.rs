@@ -1,16 +1,16 @@
 //! Open-loop cell traffic for the ring experiments: the host side of
-//! a MAC-level workload on a [`Cluster`]. One generator per (node,
-//! stream) offers copies of a template MicroPacket as a Poisson process,
-//! whether or not the ring keeps up: overload shows as a growing stream
-//! backlog. The gaps come from the driver's own [`SimRng`].
-//! [`CellTraffic::run_until`] steps [`Cluster::run_until`] to each
-//! cell's instant and queues the cell with [`Cluster::send_cell`], after
-//! every cluster event of that instant. What a delivered cell becomes is
-//! the cluster's: a Data cell lands in an inbox, for the caller to drain
-//! with [`Cluster::pop_message`]; a DMA cell updates cache replicas.
+//! a MAC-level workload on a [`Cluster`]. Each generator offers copies
+//! of a template MicroPacket at one node as a Poisson process, with
+//! gaps from the driver's own [`SimRng`], whether or not the ring keeps
+//! up: overload shows as a growing stream backlog. A cell is queued
+//! with [`Cluster::send_cell`] after every cluster event of its
+//! instant. A delivered Data cell lands in an inbox; a DMA cell
+//! updates cache replicas.
 
 use crate::Cluster;
-use ampnet_packet::{Body, MicroPacket};
+use ampnet_packet::{
+    Body, ControlWord, DmaCtrl, MicroPacket, PacketType, BROADCAST, MAX_DMA_PAYLOAD,
+};
 use ampnet_sim::{SimDuration, SimRng, SimTime};
 
 /// One generator: copies of `cell` at `node`.
@@ -19,8 +19,10 @@ struct Generator {
     node: u8,
     cell: MicroPacket,
     mean_gap_ns: u64,
-    /// Instant of the next cell.
-    next: SimTime,
+    /// Instant of the next cell; `None` until the first
+    /// [`CellTraffic::run_until`] after the generator was added, which
+    /// makes the first cell due at the cluster's clock.
+    next: Option<SimTime>,
     sent: u64,
 }
 
@@ -43,32 +45,67 @@ impl CellTraffic {
         }
     }
 
+    /// A full network-cache update from `node` on `stream`, broadcast:
+    /// slide 8's all-to-all cell, 64 bytes of `node` at offset
+    /// 64 × `node` of region 0.
+    pub fn cache_update(node: u8, stream: u8) -> MicroPacket {
+        let dma = DmaCtrl {
+            channel: stream,
+            region: 0,
+            offset: (MAX_DMA_PAYLOAD * node as usize) as u32,
+            len: MAX_DMA_PAYLOAD as u16,
+        };
+        MicroPacket {
+            ctrl: ControlWord::new(PacketType::Dma, node, BROADCAST, stream),
+            body: Body::Variable {
+                ctrl: dma,
+                data: [node; MAX_DMA_PAYLOAD],
+            },
+        }
+    }
+
     /// Add a generator at `node`: copies of `cell` (its source should be
     /// `node`; its tag picks the stream) with exponential gaps of mean
-    /// `mean_gap`, the first at `start` (not before the cluster's
-    /// clock). A fixed-payload cell carries the driver's running cell
-    /// count as its payload, big-endian, so every copy is distinct.
-    pub fn poisson(&mut self, node: u8, cell: MicroPacket, mean_gap: SimDuration, start: SimTime) {
+    /// `mean_gap`, the first due at the cluster's clock when
+    /// [`run_until`](Self::run_until) is next called. A fixed-payload
+    /// cell carries the driver's running cell count as its payload,
+    /// big-endian, so every copy is distinct.
+    pub fn poisson(&mut self, node: u8, cell: MicroPacket, mean_gap: SimDuration) {
         self.gens.push(Generator {
             node,
             cell,
             mean_gap_ns: mean_gap.as_nanos().max(1),
-            next: start,
+            next: None,
             sent: 0,
         });
+    }
+
+    /// [`poisson`](Self::poisson) at `node`'s share of `load` × the
+    /// ring's capacity of one `cell` per serialization time, shared
+    /// evenly by every node of `cluster`: a mean gap of `n / load`
+    /// serialization times. A load above 1 oversubscribes the ring.
+    pub fn poisson_at_load(&mut self, cluster: &Cluster, node: u8, cell: MicroPacket, load: f64) {
+        let cfg = &cluster.cfg;
+        let ser = cfg.timing.link(cfg.fiber_length_m).serialize_time(cell.wire_bytes());
+        let gap_ns = ser.as_nanos() as f64 * cluster.n_nodes() as f64 / load;
+        self.poisson(node, cell, SimDuration::from_nanos(gap_ns.round() as u64));
     }
 
     /// Run `cluster` to `deadline`, queueing every cell due by then.
     /// Same-instant cells of different generators go in the order the
     /// generators were added.
     pub fn run_until(&mut self, cluster: &mut Cluster, deadline: SimTime) {
-        while let Some(g) = self
+        let now = cluster.now();
+        for g in &mut self.gens {
+            g.next.get_or_insert(now);
+        }
+        while let Some((at, g)) = self
             .gens
             .iter_mut()
-            .filter(|g| g.next <= deadline)
-            .min_by_key(|g| g.next)
+            .filter_map(|g| g.next.filter(|&at| at <= deadline).map(|at| (at, g)))
+            .min_by_key(|&(at, _)| at)
         {
-            cluster.run_until(g.next);
+            cluster.run_until(at);
             self.seq += 1;
             let mut cell = g.cell.clone();
             if let Body::Fixed(payload) = &mut cell.body {
@@ -77,9 +114,24 @@ impl CellTraffic {
             cluster.send_cell(g.node, cell);
             g.sent += 1;
             let gap = self.rng.exponential(g.mean_gap_ns as f64);
-            g.next += SimDuration::from_nanos(gap.round() as u64);
+            g.next = Some(at + SimDuration::from_nanos(gap.round() as u64));
         }
         cluster.run_until(deadline);
+    }
+
+    /// [`run_until`](Self::run_until) `cluster`'s clock + `window`,
+    /// emptying every inbox each 100 µs, for a run that reads the MAC
+    /// counters and the meters rather than the delivered cells, whose
+    /// inboxes would otherwise grow with the run.
+    pub fn run_discarding(&mut self, cluster: &mut Cluster, window: SimDuration) {
+        let end = cluster.now() + window;
+        while cluster.now() < end {
+            let step = (cluster.now() + SimDuration::from_micros(100)).min(end);
+            self.run_until(cluster, step);
+            for node in 0..cluster.n_nodes() as u8 {
+                while cluster.pop_message(node).is_some() {}
+            }
+        }
     }
 
     /// Cells queued so far at `node`, over its generators.
@@ -96,37 +148,23 @@ impl CellTraffic {
 mod tests {
     use super::*;
     use crate::ClusterConfig;
-    use ampnet_packet::{build, DmaCtrl, BROADCAST};
+    use ampnet_packet::build;
     use ampnet_ring::PacingMode;
 
-    /// Serialization time of a `bytes`-long frame at the line rate.
-    fn ser_ns(bytes: usize) -> u64 {
-        ClusterConfig::default()
-            .timing
-            .link(0.0)
-            .serialize_time(bytes)
-            .as_nanos()
-    }
-
-    /// A booted `n`-node cluster on 10 m fibers, and the instant its
-    /// ring came up quiet.
-    fn booted(n: usize, seed: u64) -> (Cluster, SimTime) {
+    /// A booted `n`-node cluster on 10 m fibers, its ring up and quiet.
+    fn booted(n: usize, seed: u64) -> Cluster {
         let mut c = Cluster::new(ClusterConfig::small(n).with_fiber(10.0).with_seed(seed));
         c.run_for(SimDuration::from_millis(5));
         assert!(c.ring_up());
-        let t0 = c.now();
-        (c, t0)
+        c
     }
 
     /// Every node broadcasting Data cells at `load` × the ring's
-    /// capacity of one cell per serialization time.
-    fn all_to_all(c: &Cluster, t0: SimTime, load: f64, seed: u64) -> CellTraffic {
-        let n = c.n_nodes();
-        let ser = ser_ns(20);
-        let gap = SimDuration::from_nanos((ser as f64 * n as f64 / load).round() as u64);
+    /// capacity.
+    fn all_to_all(c: &Cluster, load: f64, seed: u64) -> CellTraffic {
         let mut traffic = CellTraffic::new(seed);
-        for node in 0..n as u8 {
-            traffic.poisson(node, build::data_broadcast(node, 0, [0; 8]), gap, t0);
+        for node in 0..c.n_nodes() as u8 {
+            traffic.poisson_at_load(c, node, build::data_broadcast(node, 0, [0; 8]), load);
         }
         traffic
     }
@@ -139,16 +177,13 @@ mod tests {
 
     #[test]
     fn one_broadcast_reaches_everyone_and_strips() {
-        let (mut c, t0) = booted(4, 1);
+        let mut c = booted(4, 1);
         let before = delivered(&c);
         let mut traffic = CellTraffic::new(1);
-        traffic.poisson(
-            0,
-            build::data_broadcast(0, 0, [0; 8]),
-            SimDuration::from_millis(1000),
-            t0,
-        );
-        traffic.run_until(&mut c, t0 + SimDuration::from_millis(1));
+        let cell = build::data_broadcast(0, 0, [0; 8]);
+        traffic.poisson(0, cell, SimDuration::from_millis(1000));
+        let end = c.now() + SimDuration::from_millis(1);
+        traffic.run_until(&mut c, end);
         assert_eq!(traffic.sent(0), 1);
         assert_eq!(delivered(&c) - before, 3, "3 other nodes get a copy");
         for n in 1..4 {
@@ -160,13 +195,29 @@ mod tests {
     }
 
     #[test]
+    fn the_first_cell_is_due_at_the_clock_of_the_first_run() {
+        let mut c = booted(4, 1);
+        let mut traffic = CellTraffic::new(1);
+        traffic.poisson(0, build::data(0, 1, 0, [0; 8]), SimDuration::from_micros(1));
+        // Time the cluster spends before the driver runs owes no cells.
+        c.run_for(SimDuration::from_millis(3));
+        let t0 = c.now();
+        traffic.run_until(&mut c, t0);
+        assert_eq!(traffic.sent(0), 1, "one cell, due at t0");
+        traffic.run_until(&mut c, t0 + SimDuration::from_micros(10));
+        let sent = traffic.sent(0);
+        assert!((2..40).contains(&sent), "{sent} cells in 10 µs at a 1 µs mean gap");
+    }
+
+    #[test]
     fn unicast_is_removed_by_destination() {
-        let (mut c, t0) = booted(4, 1);
+        let mut c = booted(4, 1);
         let (delivered, forwarded) = (c.mac(2).stats().delivered, c.mac(3).stats().forwarded);
         let mut traffic = CellTraffic::new(2);
         let cell = build::data(0, 2, 0, [0; 8]);
-        traffic.poisson(0, cell, SimDuration::from_micros(2), t0);
-        traffic.run_until(&mut c, t0 + SimDuration::from_micros(20));
+        traffic.poisson(0, cell, SimDuration::from_micros(2));
+        let end = c.now() + SimDuration::from_micros(20);
+        traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(1));
         let sent = traffic.sent(0);
         assert!(sent > 3, "{sent} cells");
@@ -185,9 +236,9 @@ mod tests {
         cfg.mac.pacing = PacingMode::Greedy;
         let mut c = Cluster::new(cfg);
         c.run_for(SimDuration::from_millis(5));
-        let t0 = c.now();
-        let mut traffic = all_to_all(&c, t0, 3.0, 3);
-        traffic.run_until(&mut c, t0 + SimDuration::from_millis(2));
+        let mut traffic = all_to_all(&c, 3.0, 3);
+        let end = c.now() + SimDuration::from_millis(2);
+        traffic.run_until(&mut c, end);
         assert!(delivered(&c) > 0);
         assert_eq!(
             c.total_drops(),
@@ -198,17 +249,19 @@ mod tests {
 
     #[test]
     fn saturated_ring_is_fair_and_near_its_ceiling() {
-        let (mut c, t0) = booted(4, 11);
+        let mut c = booted(4, 11);
         let before: Vec<u64> = (0..4)
             .map(|n| c.mac(n).streams_ref().sent_bytes()[0])
             .collect();
         let delivered0 = delivered(&c);
-        let mut traffic = all_to_all(&c, t0, 1.5, 11);
+        let mut traffic = all_to_all(&c, 1.5, 11);
         let window = SimDuration::from_millis(2);
-        traffic.run_until(&mut c, t0 + window);
+        let end = c.now() + window;
+        traffic.run_until(&mut c, end);
         // One cell per serialization time on the ring, each delivered
         // to the 3 other nodes.
-        let ceiling = 3.0 * window.as_nanos() as f64 / ser_ns(20) as f64;
+        let ser = c.cfg.timing.link(0.0).serialize_time(20).as_nanos();
+        let ceiling = 3.0 * window.as_nanos() as f64 / ser as f64;
         let copies = (delivered(&c) - delivered0) as f64;
         assert!(
             copies > 0.9 * ceiling && copies <= ceiling,
@@ -226,34 +279,42 @@ mod tests {
 
     #[test]
     fn both_streams_of_every_node_progress() {
-        let (mut c, t0) = booted(4, 5);
+        let mut c = booted(4, 5);
         let mut traffic = CellTraffic::new(5);
         let gap = SimDuration::from_nanos(500);
         for node in 0..4u8 {
-            let ctrl = DmaCtrl {
-                channel: 0,
-                region: 0,
-                offset: 64 * node as u32,
-                len: 0,
-            };
-            let file = build::dma(node, BROADCAST, 0, ctrl, &[node; 64]).unwrap();
-            traffic.poisson(node, file, gap, t0);
-            traffic.poisson(node, build::data_broadcast(node, 1, [0; 8]), gap, t0);
+            traffic.poisson(node, CellTraffic::cache_update(node, 0), gap);
+            traffic.poisson(node, build::data_broadcast(node, 1, [0; 8]), gap);
         }
-        traffic.run_until(&mut c, t0 + SimDuration::from_millis(2));
+        traffic.run_discarding(&mut c, SimDuration::from_millis(2));
         assert_eq!(c.total_drops(), 0);
         for node in 0..4 {
             let sent = c.mac(node).streams_ref().sent_packets();
             assert!(sent[0] > 100 && sent[1] > 100, "node {node}: {sent:?}");
+            assert!(c.pop_message(node).is_none(), "node {node}: inbox emptied");
         }
+    }
+
+    #[test]
+    fn a_cache_update_is_a_full_dma_cell() {
+        let ctrl = DmaCtrl {
+            channel: 1,
+            region: 0,
+            offset: 64 * 5,
+            len: 0,
+        };
+        let built = build::dma(5, BROADCAST, 1, ctrl, &[5; 64]);
+        assert_eq!(Ok(CellTraffic::cache_update(5, 1)), built);
+        assert_eq!(CellTraffic::cache_update(5, 1).wire_bytes(), 84);
     }
 
     #[test]
     fn same_seed_same_traffic() {
         let run = |seed| {
-            let (mut c, t0) = booted(5, 42);
-            let mut traffic = all_to_all(&c, t0, 1.0, seed);
-            traffic.run_until(&mut c, t0 + SimDuration::from_millis(1));
+            let mut c = booted(5, 42);
+            let mut traffic = all_to_all(&c, 1.0, seed);
+            let end = c.now() + SimDuration::from_millis(1);
+            traffic.run_until(&mut c, end);
             (
                 (0..5).map(|n| traffic.sent(n)).collect::<Vec<_>>(),
                 delivered(&c),

@@ -128,13 +128,15 @@ fn ring_drivers_agree_hop_for_hop() {
     }
     run_quiet(&mut c);
 
-    let params = SegmentParams {
-        n_nodes: N,
-        link: cfg.timing.link(fibers[0]),
-        node: cfg.mac,
-        node_latency: cfg.timing.node_latency,
-    };
-    let mut seg = Segment::new(params.clone(), cfg.seed);
+    let mut seg = Segment::new(
+        SegmentParams {
+            n_nodes: N,
+            link: cfg.timing.link(fibers[0]),
+            node: cfg.mac,
+            node_latency: cfg.timing.node_latency,
+        },
+        cfg.seed,
+    );
     let (c_tel, s_tel) = (Telemetry::new(1 << 16), Telemetry::new(1 << 16));
     c.enable_telemetry_with(&c_tel);
     seg.enable_telemetry(&s_tel);
@@ -142,13 +144,12 @@ fn ring_drivers_agree_hop_for_hop() {
     let t0 = c.now();
     let before: Vec<RingNodeStats> = c.nodes.iter().map(|n| *n.stack.mac.stats()).collect();
     let backoffs_before: Vec<u64> = c.nodes.iter().map(|n| n.stack.mac.backoffs()).collect();
+    let events_before = c.events_processed();
     seg.all_to_all_broadcast(LOAD);
     // The segment's per-node gap for this load, its seed and its cells.
-    let cell_ns = params.link.serialize_time(20).as_nanos() as f64;
-    let gap = SimDuration::from_nanos((cell_ns * N as f64 / LOAD).round() as u64);
     let mut traffic = CellTraffic::new(cfg.seed);
     for node in 0..N as u8 {
-        traffic.poisson(node, build::data_broadcast(node, 0, [0; 8]), gap, t0);
+        traffic.poisson_at_load(&c, node, build::data_broadcast(node, 0, [0; 8]), LOAD);
     }
     traffic.run_until(&mut c, t0 + WINDOW);
     let report = seg.run_for(WINDOW);
@@ -165,7 +166,7 @@ fn ring_drivers_agree_hop_for_hop() {
         s_tel.flight_len() as u64,
         "nothing wrapped"
     );
-    let (mut inserted, mut backoffs) = (0, 0);
+    let (mut inserted, mut hops, mut backoffs) = (0, 0, 0);
     for node in 0..N {
         let c_delta = delta(c.nodes[node].stack.mac.stats(), &before[node]);
         assert_eq!(
@@ -190,9 +191,27 @@ fn ring_drivers_agree_hop_for_hop() {
             "node {node}: governor back-offs"
         );
         inserted += c_delta[0];
+        hops += c_delta[0] + c_delta[1];
         backoffs += seg.node(node).backoffs();
     }
     assert_eq!(report.drops, 0);
     assert!(inserted > 100, "{inserted} frames inserted");
     assert!(backoffs > 0, "the governors deferred insertions");
+
+    // The segment's kernel pops a generator event per cell, an arrival
+    // and an end of transmission per hop, and governor retries; the
+    // cluster's pops an arrival per hop and an end of transmission only
+    // when a frame waits for the port, and its driver queues cells
+    // between events.
+    let c_kernel = c.events_processed() - events_before;
+    let s_kernel = seg.events_processed();
+    println!(
+        "{inserted} frames, {hops} hops, {backoffs} back-offs: \
+         Cluster {c_kernel} kernel events ({:.3} per frame, {:.3} per hop), \
+         Segment {s_kernel} ({:.3} per frame, {:.3} per hop)",
+        c_kernel as f64 / inserted as f64,
+        c_kernel as f64 / hops as f64,
+        s_kernel as f64 / inserted as f64,
+        s_kernel as f64 / hops as f64,
+    );
 }

@@ -341,19 +341,20 @@ impl Cluster {
                         }
                         self.dispatch(node, &pkt);
                     }
-                    MacAction::Strip(wf) => {
+                    // An own unicast whose destination left the ring
+                    // also tours back and is stripped here; it retires
+                    // no broadcast.
+                    MacAction::Strip(wf) if wf.ctrl.is_broadcast() => {
                         crate::apps::on_strip(self, node);
                         // Retire the acknowledged broadcast (oldest
                         // outstanding entry — strips come back in
                         // insertion order) and meter its tour.
                         if let Some((inserted_at, acked)) = self.nodes[i].outstanding.pop_front() {
-                            if wf.ctrl.is_broadcast() {
-                                self.meters.toured(inserted_at, now);
-                            }
+                            self.meters.toured(inserted_at, now);
                             self.on_diag_strip(node, &acked);
                         }
                     }
-                    MacAction::Forward => {}
+                    MacAction::Strip(_) | MacAction::Forward => {}
                 }
                 // Expire confirmed unicasts (anything older than two
                 // tours has certainly reached its destination). The

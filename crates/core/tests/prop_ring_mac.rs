@@ -5,15 +5,14 @@
 //! every other node; one source's cells seen in order on each stream;
 //! a unicast seen by its destination only.
 
-use ampnet_core::{CellTraffic, Cluster, ClusterConfig, SimDuration, SimTime};
+use ampnet_core::{CellTraffic, Cluster, ClusterConfig, SimDuration};
 use ampnet_packet::{build, DmaCtrl, MicroPacket, BROADCAST};
 use ampnet_ring::{PacingMode, MAX_PACKET_WIRE};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// A booted `n`-node cluster on 10 m fibers, and the instant its ring
-/// came up quiet.
-fn booted(n: usize, greedy: bool, seed: u64) -> (Cluster, SimTime) {
+/// A booted `n`-node cluster on 10 m fibers, its ring up and quiet.
+fn booted(n: usize, greedy: bool, seed: u64) -> Cluster {
     let mut cfg = ClusterConfig::small(n).with_fiber(10.0).with_seed(seed);
     if greedy {
         cfg.mac.pacing = PacingMode::Greedy;
@@ -21,8 +20,7 @@ fn booted(n: usize, greedy: bool, seed: u64) -> (Cluster, SimTime) {
     let mut c = Cluster::new(cfg);
     c.run_for(SimDuration::from_millis(5));
     assert!(c.ring_up());
-    let t0 = c.now();
-    (c, t0)
+    c
 }
 
 /// A Data cell, or a DMA cell of `len` payload bytes, on `stream`.
@@ -81,14 +79,15 @@ proptest! {
         streams in proptest::collection::vec(arb_stream(), 1..6),
         seed in any::<u64>(),
     ) {
-        let (mut c, t0) = booted(n, greedy, seed);
+        let mut c = booted(n, greedy, seed);
         let mut traffic = CellTraffic::new(seed);
         for (node, stream, dma_len, dst, gap) in streams {
             let (node, dst) = (node % n, dst.map_or(BROADCAST, |d| d % n as u8));
             let cell = cell(node as u8, dst, stream, dma_len);
-            traffic.poisson(node as u8, cell, SimDuration::from_nanos(gap), t0);
+            traffic.poisson(node as u8, cell, SimDuration::from_nanos(gap));
         }
-        traffic.run_until(&mut c, t0 + SimDuration::from_millis(1));
+        let end = c.now() + SimDuration::from_millis(1);
+        traffic.run_until(&mut c, end);
         prop_assert_eq!(c.total_drops(), 0);
         for node in 0..n as u8 {
             prop_assert!(c.mac(node).stats().transit_highwater <= 2 * MAX_PACKET_WIRE);
@@ -106,10 +105,11 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let src = (src % n) as u8;
-        let (mut c, t0) = booted(n, false, seed);
+        let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(src, cell(src, BROADCAST, 0, None), SimDuration::from_micros(1), t0);
-        traffic.run_until(&mut c, t0 + SimDuration::from_micros(window_us));
+        traffic.poisson(src, cell(src, BROADCAST, 0, None), SimDuration::from_micros(1));
+        let end = c.now() + SimDuration::from_micros(window_us);
+        traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
         let sent = traffic.sent(src);
         let got = drain(&mut c);
@@ -129,12 +129,13 @@ proptest! {
         window_us in 2u64..25,
         seed in any::<u64>(),
     ) {
-        let (mut c, t0) = booted(n, false, seed);
+        let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
         for stream in [0, 1] {
-            traffic.poisson(0, cell(0, 2, stream, None), SimDuration::from_nanos(300), t0);
+            traffic.poisson(0, cell(0, 2, stream, None), SimDuration::from_nanos(300));
         }
-        traffic.run_until(&mut c, t0 + SimDuration::from_micros(window_us));
+        let end = c.now() + SimDuration::from_micros(window_us);
+        traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
         let got = drain(&mut c);
         prop_assert_eq!(got.len() as u64, traffic.sent(0));
@@ -155,11 +156,12 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let dst = n as u8 - 1;
-        let (mut c, t0) = booted(n, false, seed);
+        let mut c = booted(n, false, seed);
         let before: Vec<u64> = (0..n as u8).map(|k| c.mac(k).stats().delivered).collect();
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(0, cell(0, dst, 0, Some(32)), SimDuration::from_micros(1), t0);
-        traffic.run_until(&mut c, t0 + SimDuration::from_micros(window_us));
+        traffic.poisson(0, cell(0, dst, 0, Some(32)), SimDuration::from_micros(1));
+        let end = c.now() + SimDuration::from_micros(window_us);
+        traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
         for k in 0..n as u8 {
             let delivered = c.mac(k).stats().delivered - before[k as usize];

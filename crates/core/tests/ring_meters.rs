@@ -3,7 +3,8 @@
 //! (`ring_access_ns`, enqueue to insert), checked against the closed
 //! form on an idle ring.
 
-use ampnet_core::{Cluster, ClusterConfig, SimDuration, Telemetry};
+use ampnet_core::{Cluster, ClusterConfig, Component, NodeId, SimDuration, Telemetry};
+use ampnet_packet::build;
 use ampnet_telemetry::SnapValue;
 
 const NODES: usize = 6;
@@ -63,4 +64,23 @@ fn a_second_queued_cell_waits_one_serialization_time() {
         .as_nanos();
     // The first goes at once, the second when the port frees.
     assert_eq!(hist(&c, "ring_access_ns"), (2, ser.into(), ser));
+}
+
+#[test]
+fn a_unicast_stripped_off_ring_retires_no_broadcast() {
+    let mut c = Cluster::new(ClusterConfig::small(4));
+    c.run_for(SimDuration::from_millis(5));
+    c.schedule_failure(c.now(), Component::Node(NodeId(3)));
+    c.run_for(SimDuration::from_millis(20));
+    assert!(c.ring_up() && !c.ring().order.contains(&NodeId(3)));
+    let tel = Telemetry::new(64);
+    c.enable_telemetry_with(&tel);
+    let stripped = c.mac(0).stats().stripped;
+    // Node 3 is off the ring: the unicast tours back to node 0 and is
+    // stripped there, ahead of the broadcast queued behind it.
+    c.send_cell(0, build::data(0, 3, 0, [0; 8]));
+    c.send_cell(0, build::data_broadcast(0, 0, [0; 8]));
+    c.run_for(SimDuration::from_millis(1));
+    assert_eq!(c.mac(0).stats().stripped - stripped, 2);
+    assert_eq!(hist(&c, "ring_tour_ns").0, 1, "the broadcast's tour, once");
 }

@@ -312,6 +312,11 @@ impl Segment {
         &self.nodes[i].mac
     }
 
+    /// Simulation events popped from this segment's kernel so far.
+    pub fn events_processed(&self) -> u64 {
+        self.sim.processed()
+    }
+
     fn report(&mut self) -> SegmentReport {
         let per_source = self.delivered_from.clone();
         let delivered_packets = self.nodes.iter().map(|s| s.mac.stats().delivered).sum();

@@ -7,7 +7,7 @@
 //! ```
 
 use ampnet::core::{CellTraffic, Cluster, ClusterConfig, SimDuration, Telemetry};
-use ampnet::packet::{build, DmaCtrl, MicroPacket, BROADCAST};
+use ampnet::packet::build;
 use ampnet::telemetry::SnapValue;
 
 /// A booted `n`-node cluster, 100 m of fiber per ring hop, recording
@@ -19,57 +19,20 @@ fn booted(n: usize, seed: u64) -> Cluster {
     c
 }
 
-/// A full cache-update cell from `node` on `stream`, broadcast.
-fn cache_update(node: u8, stream: u8) -> MicroPacket {
-    let ctrl = DmaCtrl {
-        channel: stream,
-        region: 0,
-        offset: 64 * node as u32,
-        len: 0,
-    };
-    build::dma(node, BROADCAST, stream, ctrl, &[node; 64]).expect("full cell")
-}
-
-/// Mean gap at which `n` nodes together offer `load` × the ring's
-/// capacity of one `wire_bytes` cell per serialization time.
-fn gap(n: usize, load: f64, wire_bytes: usize) -> SimDuration {
-    let ser = ClusterConfig::default()
-        .timing
-        .link(0.0)
-        .serialize_time(wire_bytes);
-    SimDuration::from_nanos((ser.as_nanos() as f64 * n as f64 / load).round() as u64)
-}
-
-/// Run `traffic` for `window`, emptying the inboxes every 100 µs.
-fn run(c: &mut Cluster, traffic: &mut CellTraffic, window: SimDuration) {
-    let end = c.now() + window;
-    while c.now() < end {
-        traffic.run_until(c, (c.now() + SimDuration::from_micros(100)).min(end));
-        for node in 0..c.n_nodes() as u8 {
-            while c.pop_message(node).is_some() {}
-        }
-    }
-}
-
 fn main() {
     // --- Slide 7: every node inserts a file stream (cache updates) and
     // a message stream (Data cells) concurrently.
     let mut c = booted(4, 7);
     let mut traffic = CellTraffic::new(7);
     for node in 0..4 {
-        traffic.poisson(node, cache_update(node, 0), gap(4, 1.0, 84), c.now());
-        traffic.poisson(
-            node,
-            build::data_broadcast(node, 1, [0; 8]),
-            gap(4, 1.0, 20),
-            c.now(),
-        );
+        traffic.poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 1.0);
+        traffic.poisson_at_load(&c, node, build::data_broadcast(node, 1, [0; 8]), 1.0);
     }
     let before: Vec<Vec<u64>> = (0..4)
         .map(|n| c.mac(n).streams_ref().sent_bytes())
         .collect();
     let window = SimDuration::from_millis(10);
-    run(&mut c, &mut traffic, window);
+    traffic.run_discarding(&mut c, window);
     println!("slide 7 — multiple streams per node on one segment:");
     for node in 0..4u8 {
         let sent = c.mac(node).streams_ref().sent_bytes();
@@ -88,7 +51,7 @@ fn main() {
     let mut c = booted(8, 8);
     let mut traffic = CellTraffic::new(8);
     for node in 0..8 {
-        traffic.poisson(node, cache_update(node, 0), gap(8, 2.0, 84), c.now());
+        traffic.poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 2.0);
     }
     let window = SimDuration::from_millis(20);
     let delivered = |c: &Cluster| -> u64 {
@@ -97,7 +60,7 @@ fn main() {
             .sum()
     };
     let before = delivered(&c);
-    run(&mut c, &mut traffic, window);
+    traffic.run_discarding(&mut c, window);
     let occupancy = (0..8)
         .map(|n| c.mac(n).stats().transit_highwater)
         .max()
