@@ -569,13 +569,22 @@ pub(crate) fn on_seq_writer_tick(cluster: &mut Cluster) {
     cluster.apps.seq = Some(app);
 }
 
+/// Whether a read record is one write's: the writer fills a record
+/// with a single pattern byte, so a torn read mixes two. Every byte is
+/// compared with the first, without an early exit, so the compiler
+/// compares a record a vector at a time. Empty and one-byte records
+/// are uniform.
+fn uniform(data: &[u8]) -> bool {
+    data.first()
+        .is_none_or(|first| data.iter().fold(true, |same, b| same & (b == first)))
+}
+
 pub(crate) fn on_seq_reader_tick(cluster: &mut Cluster, node: u8) {
     let now = cluster.now();
     let Some(mut app) = cluster.apps.seq.take() else {
         return;
     };
     if now < app.cfg.deadline {
-        let uniform = |data: &[u8]| data.windows(2).all(|w| w[0] == w[1]);
         if app.cfg.guarded {
             match cluster.record_try_read(node, app.cfg.layout) {
                 ReadOutcome::Ok { data, .. } => {
@@ -611,4 +620,19 @@ pub(crate) fn on_seq_reader_tick(cluster: &mut Cluster, node: u8) {
             .schedule_in(app.cfg.read_interval, Ev::SeqReaderTick { node });
     }
     cluster.apps.seq = Some(app);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::uniform;
+
+    #[test]
+    fn a_record_is_uniform_when_every_byte_equals_the_first() {
+        assert!(uniform(&[]));
+        assert!(uniform(&[7]));
+        assert!(uniform(&[0xA5; 64]));
+        let mut torn = [0xA5; 64];
+        torn[63] = 0xA6;
+        assert!(!uniform(&torn));
+    }
 }

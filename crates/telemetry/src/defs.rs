@@ -9,11 +9,15 @@
 
 use crate::metric::{MetricDef, MetricKind, Plane, Unit};
 
+/// Declares one catalog entry. The first argument is the entry's
+/// position: its index in [`ALL`], which is also its column in the
+/// registry's index (`catalog_positions_match_all` pins the two).
 macro_rules! def {
-    ($ident:ident, $name:literal, $kind:ident, $unit:ident, $plane:ident,
-     $per_node:literal, $evidence:literal, $help:literal) => {
+    ($position:literal, $ident:ident, $name:literal, $kind:ident, $unit:ident,
+     $plane:ident, $per_node:literal, $evidence:literal, $help:literal) => {
         /// Catalog entry — see the struct fields for details.
         pub static $ident: MetricDef = MetricDef {
+            position: $position,
             name: $name,
             kind: MetricKind::$kind,
             unit: Unit::$unit,
@@ -26,184 +30,184 @@ macro_rules! def {
 }
 
 // ---- phy --------------------------------------------------------------
-def!(PHY_TX_FRAMES, "phy_tx_frames", Counter, Frames, Phy, true,
+def!(0, PHY_TX_FRAMES, "phy_tx_frames", Counter, Frames, Phy, true,
     "slide 6",
     "Wire frames clocked onto the fiber by this node's serial port");
-def!(PHY_BURSTS_INJECTED, "phy_bursts_injected", Counter, Events, Phy, true,
+def!(1, PHY_BURSTS_INJECTED, "phy_bursts_injected", Counter, Events, Phy, true,
     "slide 16",
     "Bit-error bursts injected at this PHY (fault campaigns)");
-def!(PHY_BURST_BIT_ERRORS, "phy_burst_bit_errors", Counter, Events, Phy, true,
+def!(2, PHY_BURST_BIT_ERRORS, "phy_burst_bit_errors", Counter, Events, Phy, true,
     "slide 16",
     "Single-bit corruptions contained in injected bursts");
-def!(PHY_BURST_VIOLATIONS, "phy_burst_violations", Counter, Events, Phy, true,
+def!(3, PHY_BURST_VIOLATIONS, "phy_burst_violations", Counter, Events, Phy, true,
     "slide 16",
     "Code/disparity violations the 8b/10b checker flagged in bursts");
 
 // ---- mac --------------------------------------------------------------
-def!(MAC_INSERTED, "mac_inserted", Counter, Frames, Mac, true,
+def!(4, MAC_INSERTED, "mac_inserted", Counter, Frames, Mac, true,
     "slide 7",
     "Frames this node inserted into the ring from its own queues");
-def!(MAC_FORWARDED, "mac_forwarded", Counter, Frames, Mac, true,
+def!(5, MAC_FORWARDED, "mac_forwarded", Counter, Frames, Mac, true,
     "slide 7",
     "Transit frames forwarded through the insertion register");
-def!(MAC_STRIPPED, "mac_stripped", Counter, Frames, Mac, true,
+def!(6, MAC_STRIPPED, "mac_stripped", Counter, Frames, Mac, true,
     "slide 7",
     "Own frames stripped after completing a full ring tour");
-def!(MAC_WOULD_DROP, "mac_would_drop", Gauge, Frames, Mac, true,
+def!(7, MAC_WOULD_DROP, "mac_would_drop", Gauge, Frames, Mac, true,
     "slide 8",
     "Frames the MAC would have dropped (losslessness: must stay 0)");
-def!(MAC_TRANSIT_HIGHWATER, "mac_transit_highwater_bytes", Gauge, Bytes, Mac, true,
+def!(8, MAC_TRANSIT_HIGHWATER, "mac_transit_highwater_bytes", Gauge, Bytes, Mac, true,
     "slide 7",
     "High-water mark of the transit (insertion) register in bytes");
-def!(MAC_BACKOFFS, "mac_backoffs", Gauge, Events, Mac, true,
+def!(9, MAC_BACKOFFS, "mac_backoffs", Gauge, Events, Mac, true,
     "slide 8",
     "Pacing-governor backoff decisions taken by this node's MAC");
-def!(RING_TOUR_NS, "ring_tour_ns", Histogram, Nanos, Mac, false,
+def!(10, RING_TOUR_NS, "ring_tour_ns", Histogram, Nanos, Mac, false,
     "slide 8",
     "Full ring-tour latency (insert to strip) across all nodes");
-def!(RING_ACCESS_NS, "ring_access_ns", Histogram, Nanos, Mac, false,
+def!(11, RING_ACCESS_NS, "ring_access_ns", Histogram, Nanos, Mac, false,
     "slide 8",
     "Medium-access wait from enqueue to insertion");
 
 // ---- delivery ---------------------------------------------------------
-def!(DELIVERY_FRAMES, "delivery_frames", Counter, Frames, Delivery, true,
+def!(12, DELIVERY_FRAMES, "delivery_frames", Counter, Frames, Delivery, true,
     "slide 7",
     "Frames copied up into this node's host delivery queues");
-def!(DELIVERY_PAYLOAD_BYTES, "delivery_payload_bytes", Counter, Bytes, Delivery, true,
+def!(13, DELIVERY_PAYLOAD_BYTES, "delivery_payload_bytes", Counter, Bytes, Delivery, true,
     "slide 7",
     "Payload bytes delivered to the host (goodput numerator)");
 
 // ---- transport --------------------------------------------------------
-def!(ARENA_SLOTS, "arena_frame_slots", Gauge, Slots, Transport, false,
+def!(14, ARENA_SLOTS, "arena_frame_slots", Gauge, Slots, Transport, false,
     "slide 5",
     "Frame-arena slots currently allocated (pool size)");
-def!(ARENA_LIVE_FRAMES, "arena_live_frames", Gauge, Frames, Transport, false,
+def!(15, ARENA_LIVE_FRAMES, "arena_live_frames", Gauge, Frames, Transport, false,
     "slide 5",
     "Peak simultaneously-live frames observed in the arena");
-def!(ARENA_FRAMES_REUSED, "arena_frames_reused", Gauge, Frames, Transport, false,
+def!(16, ARENA_FRAMES_REUSED, "arena_frames_reused", Gauge, Frames, Transport, false,
     "slide 5",
     "Pooled frame slots reused without a fresh allocation");
-def!(TRANSPORT_REPLAYED_BROADCASTS, "transport_replayed_broadcasts", Counter, Packets,
+def!(17, TRANSPORT_REPLAYED_BROADCASTS, "transport_replayed_broadcasts", Counter, Packets,
     Transport, false,
     "slide 18",
     "Broadcast packets replayed by smart data recovery after a repair");
-def!(TRANSPORT_REPLAYED_UNICASTS, "transport_replayed_unicasts", Counter, Packets,
+def!(18, TRANSPORT_REPLAYED_UNICASTS, "transport_replayed_unicasts", Counter, Packets,
     Transport, false,
     "slide 18",
     "Unicast packets replayed to their destination after a repair");
-def!(TRANSPORT_STALE_FRAMES, "transport_stale_frames_released", Counter, Frames,
+def!(19, TRANSPORT_STALE_FRAMES, "transport_stale_frames_released", Counter, Frames,
     Transport, false,
     "slide 16",
     "In-flight frames released because their roster epoch went stale");
 
 // ---- membership -------------------------------------------------------
-def!(MEMBERSHIP_EPOCH, "membership_epoch", Gauge, Epochs, Membership, false,
+def!(20, MEMBERSHIP_EPOCH, "membership_epoch", Gauge, Epochs, Membership, false,
     "slide 16",
     "Current roster epoch (increments per completed roster episode)");
-def!(MEMBERSHIP_RING_SIZE, "membership_ring_size", Gauge, Nodes, Membership, false,
+def!(21, MEMBERSHIP_RING_SIZE, "membership_ring_size", Gauge, Nodes, Membership, false,
     "slide 16",
     "Nodes in the active ring after the latest roster episode");
-def!(MEMBERSHIP_ROSTER_EPISODES, "membership_roster_episodes", Counter, Events,
+def!(22, MEMBERSHIP_ROSTER_EPISODES, "membership_roster_episodes", Counter, Events,
     Membership, false,
     "slide 16",
     "Completed roster episodes (boot counts as the first)");
-def!(MEMBERSHIP_JOINS_REJECTED, "membership_joins_rejected", Counter, Events,
+def!(23, MEMBERSHIP_JOINS_REJECTED, "membership_joins_rejected", Counter, Events,
     Membership, false,
     "slide 17",
     "Join attempts rejected by the assimilation rules");
-def!(MEMBERSHIP_BURSTS_ESCALATED, "membership_bursts_escalated", Counter, Events,
+def!(24, MEMBERSHIP_BURSTS_ESCALATED, "membership_bursts_escalated", Counter, Events,
     Membership, false,
     "slide 16",
     "Error bursts that crossed the detection threshold and forced a roster");
-def!(MEMBERSHIP_BURSTS_ABSORBED, "membership_bursts_absorbed", Counter, Events,
+def!(25, MEMBERSHIP_BURSTS_ABSORBED, "membership_bursts_absorbed", Counter, Events,
     Membership, false,
     "slide 16",
     "Error bursts absorbed below the escalation threshold");
-def!(MEMBERSHIP_SPARE_FAULTS, "membership_spare_faults", Counter, Events,
+def!(26, MEMBERSHIP_SPARE_FAULTS, "membership_spare_faults", Counter, Events,
     Membership, false,
     "slide 18",
     "Faults injected into nodes already outside the active ring");
 
 // ---- cache ------------------------------------------------------------
-def!(CACHE_UPDATES_APPLIED, "cache_updates_applied", Counter, Packets, Cache, true,
+def!(27, CACHE_UPDATES_APPLIED, "cache_updates_applied", Counter, Packets, Cache, true,
     "slide 9",
     "Broadcast cache-update packets applied to this node's replica");
-def!(CACHE_SEQLOCK_WRITES, "cache_seqlock_writes", Counter, Records, Cache, true,
+def!(28, CACHE_SEQLOCK_WRITES, "cache_seqlock_writes", Counter, Records, Cache, true,
     "slide 9",
     "Multi-word records published under the seqlock protocol");
-def!(CACHE_SEQLOCK_READS_OK, "cache_seqlock_reads_ok", Counter, Reads, Cache, true,
+def!(29, CACHE_SEQLOCK_READS_OK, "cache_seqlock_reads_ok", Counter, Reads, Cache, true,
     "slide 9",
     "Seqlock reads that validated on the first generation check");
-def!(CACHE_SEQLOCK_READS_BUSY, "cache_seqlock_reads_busy", Counter, Reads, Cache, true,
+def!(30, CACHE_SEQLOCK_READS_BUSY, "cache_seqlock_reads_busy", Counter, Reads, Cache, true,
     "slide 9",
     "Seqlock reads that observed a concurrent writer and must retry");
-def!(CACHE_ATOMICS_EXECUTED, "cache_atomics_executed", Counter, Ops, Cache, true,
+def!(31, CACHE_ATOMICS_EXECUTED, "cache_atomics_executed", Counter, Ops, Cache, true,
     "slide 10",
     "D64 atomic operations executed at this node's cache");
 
 // ---- services ---------------------------------------------------------
-def!(SERVICES_MSGS_SENT, "services_msgs_sent", Counter, Messages, Services, true,
+def!(32, SERVICES_MSGS_SENT, "services_msgs_sent", Counter, Messages, Services, true,
     "slide 12",
     "Datagram messages handed to the fragmentation layer");
-def!(SERVICES_MSG_FRAGMENTS, "services_msg_fragments", Counter, Packets, Services, true,
+def!(33, SERVICES_MSG_FRAGMENTS, "services_msg_fragments", Counter, Packets, Services, true,
     "slide 12",
     "Micro-packet fragments produced by outbound messages");
-def!(SERVICES_MSGS_ASSEMBLED, "services_msgs_assembled", Counter, Messages, Services, true,
+def!(34, SERVICES_MSGS_ASSEMBLED, "services_msgs_assembled", Counter, Messages, Services, true,
     "slide 12",
     "Inbound messages fully reassembled from fragments");
-def!(SERVICES_SEM_ACQUISITIONS, "services_sem_acquisitions", Counter, Events, Services,
+def!(35, SERVICES_SEM_ACQUISITIONS, "services_sem_acquisitions", Counter, Events, Services,
     false,
     "slide 10",
     "Network semaphore acquisitions granted cluster-wide");
-def!(SERVICES_SEM_ACQUIRE_NS, "services_sem_acquire_ns", Histogram, Nanos, Services,
+def!(36, SERVICES_SEM_ACQUIRE_NS, "services_sem_acquire_ns", Histogram, Nanos, Services,
     false,
     "slide 10",
     "Semaphore acquire latency from request to ownership");
 
 // ---- pdes -------------------------------------------------------------
-def!(PDES_SLICES, "pdes_slices", Counter, Events, Pdes, false,
+def!(37, PDES_SLICES, "pdes_slices", Counter, Events, Pdes, false,
     "slide 15",
     "Lockstep time slices executed by the multi-segment coordinator");
-def!(PDES_EXCHANGES_ELIDED, "pdes_exchanges_elided", Counter, Events, Pdes, false,
+def!(38, PDES_EXCHANGES_ELIDED, "pdes_exchanges_elided", Counter, Events, Pdes, false,
     "slide 15",
     "Boundary exchange halves skipped as provable no-ops (no backlog / no matured crossing)");
-def!(PDES_QUIESCENT_SHARD_SLICES, "pdes_quiescent_shard_slices", Counter, Events, Pdes,
+def!(39, PDES_QUIESCENT_SHARD_SLICES, "pdes_quiescent_shard_slices", Counter, Events, Pdes,
     false,
     "slide 15",
     "Shard-slices advanced as a bare clock bump (no event due within the slice)");
-def!(PDES_BARRIERS_ELIDED, "pdes_barriers_elided", Counter, Events, Pdes, false,
+def!(40, PDES_BARRIERS_ELIDED, "pdes_barriers_elided", Counter, Events, Pdes, false,
     "slide 15",
     "Slices where every shard was quiescent, so no worker thread was spawned");
-def!(PDES_EXCHANGES_SKIPPED, "pdes_exchanges_skipped", Counter, Events, Pdes, false,
+def!(41, PDES_EXCHANGES_SKIPPED, "pdes_exchanges_skipped", Counter, Events, Pdes, false,
     "slide 15",
     "Boundaries where the whole exchange was skipped (no backlog and no matured crossing)");
-def!(PDES_DIRTY_BRIDGES, "pdes_dirty_bridges", Counter, Events, Pdes, false,
+def!(42, PDES_DIRTY_BRIDGES, "pdes_dirty_bridges", Counter, Events, Pdes, false,
     "slide 15",
     "Bridge-boundary pairs with a crossing in flight; over pdes_slices x bridges, the dirty-bridge ratio");
 
 // ---- load -------------------------------------------------------------
-def!(LOAD_ARRIVALS, "load_arrivals", Counter, Ops, Load, false,
+def!(43, LOAD_ARRIVALS, "load_arrivals", Counter, Ops, Load, false,
     "slide 2",
     "Modeled client operations offered by the open-loop arrival processes, all classes");
-def!(LOAD_COMPLETIONS, "load_completions", Counter, Ops, Load, false,
+def!(44, LOAD_COMPLETIONS, "load_completions", Counter, Ops, Load, false,
     "slide 2",
     "Modeled client operations completed end to end, all classes");
-def!(LOAD_PUBSUB_LAGGED, "load_pubsub_lagged", Counter, Records, Load, false,
+def!(45, LOAD_PUBSUB_LAGGED, "load_pubsub_lagged", Counter, Records, Load, false,
     "slide 12",
     "AmpSubscribe records lost to subscriber lag under load (ring overwritten)");
-def!(LOAD_PUBSUB_NS, "load_pubsub_ns", Histogram, Nanos, Load, false,
+def!(46, LOAD_PUBSUB_NS, "load_pubsub_ns", Histogram, Nanos, Load, false,
     "slide 12",
     "Publish-to-observe latency of AmpSubscribe records under load");
-def!(LOAD_CACHE_NS, "load_cache_ns", Histogram, Nanos, Load, false,
+def!(47, LOAD_CACHE_NS, "load_cache_ns", Histogram, Nanos, Load, false,
     "slide 12",
     "Write-to-replica-visibility latency of AmpFiles writes under load");
-def!(LOAD_SOCKET_NS, "load_socket_ns", Histogram, Nanos, Load, false,
+def!(48, LOAD_SOCKET_NS, "load_socket_ns", Histogram, Nanos, Load, false,
     "slide 12",
     "AmpIP request-reply round-trip latency under load");
-def!(LOAD_THREADS_NS, "load_threads_ns", Histogram, Nanos, Load, false,
+def!(49, LOAD_THREADS_NS, "load_threads_ns", Histogram, Nanos, Load, false,
     "slide 12",
     "AmpThreads submit-to-collect latency under load");
-def!(LOAD_SEM_NS, "load_sem_ns", Histogram, Nanos, Load, false,
+def!(50, LOAD_SEM_NS, "load_sem_ns", Histogram, Nanos, Load, false,
     "slide 10",
     "Semaphore acquire latency inside the contention-storm workload class");
 
@@ -304,6 +308,13 @@ mod tests {
     fn catalog_names_are_unique() {
         let names: BTreeSet<_> = ALL.iter().map(|d| d.name).collect();
         assert_eq!(names.len(), ALL.len(), "duplicate metric name in defs::ALL");
+    }
+
+    #[test]
+    fn catalog_positions_match_all() {
+        for (i, def) in ALL.iter().enumerate() {
+            assert_eq!(usize::from(def.position), i, "{} is declared out of place", def.name);
+        }
     }
 
     #[test]

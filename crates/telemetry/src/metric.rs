@@ -145,8 +145,14 @@ impl Plane {
 
 /// Static identity of one metric: the single source of truth for its
 /// name, shape and documentation.
+///
+/// Only [`crate::defs`] builds one: the private `position` field keeps
+/// every def in the catalog.
 #[derive(Debug, PartialEq, Eq)]
 pub struct MetricDef {
+    /// Index in [`crate::defs::ALL`]: the registry looks an instrument
+    /// up by this position.
+    pub(crate) position: u16,
     /// Unique snake_case metric name.
     pub name: &'static str,
     /// Instrument kind.

@@ -6,25 +6,31 @@
 //! setup and export time only: which `(metric, node)` owns which cells,
 //! in registration order, and how those cells are read back into a
 //! snapshot or folded across shards.
+//!
+//! Every lookup indexes by a def's catalog position (its index in
+//! [`crate::defs::ALL`]): finding an instrument is one array index.
 
 use crate::cells::{Cells, HIST_CELLS};
+use crate::defs;
 use crate::hist::Histogram;
 use crate::metric::{MetricDef, MetricKind};
 use crate::snapshot::{MetricsSnapshot, SnapValue, SnapshotEntry};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Node label on a per-node instrument; [`GLOBAL`] for cluster-wide ones.
 pub const GLOBAL: u8 = u8::MAX;
 
-/// A metric's identity: the address of its `static` [`MetricDef`].
-/// Every def is a distinct `static` in [`crate::defs`] and no two share
-/// a name (`defs::tests::catalog_names_are_unique`), so identity and
-/// name pick out the same metric, but identity compares as one integer.
-/// A def built anywhere else is a metric of its own, whatever its name.
-/// It is a lookup key only: nothing iterates in its order.
-fn identity(def: &'static MetricDef) -> usize {
-    std::ptr::from_ref(def) as usize
+/// Catalog positions: the width of every position-indexed table here.
+const POSITIONS: usize = defs::ALL.len();
+
+/// `def`'s catalog position.
+fn position(def: &MetricDef) -> usize {
+    usize::from(def.position)
+}
+
+/// Where `(def, node)` sits in [`MetricsRegistry`]'s index: row 0 is
+/// [`GLOBAL`]'s, row `node + 1` a node's, one column per position.
+fn slot(def: &MetricDef, node: u8) -> usize {
+    usize::from(node.wrapping_add(1)) * POSITIONS + position(def)
 }
 
 macro_rules! handle {
@@ -113,8 +119,10 @@ impl Instrument {
 #[derive(Debug, Default)]
 pub(crate) struct MetricsRegistry {
     instruments: Vec<Instrument>,
-    /// `(identity, node)` → first cell.
-    by_key: BTreeMap<(usize, u8), u32>,
+    /// `(def, node)` → first cell, at [`slot`]; `u32::MAX` where
+    /// nothing is registered yet. Rows are added when a node above
+    /// every earlier one first registers.
+    by_key: Vec<u32>,
     /// First cell no instrument owns yet.
     next_cell: u32,
 }
@@ -136,10 +144,14 @@ impl MetricsRegistry {
         if def.kind != kind {
             return u32::MAX;
         }
-        let slot = match self.by_key.entry((identity(def), node)) {
-            Entry::Occupied(known) => return *known.get(),
-            Entry::Vacant(slot) => slot,
-        };
+        let at = slot(def, node);
+        if at >= self.by_key.len() {
+            self.by_key.resize((at / POSITIONS + 1) * POSITIONS, u32::MAX);
+        }
+        let known = self.by_key[at];
+        if known != u32::MAX {
+            return known;
+        }
         let len = match kind {
             MetricKind::Histogram => HIST_CELLS,
             MetricKind::Counter | MetricKind::Gauge => 1,
@@ -151,18 +163,19 @@ impl MetricsRegistry {
         let cell = cells.reserve(self.next_cell, len).expect("registry overflow");
         self.next_cell = cell + len as u32;
         self.instruments.push(Instrument { def, node, cell });
-        *slot.insert(cell)
+        self.by_key[at] = cell;
+        cell
     }
 
     /// The distinct [`MetricDef`]s registered so far, in first-seen
     /// order. Used by the docs-sync test to prove the full-stack
     /// exercise touches every catalog entry.
     pub(crate) fn registered_defs(&self) -> Vec<&'static MetricDef> {
-        let mut seen = BTreeSet::new();
+        let mut seen = [false; POSITIONS];
         self.instruments
             .iter()
             .map(|inst| inst.def)
-            .filter(|&def| seen.insert(identity(def)))
+            .filter(|&def| !std::mem::replace(&mut seen[position(def)], true))
             .collect()
     }
 
@@ -186,11 +199,17 @@ impl MetricsRegistry {
 /// [`GLOBAL`] entry per [`MetricDef`], in first-seen order across
 /// successive [`Merged::fold`] calls, so folding per-shard registries
 /// in shard order yields a deterministic merged snapshot.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Merged {
     entries: Vec<(&'static MetricDef, Value)>,
-    /// Identity → index into `entries`.
-    by_def: BTreeMap<usize, usize>,
+    /// Catalog position → index into `entries`.
+    by_def: [Option<usize>; POSITIONS],
+}
+
+impl Default for Merged {
+    fn default() -> Self {
+        Merged { entries: Vec::new(), by_def: [None; POSITIONS] }
+    }
 }
 
 impl Merged {
@@ -199,15 +218,13 @@ impl Merged {
     pub(crate) fn fold(&mut self, registry: &MetricsRegistry, cells: &Cells) {
         for inst in &registry.instruments {
             let value = inst.value(cells);
-            let at = match self.by_def.entry(identity(inst.def)) {
-                Entry::Occupied(known) => *known.get(),
-                Entry::Vacant(slot) => {
-                    slot.insert(self.entries.len());
-                    self.entries.push((inst.def, value));
-                    continue;
-                }
+            let seen = &mut self.by_def[position(inst.def)];
+            let Some(at) = *seen else {
+                *seen = Some(self.entries.len());
+                self.entries.push((inst.def, value));
+                continue;
             };
-            // One identity is one def, so the kinds always pair up.
+            // One position is one def, so the kinds always pair up.
             match (&mut self.entries[at].1, value) {
                 (Value::Counter(acc), Value::Counter(c)) => *acc += c,
                 (Value::Gauge(acc), Value::Gauge(g)) => *acc = acc.saturating_add(g),
@@ -228,111 +245,4 @@ impl Merged {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::defs;
-
-    fn register(
-        reg: &mut MetricsRegistry,
-        cells: &Cells,
-        def: &'static MetricDef,
-        node: u8,
-    ) -> u32 {
-        reg.register(cells, def, node, def.kind)
-    }
-
-    #[test]
-    fn registration_is_idempotent() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        let a = register(&mut reg, &cells, &defs::MAC_INSERTED, 3);
-        let b = register(&mut reg, &cells, &defs::MAC_INSERTED, 3);
-        let c = register(&mut reg, &cells, &defs::MAC_INSERTED, 4);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(reg.instruments.len(), 2);
-        assert_eq!(reg.registered_defs().len(), 1);
-    }
-
-    #[test]
-    fn a_histogram_owns_a_block_and_a_scalar_one_cell() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        let c = register(&mut reg, &cells, &defs::MAC_INSERTED, 0);
-        let h = register(&mut reg, &cells, &defs::RING_TOUR_NS, GLOBAL);
-        let g = register(&mut reg, &cells, &defs::MAC_WOULD_DROP, 0);
-        assert_eq!((c, h, g), (0, 1, 1 + HIST_CELLS as u32));
-    }
-
-    #[test]
-    #[cfg(not(debug_assertions))]
-    fn a_handle_of_the_wrong_kind_is_inert() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        let cell = reg.register(&cells, &defs::MAC_INSERTED, 0, MetricKind::Histogram);
-        assert_eq!(cell, u32::MAX);
-        assert!(reg.snapshot(&cells).entries.is_empty());
-    }
-
-    #[test]
-    fn snapshot_orders_by_registration() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        register(&mut reg, &cells, &defs::MAC_STRIPPED, 1);
-        register(&mut reg, &cells, &defs::MAC_WOULD_DROP, 1);
-        register(&mut reg, &cells, &defs::RING_TOUR_NS, GLOBAL);
-        let snap = reg.snapshot(&cells);
-        let names: Vec<_> = snap.entries.iter().map(|e| e.def.name).collect();
-        assert_eq!(
-            names,
-            ["mac_stripped", "mac_would_drop", "ring_tour_ns"]
-        );
-        assert_eq!(snap.entries[0].node, Some(1));
-        assert_eq!(snap.entries[2].node, None);
-    }
-
-    #[test]
-    fn every_def_registers_once_per_node() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        let nodes = [GLOBAL, 0, 7];
-        let register_all = |reg: &mut MetricsRegistry| -> Vec<u32> {
-            nodes
-                .iter()
-                .flat_map(|&node| defs::ALL.iter().map(move |&def| (def, node)))
-                .map(|(def, node)| register(reg, &cells, def, node))
-                .collect()
-        };
-        let first = register_all(&mut reg);
-        let again = register_all(&mut reg);
-        assert_eq!(first, again, "a second registration hands back the same cells");
-        let distinct: BTreeSet<u32> = first.iter().copied().collect();
-        assert_eq!(distinct.len(), nodes.len() * defs::ALL.len());
-        assert_eq!(reg.instruments.len(), first.len());
-        let names: Vec<_> = reg.registered_defs().iter().map(|d| d.name).collect();
-        let catalog: Vec<_> = defs::ALL.iter().map(|d| d.name).collect();
-        assert_eq!(names, catalog);
-    }
-
-    #[test]
-    fn snapshot_lists_every_def_in_registration_order() {
-        let (mut reg, cells) = (MetricsRegistry::default(), Cells::new());
-        // Reversed and node-interleaved, so neither catalog, name nor
-        // address order can pass for registration order.
-        let order: Vec<(&'static MetricDef, u8)> = defs::ALL
-            .iter()
-            .rev()
-            .enumerate()
-            .map(|(i, &def)| (def, if i % 2 == 0 { GLOBAL } else { (i % 5) as u8 }))
-            .collect();
-        for &(def, node) in &order {
-            register(&mut reg, &cells, def, node);
-        }
-        for &(def, node) in order.iter().rev() {
-            register(&mut reg, &cells, def, node);
-        }
-        let listed: Vec<_> = reg
-            .snapshot(&cells)
-            .entries
-            .iter()
-            .map(|e| (e.def.name, e.node.unwrap_or(GLOBAL)))
-            .collect();
-        let registered: Vec<_> = order.iter().map(|&(def, node)| (def.name, node)).collect();
-        assert_eq!(listed, registered);
-    }
-}
+mod tests;

@@ -21,8 +21,9 @@ fn metrics_doc_matches_registry_catalog() {
 }
 
 /// Every cataloged metric has a live instrumentation site: after the
-/// full-stack exercise (cluster + ring segment sharing one registry),
-/// the set of registered defs equals `defs::ALL` exactly.
+/// full-stack exercise (a cluster, a multi-segment coordinator and a
+/// workload-engine run sharing one registry), the set of registered
+/// defs equals `defs::ALL` exactly.
 #[test]
 fn exercise_registers_every_cataloged_metric() {
     let ex = ampnet_bench::metrics::telemetry_exercise(0xA3B1);
