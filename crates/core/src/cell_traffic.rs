@@ -4,8 +4,9 @@
 //! gaps from the driver's own [`SimRng`], whether or not the ring keeps
 //! up: overload shows as a growing stream backlog. A cell is queued
 //! with [`Cluster::send_cell`] after every cluster event of its
-//! instant. A delivered Data cell lands in an inbox; a DMA cell
-//! updates cache replicas.
+//! instant. A delivered Data cell is a [`DataCell`](crate::DataCell)
+//! value in its receiver's cell queue, read with
+//! [`Cluster::pop_cell`]; a DMA cell updates cache replicas.
 
 use crate::Cluster;
 use ampnet_packet::{
@@ -120,16 +121,17 @@ impl CellTraffic {
     }
 
     /// [`run_until`](Self::run_until) `cluster`'s clock + `window`,
-    /// emptying every inbox each 100 µs, for a run that reads the MAC
-    /// counters and the meters rather than the delivered cells, whose
-    /// inboxes would otherwise grow with the run.
+    /// emptying every cell queue each 100 µs, for a run that reads the
+    /// MAC counters and the meters rather than the delivered cells,
+    /// whose queues would otherwise grow with the run. Once the queues
+    /// have grown to a window's worth, a run allocates nothing.
     pub fn run_discarding(&mut self, cluster: &mut Cluster, window: SimDuration) {
         let end = cluster.now() + window;
         while cluster.now() < end {
             let step = (cluster.now() + SimDuration::from_micros(100)).min(end);
             self.run_until(cluster, step);
             for node in 0..cluster.n_nodes() as u8 {
-                while cluster.pop_message(node).is_some() {}
+                while cluster.pop_cell(node).is_some() {}
             }
         }
     }
@@ -187,8 +189,9 @@ mod tests {
         assert_eq!(traffic.sent(0), 1);
         assert_eq!(delivered(&c) - before, 3, "3 other nodes get a copy");
         for n in 1..4 {
-            let d = c.pop_message(n).expect("delivered");
-            assert_eq!((d.src, d.payload.as_slice()), (0, &1u64.to_be_bytes()[..]));
+            let d = c.pop_cell(n).expect("delivered");
+            assert_eq!((d.src, d.stream, d.payload), (0, 0, 1u64.to_be_bytes()));
+            assert!(c.pop_message(n).is_none(), "a cell is not a datagram");
         }
         assert_eq!(c.total_drops(), 0);
         assert_eq!(c.arena().live(), 0, "tour complete: frame recycled");
@@ -291,7 +294,7 @@ mod tests {
         for node in 0..4 {
             let sent = c.mac(node).streams_ref().sent_packets();
             assert!(sent[0] > 100 && sent[1] > 100, "node {node}: {sent:?}");
-            assert!(c.pop_message(node).is_none(), "node {node}: inbox emptied");
+            assert!(c.pop_cell(node).is_none(), "node {node}: cells emptied");
         }
     }
 

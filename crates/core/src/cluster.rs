@@ -23,7 +23,7 @@ use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
 use ampnet_packet::build::{self, InterruptPayload};
-use ampnet_packet::{FrameArena, FrameRef, MicroPacket};
+use ampnet_packet::{FrameArena, FrameRef, MicroPacket, FIXED_PAYLOAD};
 use ampnet_ring::{NodeStack, RegisterMac, RingMeters, SerialPhy};
 use ampnet_roster::{initial_rostering, RosterOutcome};
 use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
@@ -58,6 +58,19 @@ pub struct RosterEvent {
     pub outcome: RosterOutcome,
 }
 
+/// A delivered Data cell: slide 4's fixed 3-word MicroPacket as its
+/// receiver sees it. A plain 10-byte value, queued per node apart from
+/// the reassembled datagrams and read with [`Cluster::pop_cell`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataCell {
+    /// Sending node.
+    pub src: u8,
+    /// Stream it arrived on (the control word's tag).
+    pub stream: u8,
+    /// The cell's payload.
+    pub payload: [u8; FIXED_PAYLOAD],
+}
+
 /// Per-node composite state.
 pub(crate) struct NodeCtx {
     /// The layered data-plane (PHY / insertion MAC / host delivery).
@@ -67,6 +80,7 @@ pub(crate) struct NodeCtx {
     pub(crate) msg_tx: MsgTx,
     pub(crate) msg_rx: MsgRx,
     pub(crate) inbox: VecDeque<Datagram>,
+    pub(crate) cells: VecDeque<DataCell>,
     pub(crate) interrupts: VecDeque<InterruptPayload>,
     pub(crate) sem: Option<SemaphoreClient>,
     /// Collective rank engine (enabled by `enable_collectives`).
@@ -251,6 +265,7 @@ impl Cluster {
                     msg_tx: MsgTx::new(i as u8),
                     msg_rx: MsgRx::new(),
                     inbox: VecDeque::new(),
+                    cells: VecDeque::new(),
                     interrupts: VecDeque::new(),
                     sem: None,
                     rank: None,
@@ -509,7 +524,9 @@ impl Cluster {
         self.send_own(node, [cell]);
     }
 
-    /// Pop the next delivered datagram at `node`.
+    /// Pop the next reassembled datagram delivered at `node`. Raw
+    /// Data cells never land here; they are read with
+    /// [`Cluster::pop_cell`].
     pub fn pop_message(&mut self, node: u8) -> Option<Datagram> {
         let d = self.nodes[node as usize].inbox.pop_front()?;
         self.stream_backlog[d.stream as usize] -= 1;
@@ -658,6 +675,11 @@ impl Cluster {
     /// Receive the next AmpIP datagram on a bound port at `node`.
     pub fn sock_recv(&mut self, node: u8, port: u16) -> Option<Received> {
         self.nodes[node as usize].ampip.recv_from(port)
+    }
+
+    /// Pop the next Data cell delivered at `node`.
+    pub fn pop_cell(&mut self, node: u8) -> Option<DataCell> {
+        self.nodes[node as usize].cells.pop_front()
     }
 
     /// Pop the next delivered interrupt at `node`.

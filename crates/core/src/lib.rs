@@ -57,7 +57,7 @@ pub use apps::{
     SeqProbeConfig, SeqProbeReport,
 };
 pub use cell_traffic::CellTraffic;
-pub use cluster::{Cluster, RosterEvent, RosterReason};
+pub use cluster::{Cluster, DataCell, RosterEvent, RosterReason};
 pub use observe::{ObservedEvent, Trace};
 pub use diagnostics::Certification;
 pub use multiseg::{

@@ -54,12 +54,12 @@
 //! hop schedules at the successor takes the heap slot of the event
 //! that caused it, one sift instead of a pop and a push.
 
-use crate::cluster::{Cluster, Ev, TxPort};
+use crate::cluster::{Cluster, DataCell, Ev, TxPort};
 use ampnet_cache::atomics;
 use ampnet_cache::SemaphoreAction;
 use ampnet_packet::{build, MicroPacket, PacketType};
 use ampnet_ring::{MacAction, MacTx};
-use ampnet_services::msg::{Datagram, MsgRx};
+use ampnet_services::msg::MsgRx;
 use ampnet_services::socket::AMPIP_STREAM;
 use ampnet_services::threads::THREAD_VECTOR;
 use ampnet_sim::{SimDuration, TieClass};
@@ -214,13 +214,12 @@ impl Cluster {
                 }
             }
             PacketType::Data => {
-                // Raw data cells: surfaced via the interrupt-style
-                // inbox as 8-byte datagrams.
-                self.stream_backlog[pkt.ctrl.tag as usize] += 1;
-                self.nodes[i].inbox.push_back(Datagram {
+                // A raw cell is a value in its own queue, like an
+                // interrupt: no allocation, and never read as a datagram.
+                self.nodes[i].cells.push_back(DataCell {
                     src: pkt.ctrl.src,
                     stream: pkt.ctrl.tag,
-                    payload: pkt.fixed_payload().to_vec(),
+                    payload: *pkt.fixed_payload(),
                 });
             }
             PacketType::D64Atomic => {

@@ -2,8 +2,10 @@
 //! with "2R's" for redundancy).
 
 use ampnet_core::{
-    Cluster, ClusterConfig, Component, GlobalAddr, MultiSegment, NodeId, ParallelMode, SimDuration,
+    Cluster, ClusterConfig, Component, DataCell, GlobalAddr, MultiSegment, NodeId, ParallelMode,
+    SimDuration, ROUTE_STREAM,
 };
+use ampnet_packet::build;
 
 fn ga(segment: u8, node: u8) -> GlobalAddr {
     GlobalAddr { segment, node }
@@ -268,6 +270,34 @@ fn hostile_and_degenerate_addresses_are_counted_or_delivered() {
         }
         assert_eq!(net.unroutable, u64::from(!lands), "{src:?} -> {dst:?}");
     }
+}
+
+/// A raw Data cell tagged with the route stream is not routed traffic,
+/// even when its payload starts like a route header (destination (0, 0),
+/// source (0, 1)): no global datagram appears anywhere, and the cell
+/// reaches its receiver unchanged.
+#[test]
+fn a_data_cell_on_the_route_stream_is_not_a_global_datagram() {
+    let mut net = two_segments(43);
+    let payload = [0, 0, 0, 1, 0xAA, 0xBB, 0xCC, 0xDD];
+    let sent = build::data(2, 3, ROUTE_STREAM, payload);
+    net.segment_mut(1).send_cell(2, sent);
+    net.run_for(SimDuration::from_millis(1));
+    for segment in 0..2 {
+        for node in 0..4 {
+            let got = net.pop_global(ga(segment, node));
+            assert!(
+                got.is_none(),
+                "({segment},{node}) got {got:?}, which nobody sent"
+            );
+        }
+    }
+    let cell = DataCell {
+        src: 2,
+        stream: ROUTE_STREAM,
+        payload,
+    };
+    assert_eq!(net.segment_mut(1).pop_cell(3), Some(cell));
 }
 
 /// Two unbooted 4-node segments, for the registration checks.

@@ -44,9 +44,8 @@ fn cell(src: u8, dst: u8, stream: u8, dma_len: Option<usize>) -> MicroPacket {
 fn drain(c: &mut Cluster) -> Vec<(u8, u8, u8, u64)> {
     let mut out = vec![];
     for rcv in 0..c.n_nodes() as u8 {
-        while let Some(d) = c.pop_message(rcv) {
-            let seq = u64::from_be_bytes(d.payload.as_slice().try_into().unwrap());
-            out.push((rcv, d.src, d.stream, seq));
+        while let Some(d) = c.pop_cell(rcv) {
+            out.push((rcv, d.src, d.stream, u64::from_be_bytes(d.payload)));
         }
     }
     out
