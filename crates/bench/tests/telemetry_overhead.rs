@@ -8,7 +8,7 @@
 //! network-cache updates (full DMA cells, which a receiver applies to
 //! its replica in place) and once with Data cells (which a receiver
 //! queues as `DataCell` values). Either way a delivered packet costs
-//! no allocation once the run is warm.
+//! no allocation.
 
 use ampnet_core::{CellTraffic, Cluster, ClusterConfig, SimDuration, Telemetry};
 use ampnet_packet::{build, MicroPacket};
@@ -47,8 +47,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const NODES: u8 = 6;
 
 /// One measured leg: allocations and packets delivered during the run
-/// window (after boot, telemetry registration, the traffic set-up and a
-/// 1 ms warm-up that grows the cell queues to a drain interval's worth).
+/// window (after boot, telemetry registration and the traffic set-up).
 fn leg(telemetry: bool, cell: fn(u8) -> MicroPacket) -> (u64, u64) {
     let mut c = Cluster::new(ClusterConfig::small(NODES as usize).with_seed(0xBEEF));
     c.run_for(SimDuration::from_millis(5));
@@ -62,7 +61,6 @@ fn leg(telemetry: bool, cell: fn(u8) -> MicroPacket) -> (u64, u64) {
     for node in 0..NODES {
         traffic.poisson_at_load(&c, node, cell(node), 1.5);
     }
-    traffic.run_discarding(&mut c, SimDuration::from_millis(1));
     let delivered = |c: &Cluster| -> u64 { (0..NODES).map(|n| c.mac(n).stats().delivered).sum() };
     let delivered0 = delivered(&c);
     let before = ALLOCS.load(Ordering::Relaxed);
