@@ -119,8 +119,12 @@ pub fn e2_wire_formats() -> Table {
 /// cells ("messages", stream 1).
 fn mixed_streams(c: &Cluster, traffic: &mut CellTraffic) {
     for node in 0..c.n_nodes() as u8 {
-        traffic.poisson_at_load(c, node, CellTraffic::cache_update(node, 0), 1.0);
-        traffic.poisson_at_load(c, node, build::data_broadcast(node, 1, [0; 8]), 1.0);
+        let data = build::data_broadcast(node, 1, [0; 8]);
+        for cell in [CellTraffic::cache_update(node, 0), data] {
+            traffic
+                .poisson_at_load(c, node, cell, 1.0)
+                .expect("well-formed cell");
+        }
     }
 }
 
@@ -237,7 +241,9 @@ pub fn e4_flow_control(n_nodes: usize) -> Table {
     for load in [0.25, 0.5, 1.0, 1.5, 2.0] {
         let all_to_all = |c: &Cluster, traffic: &mut CellTraffic| {
             for node in 0..n_nodes as u8 {
-                traffic.poisson_at_load(c, node, CellTraffic::cache_update(node, 0), load);
+                traffic
+                    .poisson_at_load(c, node, CellTraffic::cache_update(node, 0), load)
+                    .expect("well-formed cell");
             }
         };
         let seed = 1000 + (load * 4.0) as u64;

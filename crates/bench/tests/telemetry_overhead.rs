@@ -59,7 +59,7 @@ fn leg(telemetry: bool, cell: fn(u8) -> MicroPacket) -> (u64, u64) {
     // serialization time.
     let mut traffic = CellTraffic::new(0xBEEF);
     for node in 0..NODES {
-        traffic.poisson_at_load(&c, node, cell(node), 1.5);
+        traffic.poisson_at_load(&c, node, cell(node), 1.5).unwrap();
     }
     let delivered = |c: &Cluster| -> u64 { (0..NODES).map(|n| c.mac(n).stats().delivered).sum() };
     let delivered0 = delivered(&c);

@@ -28,7 +28,7 @@
 use std::borrow::Cow;
 use std::ops::Range;
 
-use ampnet_packet::{build, DmaCtrl, MicroPacket, BROADCAST, MAX_DMA_PAYLOAD};
+use ampnet_packet::{build, Body, DmaCtrl, MicroPacket, BROADCAST, MAX_DMA_PAYLOAD};
 use ampnet_phy::crc32;
 use ampnet_telemetry::{defs, CounterHandle, Telemetry};
 
@@ -353,23 +353,16 @@ impl NetworkCache {
         self.apply_raw(ctrl.region, ctrl.offset, payload)
     }
 
-    /// Apply the cache-relevant content of a MicroPacket, if any.
-    /// Returns `Ok(true)` when the packet was a cache update.
+    /// Apply the cache-relevant content of a well-formed MicroPacket
+    /// ([`MicroPacket::check`]), if any: a DMA cell's payload. Returns
+    /// `Ok(true)` when the packet was a cache update.
     pub fn apply_packet(&mut self, pkt: &MicroPacket) -> Result<bool, CacheError> {
-        if pkt.ctrl.ptype != ampnet_packet::PacketType::Dma {
+        let Body::Variable { ctrl, data } = &pkt.body else {
             return Ok(false);
-        }
-        if let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body {
-            #[expect(
-                clippy::expect_used,
-                reason = "dma packets built by this store always carry a variable body"
-            )]
-            let payload = pkt.dma_payload().expect("variable body");
-            self.apply_dma(ctrl, payload)?;
-            self.telemetry.tel.inc(self.telemetry.updates);
-            return Ok(true);
-        }
-        Ok(false)
+        };
+        self.apply_dma(ctrl, &data[..ctrl.len as usize])?;
+        self.telemetry.tel.inc(self.telemetry.updates);
+        Ok(true)
     }
 
     /// Write locally and produce the broadcast DMA MicroPackets that
@@ -529,7 +522,7 @@ mod tests {
         let offsets: Vec<u32> = pkts
             .iter()
             .map(|p| match &p.body {
-                ampnet_packet::Body::Variable { ctrl, .. } => ctrl.offset,
+                Body::Variable { ctrl, .. } => ctrl.offset,
                 _ => unreachable!(),
             })
             .collect();

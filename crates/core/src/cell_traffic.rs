@@ -2,9 +2,10 @@
 //! a MAC-level workload on a [`Cluster`]. Each generator offers copies
 //! of a template MicroPacket at one node as a Poisson process, with
 //! gaps from the driver's own [`SimRng`], whether or not the ring keeps
-//! up: overload shows as a growing stream backlog. A cell is queued
-//! with [`Cluster::send_cell`] after every cluster event of its
-//! instant. A delivered Data cell is a [`DataCell`](crate::DataCell)
+//! up: overload shows as a growing stream backlog. A template is
+//! checked once, when its generator is added; each copy is queued as
+//! [`Cluster::send_cell`] queues a cell, after every cluster event of
+//! its instant. A delivered Data cell is a [`DataCell`](crate::DataCell)
 //! value in its receiver's cell queue, read with
 //! [`Cluster::pop_cell`]; a DMA cell updates cache replicas.
 
@@ -70,8 +71,14 @@ impl CellTraffic {
     /// `mean_gap`, the first due at the cluster's clock when
     /// [`run_until`](Self::run_until) is next called. A fixed-payload
     /// cell carries the driver's running cell count as its payload,
-    /// big-endian, so every copy is distinct.
-    pub fn poisson(&mut self, node: u8, cell: MicroPacket, mean_gap: SimDuration) {
+    /// big-endian, so every copy is distinct. A malformed cell is refused.
+    pub fn poisson(
+        &mut self,
+        node: u8,
+        cell: MicroPacket,
+        mean_gap: SimDuration,
+    ) -> Result<(), ampnet_packet::PacketError> {
+        cell.check()?;
         self.gens.push(Generator {
             node,
             cell,
@@ -79,17 +86,24 @@ impl CellTraffic {
             next: None,
             sent: 0,
         });
+        Ok(())
     }
 
     /// [`poisson`](Self::poisson) at `node`'s share of `load` × the
     /// ring's capacity of one `cell` per serialization time, shared
     /// evenly by every node of `cluster`: a mean gap of `n / load`
     /// serialization times. A load above 1 oversubscribes the ring.
-    pub fn poisson_at_load(&mut self, cluster: &Cluster, node: u8, cell: MicroPacket, load: f64) {
+    pub fn poisson_at_load(
+        &mut self,
+        cluster: &Cluster,
+        node: u8,
+        cell: MicroPacket,
+        load: f64,
+    ) -> Result<(), ampnet_packet::PacketError> {
         let cfg = &cluster.cfg;
         let ser = cfg.timing.link(cfg.fiber_length_m).serialize_time(cell.wire_bytes());
         let gap_ns = ser.as_nanos() as f64 * cluster.n_nodes() as f64 / load;
-        self.poisson(node, cell, SimDuration::from_nanos(gap_ns.round() as u64));
+        self.poisson(node, cell, SimDuration::from_nanos(gap_ns.round() as u64))
     }
 
     /// Run `cluster` to `deadline`, queueing every cell due by then.
@@ -112,7 +126,7 @@ impl CellTraffic {
             if let Body::Fixed(payload) = &mut cell.body {
                 *payload = self.seq.to_be_bytes();
             }
-            cluster.send_cell(g.node, cell);
+            cluster.send_own(g.node, [cell]);
             g.sent += 1;
             let gap = self.rng.exponential(g.mean_gap_ns as f64);
             g.next = Some(at + SimDuration::from_nanos(gap.round() as u64));
@@ -166,7 +180,9 @@ mod tests {
     fn all_to_all(c: &Cluster, load: f64, seed: u64) -> CellTraffic {
         let mut traffic = CellTraffic::new(seed);
         for node in 0..c.n_nodes() as u8 {
-            traffic.poisson_at_load(c, node, build::data_broadcast(node, 0, [0; 8]), load);
+            traffic
+                .poisson_at_load(c, node, build::data_broadcast(node, 0, [0; 8]), load)
+                .unwrap();
         }
         traffic
     }
@@ -183,7 +199,9 @@ mod tests {
         let before = delivered(&c);
         let mut traffic = CellTraffic::new(1);
         let cell = build::data_broadcast(0, 0, [0; 8]);
-        traffic.poisson(0, cell, SimDuration::from_millis(1000));
+        traffic
+            .poisson(0, cell, SimDuration::from_millis(1000))
+            .unwrap();
         let end = c.now() + SimDuration::from_millis(1);
         traffic.run_until(&mut c, end);
         assert_eq!(traffic.sent(0), 1);
@@ -201,7 +219,9 @@ mod tests {
     fn the_first_cell_is_due_at_the_clock_of_the_first_run() {
         let mut c = booted(4, 1);
         let mut traffic = CellTraffic::new(1);
-        traffic.poisson(0, build::data(0, 1, 0, [0; 8]), SimDuration::from_micros(1));
+        traffic
+            .poisson(0, build::data(0, 1, 0, [0; 8]), SimDuration::from_micros(1))
+            .unwrap();
         // Time the cluster spends before the driver runs owes no cells.
         c.run_for(SimDuration::from_millis(3));
         let t0 = c.now();
@@ -218,7 +238,9 @@ mod tests {
         let (delivered, forwarded) = (c.mac(2).stats().delivered, c.mac(3).stats().forwarded);
         let mut traffic = CellTraffic::new(2);
         let cell = build::data(0, 2, 0, [0; 8]);
-        traffic.poisson(0, cell, SimDuration::from_micros(2));
+        traffic
+            .poisson(0, cell, SimDuration::from_micros(2))
+            .unwrap();
         let end = c.now() + SimDuration::from_micros(20);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(1));
@@ -286,8 +308,12 @@ mod tests {
         let mut traffic = CellTraffic::new(5);
         let gap = SimDuration::from_nanos(500);
         for node in 0..4u8 {
-            traffic.poisson(node, CellTraffic::cache_update(node, 0), gap);
-            traffic.poisson(node, build::data_broadcast(node, 1, [0; 8]), gap);
+            traffic
+                .poisson(node, CellTraffic::cache_update(node, 0), gap)
+                .unwrap();
+            traffic
+                .poisson(node, build::data_broadcast(node, 1, [0; 8]), gap)
+                .unwrap();
         }
         traffic.run_discarding(&mut c, SimDuration::from_millis(2));
         assert_eq!(c.total_drops(), 0);

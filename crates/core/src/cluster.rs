@@ -23,7 +23,7 @@ use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
 use ampnet_packet::build::{self, InterruptPayload};
-use ampnet_packet::{FrameArena, FrameRef, MicroPacket, FIXED_PAYLOAD};
+use ampnet_packet::{FrameArena, FrameRef, MicroPacket, PacketError, FIXED_PAYLOAD};
 use ampnet_ring::{NodeStack, RegisterMac, RingMeters, SerialPhy};
 use ampnet_roster::{initial_rostering, RosterOutcome};
 use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
@@ -251,10 +251,10 @@ impl Cluster {
         let nodes = (0..cfg.n_nodes)
             .map(|i| {
                 let mut cache = NetworkCache::new(i as u8);
-                for &(region, size) in &cfg.cache_regions {
+                for (&region, &size) in &cfg.cache_regions {
                     #[expect(
                         clippy::expect_used,
-                        reason = "region ids come from a deduplicated config map"
+                        reason = "region ids are the keys of the config's map, so each is new here"
                     )]
                     cache.define_region(region, size).expect("unique regions");
                 }
@@ -519,9 +519,12 @@ impl Cluster {
 
     /// Queue one raw MicroPacket for insertion at `node`, as the host
     /// queues its own traffic (on stream `tag % n_streams`, or ahead of
-    /// the streams if urgent).
-    pub fn send_cell(&mut self, node: u8, cell: MicroPacket) {
+    /// the streams if urgent). The door for arbitrary packets: a cell
+    /// that fails [`MicroPacket::check`] is refused, and nothing stored.
+    pub fn send_cell(&mut self, node: u8, cell: MicroPacket) -> Result<(), PacketError> {
+        cell.check()?;
         self.send_own(node, [cell]);
+        Ok(())
     }
 
     /// Pop the next reassembled datagram delivered at `node`. Raw

@@ -6,6 +6,7 @@ use ampnet_phy::LinkParams;
 use ampnet_ring::{PacingMode, RingNodeParams};
 use ampnet_roster::RosterParams;
 use ampnet_sim::SimDuration;
+use std::collections::BTreeMap;
 
 /// Every timing constant of the simulation in one place (DESIGN.md §5).
 /// Experiments print the model they ran under.
@@ -81,8 +82,8 @@ pub struct ClusterConfig {
     pub fiber_length_m: f64,
     /// Deterministic seed.
     pub seed: u64,
-    /// Network cache regions every node defines at boot.
-    pub cache_regions: Vec<(RegionId, u32)>,
+    /// Network cache regions every node defines at boot, by id.
+    pub cache_regions: BTreeMap<RegionId, u32>,
     /// Timing constants.
     pub timing: TimingModel,
     /// MAC configuration (insertion buffer, pacing, streams).
@@ -99,7 +100,7 @@ impl Default for ClusterConfig {
             plant: PlantSpec::Crossbar,
             fiber_length_m: 100.0,
             seed: 0xA3B1,
-            cache_regions: vec![(0, 64 * 1024)],
+            cache_regions: BTreeMap::from([(0, 64 * 1024)]),
             timing: TimingModel::default(),
             mac: RingNodeParams {
                 n_streams: 8,
@@ -136,9 +137,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style region override.
+    /// Builder-style region override. An id listed twice keeps its
+    /// last size.
     pub fn with_regions(mut self, regions: Vec<(RegionId, u32)>) -> Self {
-        self.cache_regions = regions;
+        self.cache_regions = regions.into_iter().collect();
         self
     }
 
@@ -194,7 +196,7 @@ mod tests {
         assert_eq!(c.n_nodes, 4);
         assert_eq!(c.seed, 7);
         assert_eq!(c.fiber_length_m, 1000.0);
-        assert_eq!(c.cache_regions, vec![(1, 128)]);
+        assert_eq!(c.cache_regions, BTreeMap::from([(1, 128)]));
     }
 
     #[test]

@@ -75,8 +75,7 @@ impl Cluster {
         if self.ring.is_empty() || self.ring.order[0].0 != node {
             return;
         }
-        let probe_epoch = u64::from_be_bytes(*pkt.fixed_payload());
-        if probe_epoch != epoch {
+        if pkt.fixed_payload() != Some(&epoch.to_be_bytes()) {
             return;
         }
         // CRC audit: all online replicas must agree region-by-region.

@@ -124,7 +124,8 @@ fn ring_drivers_agree_hop_for_hop() {
     // node inserts, nothing is forwarded, and each governor comes out
     // with the fresh one's gap after one uncongested insertion.
     for node in 0..N as u8 {
-        c.send_cell(node, build::data(node, (node + 1) % N as u8, 0, [0; 8]));
+        c.send_cell(node, build::data(node, (node + 1) % N as u8, 0, [0; 8]))
+            .unwrap();
     }
     run_quiet(&mut c);
 
@@ -149,7 +150,9 @@ fn ring_drivers_agree_hop_for_hop() {
     // The segment's per-node gap for this load, its seed and its cells.
     let mut traffic = CellTraffic::new(cfg.seed);
     for node in 0..N as u8 {
-        traffic.poisson_at_load(&c, node, build::data_broadcast(node, 0, [0; 8]), LOAD);
+        traffic
+            .poisson_at_load(&c, node, build::data_broadcast(node, 0, [0; 8]), LOAD)
+            .unwrap();
     }
     traffic.run_until(&mut c, t0 + WINDOW);
     let report = seg.run_for(WINDOW);

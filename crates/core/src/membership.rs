@@ -203,8 +203,8 @@ impl Cluster {
         let cache_bytes: u64 = self
             .cfg
             .cache_regions
-            .iter()
-            .map(|&(_, sz)| sz as u64)
+            .values()
+            .map(|&sz| u64::from(sz))
             .sum();
         match assimilate(req, self.cfg.compat, cache_bytes, &self.cfg.timing.assimilation) {
             Ok(timeline) => {

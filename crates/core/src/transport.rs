@@ -216,11 +216,12 @@ impl Cluster {
             PacketType::Data => {
                 // A raw cell is a value in its own queue, like an
                 // interrupt: no allocation, and never read as a datagram.
-                self.nodes[i].cells.push_back(DataCell {
+                let cell = pkt.fixed_payload().map(|&payload| DataCell {
                     src: pkt.ctrl.src,
                     stream: pkt.ctrl.tag,
-                    payload: *pkt.fixed_payload(),
+                    payload,
                 });
+                self.nodes[i].cells.extend(cell);
             }
             PacketType::D64Atomic => {
                 if pkt.ctrl.flags.contains(ampnet_packet::Flags::RESPONSE) {

@@ -1,10 +1,11 @@
 //! Cluster-level behaviour tests: the paper's scenarios end to end.
 
 use ampnet_core::{
-    Cluster, ClusterConfig, Component, CounterAppConfig, FailoverPolicy, Features, JoinRequest,
-    NodeId, ReadOutcome, RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig, SimDuration,
-    SimTime, SwitchId, Version,
+    CellTraffic, Cluster, ClusterConfig, Component, CounterAppConfig, FailoverPolicy, Features,
+    JoinRequest, NodeId, ReadOutcome, RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig,
+    SimDuration, SimTime, SwitchId, Version,
 };
+use ampnet_packet::{Body, ControlWord, DmaCtrl, MicroPacket, PacketError, PacketType, BROADCAST};
 
 fn booted(n: usize, seed: u64) -> Cluster {
     let mut c = Cluster::new(ClusterConfig::small(n).with_seed(seed));
@@ -773,4 +774,79 @@ fn in_flight_unicast_at_failure_is_replayed() {
         Some(b"mid-flight datagram".to_vec()),
         "in-flight unicast must survive the outage via replay"
     );
+}
+
+#[test]
+fn a_region_listed_twice_keeps_its_last_size() {
+    let cfg = ClusterConfig::small(4).with_regions(vec![(1, 128), (1, 64)]);
+    let c = Cluster::new(cfg);
+    for node in 0..4 {
+        assert_eq!(c.cache(node).region_ids(), vec![1]);
+        assert_eq!(c.cache(node).region_size(1), Ok(64));
+    }
+}
+
+/// The malformed cells `send_cell` must refuse, each with its error: a
+/// Data cell carrying a DMA body, a DMA cell carrying a fixed body, and
+/// a DMA cell one byte longer than slide 6 allows.
+fn malformed_cells() -> [(MicroPacket, PacketError); 3] {
+    let update = CellTraffic::cache_update(0, 0);
+    let Body::Variable { ctrl: dma, data } = update.body.clone() else {
+        unreachable!("a cache update is a DMA cell")
+    };
+    [
+        (
+            MicroPacket {
+                ctrl: ControlWord::new(PacketType::Data, 0, BROADCAST, 0),
+                body: update.body.clone(),
+            },
+            PacketError::ClassMismatch,
+        ),
+        (
+            MicroPacket {
+                ctrl: update.ctrl,
+                body: Body::Fixed([9; 8]),
+            },
+            PacketError::ClassMismatch,
+        ),
+        (
+            MicroPacket {
+                ctrl: update.ctrl,
+                body: Body::Variable {
+                    ctrl: DmaCtrl { len: 65, ..dma },
+                    data,
+                },
+            },
+            PacketError::BadDmaLen(65),
+        ),
+    ]
+}
+
+/// A booted 4-node cluster taking a 16-byte cache write from one node
+/// after another, one a microsecond for 1 ms, with `bad` offered to
+/// node 0's `send_cell` after each write, then 1 ms without traffic:
+/// the arena's resident bytes and live frames, and whether the
+/// replicas converged.
+fn cache_traffic_with(bad: Option<&(MicroPacket, PacketError)>) -> (usize, usize, bool) {
+    let mut c = booted(4, 9);
+    for us in 0..1000u32 {
+        let node = (us % 4) as u8;
+        c.cache_write(node, 0, 16 * (us % 64), &[us as u8; 16]);
+        if let Some((cell, err)) = bad {
+            assert_eq!(c.send_cell(0, cell.clone()), Err(*err));
+        }
+        c.run_for(SimDuration::from_micros(1));
+    }
+    c.run_for(SimDuration::from_millis(1));
+    let arena = c.arena();
+    (arena.resident_bytes(), arena.live(), c.caches_converged())
+}
+
+#[test]
+fn send_cell_refuses_a_malformed_cell_and_stores_nothing() {
+    let clean = cache_traffic_with(None);
+    assert_eq!((clean.1, clean.2), (0, true), "quiet and converged");
+    for bad in &malformed_cells() {
+        assert_eq!(cache_traffic_with(Some(bad)), clean, "{:?}", bad.1);
+    }
 }

@@ -83,7 +83,7 @@ proptest! {
         for (node, stream, dma_len, dst, gap) in streams {
             let (node, dst) = (node % n, dst.map_or(BROADCAST, |d| d % n as u8));
             let cell = cell(node as u8, dst, stream, dma_len);
-            traffic.poisson(node as u8, cell, SimDuration::from_nanos(gap));
+            traffic.poisson(node as u8, cell, SimDuration::from_nanos(gap)).unwrap();
         }
         let end = c.now() + SimDuration::from_millis(1);
         traffic.run_until(&mut c, end);
@@ -106,7 +106,7 @@ proptest! {
         let src = (src % n) as u8;
         let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(src, cell(src, BROADCAST, 0, None), SimDuration::from_micros(1));
+        traffic.poisson(src, cell(src, BROADCAST, 0, None), SimDuration::from_micros(1)).unwrap();
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
@@ -131,7 +131,7 @@ proptest! {
         let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
         for stream in [0, 1] {
-            traffic.poisson(0, cell(0, 2, stream, None), SimDuration::from_nanos(300));
+            traffic.poisson(0, cell(0, 2, stream, None), SimDuration::from_nanos(300)).unwrap();
         }
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
@@ -158,7 +158,7 @@ proptest! {
         let mut c = booted(n, false, seed);
         let before: Vec<u64> = (0..n as u8).map(|k| c.mac(k).stats().delivered).collect();
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(0, cell(0, dst, 0, Some(32)), SimDuration::from_micros(1));
+        traffic.poisson(0, cell(0, dst, 0, Some(32)), SimDuration::from_micros(1)).unwrap();
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));

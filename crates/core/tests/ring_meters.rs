@@ -78,8 +78,8 @@ fn a_unicast_stripped_off_ring_retires_no_broadcast() {
     let stripped = c.mac(0).stats().stripped;
     // Node 3 is off the ring: the unicast tours back to node 0 and is
     // stripped there, ahead of the broadcast queued behind it.
-    c.send_cell(0, build::data(0, 3, 0, [0; 8]));
-    c.send_cell(0, build::data_broadcast(0, 0, [0; 8]));
+    c.send_cell(0, build::data(0, 3, 0, [0; 8])).unwrap();
+    c.send_cell(0, build::data_broadcast(0, 0, [0; 8])).unwrap();
     c.run_for(SimDuration::from_millis(1));
     assert_eq!(c.mac(0).stats().stripped - stripped, 2);
     assert_eq!(hist(&c, "ring_tour_ns").0, 1, "the broadcast's tour, once");

@@ -5,8 +5,8 @@
 //! (network cache, rostering, DK) never touch raw offsets.
 
 use crate::control::{ControlWord, Flags, BROADCAST};
-use crate::types::{LengthClass, PacketType};
-use crate::wire::{Body, DmaCtrl, MicroPacket, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
+use crate::types::PacketType;
+use crate::wire::{Body, DmaCtrl, MicroPacket, PacketError, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
 
 /// D64 Atomic opcodes (Control 3 tag of a D64 packet).
 ///
@@ -99,7 +99,6 @@ impl DiagOp {
 /// fixed body on a fixed-class type is exactly what
 /// [`MicroPacket::new`] accepts, so there is no error to handle.
 fn fixed(ctrl: ControlWord, payload: [u8; FIXED_PAYLOAD]) -> MicroPacket {
-    debug_assert_eq!(ctrl.ptype.length_class(), LengthClass::Fixed);
     MicroPacket {
         ctrl,
         body: Body::Fixed(payload),
@@ -119,23 +118,20 @@ pub fn data_broadcast(src: u8, stream: u8, payload: [u8; FIXED_PAYLOAD]) -> Micr
     data(src, BROADCAST, stream, payload)
 }
 
-/// Build a DMA MicroPacket. `payload` must be 1..=64 bytes.
+/// Build a DMA MicroPacket carrying `payload`, whose length sets
+/// `ctrl.len`: [`PacketError::BadDmaLen`] unless it is 1..=64 bytes.
 pub fn dma(
     src: u8,
     dst: u8,
     stream: u8,
     ctrl: DmaCtrl,
     payload: &[u8],
-) -> Result<MicroPacket, crate::wire::PacketError> {
-    assert!(
-        !payload.is_empty() && payload.len() <= MAX_DMA_PAYLOAD,
-        "dma payload {} out of range",
-        payload.len()
-    );
+) -> Result<MicroPacket, PacketError> {
     let mut data = [0u8; MAX_DMA_PAYLOAD];
-    data[..payload.len()].copy_from_slice(payload);
+    let n = payload.len().min(MAX_DMA_PAYLOAD);
+    data[..n].copy_from_slice(&payload[..n]);
     let ctrl = DmaCtrl {
-        len: payload.len() as u16,
+        len: u16::try_from(payload.len()).unwrap_or(u16::MAX),
         ..ctrl
     };
     MicroPacket::new(
@@ -171,7 +167,7 @@ pub fn parse_interrupt(p: &MicroPacket) -> Option<InterruptPayload> {
     if p.ctrl.ptype != PacketType::Interrupt {
         return None;
     }
-    let b = p.fixed_payload();
+    let b = p.fixed_payload()?;
     Some(InterruptPayload {
         vector: u16::from_be_bytes([b[0], b[1]]),
         cookie: u16::from_be_bytes([b[2], b[3]]),
@@ -200,7 +196,7 @@ pub fn parse_atomic_request(p: &MicroPacket) -> Option<AtomicRequest> {
         return None;
     }
     let op = AtomicOp::from_tag(p.ctrl.tag)?;
-    let b = p.fixed_payload();
+    let b = p.fixed_payload()?;
     let word_index = u32::from_be_bytes([0, b[1], b[2], b[3]]);
     Some(AtomicRequest {
         op,
@@ -224,7 +220,7 @@ pub fn parse_atomic_response(p: &MicroPacket) -> Option<(AtomicOp, u64)> {
         return None;
     }
     let op = AtomicOp::from_tag(p.ctrl.tag)?;
-    Some((op, u64::from_be_bytes(*p.fixed_payload())))
+    Some((op, u64::from_be_bytes(*p.fixed_payload()?)))
 }
 
 /// Build a Diagnostic MicroPacket.
@@ -244,7 +240,7 @@ mod tests {
         let p = data(1, 2, 5, [9; 8]);
         assert_eq!(p.ctrl.ptype, PacketType::Data);
         assert_eq!(p.ctrl.tag, 5);
-        assert_eq!(p.fixed_payload(), &[9; 8]);
+        assert_eq!(p.fixed_payload(), Some(&[9; 8]));
         assert!(data_broadcast(1, 0, [0; 8]).ctrl.is_broadcast());
     }
 
@@ -259,6 +255,11 @@ mod tests {
         let p = dma(1, 2, 0, ctrl, &[1, 2, 3]).unwrap();
         assert_eq!(p.dma_payload().unwrap(), &[1, 2, 3]);
         assert_eq!(p.words(), 4);
+        for len in [0, 65, 70_000] {
+            let bad = u16::try_from(len).unwrap_or(u16::MAX);
+            let r = dma(1, 2, 0, ctrl, &vec![0; len]);
+            assert_eq!(r, Err(PacketError::BadDmaLen(bad)), "{len} bytes");
+        }
     }
 
     #[test]

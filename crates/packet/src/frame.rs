@@ -199,8 +199,12 @@ impl FrameArena {
         }
     }
 
-    /// Store `pkt` into a pooled frame. `None` only for a
-    /// [`FrameArena::bounded`] arena with every frame live.
+    /// Store `pkt`, which must be well formed ([`MicroPacket::check`]:
+    /// a frame's body is filed and freed by its packet type), into a
+    /// pooled frame. `None` only for a [`FrameArena::bounded`] arena
+    /// with every frame live. The arena sits below every door and checks
+    /// nothing: this crate's constructors and decoders build only
+    /// well-formed packets, and `Cluster::send_cell` checks the rest.
     pub fn try_insert(&mut self, pkt: &MicroPacket) -> Option<FrameRef> {
         let i = self.acquire()?;
         let (field, body) = match &pkt.body {
@@ -218,7 +222,7 @@ impl FrameArena {
         Some(FrameRef { slot: i, gen: head.gen })
     }
 
-    /// Store `pkt` into a pooled frame; panics on exhaustion.
+    /// Store a well-formed `pkt` into a pooled frame; panics on exhaustion.
     #[expect(
         clippy::expect_used,
         reason = "arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud"
@@ -244,23 +248,20 @@ impl FrameArena {
     /// the head alone.
     pub fn header(&self, f: FrameRef) -> (ControlWord, Option<DmaCtrl>) {
         let h = self.head(f);
-        let dma = match h.ctrl.ptype.length_class() {
-            LengthClass::Variable => Some(DmaCtrl::from_bytes(h.field)),
-            LengthClass::Fixed => None,
-        };
-        (h.ctrl, dma)
+        let variable = h.ctrl.ptype.length_class() == LengthClass::Variable;
+        (h.ctrl, variable.then(|| DmaCtrl::from_bytes(h.field)))
     }
 
     /// Copy the packet out of a live frame (delivery boundary; the
     /// frame stays live).
     pub fn decode(&self, f: FrameRef) -> MicroPacket {
         let h = self.head(f);
-        let body = match h.ctrl.ptype.length_class() {
-            LengthClass::Variable => Body::Variable {
-                ctrl: DmaCtrl::from_bytes(h.field),
+        let body = match self.header(f).1 {
+            Some(ctrl) => Body::Variable {
+                ctrl,
                 data: self.bodies[h.body as usize],
             },
-            LengthClass::Fixed => Body::Fixed(h.field),
+            None => Body::Fixed(h.field),
         };
         MicroPacket { ctrl: h.ctrl, body }
     }

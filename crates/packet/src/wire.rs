@@ -131,34 +131,53 @@ impl From<ControlError> for PacketError {
     }
 }
 
+/// Payload-bearing words (control word included) of a packet with
+/// header `ctrl` and, on a DMA packet, DMA control `dma`, if the header
+/// is well formed — the one rule of slides 4–6: a DMA packet and only a
+/// DMA packet carries DMA control, and its length is 1..=64 bytes.
+fn checked_words(ctrl: &ControlWord, dma: Option<&DmaCtrl>) -> Result<usize, PacketError> {
+    match (ctrl.ptype.length_class(), dma) {
+        (LengthClass::Fixed, None) => Ok(3),
+        (LengthClass::Variable, Some(d)) if (1..=MAX_DMA_PAYLOAD).contains(&(d.len as usize)) => {
+            Ok(3 + (d.len as usize).div_ceil(WORD))
+        }
+        (LengthClass::Variable, Some(d)) => Err(PacketError::BadDmaLen(d.len)),
+        _ => Err(PacketError::ClassMismatch),
+    }
+}
+
 impl MicroPacket {
-    /// Construct, validating that the body class matches the type.
+    /// Construct, validating with [`MicroPacket::check`].
     pub fn new(ctrl: ControlWord, body: Body) -> Result<MicroPacket, PacketError> {
-        let class_ok = matches!(
-            (&body, ctrl.ptype.length_class()),
-            (Body::Fixed(_), LengthClass::Fixed) | (Body::Variable { .. }, LengthClass::Variable)
-        );
-        if !class_ok {
-            return Err(PacketError::ClassMismatch);
-        }
-        if let Body::Variable { ctrl: dma, .. } = &body {
-            if dma.len == 0 || dma.len as usize > MAX_DMA_PAYLOAD {
-                return Err(PacketError::BadDmaLen(dma.len));
-            }
-        }
-        Ok(MicroPacket { ctrl, body })
+        let p = MicroPacket { ctrl, body };
+        p.check()?;
+        Ok(p)
     }
 
-    /// Fixed-payload accessor; panics if called on a DMA packet (the
-    /// type system of callers guarantees the class).
-    pub fn fixed_payload(&self) -> &[u8; FIXED_PAYLOAD] {
+    /// Is the packet well formed? Its body class matches its type
+    /// (only DMA is variable, slide 4) and a DMA length is 1..=64
+    /// (slide 6). Every constructor and decoder of this crate checks
+    /// it; a packet built as a struct literal, or changed after it was
+    /// built, is checked where it enters a running network
+    /// (`Cluster::send_cell`). Below that door — the frame arena, the
+    /// MAC, the delivery plane — every packet is taken as well formed.
+    pub fn check(&self) -> Result<(), PacketError> {
+        checked_words(&self.ctrl, self.dma_ctrl()).map(drop)
+    }
+
+    /// The DMA control of a variable body.
+    fn dma_ctrl(&self) -> Option<&DmaCtrl> {
         match &self.body {
-            Body::Fixed(p) => p,
-            #[expect(
-                clippy::panic,
-                reason = "documented contract: callers match Fixed before calling fixed_payload"
-            )]
-            Body::Variable { .. } => panic!("fixed_payload on a variable packet"),
+            Body::Variable { ctrl, .. } => Some(ctrl),
+            Body::Fixed(_) => None,
+        }
+    }
+
+    /// The 8 payload bytes of a fixed body.
+    pub fn fixed_payload(&self) -> Option<&[u8; FIXED_PAYLOAD]> {
+        match &self.body {
+            Body::Fixed(p) => Some(p),
+            Body::Variable { .. } => None,
         }
     }
 
@@ -255,29 +274,20 @@ impl MicroPacket {
             return bad_size;
         };
         let ctrl = ControlWord::from_bytes(*head)?;
-        match ctrl.ptype.length_class() {
-            LengthClass::Fixed => {
-                if !tail.is_empty() {
-                    return bad_size;
-                }
-                MicroPacket::new(ctrl, Body::Fixed(*second))
-            }
-            LengthClass::Variable => {
-                if tail.is_empty() {
-                    return bad_size;
-                }
-                let dma = DmaCtrl::from_bytes(*second);
-                if dma.len == 0 || dma.len as usize > MAX_DMA_PAYLOAD {
-                    return Err(PacketError::BadDmaLen(dma.len));
-                }
-                if tail.len() != (dma.len as usize).div_ceil(WORD) * WORD {
-                    return bad_size;
-                }
+        let dma = (ctrl.ptype.length_class() == LengthClass::Variable)
+            .then(|| DmaCtrl::from_bytes(*second));
+        if bytes.len() != checked_words(&ctrl, dma.as_ref())? * WORD {
+            return bad_size;
+        }
+        let body = match dma {
+            None => Body::Fixed(*second),
+            Some(dma) => {
                 let mut data = [0u8; MAX_DMA_PAYLOAD];
                 data[..tail.len()].copy_from_slice(tail);
-                MicroPacket::new(ctrl, Body::Variable { ctrl: dma, data })
+                Body::Variable { ctrl: dma, data }
             }
-        }
+        };
+        Ok(MicroPacket { ctrl, body })
     }
 }
 
@@ -303,43 +313,18 @@ impl<'a> FrameView<'a> {
     /// Parse serialized words (as produced by
     /// [`MicroPacket::encode_into`]) without copying the payload.
     pub fn parse(words: &'a [u32]) -> Result<FrameView<'a>, PacketError> {
-        if words.len() < 3 {
-            return Err(PacketError::BadSize(words.len() * WORD));
+        let bad_size = PacketError::BadSize(words.len() * WORD);
+        let &[head, w1, w2, ..] = words else {
+            return Err(bad_size);
+        };
+        let ctrl = ControlWord::from_bytes(head.to_be_bytes())?;
+        let dma = (ctrl.ptype.length_class() == LengthClass::Variable)
+            .then(|| DmaCtrl::from_bytes(words_to_bytes(&[w1, w2])));
+        if words.len() != checked_words(&ctrl, dma.as_ref())? {
+            return Err(bad_size);
         }
-        let ctrl = ControlWord::from_bytes(words[0].to_be_bytes())?;
-        match ctrl.ptype.length_class() {
-            LengthClass::Fixed => {
-                if words.len() != 3 {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                Ok(FrameView {
-                    ctrl,
-                    dma: None,
-                    payload: &words[1..3],
-                })
-            }
-            LengthClass::Variable => {
-                if words.len() < 4 {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                let mut dma_bytes = [0u8; 8];
-                dma_bytes[..4].copy_from_slice(&words[1].to_be_bytes());
-                dma_bytes[4..].copy_from_slice(&words[2].to_be_bytes());
-                let dma = DmaCtrl::from_bytes(dma_bytes);
-                if dma.len == 0 || dma.len as usize > MAX_DMA_PAYLOAD {
-                    return Err(PacketError::BadDmaLen(dma.len));
-                }
-                let n = (dma.len as usize).div_ceil(WORD);
-                if words.len() != 3 + n {
-                    return Err(PacketError::BadSize(words.len() * WORD));
-                }
-                Ok(FrameView {
-                    ctrl,
-                    dma: Some(dma),
-                    payload: &words[3..],
-                })
-            }
-        }
+        let payload = &words[if dma.is_some() { 3 } else { 1 }..];
+        Ok(FrameView { ctrl, dma, payload })
     }
 
     /// Payload-bearing transmission words (control word included).
@@ -361,33 +346,30 @@ impl<'a> FrameView<'a> {
     }
 
     /// Materialize a [`MicroPacket`] — where a real NIU would DMA the
-    /// received frame into host memory.
+    /// received frame into host memory. [`FrameView::parse`] checked
+    /// the header, so the packet is well formed.
     pub fn to_packet(&self) -> MicroPacket {
-        match self.dma {
-            None => {
-                let mut p = [0u8; FIXED_PAYLOAD];
-                p[..4].copy_from_slice(&self.payload[0].to_be_bytes());
-                p[4..].copy_from_slice(&self.payload[1].to_be_bytes());
-                #[expect(
-                    clippy::expect_used,
-                    reason = "parse validated the type class, so rebuilding the fixed packet is total"
-                )]
-                MicroPacket::new(self.ctrl, Body::Fixed(p)).expect("parsed frame")
-            }
-            Some(dma) => {
-                let mut data = [0u8; MAX_DMA_PAYLOAD];
-                for (w, chunk) in self.payload.iter().zip(data.chunks_exact_mut(WORD)) {
-                    chunk.copy_from_slice(&w.to_be_bytes());
-                }
-                #[expect(
-                    clippy::expect_used,
-                    reason = "parse validated the class and the DMA length, so rebuilding the packet is total"
-                )]
-                MicroPacket::new(self.ctrl, Body::Variable { ctrl: dma, data })
-                    .expect("parsed frame")
-            }
+        let body = match self.dma {
+            None => Body::Fixed(words_to_bytes(self.payload)),
+            Some(dma) => Body::Variable {
+                ctrl: dma,
+                data: words_to_bytes(self.payload),
+            },
+        };
+        MicroPacket {
+            ctrl: self.ctrl,
+            body,
         }
     }
+}
+
+/// The big-endian bytes of `words`, zero-filled to `N`.
+fn words_to_bytes<const N: usize>(words: &[u32]) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (w, chunk) in words.iter().zip(out.chunks_exact_mut(WORD)) {
+        chunk.copy_from_slice(&w.to_be_bytes());
+    }
+    out
 }
 
 #[cfg(test)]
@@ -633,7 +615,7 @@ mod tests {
     #[test]
     fn fixed_payload_accessor() {
         let p = fixed(PacketType::Data);
-        assert_eq!(p.fixed_payload(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(p.fixed_payload(), Some(&[1, 2, 3, 4, 5, 6, 7, 8]));
         assert!(p.dma_payload().is_none());
     }
 }

@@ -104,7 +104,7 @@ const _: () = assert!(std::mem::size_of::<WireFrame>() == 16);
 
 impl WireFrame {
     /// Store `pkt` into `arena` — the *single* copy of a packet's
-    /// life, at its source — and describe it.
+    /// life, at its source — and describe it. `pkt` must be well formed.
     pub fn insert(arena: &mut FrameArena, pkt: &MicroPacket) -> WireFrame {
         WireFrame {
             ctrl: pkt.ctrl,
@@ -115,12 +115,13 @@ impl WireFrame {
     }
 
     /// Describe an already-pooled frame from its header fields, read
-    /// in place (generation-checked, nothing parsed).
+    /// in place (generation-checked, nothing parsed). A pooled packet
+    /// is well formed (see [`FrameArena::try_insert`]), so its sizes
+    /// fit their `u8` fields.
     pub fn of(arena: &FrameArena, frame: FrameRef) -> WireFrame {
         let (ctrl, dma) = arena.header(frame);
         // Control word + DMA control + ceil(len/4) payload words, or
         // control word + two fixed payload words; SOF/EOF on top.
-        // A stored packet is valid, so `len` is at most 64.
         let (body_words, payload_bytes) = match dma {
             Some(d) => (3 + d.len.div_ceil(WORD as u16) as u8, d.len as u8),
             None => (3, FIXED_PAYLOAD as u8),

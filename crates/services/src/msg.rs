@@ -13,7 +13,7 @@
 //! fragment index`. Fragment 0 carries an 8-byte header: total length
 //! (u32) + CRC-32 of the payload.
 
-use ampnet_packet::{build, DmaCtrl, MicroPacket, PacketType, MAX_DMA_PAYLOAD};
+use ampnet_packet::{build, Body, DmaCtrl, MicroPacket, MAX_DMA_PAYLOAD};
 use ampnet_phy::crc32;
 use ampnet_telemetry::{defs, CounterHandle, Telemetry};
 
@@ -233,25 +233,25 @@ impl MsgRx {
         self.stats
     }
 
-    /// Is this packet message traffic?
+    /// Is this well-formed packet message traffic: a DMA cell into the
+    /// message region?
     pub fn is_message(pkt: &MicroPacket) -> bool {
-        pkt.ctrl.ptype == PacketType::Dma
-            && matches!(&pkt.body, ampnet_packet::Body::Variable { ctrl, .. } if ctrl.region == MSG_REGION)
+        matches!(&pkt.body, Body::Variable { ctrl, .. } if ctrl.region == MSG_REGION)
     }
 
-    /// Feed a packet; returns a datagram when one completes.
+    /// Feed a well-formed packet; returns a datagram when one completes.
     pub fn on_packet(&mut self, pkt: &MicroPacket) -> Option<Datagram> {
-        if !Self::is_message(pkt) {
-            return None;
-        }
-        let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body else {
+        let Body::Variable { ctrl, data } = &pkt.body else {
             return None;
         };
+        if ctrl.region != MSG_REGION {
+            return None;
+        }
         let src = pkt.ctrl.src;
         let stream = pkt.ctrl.tag;
         let id = (ctrl.offset >> 16) as u16;
         let frag = ctrl.offset & 0xFFFF;
-        let chunk = pkt.dma_payload().expect("variable body");
+        let chunk = &data[..ctrl.len as usize];
 
         let key = (src, id);
         // Invariant: a key that has a partial is never in its source's

@@ -25,8 +25,12 @@ fn main() {
     let mut c = booted(4, 7);
     let mut traffic = CellTraffic::new(7);
     for node in 0..4 {
-        traffic.poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 1.0);
-        traffic.poisson_at_load(&c, node, build::data_broadcast(node, 1, [0; 8]), 1.0);
+        traffic
+            .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 1.0)
+            .expect("well-formed cell");
+        traffic
+            .poisson_at_load(&c, node, build::data_broadcast(node, 1, [0; 8]), 1.0)
+            .expect("well-formed cell");
     }
     let before: Vec<Vec<u64>> = (0..4)
         .map(|n| c.mac(n).streams_ref().sent_bytes())
@@ -51,7 +55,9 @@ fn main() {
     let mut c = booted(8, 8);
     let mut traffic = CellTraffic::new(8);
     for node in 0..8 {
-        traffic.poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 2.0);
+        traffic
+            .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 2.0)
+            .expect("well-formed cell");
     }
     let window = SimDuration::from_millis(20);
     let delivered = |c: &Cluster| -> u64 {
