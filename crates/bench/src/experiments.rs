@@ -355,7 +355,8 @@ pub fn e5_seqlock(guarded: bool) -> Table {
             read_interval: SimDuration::from_micros(5),
             guarded,
             deadline: c.now() + SimDuration::from_millis(20),
-        });
+        })
+        .expect("the record fits region 0");
         c.run_for(SimDuration::from_millis(25));
         let r = c.seq_report().expect("probe ran");
         torn_total += r.torn;
@@ -718,7 +719,8 @@ pub fn e10_failover() -> Table {
                 data_len: 8,
             },
             deadline,
-        });
+        })
+        .expect("three members, two words in region 0");
         c.schedule_failure(
             c.now() + SimDuration::from_millis(10),
             Component::Node(NodeId(1)),

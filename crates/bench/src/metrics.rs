@@ -62,7 +62,8 @@ pub fn telemetry_exercise(seed: u64) -> TelemetryExercise {
         read_interval: SimDuration::from_micros(7),
         guarded: true,
         deadline,
-    });
+    })
+    .expect("the record fits region 0");
     cluster.start_sem_stress(SemStressConfig {
         addr: SemaphoreAddr { home: 0, region: 0, offset: 2048 },
         contenders: vec![1, 2, 3],
@@ -119,7 +120,9 @@ pub fn telemetry_exercise(seed: u64) -> TelemetryExercise {
                 continue;
             }
             if src % 2 == 0 {
-                cluster.cache_write(src, 0, 8192 + src as u32 * 64, &[step as u8; 16]);
+                cluster
+                    .cache_write(src, 0, 8192 + src as u32 * 64, &[step as u8; 16])
+                    .expect("the slot fits region 0");
             }
             for dst in 0..n {
                 if dst != src && cluster.node_online(dst) {
@@ -127,7 +130,9 @@ pub fn telemetry_exercise(seed: u64) -> TelemetryExercise {
                 }
             }
             if src % 2 == 1 {
-                cluster.cache_write(src, 0, 8192 + src as u32 * 64, &[step as u8; 16]);
+                cluster
+                    .cache_write(src, 0, 8192 + src as u32 * 64, &[step as u8; 16])
+                    .expect("the slot fits region 0");
             }
         }
         cluster.run_for(SimDuration::from_millis(1));

@@ -34,9 +34,9 @@ pub struct RecordLayout {
 }
 
 impl RecordLayout {
-    /// Total footprint: two u64 counters plus the data.
+    /// Total footprint: two u64 counters plus the data (saturating).
     pub fn footprint(&self) -> u32 {
-        8 + self.data_len + 8
+        self.data_len.saturating_add(16)
     }
 
     /// Byte offset of the payload (just past `counter₁`). Public so the
@@ -48,6 +48,16 @@ impl RecordLayout {
     /// Byte offset of `counter₂` (just past the payload).
     pub fn counter2_offset(&self) -> u32 {
         self.offset + 8 + self.data_len
+    }
+
+    /// Whether the whole record lies inside its region of `cache`, the
+    /// check [`write_record`], [`try_read`] and [`read_unguarded`] make
+    /// before they touch a byte; past it no offset above overflows.
+    pub fn check(&self, cache: &NetworkCache) -> Result<(), CacheError> {
+        let size = cache.region_size(self.region)?;
+        let (region, offset, len) = (self.region, self.offset, self.footprint());
+        let fits = u64::from(offset) + u64::from(self.data_len) + 16 <= u64::from(size);
+        fits.then_some(()).ok_or(CacheError::OutOfBounds { region, offset, len, size })
     }
 }
 
@@ -68,7 +78,8 @@ pub enum ReadOutcome<'a> {
 
 /// Write a record: bump counter₁, write data, write counter₂ — locally
 /// applied and returned as the broadcast packet sequence *in that
-/// order* (order is what makes remote replicas consistent).
+/// order* (order is what makes remote replicas consistent). A record
+/// outside its region, or `data` not its exact size, writes nothing.
 pub fn write_record(
     cache: &mut NetworkCache,
     layout: RecordLayout,
@@ -76,11 +87,10 @@ pub fn write_record(
     channel: u8,
     stream: u8,
 ) -> Result<Vec<MicroPacket>, CacheError> {
-    assert_eq!(
-        data.len() as u32,
-        layout.data_len,
-        "record write must cover the full data area"
-    );
+    layout.check(cache)?;
+    if data.len() != layout.data_len as usize {
+        return Err(CacheError::RecordLength { data_len: layout.data_len, got: data.len() });
+    }
     let generation = cache.read_u64(layout.region, layout.offset)? + 1;
     let mut pkts = Vec::new();
     pkts.extend(cache.write(
@@ -107,6 +117,7 @@ pub fn try_read(
     cache: &NetworkCache,
     layout: RecordLayout,
 ) -> Result<ReadOutcome<'_>, CacheError> {
+    layout.check(cache)?;
     let c1 = cache.read_u64(layout.region, layout.offset)?;
     let c2 = cache.read_u64(layout.region, layout.counter2_offset())?;
     if c1 != c2 {
@@ -133,6 +144,7 @@ pub fn read_unguarded(
     cache: &NetworkCache,
     layout: RecordLayout,
 ) -> Result<Vec<u8>, CacheError> {
+    layout.check(cache)?;
     Ok(cache
         .read(layout.region, layout.data_offset(), layout.data_len)?
         .into_owned())
@@ -245,9 +257,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "full data area")]
-    fn short_write_rejected() {
+    fn a_write_that_does_not_fit_is_refused_and_writes_nothing() {
         let (mut c, layout) = setup();
-        let _ = write_record(&mut c, layout, &[0u8; 10], 0, 0);
+        let short = write_record(&mut c, layout, &[0u8; 10], 0, 0);
+        assert_eq!(
+            short,
+            Err(CacheError::RecordLength {
+                data_len: 100,
+                got: 10
+            })
+        );
+        let past_end = RecordLayout {
+            offset: 4000,
+            ..layout
+        };
+        let refused = CacheError::OutOfBounds {
+            region: 1,
+            offset: 4000,
+            len: 116,
+            size: 4096,
+        };
+        assert_eq!(
+            write_record(&mut c, past_end, &[1; 100], 0, 0),
+            Err(refused.clone())
+        );
+        assert_eq!(try_read(&c, past_end), Err(refused.clone()));
+        assert_eq!(read_unguarded(&c, past_end), Err(refused));
+        let wrapping = RecordLayout {
+            offset: u32::MAX - 8,
+            ..layout
+        };
+        assert!(matches!(
+            try_read(&c, wrapping),
+            Err(CacheError::OutOfBounds { .. })
+        ));
+        assert_eq!(c.applied_writes(), 0);
+        assert_eq!(c.resident_bytes(), 0);
     }
 }

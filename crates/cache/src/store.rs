@@ -53,6 +53,13 @@ pub enum CacheError {
     },
     /// Region already defined.
     Exists(RegionId),
+    /// A seqlock record write whose data is not the record's size.
+    RecordLength {
+        /// The record's data area, bytes.
+        data_len: u32,
+        /// Bytes offered.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for CacheError {
@@ -69,6 +76,9 @@ impl std::fmt::Display for CacheError {
                 "access [{offset}, {offset}+{len}) out of bounds of region {region} (size {size})"
             ),
             CacheError::Exists(r) => write!(f, "region {r} already defined"),
+            CacheError::RecordLength { data_len, got } => {
+                write!(f, "record data is {data_len} bytes, not {got}")
+            }
         }
     }
 }

@@ -4,12 +4,11 @@
 
 use crate::harness::Harness;
 use crate::invariant::Phase;
-use crate::ledger::Ledger;
 use crate::scenario::{FaultEvent, FaultOp, Scenario, Traffic};
 use ampnet_core::{
-    BackoffPolicy, Cluster, Component, CounterAppConfig, FailoverPolicy, Features, JoinRequest,
-    NodeId, RecordLayout, RosterReason, SemStressConfig, SeqProbeConfig, SimDuration, SimTime,
-    SwitchId, Version,
+    BackoffPolicy, Cluster, Component, CounterAppConfig, Features, JoinRequest, NodeId,
+    RecordLayout, RosterReason, SemStressConfig, SeqProbeConfig, SimDuration, SimTime, SwitchId,
+    Version,
 };
 
 /// Cache offsets used by the engine's generators, chosen to coexist
@@ -117,11 +116,11 @@ impl Scenario {
         // queue order.
         let active = self.step.saturating_mul(self.steps as u64);
         let deadline = h.cluster.now() + active;
-        h.policy = start_apps(&mut h.cluster, self, deadline);
+        start_apps(&mut h, self, deadline);
         h.apply(self.faults());
 
         for step in 0..self.steps {
-            emit_traffic(&mut h.cluster, &mut h.ledger, self, step);
+            emit_traffic(&mut h, self, step);
             h.run_for(self.step);
             h.drain();
             h.doom_elapsed();
@@ -157,12 +156,12 @@ impl Scenario {
     }
 }
 
-/// Start the stateful traffic applications; returns the failover
-/// policy when a counter app is among them (for the invariants).
-fn start_apps(cluster: &mut Cluster, sc: &Scenario, deadline: SimTime) -> Option<FailoverPolicy> {
-    let mut policy = None;
+/// Start the stateful traffic applications, handing the invariants
+/// the failover policy when a counter app is among them.
+fn start_apps(h: &mut Harness, sc: &Scenario, deadline: SimTime) {
     for t in &sc.traffic {
-        match t {
+        let cluster = &mut h.cluster;
+        let refused = match t {
             Traffic::SemContention { addr, contenders, rounds } => {
                 cluster.start_sem_stress(SemStressConfig {
                     addr: *addr,
@@ -171,9 +170,10 @@ fn start_apps(cluster: &mut Cluster, sc: &Scenario, deadline: SimTime) -> Option
                     crit: SimDuration::from_micros(30),
                     backoff: BackoffPolicy::default(),
                 });
+                None
             }
             Traffic::SeqlockProbe { writer, readers, layout } => {
-                cluster.start_seqlock_probe(SeqProbeConfig {
+                let started = cluster.start_seqlock_probe(SeqProbeConfig {
                     writer: *writer,
                     readers: readers.clone(),
                     layout: *layout,
@@ -182,27 +182,31 @@ fn start_apps(cluster: &mut Cluster, sc: &Scenario, deadline: SimTime) -> Option
                     guarded: true,
                     deadline,
                 });
+                started.err().map(|e| format!("seqlock probe refused: {e}"))
             }
             Traffic::CounterFailover { members, policy: p, region } => {
-                policy = Some(*p);
+                h.policy = Some(*p);
                 let word = |offset| RecordLayout { region: *region, offset, data_len: 8 };
-                cluster.start_counter_app(CounterAppConfig {
+                let started = cluster.start_counter_app(CounterAppConfig {
                     members: members.clone(),
                     policy: *p,
                     counter_layout: word(COUNTER_OFFSET),
                     heartbeat_layout: word(HEARTBEAT_OFFSET),
                     deadline,
                 });
+                started.err().map(|e| format!("counter app refused: {e:?}"))
             }
-            Traffic::AllToAll { .. } | Traffic::PingPong { .. } | Traffic::CacheStorm { .. } => {}
+            Traffic::AllToAll { .. } | Traffic::PingPong { .. } | Traffic::CacheStorm { .. } => None,
+        };
+        if let Some(detail) = refused {
+            h.refused(0, detail);
         }
     }
-    policy
 }
 
 /// Schedule a fault list against a cluster, offsets relative to *now*;
 /// returns node-crash instants in time order so the caller can doom a
-/// crashed endpoint's pending traffic in its [`Ledger`].
+/// crashed endpoint's pending traffic in its [`Ledger`](crate::Ledger).
 ///
 /// This is the scenario engine's own scheduling path, exposed so other
 /// drivers (the `ampnet-load` workload engine) compose the same
@@ -290,7 +294,9 @@ fn resolve_element(cluster: &Cluster, k: u32) -> Option<Component> {
 
 /// Inject one step of stateless traffic. Endpoints that are offline
 /// at emit time are skipped — their guarantees died with them.
-fn emit_traffic(cluster: &mut Cluster, ledger: &mut Ledger, sc: &Scenario, step: u32) {
+fn emit_traffic(h: &mut Harness, sc: &Scenario, step: u32) {
+    let Harness { cluster, ledger, .. } = h;
+    let mut refused = None;
     let n = sc.cfg.n_nodes as u8;
     let mut send = |cluster: &mut Cluster, src: u8, dst: u8, stream: u8| {
         if cluster.node_online(src) && cluster.node_online(dst) {
@@ -324,13 +330,18 @@ fn emit_traffic(cluster: &mut Cluster, ledger: &mut Ledger, sc: &Scenario, step:
                             .wrapping_add(i as u8);
                     }
                     let offset = STORM_BASE + node as u32 * STORM_STRIDE;
-                    cluster.cache_write(node, *region, offset, &data);
+                    if let Err(e) = cluster.cache_write(node, *region, offset, &data) {
+                        refused.get_or_insert(format!("cache storm write at {node} refused: {e}"));
+                    }
                 }
             }
             Traffic::SemContention { .. }
             | Traffic::SeqlockProbe { .. }
             | Traffic::CounterFailover { .. } => {} // self-driving apps
         }
+    }
+    if let Some(detail) = refused {
+        h.refused(step, detail);
     }
 }
 
@@ -389,6 +400,31 @@ mod tests {
         // Everything not touching node 4 was delivered.
         assert_eq!(report.sent, report.delivered + report.doomed);
         assert!(report.doomed > 0, "the victim had traffic in flight");
+    }
+
+    /// Region 0 is too small for the storm's slots (from 8192) and the
+    /// probe's record (at 1024): the cluster refuses both, and the run
+    /// reports it once instead of passing on traffic it never carried.
+    /// An empty semaphore set contends for nothing.
+    #[test]
+    fn traffic_the_cluster_refuses_fails_the_run() {
+        let report = Scenario::builder(ClusterConfig::small(4).with_regions(vec![(0, 1024)]))
+            .traffic(Traffic::cache_storm())
+            .traffic(Traffic::seqlock(0, vec![1]))
+            .traffic(Traffic::semaphores(vec![], 3))
+            .steps(3)
+            .standard_invariants()
+            .build()
+            .run();
+        let refused: Vec<_> = report
+            .violations
+            .iter()
+            .map(|v| (v.invariant, v.step))
+            .collect();
+        assert_eq!(refused, [("traffic-accepted", 0)], "{}", report.summary());
+        assert!(report.violations[0]
+            .detail
+            .contains("seqlock probe refused"));
     }
 
     #[test]

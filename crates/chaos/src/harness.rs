@@ -105,6 +105,15 @@ impl Harness {
         }
     }
 
+    /// The cluster refused the driver's own traffic, so the run cannot
+    /// pass: reported once, as a `traffic-accepted` violation.
+    pub(crate) fn refused(&mut self, step: u32, detail: String) {
+        if !self.violations.iter().any(|v| v.invariant == "traffic-accepted") {
+            let (invariant, at) = ("traffic-accepted", self.cluster.now());
+            self.violations.push(Violation { invariant, at, step, detail });
+        }
+    }
+
     /// Violations so far, in trip order.
     pub fn violations(&self) -> &[Violation] {
         &self.violations

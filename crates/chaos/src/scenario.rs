@@ -142,13 +142,9 @@ impl Traffic {
     }
 
     /// Semaphore contention among `contenders` (semaphore homed on the
-    /// first contender, region 0).
+    /// first contender, region 0). An empty set contends for nothing.
     pub fn semaphores(contenders: Vec<u8>, rounds: u32) -> Traffic {
-        #[expect(
-            clippy::expect_used,
-            reason = "the builder rejects empty contender sets at construction"
-        )]
-        let home = *contenders.first().expect("contenders required");
+        let home = contenders.first().copied().unwrap_or_default();
         Traffic::SemContention {
             addr: SemaphoreAddr { home, region: 0, offset: 2048 },
             contenders,

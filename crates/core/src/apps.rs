@@ -19,10 +19,8 @@
 use crate::cluster::{Cluster, Ev};
 use crate::observe::ObservedEvent;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
-use ampnet_cache::{
-    BackoffPolicy, LockState, SemaphoreAction, SemaphoreAddr, SemaphoreClient,
-};
-use ampnet_dk::{ControlGroup, FailoverEngine, FailoverPolicy, FailoverReport, GroupId};
+use ampnet_cache::{BackoffPolicy, CacheError, LockState, SemaphoreAction, SemaphoreAddr, SemaphoreClient};
+use ampnet_dk::{ControlGroup, FailoverEngine, FailoverPolicy, FailoverReport, GroupError, GroupId};
 use ampnet_packet::MicroPacket;
 use ampnet_sim::{Histogram, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -50,6 +48,15 @@ pub struct CounterAppConfig {
     pub heartbeat_layout: RecordLayout,
     /// Stop issuing increments at this instant.
     pub deadline: SimTime,
+}
+
+/// Why [`Cluster::start_counter_app`] refused its configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CounterAppError {
+    /// A member listed twice, or no member at all.
+    Group(GroupError),
+    /// A record outside its region, or not one 8-byte word.
+    Layout(CacheError),
 }
 
 /// Result of one completed failover inside the app.
@@ -95,18 +102,22 @@ pub(crate) struct CounterApp {
 }
 
 impl Cluster {
-    /// Start the replicated-counter failover application.
-    pub fn start_counter_app(&mut self, cfg: CounterAppConfig) {
+    /// Start the replicated-counter failover application; a member list
+    /// or record it cannot run with is refused, and nothing starts.
+    pub fn start_counter_app(&mut self, cfg: CounterAppConfig) -> Result<(), CounterAppError> {
         let mut group = ControlGroup::new(GroupId(1));
         for &(node, q) in &cfg.members {
-            #[expect(clippy::expect_used, reason = "each node joins exactly once in this boot loop")]
-            group.join(node, q).expect("distinct members");
+            group.join(node, q).map_err(CounterAppError::Group)?;
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "the group was populated by the joins directly above"
-        )]
-        let leader = group.leader().expect("non-empty group").node;
+        let leader = group.leader().ok_or(CounterAppError::Group(GroupError::Empty))?.node;
+        for layout in [cfg.counter_layout, cfg.heartbeat_layout] {
+            layout.check(&self.nodes[leader as usize].cache).map_err(CounterAppError::Layout)?;
+            // Each record holds one `u64`.
+            if layout.data_len != 8 {
+                let not_a_word = CacheError::RecordLength { data_len: layout.data_len, got: 8 };
+                return Err(CounterAppError::Layout(not_a_word));
+            }
+        }
         let now = self.now();
         let engines = cfg
             .members
@@ -129,6 +140,7 @@ impl Cluster {
             leader_pending: VecDeque::new(),
             resumes: vec![],
         });
+        Ok(())
     }
 
     /// Collect the counter app's report (valid once traffic quiesced).
@@ -139,16 +151,7 @@ impl Cluster {
             .members
             .iter()
             .filter(|&&(node, _)| self.node_online(node))
-            .map(|&(node, _)| {
-                let v = self
-                    .cache(node)
-                    .read_u64(
-                        app.cfg.counter_layout.region,
-                        app.cfg.counter_layout.offset + 8,
-                    )
-                    .unwrap_or(0);
-                (node, v)
-            })
+            .map(|&(node, _)| (node, app.value_at(self, node)))
             .collect();
         Some(CounterAppReport {
             increments_issued: app.increments_issued,
@@ -156,6 +159,19 @@ impl Cluster {
             resumes: app.resumes.clone(),
             final_values,
         })
+    }
+}
+
+impl CounterApp {
+    /// The counter in `node`'s replica (its record was checked at start).
+    fn value_at(&self, cluster: &Cluster, node: u8) -> u64 {
+        let layout = self.cfg.counter_layout;
+        cluster.cache(node).read_u64(layout.region, layout.data_offset()).unwrap_or(0)
+    }
+
+    /// `node`'s failover engine (members are distinct: checked at start).
+    fn engine(&mut self, node: u8) -> Option<&mut FailoverEngine> {
+        self.engines.iter_mut().find(|(n, _)| *n == node).map(|(_, e)| e)
     }
 }
 
@@ -182,31 +198,21 @@ pub(crate) fn on_counter_tick(cluster: &mut Cluster) {
         if cluster.node_online(leader) {
             if now < app.cfg.deadline {
                 // Increment the replicated counter.
-                let v = cluster
-                    .cache(leader)
-                    .read_u64(app.cfg.counter_layout.region, app.cfg.counter_layout.offset + 8)
-                    .unwrap_or(0)
-                    + 1;
+                let v = app.value_at(cluster, leader) + 1;
                 app.increments_issued += 1;
                 // record_write broadcasts 3 packets; tag the data one.
-                app.leader_pending.push_back(None);
-                app.leader_pending.push_back(Some(v));
-                app.leader_pending.push_back(None);
-                cluster.record_write(leader, app.cfg.counter_layout, &v.to_be_bytes());
+                // Both records were checked at start: none is refused.
+                app.leader_pending.extend([None, Some(v), None]);
+                let _ = cluster.record_write(leader, app.cfg.counter_layout, &v.to_be_bytes());
             }
             // Heartbeat record carries the tick time; heartbeats
             // continue through the horizon.
             app.leader_pending.extend([None, None, None]);
-            cluster.record_write(
-                leader,
-                app.cfg.heartbeat_layout,
-                &now.as_nanos().to_be_bytes(),
-            );
+            let beat = now.as_nanos().to_be_bytes();
+            let _ = cluster.record_write(leader, app.cfg.heartbeat_layout, &beat);
             // Feed the leader's own engine (it sees itself alive).
-            for (node, e) in &mut app.engines {
-                if *node == leader {
-                    e.on_heartbeat(now, leader);
-                }
+            if let Some(e) = app.engine(leader) {
+                e.on_heartbeat(now, leader);
             }
         }
     }
@@ -219,18 +225,9 @@ pub(crate) fn on_failover_poll(cluster: &mut Cluster, node: u8) {
         return;
     };
     if cluster.node_online(node) {
-        let group = &app.group;
-        let mut became_leader: Option<FailoverReport> = None;
-        for (n, e) in &mut app.engines {
-            if *n == node {
-                if let Some(report) = e.poll(now, group) {
-                    if report.new_leader == node {
-                        became_leader = Some(report);
-                    }
-                }
-            }
-        }
-        if let Some(report) = became_leader {
+        let engine = app.engines.iter_mut().find(|(n, _)| *n == node);
+        let polled = engine.and_then(|(_, e)| e.poll(now, &app.group));
+        if let Some(report) = polled.filter(|r| r.new_leader == node) {
             cluster.observe(ObservedEvent::FailoverTakeover {
                 node,
                 group: app.group.id,
@@ -239,10 +236,7 @@ pub(crate) fn on_failover_poll(cluster: &mut Cluster, node: u8) {
             app.leader = node;
             app.leader_pending.clear();
             // Recovery rule: resume from the local replica.
-            let resume_value = cluster
-                .cache(node)
-                .read_u64(app.cfg.counter_layout.region, app.cfg.counter_layout.offset + 8)
-                .unwrap_or(0);
+            let resume_value = app.value_at(cluster, node);
             let lost = app.committed.saturating_sub(resume_value);
             app.resumes.push(ResumeRecord {
                 new_leader: node,
@@ -276,12 +270,8 @@ pub(crate) fn on_cache_update(cluster: &mut Cluster, node: u8, pkt: &MicroPacket
     if let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body {
         let is_heartbeat =
             ctrl.region == hb.region && ctrl.offset == hb.offset + 8 && pkt.ctrl.src == app.leader;
-        if is_heartbeat {
-            for (n, e) in &mut app.engines {
-                if *n == node {
-                    e.on_heartbeat(now, pkt.ctrl.src);
-                }
-            }
+        if let Some(e) = app.engine(node).filter(|_| is_heartbeat) {
+            e.on_heartbeat(now, pkt.ctrl.src);
         }
     }
 }
@@ -321,10 +311,6 @@ pub(crate) fn on_node_online(cluster: &mut Cluster, node: u8) {
     if let Some(app) = cluster.apps.counter.as_mut() {
         app.group.mark_online(node);
     }
-}
-
-pub(crate) fn on_ring_restored(_cluster: &mut Cluster) {
-    // Traffic replay is handled by the cluster core; apps keep going.
 }
 
 // ===================== network semaphore stress =====================
@@ -531,8 +517,9 @@ pub(crate) struct SeqProbe {
 }
 
 impl Cluster {
-    /// Start the seqlock probe application.
-    pub fn start_seqlock_probe(&mut self, cfg: SeqProbeConfig) {
+    /// Start the seqlock probe; a record outside its region is refused.
+    pub fn start_seqlock_probe(&mut self, cfg: SeqProbeConfig) -> Result<(), CacheError> {
+        cfg.layout.check(&self.nodes[cfg.writer as usize].cache)?;
         self.sim.schedule_in(cfg.write_interval, Ev::SeqWriterTick);
         for &r in &cfg.readers {
             self.sim
@@ -543,6 +530,7 @@ impl Cluster {
             generation: 0,
             report: SeqProbeReport::default(),
         });
+        Ok(())
     }
 
     /// Collect the probe report.
@@ -561,7 +549,8 @@ pub(crate) fn on_seq_writer_tick(cluster: &mut Cluster) {
         app.report.writes += 1;
         let pattern = (app.generation % 251 + 1) as u8;
         let data = vec![pattern; app.cfg.layout.data_len as usize];
-        cluster.record_write(app.cfg.writer, app.cfg.layout, &data);
+        // The record was checked at start and `data` fills it.
+        let _ = cluster.record_write(app.cfg.writer, app.cfg.layout, &data);
         cluster
             .sim
             .schedule_in(app.cfg.write_interval, Ev::SeqWriterTick);
@@ -585,35 +574,30 @@ pub(crate) fn on_seq_reader_tick(cluster: &mut Cluster, node: u8) {
         return;
     };
     if now < app.cfg.deadline {
-        if app.cfg.guarded {
-            match cluster.record_try_read(node, app.cfg.layout) {
-                ReadOutcome::Ok { data, .. } => {
-                    app.report.reads_ok += 1;
-                    if !uniform(&data) {
-                        app.report.torn += 1;
-                    }
-                }
-                ReadOutcome::Busy => {
-                    app.report.reads_busy += 1;
-                    cluster.tel.seqlock_busy(
-                        now,
-                        node,
-                        app.cfg.layout.region,
-                        app.cfg.layout.offset,
-                    );
-                }
-            }
+        let read = if app.cfg.guarded {
+            cluster.record_try_read(node, app.cfg.layout)
         } else {
-            #[expect(
-                clippy::expect_used,
-                reason = "layout was validated when the counter app was configured"
-            )]
-            let data = seqlock_msg::read_unguarded(cluster.cache(node), app.cfg.layout)
-                .expect("valid layout");
-            app.report.reads_ok += 1;
-            if !uniform(&data) {
-                app.report.torn += 1;
+            seqlock_msg::read_unguarded(cluster.cache(node), app.cfg.layout)
+                .map(|data| ReadOutcome::Ok { data: data.into(), generation: 0 })
+        };
+        // The record was checked at start, so no read is refused.
+        match read {
+            Ok(ReadOutcome::Ok { data, .. }) => {
+                app.report.reads_ok += 1;
+                if !uniform(&data) {
+                    app.report.torn += 1;
+                }
             }
+            Ok(ReadOutcome::Busy) => {
+                app.report.reads_busy += 1;
+                cluster.tel.seqlock_busy(
+                    now,
+                    node,
+                    app.cfg.layout.region,
+                    app.cfg.layout.offset,
+                );
+            }
+            Err(_) => {}
         }
         cluster
             .sim

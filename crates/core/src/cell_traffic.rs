@@ -126,7 +126,7 @@ impl CellTraffic {
             if let Body::Fixed(payload) = &mut cell.body {
                 *payload = self.seq.to_be_bytes();
             }
-            cluster.send_own(g.node, [cell]);
+            cluster.queue_cell(g.node, cell);
             g.sent += 1;
             let gap = self.rng.exponential(g.mean_gap_ns as f64);
             g.next = Some(at + SimDuration::from_nanos(gap.round() as u64));
@@ -321,6 +321,29 @@ mod tests {
             let sent = c.mac(node).streams_ref().sent_packets();
             assert!(sent[0] > 100 && sent[1] > 100, "node {node}: {sent:?}");
             assert!(c.pop_cell(node).is_none(), "node {node}: cells emptied");
+        }
+    }
+
+    /// Every node offers its cache update at half the ring's capacity
+    /// for 1 ms: once the ring is quiet, each replica, the senders'
+    /// own included, holds every node's 64 bytes.
+    #[test]
+    fn cache_updates_reach_the_senders_own_replica() {
+        let mut c = booted(4, 6);
+        let mut traffic = CellTraffic::new(6);
+        for node in 0..4u8 {
+            traffic
+                .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 0.5)
+                .unwrap();
+        }
+        traffic.run_discarding(&mut c, SimDuration::from_millis(1));
+        c.run_for(SimDuration::from_millis(1));
+        assert!(c.caches_converged());
+        for replica in 0..4u8 {
+            for node in 1..4u8 {
+                let bytes = c.cache(replica).read(0, 64 * node as u32, 64).unwrap();
+                assert_eq!(bytes[..], [node; 64], "node {node}'s update at {replica}");
+            }
         }
     }
 

@@ -20,12 +20,13 @@ use crate::config::ClusterConfig;
 use crate::observe::{ObservedEvent, Trace};
 use crate::telemetry::CoreTelemetry;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
-use ampnet_cache::{NetworkCache, SemaphoreClient};
+use ampnet_cache::{CacheError, NetworkCache, SemaphoreClient};
 use ampnet_dk::{AssimilationFailure, JoinRequest};
 use ampnet_packet::build::{self, InterruptPayload};
-use ampnet_packet::{FrameArena, FrameRef, MicroPacket, PacketError, FIXED_PAYLOAD};
+use ampnet_packet::{FrameArena, FrameRef, MicroPacket, PacketError, BROADCAST, FIXED_PAYLOAD};
 use ampnet_ring::{NodeStack, RegisterMac, RingMeters, SerialPhy};
 use ampnet_roster::{initial_rostering, RosterOutcome};
+use ampnet_services::mpi::Rank;
 use ampnet_services::msg::{Datagram, MsgRx, MsgTx};
 use ampnet_services::socket::{AmpIp, Received, SockAddr, SocketError};
 use ampnet_services::files::{FileError, FileStore};
@@ -83,8 +84,8 @@ pub(crate) struct NodeCtx {
     pub(crate) cells: VecDeque<DataCell>,
     pub(crate) interrupts: VecDeque<InterruptPayload>,
     pub(crate) sem: Option<SemaphoreClient>,
-    /// Collective rank engine (enabled by `enable_collectives`).
-    pub(crate) rank: Option<ampnet_services::mpi::Rank>,
+    /// Collective rank engine (rank = node id); empty until used.
+    pub(crate) rank: Rank,
     /// AmpIP datagram socket endpoint.
     pub(crate) ampip: AmpIp,
     /// Monotonic counter of semaphore sends; stale retransmission
@@ -268,7 +269,7 @@ impl Cluster {
                     cells: VecDeque::new(),
                     interrupts: VecDeque::new(),
                     sem: None,
-                    rank: None,
+                    rank: Rank::new(i as u8, cfg.n_nodes as u8),
                     ampip: AmpIp::new(i as u8),
                     sem_seq: 0,
                     outstanding: VecDeque::new(),
@@ -277,7 +278,7 @@ impl Cluster {
             })
             .collect();
         let mut sim = Sim::new(cfg.seed);
-        #[expect(clippy::expect_used, reason = "ClusterConfig guarantees at least one node")]
+        #[expect(clippy::expect_used, reason = "Plant::new asserts ≥ 1 node, and all start alive")]
         let boot = initial_rostering(&topo, &cfg.timing.roster).expect("nodes exist");
         sim.schedule_at(boot.completed_at, Ev::RingRestored { epoch: 1 });
         let n = cfg.n_nodes;
@@ -521,10 +522,22 @@ impl Cluster {
     /// queues its own traffic (on stream `tag % n_streams`, or ahead of
     /// the streams if urgent). The door for arbitrary packets: a cell
     /// that fails [`MicroPacket::check`] is refused, and nothing stored.
+    /// A broadcast DMA cell updates `node`'s own replica as it is
+    /// queued, as [`Cluster::cache_write`] does.
     pub fn send_cell(&mut self, node: u8, cell: MicroPacket) -> Result<(), PacketError> {
         cell.check()?;
-        self.send_own(node, [cell]);
+        self.queue_cell(node, cell);
         Ok(())
+    }
+
+    /// Queue a well-formed cell at `node` (`send_cell` past its check,
+    /// and `CellTraffic`). A source strips its own broadcast unread, so
+    /// its replica takes a DMA cell here, tolerant as the receivers are.
+    pub(crate) fn queue_cell(&mut self, node: u8, cell: MicroPacket) {
+        if cell.ctrl.dst == BROADCAST {
+            let _ = self.nodes[node as usize].cache.apply_packet(&cell);
+        }
+        self.send_own(node, [cell]);
     }
 
     /// Pop the next reassembled datagram delivered at `node`. Raw
@@ -604,8 +617,8 @@ impl Cluster {
         })
     }
 
-    /// Enable AmpThreads: the task table lives in `region` (must be a
-    /// configured cache region of at least `slots × 16` bytes); thread
+    /// Enable AmpThreads: the task table lives in `region`, a
+    /// configured cache region of at least `slots × 16` bytes; thread
     /// doorbell interrupts then execute automatically at their target.
     pub fn enable_threads(&mut self, region: u8, slots: u32) {
         self.task_table = Some(TaskTable { region, slots });
@@ -613,9 +626,10 @@ impl Cluster {
 
     /// Submit a remote task: writes the replicated task entry and
     /// rings the target's doorbell. Collect with
-    /// [`Cluster::collect_remote`]. Returns `false` (submitting
-    /// nothing) when the slot still holds a pending or uncollected
-    /// task — callers pick another slot or retry after collecting.
+    /// [`Cluster::collect_remote`]. Submits nothing on an error:
+    /// `SlotBusy` while the slot holds a pending or uncollected task,
+    /// `NoTable` before [`Cluster::enable_threads`], `Cache` for a slot
+    /// outside the table's region or an undefined region.
     pub fn spawn_remote(
         &mut self,
         submitter: u8,
@@ -623,36 +637,24 @@ impl Cluster {
         kind: TaskKind,
         target: u8,
         arg: u32,
-    ) -> bool {
-        #[expect(
-            clippy::expect_used,
-            reason = "public task entry points are documented as gated on enable_threads"
-        )]
-        let table = self.task_table.expect("enable_threads first");
+    ) -> Result<(), TaskError> {
+        let table = self.task_table.ok_or(TaskError::NoTable)?;
         let (pkts, doorbell) =
-            match table.submit(&mut self.nodes[submitter as usize].cache, slot, kind, target, arg)
-            {
-                Ok(out) => out,
-                Err(TaskError::SlotBusy) => return false,
-                #[expect(
-                    clippy::panic,
-                    reason = "a misconfigured task-table region is a harness bug, not a protocol state; fail loud"
-                )]
-                Err(TaskError::Cache(e)) => panic!("task table region configured: {e}"),
-            };
+            table.submit(&mut self.nodes[submitter as usize].cache, slot, kind, target, arg)?;
         self.send_own(submitter, pkts.into_iter().chain([doorbell]));
-        true
+        Ok(())
     }
 
     /// Collect a finished remote task's result at `node` (frees the
-    /// slot network-wide). `None` while still pending.
-    pub fn collect_remote(&mut self, node: u8, slot: u32) -> Option<u32> {
-        let table = self.task_table?;
-        let (result, pkts) = table
-            .collect(&mut self.nodes[node as usize].cache, slot)
-            .ok()??;
-        self.send_own(node, pkts);
-        Some(result)
+    /// slot network-wide). `Ok(None)` while still pending; the errors
+    /// of [`Cluster::spawn_remote`] otherwise.
+    pub fn collect_remote(&mut self, node: u8, slot: u32) -> Result<Option<u32>, TaskError> {
+        let table = self.task_table.ok_or(TaskError::NoTable)?;
+        let done = table.collect(&mut self.nodes[node as usize].cache, slot)?;
+        Ok(done.map(|(result, pkts)| {
+            self.send_own(node, pkts);
+            result
+        }))
     }
 
     /// Bind an AmpIP port at `node`.
@@ -698,17 +700,18 @@ impl Cluster {
     }
 
     /// Write to the network cache at `node`; the update replicates to
-    /// every online node via broadcast DMA MicroPackets.
-    pub fn cache_write(&mut self, node: u8, region: u8, offset: u32, data: &[u8]) {
-        #[expect(
-            clippy::expect_used,
-            reason = "the write targets a region defined during setup, offset bounded by layout"
-        )]
-        let pkts = self.nodes[node as usize]
-            .cache
-            .write(region, offset, data, 1, 1)
-            .expect("valid cache write");
+    /// every online node via broadcast DMA MicroPackets. A write outside
+    /// a defined region is refused and changes no replica.
+    pub fn cache_write(
+        &mut self,
+        node: u8,
+        region: u8,
+        offset: u32,
+        data: &[u8],
+    ) -> Result<(), CacheError> {
+        let pkts = self.nodes[node as usize].cache.write(region, offset, data, 1, 1)?;
         self.send_own(node, pkts);
+        Ok(())
     }
 
     /// Write a file through an AmpFiles store handle at `node`; the
@@ -728,25 +731,27 @@ impl Cluster {
         Ok(())
     }
 
-    /// Write a seqlock record at `node` (slide 9 protocol).
-    pub fn record_write(&mut self, node: u8, layout: RecordLayout, data: &[u8]) {
-        #[expect(
-            clippy::expect_used,
-            reason = "record regions are defined at setup with fixed record sizes"
-        )]
+    /// Write a seqlock record at `node` (slide 9 protocol); a record
+    /// outside its region, or `data` not its size, changes no replica.
+    pub fn record_write(
+        &mut self,
+        node: u8,
+        layout: RecordLayout,
+        data: &[u8],
+    ) -> Result<(), CacheError> {
         let pkts =
-            seqlock_msg::write_record(&mut self.nodes[node as usize].cache, layout, data, 1, 1)
-                .expect("valid record write");
+            seqlock_msg::write_record(&mut self.nodes[node as usize].cache, layout, data, 1, 1)?;
         self.send_own(node, pkts);
+        Ok(())
     }
 
-    /// One local seqlock read attempt at `node`.
-    #[expect(
-        clippy::expect_used,
-        reason = "layout was validated when the record region was defined"
-    )]
-    pub fn record_try_read(&self, node: u8, layout: RecordLayout) -> ReadOutcome<'_> {
-        seqlock_msg::try_read(&self.nodes[node as usize].cache, layout).expect("valid layout")
+    /// One local seqlock read attempt at `node`; refused outside its region.
+    pub fn record_try_read(
+        &self,
+        node: u8,
+        layout: RecordLayout,
+    ) -> Result<ReadOutcome<'_>, CacheError> {
+        seqlock_msg::try_read(&self.nodes[node as usize].cache, layout)
     }
 
     // ----- fault injection scheduling -----
@@ -763,15 +768,13 @@ impl Cluster {
     }
 
     /// Schedule a switch/link repair (splice the fiber, power the
-    /// switch). Node repairs go through [`Cluster::schedule_join`] —
-    /// nodes must re-assimilate. If the repair lets a larger logical
-    /// ring exist, a roster episode rebuilds onto it.
+    /// switch). If the repair lets a larger logical ring exist, a
+    /// roster episode rebuilds onto it. A node is ignored: nodes
+    /// re-assimilate, through [`Cluster::schedule_join`].
     pub fn schedule_repair(&mut self, at: SimTime, c: Component) {
-        assert!(
-            !matches!(c, Component::Node(_)),
-            "node repairs must re-assimilate: use schedule_join"
-        );
-        self.sim.schedule_at(at, Ev::Repair(c));
+        if !matches!(c, Component::Node(_)) {
+            self.sim.schedule_at(at, Ev::Repair(c));
+        }
     }
 
     /// Schedule a phy-level bit-error burst on `node`'s receive fiber:
@@ -873,7 +876,7 @@ mod tests {
                 for &dst in online.iter().filter(|&&d| d != src) {
                     c.send_message(src, dst, 1, &[src; 32]);
                 }
-                c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]);
+                c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]).unwrap();
             }
             high = high.max(pending_high_water(&mut c, at(4 * step)));
         }

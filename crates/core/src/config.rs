@@ -72,7 +72,8 @@ pub enum PlantSpec {
 /// Full cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
-    /// Number of host nodes (2..=255).
+    /// Number of host nodes, 1..=255 (one is a ring of one); outside it
+    /// `Cluster::new` panics, in `Plant`'s constructor.
     pub n_nodes: usize,
     /// Redundant switches: 2 (dual) or 4 (quad) per slides 14–15.
     pub n_switches: usize,

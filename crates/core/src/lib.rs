@@ -53,7 +53,7 @@ mod transport;
 mod driver_agreement;
 
 pub use apps::{
-    CounterAppConfig, CounterAppReport, ResumeRecord, SemStressConfig, SemStressReport,
+    CounterAppConfig, CounterAppError, CounterAppReport, ResumeRecord, SemStressConfig, SemStressReport,
     SeqProbeConfig, SeqProbeReport,
 };
 pub use cell_traffic::CellTraffic;
@@ -74,9 +74,9 @@ pub use ampnet_services::threads::{TaskError, TaskKind};
 
 // Re-export the vocabulary types callers need.
 pub use ampnet_cache::seqlock_msg::{ReadOutcome, RecordLayout};
-pub use ampnet_cache::{BackoffPolicy, SemaphoreAddr};
+pub use ampnet_cache::{BackoffPolicy, CacheError, SemaphoreAddr};
 pub use ampnet_dk::{
-    FailoverPolicy, Features, JoinRequest, RecoveryRule, Version,
+    FailoverPolicy, Features, GroupError, JoinRequest, RecoveryRule, Version,
 };
 pub use ampnet_sim::{SimDuration, SimTime};
 pub use ampnet_telemetry::{MetricsSnapshot, Telemetry};

@@ -175,17 +175,14 @@ impl Cluster {
         }
         self.kick_all();
         self.start_certification();
-        crate::apps::on_ring_restored(self);
     }
 
     /// Restore a failed switch or fiber. A repair that would let a
     /// strictly larger ring exist (some node was excluded) triggers a
     /// roster episode to capture the capacity; otherwise it silently
-    /// returns the component to the spare pool.
+    /// returns the component to the spare pool. Never a node:
+    /// [`Cluster::schedule_repair`] schedules none.
     pub(crate) fn apply_repair(&mut self, c: Component) {
-        if matches!(c, Component::Node(_)) {
-            return;
-        }
         self.topo.restore(c);
         self.observe(ObservedEvent::RepairApplied(c));
         let best = self.topo.largest_ring();

@@ -238,7 +238,7 @@ impl Cluster {
             PacketType::Interrupt => {
                 if let Some(ip) = build::parse_interrupt(pkt) {
                     if ip.vector == THREAD_VECTOR && self.task_table.is_some() {
-                        self.on_thread_interrupt(node, ip.cookie as u32);
+                        self.try_thread_execute(node, ip.cookie as u32, 0);
                     } else {
                         self.nodes[i].interrupts.push_back(ip);
                     }
@@ -251,14 +251,10 @@ impl Cluster {
         }
     }
 
-    /// A THREAD_VECTOR doorbell arrived: run the task against this
-    /// node's replica and publish the result. The doorbell is an
-    /// urgent cell and can overtake the task-entry DMA packets, so a
-    /// miss re-checks after a short delay (bounded retries).
-    fn on_thread_interrupt(&mut self, node: u8, slot: u32) {
-        self.try_thread_execute(node, slot, 0);
-    }
-
+    /// A THREAD_VECTOR doorbell arrived (`tries` times): run the task
+    /// against this node's replica and publish the result. The doorbell
+    /// is an urgent cell and can overtake the task-entry DMA packets, so
+    /// a miss re-checks after a short delay (bounded retries).
     pub(crate) fn try_thread_execute(&mut self, node: u8, slot: u32, tries: u8) {
         let Some(table) = self.task_table else {
             return;
@@ -586,7 +582,7 @@ mod tests {
                     for &dst in online.iter().filter(|&&d| d != src) {
                         c.send_message(src, dst, 1, &[src; 32]);
                     }
-                    c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]);
+                    c.cache_write(src, 0, 64 * src as u32, &[step as u8; 64]).unwrap();
                 }
             }
             // A send from outside the loop while the burst is on the

@@ -1,9 +1,10 @@
 //! Cluster-level behaviour tests: the paper's scenarios end to end.
 
 use ampnet_core::{
-    CellTraffic, Cluster, ClusterConfig, Component, CounterAppConfig, FailoverPolicy, Features,
-    JoinRequest, NodeId, ReadOutcome, RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig,
-    SimDuration, SimTime, SwitchId, Version,
+    CacheError, CellTraffic, Cluster, ClusterConfig, Component, CounterAppConfig, CounterAppError,
+    FailoverPolicy, Features, GroupError, JoinRequest, NodeId, ObservedEvent, ReadOutcome,
+    RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig, SimDuration, SimTime, SwitchId,
+    TaskError, TaskKind, Version,
 };
 use ampnet_packet::{Body, ControlWord, DmaCtrl, MicroPacket, PacketError, PacketType, BROADCAST};
 
@@ -67,7 +68,8 @@ fn broadcast_message_reaches_all() {
 #[test]
 fn cache_writes_replicate_everywhere() {
     let mut c = booted(6, 5);
-    c.cache_write(3, 0, 512, b"shared management database");
+    c.cache_write(3, 0, 512, b"shared management database")
+        .unwrap();
     c.run_for(SimDuration::from_millis(1));
     for n in 0..6u8 {
         assert_eq!(
@@ -119,7 +121,7 @@ fn switch_failure_reroutes_without_losing_members() {
 fn cache_write_racing_failure_still_converges() {
     let mut c = booted(6, 8);
     // Issue a write and kill a node while its packets circulate.
-    c.cache_write(0, 0, 0, &vec![0xEE; 600]);
+    c.cache_write(0, 0, 0, &vec![0xEE; 600]).unwrap();
     c.schedule_failure(
         c.now() + SimDuration::from_micros(5),
         Component::Node(NodeId(3)),
@@ -159,7 +161,7 @@ fn node_rejoin_after_assimilation() {
     c.run_for(SimDuration::from_millis(10));
     assert_eq!(c.ring().len(), 4);
     // Write state while node 2 is away.
-    c.cache_write(0, 0, 100, b"written while away");
+    c.cache_write(0, 0, 100, b"written while away").unwrap();
     c.run_for(SimDuration::from_millis(1));
 
     c.schedule_join(c.now(), 2, compatible_join(2));
@@ -205,7 +207,8 @@ fn seqlock_probe_no_torn_reads() {
         read_interval: SimDuration::from_micros(7),
         guarded: true,
         deadline: c.now() + SimDuration::from_millis(5),
-    });
+    })
+    .unwrap();
     c.run_for(SimDuration::from_millis(6));
     let r = c.seq_report().unwrap();
     assert!(r.writes > 100);
@@ -229,7 +232,8 @@ fn unguarded_reads_tear_under_write_load() {
         read_interval: SimDuration::from_micros(3),
         guarded: false,
         deadline: c.now() + SimDuration::from_millis(10),
-    });
+    })
+    .unwrap();
     c.run_for(SimDuration::from_millis(12));
     let r = c.seq_report().unwrap();
     assert!(
@@ -313,7 +317,8 @@ fn counter_app(deadline: SimTime) -> CounterAppConfig {
 #[test]
 fn counter_app_failover_no_data_loss() {
     let mut c = booted(6, 15);
-    c.start_counter_app(counter_app(c.now() + SimDuration::from_millis(30)));
+    c.start_counter_app(counter_app(c.now() + SimDuration::from_millis(30)))
+        .unwrap();
     // Kill the initial leader (node 1, qualification 90) mid-run.
     c.schedule_failure(
         c.now() + SimDuration::from_millis(8),
@@ -346,7 +351,7 @@ fn rejoined_member_regains_control() {
     let mut c = booted(6, 15);
     let t0 = c.now();
     let at = |ms| t0 + SimDuration::from_millis(ms);
-    c.start_counter_app(counter_app(at(420)));
+    c.start_counter_app(counter_app(at(420))).unwrap();
     c.schedule_failure(at(8), Component::Node(NodeId(1)));
     c.schedule_join(at(20), 1, compatible_join(1)); // online ≈ +91 ms
     c.schedule_failure(at(150), Component::Node(NodeId(3)));
@@ -412,9 +417,9 @@ fn seqlock_read_api_works_quiescent() {
     };
     let mut data = vec![7u8; 16];
     data[0] = 1;
-    c.record_write(0, layout, &data);
+    c.record_write(0, layout, &data).unwrap();
     c.run_for(SimDuration::from_millis(1));
-    match c.record_try_read(2, layout) {
+    match c.record_try_read(2, layout).unwrap() {
         ReadOutcome::Ok { data: d, generation } => {
             assert_eq!(d, data);
             assert_eq!(generation, 1);
@@ -475,7 +480,6 @@ fn certification_echo_costs_one_tour() {
 fn collectives_over_the_ring() {
     use ampnet_core::ReduceOp;
     let mut c = booted(5, 22);
-    c.enable_collectives();
 
     // Barrier: stagger the entries; nobody completes early.
     for n in 0..4u8 {
@@ -516,7 +520,6 @@ fn collectives_over_the_ring() {
 fn collectives_survive_a_roster_episode() {
     use ampnet_core::ReduceOp;
     let mut c = booted(6, 23);
-    c.enable_collectives();
     // Contribute from half the ranks, break the ring, then the rest.
     for n in 0..3u8 {
         c.coll_allreduce(n, 9, 100 + n as u64);
@@ -602,13 +605,14 @@ fn ampthreads_remote_execution_end_to_end() {
 
     // Node 0 farms squares out to nodes 1..4.
     for (slot, target) in [(0u32, 1u8), (1, 2), (2, 3), (3, 4)] {
-        c.spawn_remote(0, slot, TaskKind::Square, target, slot + 10);
+        c.spawn_remote(0, slot, TaskKind::Square, target, slot + 10)
+            .unwrap();
     }
     c.run_for(SimDuration::from_millis(2));
     // Doorbell interrupts executed automatically; completions landed;
     // the submitter collects.
     for slot in 0..4u32 {
-        let result = c.collect_remote(0, slot).expect("task finished");
+        let result = c.collect_remote(0, slot).unwrap().expect("task finished");
         assert_eq!(result, (slot + 10) * (slot + 10));
     }
     c.run_for(SimDuration::from_millis(1));
@@ -626,13 +630,14 @@ fn ampthreads_result_survives_submitter_death() {
     );
     c.run_for(SimDuration::from_millis(5));
     c.enable_threads(3, 16);
-    c.spawn_remote(0, 7, TaskKind::PopCount, 2, 0xFFFF_0001);
+    c.spawn_remote(0, 7, TaskKind::PopCount, 2, 0xFFFF_0001)
+        .unwrap();
     c.run_for(SimDuration::from_millis(2));
     // Submitter dies after the worker finished.
     c.schedule_failure(c.now(), Component::Node(NodeId(0)));
     c.run_for(SimDuration::from_millis(20));
     // Any survivor can collect from its replica.
-    let result = c.collect_remote(4, 7).expect("replicated result");
+    let result = c.collect_remote(4, 7).unwrap().expect("replicated result");
     assert_eq!(result, 17);
 }
 
@@ -721,7 +726,8 @@ fn cascading_failovers_still_lossless() {
             data_len: 8,
         },
         deadline,
-    });
+    })
+    .unwrap();
     // Kill the leader... and then its successor.
     c.schedule_failure(c.now() + SimDuration::from_millis(10), Component::Node(NodeId(1)));
     c.schedule_failure(c.now() + SimDuration::from_millis(30), Component::Node(NodeId(3)));
@@ -831,7 +837,8 @@ fn cache_traffic_with(bad: Option<&(MicroPacket, PacketError)>) -> (usize, usize
     let mut c = booted(4, 9);
     for us in 0..1000u32 {
         let node = (us % 4) as u8;
-        c.cache_write(node, 0, 16 * (us % 64), &[us as u8; 16]);
+        c.cache_write(node, 0, 16 * (us % 64), &[us as u8; 16])
+            .unwrap();
         if let Some((cell, err)) = bad {
             assert_eq!(c.send_cell(0, cell.clone()), Err(*err));
         }
@@ -849,4 +856,155 @@ fn send_cell_refuses_a_malformed_cell_and_stores_nothing() {
     for bad in &malformed_cells() {
         assert_eq!(cache_traffic_with(Some(bad)), clean, "{:?}", bad.1);
     }
+}
+
+/// Every public call a caller can get wrong, made wrong once: each
+/// returns its typed error, or is a no-op, and changes nothing.
+fn hostile_calls(c: &mut Cluster) {
+    let region_end = |offset, len| CacheError::OutOfBounds {
+        region: 0,
+        offset,
+        len,
+        size: 65536,
+    };
+    // Cache writes: an undefined region, past the end, past `u32::MAX`.
+    assert_eq!(
+        c.cache_write(0, 9, 0, &[1; 16]),
+        Err(CacheError::NoRegion(9))
+    );
+    assert_eq!(
+        c.cache_write(1, 0, 65528, &[1; 16]),
+        Err(region_end(65528, 16))
+    );
+    assert_eq!(
+        c.cache_write(2, 0, u32::MAX, &[1; 2]),
+        Err(region_end(u32::MAX, 2))
+    );
+    // Seqlock records: outside the region, a short write, an undefined
+    // region, and offsets that would overflow.
+    let past_end = RecordLayout {
+        region: 0,
+        offset: 65500,
+        data_len: 32,
+    };
+    let wrapping = RecordLayout {
+        region: 0,
+        offset: 16,
+        data_len: u32::MAX - 8,
+    };
+    let short = RecordLayout {
+        region: 0,
+        offset: 0,
+        data_len: 32,
+    };
+    assert_eq!(
+        c.record_write(1, past_end, &[1; 32]),
+        Err(region_end(65500, 48))
+    );
+    assert_eq!(
+        c.record_write(1, wrapping, &[]),
+        Err(region_end(16, u32::MAX))
+    );
+    let too_short = CacheError::RecordLength {
+        data_len: 32,
+        got: 8,
+    };
+    assert_eq!(c.record_write(1, short, &[1; 8]), Err(too_short));
+    let undefined = RecordLayout { region: 7, ..short };
+    assert_eq!(
+        c.record_try_read(2, undefined),
+        Err(CacheError::NoRegion(7))
+    );
+    assert_eq!(
+        c.record_try_read(2, wrapping),
+        Err(region_end(16, u32::MAX))
+    );
+    // AmpThreads: no table yet, a table in an undefined region, and a
+    // slot whose offset does not exist.
+    let square = TaskKind::Square;
+    assert_eq!(c.spawn_remote(0, 0, square, 1, 7), Err(TaskError::NoTable));
+    assert_eq!(c.collect_remote(0, 0), Err(TaskError::NoTable));
+    c.enable_threads(9, 16);
+    let no_region = Err(TaskError::Cache(CacheError::NoRegion(9)));
+    assert_eq!(c.spawn_remote(0, 0, square, 1, 7), no_region);
+    assert_eq!(c.collect_remote(0, 0).map(|_| ()), no_region);
+    c.enable_threads(0, 16);
+    let no_slot = TaskError::Cache(region_end(u32::MAX, 16));
+    assert_eq!(c.spawn_remote(0, u32::MAX, square, 1, 7), Err(no_slot));
+    // Apps: members listed twice, none, and records that are not one
+    // word inside the region; none of them starts.
+    let deadline = c.now() + SimDuration::from_millis(1);
+    let twice = CounterAppConfig {
+        members: vec![(1, 9), (1, 8)],
+        ..counter_app(deadline)
+    };
+    let dup = CounterAppError::Group(GroupError::Duplicate(1));
+    assert_eq!(c.start_counter_app(twice), Err(dup));
+    let nobody = CounterAppConfig {
+        members: vec![],
+        ..counter_app(deadline)
+    };
+    assert_eq!(
+        c.start_counter_app(nobody),
+        Err(CounterAppError::Group(GroupError::Empty))
+    );
+    let wide = CounterAppConfig {
+        heartbeat_layout: short,
+        ..counter_app(deadline)
+    };
+    let not_a_word = CacheError::RecordLength {
+        data_len: 32,
+        got: 8,
+    };
+    assert_eq!(
+        c.start_counter_app(wide),
+        Err(CounterAppError::Layout(not_a_word))
+    );
+    assert!(c.counter_report().is_none());
+    let probe = SeqProbeConfig {
+        writer: 0,
+        readers: vec![1, 2],
+        layout: past_end,
+        write_interval: SimDuration::from_micros(20),
+        read_interval: SimDuration::from_micros(7),
+        guarded: false,
+        deadline,
+    };
+    assert_eq!(c.start_seqlock_probe(probe), Err(region_end(65500, 48)));
+    assert!(c.seq_report().is_none());
+    // A node "repair" is ignored: nodes re-assimilate.
+    c.schedule_repair(c.now(), Component::Node(NodeId(3)));
+}
+
+/// [`cache_traffic_with`]'s traffic with [`hostile_calls`] made
+/// halfway, when `hostile`: the arena's resident bytes and live frames,
+/// whether the replicas converged, and the observation journal.
+fn traffic_with_hostile_calls(
+    hostile: bool,
+) -> (usize, usize, bool, Vec<(SimTime, ObservedEvent)>) {
+    let mut c = booted(4, 9);
+    for us in 0..1000u32 {
+        let node = (us % 4) as u8;
+        c.cache_write(node, 0, 16 * (us % 64), &[us as u8; 16])
+            .unwrap();
+        if hostile && us == 500 {
+            hostile_calls(&mut c);
+        }
+        c.run_for(SimDuration::from_micros(1));
+    }
+    c.run_for(SimDuration::from_millis(1));
+    let arena = c.arena();
+    (
+        arena.resident_bytes(),
+        arena.live(),
+        c.caches_converged(),
+        c.observations().to_vec(),
+    )
+}
+
+#[test]
+fn a_call_made_wrong_is_refused_and_changes_nothing() {
+    let clean = traffic_with_hostile_calls(false);
+    assert_eq!((clean.1, clean.2), (0, true), "quiet and converged");
+    assert_eq!(traffic_with_hostile_calls(true), clean);
 }

@@ -39,7 +39,7 @@ proptest! {
 
         // Background cache traffic from every node.
         for src in 0..n as u8 {
-            c.cache_write(src, 0, src as u32 * 256, &[src; 64]);
+            c.cache_write(src, 0, src as u32 * 256, &[src; 64]).unwrap();
         }
         // Inject the schedule, skipping faults that would kill nodes
         // 0..2 (keep a quorum for simple assertions).
@@ -102,7 +102,7 @@ proptest! {
                     _ => {}
                 }
             }
-            c.cache_write(0, 0, 0, b"det");
+            c.cache_write(0, 0, 0, b"det").unwrap();
             c.run_for(SimDuration::from_millis(40));
             (
                 c.epoch(),

@@ -33,7 +33,7 @@ fn hist(c: &Cluster, name: &str) -> (u64, u128, u64) {
 fn one_broadcast_records_the_quiet_tour() {
     let (mut c, _tel) = idle_instrumented();
     // Eight bytes: one DMA cell of 28 wire bytes, broadcast by node 2.
-    c.cache_write(2, 0, 0, &[7; 8]);
+    c.cache_write(2, 0, 0, &[7; 8]).unwrap();
     c.run_for(SimDuration::from_millis(1));
     // Each hop: the cell is clocked out, crosses its fiber run, and is
     // re-timed at the next node, which forwards it at once.
@@ -55,7 +55,7 @@ fn one_broadcast_records_the_quiet_tour() {
 fn a_second_queued_cell_waits_one_serialization_time() {
     let (mut c, _tel) = idle_instrumented();
     // 128 bytes: two full DMA cells, queued back to back at node 4.
-    c.cache_write(4, 0, 0, &[9; 128]);
+    c.cache_write(4, 0, 0, &[9; 128]).unwrap();
     c.run_for(SimDuration::from_millis(1));
     let ser = ClusterConfig::small(NODES)
         .timing

@@ -38,6 +38,8 @@ pub enum GroupError {
     Duplicate(u8),
     /// Node is not a member.
     NotMember(u8),
+    /// The group has no members, so nobody can hold control.
+    Empty,
 }
 
 impl ControlGroup {

@@ -70,7 +70,7 @@ pub const ALL: &[WorkloadDef] = &[
         name: "threads",
         arrival: "open-loop",
         parameters: "64-slot task table, random submitter → random target, Square tasks",
-        endpoints: "AmpThreads spawn_remote/collect_remote with doorbell interrupts",
+        endpoints: "AmpThreads spawn_remote/collect_remote with doorbell interrupts; a refused spawn (`SlotBusy`) fails the operation",
         completion: "submitter collects the result from its replica (slot freed network-wide)",
         evidence: "slide 12",
     },

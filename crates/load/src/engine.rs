@@ -396,10 +396,11 @@ impl<'a> LoadRun<'a> {
         payload[..8].copy_from_slice(&cluster.now().0.to_be_bytes());
         payload[8..16].copy_from_slice(&seq.to_be_bytes());
         let topic = topic(t);
-        cluster.record_write(publisher, topic.slot_record(seq), &payload);
-        self.topic_seq[t] = seq + 1;
-        cluster.record_write(publisher, topic.head_record(), &self.topic_seq[t].to_be_bytes());
-        true
+        let head = (seq + 1).to_be_bytes();
+        let published = cluster.record_write(publisher, topic.slot_record(seq), &payload).is_ok()
+            && cluster.record_write(publisher, topic.head_record(), &head).is_ok();
+        self.topic_seq[t] += u64::from(published);
+        published
     }
 
     /// cache: overwrite one of the cycled files, confirmed later via a
@@ -462,7 +463,7 @@ impl<'a> LoadRun<'a> {
             return false;
         }
         let arg = self.rng.below(u32::MAX as u64) as u32;
-        let spawned = cluster.spawn_remote(submitter, slot, TaskKind::Square, target, arg);
+        let spawned = cluster.spawn_remote(submitter, slot, TaskKind::Square, target, arg).is_ok();
         if spawned {
             self.tasks_in_flight.insert(slot, (submitter, cluster.now()));
         }
@@ -539,7 +540,7 @@ impl<'a> LoadRun<'a> {
         let m = &mut self.m;
         self.tasks_in_flight.retain(|&slot, &mut (submitter, sent_at)| {
             let done = cluster.node_online(submitter)
-                && cluster.collect_remote(submitter, slot).is_some();
+                && matches!(cluster.collect_remote(submitter, slot), Ok(Some(_)));
             if done {
                 m.complete(THREADS, now.saturating_sub(sent_at.0));
             }

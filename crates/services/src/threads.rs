@@ -91,6 +91,8 @@ pub enum TaskError {
     /// The slot already holds a pending or uncollected task; submitting
     /// would silently clobber it.
     SlotBusy,
+    /// AmpThreads has no task table: it was never enabled.
+    NoTable,
 }
 
 impl From<CacheError> for TaskError {
@@ -104,6 +106,7 @@ impl std::fmt::Display for TaskError {
         match self {
             TaskError::Cache(e) => write!(f, "cache: {e}"),
             TaskError::SlotBusy => write!(f, "task slot busy (collect it first)"),
+            TaskError::NoTable => write!(f, "no task table (AmpThreads not enabled)"),
         }
     }
 }
@@ -126,7 +129,7 @@ impl TaskTable {
     }
 
     fn offset(&self, slot: u32) -> u32 {
-        slot * ENTRY
+        slot.saturating_mul(ENTRY)
     }
 
     /// Read an entry from a replica.

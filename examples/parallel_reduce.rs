@@ -18,7 +18,6 @@ fn main() {
     let n = 9u8;
     let mut cluster = Cluster::new(ClusterConfig::small(n as usize).with_seed(4242));
     cluster.run_for(SimDuration::from_millis(5));
-    cluster.enable_collectives();
     println!("ring up: {} nodes", cluster.ring().len());
 
     // The data: 0..900, sliced 100 per rank.

@@ -46,7 +46,9 @@ fn main() {
     );
 
     // 2. Network cache: write at node 2, read at every node.
-    cluster.cache_write(2, 0, 128, b"the network is also a computer");
+    cluster
+        .cache_write(2, 0, 128, b"the network is also a computer")
+        .expect("region 0 holds the write");
     cluster.run_for(SimDuration::from_millis(1));
     for node in 0..6u8 {
         let bytes = cluster.cache(node).read(0, 128, 30).expect("replicated");
@@ -60,9 +62,14 @@ fn main() {
         offset: 1024,
         data_len: 16,
     };
-    cluster.record_write(1, layout, b"consistent-snap!");
+    cluster
+        .record_write(1, layout, b"consistent-snap!")
+        .expect("the record fits region 0");
     cluster.run_for(SimDuration::from_millis(1));
-    match cluster.record_try_read(5, layout) {
+    match cluster
+        .record_try_read(5, layout)
+        .expect("the record fits region 0")
+    {
         ampnet_core::ReadOutcome::Ok { data, generation } => println!(
             "node 5 read generation {generation}: {:?}",
             String::from_utf8_lossy(&data)

@@ -25,24 +25,26 @@ fn main() {
     // The "database": a counter record incremented by the group leader
     // every heartbeat, replicated by the network cache.
     let deadline = cluster.now() + SimDuration::from_millis(40);
-    cluster.start_counter_app(CounterAppConfig {
-        members: vec![(1, 90), (2, 70), (3, 80)],
-        policy: FailoverPolicy {
-            failover_period: SimDuration::from_millis(2), // app-definable
-            ..Default::default()
-        },
-        counter_layout: RecordLayout {
-            region: 0,
-            offset: 4096,
-            data_len: 8,
-        },
-        heartbeat_layout: RecordLayout {
-            region: 0,
-            offset: 4160,
-            data_len: 8,
-        },
-        deadline,
-    });
+    cluster
+        .start_counter_app(CounterAppConfig {
+            members: vec![(1, 90), (2, 70), (3, 80)],
+            policy: FailoverPolicy {
+                failover_period: SimDuration::from_millis(2), // app-definable
+                ..Default::default()
+            },
+            counter_layout: RecordLayout {
+                region: 0,
+                offset: 4096,
+                data_len: 8,
+            },
+            heartbeat_layout: RecordLayout {
+                region: 0,
+                offset: 4160,
+                data_len: 8,
+            },
+            deadline,
+        })
+        .expect("three members, two words in region 0");
 
     // Catastrophe: the leader's node loses power 10 ms in.
     let t_kill = cluster.now() + SimDuration::from_millis(10);

@@ -21,7 +21,7 @@ fn whole_paper_in_one_run() {
 
     // Serve: messages + cache + records.
     c.send_message(0, 6, 0, b"payload-one");
-    c.cache_write(2, 0, 64, b"management database v1");
+    c.cache_write(2, 0, 64, b"management database v1").unwrap();
     c.run_for(SimDuration::from_millis(1));
     assert_eq!(c.pop_message(6).unwrap().payload, b"payload-one");
 
@@ -41,7 +41,8 @@ fn whole_paper_in_one_run() {
             data_len: 8,
         },
         deadline,
-    });
+    })
+    .unwrap();
 
     // Break two things: a switch and the app leader's node.
     c.schedule_failure(c.now() + SimDuration::from_millis(5), Component::Switch(SwitchId(0)));
@@ -85,7 +86,8 @@ fn fault_storm_invariants() {
         let mut c = booted(10, seed);
         // Background traffic.
         for src in 0..10u8 {
-            c.cache_write(src, 0, src as u32 * 512, &[src ^ 0x5A; 128]);
+            c.cache_write(src, 0, src as u32 * 512, &[src ^ 0x5A; 128])
+                .unwrap();
         }
         // A storm of survivable failures.
         let base = c.now();
@@ -136,7 +138,7 @@ fn semaphores_survive_healing() {
 fn whole_stack_determinism() {
     let run = |seed: u64| {
         let mut c = booted(6, seed);
-        c.cache_write(0, 0, 0, b"det-check");
+        c.cache_write(0, 0, 0, b"det-check").unwrap();
         c.schedule_failure(c.now() + SimDuration::from_millis(3), Component::Node(NodeId(2)));
         c.send_message(1, 5, 0, b"det-msg");
         c.run_for(SimDuration::from_millis(30));

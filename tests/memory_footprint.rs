@@ -144,7 +144,7 @@ fn cache_memory_is_allocated_by_the_first_write() {
     c.schedule_failure(c.now(), Component::Node(NodeId(5)));
     c.run_for(SimDuration::from_millis(10));
     assert!(!c.node_online(5));
-    c.cache_write(0, 0, 4096, b"first byte stored");
+    c.cache_write(0, 0, 4096, b"first byte stored").unwrap();
     c.run_for(SimDuration::from_millis(1));
     for (n, bytes) in resident(&c).into_iter().enumerate() {
         let want = if n == 5 { 0 } else { REGION_BYTES };

@@ -120,7 +120,8 @@ fn all_milestone_lines() -> (String, u64) {
         counter_layout: RecordLayout { region: 0, offset: 4096, data_len: 8 },
         heartbeat_layout: RecordLayout { region: 0, offset: 4160, data_len: 8 },
         deadline: at(40),
-    });
+    })
+    .unwrap();
     c.schedule_error_burst(at(3), 2, 77, 9);
     c.schedule_failure(at(8), Component::Link(NodeId(4), SwitchId(2)));
     c.schedule_repair(at(14), Component::Link(NodeId(4), SwitchId(2)));

@@ -20,7 +20,6 @@ fn half_second_of_cluster_life() {
     c.enable_background_sweep(SimDuration::from_millis(2));
     c.run_for(SimDuration::from_millis(5));
     assert!(c.ring_up());
-    c.enable_collectives();
     c.enable_threads(3, 32);
 
     let mut tag = 0u32;
@@ -32,7 +31,7 @@ fn half_second_of_cluster_life() {
         let value = (epoch as u64 + 1).to_be_bytes();
         for src in 0..n as u8 {
             if c.node_online(src) {
-                c.cache_write(src, 0, (src as u32) * 1024, &value);
+                c.cache_write(src, 0, (src as u32) * 1024, &value).unwrap();
             }
         }
 

@@ -21,7 +21,7 @@ fn updates_applied(snap: &MetricsSnapshot) -> u64 {
 /// One cache write from node 0 per millisecond, for `ms` milliseconds.
 fn write_for(cluster: &mut Cluster, ms: u8) {
     for gen in 0..ms {
-        cluster.cache_write(0, 0, 4096, &[gen; 16]);
+        cluster.cache_write(0, 0, 4096, &[gen; 16]).unwrap();
         cluster.run_for(SimDuration::from_millis(1));
     }
 }
