@@ -122,7 +122,7 @@ fn mixed_streams(c: &Cluster, traffic: &mut CellTraffic) {
         let data = build::data_broadcast(node, 1, [0; 8]);
         for cell in [CellTraffic::cache_update(node, 0), data] {
             traffic
-                .poisson_at_load(c, node, cell, 1.0)
+                .poisson_at_load(c, cell, 1.0)
                 .expect("well-formed cell");
         }
     }
@@ -166,7 +166,7 @@ fn ring_window(
     // Per node: MAC counters, bytes sent per stream, back-offs.
     let macs = |c: &Cluster| -> Vec<_> {
         let read = |m: &RegisterMac| (*m.stats(), m.streams_ref().sent_bytes(), m.backoffs());
-        nodes.clone().map(|k| read(c.mac(k))).collect()
+        nodes.clone().filter_map(|k| c.mac(k).map(read)).collect()
     };
     let before = macs(c);
     traffic.run_discarding(c, window);
@@ -242,7 +242,7 @@ pub fn e4_flow_control(n_nodes: usize) -> Table {
         let all_to_all = |c: &Cluster, traffic: &mut CellTraffic| {
             for node in 0..n_nodes as u8 {
                 traffic
-                    .poisson_at_load(c, node, CellTraffic::cache_update(node, 0), load)
+                    .poisson_at_load(c, CellTraffic::cache_update(node, 0), load)
                     .expect("well-formed cell");
             }
         };

@@ -59,9 +59,13 @@ fn leg(telemetry: bool, cell: fn(u8) -> MicroPacket) -> (u64, u64) {
     // serialization time.
     let mut traffic = CellTraffic::new(0xBEEF);
     for node in 0..NODES {
-        traffic.poisson_at_load(&c, node, cell(node), 1.5).unwrap();
+        traffic.poisson_at_load(&c, cell(node), 1.5).unwrap();
     }
-    let delivered = |c: &Cluster| -> u64 { (0..NODES).map(|n| c.mac(n).stats().delivered).sum() };
+    let delivered = |c: &Cluster| -> u64 {
+        (0..NODES)
+            .map(|n| c.mac(n).unwrap().stats().delivered)
+            .sum()
+    };
     let delivered0 = delivered(&c);
     let before = ALLOCS.load(Ordering::Relaxed);
     traffic.run_discarding(&mut c, SimDuration::from_millis(3));

@@ -60,6 +60,8 @@ pub enum CacheError {
         /// Bytes offered.
         got: usize,
     },
+    /// No replica: the cluster was not built with this node.
+    UnknownNode(u8),
 }
 
 impl std::fmt::Display for CacheError {
@@ -79,6 +81,7 @@ impl std::fmt::Display for CacheError {
             CacheError::RecordLength { data_len, got } => {
                 write!(f, "record data is {data_len} bytes, not {got}")
             }
+            CacheError::UnknownNode(n) => write!(f, "no node {n} holds a replica"),
         }
     }
 }

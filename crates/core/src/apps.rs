@@ -55,7 +55,8 @@ pub struct CounterAppConfig {
 pub enum CounterAppError {
     /// A member listed twice, or no member at all.
     Group(GroupError),
-    /// A record outside its region, or not one 8-byte word.
+    /// A record outside its region, or not one 8-byte word; or a
+    /// member the cluster was not built with, which holds no replica.
     Layout(CacheError),
 }
 
@@ -110,6 +111,10 @@ impl Cluster {
             group.join(node, q).map_err(CounterAppError::Group)?;
         }
         let leader = group.leader().ok_or(CounterAppError::Group(GroupError::Empty))?.node;
+        for &(node, _) in &cfg.members {
+            self.cache(node)
+                .ok_or(CounterAppError::Layout(CacheError::UnknownNode(node)))?;
+        }
         for layout in [cfg.counter_layout, cfg.heartbeat_layout] {
             layout.check(&self.nodes[leader as usize].cache).map_err(CounterAppError::Layout)?;
             // Each record holds one `u64`.
@@ -166,7 +171,10 @@ impl CounterApp {
     /// The counter in `node`'s replica (its record was checked at start).
     fn value_at(&self, cluster: &Cluster, node: u8) -> u64 {
         let layout = self.cfg.counter_layout;
-        cluster.cache(node).read_u64(layout.region, layout.data_offset()).unwrap_or(0)
+        cluster.nodes[node as usize]
+            .cache
+            .read_u64(layout.region, layout.data_offset())
+            .unwrap_or(0)
     }
 
     /// `node`'s failover engine (members are distinct: checked at start).
@@ -355,8 +363,12 @@ pub(crate) struct SemStress {
 }
 
 impl Cluster {
-    /// Start the semaphore stress application.
+    /// Start the semaphore stress application. Nothing starts when a
+    /// contender is a node the cluster was not built with.
     pub fn start_sem_stress(&mut self, cfg: SemStressConfig) {
+        if cfg.contenders.iter().any(|&c| self.node(c).is_none()) {
+            return;
+        }
         let now = self.now();
         let mut remaining = vec![];
         for &c in &cfg.contenders {
@@ -517,9 +529,13 @@ pub(crate) struct SeqProbe {
 }
 
 impl Cluster {
-    /// Start the seqlock probe; a record outside its region is refused.
+    /// Start the seqlock probe; a record outside its region, or a
+    /// writer or reader the cluster was not built with, is refused.
     pub fn start_seqlock_probe(&mut self, cfg: SeqProbeConfig) -> Result<(), CacheError> {
-        cfg.layout.check(&self.nodes[cfg.writer as usize].cache)?;
+        for &node in std::iter::once(&cfg.writer).chain(&cfg.readers) {
+            cfg.layout
+                .check(self.cache(node).ok_or(CacheError::UnknownNode(node))?)?;
+        }
         self.sim.schedule_in(cfg.write_interval, Ev::SeqWriterTick);
         for &r in &cfg.readers {
             self.sim
@@ -574,13 +590,17 @@ pub(crate) fn on_seq_reader_tick(cluster: &mut Cluster, node: u8) {
         return;
     };
     if now < app.cfg.deadline {
+        // The reader and its record were checked at start, so no read
+        // is refused.
+        let replica = &cluster.nodes[node as usize].cache;
         let read = if app.cfg.guarded {
-            cluster.record_try_read(node, app.cfg.layout)
+            seqlock_msg::try_read(replica, app.cfg.layout)
         } else {
-            seqlock_msg::read_unguarded(cluster.cache(node), app.cfg.layout)
-                .map(|data| ReadOutcome::Ok { data: data.into(), generation: 0 })
+            seqlock_msg::read_unguarded(replica, app.cfg.layout).map(|data| ReadOutcome::Ok {
+                data: data.into(),
+                generation: 0,
+            })
         };
-        // The record was checked at start, so no read is refused.
         match read {
             Ok(ReadOutcome::Ok { data, .. }) => {
                 app.report.reads_ok += 1;

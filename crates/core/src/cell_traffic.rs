@@ -1,29 +1,29 @@
 //! Open-loop cell traffic for the ring experiments: the host side of
 //! a MAC-level workload on a [`Cluster`]. Each generator offers copies
-//! of a template MicroPacket at one node as a Poisson process, with
-//! gaps from the driver's own [`SimRng`], whether or not the ring keeps
-//! up: overload shows as a growing stream backlog. A template is
-//! checked once, when its generator is added; each copy is queued as
-//! [`Cluster::send_cell`] queues a cell, after every cluster event of
-//! its instant. A delivered Data cell is a [`DataCell`](crate::DataCell)
-//! value in its receiver's cell queue, read with
-//! [`Cluster::pop_cell`]; a DMA cell updates cache replicas.
+//! of a template MicroPacket at the node its source field names, as a
+//! Poisson process, with gaps from the driver's own [`SimRng`], whether
+//! or not the ring keeps up: overload shows as a growing stream
+//! backlog. A template is checked once, when its generator is added;
+//! each copy is queued as [`Cluster::send_cell`] queues a cell, after
+//! every cluster event of its instant. A delivered Data cell is a
+//! [`DataCell`](crate::DataCell) value in its receiver's cell queue,
+//! read with [`Cluster::pop_cell`]; a DMA cell updates cache replicas.
 
 use crate::Cluster;
 use ampnet_packet::{
-    Body, ControlWord, DmaCtrl, MicroPacket, PacketType, BROADCAST, MAX_DMA_PAYLOAD,
+    Body, ControlWord, DmaCtrl, MicroPacket, PacketError, PacketType, BROADCAST, MAX_DMA_PAYLOAD,
 };
 use ampnet_sim::{SimDuration, SimRng, SimTime};
 
-/// One generator: copies of `cell` at `node`.
+/// One generator: copies of `cell` at its source.
 #[derive(Debug)]
 struct Generator {
-    node: u8,
     cell: MicroPacket,
     mean_gap_ns: u64,
     /// Instant of the next cell; `None` until the first
     /// [`CellTraffic::run_until`] after the generator was added, which
-    /// makes the first cell due at the cluster's clock.
+    /// makes the first cell due at the cluster's clock; for ever when
+    /// the cluster was not built with the cell's source.
     next: Option<SimTime>,
     sent: u64,
 }
@@ -66,21 +66,16 @@ impl CellTraffic {
         }
     }
 
-    /// Add a generator at `node`: copies of `cell` (its source should be
-    /// `node`; its tag picks the stream) with exponential gaps of mean
-    /// `mean_gap`, the first due at the cluster's clock when
-    /// [`run_until`](Self::run_until) is next called. A fixed-payload
-    /// cell carries the driver's running cell count as its payload,
-    /// big-endian, so every copy is distinct. A malformed cell is refused.
-    pub fn poisson(
-        &mut self,
-        node: u8,
-        cell: MicroPacket,
-        mean_gap: SimDuration,
-    ) -> Result<(), ampnet_packet::PacketError> {
+    /// Add a generator at `cell`'s source: copies of `cell` (its tag
+    /// picks the stream) with exponential gaps of mean `mean_gap`, the
+    /// first due at the cluster's clock when [`run_until`](Self::run_until)
+    /// is next called. A fixed-payload cell carries the driver's running
+    /// cell count as its payload, big-endian, so every copy is distinct.
+    /// A malformed cell is refused; a source the cluster was not built
+    /// with never sends.
+    pub fn poisson(&mut self, cell: MicroPacket, mean_gap: SimDuration) -> Result<(), PacketError> {
         cell.check()?;
         self.gens.push(Generator {
-            node,
             cell,
             mean_gap_ns: mean_gap.as_nanos().max(1),
             next: None,
@@ -89,30 +84,36 @@ impl CellTraffic {
         Ok(())
     }
 
-    /// [`poisson`](Self::poisson) at `node`'s share of `load` × the
+    /// [`poisson`](Self::poisson) at the source's share of `load` × the
     /// ring's capacity of one `cell` per serialization time, shared
     /// evenly by every node of `cluster`: a mean gap of `n / load`
-    /// serialization times. A load above 1 oversubscribes the ring.
+    /// serialization times. A load above 1 oversubscribes the ring. A
+    /// source `cluster` was not built with is refused.
     pub fn poisson_at_load(
         &mut self,
         cluster: &Cluster,
-        node: u8,
         cell: MicroPacket,
         load: f64,
-    ) -> Result<(), ampnet_packet::PacketError> {
+    ) -> Result<(), PacketError> {
+        if cluster.node(cell.ctrl.src).is_none() {
+            return Err(PacketError::UnknownNode(cell.ctrl.src));
+        }
         let cfg = &cluster.cfg;
         let ser = cfg.timing.link(cfg.fiber_length_m).serialize_time(cell.wire_bytes());
         let gap_ns = ser.as_nanos() as f64 * cluster.n_nodes() as f64 / load;
-        self.poisson(node, cell, SimDuration::from_nanos(gap_ns.round() as u64))
+        self.poisson(cell, SimDuration::from_nanos(gap_ns.round() as u64))
     }
 
     /// Run `cluster` to `deadline`, queueing every cell due by then.
     /// Same-instant cells of different generators go in the order the
-    /// generators were added.
+    /// generators were added. A generator whose source `cluster` was not
+    /// built with queues nothing.
     pub fn run_until(&mut self, cluster: &mut Cluster, deadline: SimTime) {
         let now = cluster.now();
         for g in &mut self.gens {
-            g.next.get_or_insert(now);
+            if cluster.node(g.cell.ctrl.src).is_some() {
+                g.next.get_or_insert(now);
+            }
         }
         while let Some((at, g)) = self
             .gens
@@ -126,7 +127,7 @@ impl CellTraffic {
             if let Body::Fixed(payload) = &mut cell.body {
                 *payload = self.seq.to_be_bytes();
             }
-            cluster.queue_cell(g.node, cell);
+            cluster.queue_cell(cell);
             g.sent += 1;
             let gap = self.rng.exponential(g.mean_gap_ns as f64);
             g.next = Some(at + SimDuration::from_nanos(gap.round() as u64));
@@ -154,7 +155,7 @@ impl CellTraffic {
     pub fn sent(&self, node: u8) -> u64 {
         self.gens
             .iter()
-            .filter(|g| g.node == node)
+            .filter(|g| g.cell.ctrl.src == node)
             .map(|g| g.sent)
             .sum()
     }
@@ -181,7 +182,7 @@ mod tests {
         let mut traffic = CellTraffic::new(seed);
         for node in 0..c.n_nodes() as u8 {
             traffic
-                .poisson_at_load(c, node, build::data_broadcast(node, 0, [0; 8]), load)
+                .poisson_at_load(c, build::data_broadcast(node, 0, [0; 8]), load)
                 .unwrap();
         }
         traffic
@@ -189,7 +190,7 @@ mod tests {
 
     fn delivered(c: &Cluster) -> u64 {
         (0..c.n_nodes() as u8)
-            .map(|n| c.mac(n).stats().delivered)
+            .map(|n| c.mac(n).unwrap().stats().delivered)
             .sum()
     }
 
@@ -200,7 +201,7 @@ mod tests {
         let mut traffic = CellTraffic::new(1);
         let cell = build::data_broadcast(0, 0, [0; 8]);
         traffic
-            .poisson(0, cell, SimDuration::from_millis(1000))
+            .poisson(cell, SimDuration::from_millis(1000))
             .unwrap();
         let end = c.now() + SimDuration::from_millis(1);
         traffic.run_until(&mut c, end);
@@ -220,7 +221,7 @@ mod tests {
         let mut c = booted(4, 1);
         let mut traffic = CellTraffic::new(1);
         traffic
-            .poisson(0, build::data(0, 1, 0, [0; 8]), SimDuration::from_micros(1))
+            .poisson(build::data(0, 1, 0, [0; 8]), SimDuration::from_micros(1))
             .unwrap();
         // Time the cluster spends before the driver runs owes no cells.
         c.run_for(SimDuration::from_millis(3));
@@ -235,20 +236,21 @@ mod tests {
     #[test]
     fn unicast_is_removed_by_destination() {
         let mut c = booted(4, 1);
-        let (delivered, forwarded) = (c.mac(2).stats().delivered, c.mac(3).stats().forwarded);
+        let (delivered, forwarded) = (
+            c.mac(2).unwrap().stats().delivered,
+            c.mac(3).unwrap().stats().forwarded,
+        );
         let mut traffic = CellTraffic::new(2);
         let cell = build::data(0, 2, 0, [0; 8]);
-        traffic
-            .poisson(0, cell, SimDuration::from_micros(2))
-            .unwrap();
+        traffic.poisson(cell, SimDuration::from_micros(2)).unwrap();
         let end = c.now() + SimDuration::from_micros(20);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(1));
         let sent = traffic.sent(0);
         assert!(sent > 3, "{sent} cells");
-        assert_eq!(c.mac(2).stats().delivered - delivered, sent);
+        assert_eq!(c.mac(2).unwrap().stats().delivered - delivered, sent);
         assert_eq!(
-            c.mac(3).stats().forwarded,
+            c.mac(3).unwrap().stats().forwarded,
             forwarded,
             "nothing passes node 2"
         );
@@ -276,7 +278,7 @@ mod tests {
     fn saturated_ring_is_fair_and_near_its_ceiling() {
         let mut c = booted(4, 11);
         let before: Vec<u64> = (0..4)
-            .map(|n| c.mac(n).streams_ref().sent_bytes()[0])
+            .map(|n| c.mac(n).unwrap().streams_ref().sent_bytes()[0])
             .collect();
         let delivered0 = delivered(&c);
         let mut traffic = all_to_all(&c, 1.5, 11);
@@ -293,7 +295,7 @@ mod tests {
             "{copies} copies against a ceiling of {ceiling}"
         );
         let shares: Vec<f64> = (0..4)
-            .map(|n| (c.mac(n).streams_ref().sent_bytes()[0] - before[n as usize]) as f64)
+            .map(|n| (c.mac(n).unwrap().streams_ref().sent_bytes()[0] - before[n as usize]) as f64)
             .collect();
         let jain = ampnet_sim::jain_fairness(&shares);
         assert!(
@@ -309,16 +311,16 @@ mod tests {
         let gap = SimDuration::from_nanos(500);
         for node in 0..4u8 {
             traffic
-                .poisson(node, CellTraffic::cache_update(node, 0), gap)
+                .poisson(CellTraffic::cache_update(node, 0), gap)
                 .unwrap();
             traffic
-                .poisson(node, build::data_broadcast(node, 1, [0; 8]), gap)
+                .poisson(build::data_broadcast(node, 1, [0; 8]), gap)
                 .unwrap();
         }
         traffic.run_discarding(&mut c, SimDuration::from_millis(2));
         assert_eq!(c.total_drops(), 0);
         for node in 0..4 {
-            let sent = c.mac(node).streams_ref().sent_packets();
+            let sent = c.mac(node).unwrap().streams_ref().sent_packets();
             assert!(sent[0] > 100 && sent[1] > 100, "node {node}: {sent:?}");
             assert!(c.pop_cell(node).is_none(), "node {node}: cells emptied");
         }
@@ -333,7 +335,7 @@ mod tests {
         let mut traffic = CellTraffic::new(6);
         for node in 0..4u8 {
             traffic
-                .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 0.5)
+                .poisson_at_load(&c, CellTraffic::cache_update(node, 0), 0.5)
                 .unwrap();
         }
         traffic.run_discarding(&mut c, SimDuration::from_millis(1));
@@ -341,7 +343,11 @@ mod tests {
         assert!(c.caches_converged());
         for replica in 0..4u8 {
             for node in 1..4u8 {
-                let bytes = c.cache(replica).read(0, 64 * node as u32, 64).unwrap();
+                let bytes = c
+                    .cache(replica)
+                    .unwrap()
+                    .read(0, 64 * node as u32, 64)
+                    .unwrap();
                 assert_eq!(bytes[..], [node; 64], "node {node}'s update at {replica}");
             }
         }

@@ -243,6 +243,13 @@ pub struct Cluster {
 impl Cluster {
     /// Build and boot a cluster. The initial roster episode is charged
     /// for (the ring is up after its two tours).
+    ///
+    /// # Panics
+    ///
+    /// On a configuration no cluster can be built from: `n_nodes`
+    /// outside 1..=255, `mac.n_streams` of 0, a torus whose dimensions
+    /// do not multiply to `n_nodes`, a crossbar outside 1..=8 switches,
+    /// or a folded Clos without a leaf and a spine.
     pub fn new(cfg: ClusterConfig) -> Self {
         let topo = cfg.build_plant();
         // One prototype port, cloned per node: the clones share its
@@ -489,9 +496,28 @@ impl Cluster {
             .sum()
     }
 
-    /// Is the node online (assimilated and alive)?
+    /// The door every call naming an acting node goes through: `node`'s
+    /// context, or `None` for a node the cluster was not built with.
+    /// Below it a node id is taken as valid.
+    pub(crate) fn node(&self, node: u8) -> Option<&NodeCtx> {
+        self.nodes.get(node as usize)
+    }
+
+    /// [`Cluster::node`], mutable.
+    pub(crate) fn node_mut(&mut self, node: u8) -> Option<&mut NodeCtx> {
+        self.nodes.get_mut(node as usize)
+    }
+
+    /// `node`'s replica, for a door whose error is a [`CacheError`].
+    fn replica_mut(&mut self, node: u8) -> Result<&mut NetworkCache, CacheError> {
+        let ctx = self.node_mut(node).ok_or(CacheError::UnknownNode(node))?;
+        Ok(&mut ctx.cache)
+    }
+
+    /// Is the node online (assimilated and alive)? `false` for a node
+    /// the cluster was not built with.
     pub fn node_online(&self, node: u8) -> bool {
-        self.nodes[node as usize].online
+        self.node(node).is_some_and(|n| n.online)
     }
 
     /// Do all online nodes hold byte-identical caches right now?
@@ -505,35 +531,47 @@ impl Cluster {
     }
 
     /// A node's cache replica (read-only).
-    pub fn cache(&self, node: u8) -> &NetworkCache {
-        &self.nodes[node as usize].cache
+    pub fn cache(&self, node: u8) -> Option<&NetworkCache> {
+        self.node(node).map(|n| &n.cache)
     }
 
     // ----- application-facing operations -----
 
     /// Send an application datagram from `src` to `dst` (or broadcast
-    /// with [`ampnet_packet::BROADCAST`]).
+    /// with [`ampnet_packet::BROADCAST`]). Nothing is sent from a node
+    /// the cluster was not built with.
     pub fn send_message(&mut self, src: u8, dst: u8, stream: u8, payload: &[u8]) {
-        let pkts = self.nodes[src as usize].msg_tx.send(dst, stream, payload);
+        let Some(ctx) = self.node_mut(src) else {
+            return;
+        };
+        let pkts = ctx.msg_tx.send(dst, stream, payload);
         self.send_own(src, pkts);
     }
 
-    /// Queue one raw MicroPacket for insertion at `node`, as the host
-    /// queues its own traffic (on stream `tag % n_streams`, or ahead of
-    /// the streams if urgent). The door for arbitrary packets: a cell
-    /// that fails [`MicroPacket::check`] is refused, and nothing stored.
-    /// A broadcast DMA cell updates `node`'s own replica as it is
-    /// queued, as [`Cluster::cache_write`] does.
-    pub fn send_cell(&mut self, node: u8, cell: MicroPacket) -> Result<(), PacketError> {
+    /// Queue one raw MicroPacket for insertion at the node its source
+    /// field names, as the host queues its own traffic (on stream
+    /// `tag % n_streams`, or ahead of the streams if urgent): on the
+    /// ring a broadcast is stripped by the node it names as its source.
+    /// The door for arbitrary packets: a cell that fails
+    /// [`MicroPacket::check`], or names a source the cluster was not
+    /// built with ([`PacketError::UnknownNode`]), is refused, and
+    /// nothing stored. A broadcast DMA cell updates its source's own
+    /// replica as it is queued, as [`Cluster::cache_write`] does.
+    pub fn send_cell(&mut self, cell: MicroPacket) -> Result<(), PacketError> {
         cell.check()?;
-        self.queue_cell(node, cell);
+        if self.node(cell.ctrl.src).is_none() {
+            return Err(PacketError::UnknownNode(cell.ctrl.src));
+        }
+        self.queue_cell(cell);
         Ok(())
     }
 
-    /// Queue a well-formed cell at `node` (`send_cell` past its check,
-    /// and `CellTraffic`). A source strips its own broadcast unread, so
-    /// its replica takes a DMA cell here, tolerant as the receivers are.
-    pub(crate) fn queue_cell(&mut self, node: u8, cell: MicroPacket) {
+    /// Queue a well-formed cell at its source, a node the cluster has
+    /// (`send_cell` past its checks, and `CellTraffic`). A source strips
+    /// its own broadcast unread, so its replica takes a DMA cell here,
+    /// tolerant as the receivers are.
+    pub(crate) fn queue_cell(&mut self, cell: MicroPacket) {
+        let node = cell.ctrl.src;
         if cell.ctrl.dst == BROADCAST {
             let _ = self.nodes[node as usize].cache.apply_packet(&cell);
         }
@@ -544,7 +582,7 @@ impl Cluster {
     /// Data cells never land here; they are read with
     /// [`Cluster::pop_cell`].
     pub fn pop_message(&mut self, node: u8) -> Option<Datagram> {
-        let d = self.nodes[node as usize].inbox.pop_front()?;
+        let d = self.node_mut(node)?.inbox.pop_front()?;
         self.stream_backlog[d.stream as usize] -= 1;
         Some(d)
     }
@@ -552,7 +590,7 @@ impl Cluster {
     /// Pop the next delivered datagram on a specific stream at `node`,
     /// leaving other streams' traffic queued.
     pub fn pop_message_on(&mut self, node: u8, stream: u8) -> Option<Datagram> {
-        let inbox = &mut self.nodes[node as usize].inbox;
+        let inbox = &mut self.node_mut(node)?.inbox;
         let pos = inbox.iter().position(|d| d.stream == stream)?;
         let d = inbox.remove(pos);
         if d.is_some() {
@@ -588,8 +626,8 @@ impl Cluster {
     }
 
     /// A node's register-insertion MAC, read-only.
-    pub fn mac(&self, node: u8) -> &RegisterMac {
-        &self.nodes[node as usize].stack.mac
+    pub fn mac(&self, node: u8) -> Option<&RegisterMac> {
+        self.node(node).map(|n| &n.stack.mac)
     }
 
     /// Number of configured nodes.
@@ -628,8 +666,9 @@ impl Cluster {
     /// rings the target's doorbell. Collect with
     /// [`Cluster::collect_remote`]. Submits nothing on an error:
     /// `SlotBusy` while the slot holds a pending or uncollected task,
-    /// `NoTable` before [`Cluster::enable_threads`], `Cache` for a slot
-    /// outside the table's region or an undefined region.
+    /// `NoTable` before [`Cluster::enable_threads`], `NoSlot` for a
+    /// slot past the table, `Cache` for an undefined region or a
+    /// submitter the cluster was not built with.
     pub fn spawn_remote(
         &mut self,
         submitter: u8,
@@ -640,7 +679,7 @@ impl Cluster {
     ) -> Result<(), TaskError> {
         let table = self.task_table.ok_or(TaskError::NoTable)?;
         let (pkts, doorbell) =
-            table.submit(&mut self.nodes[submitter as usize].cache, slot, kind, target, arg)?;
+            table.submit(self.replica_mut(submitter)?, slot, kind, target, arg)?;
         self.send_own(submitter, pkts.into_iter().chain([doorbell]));
         Ok(())
     }
@@ -650,7 +689,7 @@ impl Cluster {
     /// of [`Cluster::spawn_remote`] otherwise.
     pub fn collect_remote(&mut self, node: u8, slot: u32) -> Result<Option<u32>, TaskError> {
         let table = self.task_table.ok_or(TaskError::NoTable)?;
-        let done = table.collect(&mut self.nodes[node as usize].cache, slot)?;
+        let done = table.collect(self.replica_mut(node)?, slot)?;
         Ok(done.map(|(result, pkts)| {
             self.send_own(node, pkts);
             result
@@ -659,7 +698,8 @@ impl Cluster {
 
     /// Bind an AmpIP port at `node`.
     pub fn sock_bind(&mut self, node: u8, port: u16) -> Result<(), SocketError> {
-        self.nodes[node as usize].ampip.bind(port)
+        let ctx = self.node_mut(node).ok_or(SocketError::UnknownNode(node))?;
+        ctx.ampip.bind(port)
     }
 
     /// Send an AmpIP datagram from `(node, src_port)` to `dst`.
@@ -670,33 +710,35 @@ impl Cluster {
         dst: SockAddr,
         data: &[u8],
     ) -> Result<(), SocketError> {
-        let pkts = self.nodes[node as usize]
-            .ampip
-            .send_to(src_port, dst, data)?;
+        let ctx = self.node_mut(node).ok_or(SocketError::UnknownNode(node))?;
+        let pkts = ctx.ampip.send_to(src_port, dst, data)?;
         self.send_own(node, pkts);
         Ok(())
     }
 
     /// Receive the next AmpIP datagram on a bound port at `node`.
     pub fn sock_recv(&mut self, node: u8, port: u16) -> Option<Received> {
-        self.nodes[node as usize].ampip.recv_from(port)
+        self.node_mut(node)?.ampip.recv_from(port)
     }
 
     /// Pop the next Data cell delivered at `node`.
     pub fn pop_cell(&mut self, node: u8) -> Option<DataCell> {
-        self.nodes[node as usize].cells.pop_front()
+        self.node_mut(node)?.cells.pop_front()
     }
 
     /// Pop the next delivered interrupt at `node`.
     pub fn pop_interrupt(&mut self, node: u8) -> Option<InterruptPayload> {
-        self.nodes[node as usize].interrupts.pop_front()
+        self.node_mut(node)?.interrupts.pop_front()
     }
 
     /// Send a remote interrupt (urgent MicroPacket) from `src` to
     /// `dst`. Vectors other than the AmpThreads doorbell surface at the
-    /// destination via [`Cluster::pop_interrupt`].
+    /// destination via [`Cluster::pop_interrupt`]. Nothing is sent from
+    /// a node the cluster was not built with.
     pub fn send_interrupt(&mut self, src: u8, dst: u8, payload: InterruptPayload) {
-        self.send_own(src, [build::interrupt(src, dst, payload)]);
+        if self.node(src).is_some() {
+            self.send_own(src, [build::interrupt(src, dst, payload)]);
+        }
     }
 
     /// Write to the network cache at `node`; the update replicates to
@@ -709,7 +751,7 @@ impl Cluster {
         offset: u32,
         data: &[u8],
     ) -> Result<(), CacheError> {
-        let pkts = self.nodes[node as usize].cache.write(region, offset, data, 1, 1)?;
+        let pkts = self.replica_mut(node)?.write(region, offset, data, 1, 1)?;
         self.send_own(node, pkts);
         Ok(())
     }
@@ -726,7 +768,7 @@ impl Cluster {
         name: &str,
         data: &[u8],
     ) -> Result<(), FileError> {
-        let pkts = store.write(&mut self.nodes[node as usize].cache, name, data)?;
+        let pkts = store.write(self.replica_mut(node)?, name, data)?;
         self.send_own(node, pkts);
         Ok(())
     }
@@ -739,8 +781,7 @@ impl Cluster {
         layout: RecordLayout,
         data: &[u8],
     ) -> Result<(), CacheError> {
-        let pkts =
-            seqlock_msg::write_record(&mut self.nodes[node as usize].cache, layout, data, 1, 1)?;
+        let pkts = seqlock_msg::write_record(self.replica_mut(node)?, layout, data, 1, 1)?;
         self.send_own(node, pkts);
         Ok(())
     }
@@ -751,7 +792,8 @@ impl Cluster {
         node: u8,
         layout: RecordLayout,
     ) -> Result<ReadOutcome<'_>, CacheError> {
-        seqlock_msg::try_read(&self.nodes[node as usize].cache, layout)
+        let cache = self.cache(node).ok_or(CacheError::UnknownNode(node))?;
+        seqlock_msg::try_read(cache, layout)
     }
 
     // ----- fault injection scheduling -----
@@ -764,7 +806,9 @@ impl Cluster {
     /// Schedule a node (re-)join. A `node` the cluster was not built
     /// with is ignored.
     pub fn schedule_join(&mut self, at: SimTime, node: u8, req: JoinRequest) {
-        self.sim.schedule_at(at, Ev::Join { node, req });
+        if self.node(node).is_some() {
+            self.sim.schedule_at(at, Ev::Join { node, req });
+        }
     }
 
     /// Schedule a switch/link repair (splice the fiber, power the
@@ -785,7 +829,10 @@ impl Cluster {
     /// the corrupted window cost (paper slides 16–18). A `node` the
     /// cluster was not built with is ignored.
     pub fn schedule_error_burst(&mut self, at: SimTime, node: u8, seed: u64, errors: u32) {
-        self.sim.schedule_at(at, Ev::ErrorBurst { node, seed, errors });
+        if self.node(node).is_some() {
+            self.sim
+                .schedule_at(at, Ev::ErrorBurst { node, seed, errors });
+        }
     }
 }
 

@@ -124,7 +124,7 @@ fn ring_drivers_agree_hop_for_hop() {
     // node inserts, nothing is forwarded, and each governor comes out
     // with the fresh one's gap after one uncongested insertion.
     for node in 0..N as u8 {
-        c.send_cell(node, build::data(node, (node + 1) % N as u8, 0, [0; 8]))
+        c.send_cell(build::data(node, (node + 1) % N as u8, 0, [0; 8]))
             .unwrap();
     }
     run_quiet(&mut c);
@@ -151,7 +151,7 @@ fn ring_drivers_agree_hop_for_hop() {
     let mut traffic = CellTraffic::new(cfg.seed);
     for node in 0..N as u8 {
         traffic
-            .poisson_at_load(&c, node, build::data_broadcast(node, 0, [0; 8]), LOAD)
+            .poisson_at_load(&c, build::data_broadcast(node, 0, [0; 8]), LOAD)
             .unwrap();
     }
     traffic.run_until(&mut c, t0 + WINDOW);

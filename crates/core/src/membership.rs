@@ -19,11 +19,6 @@ use ampnet_topo::{NodeId, PlantRing};
 
 impl Cluster {
     pub(crate) fn apply_error_burst(&mut self, node: u8, seed: u64, errors: u32) {
-        // Like a fault on a component the plant does not have: a burst
-        // addressed to a node that does not exist hits nothing.
-        if node as usize >= self.nodes.len() {
-            return;
-        }
         // Hand the burst to the PHY plane of the afflicted node; its
         // 8b/10b checker decides whether anything is detectable.
         let now = self.sim.now();
@@ -193,10 +188,6 @@ impl Cluster {
     }
 
     pub(crate) fn handle_join(&mut self, node: u8, req: JoinRequest) {
-        // Only a node the cluster was built with can (re-)join.
-        if node as usize >= self.nodes.len() {
-            return;
-        }
         let cache_bytes: u64 = self
             .cfg
             .cache_regions

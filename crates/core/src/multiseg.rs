@@ -564,6 +564,10 @@ fn advance(clusters: &mut [Cluster], plan: &SlicePlan, per: usize) -> u64 {
 impl MultiSegment {
     /// Build a network of independent segments (each boots its own
     /// ring); add bridges before sending.
+    ///
+    /// # Panics
+    ///
+    /// On a configuration [`Cluster::new`] panics on.
     pub fn new(configs: Vec<ClusterConfig>) -> Self {
         let delivered = configs
             .iter()
@@ -590,11 +594,19 @@ impl MultiSegment {
     }
 
     /// Access a segment's cluster.
+    ///
+    /// # Panics
+    ///
+    /// If `s` is not below [`MultiSegment::n_segments`].
     pub fn segment(&self, s: u8) -> &Cluster {
         &self.clusters[s as usize]
     }
 
     /// Mutable access (fault injection, app start).
+    ///
+    /// # Panics
+    ///
+    /// As [`MultiSegment::segment`].
     pub fn segment_mut(&mut self, s: u8) -> &mut Cluster {
         &mut self.clusters[s as usize]
     }

@@ -2,11 +2,14 @@
 
 use ampnet_core::{
     CacheError, CellTraffic, Cluster, ClusterConfig, Component, CounterAppConfig, CounterAppError,
-    FailoverPolicy, Features, GroupError, JoinRequest, NodeId, ObservedEvent, ReadOutcome,
-    RecordLayout, SemStressConfig, SemaphoreAddr, SeqProbeConfig, SimDuration, SimTime, SwitchId,
+    FailoverPolicy, Features, FileError, FileStore, FileStoreLayout, GroupError, InterruptPayload,
+    JoinRequest, NodeId, ObservedEvent, ReadOutcome, RecordLayout, ReduceOp, SemStressConfig,
+    SemaphoreAddr, SeqProbeConfig, SimDuration, SimTime, SockAddr, SocketError, SwitchId,
     TaskError, TaskKind, Version,
 };
-use ampnet_packet::{Body, ControlWord, DmaCtrl, MicroPacket, PacketError, PacketType, BROADCAST};
+use ampnet_packet::{
+    build, Body, ControlWord, DmaCtrl, MicroPacket, PacketError, PacketType, BROADCAST,
+};
 
 fn booted(n: usize, seed: u64) -> Cluster {
     let mut c = Cluster::new(ClusterConfig::small(n).with_seed(seed));
@@ -73,7 +76,7 @@ fn cache_writes_replicate_everywhere() {
     c.run_for(SimDuration::from_millis(1));
     for n in 0..6u8 {
         assert_eq!(
-            &*c.cache(n).read(0, 512, 26).unwrap(),
+            &*c.cache(n).unwrap().read(0, 512, 26).unwrap(),
             b"shared management database",
             "replica at node {n}"
         );
@@ -131,7 +134,7 @@ fn cache_write_racing_failure_still_converges() {
     // Smart data recovery: survivors replayed; all converge.
     for n in [0u8, 1, 2, 4, 5] {
         assert_eq!(
-            c.cache(n).read(0, 0, 600).unwrap(),
+            c.cache(n).unwrap().read(0, 0, 600).unwrap(),
             &vec![0xEE; 600][..],
             "replica at {n}"
         );
@@ -171,7 +174,10 @@ fn node_rejoin_after_assimilation() {
     assert_eq!(c.ring().len(), 5, "rejoined the ring");
     assert!(c.node_online(2));
     // The cache refresh brought it current.
-    assert_eq!(&*c.cache(2).read(0, 100, 18).unwrap(), b"written while away");
+    assert_eq!(
+        &*c.cache(2).unwrap().read(0, 100, 18).unwrap(),
+        b"written while away"
+    );
     assert!(c.caches_converged());
 }
 
@@ -478,7 +484,6 @@ fn certification_echo_costs_one_tour() {
 
 #[test]
 fn collectives_over_the_ring() {
-    use ampnet_core::ReduceOp;
     let mut c = booted(5, 22);
 
     // Barrier: stagger the entries; nobody completes early.
@@ -518,7 +523,6 @@ fn collectives_over_the_ring() {
 
 #[test]
 fn collectives_survive_a_roster_episode() {
-    use ampnet_core::ReduceOp;
     let mut c = booted(6, 23);
     // Contribute from half the ranks, break the ring, then the rest.
     for n in 0..3u8 {
@@ -570,7 +574,6 @@ fn trace_records_milestones() {
 
 #[test]
 fn ampip_sockets_over_the_ring() {
-    use ampnet_core::SockAddr;
     let mut c = booted(4, 62);
     c.sock_bind(0, 5000).unwrap();
     c.sock_bind(3, 80).unwrap();
@@ -740,7 +743,7 @@ fn cascading_failovers_still_lossless() {
     assert_eq!(r.resumes[1].lost_committed, 0, "no loss across cascades");
     assert!(r.committed > 0);
     // The lone survivor still carries the full committed state.
-    let v = c.cache(2).read_u64(0, 4096 + 8).unwrap();
+    let v = c.cache(2).unwrap().read_u64(0, 4096 + 8).unwrap();
     assert!(v >= r.committed);
 }
 
@@ -787,8 +790,8 @@ fn a_region_listed_twice_keeps_its_last_size() {
     let cfg = ClusterConfig::small(4).with_regions(vec![(1, 128), (1, 64)]);
     let c = Cluster::new(cfg);
     for node in 0..4 {
-        assert_eq!(c.cache(node).region_ids(), vec![1]);
-        assert_eq!(c.cache(node).region_size(1), Ok(64));
+        assert_eq!(c.cache(node).unwrap().region_ids(), vec![1]);
+        assert_eq!(c.cache(node).unwrap().region_size(1), Ok(64));
     }
 }
 
@@ -840,7 +843,7 @@ fn cache_traffic_with(bad: Option<&(MicroPacket, PacketError)>) -> (usize, usize
         c.cache_write(node, 0, 16 * (us % 64), &[us as u8; 16])
             .unwrap();
         if let Some((cell, err)) = bad {
-            assert_eq!(c.send_cell(0, cell.clone()), Err(*err));
+            assert_eq!(c.send_cell(cell.clone()), Err(*err));
         }
         c.run_for(SimDuration::from_micros(1));
     }
@@ -929,7 +932,7 @@ fn hostile_calls(c: &mut Cluster) {
     assert_eq!(c.spawn_remote(0, 0, square, 1, 7), no_region);
     assert_eq!(c.collect_remote(0, 0).map(|_| ()), no_region);
     c.enable_threads(0, 16);
-    let no_slot = TaskError::Cache(region_end(u32::MAX, 16));
+    let no_slot = TaskError::NoSlot(u32::MAX);
     assert_eq!(c.spawn_remote(0, u32::MAX, square, 1, 7), Err(no_slot));
     // Apps: members listed twice, none, and records that are not one
     // word inside the region; none of them starts.
@@ -974,6 +977,128 @@ fn hostile_calls(c: &mut Cluster) {
     assert!(c.seq_report().is_none());
     // A node "repair" is ignored: nodes re-assimilate.
     c.schedule_repair(c.now(), Component::Node(NodeId(3)));
+    for node in [4, 9, 255] {
+        calls_naming_an_unknown_node(c, node);
+    }
+}
+
+/// Every call naming an acting node, made with `node`, a node the
+/// 4-node cluster was not built with: a read or pop finds nothing, a
+/// call returning `()` does nothing, and a `Result` is the error that
+/// names the node.
+fn calls_naming_an_unknown_node(c: &mut Cluster, node: u8) {
+    assert!(!c.node_online(node));
+    assert!(c.cache(node).is_none() && c.mac(node).is_none());
+    // A cell is sent by the node its source field names.
+    let cell = build::data_broadcast(node, 0, [0; 8]);
+    assert_eq!(
+        c.send_cell(cell.clone()),
+        Err(PacketError::UnknownNode(node))
+    );
+    c.send_message(node, 0, 1, b"from nowhere");
+    c.send_interrupt(
+        node,
+        0,
+        InterruptPayload {
+            vector: 1,
+            cookie: 2,
+            arg: 3,
+        },
+    );
+    assert!(c.pop_message(node).is_none() && c.pop_message_on(node, 1).is_none());
+    assert!(c.pop_cell(node).is_none() && c.pop_interrupt(node).is_none());
+    let no_endpoint = Err(SocketError::UnknownNode(node));
+    assert_eq!(c.sock_bind(node, 80), no_endpoint);
+    assert_eq!(
+        c.sock_send(node, 80, SockAddr { node: 0, port: 80 }, b"x"),
+        no_endpoint
+    );
+    assert!(c.sock_recv(node, 80).is_none());
+    let no_replica = CacheError::UnknownNode(node);
+    let record = RecordLayout {
+        region: 0,
+        offset: 0,
+        data_len: 8,
+    };
+    assert_eq!(c.cache_write(node, 0, 0, &[1; 8]), Err(no_replica.clone()));
+    assert_eq!(
+        c.record_write(node, record, &[1; 8]),
+        Err(no_replica.clone())
+    );
+    assert_eq!(
+        c.record_try_read(node, record).map(|_| ()),
+        Err(no_replica.clone())
+    );
+    let store = FileStore::new(FileStoreLayout {
+        region: 0,
+        max_files: 4,
+        heap_bytes: 256,
+    });
+    let file = c.file_write(node, &store, "f", b"data");
+    assert_eq!(file, Err(FileError::Cache(no_replica.clone())));
+    let task = Err(TaskError::Cache(no_replica.clone()));
+    assert_eq!(c.spawn_remote(node, 0, TaskKind::Square, 1, 7), task);
+    assert_eq!(c.collect_remote(node, 0).map(|_| ()), task);
+    c.coll_barrier(node, 70);
+    c.coll_allreduce(node, 71, 5);
+    c.coll_bcast(node, 72, 5);
+    c.coll_gather(node, 73, 0, 5);
+    assert!(!c.coll_barrier_done(node, 70));
+    assert_eq!(c.coll_reduce_result(node, 71, ReduceOp::Sum), None);
+    assert_eq!(c.coll_bcast_result(node, 72), None);
+    assert_eq!(c.coll_gather_result(node, 73), None);
+    // Apps: nothing starts with an unknown member, writer, reader or
+    // contender.
+    let deadline = c.now() + SimDuration::from_millis(1);
+    let stranger = CounterAppConfig {
+        members: vec![(1, 9), (node, 8)],
+        ..counter_app(deadline)
+    };
+    let layout = Err(CounterAppError::Layout(no_replica.clone()));
+    assert_eq!(c.start_counter_app(stranger), layout);
+    let probe = SeqProbeConfig {
+        writer: 0,
+        readers: vec![1, node],
+        layout: record,
+        write_interval: SimDuration::from_micros(20),
+        read_interval: SimDuration::from_micros(7),
+        guarded: true,
+        deadline,
+    };
+    assert_eq!(
+        c.start_seqlock_probe(probe.clone()),
+        Err(no_replica.clone())
+    );
+    let writer = SeqProbeConfig {
+        writer: node,
+        readers: vec![1],
+        ..probe
+    };
+    assert_eq!(c.start_seqlock_probe(writer), Err(no_replica));
+    c.start_sem_stress(SemStressConfig {
+        addr: SemaphoreAddr {
+            home: 0,
+            region: 0,
+            offset: 2048,
+        },
+        contenders: vec![1, node],
+        rounds: 3,
+        crit: SimDuration::from_micros(30),
+        backoff: Default::default(),
+    });
+    assert!(c.counter_report().is_none() && c.seq_report().is_none());
+    assert!(c.sem_report().is_none());
+    // A generator at an unknown source is refused where the cluster is
+    // known, and never sends where it is not.
+    let mut traffic = CellTraffic::new(1);
+    let refused = traffic.poisson_at_load(c, cell.clone(), 0.5);
+    assert_eq!(refused, Err(PacketError::UnknownNode(node)));
+    traffic.poisson(cell, SimDuration::from_nanos(100)).unwrap();
+    let now = c.now();
+    traffic.run_until(c, now);
+    assert_eq!(traffic.sent(node), 0);
+    c.schedule_join(c.now(), node, compatible_join(node));
+    c.schedule_error_burst(c.now(), node, 5, 9);
 }
 
 /// [`cache_traffic_with`]'s traffic with [`hostile_calls`] made
@@ -1007,4 +1132,25 @@ fn a_call_made_wrong_is_refused_and_changes_nothing() {
     let clean = traffic_with_hostile_calls(false);
     assert_eq!((clean.1, clean.2), (0, true), "quiet and converged");
     assert_eq!(traffic_with_hostile_calls(true), clean);
+}
+
+/// A slot past the task table is refused, so its entry never lands on
+/// the application's bytes that follow the table in the region.
+#[test]
+fn a_task_slot_past_the_table_leaves_the_region_alone() {
+    let mut c = booted(4, 12);
+    c.cache_write(0, 0, 640, &[0xEE; 16]).unwrap();
+    c.enable_threads(0, 16);
+    let no_slot = Err(TaskError::NoSlot(40));
+    assert_eq!(c.spawn_remote(0, 40, TaskKind::Square, 1, 7), no_slot);
+    assert_eq!(c.collect_remote(0, 40).map(|_| ()), no_slot);
+    c.run_for(SimDuration::from_millis(1));
+    for node in 0..4 {
+        let bytes = c.cache(node).unwrap().read(0, 640, 16).unwrap();
+        assert_eq!(&*bytes, &[0xEE; 16], "node {node}");
+    }
+    // Slot 15 is the table's last: it still runs.
+    c.spawn_remote(0, 15, TaskKind::Square, 1, 7).unwrap();
+    c.run_for(SimDuration::from_millis(1));
+    assert_eq!(c.collect_remote(0, 15), Ok(Some(49)));
 }

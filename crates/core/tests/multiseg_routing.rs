@@ -281,7 +281,7 @@ fn a_data_cell_on_the_route_stream_is_not_a_global_datagram() {
     let mut net = two_segments(43);
     let payload = [0, 0, 0, 1, 0xAA, 0xBB, 0xCC, 0xDD];
     let sent = build::data(2, 3, ROUTE_STREAM, payload);
-    net.segment_mut(1).send_cell(2, sent).unwrap();
+    net.segment_mut(1).send_cell(sent).unwrap();
     net.run_for(SimDuration::from_millis(1));
     for segment in 0..2 {
         for node in 0..4 {

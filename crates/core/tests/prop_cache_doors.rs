@@ -1,15 +1,25 @@
 //! Fuzzing the cache's doors on a booted cluster: `cache_write`,
-//! `record_write` and `record_try_read` with arbitrary region, offset
-//! and length. No call panics; exactly the requests that do not fit a
-//! defined region are refused, each with the `CacheError` that names
-//! it; and a refused write leaves every replica as it was.
+//! `record_write` and `record_try_read` with arbitrary node, region,
+//! offset and length, and `spawn_remote`/`collect_remote` with
+//! arbitrary node and slot. No call panics; exactly the requests that
+//! name no node of the cluster, or do not fit a defined region or the
+//! task table, are refused, each with the error that names it; and a
+//! refused write leaves every replica as it was.
 
 use ampnet_cache::NetworkCache;
-use ampnet_core::{CacheError, Cluster, ClusterConfig, RecordLayout, SimDuration};
+use ampnet_core::{
+    CacheError, Cluster, ClusterConfig, RecordLayout, SimDuration, TaskError, TaskKind,
+};
 use proptest::prelude::*;
 
 /// Regions 0 and 2 are defined; 1 and 3 are not.
 const REGIONS: [(u8, u32); 2] = [(0, 4096), (2, 300)];
+
+/// The booted cluster's nodes.
+const NODES: u8 = 4;
+
+/// Task-table slots, in region 2 (`TABLE × 16` ≤ 300 bytes).
+const TABLE: u32 = 16;
 
 fn booted() -> Cluster {
     let cfg = ClusterConfig::small(4)
@@ -18,11 +28,16 @@ fn booted() -> Cluster {
     let mut c = Cluster::new(cfg);
     c.run_for(SimDuration::from_millis(5));
     assert!(c.ring_up());
+    c.enable_threads(2, TABLE);
     c
 }
 
-/// What a request for `len` bytes at `offset` of `region` must get.
-fn expected(region: u8, offset: u32, len: u64) -> Result<(), CacheError> {
+/// What a request from `node` for `len` bytes at `offset` of `region`
+/// must get.
+fn expected(node: u8, region: u8, offset: u32, len: u64) -> Result<(), CacheError> {
+    if node >= NODES {
+        return Err(CacheError::UnknownNode(node));
+    }
     let (_, size) = REGIONS
         .into_iter()
         .find(|&(id, _)| id == region)
@@ -41,7 +56,7 @@ fn expected(region: u8, offset: u32, len: u64) -> Result<(), CacheError> {
 }
 
 fn replicas(c: &Cluster) -> Vec<NetworkCache> {
-    (0..4).map(|n| c.cache(n).clone()).collect()
+    (0..NODES).map(|n| c.cache(n).unwrap().clone()).collect()
 }
 
 /// Mostly inside or just past the regions, sometimes anywhere in
@@ -61,6 +76,21 @@ enum Call {
     CacheWrite,
     RecordWrite,
     RecordTryRead,
+    Spawn,
+    Collect,
+}
+
+/// What a task call from `node` on `slot` must get: refused for an
+/// unknown node or a slot past the table, else a free slot takes a
+/// task and has no result.
+fn expected_task(node: u8, slot: u32) -> Result<(), TaskError> {
+    if node >= NODES {
+        Err(TaskError::Cache(CacheError::UnknownNode(node)))
+    } else if slot >= TABLE {
+        Err(TaskError::NoSlot(slot))
+    } else {
+        Ok(())
+    }
 }
 
 proptest! {
@@ -68,8 +98,14 @@ proptest! {
 
     #[test]
     fn a_request_is_refused_exactly_when_it_does_not_fit(
-        call in prop_oneof![Just(Call::CacheWrite), Just(Call::RecordWrite), Just(Call::RecordTryRead)],
-        node in 0u8..4,
+        call in prop_oneof![
+            Just(Call::CacheWrite),
+            Just(Call::RecordWrite),
+            Just(Call::RecordTryRead),
+            Just(Call::Spawn),
+            Just(Call::Collect),
+        ],
+        node in prop_oneof![0..NODES, 0..NODES, 0..NODES, any::<u8>()],
         region in prop_oneof![Just(0u8), Just(0u8), Just(2u8), 0u8..4],
         offset in arb_u32(4400),
         len in arb_u32(400),
@@ -78,22 +114,44 @@ proptest! {
         let before = replicas(&c);
         let layout = RecordLayout { region, offset, data_len: len };
         // A record holds two 8-byte counters around its data.
-        let record = expected(region, offset, u64::from(len) + 16);
+        let record = expected(node, region, offset, u64::from(len) + 16);
         // Data for a write that could fit; a longer one is refused on
         // its layout before its data is looked at.
         let data = vec![0xA5; len.min(5000) as usize];
-        let (got, want) = match call {
-            Call::CacheWrite => (
-                c.cache_write(node, region, offset, &data),
-                expected(region, offset, data.len() as u64),
-            ),
-            Call::RecordWrite => (c.record_write(node, layout, &data), record),
-            Call::RecordTryRead => (c.record_try_read(node, layout).map(|_| ()), record),
+        // The slot is drawn from `offset`, so slots past the table and
+        // past a 16-bit cookie come up.
+        let slot = offset;
+        let got = match call {
+            Call::CacheWrite => {
+                let got = c.cache_write(node, region, offset, &data);
+                prop_assert_eq!(&got, &expected(node, region, offset, data.len() as u64));
+                got.is_ok()
+            }
+            Call::RecordWrite => {
+                let got = c.record_write(node, layout, &data);
+                prop_assert_eq!(&got, &record);
+                got.is_ok()
+            }
+            Call::RecordTryRead => {
+                let got = c.record_try_read(node, layout).map(|_| ());
+                prop_assert_eq!(&got, &record);
+                got.is_ok()
+            }
+            Call::Spawn => {
+                let got = c.spawn_remote(node, slot, TaskKind::Increment, 1, 7);
+                prop_assert_eq!(&got, &expected_task(node, slot));
+                got.is_ok()
+            }
+            Call::Collect => {
+                let got = c.collect_remote(node, slot);
+                prop_assert_eq!(&got.clone().map(|_| ()), &expected_task(node, slot));
+                prop_assert!(got.is_err() || got == Ok(None), "an empty slot has no result");
+                false
+            }
         };
-        prop_assert_eq!(&got, &want);
         c.run_for(SimDuration::from_millis(1));
         prop_assert!(c.caches_converged());
-        if got.is_err() {
+        if !got {
             let after = replicas(&c);
             prop_assert!(before.iter().zip(&after).all(|(b, a)| b.converged_with(a)));
         }

@@ -83,13 +83,13 @@ proptest! {
         for (node, stream, dma_len, dst, gap) in streams {
             let (node, dst) = (node % n, dst.map_or(BROADCAST, |d| d % n as u8));
             let cell = cell(node as u8, dst, stream, dma_len);
-            traffic.poisson(node as u8, cell, SimDuration::from_nanos(gap)).unwrap();
+            traffic.poisson(cell, SimDuration::from_nanos(gap)).unwrap();
         }
         let end = c.now() + SimDuration::from_millis(1);
         traffic.run_until(&mut c, end);
         prop_assert_eq!(c.total_drops(), 0);
         for node in 0..n as u8 {
-            prop_assert!(c.mac(node).stats().transit_highwater <= 2 * MAX_PACKET_WIRE);
+            prop_assert!(c.mac(node).unwrap().stats().transit_highwater <= 2 * MAX_PACKET_WIRE);
         }
     }
 
@@ -106,7 +106,7 @@ proptest! {
         let src = (src % n) as u8;
         let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(src, cell(src, BROADCAST, 0, None), SimDuration::from_micros(1)).unwrap();
+        traffic.poisson(cell(src, BROADCAST, 0, None), SimDuration::from_micros(1)).unwrap();
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
@@ -131,7 +131,7 @@ proptest! {
         let mut c = booted(n, false, seed);
         let mut traffic = CellTraffic::new(seed);
         for stream in [0, 1] {
-            traffic.poisson(0, cell(0, 2, stream, None), SimDuration::from_nanos(300)).unwrap();
+            traffic.poisson(cell(0, 2, stream, None), SimDuration::from_nanos(300)).unwrap();
         }
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
@@ -156,14 +156,14 @@ proptest! {
     ) {
         let dst = n as u8 - 1;
         let mut c = booted(n, false, seed);
-        let before: Vec<u64> = (0..n as u8).map(|k| c.mac(k).stats().delivered).collect();
+        let before: Vec<u64> = (0..n as u8).map(|k| c.mac(k).unwrap().stats().delivered).collect();
         let mut traffic = CellTraffic::new(seed);
-        traffic.poisson(0, cell(0, dst, 0, Some(32)), SimDuration::from_micros(1)).unwrap();
+        traffic.poisson(cell(0, dst, 0, Some(32)), SimDuration::from_micros(1)).unwrap();
         let end = c.now() + SimDuration::from_micros(window_us);
         traffic.run_until(&mut c, end);
         c.run_for(SimDuration::from_millis(10));
         for k in 0..n as u8 {
-            let delivered = c.mac(k).stats().delivered - before[k as usize];
+            let delivered = c.mac(k).unwrap().stats().delivered - before[k as usize];
             let expected = if k == dst { traffic.sent(0) } else { 0 };
             prop_assert_eq!(delivered, expected, "node {}", k);
         }

@@ -478,10 +478,10 @@ impl<'a> LoadRun<'a> {
 
         // pubsub: poll every subscriber's local replica.
         for (node, sub) in self.subscribers.iter_mut() {
-            if !cluster.node_online(*node) {
+            let Some(replica) = cluster.cache(*node).filter(|_| cluster.node_online(*node)) else {
                 continue;
-            }
-            let (skipped, records) = match sub.poll(cluster.cache(*node)) {
+            };
+            let (skipped, records) = match sub.poll(replica) {
                 Ok(PollOutcome::Records(r)) => (0, r),
                 Ok(PollOutcome::Lagged { skipped, records }) => (skipped, records),
                 Ok(PollOutcome::Empty) | Err(_) => continue,
@@ -502,10 +502,13 @@ impl<'a> LoadRun<'a> {
             }
             // Paired reader: any node but the writer (node 0).
             let reader = 1 + (k as u8) % (self.n_nodes - 1);
-            if !cluster.node_online(reader) {
+            let Some(replica) = cluster
+                .cache(reader)
+                .filter(|_| cluster.node_online(reader))
+            else {
                 continue;
-            }
-            let Ok(info) = self.store.stat(cluster.cache(reader), &self.file_names[k]) else {
+            };
+            let Ok(info) = self.store.stat(replica, &self.file_names[k]) else {
                 continue;
             };
             while let Some(&(version, sent_at)) = outstanding.front() {

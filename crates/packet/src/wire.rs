@@ -110,6 +110,9 @@ pub enum PacketError {
     BadDmaLen(u16),
     /// Truncated or oversized byte buffer.
     BadSize(usize),
+    /// A source node the cluster was not built with: a cell is sent by
+    /// the node its control word names.
+    UnknownNode(u8),
 }
 
 impl std::fmt::Display for PacketError {
@@ -119,6 +122,7 @@ impl std::fmt::Display for PacketError {
             PacketError::ClassMismatch => write!(f, "body does not match packet type class"),
             PacketError::BadDmaLen(l) => write!(f, "DMA payload length {l} out of 1..=64"),
             PacketError::BadSize(n) => write!(f, "buffer of {n} bytes is not a MicroPacket"),
+            PacketError::UnknownNode(n) => write!(f, "no node {n} to send from"),
         }
     }
 }

@@ -45,7 +45,10 @@ pub struct RingNodeParams {
     pub transit_capacity: usize,
     /// Insertion pacing policy.
     pub pacing: PacingMode,
-    /// Number of local transmit streams.
+    /// Number of local transmit streams, at least 1
+    /// ([`StreamSet::new`](crate::StreamSet::new) panics on 0). Each
+    /// backlogged stream gets an equal share of the node's insertions,
+    /// in bytes.
     pub n_streams: usize,
 }
 

@@ -4,8 +4,8 @@
 //! node": a node concurrently carries, e.g., a file transfer (DMA
 //! MicroPackets) and a message stream (Data MicroPackets). The NIC
 //! arbitrates between its local streams with deficit round robin, so
-//! each stream gets line share proportional to its weight regardless of
-//! packet size mix.
+//! every backlogged stream gets an equal share of the line's bytes
+//! regardless of packet size mix.
 
 use crate::mac::WireFrame;
 use std::collections::VecDeque;
@@ -14,8 +14,6 @@ use std::collections::VecDeque;
 #[derive(Debug)]
 struct Stream {
     queue: VecDeque<WireFrame>,
-    /// DRR weight: quantum bytes added per round.
-    weight: u32,
     deficit: i64,
     /// Total bytes and frames ever dequeued, for accounting.
     sent_bytes: u64,
@@ -29,7 +27,7 @@ pub struct StreamSet {
     streams: Vec<Stream>,
     /// Round-robin cursor.
     cursor: usize,
-    /// Quantum granted per weight unit per round, in bytes.
+    /// Quantum granted to a backlogged stream per round, in bytes.
     quantum: u32,
     queued_packets: usize,
 }
@@ -38,30 +36,21 @@ pub struct StreamSet {
 pub type StreamId = u8;
 
 impl StreamSet {
-    /// A scheduler with `n` streams of equal weight.
+    /// A scheduler with `n` streams, each with an equal share.
+    ///
+    /// # Panics
+    ///
+    /// If `n` is 0: a node with no stream could never send.
     pub fn new(n: usize) -> Self {
-        Self::from_weights(std::iter::repeat_n(1, n))
-    }
-
-    /// A scheduler with the given per-stream weights (must be ≥ 1).
-    pub fn with_weights(weights: &[u32]) -> Self {
-        Self::from_weights(weights.iter().copied())
-    }
-
-    fn from_weights(weights: impl Iterator<Item = u32>) -> Self {
-        let streams: Vec<Stream> = weights
-            .map(|weight| {
-                assert!(weight >= 1, "weights must be >= 1");
-                Stream {
-                    queue: VecDeque::new(),
-                    weight,
-                    deficit: 0,
-                    sent_bytes: 0,
-                    sent_packets: 0,
-                }
+        assert!(n > 0, "at least one stream");
+        let streams = (0..n)
+            .map(|_| Stream {
+                queue: VecDeque::new(),
+                deficit: 0,
+                sent_bytes: 0,
+                sent_packets: 0,
             })
             .collect();
-        assert!(!streams.is_empty(), "at least one stream");
         StreamSet {
             streams,
             cursor: 0,
@@ -99,18 +88,18 @@ impl StreamSet {
         // one to find a sendable head (quantum ≥ max packet).
         for _ in 0..self.streams.len() * 2 {
             let i = self.cursor;
-            let quantum = self.quantum;
             let s = &mut self.streams[i];
-            if let Some(head) = s.queue.front() {
-                let need = head.wire_bytes as i64;
-                if s.deficit >= need {
-                    s.deficit -= need;
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the scheduler checked non-empty before popping this head"
-                    )]
-                    let frame = s.queue.pop_front().expect("head exists");
-                    s.sent_bytes += frame.wire_bytes as u64;
+            if s.queue.is_empty() {
+                // Idle streams must not bank deficit.
+                s.deficit = 0;
+            } else {
+                let deficit = s.deficit;
+                if let Some(frame) = s
+                    .queue
+                    .pop_front_if(|head| deficit >= i64::from(head.wire_bytes))
+                {
+                    s.deficit -= i64::from(frame.wire_bytes);
+                    s.sent_bytes += u64::from(frame.wire_bytes);
                     s.sent_packets += 1;
                     self.queued_packets -= 1;
                     // Keep the cursor: a stream may send several
@@ -118,13 +107,9 @@ impl StreamSet {
                     return Some((i as StreamId, frame));
                 }
                 // Not enough deficit: grant a quantum and move on.
-                s.deficit += (s.weight * quantum) as i64;
-                self.cursor = (i + 1) % self.streams.len();
-            } else {
-                // Idle streams must not bank deficit.
-                s.deficit = 0;
-                self.cursor = (i + 1) % self.streams.len();
+                s.deficit += i64::from(self.quantum);
             }
+            self.cursor = (i + 1) % self.streams.len();
         }
         unreachable!("quantum >= max packet guarantees progress within two rounds");
     }
@@ -216,26 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_streams_get_proportional_share() {
-        let mut s = StreamSet::with_weights(&[3, 1]);
-        for _ in 0..1000 {
-            s.enqueue(0, data_frame());
-            s.enqueue(1, data_frame());
-        }
-        let mut drained = 0;
-        while drained < 400 {
-            s.dequeue().unwrap();
-            drained += 1;
-        }
-        let sent = s.sent_packets();
-        let ratio = sent[0] as f64 / sent[1].max(1) as f64;
-        assert!(
-            (2.2..=3.8).contains(&ratio),
-            "3:1 weights should give ~3x packets, got {sent:?}"
-        );
-    }
-
-    #[test]
     fn idle_stream_does_not_bank_credit() {
         let mut s = StreamSet::new(2);
         // Stream 1 idle for a long time while stream 0 sends.
@@ -278,6 +243,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one stream")]
     fn zero_streams_rejected() {
-        StreamSet::with_weights(&[]);
+        StreamSet::new(0);
     }
 }

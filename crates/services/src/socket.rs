@@ -40,6 +40,8 @@ pub enum SocketError {
     PortInUse(u16),
     /// Sending from an unbound port.
     NotBound(u16),
+    /// No endpoint: the cluster was not built with this node.
+    UnknownNode(u8),
 }
 
 impl std::fmt::Display for SocketError {
@@ -47,6 +49,7 @@ impl std::fmt::Display for SocketError {
         match self {
             SocketError::PortInUse(p) => write!(f, "port {p} already bound"),
             SocketError::NotBound(p) => write!(f, "port {p} not bound"),
+            SocketError::UnknownNode(n) => write!(f, "no node {n}"),
         }
     }
 }

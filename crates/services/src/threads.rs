@@ -93,6 +93,9 @@ pub enum TaskError {
     SlotBusy,
     /// AmpThreads has no task table: it was never enabled.
     NoTable,
+    /// A slot past the table, or past what a doorbell's 16-bit cookie
+    /// can name.
+    NoSlot(u32),
 }
 
 impl From<CacheError> for TaskError {
@@ -107,6 +110,7 @@ impl std::fmt::Display for TaskError {
             TaskError::Cache(e) => write!(f, "cache: {e}"),
             TaskError::SlotBusy => write!(f, "task slot busy (collect it first)"),
             TaskError::NoTable => write!(f, "no task table (AmpThreads not enabled)"),
+            TaskError::NoSlot(slot) => write!(f, "no task slot {slot} in the table"),
         }
     }
 }
@@ -130,6 +134,15 @@ impl TaskTable {
 
     fn offset(&self, slot: u32) -> u32 {
         slot.saturating_mul(ENTRY)
+    }
+
+    /// `slot`'s doorbell cookie; a slot past the table, or past what
+    /// the cookie can name, has none.
+    fn cookie(&self, slot: u32) -> Result<u16, TaskError> {
+        u16::try_from(slot)
+            .ok()
+            .filter(|_| slot < self.slots)
+            .ok_or(TaskError::NoSlot(slot))
     }
 
     /// Read an entry from a replica.
@@ -179,7 +192,9 @@ impl TaskTable {
     ///
     /// Refuses with [`TaskError::SlotBusy`] when the slot still holds a
     /// pending or uncollected task — a silent overwrite would lose the
-    /// in-flight task (or its result) with no signal to the submitter.
+    /// in-flight task (or its result) with no signal to the submitter —
+    /// and with [`TaskError::NoSlot`] for a slot past the table, whose
+    /// entry would overwrite whatever else the region holds.
     pub fn submit(
         &self,
         cache: &mut NetworkCache,
@@ -188,6 +203,7 @@ impl TaskTable {
         target: u8,
         arg: u32,
     ) -> Result<(Vec<MicroPacket>, MicroPacket), TaskError> {
+        let cookie = self.cookie(slot)?;
         if self.read(cache, slot)?.is_some() {
             return Err(TaskError::SlotBusy);
         }
@@ -205,7 +221,7 @@ impl TaskTable {
             target,
             InterruptPayload {
                 vector: THREAD_VECTOR,
-                cookie: slot as u16,
+                cookie,
                 arg,
             },
         );
@@ -214,12 +230,16 @@ impl TaskTable {
 
     /// Target-side: execute the pending task in `slot` (typically in
     /// response to the doorbell interrupt) and publish the result.
-    /// Returns (result, replication packets, completion interrupt).
+    /// Returns (result, replication packets, completion interrupt); a
+    /// slot past the table holds no task.
     pub fn execute(
         &self,
         cache: &mut NetworkCache,
         slot: u32,
     ) -> Result<Option<(u32, Vec<MicroPacket>, MicroPacket)>, CacheError> {
+        let Ok(cookie) = self.cookie(slot) else {
+            return Ok(None);
+        };
         let Some(mut entry) = self.read(cache, slot)? else {
             return Ok(None);
         };
@@ -234,19 +254,21 @@ impl TaskTable {
             entry.submitter,
             InterruptPayload {
                 vector: THREAD_VECTOR,
-                cookie: slot as u16,
+                cookie,
                 arg: entry.result,
             },
         );
         Ok(Some((entry.result, pkts, completion)))
     }
 
-    /// Submitter-side: collect a completed result and free the slot.
+    /// Submitter-side: collect a completed result and free the slot;
+    /// refused as [`submit`](Self::submit) refuses a slot past the table.
     pub fn collect(
         &self,
         cache: &mut NetworkCache,
         slot: u32,
-    ) -> Result<Option<(u32, Vec<MicroPacket>)>, CacheError> {
+    ) -> Result<Option<(u32, Vec<MicroPacket>)>, TaskError> {
+        self.cookie(slot)?;
         let Some(entry) = self.read(cache, slot)? else {
             return Ok(None);
         };
@@ -363,6 +385,33 @@ mod tests {
         assert_eq!(result, 49);
         sync(&pkts, &mut wrk);
         assert!(table.submit(&mut sub, 3, TaskKind::Increment, 2, 1).is_ok());
+    }
+
+    #[test]
+    fn a_slot_past_the_table_or_the_cookie_is_refused() {
+        let (mut sub, mut wrk, table) = setup();
+        let past = TaskError::NoSlot(16);
+        assert_eq!(
+            table.submit(&mut sub, 16, TaskKind::Square, 2, 7),
+            Err(past.clone())
+        );
+        assert_eq!(table.collect(&mut sub, 16), Err(past));
+        assert_eq!(table.execute(&mut wrk, 16), Ok(None));
+        // A table too large for the doorbell's 16-bit cookie: slot
+        // 65,536 would ring slot 0.
+        let wide = TaskTable {
+            region: 7,
+            slots: 65_537,
+        };
+        sub.define_region(7, wide.footprint()).unwrap();
+        let truncated = Err(TaskError::NoSlot(65_536));
+        assert_eq!(
+            wide.submit(&mut sub, 65_536, TaskKind::Square, 2, 7),
+            truncated
+        );
+        assert!(wide
+            .submit(&mut sub, 65_535, TaskKind::Square, 2, 7)
+            .is_ok());
     }
 
     #[test]

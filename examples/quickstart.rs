@@ -51,7 +51,8 @@ fn main() {
         .expect("region 0 holds the write");
     cluster.run_for(SimDuration::from_millis(1));
     for node in 0..6u8 {
-        let bytes = cluster.cache(node).read(0, 128, 30).expect("replicated");
+        let replica = cluster.cache(node).expect("a node of the cluster");
+        let bytes = replica.read(0, 128, 30).expect("replicated");
         assert_eq!(&*bytes, b"the network is also a computer");
     }
     println!("cache write replicated to all 6 nodes (verified byte-for-byte)");

@@ -26,20 +26,25 @@ fn main() {
     let mut traffic = CellTraffic::new(7);
     for node in 0..4 {
         traffic
-            .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 1.0)
-            .expect("well-formed cell");
+            .poisson_at_load(&c, CellTraffic::cache_update(node, 0), 1.0)
+            .expect("a well-formed cell from a node of the cluster");
         traffic
-            .poisson_at_load(&c, node, build::data_broadcast(node, 1, [0; 8]), 1.0)
-            .expect("well-formed cell");
+            .poisson_at_load(&c, build::data_broadcast(node, 1, [0; 8]), 1.0)
+            .expect("a well-formed cell from a node of the cluster");
     }
     let before: Vec<Vec<u64>> = (0..4)
-        .map(|n| c.mac(n).streams_ref().sent_bytes())
+        .filter_map(|n| c.mac(n))
+        .map(|mac| mac.streams_ref().sent_bytes())
         .collect();
     let window = SimDuration::from_millis(10);
     traffic.run_discarding(&mut c, window);
     println!("slide 7 — multiple streams per node on one segment:");
     for node in 0..4u8 {
-        let sent = c.mac(node).streams_ref().sent_bytes();
+        let sent = c
+            .mac(node)
+            .expect("a node of the cluster")
+            .streams_ref()
+            .sent_bytes();
         let bytes = |s: usize| sent[s] - before[node as usize][s];
         let mbps = |s: usize| bytes(s) as f64 / window.as_secs_f64() / 1e6;
         println!(
@@ -56,19 +61,21 @@ fn main() {
     let mut traffic = CellTraffic::new(8);
     for node in 0..8 {
         traffic
-            .poisson_at_load(&c, node, CellTraffic::cache_update(node, 0), 2.0)
-            .expect("well-formed cell");
+            .poisson_at_load(&c, CellTraffic::cache_update(node, 0), 2.0)
+            .expect("a well-formed cell from a node of the cluster");
     }
     let window = SimDuration::from_millis(20);
     let delivered = |c: &Cluster| -> u64 {
         (0..8)
-            .map(|n| c.mac(n).stats().delivered_payload_bytes)
+            .filter_map(|n| c.mac(n))
+            .map(|mac| mac.stats().delivered_payload_bytes)
             .sum()
     };
     let before = delivered(&c);
     traffic.run_discarding(&mut c, window);
     let occupancy = (0..8)
-        .map(|n| c.mac(n).stats().transit_highwater)
+        .filter_map(|n| c.mac(n))
+        .map(|mac| mac.stats().transit_highwater)
         .max()
         .unwrap_or(0);
     println!(

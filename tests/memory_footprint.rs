@@ -93,7 +93,7 @@ const HEAD_BYTES: usize = 24;
 
 fn resident(c: &Cluster) -> Vec<u64> {
     (0..NODES as u8)
-        .map(|n| c.cache(n).resident_bytes())
+        .map(|n| c.cache(n).unwrap().resident_bytes())
         .collect()
 }
 
@@ -163,7 +163,7 @@ fn cache_memory_is_allocated_by_the_first_write() {
     assert!(c.node_online(5));
     assert_eq!(resident(&c), vec![REGION_BYTES; NODES]);
     assert_eq!(
-        &*c.cache(5).read(0, 4096, 17).unwrap(),
+        &*c.cache(5).unwrap().read(0, 4096, 17).unwrap(),
         b"first byte stored"
     );
     assert!(c.caches_converged());
