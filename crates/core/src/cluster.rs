@@ -123,10 +123,14 @@ impl TxPort {
     };
 }
 
+/// A kernel event: 16 bytes, the kernel's budget
+/// (`ampnet_sim::EVENT_BYTES`). The hop events carry the roster epoch's
+/// low 32 bits (`Cluster::epoch_stamp`); `SemTimeout` and `ErrorBurst`
+/// are the largest variants, at exactly 16.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
-    Arrival { epoch: u64, node: u8, frame: FrameRef },
-    TxDone { epoch: u64, node: u8 },
+    Arrival { epoch: u32, node: u8, frame: FrameRef },
+    TxDone { epoch: u32, node: u8 },
     Retry { node: u8 },
     Fail(Component),
     Repair(Component),
@@ -857,6 +861,15 @@ mod tests {
 
     /// What the heap is sized and justified for.
     const SHALLOW: usize = 256;
+
+    #[test]
+    fn an_event_is_at_the_kernels_budget() {
+        assert_eq!(
+            std::mem::size_of::<Ev>(),
+            ampnet_sim::EVENT_BYTES,
+            "a u64 epoch in the hop events makes every heap entry 40 bytes, not 32"
+        );
+    }
 
     /// Advance to `deadline` one event instant at a time, sampling the
     /// queue between instants — where its depth peaks, since handlers

@@ -614,6 +614,12 @@ impl MultiSegment {
     /// Select how shards advance. [`ParallelMode::Serial`] is the
     /// default and the reference; `Threads(n)` must agree with it
     /// bit-for-bit (same seed, same digest).
+    ///
+    /// # Panics
+    ///
+    /// On `Threads(0)`: no worker would advance the shards. Like a
+    /// [`ClusterConfig`](crate::ClusterConfig), the mode is the network
+    /// builder's configuration, not a running caller's input.
     pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
         if let ParallelMode::Threads(n) = mode {
             assert!(n >= 1, "Threads(0) has no one to advance the shards");
@@ -649,6 +655,14 @@ impl MultiSegment {
     }
 
     /// Connect two segments with a router pair.
+    ///
+    /// # Panics
+    ///
+    /// On a bridge no network can carry: both ends on one segment, a
+    /// zero `latency` (the PDES lookahead is the smallest bridge
+    /// latency, and a zero one leaves none), or an end whose segment or
+    /// node the network was not built with. Bridges are configuration,
+    /// as [`MultiSegment::set_parallel_mode`]'s mode is.
     pub fn add_bridge(&mut self, a: GlobalAddr, b: GlobalAddr, latency: SimDuration) {
         assert_ne!(a.segment, b.segment, "bridges join distinct segments");
         assert!(latency.as_nanos() > 0, "a zero-latency bridge has no lookahead");

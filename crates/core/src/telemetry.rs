@@ -63,17 +63,17 @@ impl CoreTelemetry {
 
     // ----- transport -----
 
-    /// An in-flight frame arrived with a stale roster epoch and was
-    /// released back to the arena.
+    /// An in-flight frame arrived with a stale roster epoch stamp (the
+    /// epoch's low 32 bits) and was released back to the arena.
     #[inline]
-    pub(crate) fn stale_frame(&self, now: SimTime, node: u8, frame_epoch: u64) {
+    pub(crate) fn stale_frame(&self, now: SimTime, node: u8, frame_stamp: u32) {
         self.tel.inc(self.stale_released);
         self.tel.flight(FlightEvent {
             at_ns: now.0,
             node,
             plane: Plane::Transport,
             kind: FlightKind::StaleFrame,
-            a: frame_epoch,
+            a: u64::from(frame_stamp),
             b: 0,
         });
     }

@@ -97,14 +97,22 @@ impl Cluster {
         self.kick(node);
     }
 
+    /// The stamp `Arrival` and `TxDone` carry: the roster epoch's low
+    /// 32 bits, which keep `Ev` at 16 bytes. A stale hop event would
+    /// pass for a current one only if a multiple of 2³² roster episodes
+    /// began between its push and its pop. It pops within one hop
+    /// (microseconds), and each episode needs a failure, a repair or a
+    /// join.
+    pub(crate) fn epoch_stamp(&self) -> u32 {
+        self.epoch as u32
+    }
+
     /// Push `node`'s `TxDone` for the end of the frame on its wire.
     fn request_tx_done(&mut self, node: u8) {
+        let epoch = self.epoch_stamp();
         let port = &mut self.ports[node as usize];
         port.requested = true;
-        let ev = Ev::TxDone {
-            epoch: self.epoch,
-            node,
-        };
+        let ev = Ev::TxDone { epoch, node };
         self.sim.schedule_at(port.free_at, ev);
     }
 
@@ -116,7 +124,7 @@ impl Cluster {
         let port = self.ports[i];
         // Mid-transmission: the port's `TxDone` pops after the event in
         // hand — where the eager schedule would still have it stored.
-        let epoch = self.epoch;
+        let epoch = self.epoch_stamp();
         let done = Ev::TxDone { epoch, node }.tie_class();
         if (port.free_at, done) > (self.sim.now(), self.in_hand) {
             // The first kick that has something for the port asks to
@@ -160,7 +168,7 @@ impl Cluster {
                 self.sim.schedule_in(
                     latency,
                     Ev::Arrival {
-                        epoch: self.epoch,
+                        epoch: self.epoch_stamp(),
                         node: succ,
                         frame: frame.frame,
                     },
@@ -318,7 +326,7 @@ impl Cluster {
     pub(crate) fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival { epoch, node, frame } => {
-                if epoch != self.epoch || !self.nodes[node as usize].online {
+                if epoch != self.epoch_stamp() || !self.nodes[node as usize].online {
                     // Packet lost in a ring reconfiguration: recycle
                     // the in-flight frame.
                     self.arena.release(frame);
@@ -376,7 +384,7 @@ impl Cluster {
             Ev::TxDone { epoch, node } => {
                 // The port is free by the clock (its key is the one in
                 // hand); all the event does is serve the backlog.
-                if epoch != self.epoch {
+                if epoch != self.epoch_stamp() {
                     return;
                 }
                 self.kick(node);
@@ -633,7 +641,7 @@ mod tests {
             assert!(c.ring_up());
             let before = *c.nodes[1].stack.mac.stats();
             c.send_own(1, [1, 2].map(|b| build::data(1, 3, 0, [b; 8])));
-            let (frees, epoch) = (c.ports[1].free_at, c.epoch);
+            let (frees, epoch) = (c.ports[1].free_at, c.epoch_stamp());
             assert!(c.ports[1].requested, "the TxDone was pushed at the send");
             let frame = c.arena.insert(&transit);
             c.sim.schedule_at(frees, Ev::Arrival { epoch, node: 1, frame });
@@ -692,5 +700,94 @@ mod tests {
         eager.run_until(settled);
         lazy.run_until(settled);
         assert_indistinguishable(&eager, &lazy, "past the stale end");
+    }
+
+    /// Frames released as stale so far.
+    fn stale_frames(c: &Cluster) -> u64 {
+        c.telemetry()
+            .snapshot()
+            .counter_total("transport_stale_frames_released")
+    }
+
+    /// Frames live in the arena.
+    fn live_frames(c: &Cluster) -> u64 {
+        let s = c.arena().stats();
+        s.acquired - s.released
+    }
+
+    /// Every datagram delivered so far, with its receiver, in order.
+    fn pop_delivered(c: &mut Cluster) -> Vec<(u8, ampnet_services::msg::Datagram)> {
+        let mut delivered = Vec::new();
+        for n in 0..8 {
+            delivered.extend(std::iter::from_fn(|| c.pop_message(n)).map(|d| (n, d)));
+        }
+        delivered
+    }
+
+    /// A booted 8-node cluster moved to roster epoch `epoch`, all-to-all
+    /// datagrams on the wire, and a fiber cut whose episode commits
+    /// `epoch + 1`; then a second burst on the new ring. Returns the
+    /// frames released as stale and every datagram delivered.
+    fn run_across_an_episode(epoch: u64) -> (u64, Vec<(u8, ampnet_services::msg::Datagram)>) {
+        let mut c = Cluster::new(ClusterConfig::small(8).with_seed(11));
+        c.enable_telemetry(64);
+        c.run_for(SimDuration::from_millis(5));
+        assert!(c.ring_up(), "booted");
+        c.epoch = epoch;
+        let before = live_frames(&c);
+        let burst = |c: &mut Cluster, tag: u8| {
+            for src in 0..8 {
+                for dst in (0..8).filter(|&d| d != src) {
+                    c.send_message(src, dst, 1, &[tag, src, dst]);
+                }
+            }
+        };
+        burst(&mut c, 1);
+        c.run_for(SimDuration::from_micros(3));
+        c.schedule_failure(c.now(), Component::Link(NodeId(5), SwitchId(0)));
+        c.run_for(SimDuration::from_nanos(1));
+        assert!(!c.ring_up(), "the cut started an episode");
+        c.run_for(SimDuration::from_millis(5));
+        assert!(c.ring_up(), "restored");
+        assert_eq!(c.epoch(), epoch + 1, "one episode");
+        let stale = stale_frames(&c);
+        let mut delivered = pop_delivered(&mut c);
+        assert_eq!(
+            delivered.len(),
+            56,
+            "the first burst, replayed after the episode"
+        );
+        burst(&mut c, 2);
+        c.run_for(SimDuration::from_millis(1));
+        delivered.extend(pop_delivered(&mut c));
+        assert_eq!(
+            delivered.len(),
+            112,
+            "the burst sent on the new ring is delivered"
+        );
+        assert_eq!(
+            stale_frames(&c),
+            stale,
+            "nothing from the new ring is stale"
+        );
+        assert_eq!(
+            live_frames(&c),
+            before,
+            "every frame went back to the arena"
+        );
+        (stale, delivered)
+    }
+
+    /// The hop events carry the epoch's low 32 bits
+    /// (`Cluster::epoch_stamp`). An episode that begins at epoch
+    /// 2³² − 1 commits epoch 2³², whose stamp is 0: every frame still in
+    /// flight from the old ring must be released as stale, and every
+    /// frame of the new ring must be current, exactly as when the same
+    /// schedule starts from epoch 1.
+    #[test]
+    fn stamps_wrap_with_the_epochs_low_32_bits() {
+        let wrapped = run_across_an_episode(u64::from(u32::MAX));
+        assert!(wrapped.0 > 0, "frames were in flight at the cut");
+        assert_eq!(wrapped, run_across_an_episode(1));
     }
 }

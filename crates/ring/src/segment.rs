@@ -57,16 +57,18 @@ impl Default for SegmentParams {
     }
 }
 
+/// A node is a `u32`, not a `usize`: that keeps every event at 16
+/// bytes, the kernel's budget (`ampnet_sim::EVENT_BYTES`).
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// Last byte of a frame arrived at `node`.
-    Arrival { node: usize, frame: FrameRef },
+    Arrival { node: u32, frame: FrameRef },
     /// `node`'s output port finished serializing.
-    TxDone { node: usize },
+    TxDone { node: u32 },
     /// Next cell of `node`'s broadcast stream.
-    Gen { node: usize },
+    Gen { node: u32 },
     /// Pacing governor may allow an insertion now.
-    Retry { node: usize },
+    Retry { node: u32 },
 }
 
 /// Class 0 throughout: the segment's same-instant events pop in the
@@ -208,42 +210,43 @@ impl Segment {
         let pkt_time = self.params.link.serialize_time(pkt.wire_bytes());
         let per_node_gap_ns = pkt_time.as_nanos() as f64 * n as f64 / offered_load.max(1e-9);
         self.mean_gap = SimDuration::from_nanos(per_node_gap_ns.round() as u64);
-        for node in 0..n {
+        for node in 0..n as u32 {
             self.sim.schedule_at(SimTime::ZERO, Ev::Gen { node });
         }
     }
 
-    fn kick(&mut self, node: usize) {
-        if self.tx_busy[node] {
+    fn kick(&mut self, node: u32) {
+        let i = node as usize;
+        if self.tx_busy[i] {
             return;
         }
         let now = self.sim.now();
-        match self.nodes[node].next_tx(now, &self.arena) {
+        match self.nodes[i].next_tx(now, &self.arena) {
             Some(MacTx { frame, own, stream }) => {
                 if own {
-                    if let Some(wait) = self.meters.inserted(node, stream, now) {
+                    if let Some(wait) = self.meters.inserted(i, stream, now) {
                         self.access_latency.record(wait);
                     }
                     if frame.ctrl.is_broadcast() {
-                        self.tour_starts[node].push_back(now);
+                        self.tour_starts[i].push_back(now);
                     }
                 }
-                let (ser, latency) = self.nodes[node].phy.hop_timing(frame.wire_bytes as usize);
-                let next = (node + 1) % self.params.n_nodes;
-                self.tx_busy[node] = true;
+                let (ser, latency) = self.nodes[i].phy.hop_timing(frame.wire_bytes as usize);
+                let next = (i + 1) % self.params.n_nodes;
+                self.tx_busy[i] = true;
                 self.sim.schedule_in(ser, Ev::TxDone { node });
                 self.sim.schedule_in(
                     latency,
                     Ev::Arrival {
-                        node: next,
+                        node: next as u32,
                         frame: frame.frame,
                     },
                 );
             }
             None => {
-                if !self.retry_pending[node] {
-                    if let Some(at) = self.nodes[node].insert_retry_at(now) {
-                        self.retry_pending[node] = true;
+                if !self.retry_pending[i] {
+                    if let Some(at) = self.nodes[i].insert_retry_at(now) {
+                        self.retry_pending[i] = true;
                         self.sim.schedule_at(at, Ev::Retry { node });
                     }
                 }
@@ -255,7 +258,8 @@ impl Segment {
         match ev {
             Ev::Arrival { node, frame } => {
                 let now = self.sim.now();
-                match self.nodes[node].classify_arrival(now, &mut self.arena, frame) {
+                let i = node as usize;
+                match self.nodes[i].classify_arrival(now, &mut self.arena, frame) {
                     MacAction::Deliver(wf) => {
                         self.delivered_from[wf.ctrl.src as usize] += wf.payload_bytes as u64;
                         self.arena.release(wf.frame);
@@ -264,7 +268,7 @@ impl Segment {
                         self.delivered_from[wf.ctrl.src as usize] += wf.payload_bytes as u64;
                     }
                     MacAction::Strip(_) => {
-                        if let Some(t0) = self.tour_starts[node].pop_front() {
+                        if let Some(t0) = self.tour_starts[i].pop_front() {
                             let tour = self.meters.toured(t0, now);
                             self.tour_latency.record(tour);
                         }
@@ -274,15 +278,16 @@ impl Segment {
                 self.kick(node);
             }
             Ev::TxDone { node } => {
-                self.tx_busy[node] = false;
+                self.tx_busy[node as usize] = false;
                 self.kick(node);
             }
             Ev::Gen { node } => {
                 self.seq += 1;
+                let i = node as usize;
                 let pkt = build::data(node as u8, BROADCAST, 0, self.seq.to_be_bytes());
-                self.generated[node] += 1;
-                self.meters.enqueued(node, 0, self.sim.now());
-                self.nodes[node].enqueue_packet(&mut self.arena, 0, &pkt);
+                self.generated[i] += 1;
+                self.meters.enqueued(i, 0, self.sim.now());
+                self.nodes[i].enqueue_packet(&mut self.arena, 0, &pkt);
                 let mean_ns = self.mean_gap.as_nanos().max(1) as f64;
                 let gap = self.sim.rng().exponential(mean_ns);
                 self.sim
@@ -290,7 +295,7 @@ impl Segment {
                 self.kick(node);
             }
             Ev::Retry { node } => {
-                self.retry_pending[node] = false;
+                self.retry_pending[node as usize] = false;
                 self.kick(node);
             }
         }
@@ -348,6 +353,15 @@ mod tests {
             link: LinkParams::gigabit(10.0),
             ..Default::default()
         }
+    }
+
+    #[test]
+    fn an_event_is_at_the_kernels_budget() {
+        assert_eq!(
+            std::mem::size_of::<Ev>(),
+            ampnet_sim::EVENT_BYTES,
+            "a usize node makes every heap entry 40 bytes, not 32"
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod stats;
 mod time;
 
 pub use digest::{fnv64, Fnv64};
-pub use queue::{EventId, EventQueue, TieClass};
+pub use queue::{EventId, EventQueue, TieClass, EVENT_BYTES};
 // Test support for `tests/queue_differential.rs`: the seeded queue
 // defects its in-file model must catch.
 #[doc(hidden)]

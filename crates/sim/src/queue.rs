@@ -35,6 +35,13 @@
 //! * **Zero-alloc steady state** — the heap is reserved for
 //!   [`PREALLOC`] entries at construction, so no run in the repo grows
 //!   it on the record path.
+//! * **Sixteen-byte events** — an entry is its 16-byte key plus the
+//!   event, and every sift level moves one entry, so the event's size
+//!   is what a sift pays for beyond the compare. [`EventQueue::new`]
+//!   refuses an event larger than [`EVENT_BYTES`] at compile time: every
+//!   stored entry is at most 32 bytes, two to a cache line. A driver
+//!   keeps its events under the budget by stamping them narrowly (a
+//!   `u32` node, the low 32 bits of an epoch — DESIGN.md §13).
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -49,6 +56,12 @@ pub struct EventId(u64);
 /// never grows the heap (the telemetry-overhead guard counts the whole
 /// simulator's allocations per packet).
 const PREALLOC: usize = 256;
+
+/// The largest event, in bytes, a queue stores: with the 16-byte key
+/// an entry is at most 32 bytes. At 24 bytes (a `usize` or `u64` field
+/// beside a tag) every entry is 40, and the benchmark's `ring_saturated`
+/// made 13 % fewer operations a second (EXPERIMENTS.md §B22).
+pub const EVENT_BYTES: usize = 16;
 
 /// Bits of an entry's tie word that count pushes; the 16-bit tie class
 /// sits above them. A queue takes at most 2^48 (2.8·10^14) pushes,
@@ -135,6 +148,29 @@ pub enum QueueMutation {
 
 /// A future-event list that breaks same-instant ties by class, then
 /// first in first out, implemented as a binary heap.
+///
+/// An event is at most [`EVENT_BYTES`] (16) bytes. A larger one does
+/// not compile:
+///
+/// ```compile_fail,E0080
+/// use ampnet_sim::{EventQueue, TieClass};
+///
+/// struct Wide([u64; 3]); // 24 bytes
+/// impl TieClass for Wide {}
+///
+/// let _queue = EventQueue::<Wide>::new();
+/// ```
+///
+/// while the same event two words narrower does:
+///
+/// ```
+/// use ampnet_sim::{EventQueue, TieClass};
+///
+/// struct Narrow([u64; 2]); // 16 bytes
+/// impl TieClass for Narrow {}
+///
+/// let _queue = EventQueue::<Narrow>::new();
+/// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Min-heap on `(at, class, push)`; every stored entry is pending
@@ -154,8 +190,16 @@ impl<E: TieClass> Default for EventQueue<E> {
 }
 
 impl<E: TieClass> EventQueue<E> {
-    /// Empty queue.
+    /// Empty queue. Does not compile for an event larger than
+    /// [`EVENT_BYTES`].
     pub fn new() -> Self {
+        const {
+            assert!(
+                size_of::<E>() <= EVENT_BYTES,
+                "an event is at most 16 bytes (ampnet_sim::EVENT_BYTES): a heap entry is \
+                 its 16-byte key plus the event, and every sift level moves one entry"
+            );
+        }
         EventQueue {
             heap: BinaryHeap::with_capacity(PREALLOC),
             in_hand: false,
@@ -331,6 +375,16 @@ mod tests {
     impl TieClass for &str {}
 
     #[test]
+    fn an_entry_at_the_event_budget_is_32_bytes() {
+        assert_eq!(
+            size_of::<Reverse<Entry<[u8; EVENT_BYTES]>>>(),
+            32,
+            "a 16-byte key (time, tie) plus a 16-byte event: two entries to a \
+             64-byte cache line, and 32 bytes moved per sift level"
+        );
+    }
+
+    #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(SimTime(30), "c");
@@ -463,7 +517,7 @@ mod tests {
 
     /// A payload that carries its class, for the ordering tests.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    struct Classed(u16, &'static str);
+    struct Classed(u16, char);
     impl TieClass for Classed {
         fn tie_class(&self) -> u16 {
             self.0
@@ -474,16 +528,30 @@ mod tests {
     fn ties_break_by_class_then_fifo() {
         let mut q = EventQueue::new();
         // Every u16 is a class of its own, up to u16::MAX.
-        let (f, g) = (Classed(1024, "f"), Classed(u16::MAX, "g"));
-        for ev in [g, Classed(3, "d"), f, Classed(1, "b"), Classed(3, "e"), Classed(0, "a")] {
+        let (f, g) = (Classed(1024, 'f'), Classed(u16::MAX, 'g'));
+        for ev in [
+            g,
+            Classed(3, 'd'),
+            f,
+            Classed(1, 'b'),
+            Classed(3, 'e'),
+            Classed(0, 'a'),
+        ] {
             q.schedule(SimTime(10), ev);
         }
-        q.schedule(SimTime(5), Classed(1023, "first"));
-        assert_eq!(q.pop(), Some((SimTime(5), Classed(1023, "first"))), "time first");
-        assert_eq!(q.take_next(SimTime::MAX), Some((SimTime(10), 0, Classed(0, "a"))));
-        // Scheduled after the rest, but of a lower class than "d".
-        q.schedule(SimTime(10), Classed(2, "c"));
-        for expected in ["b", "c", "d", "e", "f", "g"] {
+        q.schedule(SimTime(5), Classed(1023, '0'));
+        assert_eq!(
+            q.pop(),
+            Some((SimTime(5), Classed(1023, '0'))),
+            "time first"
+        );
+        assert_eq!(
+            q.take_next(SimTime::MAX),
+            Some((SimTime(10), 0, Classed(0, 'a')))
+        );
+        // Scheduled after the rest, but of a lower class than 'd'.
+        q.schedule(SimTime(10), Classed(2, 'c'));
+        for expected in ['b', 'c', 'd', 'e', 'f', 'g'] {
             assert_eq!(q.pop().map(|(at, ev)| (at, ev.1)), Some((SimTime(10), expected)));
         }
         assert_eq!(q.pop(), None);
