@@ -661,7 +661,9 @@ impl Cluster {
 
     /// Enable AmpThreads: the task table lives in `region`, a
     /// configured cache region of at least `slots × 16` bytes; thread
-    /// doorbell interrupts then execute automatically at their target.
+    /// doorbell interrupts then execute automatically at their target,
+    /// and completion interrupts are consumed at the submitter, which
+    /// collects the result from the table.
     pub fn enable_threads(&mut self, region: u8, slots: u32) {
         self.task_table = Some(TaskTable { region, slots });
     }
@@ -736,9 +738,9 @@ impl Cluster {
     }
 
     /// Send a remote interrupt (urgent MicroPacket) from `src` to
-    /// `dst`. Vectors other than the AmpThreads doorbell surface at the
-    /// destination via [`Cluster::pop_interrupt`]. Nothing is sent from
-    /// a node the cluster was not built with.
+    /// `dst`. Vectors other than the AmpThreads doorbell and completion
+    /// surface at the destination via [`Cluster::pop_interrupt`].
+    /// Nothing is sent from a node the cluster was not built with.
     pub fn send_interrupt(&mut self, src: u8, dst: u8, payload: InterruptPayload) {
         if self.node(src).is_some() {
             self.send_own(src, [build::interrupt(src, dst, payload)]);

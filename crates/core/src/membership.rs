@@ -50,7 +50,12 @@ impl Cluster {
         // be one here too, and falls through to the spare-fault path.
         match c {
             Component::Node(n) if (n.0 as usize) < self.nodes.len() => {
-                self.nodes[n.0 as usize].online = false;
+                let i = n.0 as usize;
+                self.nodes[i].online = false;
+                // The crashed NIC loses what it held: what was queued
+                // before the crash is never sent after a rejoin.
+                self.nodes[i].stack.mac.discard_queues(&mut self.arena);
+                self.meters.forget(i);
                 crate::apps::on_node_death(self, n.0);
             }
             _ => {}

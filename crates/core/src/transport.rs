@@ -5,7 +5,9 @@
 //! through the destination's [`NodeStack`](ampnet_ring::NodeStack):
 //! the packet was stored exactly once, at its source, into the
 //! cluster's shared `FrameArena`, and each hop reads its header fields
-//! in place. Frames leave the pool when they
+//! in place. A DMA packet is stored when it is queued; a fixed-format
+//! cell waits in its stream or urgent queue as a value and is stored
+//! when `kick` sends it. Frames leave the pool when they
 //! leave the ring (unicast delivery, source strip) or when a ring
 //! reconfiguration invalidates them in flight (stale-epoch arrivals
 //! are released, modelling the packet loss replay then repairs). A
@@ -61,7 +63,7 @@ use ampnet_packet::{build, MicroPacket, PacketType};
 use ampnet_ring::{MacAction, MacTx};
 use ampnet_services::msg::MsgRx;
 use ampnet_services::socket::AMPIP_STREAM;
-use ampnet_services::threads::THREAD_VECTOR;
+use ampnet_services::threads::{THREAD_DONE_VECTOR, THREAD_VECTOR};
 use ampnet_sim::{SimDuration, TieClass};
 
 impl Cluster {
@@ -80,11 +82,12 @@ impl Cluster {
             PacketType::D64Atomic => 1 % self.cfg.mac.n_streams as u8,
             _ => pkt.ctrl.tag % self.cfg.mac.n_streams as u8,
         };
+        // A fixed cell waits as a value and is pooled in `kick`.
         let ctx = &mut self.nodes[node as usize];
         if pkt.ctrl.flags.contains(ampnet_packet::Flags::URGENT) {
-            ctx.stack.enqueue_urgent_packet(&mut self.arena, &pkt);
+            ctx.stack.enqueue_urgent(&mut self.arena, &pkt);
         } else {
-            ctx.stack.enqueue_packet(&mut self.arena, stream, &pkt);
+            ctx.stack.enqueue(&mut self.arena, stream, &pkt);
             self.meters.enqueued(node as usize, stream, self.sim.now());
         }
     }
@@ -140,18 +143,24 @@ impl Cluster {
         let now = self.sim.now();
         match self.nodes[i].stack.next_tx(now, &self.arena) {
             Some(MacTx { frame, own, stream }) => {
-                if own {
+                // A transit frame is pooled; an own cell is pooled as
+                // it goes on the wire.
+                let handle = if own {
                     self.meters.inserted(i, stream, now);
+                    let handle = frame.pool(&mut self.arena);
                     // Smart-data-recovery bookkeeping wants the packet
                     // itself (it is re-inserted if replayed): one copy
                     // out per own insertion, not per hop.
-                    let packet = self.arena.decode(frame.frame);
+                    let packet = self.arena.decode(handle);
                     if packet.ctrl.is_broadcast() {
                         self.nodes[i].outstanding.push_back((now, packet));
                     } else {
                         self.nodes[i].outstanding_unicast.push_back((now, packet));
                     }
-                }
+                    handle
+                } else {
+                    frame.frame
+                };
                 let (ser, latency) = self.nodes[i].stack.phy.hop_timing(frame.wire_bytes as usize);
                 // The end of transmission becomes an event only if the
                 // MAC already has the next frame waiting.
@@ -170,7 +179,7 @@ impl Cluster {
                     Ev::Arrival {
                         epoch: self.epoch_stamp(),
                         node: succ,
-                        frame: frame.frame,
+                        frame: handle,
                     },
                 );
             }
@@ -245,10 +254,15 @@ impl Cluster {
             }
             PacketType::Interrupt => {
                 if let Some(ip) = build::parse_interrupt(pkt) {
-                    if ip.vector == THREAD_VECTOR && self.task_table.is_some() {
-                        self.try_thread_execute(node, ip.cookie as u32, 0);
-                    } else {
-                        self.nodes[i].interrupts.push_back(ip);
+                    match ip.vector {
+                        THREAD_VECTOR if self.task_table.is_some() => {
+                            self.try_thread_execute(node, ip.cookie as u32, 0);
+                        }
+                        // A completion is consumed where it lands: the
+                        // result is in the replicated task table, for
+                        // `collect_remote`.
+                        THREAD_DONE_VECTOR if self.task_table.is_some() => {}
+                        _ => self.nodes[i].interrupts.push_back(ip),
                     }
                 }
             }

@@ -623,6 +623,83 @@ fn ampthreads_remote_execution_end_to_end() {
     assert_eq!(c.total_drops(), 0);
 }
 
+/// A task's completion interrupt is consumed at the submitter. Sent
+/// on the doorbell's own vector, it re-ran the doorbell's retry loop
+/// there: a `ThreadRetry` every 5 µs, ten times, for a task that was
+/// the submitter's own and long done.
+#[test]
+fn a_collected_task_leaves_no_event_behind() {
+    let mut c = Cluster::new(
+        ClusterConfig::small(5)
+            .with_seed(63)
+            .with_regions(vec![(0, 64 * 1024), (3, 16 * 16)]),
+    );
+    c.run_for(SimDuration::from_millis(5));
+    c.enable_threads(3, 16);
+    assert_eq!(c.next_event_time(), None, "a booted cluster is idle");
+    c.spawn_remote(0, 5, TaskKind::Square, 3, 12).unwrap();
+    let mut result = None;
+    while result.is_none() {
+        c.run_for(SimDuration::from_micros(1));
+        result = c.collect_remote(0, 5).unwrap();
+    }
+    assert_eq!(result, Some(144));
+    // The collect's writes take a few µs to go round.
+    c.run_for(SimDuration::from_micros(20));
+    assert_eq!(c.next_event_time(), None, "nothing retries a completion");
+    assert!(c.pop_interrupt(0).is_none(), "nor does it wait in the inbox");
+    assert!(c.caches_converged());
+}
+
+/// A fixed cell waits in its stream queue as a value: only the cell on
+/// the wire holds an arena frame.
+#[test]
+fn queued_cells_take_no_frame_until_they_are_sent() {
+    let mut c = booted(4, 71);
+    let live = c.arena().live();
+    for i in 0..100u8 {
+        c.send_cell(build::data(1, 3, 0, [i; 8])).unwrap();
+    }
+    assert_eq!(c.mac(1).unwrap().streams_ref().queued_packets(), 99);
+    assert_eq!(c.arena().live(), live + 1, "the cell on the wire");
+    c.run_for(SimDuration::from_millis(1));
+    let got: Vec<u8> = std::iter::from_fn(|| c.pop_cell(3)).map(|d| d.payload[0]).collect();
+    assert_eq!(got, (0..100).collect::<Vec<u8>>(), "every cell, in order");
+    assert_eq!(c.arena().live(), live);
+}
+
+/// A crash takes the node's queues with it: the frames they pooled go
+/// back to the arena, and nothing queued before the crash is sent
+/// after a rejoin.
+#[test]
+fn a_crashed_nodes_queues_die_with_it() {
+    let mut c = booted(4, 72);
+    let live = c.arena().live();
+    for k in 1..300u32 {
+        c.cache_write(1, 0, 64 * k, &[k as u8; 64]).unwrap();
+    }
+    c.cache_write(1, 0, 0, &[0xAA; 64]).unwrap();
+    for i in 0..20u8 {
+        c.send_cell(build::data(1, 2, 0, [i; 8])).unwrap();
+    }
+    c.run_for(SimDuration::from_micros(2));
+    assert!(c.mac(1).unwrap().has_backlog());
+    c.schedule_failure(c.now(), Component::Node(NodeId(1)));
+    c.run_for(SimDuration::from_millis(5));
+    assert!(c.ring_up() && !c.node_online(1));
+    assert!(!c.mac(1).unwrap().has_backlog(), "the NIC forgot its queues");
+    assert_eq!(c.arena().live(), live, "and the arena its frames");
+    c.cache_write(0, 0, 0, &[0xBB; 64]).unwrap();
+    c.run_for(SimDuration::from_millis(1));
+    c.schedule_join(c.now(), 1, compatible_join(1));
+    c.run_for(SimDuration::from_millis(300));
+    assert!(c.node_online(1) && c.ring().len() == 4, "rejoined");
+    for node in 0..4 {
+        let bytes = c.cache(node).unwrap().read(0, 0, 64).unwrap().into_owned();
+        assert_eq!(bytes, [0xBB; 64], "node {node}: the write after the crash stands");
+    }
+}
+
 #[test]
 fn ampthreads_result_survives_submitter_death() {
     use ampnet_core::TaskKind;

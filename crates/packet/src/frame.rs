@@ -2,11 +2,15 @@
 //!
 //! The [`FrameArena`] models the register-insertion pipeline the
 //! paper describes, instead of passing whole [`MicroPacket`] values
-//! through every hop: a packet is **stored once** at its source into a
-//! pooled frame, transit nodes forward the 8-byte [`FrameRef`] handle
-//! and read the header fields in place ([`FrameArena::header`]), and
-//! the delivery plane copies the packet back out
-//! ([`FrameArena::decode`]). A frame holds the fields the source built —
+//! through every hop: a packet is **stored once** into a pooled frame
+//! by the time it goes on the wire, transit nodes forward the 8-byte
+//! [`FrameRef`] handle and read the header fields in place
+//! ([`FrameArena::header`]), and the delivery plane copies the packet
+//! back out ([`FrameArena::decode`]). A DMA cell is stored at its
+//! source, since its body needs a home from the start; a fixed cell
+//! may wait in its send queue as a value and be stored from its
+//! control word and field as it is sent ([`FrameArena::insert_cell`]).
+//! A frame holds the fields the source built —
 //! control word, payload or DMA control, DMA data — never their wire
 //! words, so no hop parses a header and no delivery rebuilds a packet.
 //! The wire codec ([`MicroPacket::encode_into`],
@@ -60,6 +64,28 @@ use crate::wire::{Body, DmaCtrl, MicroPacket, FIXED_PAYLOAD, MAX_DMA_PAYLOAD};
 pub struct FrameRef {
     slot: u32,
     gen: u32,
+}
+
+impl FrameRef {
+    /// A fixed cell's 8-byte field, carried where a handle goes by a
+    /// descriptor whose cell waits in its send queue unpooled (the
+    /// ring's `WireFrame`). The value names no frame: the descriptor
+    /// records which of the two it holds, and pools the cell with
+    /// [`FrameArena::insert_cell`] before anything uses it as a handle.
+    pub const fn holding(field: [u8; FIXED_PAYLOAD]) -> FrameRef {
+        let [a, b, c, d, e, f, g, h] = field;
+        FrameRef {
+            slot: u32::from_ne_bytes([a, b, c, d]),
+            gen: u32::from_ne_bytes([e, f, g, h]),
+        }
+    }
+
+    /// The field a [`FrameRef::holding`] value carries.
+    pub const fn held(self) -> [u8; FIXED_PAYLOAD] {
+        let [a, b, c, d] = self.slot.to_ne_bytes();
+        let [e, f, g, h] = self.gen.to_ne_bytes();
+        [a, b, c, d, e, f, g, h]
+    }
 }
 
 /// The first 3 words of every MicroPacket, stored unpacked: control
@@ -211,24 +237,47 @@ impl FrameArena {
             Body::Fixed(p) => (*p, 0),
             Body::Variable { ctrl, data } => (ctrl.to_bytes(), self.store_body(data)),
         };
-        let head = &mut self.heads[i as usize];
-        head.ctrl = pkt.ctrl;
-        head.field = field;
-        head.body = body;
-        head.live = true;
-        self.live += 1;
-        self.stats.acquired += 1;
-        self.stats.peak_live = self.stats.peak_live.max(self.live);
-        Some(FrameRef { slot: i, gen: head.gen })
+        Some(self.fill(i, pkt.ctrl, field, body))
     }
 
     /// Store a well-formed `pkt` into a pooled frame; panics on exhaustion.
-    #[expect(
-        clippy::expect_used,
-        reason = "arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud"
-    )]
     pub fn insert(&mut self, pkt: &MicroPacket) -> FrameRef {
-        self.try_insert(pkt).expect("frame arena exhausted")
+        exhaustion_is_fatal(self.try_insert(pkt))
+    }
+
+    /// Store a fixed-format cell — any type but DMA — from its control
+    /// word and its 8-byte field: the frame [`FrameArena::insert`]
+    /// stores for that packet, without the packet. A driver that lets
+    /// a cell wait in its send queue as a value pools it this way when
+    /// the cell goes on the wire. Panics on exhaustion, and on a DMA
+    /// control word, whose frame needs its body: store a DMA packet
+    /// with [`FrameArena::insert`].
+    pub fn insert_cell(&mut self, ctrl: ControlWord, field: [u8; FIXED_PAYLOAD]) -> FrameRef {
+        assert!(
+            ctrl.ptype.length_class() == LengthClass::Fixed,
+            "a DMA frame needs its body: store the packet with FrameArena::insert"
+        );
+        exhaustion_is_fatal(self.acquire().map(|i| self.fill(i, ctrl, field, 0)))
+    }
+
+    /// Make head `i` a live frame holding `ctrl`, `field` and `body`.
+    fn fill(
+        &mut self,
+        i: u32,
+        ctrl: ControlWord,
+        field: [u8; FIXED_PAYLOAD],
+        body: u32,
+    ) -> FrameRef {
+        let head = &mut self.heads[i as usize];
+        head.ctrl = ctrl;
+        head.field = field;
+        head.body = body;
+        head.live = true;
+        let gen = head.gen;
+        self.live += 1;
+        self.stats.acquired += 1;
+        self.stats.peak_live = self.stats.peak_live.max(self.live);
+        FrameRef { slot: i, gen }
     }
 
     fn head(&self, f: FrameRef) -> &Head {
@@ -284,6 +333,15 @@ impl FrameArena {
         self.stats.released += 1;
         self.free.push(f.slot);
     }
+}
+
+/// The frame an unbounded arena always has; a bounded one may not.
+#[expect(
+    clippy::expect_used,
+    reason = "arena exhaustion is a sizing bug caught at boot, not a runtime state; fail loud"
+)]
+fn exhaustion_is_fatal(frame: Option<FrameRef>) -> FrameRef {
+    frame.expect("frame arena exhausted")
 }
 
 #[cfg(test)]
@@ -423,6 +481,43 @@ mod tests {
         let f = a.insert(&dma(64));
         a.release(f);
         a.release(f);
+    }
+
+    /// Data, Interrupt and D64 atomic cells: the frame pooled from a
+    /// control word and a field is the frame the packet itself pools.
+    fn cells() -> [MicroPacket; 3] {
+        use crate::build::{AtomicOp, AtomicRequest, InterruptPayload};
+        let ip = InterruptPayload { vector: 0x54, cookie: 3, arg: 0xDEAD_BEEF };
+        let req = AtomicRequest { op: AtomicOp::FetchAdd, region: 2, offset: 64, operand: 9 };
+        [fixed(7), build::interrupt(4, 1, ip), build::atomic_request(2, 0, req)]
+    }
+
+    #[test]
+    fn a_cell_pooled_from_its_field_is_the_packet_pooled_whole() {
+        let mut a = FrameArena::new();
+        for pkt in cells() {
+            let field = *pkt.fixed_payload().unwrap();
+            let f = a.insert_cell(pkt.ctrl, field);
+            assert_eq!(a.header(f), (pkt.ctrl, None));
+            assert_eq!(a.decode(f), pkt, "byte for byte");
+            a.release(f);
+        }
+        assert_eq!(a.resident_bytes(), 24, "one head, no body");
+        assert_eq!(a.stats().acquired, 3);
+    }
+
+    #[test]
+    fn a_held_field_comes_back_unchanged() {
+        for pkt in cells() {
+            let field = *pkt.fixed_payload().unwrap();
+            assert_eq!(FrameRef::holding(field).held(), field);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a DMA frame needs its body")]
+    fn a_dma_control_word_is_not_a_cell() {
+        FrameArena::new().insert_cell(dma(8).ctrl, [0; 8]);
     }
 
     #[test]

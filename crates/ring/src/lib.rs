@@ -16,7 +16,7 @@
 //!   propagation delays) and the 8b/10b line-error model.
 //! * [`RegisterMac`] — the register-insertion state machine itself
 //!   (arrival handling, transmit selection, insertion rules,
-//!   counters), operating on pooled [`WireFrame`]s.
+//!   counters), operating on [`WireFrame`] descriptors.
 //!
 //! [`NodeStack`] composes the two with their telemetry, and both
 //! drivers — `ampnet-core`'s `Cluster` and [`Segment`] here — take

@@ -1,5 +1,5 @@
-//! The insertion-MAC plane: register-insertion logic over pooled
-//! wire frames.
+//! The insertion-MAC plane: register-insertion logic over wire-frame
+//! descriptors.
 //!
 //! Classic register insertion (slide 8, "a variant of a register
 //! insertion ring") with AmpNet's adaptations:
@@ -25,7 +25,10 @@
 //! The MAC never touches packet payloads: it operates on [`WireFrame`]
 //! descriptors — the control word, cached sizes, and a [`FrameRef`]
 //! into the packet pool — so forwarding a packet moves 16 bytes (the
-//! descriptor's size, asserted below) and zero heap.
+//! descriptor's size, asserted below) and zero heap. An own fixed cell
+//! waits in its stream or urgent queue as the same 16 bytes, its field
+//! held in place of the handle, and takes a pooled frame only when the
+//! driver sends it ([`WireFrame::pool`]).
 
 use crate::pacing::{InsertionGovernor, PacingMode};
 use crate::stream::{StreamId, StreamSet};
@@ -82,11 +85,17 @@ pub struct RingNodeStats {
     pub delivered_payload_bytes: u64,
 }
 
-/// Descriptor of one pooled packet in flight: the control word, the
-/// sizes every MAC decision needs, and a handle to the pooled frame.
-/// Transit buffers and stream queues carry it; arrival events carry
-/// only the [`FrameRef`], and the receiving stack rebuilds the
-/// descriptor with [`WireFrame::of`].
+/// Descriptor of one packet: the control word, the sizes every MAC
+/// decision needs, and a handle to the pooled frame. Transit buffers
+/// and stream queues carry it; arrival events carry only the
+/// [`FrameRef`], and the receiving stack rebuilds the descriptor with
+/// [`WireFrame::of`].
+///
+/// An own fixed-format cell (every type but DMA) may wait in its send
+/// queue unpooled, its 8-byte field held in `frame`
+/// ([`WireFrame::queued`]); the driver pools it as it sends it
+/// ([`WireFrame::pool`]). A frame that arrives from the wire, and so
+/// every transit frame, is pooled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireFrame {
     /// Word 0, as the source built it.
@@ -95,7 +104,11 @@ pub struct WireFrame {
     pub wire_bytes: u8,
     /// Application payload bytes carried (delivery accounting).
     pub payload_bytes: u8,
-    /// The pooled packet in the segment's [`FrameArena`].
+    /// Whether `frame` names a pooled frame or holds a cell's field.
+    pub(crate) pooled: bool,
+    /// The pooled packet in the segment's [`FrameArena`] — or, for a
+    /// cell not pooled yet, its field ([`FrameRef::holding`]), which
+    /// names no frame: see [`WireFrame::pool`].
     pub frame: FrameRef,
 }
 
@@ -113,7 +126,38 @@ impl WireFrame {
             ctrl: pkt.ctrl,
             wire_bytes: pkt.wire_bytes() as u8,
             payload_bytes: pkt.payload_bytes() as u8,
+            pooled: true,
             frame: arena.insert(pkt),
+        }
+    }
+
+    /// The descriptor a well-formed own `pkt` waits in its send queue
+    /// as: a fixed-format cell is a value, its field held in the
+    /// descriptor and nothing pooled; a DMA packet is stored into
+    /// `arena` now ([`WireFrame::insert`]), since its body needs a home
+    /// and 16 bytes hold no more than its DMA control.
+    pub fn queued(arena: &mut FrameArena, pkt: &MicroPacket) -> WireFrame {
+        match pkt.fixed_payload() {
+            Some(&field) => WireFrame {
+                ctrl: pkt.ctrl,
+                wire_bytes: pkt.wire_bytes() as u8,
+                payload_bytes: pkt.payload_bytes() as u8,
+                pooled: false,
+                frame: FrameRef::holding(field),
+            },
+            None => WireFrame::insert(arena, pkt),
+        }
+    }
+
+    /// The pooled frame of an own frame going on the wire: a held cell
+    /// is stored into `arena` now, from its control word and field
+    /// ([`FrameArena::insert_cell`]); a pooled frame is already there.
+    #[inline]
+    pub fn pool(self, arena: &mut FrameArena) -> FrameRef {
+        if self.pooled {
+            self.frame
+        } else {
+            arena.insert_cell(self.ctrl, self.frame.held())
         }
     }
 
@@ -133,6 +177,7 @@ impl WireFrame {
             ctrl,
             wire_bytes: (body_words + 2) * WORD as u8,
             payload_bytes,
+            pooled: true,
             frame,
         }
     }
@@ -359,6 +404,25 @@ impl RegisterMac {
     /// Whether the node has anything to send at all.
     pub fn has_backlog(&self) -> bool {
         !self.transit.is_empty() || !self.urgent.is_empty() || self.streams.has_traffic()
+    }
+
+    /// Empty every queue — transit register, urgent queue, streams —
+    /// as a crashed NIC loses them, releasing each pooled frame into
+    /// `arena` (a held cell has none). Returns how many frames went.
+    pub fn discard_queues(&mut self, arena: &mut FrameArena) -> usize {
+        let mut discarded = 0;
+        let mut discard = |wf: WireFrame| {
+            discarded += 1;
+            if wf.pooled {
+                arena.release(wf.frame);
+            }
+        };
+        self.transit.drain(..).for_each(&mut discard);
+        self.urgent.drain(..).for_each(&mut discard);
+        self.streams.clear(&mut discard);
+        self.transit_bytes = 0;
+        self.highwater_since_insert = 0;
+        discarded
     }
 }
 

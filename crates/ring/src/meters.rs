@@ -58,6 +58,16 @@ impl RingMeters {
         self.enqueued[at].push_back(now);
     }
 
+    /// `node`'s queued frames were discarded (its NIC crashed): forget
+    /// their enqueue instants, so its next insertions are not metered
+    /// against them.
+    pub fn forget(&mut self, node: usize) {
+        let (from, to) = (node * self.n_streams, (node + 1) * self.n_streams);
+        for queued in self.enqueued.iter_mut().take(to).skip(from) {
+            queued.clear();
+        }
+    }
+
     /// `node` inserted an own frame, taken from `stream` (`None` for an
     /// urgent frame). Records and returns its access wait in ns.
     #[inline]
@@ -105,6 +115,21 @@ mod tests {
         assert_eq!(m.inserted(1, None, SimTime(130)), None, "urgent: unmetered");
         assert_eq!(m.inserted(0, Some(0), SimTime(130)), None, "nothing queued");
         assert_eq!(hist(&tel, "ring_access_ns"), (3, 270));
+    }
+
+    #[test]
+    fn a_forgotten_node_waits_from_its_next_enqueue() {
+        let mut m = RingMeters::new(2);
+        m.enqueued(0, 0, SimTime(5));
+        m.enqueued(1, 0, SimTime(10));
+        m.enqueued(1, 1, SimTime(20));
+        m.forget(1);
+        m.forget(7); // never enqueued: nothing to forget
+        assert_eq!(m.inserted(1, Some(0), SimTime(100)), None);
+        assert_eq!(m.inserted(1, Some(1), SimTime(100)), None);
+        m.enqueued(1, 0, SimTime(90));
+        assert_eq!(m.inserted(1, Some(0), SimTime(100)), Some(10));
+        assert_eq!(m.inserted(0, Some(0), SimTime(100)), Some(95), "other nodes keep theirs");
     }
 
     #[test]

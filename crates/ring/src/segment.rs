@@ -11,14 +11,17 @@
 //! * `benchmark/`'s `ring_saturated` workload;
 //! * `tests/refactor_equivalence.rs`, which pins this segment's
 //!   delivery accounting;
-//! * `tests/memory_footprint.rs`, which pins its saturated backlog;
+//! * `tests/memory_footprint.rs`, which pins where its saturated
+//!   backlog waits;
 //! * `ampnet-core`'s `driver_agreement` test, which runs the same
 //!   arrivals on both drivers hop for hop.
 //!
-//! Packets are serialized once, at their source, into the segment's
-//! shared [`FrameArena`]; arrival events and transit buffers carry
+//! A cell waits in its node's stream queue as a value and is stored
+//! once, as its node sends it, into the segment's shared
+//! [`FrameArena`]; arrival events and transit buffers carry
 //! [`FrameRef`] handles, so the steady-state forwarding path performs
-//! zero heap allocations. The event loop takes one event at a time;
+//! zero heap allocations, and the arena holds what is on the ring, not
+//! the backlog behind it. The event loop takes one event at a time;
 //! the pop is fused with the handler's first schedule
 //! ([`Sim::next_event`]), so a hop that schedules its successor costs
 //! one heap sift, not two.
@@ -223,14 +226,19 @@ impl Segment {
         let now = self.sim.now();
         match self.nodes[i].next_tx(now, &self.arena) {
             Some(MacTx { frame, own, stream }) => {
-                if own {
+                // A transit frame is pooled; an own cell is pooled as
+                // it goes on the wire.
+                let handle = if own {
                     if let Some(wait) = self.meters.inserted(i, stream, now) {
                         self.access_latency.record(wait);
                     }
                     if frame.ctrl.is_broadcast() {
                         self.tour_starts[i].push_back(now);
                     }
-                }
+                    frame.pool(&mut self.arena)
+                } else {
+                    frame.frame
+                };
                 let (ser, latency) = self.nodes[i].phy.hop_timing(frame.wire_bytes as usize);
                 let next = (i + 1) % self.params.n_nodes;
                 self.tx_busy[i] = true;
@@ -239,7 +247,7 @@ impl Segment {
                     latency,
                     Ev::Arrival {
                         node: next as u32,
-                        frame: frame.frame,
+                        frame: handle,
                     },
                 );
             }
@@ -287,7 +295,7 @@ impl Segment {
                 let pkt = build::data(node as u8, BROADCAST, 0, self.seq.to_be_bytes());
                 self.generated[i] += 1;
                 self.meters.enqueued(i, 0, self.sim.now());
-                self.nodes[i].enqueue_packet(&mut self.arena, 0, &pkt);
+                self.nodes[i].enqueue(&mut self.arena, 0, &pkt);
                 let mean_ns = self.mean_gap.as_nanos().max(1) as f64;
                 let gap = self.sim.rng().exponential(mean_ns);
                 self.sim

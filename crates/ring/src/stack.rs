@@ -13,12 +13,24 @@
 //! a payload.
 //!
 //! Buffer lifecycle — stored once, read in place: a packet is copied
-//! **once** at its source into a
-//! [`FrameArena`](ampnet_packet::FrameArena) slot; every hop reads the
-//! slot's header fields into the 16-byte [`WireFrame`] descriptor (a
-//! compile-time assertion) without parsing anything; the payload is
-//! read only by the driver at delivery, and the slot is recycled when
-//! the frame leaves the ring (unicast delivery or source strip).
+//! **once** into a [`FrameArena`](ampnet_packet::FrameArena) slot by
+//! the time it leaves its source. When depends on its class:
+//!
+//! * a fixed-format cell (every type but DMA) queued with
+//!   [`NodeStack::enqueue`] or [`NodeStack::enqueue_urgent`] waits in
+//!   its stream or urgent queue as a value — its 16-byte [`WireFrame`],
+//!   8-byte field inline — and is pooled by the driver as it goes on
+//!   the wire ([`WireFrame::pool`]), so the arena holds the frames on
+//!   the wire and in transit registers, not the send backlog;
+//! * a DMA cell is pooled at enqueue: its 64-byte body needs a home,
+//!   and the descriptor has room for its DMA control only;
+//! * [`NodeStack::enqueue_packet`] pools any packet at enqueue.
+//!
+//! Every hop reads the slot's header fields into the 16-byte
+//! [`WireFrame`] descriptor (a compile-time assertion) without parsing
+//! anything; the payload is read only by the driver at delivery, and
+//! the slot is recycled when the frame leaves the ring (unicast
+//! delivery or source strip).
 //! An error burst is assessed by the [`SerialPhy`]'s 8b/10b checker
 //! through [`NodeStack::phy_burst`].
 
@@ -357,24 +369,39 @@ impl NodeStack {
     }
 
     /// Serialize an own packet into the arena (its single encode) and
-    /// queue it on `stream`.
+    /// queue it on `stream`: every packet is pooled at enqueue, so
+    /// [`NodeStack::next_tx`] hands back a frame the caller can release.
+    /// The drivers queue with [`NodeStack::enqueue`]; this eager entry
+    /// stays for the `benchmark/` package, which builds against this API
+    /// and is frozen.
     pub fn enqueue_packet(&mut self, arena: &mut FrameArena, stream: StreamId, pkt: &MicroPacket) {
         let wf = WireFrame::insert(arena, pkt);
         self.mac.enqueue_own(stream, wf);
     }
 
-    /// Serialize an urgent own packet and queue it ahead of the stream
-    /// scheduler.
-    pub fn enqueue_urgent_packet(&mut self, arena: &mut FrameArena, pkt: &MicroPacket) {
-        let wf = WireFrame::insert(arena, pkt);
+    /// Queue a well-formed own packet on `stream` as a value
+    /// ([`WireFrame::queued`]): a fixed-format cell takes no frame
+    /// until it is sent, a DMA packet takes its frame and body now.
+    /// Pool an own frame [`NodeStack::next_tx`] hands back with
+    /// [`WireFrame::pool`].
+    pub fn enqueue(&mut self, arena: &mut FrameArena, stream: StreamId, pkt: &MicroPacket) {
+        let wf = WireFrame::queued(arena, pkt);
+        self.mac.enqueue_own(stream, wf);
+    }
+
+    /// [`NodeStack::enqueue`] for an urgent packet (Rostering,
+    /// Interrupt), queued ahead of the stream scheduler.
+    pub fn enqueue_urgent(&mut self, arena: &mut FrameArena, pkt: &MicroPacket) {
+        let wf = WireFrame::queued(arena, pkt);
         self.mac.enqueue_urgent(wf);
     }
 
     /// Pick the next frame for a free output port and clock it through
-    /// the PHY. `None` when nothing is eligible right now. The frame is
-    /// already serialized in the arena, so transmitting only counts it;
-    /// `_arena` stays in the signature for the `benchmark/` package,
-    /// which builds against this API and is frozen.
+    /// the PHY. `None` when nothing is eligible right now. An own cell
+    /// queued as a value comes back unpooled: the driver pools it with
+    /// [`WireFrame::pool`] before it goes on the wire. A forwarded
+    /// frame is pooled. `_arena` stays in the signature for the
+    /// `benchmark/` package, which builds against this API and is frozen.
     #[inline]
     pub fn next_tx(&mut self, now: SimTime, _arena: &FrameArena) -> Option<MacTx> {
         let tx = self.mac.next_tx(now)?;
@@ -504,6 +531,102 @@ mod tests {
         ));
         assert_eq!(arena.live(), 0, "strip recycles the slot");
         assert_eq!(arena.stats().acquired, 1, "one encode for the whole tour");
+    }
+
+    /// A Data, an Interrupt (urgent) and a D64 atomic cell.
+    fn cells() -> [MicroPacket; 3] {
+        use ampnet_packet::build::{AtomicOp, AtomicRequest, InterruptPayload};
+        let ip = InterruptPayload { vector: 0x54, cookie: 3, arg: 0xDEAD_BEEF };
+        let req = AtomicRequest { op: AtomicOp::Swap, region: 2, offset: 64, operand: 9 };
+        [
+            build::data(0, 2, 1, [0xA5; 8]),
+            build::interrupt(0, 1, ip),
+            build::atomic_request(0, 2, req),
+        ]
+    }
+
+    fn dma_packet() -> MicroPacket {
+        let ctrl = ampnet_packet::DmaCtrl { channel: 1, region: 0, offset: 128, len: 0 };
+        build::dma(0, 2, 0, ctrl, &[7; 40]).unwrap()
+    }
+
+    #[test]
+    fn a_queued_cell_takes_no_frame_until_it_is_sent() {
+        let mut arena = FrameArena::new();
+        let mut s = stack(0, 4);
+        for (sent, pkt) in cells().into_iter().enumerate() {
+            if pkt.ctrl.flags.contains(ampnet_packet::Flags::URGENT) {
+                s.enqueue_urgent(&mut arena, &pkt);
+            } else {
+                s.enqueue(&mut arena, 1, &pkt);
+            }
+            let pooled = (arena.live(), arena.stats().acquired);
+            assert_eq!(pooled, (0, sent as u64), "queued as a value");
+            let tx = s.next_tx(SimTime(0), &arena).unwrap();
+            assert!(tx.own && !tx.frame.pooled);
+            assert_eq!(tx.frame.wire_bytes as usize, pkt.wire_bytes());
+            let f = tx.frame.pool(&mut arena);
+            assert_eq!(arena.live(), 1, "pooled as it is sent");
+            assert_eq!(arena.decode(f), pkt, "the queued packet, byte for byte");
+            assert_eq!(WireFrame::of(&arena, f).frame, f);
+            arena.release(f);
+        }
+        assert_eq!(arena.resident_bytes(), 24, "one head, reused; no body");
+    }
+
+    #[test]
+    fn a_dma_packet_takes_its_frame_and_body_at_enqueue() {
+        let mut arena = FrameArena::new();
+        let mut s = stack(0, 4);
+        let pkt = dma_packet();
+        s.enqueue(&mut arena, 0, &pkt);
+        assert_eq!(arena.live(), 1);
+        assert_eq!(arena.resident_bytes(), 24 + ampnet_packet::MAX_DMA_PAYLOAD);
+        let tx = s.next_tx(SimTime(0), &arena).unwrap();
+        assert!(tx.frame.pooled);
+        let f = tx.frame.pool(&mut arena);
+        assert_eq!((f, arena.stats().acquired), (tx.frame.frame, 1), "no second frame");
+        assert_eq!(arena.decode(f), pkt);
+    }
+
+    #[test]
+    fn enqueue_packet_hands_next_tx_a_frame_the_caller_releases() {
+        let mut arena = FrameArena::new();
+        let mut s = stack(0, 4);
+        for pkt in cells().into_iter().chain([dma_packet()]) {
+            s.enqueue_packet(&mut arena, 0, &pkt);
+        }
+        assert_eq!(arena.live(), 4, "pooled at enqueue");
+        while let Some(tx) = s.next_tx(SimTime(0), &arena) {
+            assert!(tx.frame.pooled);
+            arena.release(tx.frame.frame);
+        }
+        assert_eq!(arena.live(), 0);
+    }
+
+    #[test]
+    fn a_discard_releases_exactly_the_pooled_frames() {
+        let mut arena = FrameArena::new();
+        let mut s = stack(3, 4);
+        let transit = arena.insert(&build::data(0, 1, 0, [1; 8]));
+        assert!(matches!(
+            s.classify_arrival(SimTime(0), &mut arena, transit),
+            MacAction::Forward
+        ));
+        for pkt in cells() {
+            if pkt.ctrl.flags.contains(ampnet_packet::Flags::URGENT) {
+                s.enqueue_urgent(&mut arena, &pkt);
+            } else {
+                s.enqueue(&mut arena, 2, &pkt);
+            }
+        }
+        s.enqueue(&mut arena, 0, &dma_packet());
+        assert_eq!(arena.live(), 2, "the transit frame and the DMA frame");
+        assert_eq!(s.mac.discard_queues(&mut arena), 5);
+        assert_eq!(arena.live(), 0);
+        assert!(!s.mac.has_backlog());
+        assert_eq!(s.mac.streams_ref().queued_packets(), 0);
+        assert!(s.next_tx(SimTime(0), &arena).is_none());
     }
 
     #[test]

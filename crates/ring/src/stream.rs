@@ -21,7 +21,8 @@ struct Stream {
 }
 
 /// Deficit-round-robin scheduler over a node's transmit streams,
-/// queueing pooled [`WireFrame`] descriptors.
+/// queueing [`WireFrame`] descriptors — pooled, or fixed cells held as
+/// values ([`WireFrame::queued`]): it reads their sizes only.
 #[derive(Debug)]
 pub struct StreamSet {
     streams: Vec<Stream>,
@@ -112,6 +113,16 @@ impl StreamSet {
             self.cursor = (i + 1) % self.streams.len();
         }
         unreachable!("quantum >= max packet guarantees progress within two rounds");
+    }
+
+    /// Empty every stream, handing its frames to `f` in stream order.
+    /// The deficits go with them; the sent counters stay.
+    pub fn clear(&mut self, mut f: impl FnMut(WireFrame)) {
+        for s in &mut self.streams {
+            s.deficit = 0;
+            s.queue.drain(..).for_each(&mut f);
+        }
+        self.queued_packets = 0;
     }
 
     /// Bytes sent so far per stream (for fairness metrics).

@@ -11,8 +11,14 @@ use ampnet_cache::{CacheError, NetworkCache, RegionId};
 use ampnet_packet::build::{self, InterruptPayload};
 use ampnet_packet::MicroPacket;
 
-/// The interrupt vector AmpThreads uses.
+/// The interrupt vector of an AmpThreads doorbell: the submitter asks
+/// the target to run the task in the slot the cookie names.
 pub const THREAD_VECTOR: u16 = 0x0054;
+
+/// The interrupt vector of an AmpThreads completion: the target tells
+/// the submitter the task in the cookie's slot is done. A vector of its
+/// own, so a completion is never taken for a doorbell.
+pub const THREAD_DONE_VECTOR: u16 = 0x0055;
 
 /// Builtin task kinds (a deterministic stand-in for arbitrary code;
 /// real AmpNet shipped firmware tasks the same way — by id).
@@ -253,7 +259,7 @@ impl TaskTable {
             cache.node(),
             entry.submitter,
             InterruptPayload {
-                vector: THREAD_VECTOR,
+                vector: THREAD_DONE_VECTOR,
                 cookie,
                 arg: entry.result,
             },
@@ -319,6 +325,12 @@ mod tests {
         assert_eq!(result, 144);
         sync(&pkts, &mut sub);
         assert_eq!(completion.ctrl.dst, 1);
+        let done = build::parse_interrupt(&completion).unwrap();
+        assert_eq!(
+            (done.vector, done.cookie, done.arg),
+            (THREAD_DONE_VECTOR, 0, 144),
+            "a completion is not a doorbell"
+        );
 
         // Submitter collects.
         let (got, pkts) = table.collect(&mut sub, 0).unwrap().unwrap();

@@ -5,13 +5,16 @@
 //!   stores into it (`NetworkCache::resident_bytes`; when every replica
 //!   zero-filled its regions at construction, the same count was
 //!   65,536 bytes per node from the start);
-//! * a queued frame costs its 24-byte head, and only a DMA frame also a
+//! * a pooled frame costs its 24-byte head, and only a DMA frame also a
 //!   64-byte body (`FrameArena::resident_bytes`; when every frame took
 //!   a slot sized for the largest DMA cell, the count was 84 bytes per
 //!   frame);
 //! * the descriptor a transit buffer or stream queue holds for each
 //!   queued frame is 16 bytes (`WireFrame`; with `u16` size fields it
-//!   was 20);
+//!   was 20), and a queued fixed cell is that descriptor alone: a
+//!   saturated ring's backlog of more than 10,000 cells leaves a few
+//!   frames per node in the arena (when every cell was pooled at
+//!   enqueue, the arena held the whole backlog, a head per cell);
 //! * a ring route is a value: cloning a 32-node crossbar ring takes two
 //!   allocations, its order and its hop list (one heap list per hop
 //!   made it 34), and building a cluster costs at most 4 allocations
@@ -171,25 +174,32 @@ fn cache_memory_is_allocated_by_the_first_write() {
 
 /// `ring_saturated`'s segment: every node broadcasts 3-word cells at
 /// 1.5× the ring's capacity, so the stream queues hold a backlog of
-/// frames that grows for the whole run — and not one of them is DMA.
+/// cells that grows for the whole run. The backlog waits as values:
+/// the arena holds only the frames on the ring — a few per node, on its
+/// fiber and in its transit register — and not one of them is DMA.
 #[test]
 fn a_saturated_ring_of_fixed_cells_holds_heads_and_no_bodies() {
+    const RING: usize = 8;
     let params = SegmentParams {
-        n_nodes: 8,
+        n_nodes: RING,
         link: LinkParams::gigabit(25.0),
         ..Default::default()
     };
     let mut seg = Segment::new(params, 0xF007);
     seg.all_to_all_broadcast(1.5);
     seg.run_for(SimDuration::from_millis(5));
+    let backlog: usize = (0..RING)
+        .map(|i| seg.node(i).streams_ref().queued_packets())
+        .sum();
+    assert!(backlog > 10_000, "the backlog is {backlog} cells");
     let arena = seg.arena();
     assert!(
-        arena.capacity() > 10_000,
-        "the backlog is {} frames",
+        arena.capacity() <= 4 * RING,
+        "{} frames for a ring of {RING}",
         arena.capacity()
     );
     assert_eq!(arena.resident_bytes(), HEAD_BYTES * arena.capacity());
-    // Each of those frames is queued as one descriptor.
+    // Each queued cell is one descriptor.
     assert_eq!(std::mem::size_of::<WireFrame>(), 16);
 }
 
