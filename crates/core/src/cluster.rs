@@ -102,31 +102,40 @@ pub(crate) struct NodeCtx {
     pub(crate) outstanding_unicast: VecDeque<(SimTime, MicroPacket)>,
 }
 
-/// One node's output port. A transmission ends with an `Ev::TxDone`
-/// at `free_at`, but the event is pushed only once something waits for
+/// One node's ring port: its seat on the committed ring and the state
+/// of its output. A transmission ends with an `Ev::TxDone` at
+/// `free_at`, but the event is pushed only once something waits for
 /// the port (see `transport.rs`). The port is busy while that event's
 /// key lies after the event in hand.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TxPort {
+    /// `(epoch stamp, successor)` as the last roster commit left them
+    /// (slide 16); `None` off the ring: down, left out, or mid-episode.
+    pub(crate) seat: Option<(u32, u8)>,
     /// Instant the frame on the wire has been clocked out.
     pub(crate) free_at: SimTime,
     /// The `TxDone` at `free_at` has been pushed (or the port never
     /// sent).
     pub(crate) requested: bool,
+    /// An `Ev::Retry` (pacing backoff) is pending for this node.
+    pub(crate) retry_pending: bool,
 }
 
 impl TxPort {
-    /// A port that has not sent since the ring came up.
+    /// A port off the ring that has not sent since the ring came up.
     pub(crate) const IDLE: TxPort = TxPort {
+        seat: None,
         free_at: SimTime::ZERO,
         requested: true,
+        retry_pending: false,
     };
 }
 
 /// A kernel event: 16 bytes, the kernel's budget
-/// (`ampnet_sim::EVENT_BYTES`). The hop events carry the roster epoch's
-/// low 32 bits (`Cluster::epoch_stamp`); `SemTimeout` and `ErrorBurst`
-/// are the largest variants, at exactly 16.
+/// (`ampnet_sim::EVENT_BYTES`). The hop events carry the epoch stamp of
+/// the sender's seat (`Cluster::epoch_stamp`), and the receiving node
+/// compares it with its own; `SemTimeout` and `ErrorBurst` are the
+/// largest variants, at exactly 16.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Ev {
     Arrival { epoch: u32, node: u8, frame: FrameRef },
@@ -182,13 +191,13 @@ pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) topo: Plant,
     pub(crate) ring: PlantRing,
-    pub(crate) ring_up: bool,
+    /// The roster's counter: the last episode begun, committed or pending.
     pub(crate) epoch: u64,
     pub(crate) sim: Sim<Ev>,
     pub(crate) nodes: Vec<NodeCtx>,
     /// Pooled wire frames shared by every node's data-plane.
     pub(crate) arena: FrameArena,
-    /// Per-node output port state (see [`TxPort`]).
+    /// Per-node ring port: seat and output state (see [`TxPort`]).
     pub(crate) ports: Vec<TxPort>,
     /// Tie class of the event being handled; `u16::MAX` between
     /// [`Cluster::run_until`] calls, when every event at or before
@@ -200,18 +209,8 @@ pub struct Cluster {
     /// Does not exist outside this crate's unit tests.
     #[cfg(test)]
     pub(crate) eager_tx_done: bool,
-    pub(crate) retry_pending: Vec<bool>,
     pub(crate) pending_roster: Option<(RosterReason, RosterOutcome)>,
     pub(crate) history: Vec<RosterEvent>,
-    /// Position of each node in the current ring (usize::MAX = not a
-    /// member).
-    pub(crate) ring_pos: Vec<usize>,
-    /// Memoized ring successor per node (`None` for non-members).
-    /// `kick` runs once per event, and the successor walk only changes
-    /// when a roster episode installs a new ring, so it is rebuilt
-    /// there — together with each member PHY's outgoing link — instead
-    /// of recomputed per transmission attempt.
-    pub(crate) ring_succ: Vec<Option<u8>>,
     pub(crate) apps: crate::apps::AppState,
     /// Epoch of the certification sweep in flight, if any (see
     /// `diagnostics.rs`).
@@ -232,10 +231,9 @@ pub struct Cluster {
     pub(crate) tel: CoreTelemetry,
     /// Access-wait and tour meters (record once telemetry is enabled).
     pub(crate) meters: RingMeters,
-    /// Cached unicast replay-expiry window, keyed by ring length
-    /// (`usize::MAX` = stale). `quiet_tour() * 2` only changes when
-    /// the ring does, not per arrival.
-    pub(crate) unicast_expiry: (usize, SimDuration),
+    /// Unicast replay-expiry window, two quiet tours of the installed
+    /// ring: computed when a ring is installed, not per arrival.
+    pub(crate) unicast_expiry: SimDuration,
     /// Datagrams currently sitting in node inboxes, indexed by stream.
     /// Maintained at the transport push sites and the `pop_message*`
     /// sinks, so the multi-segment coordinator can elide a whole
@@ -292,24 +290,19 @@ impl Cluster {
         #[expect(clippy::expect_used, reason = "Plant::new asserts ≥ 1 node, and all start alive")]
         let boot = initial_rostering(&topo, &cfg.timing.roster).expect("nodes exist");
         sim.schedule_at(boot.completed_at, Ev::RingRestored { epoch: 1 });
-        let n = cfg.n_nodes;
         Cluster {
             topo,
             ring: PlantRing::empty(),
-            ring_up: false,
             epoch: 1,
             sim,
             nodes,
             arena: FrameArena::new(),
-            ports: vec![TxPort::IDLE; n],
+            ports: vec![TxPort::IDLE; cfg.n_nodes],
             in_hand: u16::MAX,
             #[cfg(test)]
             eager_tx_done: false,
-            retry_pending: vec![false; n],
             pending_roster: Some((RosterReason::Boot, boot)),
             history: vec![],
-            ring_pos: vec![usize::MAX; n],
-            ring_succ: vec![None; n],
             apps: Default::default(),
             certifying: None,
             trace_from: None,
@@ -319,7 +312,7 @@ impl Cluster {
             observations: vec![],
             tel: Default::default(),
             meters: RingMeters::new(cfg.mac.n_streams),
-            unicast_expiry: (usize::MAX, SimDuration::ZERO),
+            unicast_expiry: SimDuration::ZERO,
             stream_backlog: [0; 256],
             cfg,
         }
@@ -356,12 +349,13 @@ impl Cluster {
         &self.ring
     }
 
-    /// Whether the ring is currently carrying traffic.
+    /// Whether the ring is currently carrying traffic: no roster
+    /// episode is pending and the last one committed a ring.
     pub fn ring_up(&self) -> bool {
-        self.ring_up
+        self.pending_roster.is_none() && !self.ring.is_empty()
     }
 
-    /// Current roster epoch.
+    /// The roster epoch: the last episode begun, committed or pending.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }

@@ -24,16 +24,16 @@ impl Cluster {
         let now = self.sim.now();
         let detected = self.nodes[node as usize].stack.phy_burst(now, seed, errors);
         self.observe(ObservedEvent::ErrorBurst { node, errors, detected });
-        let pos = self.ring_pos[node as usize];
-        if detected == 0 || !self.ring_up || pos == usize::MAX || self.ring.order.len() < 2 {
+        let n = self.ring.order.len();
+        let escalates = detected > 0 && n >= 2 && self.ports[node as usize].seat.is_some();
+        let Some(pos) = self.ring.order.iter().position(|v| v.0 == node).filter(|_| escalates) else {
             // Nothing detectable, or the lasers are already down /
             // re-syncing: the burst changes nothing.
             self.observe(ObservedEvent::ErrorBurstAbsorbed { node });
             return;
-        }
+        };
         // Loss-of-sync on the incoming fiber: the final segment of the
         // upstream hop's route into this node is declared dead.
-        let n = self.ring.order.len();
         let up = (pos + n - 1) % n;
         let link =
             self.topo
@@ -71,10 +71,10 @@ impl Cluster {
             }
             Err(RosterSkip::SpareComponent) => self.observe(ObservedEvent::SpareFault(c)),
             Err(RosterSkip::NoSurvivors) => {
-                self.ring_up = false;
+                // No ring can be committed: a pending episode is cancelled.
+                self.pending_roster = None;
                 self.ring = PlantRing::empty();
-                self.ring_pos.fill(usize::MAX);
-                self.ring_succ.fill(None);
+                self.ports.iter_mut().for_each(|p| p.seat = None);
                 self.observe(ObservedEvent::NoSurvivors(c));
             }
         }
@@ -83,7 +83,7 @@ impl Cluster {
     /// Start a roster episode (failure, repair or join alike): the ring
     /// stops carrying traffic until `outcome` completes.
     pub(crate) fn begin_episode(&mut self, reason: RosterReason, outcome: RosterOutcome) {
-        self.ring_up = false;
+        self.ports.iter_mut().for_each(|p| p.seat = None);
         self.epoch = outcome.epoch;
         self.sim
             .schedule_at(outcome.completed_at, Ev::RingRestored { epoch: outcome.epoch });
@@ -101,23 +101,25 @@ impl Cluster {
         }
     }
 
+    /// Commit `outcome`'s ring at one instant: every port idles, and each
+    /// member still online sits with the epoch stamp and its successor,
+    /// its PHY on the fiber run to it. Replay expires after two tours.
     fn install_ring(&mut self, outcome: &RosterOutcome) {
         self.ring = outcome.ring.clone();
-        self.ring_pos.fill(usize::MAX);
-        for (pos, n) in self.ring.order.iter().enumerate() {
-            self.ring_pos[n.0 as usize] = pos;
-        }
-        // Refresh the per-node successor memo (see `Cluster::ring_succ`)
-        // and point each member's PHY at the fiber run to its successor.
-        self.ring_succ.fill(None);
+        self.ports.fill(TxPort::IDLE);
+        let stamp = self.epoch_stamp();
         let len = self.ring.order.len();
+        let link = self.cfg.timing.link(self.cfg.fiber_length_m * 2.0);
+        let tour = link.serialize_time(84) + link.propagation() + self.cfg.timing.node_latency;
+        self.unicast_expiry = tour.saturating_mul(len.max(1) as u64).saturating_mul(2);
         for (pos, n) in self.ring.order.iter().enumerate() {
             let v = self.ring.order[(pos + 1) % len];
-            let fiber = self
-                .topo
-                .hop_fiber_m(*n, v, &self.ring.hops[pos]);
-            self.ring_succ[n.0 as usize] = Some(v.0);
-            self.nodes[n.0 as usize].stack.phy.set_fiber_length(fiber);
+            let fiber = self.topo.hop_fiber_m(*n, v, &self.ring.hops[pos]);
+            let node = &mut self.nodes[n.0 as usize];
+            node.stack.phy.set_fiber_length(fiber);
+            if node.online {
+                self.ports[n.0 as usize].seat = Some((stamp, v.0));
+            }
         }
     }
 
@@ -139,17 +141,13 @@ impl Cluster {
             reason,
             outcome,
         });
-        self.ring_up = true;
-        self.ports.fill(TxPort::IDLE);
-        self.retry_pending.fill(false);
         // Smart data recovery: every surviving member replays its
         // unacknowledged traffic (idempotent at the receivers). A
         // unicast is possibly-lost — and therefore replayed — if it
         // was inserted within two quiet tours of the instant the ring
         // went down; anything older had certainly been delivered. The
         // outage duration itself must not count against the window.
-        let expiry = self.quiet_tour().saturating_mul(2);
-        let replay_after = self.ring_down_at - expiry.min(SimDuration::from_nanos(self.ring_down_at.as_nanos()));
+        let replay_after = self.ring_down_at - self.unicast_expiry.min(SimDuration::from_nanos(self.ring_down_at.as_nanos()));
         let now = self.sim.now();
         for i in 0..self.nodes.len() {
             if !self.nodes[i].online {
@@ -186,7 +184,7 @@ impl Cluster {
         self.topo.restore(c);
         self.observe(ObservedEvent::RepairApplied(c));
         let best = self.topo.largest_ring();
-        if best.len() > self.ring.len() && self.ring_up {
+        if best.len() > self.ring.len() && self.pending_roster.is_none() {
             // Re-roster to absorb the recovered capacity.
             self.extend_ring(RosterReason::Repair(c), best);
         }

@@ -9,11 +9,18 @@
 //! cell waits in its stream or urgent queue as a value and is stored
 //! when `kick` sends it. Frames leave the pool when they
 //! leave the ring (unicast delivery, source strip) or when a ring
-//! reconfiguration invalidates them in flight (stale-epoch arrivals
-//! are released, modelling the packet loss replay then repairs). A
+//! reconfiguration invalidates them in flight (an arrival whose epoch
+//! stamp is not its receiver's seat is released, modelling the packet
+//! loss replay then repairs). A
 //! delivered frame is copied once, out of its arena slot onto the
 //! handler's stack, and dispatched by reference; nothing re-parses it
 //! and no host queue sits in between.
+//!
+//! # Each node knows its own seat
+//!
+//! A node sends only from the seat the last roster commit gave it (its
+//! [`TxPort`]: epoch stamp and successor), stamping each frame with it,
+//! and a receiver drops a frame whose stamp is not its own seat's.
 //!
 //! # One kernel event per hop, a second only on demand
 //!
@@ -47,8 +54,8 @@
 //! An end of transmission that is never requested costs nothing;
 //! [`Cluster::next_event_time`] still reports it, so the multi-segment
 //! planner plans the same slices either way. A roster episode leaves
-//! unrequested ends alone: the ring is down until `restore_ring`,
-//! which idles every port.
+//! unrequested ends alone: every node is unseated until
+//! `install_ring`, which idles every port as it seats the members.
 //!
 //! `run_until` handles one event at a time
 //! ([`Sim::next_event`](ampnet_sim::Sim::next_event)), and the kernel
@@ -100,19 +107,19 @@ impl Cluster {
         self.kick(node);
     }
 
-    /// The stamp `Arrival` and `TxDone` carry: the roster epoch's low
-    /// 32 bits, which keep `Ev` at 16 bytes. A stale hop event would
-    /// pass for a current one only if a multiple of 2³² roster episodes
-    /// began between its push and its pop. It pops within one hop
-    /// (microseconds), and each episode needs a failure, a repair or a
-    /// join.
+    /// The stamp of a seat committed now, which `Arrival` and `TxDone`
+    /// carry: the roster epoch's low 32 bits, which keep `Ev` at 16
+    /// bytes. A stale hop event would pass for a current one only if a
+    /// multiple of 2³² roster episodes began between its push and its
+    /// pop. It pops within one hop (microseconds), and each episode
+    /// needs a failure, a repair or a join.
     pub(crate) fn epoch_stamp(&self) -> u32 {
         self.epoch as u32
     }
 
-    /// Push `node`'s `TxDone` for the end of the frame on its wire.
-    fn request_tx_done(&mut self, node: u8) {
-        let epoch = self.epoch_stamp();
+    /// Push `node`'s `TxDone`, stamped `epoch`, for the end of the
+    /// frame on its wire.
+    fn request_tx_done(&mut self, node: u8, epoch: u32) {
         let port = &mut self.ports[node as usize];
         port.requested = true;
         let ev = Ev::TxDone { epoch, node };
@@ -121,26 +128,23 @@ impl Cluster {
 
     pub(crate) fn kick(&mut self, node: u8) {
         let i = node as usize;
-        if !self.ring_up || !self.nodes[i].online {
-            return;
-        }
         let port = self.ports[i];
-        // Mid-transmission: the port's `TxDone` pops after the event in
-        // hand — where the eager schedule would still have it stored.
-        let epoch = self.epoch_stamp();
-        let done = Ev::TxDone { epoch, node }.tie_class();
-        if (port.free_at, done) > (self.sim.now(), self.in_hand) {
-            // The first kick that has something for the port asks to
-            // be woken when it frees.
-            if !port.requested && self.nodes[i].stack.mac.has_backlog() {
-                self.request_tx_done(node);
-            }
-            return;
-        }
-        let Some(succ) = self.ring_succ[i] else {
+        // Off the ring (down, left out, or waiting out an episode).
+        let Some((epoch, succ)) = port.seat else {
             return;
         };
         let now = self.sim.now();
+        // Mid-transmission: the port's `TxDone` pops after the event in
+        // hand — where the eager schedule would still have it stored.
+        let done = Ev::TxDone { epoch, node }.tie_class();
+        if (port.free_at, done) > (now, self.in_hand) {
+            // The first kick that has something for the port asks to
+            // be woken when it frees.
+            if !port.requested && self.nodes[i].stack.mac.has_backlog() {
+                self.request_tx_done(node, epoch);
+            }
+            return;
+        }
         match self.nodes[i].stack.next_tx(now, &self.arena) {
             Some(MacTx { frame, own, stream }) => {
                 // A transit frame is pooled; an own cell is pooled as
@@ -167,26 +171,27 @@ impl Cluster {
                 self.ports[i] = TxPort {
                     free_at: now + ser,
                     requested: false,
+                    ..port
                 };
                 let waiting = self.nodes[i].stack.mac.has_backlog();
                 #[cfg(test)]
                 let waiting = waiting || self.eager_tx_done;
                 if waiting {
-                    self.request_tx_done(node);
+                    self.request_tx_done(node, epoch);
                 }
                 self.sim.schedule_in(
                     latency,
                     Ev::Arrival {
-                        epoch: self.epoch_stamp(),
+                        epoch,
                         node: succ,
                         frame: handle,
                     },
                 );
             }
             None => {
-                if !self.retry_pending[i] {
+                if !port.retry_pending {
                     if let Some(at) = self.nodes[i].stack.insert_retry_at(now) {
-                        self.retry_pending[i] = true;
+                        self.ports[i].retry_pending = true;
                         self.sim.schedule_at(at, Ev::Retry { node });
                     }
                 }
@@ -198,14 +203,6 @@ impl Cluster {
         for node in 0..self.cfg.n_nodes as u8 {
             self.kick(node);
         }
-    }
-
-    /// One quiet roster-speed tour (for unicast replay expiry).
-    pub(crate) fn quiet_tour(&self) -> SimDuration {
-        let n = self.ring.order.len().max(1) as u64;
-        let link = self.cfg.timing.link(self.cfg.fiber_length_m * 2.0);
-        (link.serialize_time(84) + link.propagation() + self.cfg.timing.node_latency)
-            .saturating_mul(n)
     }
 
     // ----- packet dispatch -----
@@ -340,9 +337,10 @@ impl Cluster {
     pub(crate) fn handle(&mut self, ev: Ev) {
         match ev {
             Ev::Arrival { epoch, node, frame } => {
-                if epoch != self.epoch_stamp() || !self.nodes[node as usize].online {
-                    // Packet lost in a ring reconfiguration: recycle
-                    // the in-flight frame.
+                if self.ports[node as usize].seat.map(|(e, _)| e) != Some(epoch) {
+                    // Packet lost in a ring reconfiguration, or sent to
+                    // a node no longer on the ring: recycle the
+                    // in-flight frame.
                     self.arena.release(frame);
                     self.tel.stale_frame(self.sim.now(), node, epoch);
                     return;
@@ -375,20 +373,12 @@ impl Cluster {
                     MacAction::Strip(_) | MacAction::Forward => {}
                 }
                 // Expire confirmed unicasts (anything older than two
-                // tours has certainly reached its destination). The
-                // window only changes with the ring, so it is cached
-                // keyed on ring length rather than recomputed (four
-                // f64 rounds) on every arrival. Insertion times are
-                // monotone, so expiry is a pop of the aged prefix —
-                // O(expired), not a scan of every live entry.
-                let ring_len = self.ring.order.len();
-                if self.unicast_expiry.0 != ring_len {
-                    self.unicast_expiry = (ring_len, self.quiet_tour().saturating_mul(2));
-                }
-                let expiry = self.unicast_expiry.1;
-                let now = self.sim.now();
+                // tours has certainly reached its destination; the
+                // window is set when the ring is installed). Insertion
+                // times are monotone, so expiry is a pop of the aged
+                // prefix — O(expired), not a scan of every live entry.
                 while let Some((t, _)) = self.nodes[i].outstanding_unicast.front() {
-                    if now.saturating_since(*t) <= expiry {
+                    if now.saturating_since(*t) <= self.unicast_expiry {
                         break;
                     }
                     self.nodes[i].outstanding_unicast.pop_front();
@@ -397,14 +387,14 @@ impl Cluster {
             }
             Ev::TxDone { epoch, node } => {
                 // The port is free by the clock (its key is the one in
-                // hand); all the event does is serve the backlog.
-                if epoch != self.epoch_stamp() {
-                    return;
+                // hand); all the event does is serve the backlog, if
+                // the node still sits on the ring it was sent on.
+                if self.ports[node as usize].seat.map(|(e, _)| e) == Some(epoch) {
+                    self.kick(node);
                 }
-                self.kick(node);
             }
             Ev::Retry { node } => {
-                self.retry_pending[node as usize] = false;
+                self.ports[node as usize].retry_pending = false;
                 self.kick(node);
             }
             Ev::Fail(c) => self.inject_failure(c),
@@ -479,9 +469,26 @@ mod tests {
         })
     }
 
+    /// The seat invariant: while the ring is up, each online member of
+    /// it sits with the epoch's stamp and its ring successor; no other
+    /// node sits, and while the ring is down nobody does.
+    fn assert_seated(c: &Cluster, at: &str) {
+        let order = &c.ring().order;
+        for (n, port) in c.ports.iter().enumerate() {
+            let pos = order.iter().position(|v| v.0 as usize == n);
+            let seat = pos
+                .filter(|_| c.ring_up() && c.nodes[n].online)
+                .map(|p| (c.epoch() as u32, order[(p + 1) % order.len()].0));
+            assert_eq!(port.seat, seat, "{at}: node {n} seat");
+        }
+    }
+
     /// What every instant is checked for: the clocks, what the planner
-    /// would be told, and how many frames each MAC has clocked out.
+    /// would be told, how many frames each MAC has clocked out, and
+    /// every seat.
     fn assert_in_step(eager: &Cluster, lazy: &Cluster, at: &str) {
+        assert_seated(eager, at);
+        assert_seated(lazy, at);
         assert_eq!(eager.now(), lazy.now(), "{at}: clock");
         assert_eq!(
             eager.next_event_time(),
@@ -655,11 +662,11 @@ mod tests {
             assert!(c.ring_up());
             let before = *c.nodes[1].stack.mac.stats();
             c.send_own(1, [1, 2].map(|b| build::data(1, 3, 0, [b; 8])));
-            let (frees, epoch) = (c.ports[1].free_at, c.epoch_stamp());
+            let (frees, (epoch, _)) = (c.ports[1].free_at, c.ports[1].seat.expect("seated"));
             assert!(c.ports[1].requested, "the TxDone was pushed at the send");
             let frame = c.arena.insert(&transit);
             c.sim.schedule_at(frees, Ev::Arrival { epoch, node: 1, frame });
-            c.retry_pending[1] = true;
+            c.ports[1].retry_pending = true;
             c.sim.schedule_at(frees, Ev::Retry { node: 1 });
             // `run_until`, recording node 1's hop events.
             let mut popped = Vec::new();
@@ -688,7 +695,7 @@ mod tests {
     /// An episode that completes before a frame has left its port — no
     /// real roster is that quick, which is why it is forced here.
     /// Nothing waits for that end, so the on-demand schedule never
-    /// pushes it, and `restore_ring` idles the port: the end goes with
+    /// pushes it, and `install_ring` idles the port: the end goes with
     /// its epoch. The eager schedule pops it as a stale no-op; past it,
     /// the two agree.
     #[test]
@@ -747,7 +754,13 @@ mod tests {
         c.enable_telemetry(64);
         c.run_for(SimDuration::from_millis(5));
         assert!(c.ring_up(), "booted");
+        // The quiet ring re-committed at `epoch`: every seat re-stamped.
         c.epoch = epoch;
+        for port in &mut c.ports {
+            if let Some((stamp, _)) = &mut port.seat {
+                *stamp = epoch as u32;
+            }
+        }
         let before = live_frames(&c);
         let burst = |c: &mut Cluster, tag: u8| {
             for src in 0..8 {

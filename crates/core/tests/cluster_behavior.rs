@@ -12,7 +12,11 @@ use ampnet_packet::{
 };
 
 fn booted(n: usize, seed: u64) -> Cluster {
-    let mut c = Cluster::new(ClusterConfig::small(n).with_seed(seed));
+    boot(ClusterConfig::small(n).with_seed(seed))
+}
+
+fn boot(cfg: ClusterConfig) -> Cluster {
+    let mut c = Cluster::new(cfg);
     c.run_for(SimDuration::from_millis(10));
     assert!(c.ring_up(), "boot must complete within 10 ms");
     c
@@ -747,6 +751,60 @@ fn repair_reabsorbs_isolated_node() {
     c.send_message(0, 2, 0, b"welcome back");
     c.run_for(SimDuration::from_millis(1));
     assert_eq!(c.pop_message(2).unwrap().payload, b"welcome back");
+}
+
+/// A booted 3-node cluster on one switch: losing the switch leaves no
+/// ring at all.
+fn one_switch(seed: u64) -> Cluster {
+    boot(ClusterConfig {
+        n_switches: 1,
+        ..ClusterConfig::small(3).with_seed(seed)
+    })
+}
+
+#[test]
+fn no_survivors_cancels_the_pending_episode() {
+    let mut c = one_switch(5);
+    let t0 = c.now();
+    // Node 1's crash starts episode 2; the switch dies before it commits.
+    c.schedule_failure(t0 + SimDuration::from_micros(1), Component::Node(NodeId(1)));
+    c.schedule_failure(t0 + SimDuration::from_micros(2), Component::Switch(SwitchId(0)));
+    c.run_for(SimDuration::from_millis(10));
+    assert!(c
+        .observations()
+        .iter()
+        .any(|(_, ev)| *ev == ObservedEvent::NoSurvivors(Component::Switch(SwitchId(0)))));
+    assert!(!c.ring_up(), "no ring is committed over the dead switch");
+    assert!(c.ring().is_empty());
+    assert_eq!(c.roster_history().len(), 1, "boot only: episode 2 was cancelled");
+    assert_eq!(c.certifications().count(), 1, "boot only");
+    assert_eq!(c.epoch(), 2, "the cancelled episode keeps its count");
+    c.send_message(0, 2, 0, b"no path");
+    c.run_for(SimDuration::from_millis(1));
+    assert!(c.pop_message(2).is_none(), "nothing crosses a dead switch");
+}
+
+#[test]
+fn a_repair_after_no_survivors_restores_the_ring() {
+    let mut c = one_switch(5);
+    let t0 = c.now();
+    let switch = Component::Switch(SwitchId(0));
+    c.schedule_failure(t0 + SimDuration::from_micros(1), switch);
+    c.schedule_repair(t0 + SimDuration::from_millis(1), switch);
+    c.run_for(SimDuration::from_millis(50));
+    assert!(c.ring_up(), "the repaired switch carries a ring again");
+    assert_eq!(c.ring().len(), 3);
+    assert_eq!(c.epoch(), 2);
+    assert_eq!(
+        c.roster_history().last().unwrap().reason,
+        ampnet_core::RosterReason::Repair(switch)
+    );
+    let cert = c.certifications().last().unwrap();
+    assert_eq!(cert.epoch, 2);
+    assert!(cert.passed(), "the restored ring is certified");
+    c.send_message(0, 2, 0, b"back");
+    c.run_for(SimDuration::from_millis(1));
+    assert_eq!(c.pop_message(2).unwrap().payload, b"back");
 }
 
 #[test]
