@@ -360,10 +360,14 @@ impl NetworkCache {
     }
 
     /// Apply a DMA update received from the ring (write-through: the
-    /// replica is updated the instant the packet arrives).
+    /// replica is updated the instant the packet arrives), counted in
+    /// `cache_updates_applied`. A delivery plane that holds the packet
+    /// in a pooled frame applies it from there, with no copy between.
     pub fn apply_dma(&mut self, ctrl: &DmaCtrl, payload: &[u8]) -> Result<(), CacheError> {
         debug_assert_eq!(ctrl.len as usize, payload.len());
-        self.apply_raw(ctrl.region, ctrl.offset, payload)
+        self.apply_raw(ctrl.region, ctrl.offset, payload)?;
+        self.telemetry.tel.inc(self.telemetry.updates);
+        Ok(())
     }
 
     /// Apply the cache-relevant content of a well-formed MicroPacket
@@ -374,7 +378,6 @@ impl NetworkCache {
             return Ok(false);
         };
         self.apply_dma(ctrl, &data[..ctrl.len as usize])?;
-        self.telemetry.tel.inc(self.telemetry.updates);
         Ok(true)
     }
 

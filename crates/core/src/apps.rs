@@ -21,7 +21,6 @@ use crate::observe::ObservedEvent;
 use ampnet_cache::seqlock_msg::{self, ReadOutcome, RecordLayout};
 use ampnet_cache::{BackoffPolicy, CacheError, LockState, SemaphoreAction, SemaphoreAddr, SemaphoreClient};
 use ampnet_dk::{ControlGroup, FailoverEngine, FailoverPolicy, FailoverReport, GroupError, GroupId};
-use ampnet_packet::MicroPacket;
 use ampnet_sim::{Histogram, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -267,7 +266,8 @@ pub(crate) fn on_failover_poll(cluster: &mut Cluster, node: u8) {
     cluster.apps.counter = Some(app);
 }
 
-pub(crate) fn on_cache_update(cluster: &mut Cluster, node: u8, pkt: &MicroPacket) {
+/// A cache update from `src` to `(region, offset)` landed at `node`.
+pub(crate) fn on_cache_update(cluster: &mut Cluster, node: u8, src: u8, region: u8, offset: u32) {
     let now = cluster.now();
     let Some(app) = cluster.apps.counter.as_mut() else {
         return;
@@ -275,12 +275,9 @@ pub(crate) fn on_cache_update(cluster: &mut Cluster, node: u8, pkt: &MicroPacket
     // Heartbeat delivery: the record's data cell landing at a member
     // refreshes its engine.
     let hb = app.cfg.heartbeat_layout;
-    if let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body {
-        let is_heartbeat =
-            ctrl.region == hb.region && ctrl.offset == hb.offset + 8 && pkt.ctrl.src == app.leader;
-        if let Some(e) = app.engine(node).filter(|_| is_heartbeat) {
-            e.on_heartbeat(now, pkt.ctrl.src);
-        }
+    let is_heartbeat = region == hb.region && offset == hb.offset + 8 && src == app.leader;
+    if let Some(e) = app.engine(node).filter(|_| is_heartbeat) {
+        e.on_heartbeat(now, src);
     }
 }
 

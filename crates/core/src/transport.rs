@@ -12,9 +12,10 @@
 //! reconfiguration invalidates them in flight (an arrival whose epoch
 //! stamp is not its receiver's seat is released, modelling the packet
 //! loss replay then repairs). A
-//! delivered frame is copied once, out of its arena slot onto the
-//! handler's stack, and dispatched by reference; nothing re-parses it
-//! and no host queue sits in between.
+//! delivered cache update is applied to the replica straight from its
+//! arena slot; any other delivered frame is copied once, out of its
+//! slot onto the handler's stack, and dispatched by reference. Nothing
+//! re-parses it and no host queue sits in between.
 //!
 //! # Each node knows its own seat
 //!
@@ -66,9 +67,9 @@
 use crate::cluster::{Cluster, DataCell, Ev, TxPort};
 use ampnet_cache::atomics;
 use ampnet_cache::SemaphoreAction;
-use ampnet_packet::{build, MicroPacket, PacketType};
-use ampnet_ring::{MacAction, MacTx};
-use ampnet_services::msg::MsgRx;
+use ampnet_packet::{build, Body, MicroPacket, PacketType};
+use ampnet_ring::{MacAction, MacTx, WireFrame};
+use ampnet_services::msg::MSG_REGION;
 use ampnet_services::socket::AMPIP_STREAM;
 use ampnet_services::threads::{THREAD_DONE_VECTOR, THREAD_VECTOR};
 use ampnet_sim::{SimDuration, TieClass};
@@ -207,24 +208,52 @@ impl Cluster {
 
     // ----- packet dispatch -----
 
+    /// A frame the MAC delivered at `node`, told apart by the
+    /// descriptor `classify_arrival` built. A cache update is applied
+    /// where it lies, arena body to replica; any other packet is copied
+    /// out once and dispatched. A `consumed` frame (a unicast) goes
+    /// back to the pool before the handler inserts anything.
+    fn deliver(&mut self, node: u8, wf: WireFrame, consumed: bool) {
+        let dma = match wf.ctrl.ptype {
+            PacketType::Dma => self.arena.dma(wf.frame),
+            _ => None,
+        };
+        let pkt = match dma {
+            Some((ctrl, data)) if ctrl.region != MSG_REGION => {
+                // Regions this replica has not defined (a node that
+                // joined later) are tolerated.
+                let data = &data[..ctrl.len as usize];
+                let _ = self.nodes[node as usize].cache.apply_dma(&ctrl, data);
+                if consumed {
+                    self.arena.release(wf.frame);
+                }
+                crate::apps::on_cache_update(self, node, wf.ctrl.src, ctrl.region, ctrl.offset);
+                return;
+            }
+            Some((ctrl, &data)) => MicroPacket {
+                ctrl: wf.ctrl,
+                body: Body::Variable { ctrl, data },
+            },
+            None => self.arena.decode(wf.frame),
+        };
+        if consumed {
+            self.arena.release(wf.frame);
+        }
+        self.dispatch(node, &pkt);
+    }
+
     fn dispatch(&mut self, node: u8, pkt: &MicroPacket) {
         let i = node as usize;
         match pkt.ctrl.ptype {
             PacketType::Dma => {
-                if MsgRx::is_message(pkt) {
-                    if let Some(d) = self.nodes[i].msg_rx.on_packet(pkt) {
-                        if d.stream == AMPIP_STREAM {
-                            self.nodes[i].ampip.on_datagram(d);
-                        } else if !self.try_collective(node, d.stream, &d.payload) {
-                            self.stream_backlog[d.stream as usize] += 1;
-                            self.nodes[i].inbox.push_back(d);
-                        }
+                // Message traffic: a cache update never gets here.
+                if let Some(d) = self.nodes[i].msg_rx.on_packet(pkt) {
+                    if d.stream == AMPIP_STREAM {
+                        self.nodes[i].ampip.on_datagram(d);
+                    } else if !self.try_collective(node, d.stream, &d.payload) {
+                        self.stream_backlog[d.stream as usize] += 1;
+                        self.nodes[i].inbox.push_back(d);
                     }
-                } else {
-                    // Cache update; tolerate regions this replica has
-                    // not defined (e.g. a node that joined later).
-                    let _ = self.nodes[i].cache.apply_packet(pkt);
-                    crate::apps::on_cache_update(self, node, pkt);
                 }
             }
             PacketType::Data => {
@@ -348,14 +377,8 @@ impl Cluster {
                 let now = self.sim.now();
                 let i = node as usize;
                 match self.nodes[i].stack.classify_arrival(now, &mut self.arena, frame) {
-                    action @ (MacAction::Deliver(_) | MacAction::DeliverAndForward(_)) => {
-                        let pkt = self.arena.decode(frame);
-                        if let MacAction::Deliver(_) = action {
-                            // Consumed here: the slot goes back to the
-                            // pool before the handler inserts anything.
-                            self.arena.release(frame);
-                        }
-                        self.dispatch(node, &pkt);
+                    action @ (MacAction::Deliver(wf) | MacAction::DeliverAndForward(wf)) => {
+                        self.deliver(node, wf, matches!(action, MacAction::Deliver(_)));
                     }
                     // An own unicast whose destination left the ring
                     // also tours back and is stripped here; it retires

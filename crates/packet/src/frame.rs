@@ -301,6 +301,16 @@ impl FrameArena {
         (h.ctrl, variable.then(|| DmaCtrl::from_bytes(h.field)))
     }
 
+    /// A live DMA frame's control and body, read in place (`None` for
+    /// a fixed frame): `ctrl.len` bytes of the body are the data. The
+    /// delivery plane applies a cache update from here, where the
+    /// packet lies, instead of copying it out first.
+    pub fn dma(&self, f: FrameRef) -> Option<(DmaCtrl, &[u8; MAX_DMA_PAYLOAD])> {
+        let h = self.head(f);
+        (h.ctrl.ptype.length_class() == LengthClass::Variable)
+            .then(|| (DmaCtrl::from_bytes(h.field), &self.bodies[h.body as usize]))
+    }
+
     /// Copy the packet out of a live frame (delivery boundary; the
     /// frame stays live).
     pub fn decode(&self, f: FrameRef) -> MicroPacket {
@@ -378,6 +388,11 @@ mod tests {
                 Body::Fixed(_) => None,
             };
             assert_eq!(dma, dma_ctrl);
+            let in_place = match &pkt.body {
+                Body::Variable { ctrl, data } => Some((*ctrl, data)),
+                Body::Fixed(_) => None,
+            };
+            assert_eq!(a.dma(f), in_place, "the body read where it lies");
             assert_eq!(a.decode(f), pkt, "copied-out packet bit-identical");
             a.release(f);
         }
@@ -445,6 +460,15 @@ mod tests {
         a.release(f);
         a.insert(&fixed(1)); // recycles the slot under a new generation
         a.header(f);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale FrameRef")]
+    fn dma_view_after_release_panics() {
+        let mut a = FrameArena::new();
+        let f = a.insert(&dma(8));
+        a.release(f);
+        a.dma(f);
     }
 
     #[test]

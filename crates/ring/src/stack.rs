@@ -42,6 +42,7 @@ use ampnet_sim::{SimDuration, SimTime};
 use ampnet_telemetry::{
     defs, CounterHandle, FlightEvent, FlightKind, GaugeHandle, Plane, Telemetry,
 };
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Most line groups [`SerialPhy::assess_burst`] decodes for one burst:
@@ -150,6 +151,13 @@ impl SerialPhy {
 /// owning `Segment`/`Cluster` calls [`NodeStack::instrument`] to make
 /// the stack record.
 ///
+/// The hop counters (`phy_tx_frames`, `mac_inserted`, `mac_forwarded`,
+/// `mac_stripped`, `delivery_frames`, `delivery_payload_bytes`) count
+/// facts the MAC already counts in its [`RingNodeStats`], so no hop
+/// writes them: [`NodeStack::publish_metrics`] adds what the MAC
+/// counted since the last publish, and a dropped stack does the same.
+/// The flight events stay per hop.
+///
 /// Recording through these handles is zero-alloc: registration (here,
 /// at setup time) is the only allocating step.
 #[derive(Debug, Clone)]
@@ -168,6 +176,9 @@ pub struct StackTelemetry {
     backoffs: GaugeHandle,
     dl_frames: CounterHandle,
     dl_bytes: CounterHandle,
+    /// The MAC's counters as of the last publish (a `Cell`, so a
+    /// snapshot publishes through `&self`).
+    published: Cell<RingNodeStats>,
 }
 
 impl Default for StackTelemetry {
@@ -194,10 +205,13 @@ impl StackTelemetry {
             backoffs: GaugeHandle::NONE,
             dl_frames: CounterHandle::NONE,
             dl_bytes: CounterHandle::NONE,
+            published: Cell::default(),
         }
     }
 
-    /// Register this node's plane instruments in `tel`.
+    /// Register this node's plane instruments in `tel`. The MAC
+    /// counters publish from zero: a stack instrumented mid-run sets
+    /// its baseline ([`NodeStack::instrument`] does).
     pub fn new(tel: &Telemetry, node: u8) -> Self {
         StackTelemetry {
             tel: tel.clone(),
@@ -214,7 +228,28 @@ impl StackTelemetry {
             backoffs: tel.gauge(&defs::MAC_BACKOFFS, node),
             dl_frames: tel.counter(&defs::DELIVERY_FRAMES, node),
             dl_bytes: tel.counter(&defs::DELIVERY_PAYLOAD_BYTES, node),
+            published: Cell::default(),
         }
+    }
+
+    /// Add to the hop counters what the MAC counted since the last
+    /// publish: `phy_tx_frames` is `inserted + forwarded`, and the
+    /// delivery counters are the MAC's delivered frames and bytes.
+    /// The MAC's counters never fall; saturating keeps a drop from
+    /// panicking if `NodeStack::mac` is ever replaced.
+    fn publish_mac_counters(&self, stats: &RingNodeStats) {
+        let last = self.published.replace(*stats);
+        let inserted = stats.inserted.saturating_sub(last.inserted);
+        let forwarded = stats.forwarded.saturating_sub(last.forwarded);
+        self.tel.add(self.phy_tx, inserted + forwarded);
+        self.tel.add(self.inserted, inserted);
+        self.tel.add(self.forwarded, forwarded);
+        self.tel.add(self.stripped, stats.stripped.saturating_sub(last.stripped));
+        self.tel.add(self.dl_frames, stats.delivered.saturating_sub(last.delivered));
+        self.tel.add(
+            self.dl_bytes,
+            stats.delivered_payload_bytes.saturating_sub(last.delivered_payload_bytes),
+        );
     }
 
     /// Sync the MAC gauges from the MAC's own counters (called before
@@ -232,8 +267,6 @@ impl StackTelemetry {
 
     #[inline]
     fn delivered(&self, now: SimTime, wf: &WireFrame) {
-        self.tel.inc(self.dl_frames);
-        self.tel.add(self.dl_bytes, wf.payload_bytes as u64);
         self.tel.flight(FlightEvent {
             at_ns: now.0,
             node: self.node,
@@ -291,14 +324,20 @@ impl NodeStack {
 
     /// Attach this stack to a shared registry: registers its per-plane
     /// instruments under the MAC's node id. Idempotent per registry.
+    /// The old handles first publish what they owe; the new ones count
+    /// from the MAC's state now.
     pub fn instrument(&mut self, tel: &Telemetry) {
+        let stats = *self.mac.stats();
+        self.telemetry.publish_mac_counters(&stats);
         self.telemetry = StackTelemetry::new(tel, self.mac.id());
+        self.telemetry.published.set(stats);
     }
 
-    /// Sample the MAC-plane gauges (`mac_would_drop`,
-    /// `mac_transit_highwater_bytes`) into the registry. Call before
-    /// taking a snapshot.
+    /// Publish the MAC's hop counters and sample its gauges
+    /// (`mac_would_drop`, `mac_transit_highwater_bytes`) into the
+    /// registry. Call before taking a snapshot.
     pub fn publish_metrics(&self) {
+        self.telemetry.publish_mac_counters(self.mac.stats());
         self.telemetry.publish_mac_gauges(self.mac.stats());
     }
 
@@ -321,7 +360,7 @@ impl NodeStack {
     }
 
     /// A frame's last byte arrived from upstream: classify it and
-    /// account for it on every plane (MAC counters, telemetry). The
+    /// account for it on every plane (MAC counters, flight recorder). The
     /// MAC's verdict comes back with the frame's descriptor:
     ///
     /// * `Deliver`: the frame is **still live**; the driver reads it
@@ -352,7 +391,6 @@ impl NodeStack {
                 self.telemetry.delivered(now, &wf);
             }
             MacAction::Strip(wf) => {
-                self.telemetry.tel.inc(self.telemetry.stripped);
                 self.telemetry.tel.flight(FlightEvent {
                     at_ns: now.0,
                     node: self.telemetry.node,
@@ -405,9 +443,7 @@ impl NodeStack {
     #[inline]
     pub fn next_tx(&mut self, now: SimTime, _arena: &FrameArena) -> Option<MacTx> {
         let tx = self.mac.next_tx(now)?;
-        self.telemetry.tel.inc(self.telemetry.phy_tx);
         if tx.own {
-            self.telemetry.tel.inc(self.telemetry.inserted);
             self.telemetry.tel.flight(FlightEvent {
                 at_ns: now.0,
                 node: self.telemetry.node,
@@ -416,8 +452,6 @@ impl NodeStack {
                 a: tx.frame.ctrl.dst as u64,
                 b: tx.frame.wire_bytes as u64,
             });
-        } else {
-            self.telemetry.tel.inc(self.telemetry.forwarded);
         }
         Some(tx)
     }
@@ -463,6 +497,14 @@ impl NodeStack {
         _n_sources: usize,
     ) -> Self {
         NodeStack::new(SerialPhy::new(link, node_latency), RegisterMac::new(id, params))
+    }
+}
+
+/// A dropped stack publishes the hop counters it owes (not its gauges),
+/// so a registry that outlives its cluster or segment holds every hop.
+impl Drop for NodeStack {
+    fn drop(&mut self) {
+        self.telemetry.publish_mac_counters(self.mac.stats());
     }
 }
 
@@ -531,6 +573,55 @@ mod tests {
         ));
         assert_eq!(arena.live(), 0, "strip recycles the slot");
         assert_eq!(arena.stats().acquired, 1, "one encode for the whole tour");
+    }
+
+    /// One broadcast from node 0 round a 3-node ring: one insertion,
+    /// two forwards, two deliveries of 8 bytes, one strip.
+    fn broadcast_tour(stacks: &mut [NodeStack], arena: &mut FrameArena) {
+        stacks[0].enqueue_packet(arena, 0, &build::data_broadcast(0, 0, [5; 8]));
+        let mut f = stacks[0].next_tx(SimTime(0), arena).unwrap().frame.frame;
+        for hop in [1, 2] {
+            stacks[hop].on_wire_arrival(SimTime(0), arena, f);
+            f = stacks[hop].next_tx(SimTime(0), arena).unwrap().frame.frame;
+        }
+        stacks[0].on_wire_arrival(SimTime(0), arena, f);
+    }
+
+    const HOP_COUNTERS: [&str; 6] = [
+        "phy_tx_frames",
+        "mac_inserted",
+        "mac_forwarded",
+        "mac_stripped",
+        "delivery_frames",
+        "delivery_payload_bytes",
+    ];
+
+    fn hop_counts(tel: &Telemetry) -> [u64; 6] {
+        let snap = tel.snapshot();
+        HOP_COUNTERS.map(|name| snap.counter_total(name))
+    }
+
+    #[test]
+    fn hop_counters_publish_from_the_mac_at_snapshot_and_on_drop() {
+        let mut arena = FrameArena::new();
+        let mut stacks: Vec<NodeStack> = (0..3).map(|i| stack(i, 3)).collect();
+        broadcast_tour(&mut stacks, &mut arena); // before instrumenting: not counted
+        let (a, b) = (Telemetry::new(8), Telemetry::new(8));
+        stacks.iter_mut().for_each(|s| s.instrument(&a));
+        broadcast_tour(&mut stacks, &mut arena);
+        assert_eq!(hop_counts(&a), [0; 6], "no hop writes a counter");
+        stacks.iter().for_each(NodeStack::publish_metrics);
+        stacks.iter().for_each(NodeStack::publish_metrics);
+        let tour = [3, 1, 2, 1, 2, 16];
+        assert_eq!(hop_counts(&a), tour, "a second publish adds nothing");
+        broadcast_tour(&mut stacks, &mut arena);
+        // Re-instrumenting pays the old registry what it is owed.
+        stacks.iter_mut().for_each(|s| s.instrument(&b));
+        assert_eq!(hop_counts(&a), tour.map(|n| 2 * n));
+        broadcast_tour(&mut stacks, &mut arena);
+        drop(stacks);
+        assert_eq!(hop_counts(&b), tour, "a dropped stack publishes");
+        assert_eq!(hop_counts(&a), tour.map(|n| 2 * n));
     }
 
     /// A Data, an Interrupt (urgent) and a D64 atomic cell.

@@ -233,12 +233,6 @@ impl MsgRx {
         self.stats
     }
 
-    /// Is this well-formed packet message traffic: a DMA cell into the
-    /// message region?
-    pub fn is_message(pkt: &MicroPacket) -> bool {
-        matches!(&pkt.body, Body::Variable { ctrl, .. } if ctrl.region == MSG_REGION)
-    }
-
     /// Feed a well-formed packet; returns a datagram when one completes.
     pub fn on_packet(&mut self, pkt: &MicroPacket) -> Option<Datagram> {
         let Body::Variable { ctrl, data } = &pkt.body else {
@@ -500,7 +494,6 @@ mod tests {
             &[1, 2, 3],
         )
         .unwrap();
-        assert!(!MsgRx::is_message(&cache_dma));
         assert!(rx.on_packet(&cache_dma).is_none());
     }
 

@@ -70,12 +70,12 @@ mod reference {
 
     impl RefRx {
         pub fn on_packet(&mut self, pkt: &MicroPacket) -> Option<Datagram> {
-            if !MsgRx::is_message(pkt) {
-                return None;
-            }
             let ampnet_packet::Body::Variable { ctrl, .. } = &pkt.body else {
                 return None;
             };
+            if ctrl.region != MSG_REGION {
+                return None;
+            }
             let src = pkt.ctrl.src;
             let stream = pkt.ctrl.tag;
             let id = (ctrl.offset >> 16) as u16;

@@ -215,16 +215,6 @@ impl Telemetry {
         }
     }
 
-    /// Current counter value (0 when disabled).
-    pub fn counter_value(&self, h: CounterHandle) -> u64 {
-        self.inner.as_ref().map_or(0, |shared| shared.cells.load(h.0))
-    }
-
-    /// Current gauge value (0 when disabled).
-    pub fn gauge_value(&self, h: GaugeHandle) -> i64 {
-        self.inner.as_ref().map_or(0, |shared| shared.cells.load(h.0) as i64)
-    }
-
     /// Snapshot the registry (empty when disabled).
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.inner
@@ -290,7 +280,6 @@ mod tests {
         assert_eq!(c, CounterHandle::NONE);
         tel.inc(c);
         tel.flight(FlightEvent::default());
-        assert_eq!(tel.counter_value(c), 0);
         assert!(tel.snapshot().entries.is_empty());
         assert!(tel.flight_dump().is_empty());
         assert_eq!(tel.flight_recorded(), 0);
@@ -305,8 +294,8 @@ mod tests {
         assert_eq!(c, same);
         tel.inc(c);
         clone.add(same, 2);
-        assert_eq!(tel.counter_value(c), 3);
         assert_eq!(tel.snapshot().counter_total("mac_inserted"), 3);
+        assert_eq!(clone.snapshot().counter_total("mac_inserted"), 3);
     }
 
     #[test]
@@ -322,10 +311,9 @@ mod tests {
         tel.set(GaugeHandle::NONE, -5);
         tel.record(HistHandle::NONE, 123);
         tel.add(real, 2);
-        assert_eq!(tel.counter_value(real), 2);
-        assert_eq!(tel.counter_value(CounterHandle::NONE), 0);
-        assert_eq!(tel.gauge_value(GaugeHandle::NONE), 0);
-        assert_eq!(tel.snapshot().entries.len(), 1);
+        let snap = tel.snapshot();
+        assert_eq!(snap.entries.len(), 1, "a NONE handle registers nothing");
+        assert_eq!(snap.entries[0].value, SnapValue::Counter(2));
     }
 
     #[test]
@@ -333,7 +321,6 @@ mod tests {
         let tel = Telemetry::new(4);
         let g = tel.gauge(&defs::MAC_WOULD_DROP, 0);
         tel.set(g, -7);
-        assert_eq!(tel.gauge_value(g), -7);
         assert_eq!(tel.snapshot().entries[0].value, SnapValue::Gauge(-7));
     }
 
@@ -370,11 +357,13 @@ mod tests {
             s.spawn(writer(N));
         });
 
-        assert_eq!(tel.counter_value(c), 2 * N * 3);
-        assert_eq!(tel.gauge_value(g), 2 * N as i64);
+        let snap = tel.snapshot();
+        let value = |name| snap.get(name, Some(1)).unwrap().value;
+        assert_eq!(value("mac_forwarded"), SnapValue::Counter(2 * N * 3));
+        assert_eq!(value("mac_backoffs"), SnapValue::Gauge(2 * N as i64));
         let mut plain = Histogram::new();
         (1..=2 * N).for_each(|v| plain.record(v));
-        match tel.snapshot().get("ring_tour_ns", None).unwrap().value {
+        match snap.get("ring_tour_ns", None).unwrap().value {
             SnapValue::Hist { count, sum, min, max, p50: _, p99 } => {
                 assert_eq!((count, sum), (2 * N, u128::from(N * (2 * N + 1))));
                 assert_eq!((min, max, p99), (1, 2 * N, plain.p99()));
@@ -434,7 +423,7 @@ mod tests {
         };
         assert_eq!(hist("ring_tour_ns"), (100, 5050, 1, 100));
         assert_eq!(hist("ring_access_ns"), (100, 5_050_000, 1000, 100_000));
-        assert_eq!(tel.counter_value(after), 1);
+        assert_eq!(snap.entries[5002].value, SnapValue::Counter(1), "the counter after them");
     }
 
     #[test]

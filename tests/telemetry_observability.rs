@@ -15,6 +15,19 @@ fn same_seed_snapshot_is_byte_identical() {
     assert!(a.contains("\"snapshot\": \"ampnet_metrics\""));
 }
 
+/// The full-stack snapshot, pinned byte for byte: every counter, gauge
+/// and histogram the exercise records, over every layer. A change that
+/// moves where a count is kept (the MAC's hop counters are published
+/// from its stats at snapshot and when a stack is dropped) must leave
+/// this digest alone; one that drops or snapshots a stack without
+/// publishing what it owes moves it.
+#[test]
+fn full_stack_snapshot_is_pinned() {
+    let json = ampnet_bench::metrics::telemetry_exercise(0xA3B1).snapshot().to_json();
+    let digest = ampnet::sim::fnv64(json.as_bytes());
+    assert_eq!(digest, 0x2494_c241_5c8b_5e90, "snapshot digest {digest:#018x}");
+}
+
 /// A different seed still yields the same instrument set (registration
 /// is structural, not data-dependent).
 #[test]
